@@ -165,17 +165,6 @@ class Violation:
         return f"violation at event {self.index}: {self.reason}{extra}"
 
 
-_KIND_OF_CONNECTIVE = {
-    s.UnitT: "close",
-    s.TensorT: "chan",
-    s.LolliT: "chan",
-    s.IChoiceT: "label",
-    s.EChoiceT: "label",
-    s.ProduceT: "value",
-    s.QueryT: "value",
-}
-
-
 def monitor_trace(obl: TraceObligation, events: list):
     """Check one channel's chronological events against a session type.
 
@@ -184,7 +173,8 @@ def monitor_trace(obl: TraceObligation, events: list):
     of message; the trace must end exactly when the terminal close happens.
     Channels transmitted at tensor/lolli steps continue the main protocol on
     the continuation component; their own protocols run on other channels and
-    are outside this event stream.
+    are outside this event stream.  Binders are bound by name as the walk
+    reaches them, so an inner binder shadows an outer one of the same name.
     """
     from .runtime import action_kind
 
@@ -203,37 +193,32 @@ def monitor_trace(obl: TraceObligation, events: list):
             return Violation(idx, f"unresolved type reference {a.name}")
         if a is None:
             return Violation(idx, "event after the protocol already closed")
-        want = _KIND_OF_CONNECTIVE[type(a)]
+        want = s.CONNECTIVES[type(a)].kind
         got = action_kind(ev.action)
         if got != want:
             return Violation(idx, f"expected a {want} exchange, saw {got}")
-        pred = a.pred
-        for name, when in binds.items():
-            pred = t.substitute(pred, name, t.init_plus(when))
-        inst = t.substitute(pred, a.binder, t.init_plus(ev.time))
+        binds[a.binder] = ev.time
         try:
-            ok = t.eval_closed_prop(inst)
+            ok = t.eval_prop(a.pred, binds)
         except t.NonClosedError:
             return Violation(idx, "window predicate has unbound time variables")
         if not ok:
             from .parser import render_prop
 
+            pred = t.substitute_all(a.pred, {x: t.init_plus(n) for x, n in binds.items()
+                                             if x != a.binder})
             return Violation(idx, f"time t0+{ev.time} outside the window",
                              failed_pred=render_prop(pred))
-        binds[a.binder] = ev.time
-        if isinstance(a, s.UnitT):
+        if want == "close":
             if idx != len(events) - 1:
                 return Violation(idx + 1, "events continue after close")
             return Conforms()
-        if isinstance(a, (s.IChoiceT, s.EChoiceT)):
+        parts = s.components(a)
+        if want == "label":
             label = getattr(ev.action, "label", None)
             if label not in ("L", "R"):
                 return Violation(idx, "label exchange without a label")
-            a = a.left if label == "L" else a.right
-        elif isinstance(a, s.TensorT):
-            a = a.right
-        elif isinstance(a, s.LolliT):
-            a = a.cont
-        else:  # ProduceT / QueryT
-            a = a.cont
+            a = parts[0] if label == "L" else parts[1]
+        else:  # the continuation is the last component
+            a = parts[-1]
     return Violation(len(events), "trace ended before the protocol closed")

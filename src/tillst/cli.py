@@ -69,15 +69,14 @@ def build_system(prog: s.Program, name: str):
         raise SystemExit2(f"system {name}: {sysd.entry} takes {len(entry.params)} "
                           f"channels, {len(sysd.bindings)} bound")
     start = sysd.start.ticks()
-    body = entry.body
-    leaves = []
+    leaves, instances = [], {}
     for param, machine, instance in sysd.bindings:
         if param not in params:
             raise SystemExit2(f"system {name}: {sysd.entry} has no parameter {param}")
         defn = defs[machine]
         leaves.append(AutoC(instance, machine, defn.initial, start))
-        body = s.subst_chan(body, param, instance)
-    leaves.append(ProcC(name, body))
+        instances[param] = instance
+    leaves.append(ProcC(name, s.subst_chan(entry.body, instances)))
     omega = leaves[-1]
     for leaf in reversed(leaves[:-1]):
         omega = ParC(leaf, omega)

@@ -338,7 +338,11 @@ class Parser:
         return ctor(binder, pred, payload, cont)
 
     def binder(self) -> tuple:
+        tok = self.peek()
         name = self.ident()
+        if name == "t0":
+            raise ParseError("t0 is the initial instant and cannot be bound",
+                             tok.line, tok.col)
         self.keyword("where")
         return name, self.prop()
 
@@ -668,13 +672,7 @@ class Parser:
 def _type_refs(a: s.SessionType) -> set:
     if isinstance(a, s.TypeRef):
         return {a.name}
-    if isinstance(a, s.UnitT):
-        return set()
-    if isinstance(a, (s.TensorT, s.IChoiceT, s.EChoiceT)):
-        return _type_refs(a.left) | _type_refs(a.right)
-    if isinstance(a, s.LolliT):
-        return _type_refs(a.arg) | _type_refs(a.cont)
-    return _type_refs(a.cont)
+    return set().union(*map(_type_refs, s.components(a)))
 
 
 def _validate_program(prog: s.Program) -> None:
@@ -774,8 +772,6 @@ def render_expr(e: s.Expr) -> str:
         return "true" if e.value else "false"
     if isinstance(e, s.IntLit):
         return str(e.value)
-    if isinstance(e, s.OpaqueLit):
-        return e.tag
     if isinstance(e, s.VarE):
         return e.name
     if isinstance(e, s.Arith):

@@ -8,13 +8,19 @@ channel order), lets providers of environment-facing channels emit their sends
 as observable events, then advances the clock to the least pending instant.
 Each run yields a replayable step sequence.
 
+A process leaf carries an environment instead of rewritten continuations:
+when a provider fires, its time binder is bound to the current tick, and a
+received value is bound to its variable.  Predicates, annotations and
+expressions are evaluated under that environment.  Channel names are the one
+thing substituted into terms, since they name the leaves themselves.
+
 Fresh channels are named ``#k`` with k derived from the configuration itself,
 so replays and reorderings allocate identical names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from . import syntax as s
@@ -59,14 +65,6 @@ def render_value(v: Value) -> str:
     if isinstance(v, IntV):
         return str(v.value)
     return v.tag
-
-
-def value_to_expr(v: Value) -> s.Expr:
-    if isinstance(v, BoolV):
-        return s.BoolLit(v.value)
-    if isinstance(v, IntV):
-        return s.IntLit(v.value)
-    return s.OpaqueLit(v.sort, v.tag)
 
 
 class ExternEnv:
@@ -114,8 +112,6 @@ def eval_expr(e: s.Expr, env: ExternEnv, scope: Optional[dict] = None) -> Value:
         return BoolV(e.value)
     if isinstance(e, s.IntLit):
         return IntV(e.value)
-    if isinstance(e, s.OpaqueLit):
-        return OpaqueV(e.sort, e.tag)
     if isinstance(e, s.VarE):
         if e.name not in scope:
             raise ValueEvalError(f"unbound value variable {e.name} at runtime")
@@ -161,9 +157,45 @@ class StopC:
 
 
 @dataclass(frozen=True)
+class Env:
+    """A leaf's bindings: each fired time binder to the tick of its exchange,
+    each received value variable to its value.  Time and value variables are
+    separate namespaces, as in the source.  Never mutated."""
+
+    times: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
+
+    def __hash__(self):
+        return hash((frozenset(self.times.items()), frozenset(self.values.items())))
+
+    def bind_time(self, name: str, tick: int) -> "Env":
+        return Env({**self.times, name: tick}, self.values)
+
+    def bind_value(self, name: str, value: Value) -> "Env":
+        return Env(self.times, {**self.values, name: value})
+
+    def tick(self, e: t.TimeExpr) -> int:
+        """The instant an annotation denotes (NonClosedError if unbound)."""
+        if e.var in self.times:
+            return self.times[e.var] + e.offset
+        return e.ticks()
+
+    def close(self, pred: t.Prop, binder: str) -> t.Prop:
+        """``pred`` with the fired binders other than ``binder`` replaced by
+        their instants, for messages and solver queries."""
+        return t.substitute_all(pred, {x: t.init_plus(self.times[x])
+                                       for x in t.free_time_vars(pred)
+                                       if x != binder and x in self.times})
+
+
+EMPTY_ENV = Env()
+
+
+@dataclass(frozen=True)
 class ProcC:
     chan: str
     body: s.Process
+    env: Env = EMPTY_ENV
 
 
 @dataclass(frozen=True)
@@ -216,7 +248,7 @@ def provider_of(leaf) -> str:
 
 def _rename_provider(leaf, new: str):
     if isinstance(leaf, ProcC):
-        return ProcC(new, leaf.body)
+        return ProcC(new, leaf.body, leaf.env)
     if isinstance(leaf, AutoC):
         return AutoC(new, leaf.machine, leaf.state, leaf.entry)
     return FwdC(new, leaf.client)
@@ -408,125 +440,85 @@ class LocalStep:
     fire: Optional[Callable] = None  # payload -> list of replacement leaves
 
 
-def _pred_holds_at(binder: str, pred, now: int) -> bool:
-    inst = t.substitute(pred, binder, t.init_plus(now))
+def _pred_holds_at(p: s.Process, env: Env, now: int) -> bool:
+    """Whether provider ``p``'s window holds if it fires at ``now``."""
     try:
-        return t.eval_closed_prop(inst)
+        return t.eval_prop(p.pred, {**env.times, p.binder: now})
     except NonClosedError as exc:
         raise RuntimeInvariantError(
-            f"provider predicate {pred} not closed at runtime") from exc
+            f"provider predicate {p.pred} not closed at runtime") from exc
 
 
-def _proc_steps(leaf: ProcC, now: int, env: ExternEnv) -> list:
-    a, p = leaf.chan, leaf.body
-    here = t.init_plus(now)
-    steps = []
+_DUAL_DIR = {"send": "recv", "recv": "send"}
+_LABEL = {s.InLP: "L", s.InRP: "R", s.SelectLP: "L", s.SelectRP: "R"}
 
-    def provider_ready() -> bool:
-        return _pred_holds_at(p.binder, p.pred, now)
 
-    def at_now(expr) -> bool:
-        return expr.ticks() == now
+def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv) -> list:
+    """The leaf's step at ``now``, if any.  A provider form exchanges on the
+    leaf's own channel and binds its binder to ``now``; a client form
+    exchanges on the channel it names, at its annotation.  The connective
+    fixes the message kind and the provider's direction."""
+    a, p, env = leaf.chan, leaf.body, leaf.env
+    form = type(p)
+    if form in s.PROVIDES:
+        conn = s.CONNECTIVES[s.PROVIDES[form]]
+        if not _pred_holds_at(p, env, now):
+            return []
+        chan, direction, env = a, conn.provider_dir, env.bind_time(p.binder, now)
+    elif form in s.USES:
+        conn = s.CONNECTIVES[s.USES[form]]
+        if env.tick(p.at) != now:
+            return []
+        chan, direction = p.chan, _DUAL_DIR[conn.provider_dir]
+    else:
+        return _silent_steps(leaf, now, ext)
+    kind, sends = conn.kind, direction == "send"
 
-    if isinstance(p, s.CloseP):
-        if provider_ready():
-            steps.append(LocalStep(a, "close", "send", fire=lambda _: []))
-    elif isinstance(p, s.WaitP):
-        if at_now(p.at):
-            steps.append(LocalStep(p.chan, "close", "recv",
-                                   fire=lambda _, q=p.cont: [ProcC(a, q)]))
-    elif isinstance(p, s.LamRecv):
-        if provider_ready():
-            body = s.subst_time_in_process(p.body, p.binder, here)
-            steps.append(LocalStep(a, "chan", "recv",
-                                   fire=lambda c, b=body, v=p.var: [ProcC(a, s.subst_chan(b, v, c))]))
-    elif isinstance(p, s.AppSend):
-        if at_now(p.at):
-            def fire(c, q=p.cont, pay=p.payload):
-                return [ProcC(a, q), ProcC(c, pay)]
-            steps.append(LocalStep(p.chan, "chan", "send", fire=fire))
-    elif isinstance(p, s.PairSend):
-        if provider_ready():
-            pay = s.subst_time_in_process(p.payload, p.binder, here)
-            cont = s.subst_time_in_process(p.cont, p.binder, here)
-            steps.append(LocalStep(a, "chan", "send",
-                                   fire=lambda c, q=cont, pp=pay: [ProcC(a, q), ProcC(c, pp)]))
-    elif isinstance(p, s.PairRecv):
-        if at_now(p.at):
-            steps.append(LocalStep(p.chan, "chan", "recv",
-                                   fire=lambda c, q=p.cont, v=p.var: [ProcC(a, s.subst_chan(q, v, c))]))
-    elif isinstance(p, (s.InLP, s.InRP)):
-        if provider_ready():
-            lbl = "L" if isinstance(p, s.InLP) else "R"
-            cont = s.subst_time_in_process(p.cont, p.binder, here)
-            steps.append(LocalStep(a, "label", "send", label=lbl,
-                                   fire=lambda _, q=cont: [ProcC(a, q)]))
-    elif isinstance(p, s.CaseP):
-        if at_now(p.at):
-            steps.append(LocalStep(p.chan, "label", "recv", label="L",
-                                   fire=lambda _, q=p.left: [ProcC(a, q)]))
-            steps.append(LocalStep(p.chan, "label", "recv", label="R",
-                                   fire=lambda _, q=p.right: [ProcC(a, q)]))
-    elif isinstance(p, s.OfferP):
-        if provider_ready():
-            lq = s.subst_time_in_process(p.left, p.binder, here)
-            rq = s.subst_time_in_process(p.right, p.binder, here)
-            steps.append(LocalStep(a, "label", "recv", label="L",
-                                   fire=lambda _, q=lq: [ProcC(a, q)]))
-            steps.append(LocalStep(a, "label", "recv", label="R",
-                                   fire=lambda _, q=rq: [ProcC(a, q)]))
-    elif isinstance(p, (s.SelectLP, s.SelectRP)):
-        if at_now(p.at):
-            lbl = "L" if isinstance(p, s.SelectLP) else "R"
-            steps.append(LocalStep(p.chan, "label", "send", label=lbl,
-                                   fire=lambda _, q=p.cont: [ProcC(a, q)]))
-    elif isinstance(p, s.ProdP):
-        if provider_ready():
-            v = eval_expr(p.expr, env)
-            cont = s.subst_time_in_process(p.cont, p.binder, here)
-            steps.append(LocalStep(a, "value", "send", value=v,
-                                   fire=lambda _, q=cont: [ProcC(a, q)]))
-    elif isinstance(p, s.ConsP):
-        if at_now(p.at):
-            steps.append(LocalStep(p.chan, "value", "recv",
-                                   fire=lambda v, q=p.cont, x=p.var:
-                                   [ProcC(a, s.subst_val(q, x, value_to_expr(v)))]))
-    elif isinstance(p, s.QueryRecvP):
-        if provider_ready():
-            cont = s.subst_time_in_process(p.cont, p.binder, here)
-            steps.append(LocalStep(a, "value", "recv",
-                                   fire=lambda v, q=cont, x=p.var:
-                                   [ProcC(a, s.subst_val(q, x, value_to_expr(v)))]))
-    elif isinstance(p, s.SupplyP):
-        if at_now(p.at):
-            v = eval_expr(p.expr, env)
-            steps.append(LocalStep(p.chan, "value", "send", value=v,
-                                   fire=lambda _, q=p.cont: [ProcC(a, q)]))
-    elif isinstance(p, s.FwdP):
-        if at_now(p.at):
-            steps.append(LocalStep(a, "silent", "silent", tag="fwd",
-                                   fire=lambda _, b=p.chan: [FwdC(a, b)]))
-    elif isinstance(p, s.SpawnP):
-        if at_now(p.at):
-            decl = env.prog.proc_decl(p.callee)
-            if decl is None:
-                raise ValueEvalError(f"spawn of undeclared proc {p.callee}")
+    def step(fire, **extra) -> LocalStep:
+        return LocalStep(chan, kind, direction, fire=fire, **extra)
 
-            def fire(c, d=decl, sp=p):
-                body = d.body
-                for (param, _), arg in zip(d.params, sp.args):
-                    body = s.subst_chan(body, param, arg)
-                return [ProcC(c, body), ProcC(a, s.subst_chan(sp.cont, sp.bound, c))]
+    if kind == "close":
+        return [step(lambda _: [] if sends else [ProcC(a, p.cont, env)])]
+    if kind == "chan" and sends:
+        return [step(lambda c: [ProcC(a, p.cont, env), ProcC(c, p.payload, env)])]
+    if kind == "chan":
+        body = p.body if form is s.LamRecv else p.cont
+        return [step(lambda c: [ProcC(a, s.subst_chan(body, p.var, c), env)])]
+    if kind == "label" and sends:
+        return [step(lambda _: [ProcC(a, p.cont, env)], label=_LABEL[form])]
+    if kind == "label":
+        return [step(lambda _, q=q: [ProcC(a, q, env)], label=lbl)
+                for lbl, q in (("L", p.left), ("R", p.right))]
+    if sends:
+        value = eval_expr(p.expr, ext, env.values)
+        return [step(lambda _: [ProcC(a, p.cont, env)], value=value)]
+    return [step(lambda v: [ProcC(a, p.cont, env.bind_value(p.var, v))])]
 
-            steps.append(LocalStep(a, "silent", "silent", tag="spawn", fire=fire))
-    elif isinstance(p, s.IfP):
-        v = eval_expr(p.cond, env)
+
+def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv) -> list:
+    a, p, env = leaf.chan, leaf.body, leaf.env
+    if isinstance(p, s.IfP):
+        v = eval_expr(p.cond, ext, env.values)
         if not isinstance(v, BoolV):
             raise ValueEvalError("process conditional on a non-bool")
         branch = p.then if v.value else p.orelse
-        steps.append(LocalStep(a, "silent", "silent", tag="if",
-                               fire=lambda _, q=branch: [ProcC(a, q)]))
-    return steps
+        return [LocalStep(a, "silent", "silent", tag="if",
+                          fire=lambda _: [ProcC(a, branch, env)])]
+    if env.tick(p.at) != now:
+        return []
+    if isinstance(p, s.FwdP):
+        return [LocalStep(a, "silent", "silent", tag="fwd",
+                          fire=lambda _: [FwdC(a, p.chan)])]
+    decl = ext.prog.proc_decl(p.callee)
+    if decl is None:
+        raise ValueEvalError(f"spawn of undeclared proc {p.callee}")
+
+    def fire(c):
+        params = {param: arg for (param, _), arg in zip(decl.params, p.args)}
+        return [ProcC(c, s.subst_chan(decl.body, params)),
+                ProcC(a, s.subst_chan(p.cont, p.bound, c), env)]
+
+    return [LocalStep(a, "silent", "silent", tag="spawn", fire=fire)]
 
 
 def _auto_steps(leaf: AutoC, now: int, env: ExternEnv, defs: dict) -> list:
@@ -889,28 +881,12 @@ class RunResult:
         return self.status == "done"
 
 
-def _client_annotation(p: s.Process) -> Optional[t.TimeExpr]:
-    if isinstance(p, (s.WaitP, s.AppSend, s.PairRecv, s.CaseP, s.SelectLP,
-                      s.SelectRP, s.ConsP, s.SupplyP)):
-        return p.at
-    if isinstance(p, (s.FwdP, s.SpawnP)):
-        return p.at
+def _client_instant(leaf: ProcC) -> Optional[int]:
+    """The instant of a client, forward or spawn leaf; None for providers."""
+    p = leaf.body
+    if type(p) in s.USES or isinstance(p, (s.FwdP, s.SpawnP)):
+        return leaf.env.tick(p.at)
     return None
-
-
-_CLIENT_WANTS = {
-    s.WaitP: ("close", "send"), s.AppSend: ("chan", "recv"),
-    s.PairRecv: ("chan", "send"), s.CaseP: ("label", "send"),
-    s.SelectLP: ("label", "recv"), s.SelectRP: ("label", "recv"),
-    s.ConsP: ("value", "send"), s.SupplyP: ("value", "recv"),
-}
-
-_PROVIDER_FORMS = {
-    s.CloseP: ("close", "send"), s.LamRecv: ("chan", "recv"),
-    s.PairSend: ("chan", "send"), s.InLP: ("label", "send"),
-    s.InRP: ("label", "send"), s.OfferP: ("label", "recv"),
-    s.ProdP: ("value", "send"), s.QueryRecvP: ("value", "recv"),
-}
 
 
 def _analyze_due_client(leaf: ProcC, now: int, leaves: list,
@@ -919,11 +895,11 @@ def _analyze_due_client(leaf: ProcC, now: int, leaves: list,
     blame the provider window when the shapes complement, otherwise leave it
     pending (a shape mismatch stalls into deadlock, not a timing fault)."""
     term = leaf.body
-    want = _CLIENT_WANTS.get(type(term))
+    want = s.USES.get(type(term))
     if want is None:
         return None
     chan = term.chan
-    when = term.at.ticks()
+    when = leaf.env.tick(term.at)
     provider = None
     for x in leaves:
         if x is not leaf and provider_of(x) == chan:
@@ -937,37 +913,40 @@ def _analyze_due_client(leaf: ProcC, now: int, leaves: list,
         defn = defs.get(provider.machine)
         if defn is None:
             return TimingViolationInfo(chan, when, "<unknown automaton>", None)
+        conn = s.CONNECTIVES[want]
         kinds = [(tr.template.kind, tr.template.direction, provider.entry + tr.guard_offset)
                  for tr in transitions_from(defn, provider.state)]
-        matching = [rel for k, d, rel in kinds if (k, d) == want]
+        matching = [rel for k, d, rel in kinds if (k, d) == (conn.kind, conn.provider_dir)]
         if matching and min(matching) > now:
             guard = f"entry+{min(matching) - provider.entry} <= t"
             return TimingViolationInfo(chan, when, guard, {"t": now})
         return None
     if isinstance(provider, ProcC):
-        shape = _PROVIDER_FORMS.get(type(provider.body))
-        if shape == want and not _pred_holds_at(provider.body.binder,
-                                                provider.body.pred, now):
+        p = provider.body
+        if s.PROVIDES.get(type(p)) is want and not _pred_holds_at(p, provider.env, now):
             from .parser import render_prop
 
-            return TimingViolationInfo(chan, when, render_prop(provider.body.pred),
-                                       {provider.body.binder: now})
+            return TimingViolationInfo(chan, when,
+                                       render_prop(provider.env.close(p.pred, p.binder)),
+                                       {p.binder: now})
     return None
 
 
-def _earliest_enabled(binder: str, pred, lo: int, horizon: int) -> Optional[int]:
-    """Least instant >= lo satisfying the closed provider predicate.
+def _earliest_enabled(leaf: ProcC, lo: int, horizon: int) -> Optional[int]:
+    """Least instant >= lo at which the provider leaf's window holds.
 
     The linear scan stops at the horizon; a solver witness past it is
     returned as-is (possibly non-minimal) since the run ends there anyway.
     """
-    model = t.solve_satisfiable([binder], [pred, t.Leq(t.init_plus(lo), t.tvar(binder))])
+    p = leaf.body
+    pred = leaf.env.close(p.pred, p.binder)
+    model = t.solve_satisfiable([p.binder], [pred, t.Leq(t.init_plus(lo), t.tvar(p.binder))])
     if model is None:
         return None
-    for cand in range(lo, min(model[binder], horizon) + 1):
-        if _pred_holds_at(binder, pred, cand):
+    for cand in range(lo, min(model[p.binder], horizon) + 1):
+        if _pred_holds_at(p, leaf.env, cand):
             return cand
-    return model[binder]
+    return model[p.binder]
 
 
 def _pending_instants(omega: Configuration, now: int, horizon: int,
@@ -977,16 +956,14 @@ def _pending_instants(omega: Configuration, now: int, horizon: int,
     pend = []
     for leaf in leaves:
         if isinstance(leaf, ProcC):
-            at = _client_annotation(leaf.body)
-            if at is not None:
-                tick = at.ticks()
+            tick = _client_instant(leaf)
+            if tick is not None:
                 if tick > now:
                     pend.append(tick)
-            elif type(leaf.body) in _PROVIDER_FORMS and leaf.chan not in used:
-                kind, direction = _PROVIDER_FORMS[type(leaf.body)]
-                if direction != "send":
+            elif type(leaf.body) in s.PROVIDES and leaf.chan not in used:
+                if s.CONNECTIVES[s.PROVIDES[type(leaf.body)]].provider_dir != "send":
                     continue
-                nxt = _earliest_enabled(leaf.body.binder, leaf.body.pred, now + 1, horizon)
+                nxt = _earliest_enabled(leaf, now + 1, horizon)
                 if nxt is not None:
                     pend.append(nxt)
         elif isinstance(leaf, AutoC):
@@ -1037,16 +1014,16 @@ def run_scheduler(omega: Configuration, start: int = 0,
         violation = None
         for leaf in leaves:
             if isinstance(leaf, ProcC):
-                at = _client_annotation(leaf.body)
-                if at is None:
+                tick = _client_instant(leaf)
+                if tick is None:
                     continue
-                if at.ticks() < clock:
+                if tick < clock:
                     # created after its own instant: can never fire
                     violation = TimingViolationInfo(
-                        getattr(leaf.body, "chan", leaf.chan), at.ticks(),
+                        getattr(leaf.body, "chan", leaf.chan), tick,
                         "<instant already passed>")
                     break
-                if at.ticks() == clock and not isinstance(leaf.body, (s.FwdP, s.SpawnP)):
+                if tick == clock and not isinstance(leaf.body, (s.FwdP, s.SpawnP)):
                     violation = _analyze_due_client(leaf, clock, leaves, defs)
                     if violation:
                         break

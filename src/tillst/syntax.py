@@ -1,8 +1,15 @@
 """Abstract syntax: session types, processes, functional expressions, programs.
 
 Provider forms carry a time binder and predicate; client forms carry a
-concrete time expression.  All substitutions are capture-avoiding.  Channel
-variables and value variables live in separate namespaces.
+concrete time expression.  Channel, time and value variables live in separate
+namespaces.  Only channel names are ever substituted into process terms: the
+checker binds time binders through a map to solver variables, the runtime
+through an environment of fired instants and received values.  Types are
+substituted into; ``expand_type_refs`` names every binder of a type uniquely,
+so those substitutions cannot capture.
+
+``CONNECTIVES`` is the one table of connectives: components, message kind,
+urgent form, and the process forms that provide and use each.
 """
 
 from __future__ import annotations
@@ -11,18 +18,23 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .temporal import Prop, TimeExpr, free_time_vars, substitute
-
-_fresh_counter = itertools.count(1)
-
-
-def fresh_name(stem: str = "t") -> str:
-    """Names containing '#' cannot be written in source, so never collide."""
-    return f"{stem}#{next(_fresh_counter)}"
+from .temporal import Prop, TimeExpr, substitute, substitute_all, tvar
 
 
 class CyclicTypeDefError(Exception):
     """Named type definitions form a reference cycle."""
+
+
+class NameSupply:
+    """Fresh binder names ``stem#k``, k counting from 1.  '#' cannot be
+    written in source, so they never collide with user names; each check or
+    expansion owns its supply, so the same input always gets the same names."""
+
+    def __init__(self):
+        self._count = itertools.count(1)
+
+    def __call__(self, stem: str) -> str:
+        return f"{stem.split('#')[0]}#{next(self._count)}"
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +132,6 @@ class TypeRef:
 
 SessionType = Union[UnitT, TensorT, LolliT, IChoiceT, EChoiceT, ProduceT, QueryT, TypeRef]
 
-BINDING_TYPES = (UnitT, TensorT, LolliT, IChoiceT, EChoiceT, ProduceT, QueryT)
-
 
 # Urgent types: the same connectives with the top binder instantiated away.
 # The definition is not recursive; components stay ordinary session types.
@@ -217,15 +227,7 @@ class CallE:
     args: tuple
 
 
-@dataclass(frozen=True)
-class OpaqueLit:
-    # Runtime-only literal: a received value of a named sort substituted into
-    # a continuation.  Never produced by the parser.
-    sort: str
-    tag: str
-
-
-Expr = Union[BoolLit, IntLit, VarE, Arith, Cmp, IfE, CallE, OpaqueLit]
+Expr = Union[BoolLit, IntLit, VarE, Arith, Cmp, IfE, CallE]
 
 
 # ---------------------------------------------------------------------------
@@ -474,454 +476,201 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
+# The connective table
+
+
+@dataclass(frozen=True)
+class Connective:
+    """How one connective is exchanged, provided and used."""
+
+    components: tuple  # field names of the component session types
+    kind: str  # message kind: close | chan | label | value (carries a payload sort)
+    provider_dir: str  # send | recv: what the provider does with the message
+    urgent: type
+    providers: tuple  # process forms that provide the connective
+    clients: tuple  # process forms that use it
+
+
+CONNECTIVES = {
+    UnitT: Connective((), "close", "send", UUnit, (CloseP,), (WaitP,)),
+    TensorT: Connective(("left", "right"), "chan", "send", UTensor, (PairSend,), (PairRecv,)),
+    LolliT: Connective(("arg", "cont"), "chan", "recv", ULolli, (LamRecv,), (AppSend,)),
+    IChoiceT: Connective(("left", "right"), "label", "send", UIChoice, (InLP, InRP), (CaseP,)),
+    EChoiceT: Connective(("left", "right"), "label", "recv", UEChoice, (OfferP,),
+                         (SelectLP, SelectRP)),
+    ProduceT: Connective(("cont",), "value", "send", UProduce, (ProdP,), (ConsP,)),
+    QueryT: Connective(("cont",), "value", "recv", UQuery, (QueryRecvP,), (SupplyP,)),
+}
+
+# process form -> the connective type it provides / uses
+PROVIDES = {form: ty for ty, c in CONNECTIVES.items() for form in c.providers}
+USES = {form: ty for ty, c in CONNECTIVES.items() for form in c.clients}
+
+
+def _rebuild(node, **changes):
+    return type(node)(**{**vars(node), **changes})
+
+
+# ---------------------------------------------------------------------------
 # Session type operations
 
 
+def components(a: SessionType) -> tuple:
+    return tuple(getattr(a, name) for name in CONNECTIVES[type(a)].components)
+
+
+def _map_components(a: SessionType, f, *args) -> dict:
+    # a plain loop: one stack frame per level, as deep types need
+    out = {}
+    for name in CONNECTIVES[type(a)].components:
+        out[name] = f(getattr(a, name), *args)
+    return out
+
+
 def subst_time_in_type(a: SessionType, name: str, e: TimeExpr) -> SessionType:
-    """[e/name]A, renaming the binder when it would capture or shadow."""
-    if isinstance(a, TypeRef):
+    """[e/name]A; a binder named ``name`` shadows it.  Nothing is renamed:
+    the caller keeps e's variable from being bound inside A, as it is once
+    expand_type_refs has named every binder uniquely."""
+    if isinstance(a, TypeRef) or a.binder == name:
         return a
-    if a.binder == name:
-        return a  # bound occurrences shadow the substitution
-    if e.var is not None and a.binder == e.var:
-        a = rename_binder(a, fresh_name(a.binder.split("#")[0]))
-    pred = substitute(a.pred, name, e)
-    if isinstance(a, UnitT):
-        return UnitT(a.binder, pred)
-    if isinstance(a, TensorT):
-        return TensorT(a.binder, pred,
-                       subst_time_in_type(a.left, name, e),
-                       subst_time_in_type(a.right, name, e))
-    if isinstance(a, LolliT):
-        return LolliT(a.binder, pred,
-                      subst_time_in_type(a.arg, name, e),
-                      subst_time_in_type(a.cont, name, e))
-    if isinstance(a, IChoiceT):
-        return IChoiceT(a.binder, pred,
-                        subst_time_in_type(a.left, name, e),
-                        subst_time_in_type(a.right, name, e))
-    if isinstance(a, EChoiceT):
-        return EChoiceT(a.binder, pred,
-                        subst_time_in_type(a.left, name, e),
-                        subst_time_in_type(a.right, name, e))
-    if isinstance(a, ProduceT):
-        return ProduceT(a.binder, pred, a.payload, subst_time_in_type(a.cont, name, e))
-    return QueryT(a.binder, pred, a.payload, subst_time_in_type(a.cont, name, e))
+    return _rebuild(a, pred=substitute(a.pred, name, e),
+                    **_map_components(a, subst_time_in_type, name, e))
 
 
-def rename_binder(a: SessionType, new: str) -> SessionType:
-    """Alpha-rename the top binder of a connective type."""
-    from .temporal import tvar
-
-    old = a.binder
-    if old == new:
-        return a
-    pred = substitute(a.pred, old, tvar(new))
-    sub = lambda t: subst_time_in_type(t, old, tvar(new))
-    if isinstance(a, UnitT):
-        return UnitT(new, pred)
-    if isinstance(a, TensorT):
-        return TensorT(new, pred, sub(a.left), sub(a.right))
-    if isinstance(a, LolliT):
-        return LolliT(new, pred, sub(a.arg), sub(a.cont))
-    if isinstance(a, IChoiceT):
-        return IChoiceT(new, pred, sub(a.left), sub(a.right))
-    if isinstance(a, EChoiceT):
-        return EChoiceT(new, pred, sub(a.left), sub(a.right))
-    if isinstance(a, ProduceT):
-        return ProduceT(new, pred, a.payload, sub(a.cont))
-    return QueryT(new, pred, a.payload, sub(a.cont))
-
-
-def expand_type_refs(prog: Program, a: SessionType) -> SessionType:
-    """Resolve TypeRef nodes against the program, then freshen every binder.
+def expand_type_refs(prog: Optional[Program], a: SessionType,
+                     names: Optional[NameSupply] = None) -> SessionType:
+    """Resolve TypeRef nodes against the program and name every binder
+    afresh from ``names`` (a new supply unless one is given).
 
     Named types splice in textually: a free time variable inside a definition
     is captured by whatever binder is in scope at the use site (that is how
     the surface language lets a continuation type refer to the instant of an
-    enclosing exchange).  The freshness pass afterwards is capture-correct.
+    enclosing exchange).  With ``prog`` None, references stay in place and
+    only the binders are renamed.
     """
+    names = names or NameSupply()
 
-    def splice(ty: SessionType, stack: tuple) -> SessionType:
+    def walk(ty: SessionType, stack: tuple, ren: dict) -> SessionType:
         if isinstance(ty, TypeRef):
+            if prog is None:
+                return ty
             if ty.name in stack:
                 cycle = " -> ".join(stack + (ty.name,))
                 raise CyclicTypeDefError(f"cyclic type definition: {cycle}")
             decl = prog.type_decl(ty.name)
             if decl is None:
                 raise CyclicTypeDefError(f"unknown type name: {ty.name}")
-            return splice(decl.body, stack + (ty.name,))
-        if isinstance(ty, UnitT):
-            return ty
-        if isinstance(ty, TensorT):
-            return TensorT(ty.binder, ty.pred, splice(ty.left, stack), splice(ty.right, stack))
-        if isinstance(ty, LolliT):
-            return LolliT(ty.binder, ty.pred, splice(ty.arg, stack), splice(ty.cont, stack))
-        if isinstance(ty, IChoiceT):
-            return IChoiceT(ty.binder, ty.pred, splice(ty.left, stack), splice(ty.right, stack))
-        if isinstance(ty, EChoiceT):
-            return EChoiceT(ty.binder, ty.pred, splice(ty.left, stack), splice(ty.right, stack))
-        if isinstance(ty, ProduceT):
-            return ProduceT(ty.binder, ty.pred, ty.payload, splice(ty.cont, stack))
-        return QueryT(ty.binder, ty.pred, ty.payload, splice(ty.cont, stack))
+            return walk(decl.body, stack + (ty.name,), ren)
+        new = names(ty.binder)
+        ren = {**ren, ty.binder: tvar(new)}
+        return _rebuild(ty, binder=new, pred=substitute_all(ty.pred, ren),
+                        **_map_components(ty, walk, stack, ren))
 
-    def freshen(ty: SessionType) -> SessionType:
-        ty = rename_binder(ty, fresh_name(ty.binder.split("#")[0]))
-        if isinstance(ty, UnitT):
-            return ty
-        if isinstance(ty, TensorT):
-            return TensorT(ty.binder, ty.pred, freshen(ty.left), freshen(ty.right))
-        if isinstance(ty, LolliT):
-            return LolliT(ty.binder, ty.pred, freshen(ty.arg), freshen(ty.cont))
-        if isinstance(ty, IChoiceT):
-            return IChoiceT(ty.binder, ty.pred, freshen(ty.left), freshen(ty.right))
-        if isinstance(ty, EChoiceT):
-            return EChoiceT(ty.binder, ty.pred, freshen(ty.left), freshen(ty.right))
-        if isinstance(ty, ProduceT):
-            return ProduceT(ty.binder, ty.pred, ty.payload, freshen(ty.cont))
-        return QueryT(ty.binder, ty.pred, ty.payload, freshen(ty.cont))
-
-    return freshen(splice(a, ()))
+    return walk(a, (), {})
 
 
 def urgency_instantiate(a: SessionType, at: TimeExpr) -> UrgentType:
     """Strip the top binder, substituting ``at`` into every component."""
     if isinstance(a, TypeRef):
         raise ValueError("urgency instantiation needs a TypeRef-free type")
-    t = a.binder
-    if isinstance(a, UnitT):
-        return UUnit()
-    if isinstance(a, TensorT):
-        return UTensor(subst_time_in_type(a.left, t, at), subst_time_in_type(a.right, t, at))
-    if isinstance(a, LolliT):
-        return ULolli(subst_time_in_type(a.arg, t, at), subst_time_in_type(a.cont, t, at))
-    if isinstance(a, IChoiceT):
-        return UIChoice(subst_time_in_type(a.left, t, at), subst_time_in_type(a.right, t, at))
-    if isinstance(a, EChoiceT):
-        return UEChoice(subst_time_in_type(a.left, t, at), subst_time_in_type(a.right, t, at))
-    if isinstance(a, ProduceT):
-        return UProduce(a.payload, subst_time_in_type(a.cont, t, at))
-    return UQuery(a.payload, subst_time_in_type(a.cont, t, at))
+    conn = CONNECTIVES[type(a)]
+    parts = _map_components(a, subst_time_in_type, a.binder, at)
+    if conn.kind == "value":
+        parts["payload"] = a.payload
+    return conn.urgent(**parts)
 
 
 def alpha_eq_type(a: SessionType, b: SessionType) -> bool:
-    """Structural equality up to renaming of time binders."""
-    if isinstance(a, TypeRef) or isinstance(b, TypeRef):
-        return a == b
-    if type(a) is not type(b):
-        return False
-    if a.binder != b.binder:
-        u = fresh_name("t")
-        a = rename_binder(a, u)
-        b = rename_binder(b, u)
-    if a.pred != b.pred:
-        return False
-    if isinstance(a, UnitT):
+    """Structural equality up to renaming of time binders.  Binders pair up
+    by position: both stand for ``#d``, d their depth, a name neither source
+    nor a NameSupply can produce."""
+
+    def eq(a, b, ma: dict, mb: dict, depth: int) -> bool:
+        if isinstance(a, TypeRef) or isinstance(b, TypeRef):
+            return a == b
+        if type(a) is not type(b):
+            return False
+        here = tvar(f"#{depth}")
+        ma, mb = {**ma, a.binder: here}, {**mb, b.binder: here}
+        if substitute_all(a.pred, ma) != substitute_all(b.pred, mb):
+            return False
+        if CONNECTIVES[type(a)].kind == "value" and a.payload != b.payload:
+            return False
+        for x, y in zip(components(a), components(b)):
+            if not eq(x, y, ma, mb, depth + 1):
+                return False
         return True
-    if isinstance(a, (TensorT, IChoiceT, EChoiceT)):
-        return alpha_eq_type(a.left, b.left) and alpha_eq_type(a.right, b.right)
-    if isinstance(a, LolliT):
-        return alpha_eq_type(a.arg, b.arg) and alpha_eq_type(a.cont, b.cont)
-    return a.payload == b.payload and alpha_eq_type(a.cont, b.cont)
 
-
-def type_free_time_vars(a: SessionType) -> set:
-    if isinstance(a, TypeRef):
-        return set()
-    out = free_time_vars(a.pred)
-    if isinstance(a, (TensorT, IChoiceT, EChoiceT)):
-        out |= type_free_time_vars(a.left) | type_free_time_vars(a.right)
-    elif isinstance(a, LolliT):
-        out |= type_free_time_vars(a.arg) | type_free_time_vars(a.cont)
-    elif isinstance(a, (ProduceT, QueryT)):
-        out |= type_free_time_vars(a.cont)
-    out.discard(a.binder)
-    return out
+    return eq(a, b, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------
 # Process operations
 
+# Per process form: the field naming the channel(s) it uses, the field that
+# binds a channel over its children, and its child processes.
+_PROC_FIELDS = {
+    CloseP: (None, None, ()),
+    WaitP: ("chan", None, ("cont",)),
+    LamRecv: (None, "var", ("body",)),
+    AppSend: ("chan", None, ("payload", "cont")),
+    PairSend: (None, None, ("payload", "cont")),
+    PairRecv: ("chan", "var", ("cont",)),
+    InLP: (None, None, ("cont",)),
+    InRP: (None, None, ("cont",)),
+    CaseP: ("chan", None, ("left", "right")),
+    OfferP: (None, None, ("left", "right")),
+    SelectLP: ("chan", None, ("cont",)),
+    SelectRP: ("chan", None, ("cont",)),
+    ProdP: (None, None, ("cont",)),
+    ConsP: ("chan", None, ("cont",)),
+    QueryRecvP: (None, None, ("cont",)),
+    SupplyP: ("chan", None, ("cont",)),
+    FwdP: ("chan", None, ()),
+    SpawnP: ("args", "bound", ("cont",)),
+    IfP: (None, None, ("then", "orelse")),
+}
+
 
 def free_channels(p: Process) -> set:
-    if isinstance(p, CloseP):
-        return set()
-    if isinstance(p, WaitP):
-        return {p.chan} | free_channels(p.cont)
-    if isinstance(p, LamRecv):
-        return free_channels(p.body) - {p.var}
-    if isinstance(p, AppSend):
-        return {p.chan} | free_channels(p.payload) | free_channels(p.cont)
-    if isinstance(p, PairSend):
-        return free_channels(p.payload) | free_channels(p.cont)
-    if isinstance(p, PairRecv):
-        return {p.chan} | (free_channels(p.cont) - {p.var})
-    if isinstance(p, (InLP, InRP)):
-        return free_channels(p.cont)
-    if isinstance(p, CaseP):
-        return {p.chan} | free_channels(p.left) | free_channels(p.right)
-    if isinstance(p, OfferP):
-        return free_channels(p.left) | free_channels(p.right)
-    if isinstance(p, (SelectLP, SelectRP)):
-        return {p.chan} | free_channels(p.cont)
-    if isinstance(p, ProdP):
-        return free_channels(p.cont)
-    if isinstance(p, ConsP):
-        return {p.chan} | free_channels(p.cont)
-    if isinstance(p, QueryRecvP):
-        return free_channels(p.cont)
-    if isinstance(p, SupplyP):
-        return {p.chan} | free_channels(p.cont)
-    if isinstance(p, FwdP):
-        return {p.chan}
-    if isinstance(p, SpawnP):
-        return set(p.args) | (free_channels(p.cont) - {p.bound})
-    # IfP
-    return free_channels(p.then) | free_channels(p.orelse)
+    uses, binder, children = _PROC_FIELDS[type(p)]
+    out = set()
+    for name in children:
+        out |= free_channels(getattr(p, name))
+    if binder is not None:
+        out.discard(getattr(p, binder))
+    if uses == "args":
+        out.update(p.args)
+    elif uses is not None:
+        out.add(getattr(p, uses))
+    return out
 
 
-def _map_process(p: Process, on_time, on_pred, on_chan, on_var, on_expr,
-                 chan_binders: frozenset, time_binders: frozenset,
-                 val_binders: frozenset) -> Process:
-    """One structural walker behind the three substitutions."""
-    rec = lambda q, cb=chan_binders, tb=time_binders, vb=val_binders: _map_process(
-        q, on_time, on_pred, on_chan, on_var, on_expr, cb, tb, vb)
-
-    if isinstance(p, CloseP):
-        return CloseP(p.binder, on_pred(p.pred, time_binders | {p.binder}))
-    if isinstance(p, WaitP):
-        return WaitP(on_time(p.at, time_binders), on_chan(p.chan, chan_binders), rec(p.cont))
-    if isinstance(p, LamRecv):
-        return LamRecv(p.binder, on_pred(p.pred, time_binders | {p.binder}), p.var,
-                       rec(p.body, chan_binders | {p.var}, time_binders | {p.binder},
-                           val_binders),
-                       p.arg_type)
-    if isinstance(p, AppSend):
-        return AppSend(on_chan(p.chan, chan_binders), on_time(p.at, time_binders),
-                       rec(p.payload), rec(p.cont))
-    if isinstance(p, PairSend):
-        tb = time_binders | {p.binder}
-        return PairSend(p.binder, on_pred(p.pred, tb),
-                        rec(p.payload, chan_binders, tb, val_binders),
-                        rec(p.cont, chan_binders, tb, val_binders))
-    if isinstance(p, PairRecv):
-        return PairRecv(on_chan(p.chan, chan_binders), on_time(p.at, time_binders), p.var,
-                        rec(p.cont, chan_binders | {p.var}, time_binders, val_binders))
-    if isinstance(p, InLP):
-        tb = time_binders | {p.binder}
-        return InLP(p.binder, on_pred(p.pred, tb), rec(p.cont, chan_binders, tb, val_binders))
-    if isinstance(p, InRP):
-        tb = time_binders | {p.binder}
-        return InRP(p.binder, on_pred(p.pred, tb), rec(p.cont, chan_binders, tb, val_binders))
-    if isinstance(p, CaseP):
-        return CaseP(on_time(p.at, time_binders), on_chan(p.chan, chan_binders),
-                     rec(p.left), rec(p.right))
-    if isinstance(p, OfferP):
-        tb = time_binders | {p.binder}
-        return OfferP(p.binder, on_pred(p.pred, tb),
-                      rec(p.left, chan_binders, tb, val_binders),
-                      rec(p.right, chan_binders, tb, val_binders))
-    if isinstance(p, SelectLP):
-        return SelectLP(on_chan(p.chan, chan_binders), on_time(p.at, time_binders), rec(p.cont))
-    if isinstance(p, SelectRP):
-        return SelectRP(on_chan(p.chan, chan_binders), on_time(p.at, time_binders), rec(p.cont))
-    if isinstance(p, ProdP):
-        tb = time_binders | {p.binder}
-        return ProdP(p.binder, on_pred(p.pred, tb), on_expr(p.expr, val_binders),
-                     rec(p.cont, chan_binders, tb, val_binders))
-    if isinstance(p, ConsP):
-        return ConsP(on_chan(p.chan, chan_binders), on_time(p.at, time_binders), p.var,
-                     rec(p.cont, chan_binders, time_binders, val_binders | {p.var}))
-    if isinstance(p, QueryRecvP):
-        tb = time_binders | {p.binder}
-        return QueryRecvP(p.binder, on_pred(p.pred, tb), p.var,
-                          rec(p.cont, chan_binders, tb, val_binders | {p.var}))
-    if isinstance(p, SupplyP):
-        return SupplyP(on_chan(p.chan, chan_binders), on_time(p.at, time_binders),
-                       on_expr(p.expr, val_binders), rec(p.cont))
-    if isinstance(p, FwdP):
-        return FwdP(on_time(p.at, time_binders), on_chan(p.chan, chan_binders))
-    if isinstance(p, SpawnP):
-        return SpawnP(on_time(p.at, time_binders), p.callee,
-                      tuple(on_chan(a, chan_binders) for a in p.args),
-                      p.bound,
-                      rec(p.cont, chan_binders | {p.bound}, time_binders, val_binders),
-                      p.bound_type)
-    return IfP(on_expr(p.cond, val_binders), rec(p.then), rec(p.orelse))
-
-
-def subst_time_in_process(p: Process, name: str, e: TimeExpr) -> Process:
-    """[e/name]P over annotations and predicates, respecting time binders."""
-    from .temporal import subst_time
-
-    p = _freshen_time_binder_collisions(p, name, e)
-
-    def on_time(t: TimeExpr, bound: frozenset) -> TimeExpr:
-        return t if name in bound else subst_time(t, name, e)
-
-    def on_pred(q: Prop, bound: frozenset) -> Prop:
-        return q if name in bound else substitute(q, name, e)
-
-    return _map_process(p, on_time, on_pred, lambda c, b: c, None,
-                        lambda x, b: x, frozenset(), frozenset(), frozenset())
-
-
-def _freshen_time_binder_collisions(p: Process, name: str, e: TimeExpr) -> Process:
-    # A binder equal to e.var would capture the substituted expression.
-    if e.var is None:
+def subst_chan(p: Process, m, a: Optional[str] = None) -> Process:
+    """[m]P: rename free channels by the mapping ``m``, all in one pass
+    (``subst_chan(p, x, a)`` is [a/x]P).  A channel binder that would capture
+    a replacement becomes ``stem#k``, k the least for which that name is
+    neither free in its scope nor a replacement."""
+    if a is not None:
+        m = {m: a}
+    if not m:
         return p
-    return _rename_time_binders(p, e.var)
-
-
-def _rename_time_binders(p: Process, clash: str) -> Process:
-    def walk(q: Process) -> Process:
-        if isinstance(q, (CloseP, LamRecv, PairSend, InLP, InRP, OfferP, ProdP, QueryRecvP)) \
-                and q.binder == clash:
-            new = fresh_name(clash.split("#")[0])
-            q = _rename_one_time_binder(q, new)
-        return _structural_children_map(q, walk)
-    return walk(p)
-
-
-def _rename_one_time_binder(p: Process, new: str):
-    from .temporal import tvar
-
-    old = p.binder
-    sub = lambda q: subst_time_in_process(q, old, tvar(new))
-    pred = substitute(p.pred, old, tvar(new))
-    if isinstance(p, CloseP):
-        return CloseP(new, pred)
-    if isinstance(p, LamRecv):
-        return LamRecv(new, pred, p.var, sub(p.body), p.arg_type)
-    if isinstance(p, PairSend):
-        return PairSend(new, pred, sub(p.payload), sub(p.cont))
-    if isinstance(p, InLP):
-        return InLP(new, pred, sub(p.cont))
-    if isinstance(p, InRP):
-        return InRP(new, pred, sub(p.cont))
-    if isinstance(p, OfferP):
-        return OfferP(new, pred, sub(p.left), sub(p.right))
-    if isinstance(p, ProdP):
-        return ProdP(new, pred, p.expr, sub(p.cont))
-    return QueryRecvP(new, pred, p.var, sub(p.cont))
-
-
-def _structural_children_map(p: Process, f) -> Process:
-    if isinstance(p, (CloseP, FwdP)):
-        return p
-    if isinstance(p, WaitP):
-        return WaitP(p.at, p.chan, f(p.cont))
-    if isinstance(p, LamRecv):
-        return LamRecv(p.binder, p.pred, p.var, f(p.body), p.arg_type)
-    if isinstance(p, AppSend):
-        return AppSend(p.chan, p.at, f(p.payload), f(p.cont))
-    if isinstance(p, PairSend):
-        return PairSend(p.binder, p.pred, f(p.payload), f(p.cont))
-    if isinstance(p, PairRecv):
-        return PairRecv(p.chan, p.at, p.var, f(p.cont))
-    if isinstance(p, InLP):
-        return InLP(p.binder, p.pred, f(p.cont))
-    if isinstance(p, InRP):
-        return InRP(p.binder, p.pred, f(p.cont))
-    if isinstance(p, CaseP):
-        return CaseP(p.at, p.chan, f(p.left), f(p.right))
-    if isinstance(p, OfferP):
-        return OfferP(p.binder, p.pred, f(p.left), f(p.right))
-    if isinstance(p, SelectLP):
-        return SelectLP(p.chan, p.at, f(p.cont))
-    if isinstance(p, SelectRP):
-        return SelectRP(p.chan, p.at, f(p.cont))
-    if isinstance(p, ProdP):
-        return ProdP(p.binder, p.pred, p.expr, f(p.cont))
-    if isinstance(p, ConsP):
-        return ConsP(p.chan, p.at, p.var, f(p.cont))
-    if isinstance(p, QueryRecvP):
-        return QueryRecvP(p.binder, p.pred, p.var, f(p.cont))
-    if isinstance(p, SupplyP):
-        return SupplyP(p.chan, p.at, p.expr, f(p.cont))
-    if isinstance(p, SpawnP):
-        return SpawnP(p.at, p.callee, p.args, p.bound, f(p.cont), p.bound_type)
-    return IfP(p.cond, f(p.then), f(p.orelse))
-
-
-def subst_chan(p: Process, x: str, a: str) -> Process:
-    """[a/x]P on channel variables, renaming clashing channel binders."""
-    if x == a:
-        return p
-
-    def walk(q: Process) -> Process:
-        binder = None
-        if isinstance(q, LamRecv):
-            binder = q.var
-        elif isinstance(q, PairRecv):
-            binder = q.var
-        elif isinstance(q, SpawnP):
-            binder = q.bound
-        if binder == x:
-            return q  # shadowed below this point
-        if binder == a:
-            new = fresh_name("c")
-            if isinstance(q, LamRecv):
-                q = LamRecv(q.binder, q.pred, new, subst_chan(q.body, binder, new), q.arg_type)
-            elif isinstance(q, PairRecv):
-                q = PairRecv(q.chan, q.at, new, subst_chan(q.cont, binder, new))
-            else:
-                q = SpawnP(q.at, q.callee, q.args, new,
-                           subst_chan(q.cont, binder, new), q.bound_type)
-        q = _replace_chan_heads(q, x, a)
-        return _structural_children_map(q, walk)
-
-    return walk(p)
-
-
-def _replace_chan_heads(q: Process, x: str, a: str) -> Process:
-    swap = lambda c: a if c == x else c
-    if isinstance(q, WaitP):
-        return WaitP(q.at, swap(q.chan), q.cont)
-    if isinstance(q, AppSend):
-        return AppSend(swap(q.chan), q.at, q.payload, q.cont)
-    if isinstance(q, PairRecv):
-        return PairRecv(swap(q.chan), q.at, q.var, q.cont)
-    if isinstance(q, CaseP):
-        return CaseP(q.at, swap(q.chan), q.left, q.right)
-    if isinstance(q, SelectLP):
-        return SelectLP(swap(q.chan), q.at, q.cont)
-    if isinstance(q, SelectRP):
-        return SelectRP(swap(q.chan), q.at, q.cont)
-    if isinstance(q, ConsP):
-        return ConsP(swap(q.chan), q.at, q.var, q.cont)
-    if isinstance(q, SupplyP):
-        return SupplyP(swap(q.chan), q.at, q.expr, q.cont)
-    if isinstance(q, FwdP):
-        return FwdP(q.at, swap(q.chan))
-    if isinstance(q, SpawnP):
-        return SpawnP(q.at, q.callee, tuple(swap(c) for c in q.args), q.bound,
-                      q.cont, q.bound_type)
-    return q
-
-
-def subst_val_expr(e: Expr, x: str, v: Expr) -> Expr:
-    if isinstance(e, OpaqueLit):
-        return e
-    if isinstance(e, VarE):
-        return v if e.name == x else e
-    if isinstance(e, Arith):
-        return Arith(e.op, subst_val_expr(e.left, x, v), subst_val_expr(e.right, x, v))
-    if isinstance(e, Cmp):
-        return Cmp(e.op, subst_val_expr(e.left, x, v), subst_val_expr(e.right, x, v))
-    if isinstance(e, IfE):
-        return IfE(subst_val_expr(e.cond, x, v), subst_val_expr(e.then, x, v),
-                   subst_val_expr(e.orelse, x, v))
-    if isinstance(e, CallE):
-        return CallE(e.name, tuple(subst_val_expr(a, x, v) for a in e.args))
-    return e
-
-
-def subst_val(p: Process, x: str, v: Expr) -> Process:
-    """[v/x]P on value variables inside functional expressions."""
-
-    def on_expr(e: Expr, bound: frozenset) -> Expr:
-        return e if x in bound else subst_val_expr(e, x, v)
-
-    return _map_process(p, lambda t, b: t, lambda q, b: q, lambda c, b: c, None,
-                        on_expr, frozenset(), frozenset(), frozenset())
+    uses, binder, children = _PROC_FIELDS[type(p)]
+    changes, inner = {}, m
+    if binder is not None:
+        bound = getattr(p, binder)
+        inner = {x: c for x, c in m.items() if x != bound}
+        if bound in inner.values():
+            taken = set(inner.values()).union(
+                *(free_channels(getattr(p, name)) for name in children))
+            stem, k = bound.split("#")[0], 1
+            while f"{stem}#{k}" in taken:
+                k += 1
+            changes[binder] = inner[bound] = f"{stem}#{k}"
+    for name in children:
+        changes[name] = subst_chan(getattr(p, name), inner)
+    if uses == "args":
+        changes["args"] = tuple(m.get(c, c) for c in p.args)
+    elif uses is not None:
+        changes[uses] = m.get(getattr(p, uses), getattr(p, uses))
+    return _rebuild(p, **changes)

@@ -76,15 +76,12 @@ def tvar(name: str, offset: int = 0) -> TimeExpr:
     return TimeExpr(name, offset)
 
 
-def normalize_time(e: TimeExpr) -> TimeExpr:
-    """Canonical base + single offset form (idempotent by construction)."""
-    return TimeExpr(e.var, e.offset)
-
-
-def subst_time(e: TimeExpr, name: str, repl: TimeExpr) -> TimeExpr:
-    if e.var == name:
-        return TimeExpr(repl.var, repl.offset + e.offset)
-    return e
+def subst_time(e: TimeExpr, m: Mapping[str, TimeExpr]) -> TimeExpr:
+    """[m]e: replace the base variable when ``m`` maps it."""
+    repl = m.get(e.var)
+    if repl is None:
+        return e
+    return TimeExpr(repl.var, repl.offset + e.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +200,18 @@ def free_time_vars(p: Prop) -> set:
 
 
 def substitute(p: Prop, name: str, e: TimeExpr) -> Prop:
-    """Capture-free substitution [e/name]p (props bind no time variables)."""
+    """[e/name]p."""
+    return substitute_all(p, {name: e})
+
+
+def substitute_all(p: Prop, m: Mapping[str, TimeExpr]) -> Prop:
+    """Simultaneous substitution [m]p; props bind no time variables, so
+    nothing can be captured."""
     if isinstance(p, (Top, Bot)):
         return p
-    if isinstance(p, And):
-        return And(substitute(p.left, name, e), substitute(p.right, name, e))
-    if isinstance(p, Or):
-        return Or(substitute(p.left, name, e), substitute(p.right, name, e))
-    if isinstance(p, Imp):
-        return Imp(substitute(p.left, name, e), substitute(p.right, name, e))
-    if isinstance(p, Eq):
-        return Eq(subst_time(p.left, name, e), subst_time(p.right, name, e))
-    return Leq(subst_time(p.left, name, e), subst_time(p.right, name, e))
+    if isinstance(p, (Eq, Leq)):
+        return type(p)(subst_time(p.left, m), subst_time(p.right, m))
+    return type(p)(substitute_all(p.left, m), substitute_all(p.right, m))
 
 
 def eval_prop(p: Prop, assignment: Mapping[str, int]) -> bool:

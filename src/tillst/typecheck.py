@@ -7,6 +7,11 @@ forward/cut retyping relations, which compare temporal windows by entailment
 with the connective structure held fixed (the lolli argument is
 contravariant).  Every temporal premise is discharged by the solver, and every
 query is recorded so it can be exported as SMT-LIB2.
+
+Binders are never substituted into process terms.  Types are expanded with
+uniquely named binders, and each type binder is itself the solver variable
+for its instant; the judgment carries a map from the process's time binders
+to those variables.
 """
 
 from __future__ import annotations
@@ -90,12 +95,6 @@ def _render_judgment(g, f, p) -> str:
     return f"{ctx}; {hyp} |- {render_prop(p)}"
 
 
-def _fresh_for(g, binder: str) -> str:
-    if binder not in g and "#" not in binder:
-        return binder
-    return s.fresh_name(binder.split("#")[0])
-
-
 # ---------------------------------------------------------------------------
 # Functional layer
 
@@ -108,8 +107,6 @@ def check_expr(gamma: dict, e: s.Expr, externs: dict, location: str = "") -> s.V
         return s.BOOL
     if isinstance(e, s.IntLit):
         return s.INT
-    if isinstance(e, s.OpaqueLit):
-        return s.NamedType(e.sort)
     if isinstance(e, s.VarE):
         if e.name not in gamma:
             err(f"unbound value variable {e.name}")
@@ -153,44 +150,56 @@ def check_expr(gamma: dict, e: s.Expr, externs: dict, location: str = "") -> s.V
 # Retyping relations
 
 
+def _close(a, m: dict):
+    """Type ``a`` with its free time variables replaced as ``m`` says."""
+    for name, e in m.items():
+        a = s.subst_time_in_type(a, name, e)
+    return a
+
+
 def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
-            cut: bool) -> tuple:
+            cut: bool, ma=None, mb=None) -> tuple:
     """Shared engine for forward and cut retyping.
 
     Returns (ok, reason).  Cut retyping adds T <= t to the hypotheses instead
-    of requiring it as a separate premise.
+    of requiring it as a separate premise.  Binders pair up: b's binder is
+    the solver variable for both instants, and ``ma``/``mb`` map the binders
+    of the enclosing connectives on each side to their variables.
     """
+    ma, mb = ma or {}, mb or {}
     if type(a) is not type(b) or isinstance(a, s.TypeRef):
-        return False, f"connective mismatch: {render_type(a)} vs {render_type(b)}"
-    u = _fresh_for(g, b.binder)
-    a = s.rename_binder(a, u)
-    b = s.rename_binder(b, u)
-    g2 = list(g) + [u]
-    hyp = list(f) + ([t.Leq(at, t.tvar(u))] if cut else []) + [b.pred]
-    ok, _ = solver.holds(g2, hyp, a.pred, location)
+        return False, (f"connective mismatch: {render_type(_close(a, ma))} "
+                       f"vs {render_type(_close(b, mb))}")
+    u = t.tvar(b.binder)
+    ma, mb = {**ma, a.binder: u}, {**mb, b.binder: u}
+    a_pred, b_pred = t.substitute_all(a.pred, ma), t.substitute_all(b.pred, mb)
+    g2 = list(g) + [b.binder]
+    hyp = list(f) + ([t.Leq(at, u)] if cut else []) + [b_pred]
+    ok, _ = solver.holds(g2, hyp, a_pred, location)
     if not ok:
-        return False, f"window not covered: {_render_judgment(g2, hyp, a.pred)}"
+        return False, f"window not covered: {_render_judgment(g2, hyp, a_pred)}"
     if not cut:
-        reach = t.Leq(at, t.tvar(u))
+        reach = t.Leq(at, u)
         ok, _ = solver.holds(g2, hyp, reach, location)
         if not ok:
             return False, f"unreachable instant: {_render_judgment(g2, hyp, reach)}"
-    here = t.tvar(u)
-    if isinstance(a, s.UnitT):
-        return True, ""
-    if isinstance(a, (s.TensorT, s.IChoiceT, s.EChoiceT)):
-        pairs = [(a.left, b.left), (a.right, b.right)]
-    elif isinstance(a, s.LolliT):
-        pairs = [(b.arg, a.arg), (a.cont, b.cont)]  # argument is contravariant
-    else:  # ProduceT / QueryT
-        if a.payload != b.payload:
+    if isinstance(a, s.LolliT):  # the argument is contravariant
+        pairs = [(b.arg, a.arg, mb, ma), (a.cont, b.cont, ma, mb)]
+    else:
+        if isinstance(a, (s.ProduceT, s.QueryT)) and a.payload != b.payload:
             return False, f"payload sort mismatch: {a.payload} vs {b.payload}"
-        pairs = [(a.cont, b.cont)]
-    for sub_a, sub_b in pairs:
-        ok, reason = _retype(solver, g2, hyp, sub_a, sub_b, here, location, cut)
+        pairs = [(x, y, ma, mb) for x, y in zip(s.components(a), s.components(b))]
+    for sub_a, sub_b, m_a, m_b in pairs:
+        ok, reason = _retype(solver, g2, hyp, sub_a, sub_b, u, location, cut, m_a, m_b)
         if not ok:
             return False, reason
     return True, ""
+
+
+def _retype_entry(g, f, a, b, at, solver, location, cut) -> tuple:
+    names = s.NameSupply()
+    a, b = (s.expand_type_refs(None, x, names) for x in (a, b))
+    return _retype(solver or EntailmentSolver(), g, f, a, b, at, location, cut)
 
 
 def fwd_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
@@ -201,8 +210,7 @@ def fwd_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
 
 
 def fwd_retype_explain(g, f, a, b, at, solver=None, location="fwd") -> tuple:
-    solver = solver or EntailmentSolver()
-    return _retype(solver, g, f, a, b, at, location, cut=False)
+    return _retype_entry(g, f, a, b, at, solver, location, cut=False)
 
 
 def cut_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
@@ -213,8 +221,7 @@ def cut_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
 
 
 def cut_retype_explain(g, f, a, b, at, solver=None, location="cut") -> tuple:
-    solver = solver or EntailmentSolver()
-    return _retype(solver, g, f, a, b, at, location, cut=True)
+    return _retype_entry(g, f, a, b, at, solver, location, cut=True)
 
 
 # ---------------------------------------------------------------------------
@@ -245,34 +252,15 @@ def split_context(delta: dict, p1: s.Process, p2: s.Process,
 # Process typing
 
 
-_PROVIDER_SHAPES = {
-    s.CloseP: s.UnitT,
-    s.LamRecv: s.LolliT,
-    s.PairSend: s.TensorT,
-    s.InLP: s.IChoiceT,
-    s.InRP: s.IChoiceT,
-    s.OfferP: s.EChoiceT,
-    s.ProdP: s.ProduceT,
-    s.QueryRecvP: s.QueryT,
-}
-
-_CLIENT_SHAPES = {
-    s.WaitP: s.UnitT,
-    s.AppSend: s.LolliT,
-    s.PairRecv: s.TensorT,
-    s.CaseP: s.IChoiceT,
-    s.SelectLP: s.EChoiceT,
-    s.SelectRP: s.EChoiceT,
-    s.ConsP: s.ProduceT,
-    s.SupplyP: s.QueryT,
-}
-
-
 class Checker:
     def __init__(self, prog: s.Program, solver: Optional[EntailmentSolver] = None):
         self.prog = prog
         self.solver = solver or EntailmentSolver()
         self.externs = {d.name: (tuple(d.arg_types), d.ret_type) for d in prog.externs}
+        self.names = s.NameSupply()
+
+    def expand(self, a):
+        return s.expand_type_refs(self.prog, a, self.names)
 
     # -- premise helpers -----------------------------------------------------
 
@@ -290,50 +278,52 @@ class Checker:
 
     # -- main judgment -------------------------------------------------------
 
-    def check_process(self, g, f, gamma, delta, p, at, a, location="",
+    def check_process(self, g, f, gamma, delta, tm, p, at, a, location="",
                       _spawn_stack=()) -> None:
-        """G;F | Gamma;Delta |- p :: a @ at, raising TypingError on failure."""
+        """G;F | Gamma;Delta |- p :: a @ at, raising TypingError on failure.
+        ``tm`` maps the time binders in scope in ``p`` to their instants."""
         loc = f"{location}/{type(p).__name__}"
 
         if isinstance(p, s.FwdP):
-            self._check_fwd(g, f, delta, p, at, a, loc)
+            self._check_fwd(g, f, delta, tm, p, at, a, loc)
             return
         if isinstance(p, s.SpawnP):
-            self._check_spawn(g, f, gamma, delta, p, at, a, loc, _spawn_stack)
+            self._check_spawn(g, f, gamma, delta, tm, p, at, a, loc, _spawn_stack)
             return
         if isinstance(p, s.IfP):
             cond = check_expr(gamma, p.cond, self.externs, loc)
             if cond != s.BOOL:
                 raise TypeCheckError(TypingError(
                     EXPR_TYPE_ERROR, loc, f"if condition has sort {cond}, not bool"))
-            self.check_process(g, f, gamma, delta, p.then, at, a, loc + "/then",
+            self.check_process(g, f, gamma, delta, tm, p.then, at, a, loc + "/then",
                                _spawn_stack)
-            self.check_process(g, f, gamma, delta, p.orelse, at, a, loc + "/else",
+            self.check_process(g, f, gamma, delta, tm, p.orelse, at, a, loc + "/else",
                                _spawn_stack)
             return
-        if type(p) in _PROVIDER_SHAPES:
-            if not isinstance(a, _PROVIDER_SHAPES[type(p)]):
+        if type(p) in s.PROVIDES:
+            if not isinstance(a, s.PROVIDES[type(p)]):
                 raise self._shape_error(loc, p, a)
-            self._check_provider(g, f, gamma, delta, p, at, a, loc, _spawn_stack)
+            self._check_provider(g, f, gamma, delta, tm, p, at, a, loc, _spawn_stack)
             return
-        if type(p) in _CLIENT_SHAPES:
-            self._check_client(g, f, gamma, delta, p, at, a, loc, _spawn_stack)
+        if type(p) in s.USES:
+            self._check_client(g, f, gamma, delta, tm, p, at, a, loc, _spawn_stack)
             return
         raise self._shape_error(loc, p, a)
 
-    def _check_fwd(self, g, f, delta, p: s.FwdP, at, a, loc) -> None:
+    def _check_fwd(self, g, f, delta, tm, p: s.FwdP, at, a, loc) -> None:
         if set(delta) != {p.chan}:
             extra = sorted(set(delta) - {p.chan}) or ["<empty>"]
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc,
                 f"forward must own exactly its source channel; leftover: {extra[0]}"))
-        self._require(g, f, t.Eq(at, p.at), TIMING_VIOLATION, loc,
+        when = t.subst_time(p.at, tm)
+        self._require(g, f, t.Eq(at, when), TIMING_VIOLATION, loc,
                       "forward annotation differs from judgment time")
-        ok, reason = _retype(self.solver, g, f, delta[p.chan], a, p.at, loc, cut=False)
+        ok, reason = _retype(self.solver, g, f, delta[p.chan], a, when, loc, cut=False)
         if not ok:
             raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
 
-    def _check_spawn(self, g, f, gamma, delta, p: s.SpawnP, at, a, loc,
+    def _check_spawn(self, g, f, gamma, delta, tm, p: s.SpawnP, at, a, loc,
                      _spawn_stack) -> None:
         decl = self.prog.proc_decl(p.callee)
         if decl is None:
@@ -347,7 +337,8 @@ class Checker:
             raise TypeCheckError(TypingError(
                 SHAPE_MISMATCH, loc,
                 f"{p.callee} takes {len(decl.params)} channel arguments, got {len(p.args)}"))
-        self._require(g, f, t.Eq(at, p.at), TIMING_VIOLATION, loc,
+        when = t.subst_time(p.at, tm)
+        self._require(g, f, t.Eq(at, when), TIMING_VIOLATION, loc,
                       "spawn annotation differs from judgment time")
         for arg in p.args:
             if arg not in delta:
@@ -356,155 +347,117 @@ class Checker:
         # Arguments are passed verbatim: alpha-equal types required.
         delta1 = {}
         for arg, (param, want) in zip(p.args, decl.params):
-            want = s.expand_type_refs(self.prog, want)
+            want = self.expand(want)
             if not s.alpha_eq_type(delta[arg], want):
                 raise TypeCheckError(TypingError(
                     SHAPE_MISMATCH, loc,
                     f"spawn argument {arg} has type {render_type(delta[arg])}, "
                     f"but {p.callee} expects {render_type(want)}"))
             delta1[param] = delta[arg]
-        offered = s.expand_type_refs(self.prog, decl.offered)
+        offered = self.expand(decl.offered)
         # Re-check the callee body at the spawn-site time: declared signatures
         # are established at t0 and do not transport to later instants.
-        self.check_process(g, f, gamma, delta1, decl.body, p.at, offered,
+        self.check_process(g, f, gamma, delta1, {}, decl.body, when, offered,
                            f"{loc}/{p.callee}", _spawn_stack + (p.callee,))
-        bound = offered if p.bound_type is None \
-            else s.expand_type_refs(self.prog, p.bound_type)
-        ok, reason = _retype(self.solver, g, f, offered, bound, p.at, loc, cut=True)
+        bound = offered if p.bound_type is None else self.expand(p.bound_type)
+        ok, reason = _retype(self.solver, g, f, offered, bound, when, loc, cut=True)
         if not ok:
             raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
         rest = {x: b for x, b in delta.items() if x not in p.args}
-        rest2 = dict(rest)
-        rest2[p.bound] = bound
-        self.check_process(g, f, gamma, rest2, p.cont, p.at, a, loc, _spawn_stack)
+        rest[p.bound] = bound
+        self.check_process(g, f, gamma, rest, tm, p.cont, when, a, loc, _spawn_stack)
 
-    def _provider_header(self, g, f, p, at, a, loc) -> tuple:
-        """Bind one fresh instant for the term and type binders and check the
-        term's window is the type's window (both entailment directions)."""
-        u = _fresh_for(g, a.binder)
-        ty = s.rename_binder(a, u)
-        term_pred = t.substitute(p.pred, p.binder, t.tvar(u))
-        g2 = list(g) + [u]
-        self._require(g2, list(f) + [ty.pred], term_pred, PREDICATE_UNSATISFIED, loc,
-                      "type window not honored by term predicate")
-        self._require(g2, list(f) + [term_pred], ty.pred, PREDICATE_UNSATISFIED, loc,
-                      "term predicate exceeds the type window")
-        f2 = list(f) + [ty.pred]
-        self._require(g2, f2, t.Leq(at, t.tvar(u)), TIMING_VIOLATION, loc,
-                      "provider is too late for its window")
-        return u, g2, f2, ty
-
-    def _check_provider(self, g, f, gamma, delta, p, at, a, loc, stack) -> None:
+    def _check_provider(self, g, f, gamma, delta, tm, p, at, a, loc, stack) -> None:
+        """The type's binder is the instant of the exchange; the term's
+        window must be the type's window (both entailment directions)."""
         if isinstance(p, s.CloseP) and delta:
             name = sorted(delta)[0]
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc, f"channel {name} unused at close"))
-        u, g2, f2, ty = self._provider_header(g, f, p, at, a, loc)
-        here = t.tvar(u)
-        sub = lambda q: s.subst_time_in_process(q, p.binder, here)
-
+        here = t.tvar(a.binder)
+        tm = {**tm, p.binder: here}
+        term_pred = t.substitute_all(p.pred, tm)
+        g = list(g) + [a.binder]
+        self._require(g, list(f) + [a.pred], term_pred, PREDICATE_UNSATISFIED, loc,
+                      "type window not honored by term predicate")
+        self._require(g, list(f) + [term_pred], a.pred, PREDICATE_UNSATISFIED, loc,
+                      "term predicate exceeds the type window")
+        f = list(f) + [a.pred]
+        self._require(g, f, t.Leq(at, here), TIMING_VIOLATION, loc,
+                      "provider is too late for its window")
         if isinstance(p, s.CloseP):
             return
+        # premises: (process, its Delta, its type, location, its Gamma)
         if isinstance(p, s.LamRecv):
             if p.arg_type is not None:
-                want = s.expand_type_refs(self.prog, p.arg_type)
-                if not s.alpha_eq_type(want, ty.arg):
+                if not s.alpha_eq_type(self.expand(p.arg_type), a.arg):
                     raise TypeCheckError(TypingError(
                         SHAPE_MISMATCH, loc, "lambda argument annotation mismatch"))
-            d2 = dict(delta)
-            d2[p.var] = ty.arg
-            self.check_process(g2, f2, gamma, d2, sub(p.body), here, ty.cont, loc, stack)
-            return
-        if isinstance(p, s.PairSend):
+            premises = [(p.body, {**delta, p.var: a.arg}, a.cont, loc, gamma)]
+        elif isinstance(p, s.PairSend):
             d1, d2 = split_context(delta, p.payload, p.cont, loc)
-            self.check_process(g2, f2, gamma, d1, sub(p.payload), here, ty.left, loc, stack)
-            self.check_process(g2, f2, gamma, d2, sub(p.cont), here, ty.right, loc, stack)
-            return
-        if isinstance(p, s.InLP):
-            self.check_process(g2, f2, gamma, delta, sub(p.cont), here, ty.left, loc, stack)
-            return
-        if isinstance(p, s.InRP):
-            self.check_process(g2, f2, gamma, delta, sub(p.cont), here, ty.right, loc, stack)
-            return
-        if isinstance(p, s.OfferP):
-            self.check_process(g2, f2, gamma, delta, sub(p.left), here, ty.left,
-                               loc + "/L", stack)
-            self.check_process(g2, f2, gamma, delta, sub(p.right), here, ty.right,
-                               loc + "/R", stack)
-            return
-        if isinstance(p, s.ProdP):
+            premises = [(p.payload, d1, a.left, loc, gamma), (p.cont, d2, a.right, loc, gamma)]
+        elif isinstance(p, s.InLP):
+            premises = [(p.cont, delta, a.left, loc, gamma)]
+        elif isinstance(p, s.InRP):
+            premises = [(p.cont, delta, a.right, loc, gamma)]
+        elif isinstance(p, s.OfferP):
+            premises = [(p.left, delta, a.left, loc + "/L", gamma),
+                        (p.right, delta, a.right, loc + "/R", gamma)]
+        elif isinstance(p, s.ProdP):
             got = check_expr(gamma, p.expr, self.externs, loc)
-            if got != ty.payload:
+            if got != a.payload:
                 raise TypeCheckError(TypingError(
                     EXPR_TYPE_ERROR, loc,
-                    f"produced value has sort {got}, type wants {ty.payload}"))
-            self.check_process(g2, f2, gamma, delta, sub(p.cont), here, ty.cont, loc, stack)
-            return
-        # QueryRecvP
-        gamma2 = dict(gamma)
-        gamma2[p.var] = ty.payload
-        self.check_process(g2, f2, gamma2, delta, sub(p.cont), here, ty.cont, loc, stack)
+                    f"produced value has sort {got}, type wants {a.payload}"))
+            premises = [(p.cont, delta, a.cont, loc, gamma)]
+        else:  # QueryRecvP
+            premises = [(p.cont, delta, a.cont, loc, {**gamma, p.var: a.payload})]
+        for q, d, ty, where, gam in premises:
+            self.check_process(g, f, gam, d, tm, q, here, ty, where, stack)
 
-    def _check_client(self, g, f, gamma, delta, p, at, a, loc, stack) -> None:
+    def _check_client(self, g, f, gamma, delta, tm, p, at, a, loc, stack) -> None:
         if p.chan not in delta:
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc, f"channel {p.chan} is not available"))
         b = delta[p.chan]
-        if not isinstance(b, _CLIENT_SHAPES[type(p)]):
+        if not isinstance(b, s.USES[type(p)]):
             raise self._shape_error(loc, p, b)
-        when = p.at
+        when = t.subst_time(p.at, tm)
         self._require(g, f, t.Leq(at, when), TIMING_VIOLATION, loc,
                       "client instant precedes the current time")
         window = t.substitute(b.pred, b.binder, when)
         self._require(g, f, window, TIMING_VIOLATION, loc,
                       "client instant misses the provider window")
-        instantiate = lambda comp: s.subst_time_in_type(comp, b.binder, when)
+        u = s.urgency_instantiate(b, when)
         rest = {x: c for x, c in delta.items() if x != p.chan}
-
+        # premises: (process, its Delta, its type, location, its Gamma)
         if isinstance(p, s.WaitP):
-            self.check_process(g, f, gamma, rest, p.cont, when, a, loc, stack)
-            return
-        if isinstance(p, s.AppSend):
+            premises = [(p.cont, rest, a, loc, gamma)]
+        elif isinstance(p, s.AppSend):
             d1, d2 = split_context(rest, p.payload, p.cont, loc)
-            self.check_process(g, f, gamma, d1, p.payload, when, instantiate(b.arg),
-                               loc + "/payload", stack)
-            d2[p.chan] = instantiate(b.cont)
-            self.check_process(g, f, gamma, d2, p.cont, when, a, loc, stack)
-            return
-        if isinstance(p, s.PairRecv):
-            d2 = dict(rest)
-            d2[p.var] = instantiate(b.left)
-            d2[p.chan] = instantiate(b.right)
-            self.check_process(g, f, gamma, d2, p.cont, when, a, loc, stack)
-            return
-        if isinstance(p, s.CaseP):
-            for comp, branch, tag in ((b.left, p.left, "/L"), (b.right, p.right, "/R")):
-                d2 = dict(rest)
-                d2[p.chan] = instantiate(comp)
-                self.check_process(g, f, gamma, d2, branch, when, a, loc + tag, stack)
-            return
-        if isinstance(p, (s.SelectLP, s.SelectRP)):
-            comp = b.left if isinstance(p, s.SelectLP) else b.right
-            d2 = dict(rest)
-            d2[p.chan] = instantiate(comp)
-            self.check_process(g, f, gamma, d2, p.cont, when, a, loc, stack)
-            return
-        if isinstance(p, s.ConsP):
-            gamma2 = dict(gamma)
-            gamma2[p.var] = b.payload
-            d2 = dict(rest)
-            d2[p.chan] = instantiate(b.cont)
-            self.check_process(g, f, gamma2, d2, p.cont, when, a, loc, stack)
-            return
-        # SupplyP
-        got = check_expr(gamma, p.expr, self.externs, loc)
-        if got != b.payload:
-            raise TypeCheckError(TypingError(
-                EXPR_TYPE_ERROR, loc,
-                f"supplied value has sort {got}, channel wants {b.payload}"))
-        d2 = dict(rest)
-        d2[p.chan] = instantiate(b.cont)
-        self.check_process(g, f, gamma, d2, p.cont, when, a, loc, stack)
+            premises = [(p.payload, d1, u.arg, loc + "/payload", gamma),
+                        (p.cont, {**d2, p.chan: u.cont}, a, loc, gamma)]
+        elif isinstance(p, s.PairRecv):
+            premises = [(p.cont, {**rest, p.var: u.left, p.chan: u.right}, a, loc, gamma)]
+        elif isinstance(p, s.CaseP):
+            premises = [(p.left, {**rest, p.chan: u.left}, a, loc + "/L", gamma),
+                        (p.right, {**rest, p.chan: u.right}, a, loc + "/R", gamma)]
+        elif isinstance(p, (s.SelectLP, s.SelectRP)):
+            comp = u.left if isinstance(p, s.SelectLP) else u.right
+            premises = [(p.cont, {**rest, p.chan: comp}, a, loc, gamma)]
+        elif isinstance(p, s.ConsP):
+            premises = [(p.cont, {**rest, p.chan: u.cont}, a, loc,
+                         {**gamma, p.var: b.payload})]
+        else:  # SupplyP
+            got = check_expr(gamma, p.expr, self.externs, loc)
+            if got != b.payload:
+                raise TypeCheckError(TypingError(
+                    EXPR_TYPE_ERROR, loc,
+                    f"supplied value has sort {got}, channel wants {b.payload}"))
+            premises = [(p.cont, {**rest, p.chan: u.cont}, a, loc, gamma)]
+        for q, d, ty, where, gam in premises:
+            self.check_process(g, f, gam, d, tm, q, when, ty, where, stack)
 
 
 @dataclass
@@ -524,8 +477,10 @@ def check_process(g, f, gamma, delta, p, at, a,
                   solver: Optional[EntailmentSolver] = None) -> Optional[TypingError]:
     """Standalone judgment check; returns None on success."""
     checker = Checker(prog or s.Program(), solver)
+    norm = lambda ty: s.expand_type_refs(None, ty, checker.names)
     try:
-        checker.check_process(list(g), list(f), dict(gamma), dict(delta), p, at, a)
+        checker.check_process(list(g), list(f), dict(gamma),
+                              {x: norm(b) for x, b in delta.items()}, {}, p, at, norm(a))
         return None
     except TypeCheckError as exc:
         return exc.error
@@ -539,9 +494,9 @@ def check_program(prog: s.Program,
     for decl in prog.procs:
         location = decl.name
         try:
-            delta = {v: s.expand_type_refs(prog, a) for v, a in decl.params}
-            offered = s.expand_type_refs(prog, decl.offered)
-            checker.check_process([], [], {}, delta, decl.body, t.INIT, offered,
+            delta = {v: checker.expand(a) for v, a in decl.params}
+            offered = checker.expand(decl.offered)
+            checker.check_process([], [], {}, delta, {}, decl.body, t.INIT, offered,
                                   location)
             reports.append(DeclReport(decl.name, True))
         except TypeCheckError as exc:

@@ -32,10 +32,19 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(bad))
         assert code == 2
 
+    def test_t0_binder_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "t0.tsl"
+        bad.write_text("fn p() -> Unit<t0 where Eq<t0, t0>> { Close<t0 where Eq<t0, t0>> }")
+        code, out, err = run_cli(capsys, "check", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}:1:16: t0 is the initial instant")
+
     def test_report_is_deterministic(self, capsys):
-        a = run_cli(capsys, "check", corpus_path("keyless_entry.tsl"))
-        b = run_cli(capsys, "check", corpus_path("keyless_entry.tsl"))
-        assert a == b
+        for name in ("keyless_entry.tsl", "cut_bad.tsl", "deadlock.tsl",
+                     "unsound_forward.tsl"):
+            a = run_cli(capsys, "check", corpus_path(name))
+            b = run_cli(capsys, "check", corpus_path(name))
+            assert a == b, name
 
     def test_external_backend_without_binary(self, capsys, monkeypatch):
         monkeypatch.delenv("SOLVER_BIN", raising=False)
@@ -77,6 +86,18 @@ class TestRun:
                                "--entry", "dead", "--trace",
                                str(tmp_path / "t.jsonl"))
         assert code == 1 and "deadlock" in out
+
+    def test_parameters_bound_in_one_pass(self, capsys, tmp_path):
+        # the instance bound to x is named like the parameter y: binding x
+        # first must not send y's sensor to x as well
+        src = open(corpus_path("smart_home.tsl"), encoding="utf-8").read()
+        src = src.replace("hub_main(x = bme680 as s1, y = bme680 as s2)",
+                          "hub_main(x = bme680 as y, y = bme680 as s2)")
+        path = tmp_path / "swapped.tsl"
+        path.write_text(src)
+        code, out, _ = run_cli(capsys, "run", str(path), "--entry", "main")
+        assert code == 0
+        assert out.splitlines()[-1] == "done at t0+50 (9 events)"
 
     def test_unknown_entry(self, capsys):
         code, _, err = run_cli(capsys, "run", corpus_path("adequacy.tsl"),

@@ -53,6 +53,13 @@ def test_parse_error_carries_position():
     assert "where" in exc.value.expected
 
 
+def test_t0_cannot_be_bound():
+    with pytest.raises(ParseError) as exc:
+        parse_program("fn p() -> Unit<t where True> {\n  Close<t0 where Eq<t0, t0>>\n}")
+    assert (exc.value.line, exc.value.col) == (2, 9)
+    assert "t0" in str(exc.value)
+
+
 def test_unknown_process_keyword():
     with pytest.raises(ParseError) as exc:
         parse_program("fn f() -> Unit<t where True> { Fling<t0>(x) }")

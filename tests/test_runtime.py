@@ -135,10 +135,11 @@ class TestCommStep:
                      ProcC("b", s.ConsP("a", sh(0), "v",
                                         s.SupplyP("missing", sh(0), s.VarE("v"), CLOSE))))
         ((conf, ev),) = comm_step(omega, 0, env)
-        assert isinstance(ev.action, SendValA)
-        # the received value was substituted into the continuation
+        assert isinstance(ev.action, SendValA) and isinstance(ev.action.value, IntV)
+        # the received value is bound in the receiving leaf's environment
         proc_b = next(x for x in conf_leaves(conf) if x.chan == "b")
-        assert isinstance(proc_b.body.expr, s.IntLit)
+        assert proc_b.body.expr == s.VarE("v")
+        assert proc_b.env.values == {"v": ev.action.value}
 
     def test_fresh_names_stable_across_orderings(self):
         # the fresh name depends only on the configuration, not on counters
@@ -442,3 +443,74 @@ def test_system_end_instants(name, entry, load_corpus):
     r = run_scheduler(omega, start, env=ExternEnv(prog), defs=defs)
     assert r.status == "done"
     assert r.end_time == EXPECTED_END[(name, entry)]
+
+
+class TestBinding:
+    """Time binders and value variables bind by name, innermost first, in
+    both the checker and the runtime."""
+
+    # The second Prod rebinds t to t0+7, so Wait<Shift<t, 5>> means t0+12:
+    # inside c's window (from t0+10) and when the automaton may close.  Read
+    # as the outer t0+3 it would be t0+8, before either.
+    SHADOW = """
+    automaton late { state S0 init; S0 --[10, !cls]--> accept; }
+    fn shadow(c: Unit<u where Geq<u, Shift<t0, 10>>>) ->
+        Produce<int, t where Eq<t, Shift<t0, 3>>,
+          Produce<int, s where Eq<s, Shift<t0, 7>>,
+            Unit<z where Eq<z, Shift<s, 5>>>>> {
+        Prod<t where Eq<t, Shift<t0, 3>>> $ 1 $;
+        Prod<t where Eq<t, Shift<t0, 7>>> $ 2 $;
+        Wait<Shift<t, 5>>(c);
+        Close<z where Eq<z, Shift<t, 5>>>
+    }
+    system sh = shadow(c = late as k) @ t0;
+    """
+
+    # The second Cons rebinds v, so the Supply must pass on q's value.
+    REUSE = """
+    sort num;
+    extern fn first() -> num;
+    extern fn second() -> num;
+    automaton give1 { state S0 init; state S1; S0 --[!val(first)]--> S1; S1 --[!cls]--> accept; }
+    automaton give2 { state S0 init; state S1; S0 --[!val(second)]--> S1; S1 --[!cls]--> accept; }
+    automaton take { state S0 init; state S1; S0 --[?val]--> S1; S1 --[!cls]--> accept; }
+    type GIVE = Produce<num, a where Geq<a, t0>, Unit<b where Geq<b, a>>>
+    type TAKE = Request<num, a where Geq<a, t0>, Unit<b where Geq<b, a>>>
+    fn relay(p: GIVE, q: GIVE, r: TAKE) -> Unit<z where Eq<z, t0>> {
+        Cons<t0>(p) { v =>
+        Cons<t0>(q) { v =>
+            Supply<t0>(r) $ v $;
+            Wait<t0>(p); Wait<t0>(q); Wait<t0>(r);
+            Close<z where Eq<z, t0>>
+        }}
+    }
+    system go = relay(p = give1 as g1, q = give2 as g2, r = take as k) @ t0;
+    """
+
+    @staticmethod
+    def run(src, entry):
+        from tillst.parser import parse_program
+        from tillst.typecheck import check_program
+
+        prog = parse_program(src)
+        verdicts = [r.render() for r in check_program(prog)]
+        omega, start, defs = build_system(prog, entry)
+        env = ExternEnv(prog)
+        r = run_scheduler(omega, start, env=env, defs=defs)
+        assert replay(r.sigma, env, defs)
+        return verdicts, r
+
+    def test_inner_time_binder_shadows_outer(self):
+        verdicts, r = self.run(self.SHADOW, "sh")
+        assert verdicts == ["ACCEPT shadow"]
+        assert r.status == "done" and r.end_time == 12
+        assert [(e.time, action_kind(e.action), e.channel) for e in r.trace] == \
+            [(3, "value", "sh"), (7, "value", "sh"), (12, "close", "k"), (12, "close", "sh")]
+
+    def test_reused_value_variable_sends_the_second_value(self):
+        verdicts, r = self.run(self.REUSE, "go")
+        assert verdicts == ["ACCEPT relay"]
+        assert r.status == "done"
+        supplied = [e.payload() for e in r.trace
+                    if e.channel == "k" and action_kind(e.action) == "value"]
+        assert supplied == ["second@g2"]

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.syntax import (CyclicTypeDefError, expand_type_refs, free_channels,
-                           subst_chan, subst_time_in_process, subst_val,
-                           urgency_instantiate)
+                           subst_chan, urgency_instantiate)
 
 T0 = t.INIT
 
@@ -75,31 +74,9 @@ class TestFreeChannels:
 
 
 class TestSubstitutions:
-    def test_time_in_close_pred(self):
-        p = s.CloseP("u", t.Eq(t.tvar("u"), t.tvar("t")))
-        assert subst_time_in_process(p, "t", t.init_plus(5)) == \
-            s.CloseP("u", t.Eq(t.tvar("u"), t.init_plus(5)))
-
     def test_chan_rename(self):
         w = s.WaitP(t.init_plus(1), "x", s.CloseP("t", t.TOP))
         assert subst_chan(w, "x", "a") == s.WaitP(t.init_plus(1), "a", s.CloseP("t", t.TOP))
-
-    def test_val_in_expr(self):
-        pr = s.ProdP("t", t.TOP, s.Arith("+", s.VarE("u"), s.IntLit(1)), s.CloseP("v", t.TOP))
-        assert subst_val(pr, "u", s.IntLit(2)) == \
-            s.ProdP("t", t.TOP, s.Arith("+", s.IntLit(2), s.IntLit(1)), s.CloseP("v", t.TOP))
-
-    def test_time_binder_shadows(self):
-        inner = s.CloseP("t", t.Eq(t.tvar("t"), T0))
-        outer = s.OfferP("t", t.Leq(t.tvar("t"), T0), inner, inner)
-        assert subst_time_in_process(outer, "t", t.init_plus(3)) == outer
-
-    def test_capture_avoided(self):
-        inner = s.CloseP("x", t.Leq(t.tvar("x"), t.tvar("t")))
-        outer = s.OfferP("x", t.TOP, inner, inner)
-        renamed = subst_time_in_process(outer, "t", t.tvar("x", 1))
-        assert renamed.binder != "x"
-        assert t.tvar(renamed.binder) != t.tvar("x")
 
     def test_chan_binder_capture_avoided(self):
         # substituting x -> c under a binder named c must rename the binder

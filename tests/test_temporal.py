@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from tillst import temporal as t
 from tillst.temporal import (BOT, INIT, TOP, And, Eq, Imp, Leq, Or,
                              eval_closed_prop, eval_prop, entails, init_plus,
-                             normalize_time, p_in, solve_satisfiable,
-                             substitute, tvar)
+                             p_in, solve_satisfiable, substitute, tvar)
 
 times = st.builds(
     t.TimeExpr,
@@ -36,15 +35,11 @@ def props(time_strategy, depth=2):
 
 class TestNormalize:
     def test_offset_arithmetic(self):
-        assert normalize_time(init_plus(3).shift(5)) == init_plus(8)
+        assert init_plus(3).shift(5) == init_plus(8)
 
     def test_identity_cases(self):
-        assert normalize_time(INIT) == init_plus(0)
-        assert normalize_time(tvar("t1", 10).shift(0)) == tvar("t1", 10)
-
-    @given(times)
-    def test_idempotent(self, e):
-        assert normalize_time(normalize_time(e)) == normalize_time(e)
+        assert INIT == init_plus(0)
+        assert tvar("t1", 10).shift(0) == tvar("t1", 10)
 
     @given(closed_times, closed_times)
     def test_trichotomy(self, a, b):

@@ -257,12 +257,11 @@ def test_recursive_spawn_rejected():
 
 
 def test_every_process_form_has_exactly_one_rule():
-    from tillst.typecheck import _CLIENT_SHAPES, _PROVIDER_SHAPES
     import typing
 
     judgmental = {s.FwdP, s.SpawnP, s.IfP}
-    covered = set(_PROVIDER_SHAPES) | set(_CLIENT_SHAPES) | judgmental
-    assert set(_PROVIDER_SHAPES) & set(_CLIENT_SHAPES) == set()
+    covered = set(s.PROVIDES) | set(s.USES) | judgmental
+    assert set(s.PROVIDES) & set(s.USES) == set()
     assert covered == set(typing.get_args(s.Process))
 
 
