@@ -1,15 +1,21 @@
-"""Byte-for-byte pins of ``tillst run`` and ``tillst monitor`` output.
+"""Byte-for-byte pins of ``tillst run`` and ``tillst monitor`` output, and of
+the scheduler's candidate order.
 
-Each file under ``tests/golden/`` holds one command's exit code on its first
-line (``exit N``) followed by its exact stdout.  The run files cover every
-``system`` of the corpus (trace plus verdict line); the monitor files check
-smart_home's two sensor channels against ``BME680``.  Regenerate them with
+Each ``.run`` or ``.monitor_*`` file under ``tests/golden/`` holds one
+command's exit code on its first line (``exit N``) followed by its exact
+stdout.  The run files cover every ``system`` of the corpus (trace plus
+verdict line); the monitor files check smart_home's two sensor channels
+against ``BME680``.  Each ``.candidates`` file lists, for every step of the
+same system's run, every candidate the scheduler was offered, in order, as
+``[time, dir, kind, channel, payload, tag]`` (dir, kind and payload as the
+trace format writes them).  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only when a change of output is
 intended.
 """
 
 import contextlib
 import io
+import json
 import os
 import re
 import sys
@@ -18,7 +24,9 @@ import tempfile
 import pytest
 
 from tillst import corpus_files, corpus_path
-from tillst.cli import main
+from tillst.cli import build_system, main
+from tillst.parser import parse_program
+from tillst.runtime import ExternEnv, run_scheduler, trace_to_jsonl
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -55,9 +63,30 @@ def monitor_output(channel: str) -> str:
                     "--trace", trace, "--channel", channel)
 
 
+def candidates_output(file: str, entry: str) -> str:
+    """The candidate lists of ``tillst run``'s scheduler, which always takes
+    the first candidate."""
+    with open(corpus_path(file), encoding="utf-8") as fh:
+        prog = parse_program(fh.read())
+    omega, start, defs = build_system(prog, entry)
+    steps = []
+
+    def first(clock, candidates):
+        rows = [json.loads(trace_to_jsonl([ev])) | {"tag": ev.tag} for _, ev in candidates]
+        steps.append([json.dumps([r["time"], r["dir"], r["kind"], r["channel"],
+                                  r["payload"], r["tag"]]) for r in rows])
+        return 0
+
+    run_scheduler(omega, start, env=ExternEnv(prog, seed=0), defs=defs, tiebreak=first)
+    return "".join(f"step {i}\n" + "".join(row + "\n" for row in rows)
+                   for i, rows in enumerate(steps))
+
+
 def _golden_cases() -> dict:
-    cases = {f"{file[:-4]}.{entry}.run": (run_output, (file, entry))
-             for file, entry in SYSTEMS}
+    cases = {}
+    for file, entry in SYSTEMS:
+        cases[f"{file[:-4]}.{entry}.run"] = (run_output, (file, entry))
+        cases[f"{file[:-4]}.{entry}.candidates"] = (candidates_output, (file, entry))
     for chan in MONITORED:
         cases[f"smart_home.main.monitor_{chan}"] = (monitor_output, (chan,))
     return cases
