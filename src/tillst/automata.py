@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import syntax as s
 from . import temporal as t
+from .runtime import Action, SilentA
 
 ACCEPT = "accept"
 
@@ -24,29 +25,12 @@ class AutomatonError(Exception):
 
 
 @dataclass(frozen=True)
-class ActionTemplate:
-    kind: str  # label | value | close | chan
-    direction: str  # send | recv
-    label: Optional[str] = None
-    extern: Optional[str] = None
-
-    def render(self) -> str:
-        mark = "!" if self.direction == "send" else "?"
-        if self.kind == "label":
-            return mark + self.label
-        if self.kind == "close":
-            return mark + "cls"
-        if self.kind == "chan":
-            return mark + "chan"
-        return f"!val({self.extern})" if self.direction == "send" else "?val"
-
-
-@dataclass(frozen=True)
 class AutoTransition:
     src: str
     guard_offset: int
-    template: ActionTemplate
+    action: Action  # the instance's channel fills in ``chan``
     dst: str  # state name or ACCEPT
+    extern: Optional[str] = None  # what a value send reads
 
 
 @dataclass(frozen=True)
@@ -56,28 +40,22 @@ class AutomatonDef:
     initial: str
     transitions: tuple
 
-    @property
-    def externs(self) -> dict:
-        return {(tr.src, tr.dst): tr.template.extern
-                for tr in self.transitions if tr.template.extern}
 
-
-def parse_action_template(text: str) -> ActionTemplate:
+def parse_action_template(text: str) -> tuple:
+    """``?L``, ``!cls``, ``!val(read_gas)``, ... as (action, extern)."""
     m = re.fullmatch(r"([?!])(L|R|cls|chan|val(?:\(([A-Za-z_][A-Za-z0-9_]*)\))?)", text)
     if not m:
         raise AutomatonError(f"unparseable action template {text!r}")
     direction = "send" if m.group(1) == "!" else "recv"
     body = m.group(2)
     if body in ("L", "R"):
-        return ActionTemplate("label", direction, label=body)
-    if body == "cls":
-        return ActionTemplate("close", direction)
-    if body == "chan":
-        return ActionTemplate("chan", direction)
+        return Action("label", direction, "", body), None
+    if body in ("cls", "chan"):
+        return Action("close" if body == "cls" else "chan", direction, ""), None
     extern = m.group(3)
     if direction == "send" and not extern:
         raise AutomatonError("value sends must name their extern: !val(name)")
-    return ActionTemplate("value", direction, extern=extern)
+    return Action("value", direction, ""), extern
 
 
 def builtin_bme680() -> AutomatonDef:
@@ -85,13 +63,13 @@ def builtin_bme680() -> AutomatonDef:
     quality), report readings, then shut down; heating takes 30 ticks and the
     cool-down 20."""
     tr = [
-        AutoTransition("S0", 0, ActionTemplate("label", "recv", label="L"), "S1"),
-        AutoTransition("S0", 0, ActionTemplate("label", "recv", label="R"), "S2"),
-        AutoTransition("S1", 0, ActionTemplate("value", "send", extern="read_temp"), "S3"),
-        AutoTransition("S3", 0, ActionTemplate("close", "send"), ACCEPT),
-        AutoTransition("S2", 0, ActionTemplate("value", "send", extern="read_temp"), "S4"),
-        AutoTransition("S4", 30, ActionTemplate("value", "send", extern="read_gas"), "S5"),
-        AutoTransition("S5", 20, ActionTemplate("close", "send"), ACCEPT),
+        AutoTransition("S0", 0, Action("label", "recv", "", "L"), "S1"),
+        AutoTransition("S0", 0, Action("label", "recv", "", "R"), "S2"),
+        AutoTransition("S1", 0, Action("value", "send", ""), "S3", "read_temp"),
+        AutoTransition("S3", 0, Action("close", "send", ""), ACCEPT),
+        AutoTransition("S2", 0, Action("value", "send", ""), "S4", "read_temp"),
+        AutoTransition("S4", 30, Action("value", "send", ""), "S5", "read_gas"),
+        AutoTransition("S5", 20, Action("close", "send", ""), ACCEPT),
     ]
     return AutomatonDef("bme680", ("S0", "S1", "S2", "S3", "S4", "S5", ACCEPT),
                         "S0", tuple(tr))
@@ -126,11 +104,10 @@ def load_automata(prog: s.Program) -> dict:
                 raise AutomatonError(f"{decl.name}: transition to unknown state {tr.dst}")
             if tr.guard_offset < 0:
                 raise AutomatonError(f"{decl.name}: negative guard offset")
-            template = parse_action_template(tr.action)
-            if template.extern and template.extern not in extern_names:
-                raise AutomatonError(
-                    f"{decl.name}: undeclared extern {template.extern}")
-            transitions.append(AutoTransition(tr.src, tr.guard_offset, template, tr.dst))
+            action, extern = parse_action_template(tr.action)
+            if extern and extern not in extern_names:
+                raise AutomatonError(f"{decl.name}: undeclared extern {extern}")
+            transitions.append(AutoTransition(tr.src, tr.guard_offset, action, tr.dst, extern))
         out[decl.name] = AutomatonDef(
             decl.name,
             tuple(decl.states) + ((ACCEPT,) if ACCEPT not in decl.states else ()),
@@ -168,24 +145,28 @@ class Violation:
 def monitor_trace(obl: TraceObligation, events: list):
     """Check one channel's chronological events against a session type.
 
-    Each event must land in the current connective's window (with earlier
-    binders fixed at their actual exchange instants) and carry the right kind
-    of message; the trace must end exactly when the terminal close happens.
+    A channel trace records each exchange once, by its send half, as ``run``
+    writes it: every event must be a send, and a value or channel exchange
+    must carry its payload.  Each event must land in the current connective's
+    window (with earlier binders fixed at their actual exchange instants) and
+    carry the right kind of message; the trace must end exactly when the
+    terminal close happens.
     Channels transmitted at tensor/lolli steps continue the main protocol on
     the continuation component; their own protocols run on other channels and
     are outside this event stream.  Binders are bound by name as the walk
     reaches them, so an inner binder shadows an outer one of the same name.
     """
-    from .runtime import action_kind
-
     a = obl.type
     binds = dict(obl.bound_times or {})
     last_time = obl.current_time
     for idx, ev in enumerate(events):
-        from .runtime import SilentA
-
+        got, payload = ev.action.kind, ev.action.payload
         if isinstance(ev.action, SilentA):
             return Violation(idx, "silent event inside a channel trace")
+        if ev.action.direction != "send":
+            return Violation(idx, f"expected the send of an exchange, saw a {ev.action.direction}")
+        if got in ("value", "chan") and payload is None:
+            return Violation(idx, f"{got} exchange without a payload")
         if ev.time < last_time:
             return Violation(idx, f"event at t0+{ev.time} precedes t0+{last_time}")
         last_time = ev.time
@@ -194,7 +175,6 @@ def monitor_trace(obl: TraceObligation, events: list):
         if a is None:
             return Violation(idx, "event after the protocol already closed")
         want = s.CONNECTIVES[type(a)].kind
-        got = action_kind(ev.action)
         if got != want:
             return Violation(idx, f"expected a {want} exchange, saw {got}")
         binds[a.binder] = ev.time
@@ -215,10 +195,9 @@ def monitor_trace(obl: TraceObligation, events: list):
             return Conforms()
         parts = s.components(a)
         if want == "label":
-            label = getattr(ev.action, "label", None)
-            if label not in ("L", "R"):
+            if payload not in ("L", "R"):
                 return Violation(idx, "label exchange without a label")
-            a = parts[0] if label == "L" else parts[1]
+            a = parts[0] if payload == "L" else parts[1]
         else:  # the continuation is the last component
             a = parts[-1]
     return Violation(len(events), "trace ended before the protocol closed")

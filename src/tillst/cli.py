@@ -17,8 +17,8 @@ from . import syntax as s
 from . import temporal as t
 from .automata import Conforms, TraceObligation, load_automata, monitor_trace
 from .parser import ParseError, parse_program
-from .runtime import (AutoC, ExternEnv, ParC, ProcC, run_scheduler,
-                      trace_from_jsonl, trace_to_jsonl)
+from .runtime import (AutoC, ExternEnv, ParC, ProcC, SilentA, TraceFormatError,
+                      run_scheduler, trace_from_jsonl, trace_to_jsonl)
 from .typecheck import EntailmentSolver, check_program
 
 
@@ -148,8 +148,8 @@ def cmd_monitor(path: str, type_name: str, trace_path: str,
             events = trace_from_jsonl(fh.read())
     except OSError as exc:
         raise SystemExit2(f"cannot read trace: {exc}") from exc
-    from .runtime import SilentA
-
+    except TraceFormatError as exc:
+        raise SystemExit2(f"{trace_path}:{exc}") from exc
     events = [ev for ev in events if not isinstance(ev.action, SilentA)]
     channels = sorted({ev.channel for ev in events})
     if channel is None:

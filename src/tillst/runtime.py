@@ -2,11 +2,23 @@
 
 Computation happens at instants: provider forms fire at any instant satisfying
 their predicate, client forms fire exactly at their annotation, and two leaves
-holding complementary actions on the same channel reduce silently.  The
-scheduler drains every reduction available at the current clock (canonical
-channel order), lets providers of environment-facing channels emit their sends
-as observable events, then advances the clock to the least pending instant.
-Each run yields a replayable step sequence.
+holding complementary actions on the same channel reduce silently.  An action
+is one record, ``Action(kind, direction, chan, payload)``: the message kind
+(chan | label | close | value), send or recv, the channel, and the label, the
+value or the sent channel's name; its complement swaps the direction.  The
+silent action ``SILENT`` is the one ``SilentA``.
+
+One generator, ``reductions``, lists every step available at an instant, and
+the scheduler, replay and the labelled view ``enumerate_transitions`` share
+its single pass over the leaves.  It pairs each send with the receives
+waiting for it by looking up the complementary action.  Its candidate order:
+the solitary silent steps by leaf, then the exchanges by (sender, receiver)
+leaf, stably sorted by (channel, kind, tag, payload) and deduplicated; then
+the sends of providers whose channel no leaf uses, offered to the environment
+as observable events, sorted the same way.  The scheduler takes the first
+candidate (a ``tiebreak`` may pick another) until none is left at the current
+clock, then advances the clock to the least pending instant.  Each run yields
+a replayable step sequence.
 
 A process leaf carries an environment instead of rewritten continuations:
 when a provider fires, its time binder is bound to the current tick, and a
@@ -20,7 +32,7 @@ so replays and reorderings allocate identical names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from . import syntax as s
@@ -224,11 +236,15 @@ STOP = StopC()
 
 
 def conf_leaves(omega: Configuration) -> list:
-    if isinstance(omega, StopC):
-        return []
-    if isinstance(omega, ParC):
-        return conf_leaves(omega.left) + conf_leaves(omega.right)
-    return [omega]
+    """The leaves of a parallel composition, left to right."""
+    out, todo = [], [omega]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, ParC):
+            todo += (c.right, c.left)
+        elif not isinstance(c, StopC):
+            out.append(c)
+    return out
 
 
 def par_of(leaves: list) -> Configuration:
@@ -284,10 +300,10 @@ def congruence_normalize(omega: Configuration) -> Configuration:
     return par_of(leaves)
 
 
-def clients_of(omega: Configuration) -> set:
-    """Channels some component uses from the client side."""
+def clients_of(leaves: list) -> set:
+    """Channels some leaf uses from the client side."""
     used = set()
-    for leaf in conf_leaves(omega):
+    for leaf in leaves:
         if isinstance(leaf, ProcC):
             used |= s.free_channels(leaf.body)
         elif isinstance(leaf, FwdC):
@@ -295,114 +311,46 @@ def clients_of(omega: Configuration) -> set:
     return used
 
 
-def fresh_channel(leaves: list) -> str:
-    """Smallest unused ``#k`` name, computed from the configuration alone."""
-    taken = set()
-    for leaf in leaves:
-        taken.add(provider_of(leaf))
-        if isinstance(leaf, ProcC):
-            taken |= s.free_channels(leaf.body)
-        elif isinstance(leaf, FwdC):
-            taken.add(leaf.client)
-    k = 1
-    while f"#{k}" in taken:
-        k += 1
-    return f"#{k}"
-
-
 # ---------------------------------------------------------------------------
 # Actions
 
 
 @dataclass(frozen=True)
-class SilentA:
-    pass
+class Action:
+    """One half of an exchange: the message kind (chan | label | close |
+    value), the direction (send | recv), the channel it happens on, and the
+    payload: the label, the ``Value`` or the sent channel's name.  A close
+    has no payload, nor has a receive whose payload its partner fixes."""
 
-
-@dataclass(frozen=True)
-class SendChanA:
+    kind: str
+    direction: str
     chan: str
-    sent: Optional[str] = None
+    payload: object = None
 
 
-@dataclass(frozen=True)
-class RecvChanA:
-    chan: str
-    sent: Optional[str] = None
+class SilentA(Action):
+    """The silent action of a solitary fwd, spawn or if step."""
 
+    def __init__(self):
+        super().__init__("silent", "silent", "")
 
-@dataclass(frozen=True)
-class SendLblA:
-    chan: str
-    label: str
-
-
-@dataclass(frozen=True)
-class RecvLblA:
-    chan: str
-    label: str
-
-
-@dataclass(frozen=True)
-class SendCloseA:
-    chan: str
-
-
-@dataclass(frozen=True)
-class RecvCloseA:
-    chan: str
-
-
-@dataclass(frozen=True)
-class SendValA:
-    chan: str
-    value: Optional[Value] = None
-
-
-@dataclass(frozen=True)
-class RecvValA:
-    chan: str
-    value: Optional[Value] = None
-
-
-Action = Union[SilentA, SendChanA, RecvChanA, SendLblA, RecvLblA,
-               SendCloseA, RecvCloseA, SendValA, RecvValA]
 
 SILENT = SilentA()
 
-_DUALS = [(SendChanA, RecvChanA), (SendLblA, RecvLblA),
-          (SendCloseA, RecvCloseA), (SendValA, RecvValA)]
+_DUAL_DIR = {"send": "recv", "recv": "send"}
 
 
 def complementary(alpha: Action) -> Action:
+    """The other half of the same exchange."""
     if isinstance(alpha, SilentA):
         return alpha
-    for snd, rcv in _DUALS:
-        if isinstance(alpha, snd):
-            return rcv(*alpha.__dict__.values())
-        if isinstance(alpha, rcv):
-            return snd(*alpha.__dict__.values())
-    raise TypeError(f"not an action: {alpha!r}")
+    return Action(alpha.kind, _DUAL_DIR[alpha.direction], alpha.chan, alpha.payload)
 
 
-def action_kind(alpha: Action) -> str:
-    if isinstance(alpha, (SendChanA, RecvChanA)):
-        return "chan"
-    if isinstance(alpha, (SendLblA, RecvLblA)):
-        return "label"
-    if isinstance(alpha, (SendCloseA, RecvCloseA)):
-        return "close"
-    if isinstance(alpha, (SendValA, RecvValA)):
-        return "value"
-    return "silent"
-
-
-def action_dir(alpha: Action) -> str:
-    if isinstance(alpha, (SendChanA, SendLblA, SendCloseA, SendValA)):
-        return "send"
-    if isinstance(alpha, SilentA):
-        return "silent"
-    return "recv"
+def _partner(send: Action) -> Action:
+    """The receive a send pairs with.  The receiver offers its own labels,
+    but a sent value or channel is fixed by the send alone."""
+    return complementary(send if send.kind == "label" else Action(send.kind, "send", send.chan))
 
 
 @dataclass(frozen=True)
@@ -413,16 +361,11 @@ class TraceEvent:
     tag: Optional[str] = None  # spawn / fwd / if for silent steps
 
     def payload(self) -> Optional[str]:
-        a = self.action
-        if isinstance(a, (SendLblA, RecvLblA)):
-            return a.label
-        if isinstance(a, (SendValA, RecvValA)) and a.value is not None:
-            return render_value(a.value)
-        if isinstance(a, (SendChanA, RecvChanA)):
-            return a.sent
-        if isinstance(a, SilentA):
+        """The payload as a trace line writes it; a silent step's tag."""
+        if isinstance(self.action, SilentA):
             return self.tag
-        return None
+        p = self.action.payload
+        return render_value(p) if self.action.kind == "value" and p is not None else p
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +374,9 @@ class TraceEvent:
 
 @dataclass
 class LocalStep:
-    chan: str
-    kind: str  # chan | label | close | value | silent
-    direction: str  # send | recv | silent
-    label: Optional[str] = None
-    value: Optional[Value] = None  # resolved payload for value sends
+    action: Action  # SILENT for a solitary step
+    fire: Callable  # payload -> list of replacement leaves
     tag: Optional[str] = None  # silent flavor
-    fire: Optional[Callable] = None  # payload -> list of replacement leaves
 
 
 def _pred_holds_at(p: s.Process, env: Env, now: int) -> bool:
@@ -449,11 +388,10 @@ def _pred_holds_at(p: s.Process, env: Env, now: int) -> bool:
             f"provider predicate {p.pred} not closed at runtime") from exc
 
 
-_DUAL_DIR = {"send": "recv", "recv": "send"}
 _LABEL = {s.InLP: "L", s.InRP: "R", s.SelectLP: "L", s.SelectRP: "R"}
 
 
-def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv) -> list:
+def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     """The leaf's step at ``now``, if any.  A provider form exchanges on the
     leaf's own channel and binds its binder to ``now``; a client form
     exchanges on the channel it names, at its annotation.  The connective
@@ -471,57 +409,54 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv) -> list:
             return []
         chan, direction = p.chan, _DUAL_DIR[conn.provider_dir]
     else:
-        return _silent_steps(leaf, now, ext)
+        return _silent_steps(leaf, now, ext, fresh)
     kind, sends = conn.kind, direction == "send"
 
-    def step(fire, **extra) -> LocalStep:
-        return LocalStep(chan, kind, direction, fire=fire, **extra)
+    def step(fire, payload=None) -> LocalStep:
+        return LocalStep(Action(kind, direction, chan, payload), fire)
 
     if kind == "close":
         return [step(lambda _: [] if sends else [ProcC(a, p.cont, env)])]
     if kind == "chan" and sends:
-        return [step(lambda c: [ProcC(a, p.cont, env), ProcC(c, p.payload, env)])]
+        return [step(lambda c: [ProcC(a, p.cont, env), ProcC(c, p.payload, env)], fresh)]
     if kind == "chan":
         body = p.body if form is s.LamRecv else p.cont
         return [step(lambda c: [ProcC(a, s.subst_chan(body, p.var, c), env)])]
     if kind == "label" and sends:
-        return [step(lambda _: [ProcC(a, p.cont, env)], label=_LABEL[form])]
+        return [step(lambda _: [ProcC(a, p.cont, env)], _LABEL[form])]
     if kind == "label":
-        return [step(lambda _, q=q: [ProcC(a, q, env)], label=lbl)
+        return [step(lambda _, q=q: [ProcC(a, q, env)], lbl)
                 for lbl, q in (("L", p.left), ("R", p.right))]
     if sends:
-        value = eval_expr(p.expr, ext, env.values)
-        return [step(lambda _: [ProcC(a, p.cont, env)], value=value)]
+        return [step(lambda _: [ProcC(a, p.cont, env)], eval_expr(p.expr, ext, env.values))]
     return [step(lambda v: [ProcC(a, p.cont, env.bind_value(p.var, v))])]
 
 
-def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv) -> list:
+def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     a, p, env = leaf.chan, leaf.body, leaf.env
     if isinstance(p, s.IfP):
         v = eval_expr(p.cond, ext, env.values)
         if not isinstance(v, BoolV):
             raise ValueEvalError("process conditional on a non-bool")
         branch = p.then if v.value else p.orelse
-        return [LocalStep(a, "silent", "silent", tag="if",
-                          fire=lambda _: [ProcC(a, branch, env)])]
+        return [LocalStep(SILENT, lambda _: [ProcC(a, branch, env)], "if")]
     if env.tick(p.at) != now:
         return []
     if isinstance(p, s.FwdP):
-        return [LocalStep(a, "silent", "silent", tag="fwd",
-                          fire=lambda _: [FwdC(a, p.chan)])]
+        return [LocalStep(SILENT, lambda _: [FwdC(a, p.chan)], "fwd")]
     decl = ext.prog.proc_decl(p.callee)
     if decl is None:
         raise ValueEvalError(f"spawn of undeclared proc {p.callee}")
 
-    def fire(c):
+    def fire(_):
         params = {param: arg for (param, _), arg in zip(decl.params, p.args)}
-        return [ProcC(c, s.subst_chan(decl.body, params)),
-                ProcC(a, s.subst_chan(p.cont, p.bound, c), env)]
+        return [ProcC(fresh, s.subst_chan(decl.body, params)),
+                ProcC(a, s.subst_chan(p.cont, p.bound, fresh), env)]
 
-    return [LocalStep(a, "silent", "silent", tag="spawn", fire=fire)]
+    return [LocalStep(SILENT, fire, "spawn")]
 
 
-def _auto_steps(leaf: AutoC, now: int, env: ExternEnv, defs: dict) -> list:
+def _auto_steps(leaf: AutoC, now: int, ext: ExternEnv, defs: dict, fresh: str) -> list:
     from .automata import ACCEPT, automaton_transitions
 
     defn = defs.get(leaf.machine)
@@ -530,63 +465,53 @@ def _auto_steps(leaf: AutoC, now: int, env: ExternEnv, defs: dict) -> list:
     steps = []
     for tr in automaton_transitions(defn, leaf.state, leaf.entry, now):
         nxt = [] if tr.dst == ACCEPT else [AutoC(leaf.chan, leaf.machine, tr.dst, now)]
-        tm = tr.template
-        value = None
-        if tm.kind == "value" and tm.direction == "send":
-            value = env.call_auto(tm.extern, leaf.chan, leaf.state)
-        steps.append(LocalStep(leaf.chan, tm.kind, tm.direction, label=tm.label,
-                               value=value, fire=lambda _, n=nxt: n))
+        kind, direction, payload = tr.action.kind, tr.action.direction, tr.action.payload
+        if direction == "send" and kind == "chan":
+            payload = fresh
+        elif direction == "send" and kind == "value":
+            payload = ext.call_auto(tr.extern, leaf.chan, leaf.state)
+        steps.append(LocalStep(Action(kind, direction, leaf.chan, payload), lambda _, n=nxt: n))
     return steps
 
 
-def _leaf_steps(leaf, now: int, env: ExternEnv, defs: dict) -> list:
+def _leaf_steps(leaf, now: int, ext: ExternEnv, defs: dict, fresh: str) -> list:
     if isinstance(leaf, ProcC):
-        return _proc_steps(leaf, now, env)
+        return _proc_steps(leaf, now, ext, fresh)
     if isinstance(leaf, AutoC):
-        return _auto_steps(leaf, now, env, defs)
+        return _auto_steps(leaf, now, ext, defs, fresh)
     return []  # FwdC resolves through congruence, StopC is inert
 
 
-def _resolve_action(step: LocalStep, payload) -> Action:
-    if step.kind == "silent":
-        return SILENT
-    ctor = {
-        ("chan", "send"): SendChanA, ("chan", "recv"): RecvChanA,
-        ("label", "send"): SendLblA, ("label", "recv"): RecvLblA,
-        ("close", "send"): SendCloseA, ("close", "recv"): RecvCloseA,
-        ("value", "send"): SendValA, ("value", "recv"): RecvValA,
-    }[(step.kind, step.direction)]
-    if step.kind == "label":
-        return ctor(step.chan, step.label)
-    if step.kind == "close":
-        return ctor(step.chan)
-    return ctor(step.chan, payload)
+def _local_steps(leaves: list, now: int, ext: ExternEnv, defs: dict) -> tuple:
+    """The one pass over the leaves: (the channels some leaf uses as a
+    client, the fresh channel, each leaf's steps at ``now``).  A sent channel
+    and a spawned child are both named by the fresh channel, the least ``#k``
+    unused in the configuration, so replays and reorderings allocate
+    identical names."""
+    used = clients_of(leaves)
+    taken = used.union(map(provider_of, leaves))
+    k = 1
+    while f"#{k}" in taken:
+        k += 1
+    fresh = f"#{k}"
+    return used, fresh, [_leaf_steps(leaf, now, ext, defs, fresh) for leaf in leaves]
 
 
 def enumerate_transitions(omega: Configuration, now: int,
                           env: Optional[ExternEnv] = None,
                           defs: Optional[dict] = None) -> list:
-    """Root-level labelled steps available at this instant.
-
-    Channel/value receives stand for a family of transitions; the transmitted
-    item is rendered as None until a communication partner fixes it.
-    """
+    """Root-level labelled steps available at this instant, each leaf's
+    steps taken alone.  A receive stands for a family of transitions; its
+    payload is None until a communication partner fixes it."""
     env = env or ExternEnv()
     defs = defs if defs is not None else _builtin_defs()
     leaves = conf_leaves(omega)
+    _, _, per_leaf = _local_steps(leaves, now, env, defs)
     out = []
-    for i, leaf in enumerate(leaves):
-        for step in _leaf_steps(leaf, now, env, defs):
-            if step.kind == "silent":
-                payload = fresh_channel(leaves) if step.tag == "spawn" else None
-            elif step.kind == "chan" and step.direction == "send":
-                payload = fresh_channel(leaves)
-            elif step.kind == "value" and step.direction == "send":
-                payload = step.value
-            else:
-                payload = None
-            new_leaves = leaves[:i] + leaves[i + 1:] + step.fire(payload)
-            out.append((_resolve_action(step, payload), par_of(new_leaves)))
+    for i, steps in enumerate(per_leaf):
+        for step in steps:
+            rest = leaves[:i] + leaves[i + 1:]
+            out.append((step.action, par_of(rest + step.fire(step.action.payload))))
     return out
 
 
@@ -597,91 +522,54 @@ def _builtin_defs() -> dict:
     return {b.name: b}
 
 
-def _match(send: LocalStep, recv: LocalStep) -> bool:
-    return (send.chan == recv.chan and send.kind == recv.kind
-            and send.direction == "send" and recv.direction == "recv"
-            and (send.kind != "label" or send.label == recv.label))
-
-
 def _step_sort_key(event: TraceEvent) -> tuple:
-    return (event.channel, action_kind(event.action), event.tag or "",
-            getattr(event.action, "label", "") or "", str(event.payload() or ""))
+    return (event.channel, event.action.kind, event.tag or "", str(event.payload() or ""))
 
 
-def comm_step(omega: Configuration, now: int,
-              env: Optional[ExternEnv] = None,
-              defs: Optional[dict] = None) -> list:
-    """All silent reductions at this instant: complementary pairs plus
-    solitary fwd/spawn/if steps.  Results are congruence-normalized and
-    sorted canonically; the event records the send half of each exchange."""
+def reductions(omega: Configuration, now: int,
+               env: Optional[ExternEnv] = None,
+               defs: Optional[dict] = None) -> list:
+    """Every step available at this instant, as (configuration, event)
+    pairs in the candidate order the module docstring gives.  Configurations
+    are congruence-normalized; an exchange's event records its send half."""
     env = env or ExternEnv()
     defs = defs if defs is not None else _builtin_defs()
-    omega = congruence_normalize(omega)
-    leaves = conf_leaves(omega)
-    per_leaf = [(_leaf_steps(leaf, now, env, defs)) for leaf in leaves]
-    results = []
+    leaves = conf_leaves(congruence_normalize(omega))
+    used, fresh, per_leaf = _local_steps(leaves, now, env, defs)
 
+    def after(fired: tuple, replaced: list) -> Configuration:
+        keep = [x for k, x in enumerate(leaves) if k not in fired]
+        return congruence_normalize(par_of(keep + replaced))
+
+    receivers = {}
+    for j, steps in enumerate(per_leaf):
+        for rcv in steps:
+            if rcv.action.direction == "recv":
+                receivers.setdefault(rcv.action, []).append((j, rcv))
+    comm, pairs, offered = [], [], []
     for i, steps in enumerate(per_leaf):
+        own = provider_of(leaves[i])
         for step in steps:
-            if step.kind != "silent":
+            a = step.action
+            if isinstance(a, SilentA):
+                chan = fresh if step.tag == "spawn" else own
+                comm.append((after((i,), step.fire(None)), TraceEvent(now, a, chan, step.tag)))
                 continue
-            payload = fresh_channel(leaves) if step.tag == "spawn" else None
-            new_leaves = leaves[:i] + leaves[i + 1:] + step.fire(payload)
-            conf = congruence_normalize(par_of(new_leaves))
-            chan = payload if step.tag == "spawn" else step.chan
-            results.append((conf, TraceEvent(now, SILENT, chan, step.tag)))
-
-    for i, steps_i in enumerate(per_leaf):
-        for j, steps_j in enumerate(per_leaf):
-            if i == j:
+            if a.direction != "send":
                 continue
-            for snd in steps_i:
-                for rcv in steps_j:
-                    if not _match(snd, rcv):
-                        continue
-                    if snd.kind == "chan":
-                        payload = fresh_channel(leaves)
-                    elif snd.kind == "value":
-                        payload = snd.value
-                    else:
-                        payload = None
-                    replaced = snd.fire(payload) + rcv.fire(payload)
-                    keep = [x for k, x in enumerate(leaves) if k not in (i, j)]
-                    conf = congruence_normalize(par_of(keep + replaced))
-                    action = _resolve_action(snd, payload)
-                    results.append((conf, TraceEvent(now, action, snd.chan)))
-
-    results.sort(key=lambda pair: _step_sort_key(pair[1]))
-    deduped = []
-    for item in results:
-        if item not in deduped:
-            deduped.append(item)
-    return deduped
-
-
-def env_observable_steps(omega: Configuration, now: int,
-                         env: Optional[ExternEnv] = None,
-                         defs: Optional[dict] = None) -> list:
-    """Send actions of providers whose channel has no client in the
-    configuration: these are offered to the environment and may fire solo."""
-    env = env or ExternEnv()
-    defs = defs if defs is not None else _builtin_defs()
-    omega = congruence_normalize(omega)
-    leaves = conf_leaves(omega)
-    used = clients_of(omega)
-    results = []
-    for i, leaf in enumerate(leaves):
-        if provider_of(leaf) in used:
-            continue
-        for step in _leaf_steps(leaf, now, env, defs):
-            if step.direction != "send" or step.chan != provider_of(leaf):
-                continue
-            payload = fresh_channel(leaves) if step.kind == "chan" else step.value
-            new_leaves = leaves[:i] + leaves[i + 1:] + step.fire(payload)
-            conf = congruence_normalize(par_of(new_leaves))
-            results.append((conf, TraceEvent(now, _resolve_action(step, payload), step.chan)))
-    results.sort(key=lambda pair: _step_sort_key(pair[1]))
-    return results
+            pairs += [(i, j, step, rcv) for j, rcv in receivers.get(_partner(a), ()) if j != i]
+            if a.chan == own and own not in used:
+                offered.append((after((i,), step.fire(a.payload)), TraceEvent(now, a, a.chan)))
+    pairs.sort(key=lambda m: m[:2])
+    for i, j, snd, rcv in pairs:
+        a = snd.action
+        conf = after((i, j), snd.fire(a.payload) + rcv.fire(a.payload))
+        comm.append((conf, TraceEvent(now, a, a.chan)))
+    comm.sort(key=lambda c: _step_sort_key(c[1]))
+    if len(comm) > 1:  # hashing a configuration walks every leaf's body
+        comm = list(dict.fromkeys(comm))
+    offered.sort(key=lambda c: _step_sort_key(c[1]))
+    return comm + offered
 
 
 # ---------------------------------------------------------------------------
@@ -742,15 +630,13 @@ def seq_concat(s1: StepSequence, s2: StepSequence) -> StepSequence:
             f"{start_t}" if end_c != start_c else "time moves backwards")
     if end_t < start_t:
         s2 = StepT(end_t, start_t, end_c, s2)
-
-    def go(sig):
-        if isinstance(sig, Refl):
-            return s2
-        if isinstance(sig, StepT):
-            return StepT(sig.t1, sig.t2, sig.config, go(sig.rest))
-        return StepC(sig.time, sig.before, sig.after, go(sig.rest))
-
-    return go(s1)
+    spine = []
+    while not isinstance(s1, Refl):
+        spine.append(s1)
+        s1 = s1.rest
+    for sig in reversed(spine):
+        s2 = replace(sig, rest=s2)
+    return s2
 
 
 def seq_extend_to(sigma: StepSequence, end_time: int) -> StepSequence:
@@ -830,12 +716,10 @@ def replay(sigma: StepSequence, env: Optional[ExternEnv] = None,
             sigma = sigma.rest
             continue
         nxt_t, nxt_c = seq_start(sigma.rest)
-        if nxt_t != sigma.time or norm(nxt_c) != norm(sigma.after):
-            return False
-        candidates = comm_step(sigma.before, sigma.time, env, defs)
-        candidates += env_observable_steps(sigma.before, sigma.time, env, defs)
         want = norm(sigma.after)
-        if not any(norm(conf) == want for conf, _ in candidates):
+        if nxt_t != sigma.time or norm(nxt_c) != want:
+            return False
+        if not any(conf == want for conf, _ in reductions(sigma.before, sigma.time, env, defs)):
             return False
         sigma = sigma.rest
     return True
@@ -914,7 +798,7 @@ def _analyze_due_client(leaf: ProcC, now: int, leaves: list,
         if defn is None:
             return TimingViolationInfo(chan, when, "<unknown automaton>", None)
         conn = s.CONNECTIVES[want]
-        kinds = [(tr.template.kind, tr.template.direction, provider.entry + tr.guard_offset)
+        kinds = [(tr.action.kind, tr.action.direction, provider.entry + tr.guard_offset)
                  for tr in transitions_from(defn, provider.state)]
         matching = [rel for k, d, rel in kinds if (k, d) == (conn.kind, conn.provider_dir)]
         if matching and min(matching) > now:
@@ -952,7 +836,7 @@ def _earliest_enabled(leaf: ProcC, lo: int, horizon: int) -> Optional[int]:
 def _pending_instants(omega: Configuration, now: int, horizon: int,
                       defs: dict) -> list:
     leaves = conf_leaves(omega)
-    used = clients_of(omega)
+    used = clients_of(leaves)
     pend = []
     for leaf in leaves:
         if isinstance(leaf, ProcC):
@@ -999,8 +883,7 @@ def run_scheduler(omega: Configuration, start: int = 0,
 
     while True:
         while True:
-            candidates = comm_step(config, clock, env, defs)
-            candidates += env_observable_steps(config, clock, env, defs)
+            candidates = reductions(config, clock, env, defs)
             if not candidates:
                 break
             pick = 0 if tiebreak is None else tiebreak(clock, candidates) % len(candidates)
@@ -1072,40 +955,61 @@ def trace_to_jsonl(trace: list) -> str:
 
     lines = []
     for ev in trace:
-        obj = {
+        a = ev.action
+        lines.append(json.dumps({
             "time": ev.time,
-            "dir": action_dir(ev.action),
-            "kind": action_kind(ev.action) if not isinstance(ev.action, SilentA) else "chan",
+            "dir": a.direction,
+            "kind": "chan" if isinstance(a, SilentA) else a.kind,
             "channel": ev.channel,
             "payload": ev.payload(),
-        }
-        lines.append(json.dumps(obj))
+        }))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+class TraceFormatError(Exception):
+    """A trace line that is not an event; the message starts with the line
+    number."""
+
+
+_TRACE_DIRS = ("send", "recv", "silent")
+_TRACE_KINDS = ("chan", "label", "close", "value")
+
+
 def trace_from_jsonl(text: str) -> list:
-    """Parse a serialized trace back into events (payload stays a string)."""
+    """Parse a serialized trace back into events.  A received value's payload
+    stays a string (as an opaque value); a silent event's payload is its tag."""
     import json
 
     events = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        chan, kind, dirn = obj["channel"], obj["kind"], obj["dir"]
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            obj = None
+        if not isinstance(obj, dict):
+            raise TraceFormatError(f"{n}: not a JSON object")
+        try:
+            time, dirn, kind, chan = obj["time"], obj["dir"], obj["kind"], obj["channel"]
+        except KeyError as exc:
+            raise TraceFormatError(f"{n}: missing key {exc.args[0]!r}") from None
+        if type(time) is not int:
+            raise TraceFormatError(f"{n}: time {time!r} is not an integer")
+        if not isinstance(chan, str):
+            raise TraceFormatError(f"{n}: channel {chan!r} is not a string")
+        if dirn not in _TRACE_DIRS:
+            raise TraceFormatError(f"{n}: dir {dirn!r} is not one of {', '.join(_TRACE_DIRS)}")
+        if kind not in _TRACE_KINDS:
+            raise TraceFormatError(f"{n}: kind {kind!r} is not one of {', '.join(_TRACE_KINDS)}")
         payload = obj.get("payload")
         if dirn == "silent":
-            events.append(TraceEvent(obj["time"], SILENT, chan, payload))
+            events.append(TraceEvent(time, SILENT, chan, payload))
             continue
-        if kind == "label":
-            act = SendLblA(chan, payload) if dirn == "send" else RecvLblA(chan, payload)
-        elif kind == "close":
-            act = SendCloseA(chan) if dirn == "send" else RecvCloseA(chan)
-        elif kind == "value":
-            val = OpaqueV("?", payload) if payload is not None else None
-            act = SendValA(chan, val) if dirn == "send" else RecvValA(chan, val)
-        else:
-            act = SendChanA(chan, payload) if dirn == "send" else RecvChanA(chan, payload)
-        events.append(TraceEvent(obj["time"], act, chan))
+        if kind == "close":
+            payload = None
+        elif kind == "value" and payload is not None:
+            payload = OpaqueV("?", payload)
+        events.append(TraceEvent(time, Action(kind, dirn, chan, payload), chan))
     return events

@@ -17,9 +17,9 @@ from tillst import temporal as t
 from tillst.automata import Conforms, TraceObligation, Violation, monitor_trace
 from tillst.cli import build_system
 from tillst.parser import parse_program
-from tillst.runtime import (ExternEnv, ParC, ProcC, SendCloseA, TraceEvent,
-                            action_dir, action_kind, congruence_normalize,
-                            replay, run_scheduler, seq_extend_to)
+from tillst.runtime import (Action, ExternEnv, ParC, ProcC, TraceEvent,
+                            congruence_normalize, replay, run_scheduler,
+                            seq_extend_to)
 from tillst.trajectory import (traj_concat, traj_equiv, traj_from_sigma,
                                traj_interleave, traj_partition)
 from tillst.typecheck import check_program
@@ -75,7 +75,7 @@ def test_criterion_2_adequacy():
             result = run_scheduler(omega, start, env=env, defs=defs)
             assert result.status == "done", (entry, result.error)
             closes = [ev for ev in result.trace
-                      if isinstance(ev.action, SendCloseA) and ev.channel == entry]
+                      if ev.action == Action("close", "send", entry)]
             assert closes and closes[-1].time == n, (entry, result.trace)
             assert result.end_time == n
             assert replay(result.sigma, env, defs)
@@ -103,22 +103,22 @@ def test_criterion_3_whole_system_run():
         omega, start, defs = build_system(prog, "main")
         result = run_scheduler(omega, start, env=ExternEnv(prog), defs=defs)
         assert result.status == "done"
-        got = [(ev.time, action_dir(ev.action), action_kind(ev.action),
+        got = [(ev.time, ev.action.direction, ev.action.kind,
                 ev.channel, ev.payload()) for ev in result.trace]
         assert got == WHOLE_SYSTEM_ORACLE
         # the itemized tick equalities, stated independently of the full list
         gas = next(ev for ev in result.trace
-                   if ev.channel == "s1" and action_kind(ev.action) == "value"
+                   if ev.channel == "s1" and ev.action.kind == "value"
                    and ev.payload().startswith("read_gas"))
         assert gas.time == start + 30
         x_close = next(ev for ev in result.trace
-                       if ev.channel == "s1" and action_kind(ev.action) == "close")
+                       if ev.channel == "s1" and ev.action.kind == "close")
         assert x_close.time == start + 50
         bool_ev = next(ev for ev in result.trace
-                       if ev.channel == "main" and action_kind(ev.action) == "value")
+                       if ev.channel == "main" and ev.action.kind == "value")
         assert bool_ev.time == start + 50 and bool_ev.payload() in ("true", "false")
         final = result.trace[-1]
-        assert action_kind(final.action) == "close" and final.channel == "main"
+        assert final.action.kind == "close" and final.channel == "main"
         assert final.time == start + 50
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"whole-system run took {elapsed:.2f}s"

@@ -17,15 +17,15 @@ class TestBuiltinSensor:
 
     def test_configuration_choices(self):
         b = builtin_bme680()
-        got = {(tr.template.render(), tr.dst)
+        got = {(tr.action.kind, tr.action.direction, tr.action.payload, tr.dst)
                for tr in automaton_transitions(b, "S0", 0, 12)}
-        assert got == {("?L", "S1"), ("?R", "S2")}
+        assert got == {("label", "recv", "L", "S1"), ("label", "recv", "R", "S2")}
 
     def test_gas_guard_released_at_thirty(self):
         b = builtin_bme680()
         assert automaton_transitions(b, "S4", 0, 29) == []
         (tr,) = automaton_transitions(b, "S4", 0, 30)
-        assert tr.template.extern == "read_gas" and tr.dst == "S5"
+        assert tr.extern == "read_gas" and tr.dst == "S5"
 
     def test_cooldown_guard(self):
         b = builtin_bme680()
@@ -78,13 +78,14 @@ class TestActionTemplates:
         ("?val", "value", "recv"),
     ])
     def test_parse(self, text, kind, direction):
-        tm = parse_action_template(text)
-        assert (tm.kind, tm.direction) == (kind, direction)
-        assert tm.render() == text
+        action, extern = parse_action_template(text)
+        label = text[1:] if kind == "label" else None
+        assert (action.kind, action.direction, action.payload) == (kind, direction, label)
+        assert extern is None
 
     def test_value_send_needs_extern(self):
-        tm = parse_action_template("!val(read_gas)")
-        assert tm.extern == "read_gas"
+        action, extern = parse_action_template("!val(read_gas)")
+        assert (action.kind, action.direction, extern) == ("value", "send", "read_gas")
         with pytest.raises(AutomatonError):
             parse_action_template("!val")
 

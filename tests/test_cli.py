@@ -1,5 +1,9 @@
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from tillst import corpus_path
 from tillst.cli import main
@@ -177,6 +181,41 @@ class TestMonitorCmd:
         code, _, err = run_cli(capsys, "monitor", corpus_path("smart_home.tsl"),
                                "--type", "BME680", "--trace", str(path))
         assert code == 2 and "--channel" in err
+
+    def test_received_halves_do_not_conform(self, capsys, tmp_path):
+        path = self.trace_for(capsys, tmp_path)
+        flipped = [dict(obj, dir="recv") if obj["channel"] == "s1" else obj
+                   for obj in map(json.loads, path.read_text().splitlines())]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in flipped))
+        code, out, _ = run_cli(capsys, "monitor", corpus_path("smart_home.tsl"),
+                               "--type", "BME680", "--trace", str(path),
+                               "--channel", "s1")
+        assert code == 1 and "violation at event 0" in out
+
+    GOOD = '{"time": 0, "dir": "send", "kind": "close", "channel": "a", "payload": null}'
+
+    @pytest.mark.parametrize("line,reason", [
+        ("{not json", "not a JSON object"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"time": 0, "dir": "send", "kind": "close", "payload": null}',
+         "missing key 'channel'"),
+        (GOOD.replace('"send"', '"sideways"'), "dir 'sideways'"),
+        (GOOD.replace('"close"', '"datagram"'), "kind 'datagram'"),
+        (GOOD.replace('"time": 0', '"time": "soon"'), "time 'soon' is not an integer"),
+        (GOOD.replace('"a"', '5'), "channel 5 is not a string"),
+    ], ids=["not-json", "not-an-object", "missing-key", "bad-dir", "bad-kind", "bad-time",
+            "bad-channel"])
+    def test_malformed_trace_line_exits_two(self, tmp_path, line, reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.GOOD + "\n" + line + "\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tillst.cli", "monitor", corpus_path("smart_home.tsl"),
+             "--type", "BME680", "--trace", str(path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {path}:2: {reason}")
 
 
 def test_system_binding_must_name_a_parameter(tmp_path, capsys):

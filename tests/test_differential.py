@@ -8,7 +8,7 @@ import pytest
 
 from tillst.cli import build_system
 from tillst.parser import parse_program
-from tillst.runtime import ExternEnv, SendCloseA, replay, run_scheduler
+from tillst.runtime import ExternEnv, replay, run_scheduler
 from tillst.typecheck import check_program
 
 
@@ -63,7 +63,7 @@ def test_consistent_pipelines_check_and_run(seed):
     result = run_scheduler(omega, start, env=env, defs=defs)
     assert result.status == "done", result.error
     final = result.trace[-1]
-    assert isinstance(final.action, SendCloseA)
+    assert (final.action.kind, final.action.direction) == ("close", "send")
     assert final.channel == "go" and final.time == close_at
     assert replay(result.sigma, env, defs)
 

@@ -4,8 +4,7 @@ from tillst import syntax as s
 from tillst import temporal as t
 from tillst.automata import Conforms, TraceObligation, Violation, monitor_trace
 from tillst.cli import build_system
-from tillst.runtime import (ExternEnv, OpaqueV, RecvCloseA, RecvLblA, SendCloseA,
-                            SendLblA, SendValA, TraceEvent, run_scheduler)
+from tillst.runtime import Action, ExternEnv, OpaqueV, TraceEvent, run_scheduler
 
 
 def bme680_type(load_corpus):
@@ -16,10 +15,10 @@ def bme680_type(load_corpus):
 def sensor_trace(t1, t_temp, t_gas, t_cls, chan="s1"):
     val = lambda tag: OpaqueV("x", tag)
     return [
-        TraceEvent(t1, SendLblA(chan, "R"), chan),
-        TraceEvent(t_temp, SendValA(chan, val("temp")), chan),
-        TraceEvent(t_gas, SendValA(chan, val("gas")), chan),
-        TraceEvent(t_cls, SendCloseA(chan), chan),
+        TraceEvent(t1, Action("label", "send", chan, "R"), chan),
+        TraceEvent(t_temp, Action("value", "send", chan, val("temp")), chan),
+        TraceEvent(t_gas, Action("value", "send", chan, val("gas")), chan),
+        TraceEvent(t_cls, Action("close", "send", chan), chan),
     ]
 
 
@@ -44,32 +43,46 @@ class TestMonitorExamples:
 
     def test_events_after_close(self, load_corpus):
         ty = s.UnitT("t", t.TOP)
-        events = [TraceEvent(0, SendCloseA("a"), "a"), TraceEvent(1, SendCloseA("a"), "a")]
+        events = [TraceEvent(0, Action("close", "send", "a"), "a"),
+                  TraceEvent(1, Action("close", "send", "a"), "a")]
         verdict = monitor_trace(TraceObligation(ty), events)
         assert isinstance(verdict, Violation) and verdict.index == 1
 
     def test_wrong_kind_is_shape_violation(self, load_corpus):
         ty = bme680_type(load_corpus)
         events = sensor_trace(0, 0, 30, 50)
-        events[1] = TraceEvent(0, SendLblA("s1", "L"), "s1")
+        events[1] = TraceEvent(0, Action("label", "send", "s1", "L"), "s1")
         verdict = monitor_trace(TraceObligation(ty), events)
         assert isinstance(verdict, Violation) and verdict.index == 1
         assert "expected a value" in verdict.reason
 
-    def test_direction_is_not_part_of_the_shape(self, load_corpus):
-        # the same exchange seen from the other half still conforms
+    def test_receive_half_is_a_violation(self, load_corpus):
+        # a channel trace records each exchange by its send half
         ty = bme680_type(load_corpus)
         events = sensor_trace(0, 0, 30, 50)
-        events[0] = TraceEvent(0, RecvLblA("s1", "R"), "s1")
-        events[3] = TraceEvent(50, RecvCloseA("s1"), "s1")
-        assert isinstance(monitor_trace(TraceObligation(ty), events), Conforms)
+        events[0] = TraceEvent(0, Action("label", "recv", "s1", "R"), "s1")
+        verdict = monitor_trace(TraceObligation(ty), events)
+        assert isinstance(verdict, Violation) and verdict.index == 0
+        assert "send" in verdict.reason
+        events = sensor_trace(0, 0, 30, 50)
+        events[3] = TraceEvent(50, Action("close", "recv", "s1"), "s1")
+        verdict = monitor_trace(TraceObligation(ty), events)
+        assert isinstance(verdict, Violation) and verdict.index == 3
+
+    def test_value_without_payload_is_a_violation(self, load_corpus):
+        ty = bme680_type(load_corpus)
+        events = sensor_trace(0, 0, 30, 50)
+        events[2] = TraceEvent(30, Action("value", "send", "s1"), "s1")
+        verdict = monitor_trace(TraceObligation(ty), events)
+        assert isinstance(verdict, Violation) and verdict.index == 2
+        assert "payload" in verdict.reason
 
     def test_temperature_only_branch(self, load_corpus):
         ty = bme680_type(load_corpus)
         events = [
-            TraceEvent(2, SendLblA("s2", "L"), "s2"),
-            TraceEvent(5, SendValA("s2", OpaqueV("x", "temp")), "s2"),
-            TraceEvent(9, SendCloseA("s2"), "s2"),
+            TraceEvent(2, Action("label", "send", "s2", "L"), "s2"),
+            TraceEvent(5, Action("value", "send", "s2", OpaqueV("x", "temp")), "s2"),
+            TraceEvent(9, Action("close", "send", "s2"), "s2"),
         ]
         assert isinstance(monitor_trace(TraceObligation(ty), events), Conforms)
 

@@ -7,26 +7,28 @@ from hypothesis import strategies as st
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.cli import build_system
-from tillst.runtime import (STOP, AutoC, BoolV, ExternEnv, FwdC, IntV, ParC,
-                            ProcC, RecvLblA, RecvValA, RuntimeInvariantError,
-                            SendChanA, SendCloseA, SendLblA, SendValA, SILENT,
-                            StopC, TraceEvent, action_dir, action_kind,
-                            comm_step, complementary, congruence_normalize,
-                            conf_leaves, enumerate_transitions, eval_expr,
-                            provider_of, replay, run_scheduler,
-                            trace_from_jsonl, trace_to_jsonl)
+from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
+                            ParC, ProcC, Refl, RuntimeInvariantError, SILENT,
+                            StepC, StopC, TraceEvent, complementary,
+                            congruence_normalize, conf_leaves,
+                            enumerate_transitions, eval_expr, par_of,
+                            provider_of, reductions, replay, run_scheduler,
+                            seq_concat, seq_end, seq_steps, trace_from_jsonl,
+                            trace_to_jsonl)
 
 T0 = t.INIT
 sh = t.init_plus
 
 actions = st.one_of(
     st.just(SILENT),
-    st.builds(SendChanA, st.sampled_from("ab"), st.sampled_from("cd")),
-    st.builds(SendLblA, st.sampled_from("ab"), st.sampled_from("LR")),
-    st.builds(RecvLblA, st.sampled_from("ab"), st.sampled_from("LR")),
-    st.builds(SendCloseA, st.sampled_from("ab")),
-    st.builds(SendValA, st.sampled_from("ab"), st.builds(IntV, st.integers(-5, 5))),
-    st.builds(RecvValA, st.sampled_from("ab"), st.builds(IntV, st.integers(-5, 5))),
+    st.builds(Action, st.just("chan"), st.sampled_from(["send", "recv"]),
+              st.sampled_from("ab"), st.sampled_from(["c", "d", None])),
+    st.builds(Action, st.just("label"), st.sampled_from(["send", "recv"]),
+              st.sampled_from("ab"), st.sampled_from("LR")),
+    st.builds(Action, st.just("close"), st.sampled_from(["send", "recv"]),
+              st.sampled_from("ab")),
+    st.builds(Action, st.just("value"), st.sampled_from(["send", "recv"]),
+              st.sampled_from("ab"), st.builds(IntV, st.integers(-5, 5))),
 )
 
 
@@ -36,7 +38,7 @@ def test_complementary_involution(alpha):
 
 
 def test_complementary_table():
-    assert complementary(SendLblA("a", "L")) == RecvLblA("a", "L")
+    assert complementary(Action("label", "send", "a", "L")) == Action("label", "recv", "a", "L")
     assert complementary(SILENT) == SILENT
 
 
@@ -94,12 +96,12 @@ class TestCongruence:
 class TestEnumerate:
     def test_close_fires_inside_window(self):
         w = ProcC("a", s.CloseP("t", t.Leq(T0, t.tvar("t"))))
-        assert enumerate_transitions(w, 7) == [(SendCloseA("a"), STOP)]
+        assert enumerate_transitions(w, 7) == [(Action("close", "send", "a"), STOP)]
 
     def test_offer_exposes_both_branches(self):
         off = ProcC("a", s.OfferP("t", t.TOP, s.CloseP("u", t.TOP), s.CloseP("v", t.BOT)))
         outs = enumerate_transitions(off, 3)
-        assert {o[0] for o in outs} == {RecvLblA("a", "L"), RecvLblA("a", "R")}
+        assert {o[0] for o in outs} == {Action("label", "recv", "a", "L"), Action("label", "recv", "a", "R")}
         assert all(isinstance(c, ProcC) for _, c in outs)
 
     def test_client_fires_only_at_annotation(self):
@@ -112,21 +114,23 @@ class TestCommStep:
     def test_close_meets_wait(self):
         omega = ParC(ProcC("a", s.CloseP("t", t.TOP)),
                      ProcC("b", s.WaitP(sh(2), "a", CLOSE)))
-        ((conf, ev),) = comm_step(omega, 2)
+        ((conf, ev),) = reductions(omega, 2)
         assert conf == ProcC("b", CLOSE)
-        assert ev.action == SendCloseA("a") and ev.time == 2
+        assert ev.action == Action("close", "send", "a") and ev.time == 2
 
     def test_spawn_is_solitary_silent(self):
         prog = s.Program(procs=(s.ProcDecl("w", (), s.UnitT("t", t.TOP), CLOSE),))
         env = ExternEnv(prog)
         omega = ProcC("a", s.SpawnP(sh(1), "w", (), "k", s.WaitP(sh(1), "k", CLOSE)))
-        ((conf, ev),) = comm_step(omega, 1, env)
+        ((conf, ev),) = reductions(omega, 1, env)
         assert ev.action == SILENT and ev.tag == "spawn"
         leaves = conf_leaves(conf)
         assert {provider_of(x) for x in leaves} == {"a", "#1"}
 
     def test_no_partner_no_step(self):
-        assert comm_step(ProcC("a", s.CloseP("t", t.TOP)), 0) == []
+        # a lone provider's only candidate is its environment-facing send
+        assert reductions(ProcC("a", s.CloseP("t", t.TOP)), 0) == \
+            [(STOP, TraceEvent(0, Action("close", "send", "a"), "a"))]
 
     def test_value_exchange_evaluates_sender_first(self):
         prog = s.Program(externs=(s.ExternDecl("mk", (), s.INT),))
@@ -134,21 +138,34 @@ class TestCommStep:
         omega = ParC(ProcC("a", s.ProdP("t", t.TOP, s.CallE("mk", ()), CLOSE)),
                      ProcC("b", s.ConsP("a", sh(0), "v",
                                         s.SupplyP("missing", sh(0), s.VarE("v"), CLOSE))))
-        ((conf, ev),) = comm_step(omega, 0, env)
-        assert isinstance(ev.action, SendValA) and isinstance(ev.action.value, IntV)
+        ((conf, ev),) = reductions(omega, 0, env)
+        assert ev.action.kind == "value" and isinstance(ev.action.payload, IntV)
         # the received value is bound in the receiving leaf's environment
         proc_b = next(x for x in conf_leaves(conf) if x.chan == "b")
         assert proc_b.body.expr == s.VarE("v")
-        assert proc_b.env.values == {"v": ev.action.value}
+        assert proc_b.env.values == {"v": ev.action.payload}
 
     def test_fresh_names_stable_across_orderings(self):
         # the fresh name depends only on the configuration, not on counters
         prog = s.Program(procs=(s.ProcDecl("w", (), s.UnitT("t", t.TOP), CLOSE),))
         env = ExternEnv(prog)
         omega = ProcC("a", s.SpawnP(sh(0), "w", (), "k", s.WaitP(sh(0), "k", CLOSE)))
-        first = comm_step(omega, 0, env)
-        second = comm_step(omega, 0, env)
+        first = reductions(omega, 0, env)
+        second = reductions(omega, 0, env)
         assert first == second
+
+
+class TestDeepStructures:
+    def test_conf_leaves_of_thousands_of_leaves(self):
+        leaves = [ProcC(f"c{i}", CLOSE) for i in range(3000)]
+        assert conf_leaves(par_of(leaves)) == leaves
+
+    def test_seq_concat_of_a_long_sequence(self):
+        sigma = Refl(0, STOP)
+        for _ in range(2000):
+            sigma = StepC(0, STOP, STOP, sigma)
+        joined = seq_concat(sigma, Refl(5, STOP))
+        assert seq_steps(joined) == 2000 and seq_end(joined) == (5, STOP)
 
 
 class TestScheduler:
@@ -156,7 +173,7 @@ class TestScheduler:
         p = ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5))))
         r = run_scheduler(p, 0)
         assert r.status == "done" and r.end_time == 5
-        assert r.trace == [TraceEvent(5, SendCloseA("a"), "a")]
+        assert r.trace == [TraceEvent(5, Action("close", "send", "a"), "a")]
         assert replay(r.sigma)
 
     def test_adequacy_against_wait_harness(self):
@@ -164,7 +181,7 @@ class TestScheduler:
                  ProcC("h", s.WaitP(sh(5), "a", s.CloseP("t", t.TOP))))
         r = run_scheduler(p, 0)
         assert r.status == "done"
-        assert [(e.time, action_kind(e.action), e.channel) for e in r.trace] == \
+        assert [(e.time, e.action.kind, e.channel) for e in r.trace] == \
             [(5, "close", "a"), (5, "close", "h")]
 
     def test_deadlock_on_unchosen_offer(self):
@@ -228,7 +245,7 @@ ORACLE_EVENTS = [
 
 
 def as_tuples(trace):
-    return [(e.time, action_dir(e.action), action_kind(e.action), e.channel,
+    return [(e.time, e.action.direction, e.action.kind, e.channel,
              e.payload()) for e in trace]
 
 
@@ -254,8 +271,8 @@ class TestWholeSystem:
                           ProcC("main", wrapper)))
         r = run_scheduler(omega, 0, env=env, defs=defs)
         assert r.status == "done" and r.end_time == 50
-        comms = [(e.time, action_kind(e.action)) for e in r.trace
-                 if action_dir(e.action) != "silent"]
+        comms = [(e.time, e.action.kind) for e in r.trace
+                 if e.action.direction != "silent"]
         times = [tm for tm, _ in comms]
         assert times == [0, 0, 0, 0, 0, 0, 0, 30, 50, 50, 50]
         assert replay(r.sigma, env, defs)
@@ -321,17 +338,17 @@ class TestTraceSerialization:
         lines = [l for l in text.splitlines() if l]
         assert len(lines) == len(r.trace)
         back = trace_from_jsonl(text)
-        assert [(e.time, e.channel, action_kind(e.action), action_dir(e.action),
+        assert [(e.time, e.channel, e.action.kind, e.action.direction,
                  e.payload()) for e in back] == as_tuples_reordered(r.trace)
 
     def test_field_order(self):
-        text = trace_to_jsonl([TraceEvent(3, SendCloseA("a"), "a")])
+        text = trace_to_jsonl([TraceEvent(3, Action("close", "send", "a"), "a")])
         assert text.startswith('{"time": 3, "dir": "send", "kind": "close", '
                                '"channel": "a", "payload": null}')
 
 
 def as_tuples_reordered(trace):
-    return [(e.time, e.channel, action_kind(e.action), action_dir(e.action),
+    return [(e.time, e.channel, e.action.kind, e.action.direction,
              e.payload()) for e in trace]
 
 
@@ -404,7 +421,7 @@ class TestRemainingConnectivesAtRuntime:
         client = ProcC("b", s.SelectLP("a", sh(0), s.WaitP(sh(0), "a", CLOSE)))
         r = run_scheduler(ParC(provider, client), 0)
         assert r.status == "done"
-        kinds = [(action_kind(e.action), e.channel) for e in r.trace]
+        kinds = [(e.action.kind, e.channel) for e in r.trace]
         assert kinds == [("label", "a"), ("close", "a"), ("close", "b")]
 
     def test_pair_send_allocates_fresh_provider(self):
@@ -416,7 +433,7 @@ class TestRemainingConnectivesAtRuntime:
         r = run_scheduler(ParC(provider, client), 0)
         assert r.status == "done"
         chan_ev = r.trace[0]
-        assert action_kind(chan_ev.action) == "chan" and chan_ev.payload() == "#1"
+        assert chan_ev.action.kind == "chan" and chan_ev.payload() == "#1"
 
     def test_internal_choice_pushes_label(self):
         provider = ProcC("a", s.InRP("t", t.TOP, s.CloseP("u", t.TOP)))
@@ -425,7 +442,7 @@ class TestRemainingConnectivesAtRuntime:
                                     s.WaitP(sh(0), "a", CLOSE)))
         r = run_scheduler(ParC(provider, client), 0)
         assert r.status == "done"
-        assert r.trace[0].action == SendLblA("a", "R")
+        assert r.trace[0].action == Action("label", "send", "a", "R")
 
 
 EXPECTED_END = {
@@ -504,7 +521,7 @@ class TestBinding:
         verdicts, r = self.run(self.SHADOW, "sh")
         assert verdicts == ["ACCEPT shadow"]
         assert r.status == "done" and r.end_time == 12
-        assert [(e.time, action_kind(e.action), e.channel) for e in r.trace] == \
+        assert [(e.time, e.action.kind, e.channel) for e in r.trace] == \
             [(3, "value", "sh"), (7, "value", "sh"), (12, "close", "k"), (12, "close", "sh")]
 
     def test_reused_value_variable_sends_the_second_value(self):
@@ -512,5 +529,5 @@ class TestBinding:
         assert verdicts == ["ACCEPT relay"]
         assert r.status == "done"
         supplied = [e.payload() for e in r.trace
-                    if e.channel == "k" and action_kind(e.action) == "value"]
+                    if e.channel == "k" and e.action.kind == "value"]
         assert supplied == ["second@g2"]
