@@ -987,7 +987,7 @@ def trace_from_jsonl(text: str) -> list:
             continue
         try:
             obj = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):  # not JSON, or nested too deep to decode
             obj = None
         if not isinstance(obj, dict):
             raise TraceFormatError(f"{n}: not a JSON object")

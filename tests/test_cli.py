@@ -197,14 +197,15 @@ class TestMonitorCmd:
     @pytest.mark.parametrize("line,reason", [
         ("{not json", "not a JSON object"),
         ("[1, 2]", "not a JSON object"),
+        ("[" * 100000, "not a JSON object"),
         ('{"time": 0, "dir": "send", "kind": "close", "payload": null}',
          "missing key 'channel'"),
         (GOOD.replace('"send"', '"sideways"'), "dir 'sideways'"),
         (GOOD.replace('"close"', '"datagram"'), "kind 'datagram'"),
         (GOOD.replace('"time": 0', '"time": "soon"'), "time 'soon' is not an integer"),
         (GOOD.replace('"a"', '5'), "channel 5 is not a string"),
-    ], ids=["not-json", "not-an-object", "missing-key", "bad-dir", "bad-kind", "bad-time",
-            "bad-channel"])
+    ], ids=["not-json", "not-an-object", "too-deep", "missing-key", "bad-dir", "bad-kind",
+            "bad-time", "bad-channel"])
     def test_malformed_trace_line_exits_two(self, tmp_path, line, reason):
         path = tmp_path / "bad.jsonl"
         path.write_text(self.GOOD + "\n" + line + "\n")
