@@ -127,7 +127,7 @@ def cmd_smt(path: str, out_dir: str, config: RunConfig) -> int:
             with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
                 fh.write(t.emit_smtlib(q.g, q.f, q.prop))
             index.append({"file": fname, "location": q.location,
-                          "holds": q.holds})
+                          "holds": q.holds, "ms": round(q.seconds * 1000, 3)})
         with open(os.path.join(out_dir, "index.json"), "w", encoding="utf-8") as fh:
             json.dump(index, fh, indent=1)
     except OSError as exc:
@@ -208,10 +208,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "smt":
             return cmd_smt(args.file, args.out, RunConfig())
         return cmd_monitor(args.file, args.type_name, args.trace, args.channel)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except t.SolverTimeout as exc:
+    except (SystemExit2, t.SolverTimeout, t.SolverError, t.FormulaTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -421,7 +421,9 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
         return [step(lambda c: [ProcC(a, p.cont, env), ProcC(c, p.payload, env)], fresh)]
     if kind == "chan":
         body = p.body if form is s.LamRecv else p.cont
-        return [step(lambda c: [ProcC(a, s.subst_chan(body, p.var, c), env)])]
+        # with no partner (c is None) the continuation keeps its bound name
+        return [step(lambda c: [ProcC(a, body if c is None else s.subst_chan(body, p.var, c),
+                                      env)])]
     if kind == "label" and sends:
         return [step(lambda _: [ProcC(a, p.cont, env)], _LABEL[form])]
     if kind == "label":

@@ -5,8 +5,11 @@ distinguished initial instant ``init`` fixed to 0.  Every time expression
 normalizes to ``base + offset`` where the base is either ``init`` or a single
 time variable.  Entailment G;F |- p is decided by unsatisfiability of
 F together with the negation of p over integer assignments, using an internal
-DNF + negative-cycle difference-logic procedure.  Queries export as SMT-LIB2
-scripts (logic QF_LIA) that an external solver binary can discharge.
+DNF + negative-cycle difference-logic procedure.  Each conjunct runs
+Bellman-Ford from a virtual source and stops at the first pass whose parent
+graph holds a cycle, which is a negative cycle; a conjunct still relaxing
+after |V| passes is unsatisfiable too.  Queries export as SMT-LIB2 scripts
+(logic QF_LIA) that an external solver binary can discharge.
 """
 
 from __future__ import annotations
@@ -329,17 +332,39 @@ def _solve_conjunct(literals: list, nodes: list) -> Optional[dict]:
     Edge y -> x with weight c for each x - y <= c.  A negative cycle means the
     conjunct is unsatisfiable; otherwise the distances from a virtual source
     yield a model, shifted so that init maps to 0.
+
+    Each strict relaxation records the node's parent.  Any cycle in the
+    parent graph has negative weight (Cherkassky & Goldberg, 1999), so after
+    every pass that changed something the parent graph is searched, and the
+    conjunct is rejected at the first cycle, usually within a few passes.
+    Still relaxing after |V| passes is the fallback test.  The early exit
+    only ever rejects, and the shortest distances of a satisfiable conjunct
+    are unique, so every model is the one the full |V| passes would give.
     """
     dist = {n: 0 for n in nodes}  # virtual source at distance 0 to every node
+    parent: dict = {}
     edges = [(y, x, c) for (x, y, c) in literals]
     for _ in range(len(nodes)):
         changed = False
         for y, x, c in edges:
             if dist[y] + c < dist[x]:
                 dist[x] = dist[y] + c
+                parent[x] = y
                 changed = True
         if not changed:
             break
+        # walk the parent pointers once: a node is unseen, on the current
+        # path (1) or done (2); meeting the current path again is a cycle
+        state: dict = {}
+        for start in parent:
+            path, n = [], start
+            while n in parent and n not in state:
+                state[n] = 1
+                path.append(n)
+                n = parent[n]
+            if state.get(n) == 1:
+                return None  # a cycle of parents has negative weight
+            state.update(dict.fromkeys(path, 2))
     else:
         for y, x, c in edges:
             if dist[y] + c < dist[x]:

@@ -16,6 +16,7 @@ to those variables.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +61,7 @@ class QueryRecord:
     prop: t.Prop
     holds: bool
     location: str
+    seconds: float  # wall time of the query
 
 
 class EntailmentSolver:
@@ -80,12 +82,14 @@ class EntailmentSolver:
     def holds(self, g, f, p, location: str) -> tuple:
         g = tuple(g)
         f = tuple(f)
+        start = time.perf_counter()
         if self.backend == "external":
             verdict = t.entails_external(g, f, p, self.solver_bin, self.timeout_ms)
             cex = None
         else:
             verdict, cex = t.entails_cex(g, f, p, budget=self.budget)
-        self.queries.append(QueryRecord(g, f, p, verdict, location))
+        seconds = time.perf_counter() - start
+        self.queries.append(QueryRecord(g, f, p, verdict, location, seconds))
         return verdict, cex
 
 

@@ -15,6 +15,12 @@ def run_cli(capsys, *args):
     return code, out.out, out.err
 
 
+def run_subprocess(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "tillst.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestCheck:
     def test_clean_corpus_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "check", corpus_path("smart_home.tsl"))
@@ -119,6 +125,7 @@ class TestSmt:
         assert len(index) > 0
         files = sorted(p for p in os.listdir(out_dir) if p.endswith(".smt2"))
         assert len(files) == len(index)
+        assert all(entry["ms"] >= 0 for entry in index)
         # the failing judgment shows up as a refuted (sat) query
         assert any(not entry["holds"] for entry in index)
         # every dumped script re-checks to the recorded verdict
@@ -209,14 +216,41 @@ class TestMonitorCmd:
     def test_malformed_trace_line_exits_two(self, tmp_path, line, reason):
         path = tmp_path / "bad.jsonl"
         path.write_text(self.GOOD + "\n" + line + "\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tillst.cli", "monitor", corpus_path("smart_home.tsl"),
-             "--type", "BME680", "--trace", str(path)],
-            capture_output=True, text=True, env=env)
+        proc = run_subprocess("monitor", corpus_path("smart_home.tsl"),
+                              "--type", "BME680", "--trace", str(path))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {path}:2: {reason}")
+
+
+def window_program(k: int) -> str:
+    """A close window from t0 that excludes its first k instants, written
+    like the benchmark's disjunctive generator writes it."""
+    pred = "Geq<t, Shift<t0, 0>>"
+    for e in reversed(range(k)):
+        pred = f"And<Neq<t, Shift<t0, {e}>>, {pred}>"
+    return (f"type WIN = Unit<t where {pred}>\n\n"
+            f"fn provider() -> WIN {{\n    Close<t where {pred}>\n}}\n\n"
+            "system go = provider() @ t0;\n")
+
+
+class TestSolverFailuresExitTwo:
+    def test_external_solver_without_verdict(self):
+        proc = run_subprocess("check", corpus_path("minimum.tsl"),
+                              "--solver", "external", "--solver-bin", "/bin/true")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: /bin/true produced no sat/unsat verdict (stdout: '')\n"
+
+    @pytest.mark.parametrize("command", [["check"], ["run", "--entry", "go"]],
+                             ids=["check", "run"])
+    def test_disequality_window_too_large(self, tmp_path, command):
+        path = tmp_path / "win16.tsl"
+        path.write_text(window_program(16))
+        proc = run_subprocess(command[0], str(path), *command[1:])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: DNF expansion exceeded the clause budget\n"
 
 
 def test_system_binding_must_name_a_parameter(tmp_path, capsys):

@@ -109,6 +109,14 @@ class TestEnumerate:
         assert enumerate_transitions(wait, 4) == []
         assert len(enumerate_transitions(wait, 5)) == 1
 
+    def test_channel_receive_without_partner_keeps_its_name(self):
+        # the receive's payload is unknown until a partner fixes it, so the
+        # continuation still names the bound channel
+        recv = ProcC("a", s.LamRecv("t", t.TOP, "x", s.FwdP(T0, "x")))
+        ((action, conf),) = enumerate_transitions(recv, 0)
+        assert action == Action("chan", "recv", "a")
+        assert conf.body == s.FwdP(T0, "x") and conf.env.times == {"t": 0}
+
 
 class TestCommStep:
     def test_close_meets_wait(self):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tillst import temporal as t
@@ -155,6 +155,49 @@ class TestSolve:
     def test_pre_init_instants_allowed(self):
         model = solve_satisfiable(["t1"], [Leq(tvar("t1", 5), INIT)])
         assert model is not None and model["t1"] <= -5
+
+
+def reference_solve(literals: list, nodes: list):
+    """Bellman-Ford that always runs all |V| passes and then looks for an
+    edge that still relaxes; the model is shifted so that init maps to 0."""
+    dist = {n: 0 for n in nodes}
+    for _ in nodes:
+        for x, y, c in literals:
+            dist[x] = min(dist[x], dist[y] + c)
+    if any(dist[y] + c < dist[x] for x, y, c in literals):
+        return None
+    return {n: dist[n] - dist[t._INIT_NODE] for n in nodes if n != t._INIT_NODE}
+
+
+@st.composite
+def difference_graphs(draw):
+    """Literals (x, y, c), read x - y <= c, over init and up to 7 variables.
+    Random edges give self-loops, cycles and untouched nodes; half the draws
+    also close a ring through some distinct nodes (a self-loop for one)."""
+    nodes = [t._INIT_NODE] + [f"v{i}" for i in range(draw(st.integers(0, 7)))]
+    node = st.sampled_from(nodes)
+    lits = draw(st.lists(st.tuples(node, node, st.integers(-6, 6)), max_size=16))
+    if draw(st.booleans()):
+        ring = draw(st.lists(node, min_size=1, max_size=len(nodes), unique=True))
+        lits += [(ring[i], ring[i - 1], draw(st.integers(-3, 3))) for i in range(len(ring))]
+    return draw(st.permutations(lits)), nodes
+
+
+class TestSolveConjunct:
+    @settings(max_examples=500)
+    @given(difference_graphs())
+    def test_agrees_with_full_bellman_ford(self, graph):
+        lits, nodes = graph
+        assert t._solve_conjunct(lits, nodes) == reference_solve(lits, nodes)
+
+    def test_negative_ring_past_eight_nodes(self):
+        # eleven nodes: a ring of weight -1 at the end of a chain of
+        # decreasing edges; without the ring's last edge it is satisfiable
+        nodes = [t._INIT_NODE] + [f"v{i}" for i in range(10)]
+        lits = [(f"v{i + 1}", f"v{i}", -1) for i in range(9)]
+        lits += [("v7", "v9", 1), ("v8", "v7", -1), ("v9", "v8", -1)]
+        assert t._solve_conjunct(lits, nodes) is None
+        assert t._solve_conjunct(lits[:-1], nodes) == reference_solve(lits[:-1], nodes)
 
 
 class TestInRange:
