@@ -1,5 +1,5 @@
-"""Byte-for-byte pins of ``tillst run`` and ``tillst monitor`` output, and of
-the scheduler's candidate order.
+"""Byte-for-byte pins of ``tillst run`` and ``tillst monitor`` output, of
+the scheduler's candidate order, and of the pretty-printer.
 
 Each ``.run`` or ``.monitor_*`` file under ``tests/golden/`` holds one
 command's exit code on its first line (``exit N``) followed by its exact
@@ -8,7 +8,8 @@ verdict line); the monitor files check smart_home's two sensor channels
 against ``BME680``.  Each ``.candidates`` file lists, for every step of the
 same system's run, every candidate the scheduler was offered, in order, as
 ``[time, dir, kind, channel, payload, tag]`` (dir, kind and payload as the
-trace format writes them).  Regenerate them with
+trace format writes them).  Each ``.render`` file holds
+``render_program(parse_program(source))`` of one corpus file.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only when a change of output is
 intended.
 """
@@ -25,7 +26,7 @@ import pytest
 
 from tillst import corpus_files, corpus_path
 from tillst.cli import build_system, main
-from tillst.parser import parse_program
+from tillst.parser import parse_program, render_program
 from tillst.runtime import ExternEnv, run_scheduler, trace_to_jsonl
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -82,8 +83,16 @@ def candidates_output(file: str, entry: str) -> str:
                    for i, rows in enumerate(steps))
 
 
+def render_output(file: str) -> str:
+    with open(corpus_path(file), encoding="utf-8") as fh:
+        return render_program(parse_program(fh.read()))
+
+
 def _golden_cases() -> dict:
     cases = {}
+    for path in corpus_files():
+        file = os.path.basename(path)
+        cases[f"{file[:-4]}.render"] = (render_output, (file,))
     for file, entry in SYSTEMS:
         cases[f"{file[:-4]}.{entry}.run"] = (run_output, (file, entry))
         cases[f"{file[:-4]}.{entry}.candidates"] = (candidates_output, (file, entry))

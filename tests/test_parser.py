@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tillst import corpus_files
 from tillst import syntax as s
 from tillst import temporal as t
-from tillst.parser import ParseError, parse_program, render_program
+from tillst.parser import ParseError, Token, parse_program, render_program, tokenize
 
 
 def test_unit_type_decl():
@@ -102,3 +104,141 @@ def test_unknown_type_reference_in_decl():
 def test_unknown_type_reference_in_signature():
     with pytest.raises(ParseError):
         parse_program("fn f(x: NOPE) -> Unit<t where True> { Fwd<t0>(x) }")
+
+
+def test_tokens_and_positions():
+    toks = tokenize("x_1\t12_000 // note\n  ]-->--[->é2 _\r\n<= //end")
+    assert [(k.kind, k.text, k.line, k.col) for k in toks] == [
+        ("IDENT", "x_1", 1, 1), ("INT", "12000", 1, 5), ("]-->", "]-->", 2, 3),
+        ("--[", "--[", 2, 7), ("->", "->", 2, 10), ("IDENT", "é2", 2, 12),
+        ("IDENT", "_", 2, 15), ("<=", "<=", 3, 1), ("EOF", "", 3, 4)]
+    assert tokenize("") == [Token("EOF", "", 1, 1)]
+
+
+PROC = "fn p() -> Unit<t where True> {\n  %s\n}\n"
+KEYWORDS = ("App, Case, Close, Cons, Fwd, Lam, Offer, Prod, Query, RecvCh, SelectL, "
+            "SelectR, SendCh, Spawn, Supply, SwitchL, SwitchR, Wait, if")
+DECLS = "automaton, extern, fn, sort, system, type"
+
+MALFORMED = {
+    "bad_character": ("type T = Unit<t where True> #", "1:29: unexpected character '#'"),
+    "branch_label": (PROC % "Case<t0>(x) { R => Fwd<t0>(x) } { L => Fwd<t0>(x) }",
+                     "2:19: expected branch label L, found R (expected one of: L)"),
+    "missing_where": ("type T = Unit<t Leq<t0, t>>",
+                      "1:17: found 'Leq' (expected one of: where)"),
+    "process_keyword": (PROC % "Fling<t0>(x)",
+                        f"2:3: found 'Fling' (expected one of: {KEYWORDS})"),
+    "prop_operator": ("type T = Unit<t where Before<t0, t>>",
+                      "1:29: unknown proposition operator 'Before' (expected one of: "
+                      "And, Eq, False, Geq, Gt, Implies, In, Leq, Lt, Neq, Not, Or, True)"),
+    "automaton_action": ("automaton a { state S0 init; S0 --[?foo]--> accept; }",
+                         "1:40: unknown automaton action 'foo' "
+                         "(expected one of: L, R, chan, cls, val)"),
+    "automaton_direction": ("automaton a { state S0 init; S0 --[L]--> accept; }",
+                            "1:36: automaton action must start with ? or ! "
+                            "(expected one of: !, ?)"),
+    "duplicate_init": ("automaton a { state S0 init; state S1 init; }",
+                       "1:43: duplicate init state"),
+    "no_init": ("automaton a { state S0; }", "1:1: automaton a has no init state"),
+    "t0_binder": (PROC % "Close<t0 where True>",
+                  "2:9: t0 is the initial instant and cannot be bound"),
+    "declaration": ("let x = 1;", f"1:1: found 'let' (expected one of: {DECLS})"),
+    "declaration_symbol": ("; type T = Unit<t where True>",
+                           f"1:1: found ';' (expected one of: {DECLS})"),
+    "end_of_body": (PROC % "Wait<t0>(x);", f"3:1: found '}}' (expected one of: {KEYWORDS})"),
+    "missing_semicolon": (PROC % "SelectL<t0>(x) Close<t where True>",
+                          "2:18: found 'Close' (expected one of: ;)"),
+    "else_keyword": (PROC % "if $ true $ { Fwd<t0>(x) } otherwise { Fwd<t0>(x) }",
+                     "2:30: found 'otherwise' (expected one of: else)"),
+    "expression": (PROC % "Prod<t where True> $ ) $; Close<t where True>",
+                   "2:24: found ')' in expression"),
+    "type_closer": ("type T = Tensor<t where True, Unit<u where True>, Unit<v where True>;",
+                    "1:69: found ';' (expected one of: >)"),
+    "spawn_args": (PROC % "Spawn<t0>(f, ) { y => Fwd<t0>(y) }",
+                   "2:16: found ')' (expected one of: IDENT)"),
+    "app_arrow": (PROC % "App<t0>(x => { Fwd<t0>(y) }); Fwd<t0>(x)",
+                  "2:13: found '=>' (expected one of: <=)"),
+    "shift_amount": ("type T = Unit<t where Eq<t, Shift<t0, t>>>",
+                     "1:39: found 't' (expected one of: INT)"),
+    "end_in_comment": ("type T = Unit<t where True // note",
+                       "1:28: found 'EOF' (expected one of: >)"),
+    "duplicate_name": ("type T = Unit<t where True> type T = Unit<s where True>",
+                       "1:29: duplicate declaration name 'T'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_source_message(name):
+    source, message = MALFORMED[name]
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert str(exc.value) == message
+
+
+# Round trip over every process form, including the two (SendCh, Offer) the
+# corpus never writes.  Names avoid t0 and the expression keywords.
+NAMES = st.sampled_from(["a", "x", "t1", "u_2", "k9"])
+BINDERS = st.sampled_from(["t1", "u_2", "s"])
+TIMES = st.builds(t.TimeExpr, st.sampled_from([None, "t1", "u_2"]), st.integers(-20, 20))
+PROPS = st.recursive(
+    st.sampled_from([t.TOP, t.BOT]) | st.builds(t.Eq, TIMES, TIMES) | st.builds(t.Leq, TIMES, TIMES),
+    lambda kids: st.one_of(st.builds(t.And, kids, kids), st.builds(t.Or, kids, kids),
+                           st.builds(t.Imp, kids, kids)),
+    max_leaves=4)
+EXPRS = st.recursive(
+    st.builds(s.BoolLit, st.booleans()) | st.builds(s.IntLit, st.integers(-50, 50))
+    | st.builds(s.VarE, NAMES),
+    lambda kids: st.one_of(
+        st.builds(s.Arith, st.sampled_from("+-*"), kids, kids),
+        st.builds(s.Cmp, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), kids, kids),
+        st.builds(s.IfE, kids, kids, kids),
+        st.builds(s.CallE, NAMES, st.lists(kids, max_size=2).map(tuple))),
+    max_leaves=5)
+SORTS = st.sampled_from([s.INT, s.BOOL, s.NamedType("temp")])
+TYPES = st.recursive(
+    st.builds(s.UnitT, BINDERS, PROPS),
+    lambda kids: st.one_of(
+        *(st.builds(cls, BINDERS, PROPS, kids, kids)
+          for cls in (s.TensorT, s.LolliT, s.IChoiceT, s.EChoiceT)),
+        *(st.builds(cls, BINDERS, PROPS, SORTS, kids) for cls in (s.ProduceT, s.QueryT))),
+    max_leaves=4)
+
+FORMS = {
+    s.CloseP: lambda kids: st.builds(s.CloseP, BINDERS, PROPS),
+    s.WaitP: lambda kids: st.builds(s.WaitP, TIMES, NAMES, kids),
+    s.LamRecv: lambda kids: st.builds(s.LamRecv, BINDERS, PROPS, NAMES, kids),
+    s.AppSend: lambda kids: st.builds(s.AppSend, NAMES, TIMES, kids, kids),
+    s.PairSend: lambda kids: st.builds(s.PairSend, BINDERS, PROPS, kids, kids),
+    s.PairRecv: lambda kids: st.builds(s.PairRecv, NAMES, TIMES, NAMES, kids),
+    s.InLP: lambda kids: st.builds(s.InLP, BINDERS, PROPS, kids),
+    s.InRP: lambda kids: st.builds(s.InRP, BINDERS, PROPS, kids),
+    s.CaseP: lambda kids: st.builds(s.CaseP, TIMES, NAMES, kids, kids),
+    s.OfferP: lambda kids: st.builds(s.OfferP, BINDERS, PROPS, kids, kids),
+    s.SelectLP: lambda kids: st.builds(s.SelectLP, NAMES, TIMES, kids),
+    s.SelectRP: lambda kids: st.builds(s.SelectRP, NAMES, TIMES, kids),
+    s.ProdP: lambda kids: st.builds(s.ProdP, BINDERS, PROPS, EXPRS, kids),
+    s.ConsP: lambda kids: st.builds(s.ConsP, NAMES, TIMES, NAMES, kids),
+    s.QueryRecvP: lambda kids: st.builds(s.QueryRecvP, BINDERS, PROPS, NAMES, kids),
+    s.SupplyP: lambda kids: st.builds(s.SupplyP, NAMES, TIMES, EXPRS, kids),
+    s.FwdP: lambda kids: st.builds(s.FwdP, TIMES, NAMES),
+    s.SpawnP: lambda kids: st.builds(s.SpawnP, TIMES, NAMES, st.lists(NAMES, max_size=2).map(tuple),
+                                     NAMES, kids, st.none() | TYPES),
+    s.IfP: lambda kids: st.builds(s.IfP, EXPRS, kids, kids),
+}
+PROCESSES = st.recursive(FORMS[s.CloseP](None) | FORMS[s.FwdP](None),
+                         lambda kids: st.one_of(*(make(kids) for make in FORMS.values())),
+                         max_leaves=6)
+
+
+def test_forms_cover_every_process_class():
+    assert set(FORMS) == set(s._PROC_FIELDS)
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda cls: cls.__name__)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_roundtrip_every_process_form(form, data):
+    body = data.draw(FORMS[form](PROCESSES))
+    offered = data.draw(TYPES)
+    prog = s.Program(procs=(s.ProcDecl("p", (("c", offered),), offered, body),))
+    assert parse_program(render_program(prog)) == prog
