@@ -1,7 +1,8 @@
 """Command-line entry point: check, run, smt, monitor.
 
 Exit codes: 0 success, 1 analysis failure (rejection, timing violation,
-deadlock, nonconformance), 2 usage or I/O errors.
+deadlock, nonconformance), 2 usage or I/O errors, solver failures and input
+nested too deeply to analyse.
 """
 
 from __future__ import annotations
@@ -210,6 +211,11 @@ def main(argv: Optional[list] = None) -> int:
         return cmd_monitor(args.file, args.type_name, args.trace, args.channel)
     except (SystemExit2, t.SolverTimeout, t.SolverError, t.FormulaTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # predicates, payloads and the checker's judgments still recurse
+        # once per level of nesting
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -6,12 +6,23 @@ of the binder); processes use the keyword spellings Close, Wait, Lam, App,
 SendCh, RecvCh, SwitchL, SwitchR, Case, Offer, SelectL, SelectR, Prod, Cons,
 Query, Supply, Fwd, Spawn, plus ``if $e$ { P } else { Q }``.  Functional
 expressions are delimited by ``$``.  Line comments start with ``//``.
+
+One surface table, ``_FORMS``, drives both directions: each process keyword
+maps to its ``syntax`` class, its head (``<b where P>`` for providers,
+``<T>(c)`` for clients; App, Spawn and if read their own) and its tail.  The
+tail ends in the form's last child (``syntax._PROC_FIELDS``), and that child
+is read and printed in a loop, with the forms still waiting for it and their
+closing tokens on an explicit stack; only payloads, left branches and the
+``then`` arm recurse.  Types do the same through ``_TYPES`` and
+``CONNECTIVES[...].components``, so a protocol nested thousands of levels deep
+parses and prints at the default recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import syntax as s
 from . import temporal as t
@@ -34,67 +45,96 @@ class Token:
     col: int
 
 
-_SYMBOLS = [
-    "]-->", "--[", "->", "=>", "==", "!=", "<=", ">=",
-    "<", ">", "(", ")", "{", "}", ",", ";", ":", "=", "$", "@", "?", "!",
-    "+", "-", "*",
-]
+# Blanks and comments (skipped), decimal integers (``_`` separates digits),
+# identifiers, then the symbols, longest first.  An identifier must start
+# with a letter or ``_``: ``[^\W\d]`` also admits digit-like characters such
+# as ``²``, which ``tokenize`` rejects.
+_TOKEN = re.compile(r"(?P<skip>(?:[ \t\r\n]|//[^\n]*)+)|(?P<INT>\d[\d_]*)|(?P<IDENT>[^\W\d]\w*)"
+                    r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]")
 
 
 def tokenize(source: str) -> list:
     toks = []
-    line, col, i, n = 1, 1, 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "_"):
-                j += 1
-            toks.append(Token("INT", source[i:j].replace("_", ""), line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                toks.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+    line, line_start, pos = 1, 0, 0
+    match = _TOKEN.match
+    while pos < len(source):
+        m = match(source, pos)
+        if m is None or m.lastgroup == "IDENT" and not (source[pos].isalpha()
+                                                        or source[pos] == "_"):
+            raise ParseError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                line_start = pos + text.rindex("\n") + 1
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+            if kind == "INT":
+                text = text.replace("_", "")
+            toks.append(Token(kind or text, text, line, pos - line_start + 1))
+        pos = m.end()
+    rest = source[line_start:]
+    end = rest.find("//")  # a trailing comment does not move the end column
+    toks.append(Token("EOF", "", line, (len(rest) if end < 0 else end) + 1))
     return toks
 
 
-_TYPE_CONNECTIVES = {"Unit", "Tensor", "Lolli", "InChoice", "ExChoice", "Produce", "Request"}
-_PROP_OPS = {"Leq", "Geq", "Eq", "Lt", "Gt", "Neq", "In", "And", "Or", "Implies", "Not",
-             "True", "False"}
-_PROC_KEYWORDS = {
-    "Close", "Wait", "Lam", "App", "SendCh", "RecvCh", "SwitchL", "SwitchR",
-    "Case", "Offer", "SelectL", "SelectR", "Prod", "Cons", "Query", "Supply",
-    "Fwd", "Spawn", "if",
+# Proposition keyword -> constructor and its arguments ("p" a proposition,
+# "t" a time); the derived forms desugar as they are built.
+_PROPS = {"True": (t.Top, ""), "False": (t.Bot, ""), "And": (t.And, "pp"), "Or": (t.Or, "pp"),
+          "Implies": (t.Imp, "pp"), "Not": (t.p_not, "p"), "In": (t.p_in, "ttt"),
+          "Leq": (t.Leq, "tt"), "Geq": (t.p_geq, "tt"), "Eq": (t.Eq, "tt"),
+          "Lt": (t.p_lt, "tt"), "Gt": (t.p_gt, "tt"), "Neq": (t.p_neq, "tt")}
+_PROP_NAME = {make: name for name, (make, _) in _PROPS.items() if isinstance(make, type)}
+
+# Type connective keyword -> class; the components come from syntax.CONNECTIVES.
+_TYPES = {"Unit": s.UnitT, "Tensor": s.TensorT, "Lolli": s.LolliT, "InChoice": s.IChoiceT,
+          "ExChoice": s.EChoiceT, "Produce": s.ProduceT, "Request": s.QueryT}
+_TYPE_NAME = {cls: name for name, cls in _TYPES.items()}
+
+
+class _Form(NamedTuple):
+    """One process keyword: its class, head and tail.
+
+    Heads: ``provider`` reads ``<b where P>`` into binder/pred; ``client``
+    reads ``<T>(c)`` into at/chan; ``app`` is ``<T>(c <= { P })``, ``spawn``
+    ``<T>(f, a, ...)`` and ``if`` ``$ e $``.  Tails, each ending in the last
+    child P: ``none``, ``seq`` ``; P``, ``bind`` ``{ x => P }`` (``x : T``
+    kept in the ``ann`` field, if the class has one), ``branch``
+    ``{ L => P } { R => P }``, ``expr`` ``$ e $; P``, ``block`` ``{ P }; P``,
+    ``else`` ``{ P } else { P }``.
+    """
+
+    cls: type
+    head: str
+    tail: str
+    var: str = "var"  # bind: the field holding x
+    ann: Optional[str] = None
+
+
+_FORMS = {
+    "Close": _Form(s.CloseP, "provider", "none"),
+    "Wait": _Form(s.WaitP, "client", "seq"),
+    "Lam": _Form(s.LamRecv, "provider", "bind"),
+    "App": _Form(s.AppSend, "app", "seq"),
+    "SendCh": _Form(s.PairSend, "provider", "block"),
+    "RecvCh": _Form(s.PairRecv, "client", "bind"),
+    "SwitchL": _Form(s.InLP, "provider", "seq"),
+    "SwitchR": _Form(s.InRP, "provider", "seq"),
+    "Case": _Form(s.CaseP, "client", "branch"),
+    "Offer": _Form(s.OfferP, "provider", "branch"),
+    "SelectL": _Form(s.SelectLP, "client", "seq"),
+    "SelectR": _Form(s.SelectRP, "client", "seq"),
+    "Prod": _Form(s.ProdP, "provider", "expr"),
+    "Cons": _Form(s.ConsP, "client", "bind"),
+    "Query": _Form(s.QueryRecvP, "provider", "bind"),
+    "Supply": _Form(s.SupplyP, "client", "expr"),
+    "Fwd": _Form(s.FwdP, "client", "none"),
+    "Spawn": _Form(s.SpawnP, "spawn", "bind", var="bound", ann="bound_type"),
+    "if": _Form(s.IfP, "if", "else"),
 }
+_KEYWORD = {form.cls: kw for kw, form in _FORMS.items()}
+_LAST = {cls: children[-1] for cls, (_, _, children) in s._PROC_FIELDS.items() if children}
 
 
 class Parser:
@@ -142,36 +182,23 @@ class Parser:
     # -- program -----------------------------------------------------------
 
     def program(self) -> s.Program:
-        sorts, externs, types, procs, automata, systems = [], [], [], [], [], []
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "IDENT":
-                self.fail(f"found {tok.text!r}",
-                          expected={"sort", "extern", "type", "fn", "automaton", "system"})
-            if tok.text == "sort":
-                self.next()
-                sorts.append(self.ident())
-                self.expect(";")
-            elif tok.text == "extern":
-                externs.append(self.extern_decl())
-            elif tok.text == "type":
-                types.append(self.type_decl())
-            elif tok.text == "fn":
-                procs.append(self.proc_decl())
-            elif tok.text == "automaton":
-                automata.append(self.automaton_decl())
-            elif tok.text == "system":
-                systems.append(self.system_decl())
-            else:
-                self.fail(f"found {tok.text!r}",
-                          expected={"sort", "extern", "type", "fn", "automaton", "system"})
-        prog = s.Program(tuple(sorts), tuple(externs), tuple(types), tuple(procs),
-                         tuple(automata), tuple(systems))
+        decls = {word: [] for word in _DECLS}
+        while (tok := self.peek()).kind != "EOF":
+            read = _DECLS.get(tok.text) if tok.kind == "IDENT" else None
+            if read is None:
+                self.fail(f"found {tok.text!r}", expected=_DECLS)
+            self.next()
+            decls[tok.text].append(read(self, (tok.line, tok.col)))
+        prog = s.Program(*(tuple(group) for group in decls.values()))
         _validate_program(prog)
         return prog
 
-    def extern_decl(self) -> s.ExternDecl:
-        start = self.keyword("extern")
+    def sort_decl(self, pos: tuple) -> str:
+        name = self.ident()
+        self.expect(";")
+        return name
+
+    def extern_decl(self, pos: tuple) -> s.ExternDecl:
         self.keyword("fn")
         name = self.ident()
         self.expect("(")
@@ -184,18 +211,16 @@ class Parser:
         self.expect("->")
         ret = self.value_sort()
         self.expect(";")
-        return s.ExternDecl(name, tuple(args), ret, pos=(start.line, start.col))
+        return s.ExternDecl(name, tuple(args), ret, pos=pos)
 
-    def type_decl(self) -> s.TypeDecl:
-        start = self.keyword("type")
+    def type_decl(self, pos: tuple) -> s.TypeDecl:
         name = self.ident()
         self.expect("=")
         body = self.session_type()
         self.accept(";")
-        return s.TypeDecl(name, body, pos=(start.line, start.col))
+        return s.TypeDecl(name, body, pos=pos)
 
-    def proc_decl(self) -> s.ProcDecl:
-        start = self.keyword("fn")
+    def proc_decl(self, pos: tuple) -> s.ProcDecl:
         name = self.ident()
         self.expect("(")
         params = []
@@ -209,13 +234,10 @@ class Parser:
         self.expect(")")
         self.expect("->")
         offered = self.session_type()
-        self.expect("{")
-        body = self.process()
-        self.expect("}")
-        return s.ProcDecl(name, tuple(params), offered, body, pos=(start.line, start.col))
+        body = self._block()
+        return s.ProcDecl(name, tuple(params), offered, body, pos=pos)
 
-    def automaton_decl(self) -> s.AutomatonDecl:
-        start = self.keyword("automaton")
+    def automaton_decl(self, pos: tuple) -> s.AutomatonDecl:
         name = self.ident()
         self.expect("{")
         states, initial, transitions = [], None, []
@@ -233,9 +255,8 @@ class Parser:
             else:
                 transitions.append(self.auto_transition())
         if initial is None:
-            raise ParseError(f"automaton {name} has no init state", start.line, start.col)
-        return s.AutomatonDecl(name, tuple(states), initial, tuple(transitions),
-                               pos=(start.line, start.col))
+            raise ParseError(f"automaton {name} has no init state", *pos)
+        return s.AutomatonDecl(name, tuple(states), initial, tuple(transitions), pos=pos)
 
     def auto_transition(self) -> s.AutoTransitionDecl:
         src = self.ident()
@@ -268,8 +289,7 @@ class Parser:
         self.fail(f"unknown automaton action {word!r}",
                   expected={"L", "R", "val", "cls", "chan"})
 
-    def system_decl(self) -> s.SystemDecl:
-        start = self.keyword("system")
+    def system_decl(self, pos: tuple) -> s.SystemDecl:
         name = self.ident()
         self.expect("=")
         entry = self.ident()
@@ -289,53 +309,47 @@ class Parser:
         self.expect("@")
         start_time = self.time_expr()
         self.expect(";")
-        return s.SystemDecl(name, entry, tuple(bindings), start_time,
-                            pos=(start.line, start.col))
+        return s.SystemDecl(name, entry, tuple(bindings), start_time, pos=pos)
 
     # -- types ---------------------------------------------------------------
 
     def value_sort(self) -> s.ValueType:
         name = self.ident()
-        if name == "bool":
-            return s.BOOL
-        if name == "int":
-            return s.INT
-        return s.NamedType(name)
+        return {"bool": s.BOOL, "int": s.INT}.get(name) or s.NamedType(name)
 
     def session_type(self) -> s.SessionType:
-        tok = self.peek()
-        name = self.ident()
-        if name not in _TYPE_CONNECTIVES:
-            return s.TypeRef(name)
-        self.expect("<")
-        if name == "Unit":
-            binder, pred = self.binder()
+        """A session type; the last component is read in a loop."""
+        pending = []  # (class, fields, last component's name)
+        while True:
+            name = self.ident()
+            cls = _TYPES.get(name)
+            if cls is None:
+                node = s.TypeRef(name)
+                break
+            self.expect("<")
+            conn, fields = s.CONNECTIVES[cls], {}
+            # Produce / Request: payload sort and binder in either order
+            if conn.kind == "value" and not (self.peek(1).kind == "IDENT"
+                                             and self.peek(1).text == "where"):
+                fields["payload"] = self.value_sort()
+                self.expect(",")
+            fields["binder"], fields["pred"] = self.binder()
+            if conn.kind == "value" and "payload" not in fields:
+                self.expect(",")
+                fields["payload"] = self.value_sort()
+            for component in conn.components[:-1]:
+                self.expect(",")
+                fields[component] = self.session_type()
+            if not conn.components:
+                self.expect(">")
+                node = cls(**fields)
+                break
+            self.expect(",")
+            pending.append((cls, fields, conn.components[-1]))
+        for cls, fields, last in reversed(pending):
             self.expect(">")
-            return s.UnitT(binder, pred)
-        if name in ("Tensor", "Lolli", "InChoice", "ExChoice"):
-            binder, pred = self.binder()
-            self.expect(",")
-            left = self.session_type()
-            self.expect(",")
-            right = self.session_type()
-            self.expect(">")
-            ctor = {"Tensor": s.TensorT, "Lolli": s.LolliT,
-                    "InChoice": s.IChoiceT, "ExChoice": s.EChoiceT}[name]
-            return ctor(binder, pred, left, right)
-        # Produce / Request: payload sort and binder in either order
-        if self.peek(1).kind == "IDENT" and self.peek(1).text == "where":
-            binder, pred = self.binder()
-            self.expect(",")
-            payload = self.value_sort()
-        else:
-            payload = self.value_sort()
-            self.expect(",")
-            binder, pred = self.binder()
-        self.expect(",")
-        cont = self.session_type()
-        self.expect(">")
-        ctor = s.ProduceT if name == "Produce" else s.QueryT
-        return ctor(binder, pred, payload, cont)
+            node = cls(**fields, **{last: node})
+        return node
 
     def binder(self) -> tuple:
         tok = self.peek()
@@ -348,47 +362,19 @@ class Parser:
 
     def prop(self) -> t.Prop:
         name = self.ident()
-        if name not in _PROP_OPS:
-            self.fail(f"unknown proposition operator {name!r}", expected=_PROP_OPS)
-        if name == "True":
-            return t.TOP
-        if name == "False":
-            return t.BOT
+        if name not in _PROPS:
+            self.fail(f"unknown proposition operator {name!r}", expected=_PROPS)
+        make, args = _PROPS[name]
+        if not args:
+            return make()
         self.expect("<")
-        if name in ("And", "Or", "Implies"):
-            left = self.prop()
-            self.expect(",")
-            right = self.prop()
-            self.expect(">")
-            ctor = {"And": t.And, "Or": t.Or, "Implies": t.Imp}[name]
-            return ctor(left, right)
-        if name == "Not":
-            inner = self.prop()
-            self.expect(">")
-            return t.p_not(inner)
-        if name == "In":
-            lo = self.time_expr()
-            self.expect(",")
-            mid = self.time_expr()
-            self.expect(",")
-            hi = self.time_expr()
-            self.expect(">")
-            return t.p_in(lo, mid, hi)
-        left = self.time_expr()
-        self.expect(",")
-        right = self.time_expr()
+        parts = []
+        for i, kind in enumerate(args):
+            if i:
+                self.expect(",")
+            parts.append(self.prop() if kind == "p" else self.time_expr())
         self.expect(">")
-        if name == "Leq":
-            return t.Leq(left, right)
-        if name == "Geq":
-            return t.p_geq(left, right)
-        if name == "Eq":
-            return t.Eq(left, right)
-        if name == "Lt":
-            return t.p_lt(left, right)
-        if name == "Gt":
-            return t.p_gt(left, right)
-        return t.p_neq(left, right)
+        return make(*parts)
 
     def time_expr(self) -> t.TimeExpr:
         tok = self.peek()
@@ -409,201 +395,104 @@ class Parser:
     # -- processes -----------------------------------------------------------
 
     def process(self) -> s.Process:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text not in _PROC_KEYWORDS:
-            self.fail(f"found {tok.text or tok.kind!r}", expected=_PROC_KEYWORDS)
-        word = tok.text
-        return getattr(self, f"_proc_{word.lower()}")()
+        """A process; each form's last child is read in a loop."""
+        pending = []  # (class, fields, closing tokens) waiting for the last child
+        while True:
+            tok = self.peek()
+            form = _FORMS.get(tok.text) if tok.kind == "IDENT" else None
+            if form is None:
+                self.fail(f"found {tok.text or tok.kind!r}", expected=_FORMS)
+            self.next()
+            fields = self._head(form)
+            closing = self._tail(form, fields)
+            if closing is None:
+                node = form.cls(**fields)
+                break
+            pending.append((form.cls, fields, closing))
+        for cls, fields, closing in reversed(pending):
+            for kind in closing:
+                self.expect(kind)
+            node = cls(**fields, **{_LAST[cls]: node})
+        return node
 
-    def _angle_binder(self) -> tuple:
+    def _head(self, form: _Form) -> dict:
+        if form.head == "if":
+            return {"cond": self._dollar_expr()}
         self.expect("<")
-        binder, pred = self.binder()
+        if form.head == "provider":
+            binder, pred = self.binder()
+            self.expect(">")
+            return {"binder": binder, "pred": pred}
+        fields = {"at": self.time_expr()}
         self.expect(">")
-        return binder, pred
-
-    def _angle_time(self) -> t.TimeExpr:
-        self.expect("<")
-        at = self.time_expr()
-        self.expect(">")
-        return at
-
-    def _paren_chan(self) -> str:
         self.expect("(")
-        chan = self.ident()
+        if form.head == "spawn":
+            fields["callee"] = self.ident()
+            args = []
+            while self.accept(","):
+                args.append(self.ident())
+            fields["args"] = tuple(args)
+        else:
+            fields["chan"] = self.ident()
+            if form.head == "app":
+                self.expect("<=")
+                fields["payload"] = self._block()
         self.expect(")")
-        return chan
+        return fields
 
-    def _brace_bound(self) -> tuple:
-        """{ x => P }, returning (x, None, P); Spawn adds an optional type."""
+    def _tail(self, form: _Form, fields: dict) -> Optional[tuple]:
+        """Read the tail up to its last child; return the tokens that close
+        it after that child (None: the form has no tail)."""
+        if form.tail == "none":
+            return None
+        if form.tail == "bind":
+            self.expect("{")
+            fields[form.var] = self.ident()
+            ann = self.session_type() if self.accept(":") else None
+            if form.ann:
+                fields[form.ann] = ann
+            self.expect("=>")
+            return ("}",)
+        if form.tail == "branch":
+            fields["left"] = self._branch("L")
+            self._branch_open("R")
+            return ("}",)
+        if form.tail == "else":
+            fields["then"] = self._block()
+            self.keyword("else")
+            self.expect("{")
+            return ("}",)
+        if form.tail == "expr":
+            fields["expr"] = self._dollar_expr()
+        elif form.tail == "block":
+            fields["payload"] = self._block()
+        self.expect(";")
+        return ()
+
+    def _block(self) -> s.Process:
         self.expect("{")
-        var = self.ident()
-        bound_type = self.session_type() if self.accept(":") else None
-        self.expect("=>")
         body = self.process()
         self.expect("}")
-        return var, bound_type, body
+        return body
+
+    def _branch_open(self, label: str) -> None:
+        self.expect("{")
+        got = self.ident()
+        if got != label:
+            self.fail(f"expected branch label {label}, found {got}", expected={label})
+        self.expect("=>")
+
+    def _branch(self, label: str) -> s.Process:
+        self._branch_open(label)
+        body = self.process()
+        self.expect("}")
+        return body
 
     def _dollar_expr(self) -> s.Expr:
         self.expect("$")
         e = self.expr()
         self.expect("$")
         return e
-
-    def _proc_close(self) -> s.Process:
-        self.keyword("Close")
-        binder, pred = self._angle_binder()
-        return s.CloseP(binder, pred)
-
-    def _proc_wait(self) -> s.Process:
-        self.keyword("Wait")
-        at = self._angle_time()
-        chan = self._paren_chan()
-        self.expect(";")
-        return s.WaitP(at, chan, self.process())
-
-    def _proc_lam(self) -> s.Process:
-        self.keyword("Lam")
-        binder, pred = self._angle_binder()
-        var, _, body = self._brace_bound()
-        return s.LamRecv(binder, pred, var, body)
-
-    def _proc_app(self) -> s.Process:
-        self.keyword("App")
-        at = self._angle_time()
-        self.expect("(")
-        chan = self.ident()
-        self.expect("<=")
-        self.expect("{")
-        payload = self.process()
-        self.expect("}")
-        self.expect(")")
-        self.expect(";")
-        return s.AppSend(chan, at, payload, self.process())
-
-    def _proc_sendch(self) -> s.Process:
-        self.keyword("SendCh")
-        binder, pred = self._angle_binder()
-        self.expect("{")
-        payload = self.process()
-        self.expect("}")
-        self.expect(";")
-        return s.PairSend(binder, pred, payload, self.process())
-
-    def _proc_recvch(self) -> s.Process:
-        self.keyword("RecvCh")
-        at = self._angle_time()
-        chan = self._paren_chan()
-        var, _, body = self._brace_bound()
-        return s.PairRecv(chan, at, var, body)
-
-    def _proc_switchl(self) -> s.Process:
-        self.keyword("SwitchL")
-        binder, pred = self._angle_binder()
-        self.expect(";")
-        return s.InLP(binder, pred, self.process())
-
-    def _proc_switchr(self) -> s.Process:
-        self.keyword("SwitchR")
-        binder, pred = self._angle_binder()
-        self.expect(";")
-        return s.InRP(binder, pred, self.process())
-
-    def _branch(self, label: str) -> s.Process:
-        self.expect("{")
-        got = self.ident()
-        if got != label:
-            self.fail(f"expected branch label {label}, found {got}", expected={label})
-        self.expect("=>")
-        body = self.process()
-        self.expect("}")
-        return body
-
-    def _proc_case(self) -> s.Process:
-        self.keyword("Case")
-        at = self._angle_time()
-        chan = self._paren_chan()
-        left = self._branch("L")
-        right = self._branch("R")
-        return s.CaseP(at, chan, left, right)
-
-    def _proc_offer(self) -> s.Process:
-        self.keyword("Offer")
-        binder, pred = self._angle_binder()
-        left = self._branch("L")
-        right = self._branch("R")
-        return s.OfferP(binder, pred, left, right)
-
-    def _proc_selectl(self) -> s.Process:
-        self.keyword("SelectL")
-        at = self._angle_time()
-        chan = self._paren_chan()
-        self.expect(";")
-        return s.SelectLP(chan, at, self.process())
-
-    def _proc_selectr(self) -> s.Process:
-        self.keyword("SelectR")
-        at = self._angle_time()
-        chan = self._paren_chan()
-        self.expect(";")
-        return s.SelectRP(chan, at, self.process())
-
-    def _proc_prod(self) -> s.Process:
-        self.keyword("Prod")
-        binder, pred = self._angle_binder()
-        expr = self._dollar_expr()
-        self.expect(";")
-        return s.ProdP(binder, pred, expr, self.process())
-
-    def _proc_cons(self) -> s.Process:
-        self.keyword("Cons")
-        at = self._angle_time()
-        chan = self._paren_chan()
-        var, _, body = self._brace_bound()
-        return s.ConsP(chan, at, var, body)
-
-    def _proc_query(self) -> s.Process:
-        self.keyword("Query")
-        binder, pred = self._angle_binder()
-        var, _, body = self._brace_bound()
-        return s.QueryRecvP(binder, pred, var, body)
-
-    def _proc_supply(self) -> s.Process:
-        self.keyword("Supply")
-        at = self._angle_time()
-        chan = self._paren_chan()
-        expr = self._dollar_expr()
-        self.expect(";")
-        return s.SupplyP(chan, at, expr, self.process())
-
-    def _proc_fwd(self) -> s.Process:
-        self.keyword("Fwd")
-        at = self._angle_time()
-        chan = self._paren_chan()
-        return s.FwdP(at, chan)
-
-    def _proc_spawn(self) -> s.Process:
-        self.keyword("Spawn")
-        at = self._angle_time()
-        self.expect("(")
-        callee = self.ident()
-        args = []
-        while self.accept(","):
-            args.append(self.ident())
-        self.expect(")")
-        var, bound_type, body = self._brace_bound()
-        return s.SpawnP(at, callee, tuple(args), var, body, bound_type)
-
-    def _proc_if(self) -> s.Process:
-        self.keyword("if")
-        cond = self._dollar_expr()
-        self.expect("{")
-        then = self.process()
-        self.expect("}")
-        self.keyword("else")
-        self.expect("{")
-        orelse = self.process()
-        self.expect("}")
-        return s.IfP(cond, then, orelse)
 
     # -- functional expressions ------------------------------------------------
 
@@ -669,10 +558,21 @@ class Parser:
         self.fail(f"found {tok.text or tok.kind!r} in expression")
 
 
+# declaration keyword -> reader, in the order of Program's fields
+_DECLS = {"sort": Parser.sort_decl, "extern": Parser.extern_decl, "type": Parser.type_decl,
+          "fn": Parser.proc_decl, "automaton": Parser.automaton_decl,
+          "system": Parser.system_decl}
+
+
 def _type_refs(a: s.SessionType) -> set:
-    if isinstance(a, s.TypeRef):
-        return {a.name}
-    return set().union(*map(_type_refs, s.components(a)))
+    refs, todo = set(), [a]
+    while todo:
+        a = todo.pop()
+        if isinstance(a, s.TypeRef):
+            refs.add(a.name)
+        else:
+            todo.extend(s.components(a))
+    return refs
 
 
 def _validate_program(prog: s.Program) -> None:
@@ -729,42 +629,32 @@ def render_time(e: t.TimeExpr) -> str:
 
 
 def render_prop(p: t.Prop) -> str:
-    if isinstance(p, t.Top):
-        return "True"
-    if isinstance(p, t.Bot):
-        return "False"
-    if isinstance(p, t.And):
-        return f"And<{render_prop(p.left)}, {render_prop(p.right)}>"
-    if isinstance(p, t.Or):
-        return f"Or<{render_prop(p.left)}, {render_prop(p.right)}>"
-    if isinstance(p, t.Imp):
-        return f"Implies<{render_prop(p.left)}, {render_prop(p.right)}>"
-    if isinstance(p, t.Eq):
-        return f"Eq<{render_time(p.left)}, {render_time(p.right)}>"
-    return f"Leq<{render_time(p.left)}, {render_time(p.right)}>"
-
-
-def render_sort(v: s.ValueType) -> str:
-    return str(v)
+    name = _PROP_NAME[type(p)]
+    args = _PROPS[name][1]
+    if not args:
+        return name
+    part = render_prop if args == "pp" else render_time
+    return f"{name}<{part(p.left)}, {part(p.right)}>"
 
 
 def render_type(a: s.SessionType) -> str:
-    if isinstance(a, s.TypeRef):
-        return a.name
-    b = f"{a.binder} where {render_prop(a.pred)}"
-    if isinstance(a, s.UnitT):
-        return f"Unit<{b}>"
-    if isinstance(a, s.TensorT):
-        return f"Tensor<{b}, {render_type(a.left)}, {render_type(a.right)}>"
-    if isinstance(a, s.LolliT):
-        return f"Lolli<{b}, {render_type(a.arg)}, {render_type(a.cont)}>"
-    if isinstance(a, s.IChoiceT):
-        return f"InChoice<{b}, {render_type(a.left)}, {render_type(a.right)}>"
-    if isinstance(a, s.EChoiceT):
-        return f"ExChoice<{b}, {render_type(a.left)}, {render_type(a.right)}>"
-    if isinstance(a, s.ProduceT):
-        return f"Produce<{render_sort(a.payload)}, {b}, {render_type(a.cont)}>"
-    return f"Request<{render_sort(a.payload)}, {b}, {render_type(a.cont)}>"
+    """The surface spelling of a type; the last component in a loop."""
+    out, depth = [], 0
+    while not isinstance(a, s.TypeRef):
+        parts = [f"{a.binder} where {render_prop(a.pred)}"]
+        if s.CONNECTIVES[type(a)].kind == "value":
+            parts.insert(0, str(a.payload))
+        *firsts, last = s.components(a) or (None,)
+        parts += map(render_type, firsts)
+        out.append(f"{_TYPE_NAME[type(a)]}<{', '.join(parts)}")
+        depth += 1
+        if last is None:
+            break
+        out.append(", ")
+        a = last
+    else:
+        out.append(a.name)
+    return "".join(out) + ">" * depth
 
 
 def render_expr(e: s.Expr) -> str:
@@ -774,72 +664,57 @@ def render_expr(e: s.Expr) -> str:
         return str(e.value)
     if isinstance(e, s.VarE):
         return e.name
-    if isinstance(e, s.Arith):
-        return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
-    if isinstance(e, s.Cmp):
+    if isinstance(e, (s.Arith, s.Cmp)):
         return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
     if isinstance(e, s.IfE):
         return f"(if {render_expr(e.cond)} then {render_expr(e.then)} else {render_expr(e.orelse)})"
     return f"{e.name}({', '.join(render_expr(a) for a in e.args)})"
 
 
+def _render_block(p: s.Process, indent: int) -> str:
+    return f"{{\n{render_process(p, indent + 1)}\n{'  ' * indent}}}"
+
+
 def render_process(p: s.Process, indent: int = 0) -> str:
-    pad = "  " * indent
-    nxt = lambda q: render_process(q, indent)
-    blk = lambda q: render_process(q, indent + 1)
-    if isinstance(p, s.CloseP):
-        return f"{pad}Close<{p.binder} where {render_prop(p.pred)}>"
-    if isinstance(p, s.WaitP):
-        return f"{pad}Wait<{render_time(p.at)}>({p.chan});\n{nxt(p.cont)}"
-    if isinstance(p, s.LamRecv):
-        return (f"{pad}Lam<{p.binder} where {render_prop(p.pred)}> {{ {p.var} =>\n"
-                f"{blk(p.body)}\n{pad}}}")
-    if isinstance(p, s.AppSend):
-        return (f"{pad}App<{render_time(p.at)}>({p.chan} <= {{\n{blk(p.payload)}\n{pad}}});\n"
-                f"{nxt(p.cont)}")
-    if isinstance(p, s.PairSend):
-        return (f"{pad}SendCh<{p.binder} where {render_prop(p.pred)}> {{\n{blk(p.payload)}\n"
-                f"{pad}}};\n{nxt(p.cont)}")
-    if isinstance(p, s.PairRecv):
-        return (f"{pad}RecvCh<{render_time(p.at)}>({p.chan}) {{ {p.var} =>\n"
-                f"{blk(p.cont)}\n{pad}}}")
-    if isinstance(p, s.InLP):
-        return f"{pad}SwitchL<{p.binder} where {render_prop(p.pred)}>;\n{nxt(p.cont)}"
-    if isinstance(p, s.InRP):
-        return f"{pad}SwitchR<{p.binder} where {render_prop(p.pred)}>;\n{nxt(p.cont)}"
-    if isinstance(p, s.CaseP):
-        return (f"{pad}Case<{render_time(p.at)}>({p.chan})\n"
-                f"{pad}{{ L =>\n{blk(p.left)}\n{pad}}}\n"
-                f"{pad}{{ R =>\n{blk(p.right)}\n{pad}}}")
-    if isinstance(p, s.OfferP):
-        return (f"{pad}Offer<{p.binder} where {render_prop(p.pred)}>\n"
-                f"{pad}{{ L =>\n{blk(p.left)}\n{pad}}}\n"
-                f"{pad}{{ R =>\n{blk(p.right)}\n{pad}}}")
-    if isinstance(p, s.SelectLP):
-        return f"{pad}SelectL<{render_time(p.at)}>({p.chan});\n{nxt(p.cont)}"
-    if isinstance(p, s.SelectRP):
-        return f"{pad}SelectR<{render_time(p.at)}>({p.chan});\n{nxt(p.cont)}"
-    if isinstance(p, s.ProdP):
-        return (f"{pad}Prod<{p.binder} where {render_prop(p.pred)}> "
-                f"$ {render_expr(p.expr)} $;\n{nxt(p.cont)}")
-    if isinstance(p, s.ConsP):
-        return (f"{pad}Cons<{render_time(p.at)}>({p.chan}) {{ {p.var} =>\n"
-                f"{blk(p.cont)}\n{pad}}}")
-    if isinstance(p, s.QueryRecvP):
-        return (f"{pad}Query<{p.binder} where {render_prop(p.pred)}> {{ {p.var} =>\n"
-                f"{blk(p.cont)}\n{pad}}}")
-    if isinstance(p, s.SupplyP):
-        return (f"{pad}Supply<{render_time(p.at)}>({p.chan}) "
-                f"$ {render_expr(p.expr)} $;\n{nxt(p.cont)}")
-    if isinstance(p, s.FwdP):
-        return f"{pad}Fwd<{render_time(p.at)}>({p.chan})"
-    if isinstance(p, s.SpawnP):
-        callee = ", ".join((p.callee,) + p.args)
-        ann = f" : {render_type(p.bound_type)}" if p.bound_type is not None else ""
-        return (f"{pad}Spawn<{render_time(p.at)}>({callee}) {{ {p.bound}{ann} =>\n"
-                f"{blk(p.cont)}\n{pad}}}")
-    return (f"{pad}if $ {render_expr(p.cond)} $ {{\n{blk(p.then)}\n{pad}}} else {{\n"
-            f"{blk(p.orelse)}\n{pad}}}")
+    """The surface spelling of a process, read back by ``Parser.process``;
+    each form's last child is printed in a loop."""
+    out, closing = [], []
+    while True:
+        kw, pad = _KEYWORD[type(p)], "  " * indent
+        form = _FORMS[kw]
+        if form.head == "provider":
+            out.append(f"{pad}{kw}<{p.binder} where {render_prop(p.pred)}>")
+        elif form.head == "if":
+            out.append(f"{pad}if $ {render_expr(p.cond)} $")
+        elif form.head == "spawn":
+            out.append(f"{pad}{kw}<{render_time(p.at)}>({', '.join((p.callee,) + p.args)})")
+        elif form.head == "app":
+            out.append(f"{pad}{kw}<{render_time(p.at)}>({p.chan} <= "
+                       f"{_render_block(p.payload, indent)})")
+        else:
+            out.append(f"{pad}{kw}<{render_time(p.at)}>({p.chan})")
+        if form.tail == "none":
+            break
+        if form.tail == "seq":
+            out.append(";\n")
+        elif form.tail == "expr":
+            out.append(f" $ {render_expr(p.expr)} $;\n")
+        elif form.tail == "block":
+            out.append(f" {_render_block(p.payload, indent)};\n")
+        else:
+            if form.tail == "bind":
+                ann = getattr(p, form.ann) if form.ann else None
+                ann = "" if ann is None else f" : {render_type(ann)}"
+                out.append(f" {{ {getattr(p, form.var)}{ann} =>\n")
+            elif form.tail == "branch":
+                out.append(f"\n{pad}{{ L =>\n{render_process(p.left, indent + 1)}\n{pad}}}"
+                           f"\n{pad}{{ R =>\n")
+            else:
+                out.append(f" {_render_block(p.then, indent)} else {{\n")
+            closing.append(f"\n{pad}}}")
+            indent += 1
+        p = getattr(p, _LAST[type(p)])
+    return "".join(out) + "".join(reversed(closing))
 
 
 def render_program(prog: s.Program) -> str:
@@ -847,8 +722,8 @@ def render_program(prog: s.Program) -> str:
     for name in prog.sorts:
         parts.append(f"sort {name};")
     for ext in prog.externs:
-        args = ", ".join(render_sort(a) for a in ext.arg_types)
-        parts.append(f"extern fn {ext.name}({args}) -> {render_sort(ext.ret_type)};")
+        args = ", ".join(map(str, ext.arg_types))
+        parts.append(f"extern fn {ext.name}({args}) -> {ext.ret_type};")
     for td in prog.types:
         parts.append(f"type {td.name} = {render_type(td.body)};")
     for pd in prog.procs:

@@ -551,20 +551,36 @@ def expand_type_refs(prog: Optional[Program], a: SessionType,
     names = names or NameSupply()
 
     def walk(ty: SessionType, stack: tuple, ren: dict) -> SessionType:
-        if isinstance(ty, TypeRef):
-            if prog is None:
-                return ty
-            if ty.name in stack:
-                cycle = " -> ".join(stack + (ty.name,))
-                raise CyclicTypeDefError(f"cyclic type definition: {cycle}")
-            decl = prog.type_decl(ty.name)
-            if decl is None:
-                raise CyclicTypeDefError(f"unknown type name: {ty.name}")
-            return walk(decl.body, stack + (ty.name,), ren)
-        new = names(ty.binder)
-        ren = {**ren, ty.binder: tvar(new)}
-        return _rebuild(ty, binder=new, pred=substitute_all(ty.pred, ren),
-                        **_map_components(ty, walk, stack, ren))
+        # Binders are named in pre-order: a node, its leading components,
+        # then the last component, which is walked in this loop.
+        pending, ren = [], dict(ren)
+        while True:
+            if isinstance(ty, TypeRef):
+                if prog is None:
+                    break
+                if ty.name in stack:
+                    cycle = " -> ".join(stack + (ty.name,))
+                    raise CyclicTypeDefError(f"cyclic type definition: {cycle}")
+                decl = prog.type_decl(ty.name)
+                if decl is None:
+                    raise CyclicTypeDefError(f"unknown type name: {ty.name}")
+                ty, stack = decl.body, stack + (ty.name,)
+                continue
+            new = names(ty.binder)
+            ren[ty.binder] = tvar(new)
+            changes = {"binder": new, "pred": substitute_all(ty.pred, ren)}
+            *firsts, last = CONNECTIVES[type(ty)].components or (None,)
+            for name in firsts:
+                changes[name] = walk(getattr(ty, name), stack, ren)
+            pending.append((ty, changes, last))
+            if last is None:
+                break
+            ty = getattr(ty, last)
+        for node, changes, last in reversed(pending):
+            if last is not None:
+                changes[last] = ty
+            ty = _rebuild(node, **changes)
+        return ty
 
     return walk(a, (), {})
 

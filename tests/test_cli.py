@@ -266,3 +266,25 @@ def test_system_binding_must_name_a_parameter(tmp_path, capsys):
     code = main(["run", str(path), "--entry", "bad"])
     err = capsys.readouterr().err
     assert code == 2 and "no parameter y" in err
+
+
+class TestMalformedInputExitsTwo:
+    def test_non_decimal_digit(self, tmp_path):
+        path = tmp_path / "sup.tsl"
+        path.write_text("type T = Unit<t where Eq<t, Shift<t0, ²>>>\n", encoding="utf-8")
+        proc = run_subprocess("check", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {path}:1:39: unexpected character '²'\n"
+
+    def test_deeply_nested_predicate(self, tmp_path):
+        pred = "Geq<t, t0>"
+        for _ in range(2000):
+            pred = f"And<{pred}, Leq<t0, t>>"
+        path = tmp_path / "deep.tsl"
+        path.write_text(f"type D = Unit<t where {pred}>\n\n"
+                        f"fn provider() -> D {{\n    Close<t where {pred}>\n}}\n")
+        proc = run_subprocess("check", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: input nested too deeply\n"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 from tillst import corpus_files
 from tillst import syntax as s
 from tillst import temporal as t
-from tillst.parser import ParseError, Token, parse_program, render_program, tokenize
+from tillst.cli import main
+from tillst.parser import (ParseError, Token, parse_program, render_program, render_type,
+                           tokenize)
 
 
 def test_unit_type_decl():
@@ -242,3 +246,57 @@ def test_roundtrip_every_process_form(form, data):
     offered = data.draw(TYPES)
     prog = s.Program(procs=(s.ProcDecl("p", (("c", offered),), offered, body),))
     assert parse_program(render_program(prog)) == prog
+
+
+def test_printer_layout_of_forms_the_corpus_lacks():
+    # the .render goldens pin the layout of every other form
+    source = ("fn p(c: Unit<t where True>) -> Unit<t where True> {\n"
+              "  SendCh<t1 where True> {\n    Fwd<t0>(c)\n  };\n"
+              "  Offer<t2 where Leq<t1, t2>>\n  { L =>\n    Close<t3 where True>\n  }\n"
+              "  { R =>\n    Close<t4 where False>\n  }\n}\n")
+    assert render_program(parse_program(source)) == source
+
+
+def test_unicode_decimal_digits_are_integers():
+    prog = parse_program("type T = Unit<t where Eq<t, Shift<t0, ٣>>>")
+    assert prog.types[0].body.pred == t.Eq(t.tvar("t"), t.init_plus(3))
+
+
+def test_non_decimal_digit_is_rejected():
+    for source in ("type T = Unit<t where Eq<t, Shift<t0, ²>>>",
+                   "type T = Unit<t where Eq<t, Shift<t0, 1²>>>"):
+        with pytest.raises(ParseError) as exc:
+            parse_program(source)
+        assert str(exc.value) == f"1:{source.index(chr(0xb2)) + 1}: unexpected character '²'"
+
+
+def chain_source(n: int, names=lambda i: f"s{i}", z="z") -> str:
+    """A depth-n Produce protocol and its provider, spelled as the printer
+    spells them; ``names`` renames the binders."""
+    window = lambda b, at: f"{b} where Eq<{b}, Shift<t0, {at}>>"
+    head = "".join(f"Produce<int, {window(names(i), i + 1)}, " for i in range(n))
+    body = "".join(f"  Prod<{window(f's{i}', i + 1)}> $ {i % 7} $;\n" for i in range(n))
+    return (f"type CHAIN = {head}Unit<{window(z, n + 1)}>{'>' * n};\n\n"
+            f"fn chain() -> CHAIN {{\n{body}  Close<{window('z', n + 1)}>\n}}\n\n"
+            "system go = chain() @ t0;\n")
+
+
+def test_depth_3000_protocol(tmp_path, capsys):
+    # Compared as text: dataclass == on a chain this deep overflows the stack.
+    n = 3000
+    source = chain_source(n)
+    prog = parse_program(source)
+    assert render_program(prog) == source
+    expanded = s.expand_type_refs(prog, s.TypeRef("CHAIN"))
+    want = chain_source(n, names=lambda i: f"s{i}#{i + 1}", z=f"z#{n + 1}")
+    assert f"type CHAIN = {render_type(expanded)};" == want.split("\n")[0]
+    program, trace = tmp_path / "chain.tsl", tmp_path / "chain.jsonl"
+    program.write_text(source)
+    events = [{"time": i + 1, "dir": "send", "kind": "value", "channel": "go",
+               "payload": str(i % 7)} for i in range(n)]
+    events.append({"time": n + 1, "dir": "send", "kind": "close", "channel": "go",
+                   "payload": None})
+    trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    code = main(["monitor", str(program), "--type", "CHAIN", "--trace", str(trace)])
+    out = capsys.readouterr().out
+    assert (code, out) == (0, f"conforms: {n + 1} events on go against CHAIN\n")
