@@ -1,17 +1,20 @@
-"""Byte-for-byte pins of ``tillst run`` and ``tillst monitor`` output, of
-the scheduler's candidate order, and of the pretty-printer.
+"""Byte-for-byte pins of ``tillst check``, ``tillst run`` and ``tillst
+monitor`` output, of the checker's query log, of the scheduler's candidate
+order, and of the pretty-printer.
 
 Each ``.run`` or ``.monitor_*`` file under ``tests/golden/`` holds one
 command's exit code on its first line (``exit N``) followed by its exact
 stdout.  The run files cover every ``system`` of the corpus (trace plus
 verdict line); the monitor files check smart_home's two sensor channels
-against ``BME680``.  Each ``.candidates`` file lists, for every step of the
-same system's run, every candidate the scheduler was offered, in order, as
-``[time, dir, kind, channel, payload, tag]`` (dir, kind and payload as the
-trace format writes them).  Each ``.render`` file holds
-``render_program(parse_program(source))`` of one corpus file.  Regenerate them with
-``PYTHONPATH=src python tests/test_golden.py`` only when a change of output is
-intended.
+against ``BME680``.  Each ``.check`` file pins ``tillst check`` of one
+corpus file the same way; its ``.queries`` file lists every query ``tillst
+smt`` writes, in ``index.json`` order, as ``[location, holds]``.  Each
+``.candidates`` file lists, for every step of the same system's run, every
+candidate the scheduler was offered, in order, as ``[time, dir, kind,
+channel, payload, tag]`` (dir, kind and payload as the trace format writes
+them).  Each ``.render`` file holds ``render_program(parse_program(source))``
+of one corpus file.  Regenerate them with ``PYTHONPATH=src python
+tests/test_golden.py`` only when a change of output is intended.
 """
 
 import contextlib
@@ -50,6 +53,19 @@ def _cli(*argv) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
     return f"exit {code}\n{out.getvalue()}"
+
+
+def check_output(file: str) -> str:
+    return _cli("check", corpus_path(file))
+
+
+def queries_output(file: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        head = _cli("smt", corpus_path(file), "--out", tmp).split("\n", 1)[0]
+        with open(os.path.join(tmp, "index.json"), encoding="utf-8") as fh:
+            index = json.load(fh)
+    return head + "\n" + "".join(json.dumps([q["location"], q["holds"]]) + "\n"
+                                 for q in index)
 
 
 def run_output(file: str, entry: str) -> str:
@@ -93,6 +109,8 @@ def _golden_cases() -> dict:
     for path in corpus_files():
         file = os.path.basename(path)
         cases[f"{file[:-4]}.render"] = (render_output, (file,))
+        cases[f"{file[:-4]}.check"] = (check_output, (file,))
+        cases[f"{file[:-4]}.queries"] = (queries_output, (file,))
     for file, entry in SYSTEMS:
         cases[f"{file[:-4]}.{entry}.run"] = (run_output, (file, entry))
         cases[f"{file[:-4]}.{entry}.candidates"] = (candidates_output, (file, entry))

@@ -267,3 +267,154 @@ def test_every_process_form_has_exactly_one_rule():
 
 def test_empty_program_empty_report():
     assert check_program(parse_program("")) == []
+
+
+# One program per message the checker can emit, each rejecting ``p`` with
+# exactly the given line; the locations also pin the /payload, /R and
+# spawned-body path segments.
+UNIT = "Unit<u where Geq<u, t0>>"
+CLOSE = "Close<u where Geq<u, t0>>"
+TENSOR = f"Tensor<t where Geq<t, t0>, {UNIT}, {UNIT}>"
+WINDOW = "Unit<t where In<t0, t, Shift<t0, 5>>>"
+
+REJECTS = {
+    "provider_type_window": (
+        f"fn p() -> Unit<t where Leq<t0, t>> {{ Close<t where Leq<Shift<t0, 3>, t>> }}",
+        "PredicateUnsatisfied at p/CloseP: type window not honored by term predicate: t#1; "
+        "Leq<t0, t#1> |- Leq<Shift<t0, 3>, t#1> [counterexample: t#1 = t0+0]"),
+    "provider_term_window": (
+        f"fn p() -> Unit<t where Leq<Shift<t0, 3>, t>> {{ Close<t where Leq<t0, t>> }}",
+        "PredicateUnsatisfied at p/CloseP: term predicate exceeds the type window: t#1; "
+        "Leq<t0, t#1> |- Leq<Shift<t0, 3>, t#1> [counterexample: t#1 = t0+0]"),
+    "provider_too_late": (
+        f"fn p(x: {UNIT}) -> Unit<u where Eq<u, t0>> {{ Wait<Shift<t0, 1>>(x); "
+        f"Close<u where Eq<u, t0>> }}",
+        "TimingViolation at p/WaitP/CloseP: provider is too late for its window: u#2; "
+        "Eq<u#2, t0> |- Leq<Shift<t0, 1>, u#2> [counterexample: u#2 = t0+0]"),
+    "client_precedes": (
+        f"fn p(x: {UNIT}, y: {UNIT}) -> {UNIT} {{ Wait<Shift<t0, 2>>(x); "
+        f"Wait<Shift<t0, 1>>(y); {CLOSE} }}",
+        "TimingViolation at p/WaitP/WaitP: client instant precedes the current time: .; . |- "
+        "Leq<Shift<t0, 2>, Shift<t0, 1>> [counterexample: empty assignment]"),
+    "client_window": (
+        f"fn p(x: Unit<t where Leq<Shift<t0, 5>, t>>) -> {UNIT} {{ Wait<t0>(x); {CLOSE} }}",
+        "TimingViolation at p/WaitP: client instant misses the provider window: .; . |- "
+        "Leq<Shift<t0, 5>, t0> [counterexample: empty assignment]"),
+    "fwd_instant": (
+        f"fn p(x: {UNIT}) -> {UNIT} {{ Fwd<Shift<t0, 1>>(x) }}",
+        "TimingViolation at p/FwdP: forward annotation differs from judgment time: .; . |- "
+        "Eq<t0, Shift<t0, 1>> [counterexample: empty assignment]"),
+    "fwd_leftover": (
+        f"fn p(x: {UNIT}, y: {UNIT}) -> {UNIT} {{ Fwd<t0>(x) }}",
+        "LinearityViolation at p/FwdP: forward must own exactly its source channel; "
+        "leftover: y"),
+    "fwd_empty": (
+        f"fn p() -> {UNIT} {{ Fwd<t0>(x) }}",
+        "LinearityViolation at p/FwdP: forward must own exactly its source channel; "
+        "leftover: <empty>"),
+    "close_unused": (
+        f"fn p(x: {UNIT}) -> {UNIT} {{ {CLOSE} }}",
+        "LinearityViolation at p/CloseP: channel x unused at close"),
+    "client_unavailable": (
+        f"fn p() -> {UNIT} {{ Wait<t0>(x); {CLOSE} }}",
+        "LinearityViolation at p/WaitP: channel x is not available"),
+    "split_both": (
+        f"fn p(x: {UNIT}) -> {TENSOR} {{ SendCh<t where Geq<t, t0>> {{ Wait<t0>(x); "
+        f"{CLOSE} }}; Wait<t0>(x); {CLOSE} }}",
+        "LinearityViolation at p/PairSend: channel x used in both branches"),
+    "split_never": (
+        f"fn p(x: {UNIT}) -> {TENSOR} {{ SendCh<t where Geq<t, t0>> {{ {CLOSE} }}; {CLOSE} }}",
+        "LinearityViolation at p/PairSend: channel x is never used"),
+    "shape_provider": (
+        f"fn p() -> {TENSOR} {{ Close<t where Geq<t, t0>> }}",
+        "ShapeMismatch at p/CloseP: process form CloseP cannot provide or use Tensor<t#1 "
+        "where Leq<t0, t#1>, Unit<u#2 where Leq<t0, u#2>>, Unit<u#3 where Leq<t0, u#3>>>"),
+    "shape_client": (
+        f"fn p(x: {TENSOR}) -> {UNIT} {{ Wait<t0>(x); {CLOSE} }}",
+        "ShapeMismatch at p/WaitP: process form WaitP cannot provide or use Tensor<t#1 where "
+        "Leq<t0, t#1>, Unit<u#2 where Leq<t0, u#2>>, Unit<u#3 where Leq<t0, u#3>>>"),
+    "spawn_undeclared": (
+        f"fn p() -> {UNIT} {{ Spawn<t0>(q) {{ k => Wait<t0>(k); {CLOSE} }} }}",
+        "ShapeMismatch at p/SpawnP: spawn of undeclared proc q"),
+    "spawn_recursive": (
+        f"fn p() -> {UNIT} {{ Spawn<t0>(p) {{ k => Wait<t0>(k); {CLOSE} }} }}",
+        "ShapeMismatch at p/SpawnP/p/SpawnP: recursive spawn chain through p is not supported"),
+    "spawn_arity": (
+        f"fn q() -> {UNIT} {{ {CLOSE} }}\nfn p(x: {UNIT}) -> {UNIT} {{ Spawn<t0>(q, x) {{ "
+        f"k => Wait<t0>(k); {CLOSE} }} }}",
+        "ShapeMismatch at p/SpawnP: q takes 0 channel arguments, got 1"),
+    "spawn_unavailable": (
+        f"fn q(c: {UNIT}) -> {UNIT} {{ Wait<t0>(c); {CLOSE} }}\nfn p() -> {UNIT} {{ "
+        f"Spawn<t0>(q, z) {{ k => Wait<t0>(k); {CLOSE} }} }}",
+        "LinearityViolation at p/SpawnP: spawn argument z is not available"),
+    "spawn_argument_type": (
+        f"fn q(c: {UNIT}) -> {UNIT} {{ Wait<t0>(c); "
+        f"{CLOSE} }}\nfn p(z: Unit<u where Geq<u, Shift<t0, 1>>>) -> {UNIT} {{ "
+        f"Spawn<t0>(q, z) {{ k => Wait<Shift<t0, 1>>(k); {CLOSE} }} }}",
+        "ShapeMismatch at p/SpawnP: spawn argument z has type Unit<u#3 where Leq<Shift<t0, "
+        "1>, u#3>>, but q expects Unit<u#5 where Leq<t0, u#5>>"),
+    "spawn_instant": (
+        f"fn q() -> {UNIT} {{ {CLOSE} }}\nfn p() -> {UNIT} {{ Spawn<Shift<t0, 1>>(q) {{ k => "
+        f"Wait<Shift<t0, 1>>(k); {CLOSE} }} }}",
+        "TimingViolation at p/SpawnP: spawn annotation differs from judgment time: .; . |- "
+        "Eq<t0, Shift<t0, 1>> [counterexample: empty assignment]"),
+    "retype_window": (
+        f"fn q() -> Unit<t where Leq<Shift<t0, 2>, t>> {{ "
+        f"Close<t where Leq<Shift<t0, 2>, t>> }}\nfn p() -> {UNIT} {{ Spawn<t0>(q) {{ "
+        f"k : Unit<t where Leq<t0, t>> => Wait<t0>(k); {CLOSE} }} }}",
+        "RetypeFailure at p/SpawnP: window not covered: t#4; Leq<t0, t#4>, Leq<t0, t#4> |- "
+        "Leq<Shift<t0, 2>, t#4>"),
+    "retype_reach": (
+        f"fn p(x: {WINDOW}, y: {WINDOW}) -> {WINDOW} {{ "
+        f"Wait<Shift<t0, 2>>(x); Fwd<Shift<t0, 2>>(y) }}",
+        "RetypeFailure at p/WaitP/FwdP: unreachable instant: t#3; And<Leq<t0, t#3>, Leq<t#3, "
+        "Shift<t0, 5>>> |- Leq<Shift<t0, 2>, t#3>"),
+    "retype_connective": (
+        f"fn p(x: {UNIT}) -> {TENSOR} {{ Fwd<t0>(x) }}",
+        "RetypeFailure at p/FwdP: connective mismatch: Unit<u#1 where Leq<t0, u#1>> vs "
+        "Tensor<t#2 where Leq<t0, t#2>, Unit<u#3 where Leq<t0, u#3>>, Unit<u#4 where Leq<t0, "
+        "u#4>>>"),
+    "retype_payload": (
+        f"fn p(x: Produce<int, t where Geq<t, t0>, {UNIT}>) -> "
+        f"Produce<bool, t where Geq<t, t0>, {UNIT}> {{ "
+        f"Fwd<t0>(x) }}",
+        "RetypeFailure at p/FwdP: payload sort mismatch: int vs bool"),
+    "produced_sort": (
+        f"fn p() -> Produce<int, t where Geq<t, t0>, {UNIT}> {{ "
+        f"Prod<t where Geq<t, t0>> $ true $; {CLOSE} }}",
+        "ExprTypeError at p/ProdP: produced value has sort bool, type wants int"),
+    "supplied_sort": (
+        f"fn p(x: Request<int, t where Geq<t, t0>, {UNIT}>) -> {UNIT} {{ "
+        f"Supply<t0>(x) $ true $; Wait<t0>(x); {CLOSE} }}",
+        "ExprTypeError at p/SupplyP: supplied value has sort bool, channel wants int"),
+    "if_sort": (
+        f"fn p() -> {UNIT} {{ if $ 1 $ {{ {CLOSE} }} else {{ {CLOSE} }} }}",
+        "ExprTypeError at p/IfP: if condition has sort int, not bool"),
+    "app_split": (
+        f"fn p(c: Lolli<t where Geq<t, t0>, {UNIT}, {UNIT}>, x: {UNIT}) -> {UNIT} {{ "
+        f"App<t0>(c <= {{ Fwd<t0>(x) }}); Wait<t0>(x); {CLOSE} }}",
+        "LinearityViolation at p/AppSend: channel x used in both branches"),
+    "app_payload": (
+        f"fn p(c: Lolli<t where Geq<t, t0>, {UNIT}, {UNIT}>, x: {UNIT}) -> {UNIT} {{ "
+        f"App<t0>(c <= {{ Fwd<Shift<t0, 1>>(x) }}); Wait<t0>(c); {CLOSE} }}",
+        "TimingViolation at p/AppSend/payload/FwdP: forward annotation differs from judgment "
+        "time: .; . |- Eq<t0, Shift<t0, 1>> [counterexample: empty assignment]"),
+    "case_right": (
+        f"fn p(x: InChoice<t where Geq<t, t0>, {UNIT}, {UNIT}>) -> {UNIT} {{ Case<t0>(x) {{ "
+        f"L => Wait<t0>(x); {CLOSE} }} {{ R => Wait<t0>(x); Wait<t0>(y); {CLOSE} }} }}",
+        "LinearityViolation at p/CaseP/R/WaitP/WaitP: channel y is not available"),
+    "spawn_body": (
+        f"fn q() -> Unit<t where Eq<t, Shift<t0, 2>>> {{ "
+        f"Close<t where Eq<t, Shift<t0, 2>>> }}\nfn p(w: {UNIT}) -> {UNIT} {{ "
+        f"Wait<Shift<t0, 5>>(w); Spawn<Shift<t0, 5>>(q) {{ k => Wait<Shift<t0, 5>>(k); "
+        f"{CLOSE} }} }}",
+        "TimingViolation at p/WaitP/SpawnP/q/CloseP: provider is too late for its window: "
+        "t#4; Eq<t#4, Shift<t0, 2>> |- Leq<Shift<t0, 5>, t#4> [counterexample: t#4 = t0+2]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTS))
+def test_rejection_message(name):
+    source, message = REJECTS[name]
+    reports = {r.name: r for r in check_program(parse_program(source))}
+    assert reports["p"].render() == f"REJECT p: {message}"
