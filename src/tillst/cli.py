@@ -11,35 +11,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as s
 from . import temporal as t
-from .automata import Conforms, TraceObligation, load_automata, monitor_trace
+from .automata import (AutomatonError, Conforms, TraceObligation, load_automata,
+                       monitor_trace)
 from .parser import ParseError, parse_program
 from .runtime import (AutoC, ExternEnv, ParC, ProcC, SilentA, TraceFormatError,
                       run_scheduler, trace_from_jsonl, trace_to_jsonl)
 from .typecheck import EntailmentSolver, check_program
-
-
-@dataclass
-class RunConfig:
-    solver_backend: str = "internal"
-    solver_path: Optional[str] = None
-    timeout_ms: int = 5000
-    horizon_ticks: Optional[int] = None
-    trace_out_path: Optional[str] = None
-    seed: int = 0
-
-    def solver(self) -> EntailmentSolver:
-        if self.solver_backend == "external":
-            path = self.solver_path or os.environ.get("SOLVER_BIN")
-            if not path:
-                raise SystemExit2("external solver requested but no --solver-bin "
-                                  "given and SOLVER_BIN is unset")
-            return EntailmentSolver("external", path, self.timeout_ms)
-        return EntailmentSolver("internal")
 
 
 class SystemExit2(Exception):
@@ -47,15 +28,21 @@ class SystemExit2(Exception):
 
 
 def _load(path: str) -> s.Program:
+    """Parse a program file and validate its automata."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_program(source)
+        prog = parse_program(source)
     except ParseError as exc:
         raise SystemExit2(f"{path}:{exc}") from exc
+    try:
+        load_automata(prog)
+    except AutomatonError as exc:
+        raise SystemExit2(f"{path}: {exc}") from exc
+    return prog
 
 
 def build_system(prog: s.Program, name: str):
@@ -84,25 +71,30 @@ def build_system(prog: s.Program, name: str):
     return omega, start, defs
 
 
-def cmd_check(path: str, config: RunConfig) -> int:
+def cmd_check(path: str, backend: str, solver_bin: Optional[str], timeout_ms: int) -> int:
     prog = _load(path)
-    solver = config.solver()
-    reports = check_program(prog, solver)
+    if backend == "external":
+        solver_bin = solver_bin or os.environ.get("SOLVER_BIN")
+        if not solver_bin:
+            raise SystemExit2("external solver requested but no --solver-bin "
+                              "given and SOLVER_BIN is unset")
+    reports = check_program(prog, EntailmentSolver(backend, solver_bin, timeout_ms))
     for report in reports:
         print(report.render())
     return 0 if all(r.accepted for r in reports) else 1
 
 
-def cmd_run(path: str, entry: str, config: RunConfig) -> int:
+def cmd_run(path: str, entry: str, horizon: Optional[int], trace_out: Optional[str],
+            seed: int) -> int:
     prog = _load(path)
     omega, start, defs = build_system(prog, entry)
-    env = ExternEnv(prog, seed=config.seed)
-    horizon = None if config.horizon_ticks is None else start + config.horizon_ticks
+    env = ExternEnv(prog, seed=seed)
+    horizon = None if horizon is None else start + horizon
     result = run_scheduler(omega, start, horizon=horizon, env=env, defs=defs)
     text = trace_to_jsonl(result.trace)
-    if config.trace_out_path:
+    if trace_out:
         try:
-            with open(config.trace_out_path, "w", encoding="utf-8") as fh:
+            with open(trace_out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise SystemExit2(f"cannot write trace: {exc}") from exc
@@ -116,7 +108,7 @@ def cmd_run(path: str, entry: str, config: RunConfig) -> int:
     return 1
 
 
-def cmd_smt(path: str, out_dir: str, config: RunConfig) -> int:
+def cmd_smt(path: str, out_dir: str) -> int:
     prog = _load(path)
     solver = EntailmentSolver("internal")
     check_program(prog, solver)
@@ -199,22 +191,19 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "check":
-            config = RunConfig(solver_backend=args.solver, solver_path=args.solver_bin,
-                               timeout_ms=args.timeout_ms)
-            return cmd_check(args.file, config)
+            return cmd_check(args.file, args.solver, args.solver_bin, args.timeout_ms)
         if args.command == "run":
-            config = RunConfig(horizon_ticks=args.horizon, trace_out_path=args.trace,
-                               seed=args.seed)
-            return cmd_run(args.file, args.entry, config)
+            return cmd_run(args.file, args.entry, args.horizon, args.trace, args.seed)
         if args.command == "smt":
-            return cmd_smt(args.file, args.out, RunConfig())
+            return cmd_smt(args.file, args.out)
         return cmd_monitor(args.file, args.type_name, args.trace, args.channel)
     except (SystemExit2, t.SolverTimeout, t.SolverError, t.FormulaTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # predicates, payloads and the checker's judgments still recurse
-        # once per level of nesting
+        # predicates, expressions, type substitution and alpha-equivalence,
+        # free_channels and the solver's DNF of the hypothesis list still
+        # recurse once per level of nesting
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

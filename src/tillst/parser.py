@@ -99,8 +99,8 @@ class _Form(NamedTuple):
     Heads: ``provider`` reads ``<b where P>`` into binder/pred; ``client``
     reads ``<T>(c)`` into at/chan; ``app`` is ``<T>(c <= { P })``, ``spawn``
     ``<T>(f, a, ...)`` and ``if`` ``$ e $``.  Tails, each ending in the last
-    child P: ``none``, ``seq`` ``; P``, ``bind`` ``{ x => P }`` (``x : T``
-    kept in the ``ann`` field, if the class has one), ``branch``
+    child P: ``none``, ``seq`` ``; P``, ``bind`` ``{ x => P }`` (or
+    ``{ x : T => P }`` where the class has an ``ann`` field), ``branch``
     ``{ L => P } { R => P }``, ``expr`` ``$ e $; P``, ``block`` ``{ P }; P``,
     ``else`` ``{ P } else { P }``.
     """
@@ -448,9 +448,8 @@ class Parser:
         if form.tail == "bind":
             self.expect("{")
             fields[form.var] = self.ident()
-            ann = self.session_type() if self.accept(":") else None
             if form.ann:
-                fields[form.ann] = ann
+                fields[form.ann] = self.session_type() if self.accept(":") else None
             self.expect("=>")
             return ("}",)
         if form.tail == "branch":

@@ -388,9 +388,6 @@ def _pred_holds_at(p: s.Process, env: Env, now: int) -> bool:
             f"provider predicate {p.pred} not closed at runtime") from exc
 
 
-_LABEL = {s.InLP: "L", s.InRP: "R", s.SelectLP: "L", s.SelectRP: "R"}
-
-
 def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     """The leaf's step at ``now``, if any.  A provider form exchanges on the
     leaf's own channel and binds its binder to ``now``; a client form
@@ -420,12 +417,11 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     if kind == "chan" and sends:
         return [step(lambda c: [ProcC(a, p.cont, env), ProcC(c, p.payload, env)], fresh)]
     if kind == "chan":
-        body = p.body if form is s.LamRecv else p.cont
         # with no partner (c is None) the continuation keeps its bound name
-        return [step(lambda c: [ProcC(a, body if c is None else s.subst_chan(body, p.var, c),
-                                      env)])]
+        return [step(lambda c: [ProcC(a, p.cont if c is None else
+                                      s.subst_chan(p.cont, p.var, c), env)])]
     if kind == "label" and sends:
-        return [step(lambda _: [ProcC(a, p.cont, env)], _LABEL[form])]
+        return [step(lambda _: [ProcC(a, p.cont, env)], s.LABEL[form])]
     if kind == "label":
         return [step(lambda _, q=q: [ProcC(a, q, env)], lbl)
                 for lbl, q in (("L", p.left), ("R", p.right))]

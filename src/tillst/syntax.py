@@ -9,7 +9,7 @@ substituted into; ``expand_type_refs`` names every binder of a type uniquely,
 so those substitutions cannot capture.
 
 ``CONNECTIVES`` is the one table of connectives: components, message kind,
-urgent form, and the process forms that provide and use each.
+the provider's direction, and the process forms that provide and use each.
 """
 
 from __future__ import annotations
@@ -133,54 +133,6 @@ class TypeRef:
 SessionType = Union[UnitT, TensorT, LolliT, IChoiceT, EChoiceT, ProduceT, QueryT, TypeRef]
 
 
-# Urgent types: the same connectives with the top binder instantiated away.
-# The definition is not recursive; components stay ordinary session types.
-
-
-@dataclass(frozen=True)
-class UUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class UTensor:
-    left: SessionType
-    right: SessionType
-
-
-@dataclass(frozen=True)
-class ULolli:
-    arg: SessionType
-    cont: SessionType
-
-
-@dataclass(frozen=True)
-class UIChoice:
-    left: SessionType
-    right: SessionType
-
-
-@dataclass(frozen=True)
-class UEChoice:
-    left: SessionType
-    right: SessionType
-
-
-@dataclass(frozen=True)
-class UProduce:
-    payload: ValueType
-    cont: SessionType
-
-
-@dataclass(frozen=True)
-class UQuery:
-    payload: ValueType
-    cont: SessionType
-
-
-UrgentType = Union[UUnit, UTensor, ULolli, UIChoice, UEChoice, UProduce, UQuery]
-
-
 # ---------------------------------------------------------------------------
 # Functional expressions
 
@@ -252,8 +204,7 @@ class LamRecv:
     binder: str
     pred: Prop
     var: str
-    body: "Process"
-    arg_type: Optional[SessionType] = None
+    cont: "Process"
 
 
 @dataclass(frozen=True)
@@ -486,25 +437,25 @@ class Connective:
     components: tuple  # field names of the component session types
     kind: str  # message kind: close | chan | label | value (carries a payload sort)
     provider_dir: str  # send | recv: what the provider does with the message
-    urgent: type
     providers: tuple  # process forms that provide the connective
     clients: tuple  # process forms that use it
 
 
 CONNECTIVES = {
-    UnitT: Connective((), "close", "send", UUnit, (CloseP,), (WaitP,)),
-    TensorT: Connective(("left", "right"), "chan", "send", UTensor, (PairSend,), (PairRecv,)),
-    LolliT: Connective(("arg", "cont"), "chan", "recv", ULolli, (LamRecv,), (AppSend,)),
-    IChoiceT: Connective(("left", "right"), "label", "send", UIChoice, (InLP, InRP), (CaseP,)),
-    EChoiceT: Connective(("left", "right"), "label", "recv", UEChoice, (OfferP,),
-                         (SelectLP, SelectRP)),
-    ProduceT: Connective(("cont",), "value", "send", UProduce, (ProdP,), (ConsP,)),
-    QueryT: Connective(("cont",), "value", "recv", UQuery, (QueryRecvP,), (SupplyP,)),
+    UnitT: Connective((), "close", "send", (CloseP,), (WaitP,)),
+    TensorT: Connective(("left", "right"), "chan", "send", (PairSend,), (PairRecv,)),
+    LolliT: Connective(("arg", "cont"), "chan", "recv", (LamRecv,), (AppSend,)),
+    IChoiceT: Connective(("left", "right"), "label", "send", (InLP, InRP), (CaseP,)),
+    EChoiceT: Connective(("left", "right"), "label", "recv", (OfferP,), (SelectLP, SelectRP)),
+    ProduceT: Connective(("cont",), "value", "send", (ProdP,), (ConsP,)),
+    QueryT: Connective(("cont",), "value", "recv", (QueryRecvP,), (SupplyP,)),
 }
 
 # process form -> the connective type it provides / uses
 PROVIDES = {form: ty for ty, c in CONNECTIVES.items() for form in c.providers}
 USES = {form: ty for ty, c in CONNECTIVES.items() for form in c.clients}
+# the label a sending form picks
+LABEL = {InLP: "L", InRP: "R", SelectLP: "L", SelectRP: "R"}
 
 
 def _rebuild(node, **changes):
@@ -585,15 +536,11 @@ def expand_type_refs(prog: Optional[Program], a: SessionType,
     return walk(a, (), {})
 
 
-def urgency_instantiate(a: SessionType, at: TimeExpr) -> UrgentType:
-    """Strip the top binder, substituting ``at`` into every component."""
+def urgency_instantiate(a: SessionType, at: TimeExpr) -> tuple:
+    """The components of ``a`` with its top binder instantiated to ``at``."""
     if isinstance(a, TypeRef):
         raise ValueError("urgency instantiation needs a TypeRef-free type")
-    conn = CONNECTIVES[type(a)]
-    parts = _map_components(a, subst_time_in_type, a.binder, at)
-    if conn.kind == "value":
-        parts["payload"] = a.payload
-    return conn.urgent(**parts)
+    return tuple(subst_time_in_type(c, a.binder, at) for c in components(a))
 
 
 def alpha_eq_type(a: SessionType, b: SessionType) -> bool:
@@ -628,7 +575,7 @@ def alpha_eq_type(a: SessionType, b: SessionType) -> bool:
 _PROC_FIELDS = {
     CloseP: (None, None, ()),
     WaitP: ("chan", None, ("cont",)),
-    LamRecv: (None, "var", ("body",)),
+    LamRecv: (None, "var", ("cont",)),
     AppSend: ("chan", None, ("payload", "cont")),
     PairSend: (None, None, ("payload", "cont")),
     PairRecv: ("chan", "var", ("cont",)),

@@ -1,12 +1,21 @@
 """Refinement type checker: the judgment G;F | Gamma;Delta |- P :: A @ T.
 
-Provider rules bind the communication instant and push the predicate into F;
-client rules fix a concrete instant that must be reachable (T <= T') and land
-inside the provider's window (p(T')).  Forwarding and spawning go through the
-forward/cut retyping relations, which compare temporal windows by entailment
-with the connective structure held fixed (the lolli argument is
-contravariant).  Every temporal premise is discharged by the solver, and every
-query is recorded so it can be exported as SMT-LIB2.
+``Checker.check_process`` is one loop over a stack of pending judgments.
+Each rule checks its own premises and returns the judgments of its subterms,
+which the loop checks depth-first in order, so a protocol's depth costs no
+Python stack.  A spawn also returns a step that runs after the callee's body:
+the cut retyping, then the continuation.
+
+Every exchange goes through one rule.  A provider binds the communication
+instant to its type's binder and pushes the window into F; a client fixes a
+concrete instant that must be reachable (T <= T') and land inside the
+provider's window (p(T')).  The connective's message kind and whether this
+side sends (the key ``runtime`` steps by) then pick the premises on the
+continuation.  Forwarding and spawning go through the forward/cut retyping
+relations, which compare temporal windows by entailment with the connective
+structure held fixed (the lolli argument is contravariant).  Every temporal
+premise is discharged by the solver, and every query is recorded so it can
+be exported as SMT-LIB2.
 
 Binders are never substituted into process terms.  Types are expanded with
 uniquely named binders, and each type binder is itself the solver variable
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import syntax as s
 from . import temporal as t
@@ -72,11 +81,10 @@ class EntailmentSolver:
     """
 
     def __init__(self, backend: str = "internal", solver_bin: Optional[str] = None,
-                 timeout_ms: int = 5000, budget: int = 10**6):
+                 timeout_ms: int = 5000):
         self.backend = backend
         self.solver_bin = solver_bin
         self.timeout_ms = timeout_ms
-        self.budget = budget
         self.queries: list = []
 
     def holds(self, g, f, p, location: str) -> tuple:
@@ -87,7 +95,7 @@ class EntailmentSolver:
             verdict = t.entails_external(g, f, p, self.solver_bin, self.timeout_ms)
             cex = None
         else:
-            verdict, cex = t.entails_cex(g, f, p, budget=self.budget)
+            verdict, cex = t.entails_cex(g, f, p)
         seconds = time.perf_counter() - start
         self.queries.append(QueryRecord(g, f, p, verdict, location, seconds))
         return verdict, cex
@@ -200,32 +208,20 @@ def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
     return True, ""
 
 
-def _retype_entry(g, f, a, b, at, solver, location, cut) -> tuple:
-    names = s.NameSupply()
-    a, b = (s.expand_type_refs(None, x, names) for x in (a, b))
-    return _retype(solver or EntailmentSolver(), g, f, a, b, at, location, cut)
-
-
 def fwd_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
                location: str = "fwd") -> bool:
     """A can be forwarded as B at time ``at`` (all of B's window reachable)."""
-    ok, _ = fwd_retype_explain(g, f, a, b, at, solver, location)
-    return ok
-
-
-def fwd_retype_explain(g, f, a, b, at, solver=None, location="fwd") -> tuple:
-    return _retype_entry(g, f, a, b, at, solver, location, cut=False)
+    names = s.NameSupply()
+    a, b = (s.expand_type_refs(None, x, names) for x in (a, b))
+    return _retype(solver or EntailmentSolver(), g, f, a, b, at, location, cut=False)[0]
 
 
 def cut_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
                location: str = "cut") -> bool:
     """A covers the parts of B reachable from time ``at`` (cut permission)."""
-    ok, _ = cut_retype_explain(g, f, a, b, at, solver, location)
-    return ok
-
-
-def cut_retype_explain(g, f, a, b, at, solver=None, location="cut") -> tuple:
-    return _retype_entry(g, f, a, b, at, solver, location, cut=True)
+    names = s.NameSupply()
+    a, b = (s.expand_type_refs(None, x, names) for x in (a, b))
+    return _retype(solver or EntailmentSolver(), g, f, a, b, at, location, cut=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +252,30 @@ def split_context(delta: dict, p1: s.Process, p2: s.Process,
 # Process typing
 
 
+class Judgment(NamedTuple):
+    """A pending G;F | Gamma;Delta |- p :: a @ at.  ``tm`` maps the time
+    binders in scope in ``p`` to their instants, ``location`` is the
+    parent's, and ``spawns`` names the procs whose bodies enclose ``p``."""
+
+    g: list
+    f: list
+    gamma: dict
+    delta: dict
+    tm: dict
+    p: s.Process
+    at: t.TimeExpr
+    a: s.SessionType
+    location: str
+    spawns: tuple = ()
+
+
 class Checker:
     def __init__(self, prog: s.Program, solver: Optional[EntailmentSolver] = None):
         self.prog = prog
         self.solver = solver or EntailmentSolver()
         self.externs = {d.name: (tuple(d.arg_types), d.ret_type) for d in prog.externs}
         self.names = s.NameSupply()
+        self.rules = {s.FwdP: self._fwd, s.SpawnP: self._spawn, s.IfP: self._if}
 
     def expand(self, a):
         return s.expand_type_refs(self.prog, a, self.names)
@@ -274,66 +288,54 @@ class Checker:
             raise TypeCheckError(TypingError(
                 kind, location, f"{what}: {_render_judgment(g, f, p)}", cex))
 
-    def _shape_error(self, location: str, term: s.Process, a) -> TypeCheckError:
-        want = render_type(a) if not isinstance(a, s.TypeRef) else a.name
-        return TypeCheckError(TypingError(
-            SHAPE_MISMATCH, location,
-            f"process form {type(term).__name__} cannot provide or use {want}"))
-
     # -- main judgment -------------------------------------------------------
 
-    def check_process(self, g, f, gamma, delta, tm, p, at, a, location="",
-                      _spawn_stack=()) -> None:
+    def check_process(self, g, f, gamma, delta, tm, p, at, a, location="") -> None:
         """G;F | Gamma;Delta |- p :: a @ at, raising TypingError on failure.
         ``tm`` maps the time binders in scope in ``p`` to their instants."""
-        loc = f"{location}/{type(p).__name__}"
+        pending = [Judgment(g, f, gamma, delta, tm, p, at, a, location)]
+        while pending:
+            item = pending.pop()
+            if callable(item):
+                premises = item()
+            else:
+                loc = f"{item.location}/{type(item.p).__name__}"
+                premises = self.rules.get(type(item.p), self._exchange)(item, loc)
+            pending.extend(reversed(premises))
 
-        if isinstance(p, s.FwdP):
-            self._check_fwd(g, f, delta, tm, p, at, a, loc)
-            return
-        if isinstance(p, s.SpawnP):
-            self._check_spawn(g, f, gamma, delta, tm, p, at, a, loc, _spawn_stack)
-            return
-        if isinstance(p, s.IfP):
-            cond = check_expr(gamma, p.cond, self.externs, loc)
-            if cond != s.BOOL:
-                raise TypeCheckError(TypingError(
-                    EXPR_TYPE_ERROR, loc, f"if condition has sort {cond}, not bool"))
-            self.check_process(g, f, gamma, delta, tm, p.then, at, a, loc + "/then",
-                               _spawn_stack)
-            self.check_process(g, f, gamma, delta, tm, p.orelse, at, a, loc + "/else",
-                               _spawn_stack)
-            return
-        if type(p) in s.PROVIDES:
-            if not isinstance(a, s.PROVIDES[type(p)]):
-                raise self._shape_error(loc, p, a)
-            self._check_provider(g, f, gamma, delta, tm, p, at, a, loc, _spawn_stack)
-            return
-        if type(p) in s.USES:
-            self._check_client(g, f, gamma, delta, tm, p, at, a, loc, _spawn_stack)
-            return
-        raise self._shape_error(loc, p, a)
+    def _if(self, j: Judgment, loc: str) -> list:
+        cond = check_expr(j.gamma, j.p.cond, self.externs, loc)
+        if cond != s.BOOL:
+            raise TypeCheckError(TypingError(
+                EXPR_TYPE_ERROR, loc, f"if condition has sort {cond}, not bool"))
+        return [j._replace(p=j.p.then, location=loc + "/then"),
+                j._replace(p=j.p.orelse, location=loc + "/else")]
 
-    def _check_fwd(self, g, f, delta, tm, p: s.FwdP, at, a, loc) -> None:
+    def _fwd(self, j: Judgment, loc: str) -> list:
+        p, delta = j.p, j.delta
         if set(delta) != {p.chan}:
             extra = sorted(set(delta) - {p.chan}) or ["<empty>"]
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc,
                 f"forward must own exactly its source channel; leftover: {extra[0]}"))
-        when = t.subst_time(p.at, tm)
-        self._require(g, f, t.Eq(at, when), TIMING_VIOLATION, loc,
+        when = t.subst_time(p.at, j.tm)
+        self._require(j.g, j.f, t.Eq(j.at, when), TIMING_VIOLATION, loc,
                       "forward annotation differs from judgment time")
-        ok, reason = _retype(self.solver, g, f, delta[p.chan], a, when, loc, cut=False)
+        ok, reason = _retype(self.solver, j.g, j.f, delta[p.chan], j.a, when, loc, cut=False)
         if not ok:
             raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
+        return []
 
-    def _check_spawn(self, g, f, gamma, delta, tm, p: s.SpawnP, at, a, loc,
-                     _spawn_stack) -> None:
+    def _spawn(self, j: Judgment, loc: str) -> list:
+        """The callee's body, re-checked at the spawn-site time (declared
+        signatures are established at t0 and do not transport to later
+        instants), then a step that retypes its channel and goes on."""
+        p, delta = j.p, j.delta
         decl = self.prog.proc_decl(p.callee)
         if decl is None:
             raise TypeCheckError(TypingError(
                 SHAPE_MISMATCH, loc, f"spawn of undeclared proc {p.callee}"))
-        if p.callee in _spawn_stack:
+        if p.callee in j.spawns:
             raise TypeCheckError(TypingError(
                 SHAPE_MISMATCH, loc,
                 f"recursive spawn chain through {p.callee} is not supported"))
@@ -341,8 +343,8 @@ class Checker:
             raise TypeCheckError(TypingError(
                 SHAPE_MISMATCH, loc,
                 f"{p.callee} takes {len(decl.params)} channel arguments, got {len(p.args)}"))
-        when = t.subst_time(p.at, tm)
-        self._require(g, f, t.Eq(at, when), TIMING_VIOLATION, loc,
+        when = t.subst_time(p.at, j.tm)
+        self._require(j.g, j.f, t.Eq(j.at, when), TIMING_VIOLATION, loc,
                       "spawn annotation differs from judgment time")
         for arg in p.args:
             if arg not in delta:
@@ -359,109 +361,98 @@ class Checker:
                     f"but {p.callee} expects {render_type(want)}"))
             delta1[param] = delta[arg]
         offered = self.expand(decl.offered)
-        # Re-check the callee body at the spawn-site time: declared signatures
-        # are established at t0 and do not transport to later instants.
-        self.check_process(g, f, gamma, delta1, {}, decl.body, when, offered,
-                           f"{loc}/{p.callee}", _spawn_stack + (p.callee,))
-        bound = offered if p.bound_type is None else self.expand(p.bound_type)
-        ok, reason = _retype(self.solver, g, f, offered, bound, when, loc, cut=True)
-        if not ok:
-            raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
-        rest = {x: b for x, b in delta.items() if x not in p.args}
-        rest[p.bound] = bound
-        self.check_process(g, f, gamma, rest, tm, p.cont, when, a, loc, _spawn_stack)
 
-    def _check_provider(self, g, f, gamma, delta, tm, p, at, a, loc, stack) -> None:
-        """The type's binder is the instant of the exchange; the term's
-        window must be the type's window (both entailment directions)."""
-        if isinstance(p, s.CloseP) and delta:
-            name = sorted(delta)[0]
-            raise TypeCheckError(TypingError(
-                LINEARITY_VIOLATION, loc, f"channel {name} unused at close"))
-        here = t.tvar(a.binder)
-        tm = {**tm, p.binder: here}
-        term_pred = t.substitute_all(p.pred, tm)
-        g = list(g) + [a.binder]
-        self._require(g, list(f) + [a.pred], term_pred, PREDICATE_UNSATISFIED, loc,
-                      "type window not honored by term predicate")
-        self._require(g, list(f) + [term_pred], a.pred, PREDICATE_UNSATISFIED, loc,
-                      "term predicate exceeds the type window")
-        f = list(f) + [a.pred]
-        self._require(g, f, t.Leq(at, here), TIMING_VIOLATION, loc,
-                      "provider is too late for its window")
-        if isinstance(p, s.CloseP):
-            return
-        # premises: (process, its Delta, its type, location, its Gamma)
-        if isinstance(p, s.LamRecv):
-            if p.arg_type is not None:
-                if not s.alpha_eq_type(self.expand(p.arg_type), a.arg):
-                    raise TypeCheckError(TypingError(
-                        SHAPE_MISMATCH, loc, "lambda argument annotation mismatch"))
-            premises = [(p.body, {**delta, p.var: a.arg}, a.cont, loc, gamma)]
-        elif isinstance(p, s.PairSend):
-            d1, d2 = split_context(delta, p.payload, p.cont, loc)
-            premises = [(p.payload, d1, a.left, loc, gamma), (p.cont, d2, a.right, loc, gamma)]
-        elif isinstance(p, s.InLP):
-            premises = [(p.cont, delta, a.left, loc, gamma)]
-        elif isinstance(p, s.InRP):
-            premises = [(p.cont, delta, a.right, loc, gamma)]
-        elif isinstance(p, s.OfferP):
-            premises = [(p.left, delta, a.left, loc + "/L", gamma),
-                        (p.right, delta, a.right, loc + "/R", gamma)]
-        elif isinstance(p, s.ProdP):
-            got = check_expr(gamma, p.expr, self.externs, loc)
-            if got != a.payload:
-                raise TypeCheckError(TypingError(
-                    EXPR_TYPE_ERROR, loc,
-                    f"produced value has sort {got}, type wants {a.payload}"))
-            premises = [(p.cont, delta, a.cont, loc, gamma)]
-        else:  # QueryRecvP
-            premises = [(p.cont, delta, a.cont, loc, {**gamma, p.var: a.payload})]
-        for q, d, ty, where, gam in premises:
-            self.check_process(g, f, gam, d, tm, q, here, ty, where, stack)
+        def cut() -> list:
+            bound = offered if p.bound_type is None else self.expand(p.bound_type)
+            ok, reason = _retype(self.solver, j.g, j.f, offered, bound, when, loc, cut=True)
+            if not ok:
+                raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
+            rest = {x: b for x, b in delta.items() if x not in p.args}
+            rest[p.bound] = bound
+            return [j._replace(delta=rest, p=p.cont, at=when, location=loc)]
 
-    def _check_client(self, g, f, gamma, delta, tm, p, at, a, loc, stack) -> None:
-        if p.chan not in delta:
+        body = Judgment(j.g, j.f, j.gamma, delta1, {}, decl.body, when, offered,
+                        f"{loc}/{p.callee}", j.spawns + (p.callee,))
+        return [body, cut]
+
+    def _exchange(self, j: Judgment, loc: str) -> list:
+        """One rule for both sides of every connective.  A provider advances
+        the type it offers, at its own binder, whose window must be the
+        term's (both entailment directions); a client advances its channel's
+        type, at its annotation, which must be reachable and in the window.
+        The message kind and whether this side sends pick the premises."""
+        p, provider = j.p, type(j.p) in s.PROVIDES
+        if provider:
+            ty, ctx = j.a, j.delta
+        elif p.chan not in j.delta:
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc, f"channel {p.chan} is not available"))
-        b = delta[p.chan]
-        if not isinstance(b, s.USES[type(p)]):
-            raise self._shape_error(loc, p, b)
-        when = t.subst_time(p.at, tm)
-        self._require(g, f, t.Leq(at, when), TIMING_VIOLATION, loc,
-                      "client instant precedes the current time")
-        window = t.substitute(b.pred, b.binder, when)
-        self._require(g, f, window, TIMING_VIOLATION, loc,
-                      "client instant misses the provider window")
-        u = s.urgency_instantiate(b, when)
-        rest = {x: c for x, c in delta.items() if x != p.chan}
-        # premises: (process, its Delta, its type, location, its Gamma)
-        if isinstance(p, s.WaitP):
-            premises = [(p.cont, rest, a, loc, gamma)]
-        elif isinstance(p, s.AppSend):
-            d1, d2 = split_context(rest, p.payload, p.cont, loc)
-            premises = [(p.payload, d1, u.arg, loc + "/payload", gamma),
-                        (p.cont, {**d2, p.chan: u.cont}, a, loc, gamma)]
-        elif isinstance(p, s.PairRecv):
-            premises = [(p.cont, {**rest, p.var: u.left, p.chan: u.right}, a, loc, gamma)]
-        elif isinstance(p, s.CaseP):
-            premises = [(p.left, {**rest, p.chan: u.left}, a, loc + "/L", gamma),
-                        (p.right, {**rest, p.chan: u.right}, a, loc + "/R", gamma)]
-        elif isinstance(p, (s.SelectLP, s.SelectRP)):
-            comp = u.left if isinstance(p, s.SelectLP) else u.right
-            premises = [(p.cont, {**rest, p.chan: comp}, a, loc, gamma)]
-        elif isinstance(p, s.ConsP):
-            premises = [(p.cont, {**rest, p.chan: u.cont}, a, loc,
-                         {**gamma, p.var: b.payload})]
-        else:  # SupplyP
-            got = check_expr(gamma, p.expr, self.externs, loc)
-            if got != b.payload:
+        else:
+            ty = j.delta[p.chan]
+            ctx = {x: c for x, c in j.delta.items() if x != p.chan}
+        form = (s.PROVIDES if provider else s.USES)[type(p)]
+        if not isinstance(ty, form):
+            want = ty.name if isinstance(ty, s.TypeRef) else render_type(ty)
+            raise TypeCheckError(TypingError(
+                SHAPE_MISMATCH, loc,
+                f"process form {type(p).__name__} cannot provide or use {want}"))
+        conn = s.CONNECTIVES[form]
+        kind, sends = conn.kind, (conn.provider_dir == "send") == provider
+        if kind == "close" and sends and ctx:
+            raise TypeCheckError(TypingError(
+                LINEARITY_VIOLATION, loc, f"channel {sorted(ctx)[0]} unused at close"))
+        g, f, tm = j.g, j.f, j.tm
+        if provider:
+            now = t.tvar(ty.binder)
+            tm = {**tm, p.binder: now}
+            term_pred = t.substitute_all(p.pred, tm)
+            g = list(g) + [ty.binder]
+            self._require(g, list(f) + [ty.pred], term_pred, PREDICATE_UNSATISFIED, loc,
+                          "type window not honored by term predicate")
+            self._require(g, list(f) + [term_pred], ty.pred, PREDICATE_UNSATISFIED, loc,
+                          "term predicate exceeds the type window")
+            f = list(f) + [ty.pred]
+            self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
+                          "provider is too late for its window")
+            comps = s.components(ty)
+        else:
+            now = t.subst_time(p.at, tm)
+            self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
+                          "client instant precedes the current time")
+            self._require(g, f, t.substitute(ty.pred, ty.binder, now), TIMING_VIOLATION, loc,
+                          "client instant misses the provider window")
+            comps = s.urgency_instantiate(ty, now)
+
+        def judge(q, d, a, where=loc, gamma=j.gamma) -> Judgment:
+            return Judgment(g, f, gamma, d, tm, q, now, a, where, j.spawns)
+
+        def on(q, c, d=ctx, **kw) -> Judgment:
+            """q goes on with the exchanged channel at type c."""
+            return judge(q, d, c, **kw) if provider else judge(q, {**d, p.chan: c}, j.a, **kw)
+
+        if kind == "close":
+            return [] if sends else [judge(p.cont, ctx, j.a)]
+        if kind == "chan" and sends:
+            d1, d2 = split_context(ctx, p.payload, p.cont, loc)
+            # a client's payload is located under /payload
+            return [judge(p.payload, d1, comps[0], loc if provider else loc + "/payload"),
+                    on(p.cont, comps[1], d2)]
+        if kind == "chan":
+            return [on(p.cont, comps[1], {**ctx, p.var: comps[0]})]
+        if kind == "label" and sends:
+            return [on(p.cont, comps["LR".index(s.LABEL[type(p)])])]
+        if kind == "label":
+            return [on(p.left, comps[0], where=loc + "/L"),
+                    on(p.right, comps[1], where=loc + "/R")]
+        if sends:
+            got = check_expr(j.gamma, p.expr, self.externs, loc)
+            if got != ty.payload:
+                what, whose = ("produced", "type") if provider else ("supplied", "channel")
                 raise TypeCheckError(TypingError(
                     EXPR_TYPE_ERROR, loc,
-                    f"supplied value has sort {got}, channel wants {b.payload}"))
-            premises = [(p.cont, {**rest, p.chan: u.cont}, a, loc, gamma)]
-        for q, d, ty, where, gam in premises:
-            self.check_process(g, f, gam, d, tm, q, when, ty, where, stack)
+                    f"{what} value has sort {got}, {whose} wants {ty.payload}"))
+            return [on(p.cont, comps[0])]
+        return [on(p.cont, comps[0], gamma={**j.gamma, p.var: ty.payload})]
 
 
 @dataclass

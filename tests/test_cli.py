@@ -288,3 +288,95 @@ class TestMalformedInputExitsTwo:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: input nested too deeply\n"
+
+    def test_bind_annotation_outside_spawn(self, tmp_path):
+        # the parser used to read ``x : T`` here and throw T away, so a
+        # Lam whose argument can never close was accepted
+        path = tmp_path / "lam.tsl"
+        path.write_text(
+            "fn f() -> Lolli<t where Leq<t0, t>, Unit<w where True>, Unit<v where Eq<v, t>>> {\n"
+            "    Lam<t where Leq<t0, t>> { x : Unit<w where False> => "
+            "Wait<t>(x); Close<v where Eq<v, t>> }\n}\n")
+        proc = run_subprocess("check", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {path}:2:33: found ':' (expected one of: =>)\n"
+
+
+def smart_home_with(tmp_path, old: str, new: str) -> str:
+    source = open(corpus_path("smart_home.tsl"), encoding="utf-8").read()
+    assert old in source
+    path = tmp_path / "smart_home.tsl"
+    path.write_text(source.replace(old, new, 1))
+    return str(path)
+
+
+class TestMalformedAutomatonExitsTwo:
+    """Automata are validated at load time, so every subcommand rejects
+    them before doing anything else."""
+
+    COMMANDS = {"check": [], "run": ["--entry", "main"], "smt": ["--out", "queries"],
+                "monitor": ["--type", "BME680", "--trace", "trace.jsonl"]}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_duplicate_state(self, tmp_path, command):
+        path = smart_home_with(tmp_path, "    state S5;\n", "    state S5;\n    state S5;\n")
+        (tmp_path / "trace.jsonl").write_text("")
+        extra = [str(tmp_path / a) if a in ("queries", "trace.jsonl") else a
+                 for a in self.COMMANDS[command]]
+        proc = run_subprocess(command, path, *extra)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {path}: automaton bme680 has duplicate states\n"
+
+    def test_undeclared_extern(self, tmp_path):
+        path = smart_home_with(tmp_path, "!val(read_gas)", "!val(nosuch)")
+        proc = run_subprocess("run", path, "--entry", "main")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {path}: bme680: undeclared extern nosuch\n"
+
+
+def hub_program(n: int) -> str:
+    """A hub over n BME680 sensors, in the shape of the benchmark's fanout
+    generator: each sensor nests the rest one level deeper."""
+    source = open(corpus_path("smart_home.tsl"), encoding="utf-8").read()
+    decls = source[source.index("sort sort_temp;"):source.index("type HUB")]
+    lines, depth = [], 0
+    for i in range(n):
+        if i % 2 == 0:
+            lines.append(f"SelectR<t0>(x{i}); Cons<t0>(x{i}) {{ u{i} =>")
+        else:
+            lines.append(f"SelectL<t0>(x{i}); Cons<t0>(x{i}) {{ u{i} => Wait<t0>(x{i});")
+    heated = range(0, n, 2)
+    lines += [f"Cons<Shift<t0, 30>>(x{i}) {{ v{i} =>" for i in heated]
+    lines += [f"Wait<Shift<t0, 50>>(x{i});" for i in heated]
+    lines.append("Close<z where Eq<z, Shift<t0, 50>>>" + "}" * (n + len(heated)))
+    params = ", ".join(f"x{i}: BME680" for i in range(n))
+    return (f"{decls}fn hub_n({params}) -> Unit<z where Eq<z, Shift<t0, 50>>> {{\n"
+            + "\n".join(lines) + "\n}\n")
+
+
+def chain_program(n: int) -> str:
+    """Stage i produces i at exactly t0+i+1, n stages deep."""
+    head = "".join(f"Produce<int, s{i} where Eq<s{i}, Shift<t0, {i + 1}>>, " for i in range(n))
+    body = "".join(f"Prod<s{i} where Eq<s{i}, Shift<t0, {i + 1}>>> $ {i} $;\n"
+                   for i in range(n))
+    close = f"Close<z where Eq<z, Shift<t0, {n + 1}>>>"
+    return (f"type CHAIN = {head}Unit<z where Eq<z, Shift<t0, {n + 1}>>>{'>' * n}\n"
+            f"fn chain() -> CHAIN {{\n{body}{close}\n}}\n")
+
+
+class TestDeepInputChecks:
+    """The checker keeps its pending judgments on a stack of its own, so
+    protocol depth needs no Python stack."""
+
+    def test_wide_hub(self, tmp_path):
+        path = tmp_path / "hub256.tsl"
+        path.write_text(hub_program(256))
+        proc = run_subprocess("check", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT hub_n\n", "")
+
+    def test_deep_chain(self, tmp_path):
+        path = tmp_path / "chain350.tsl"
+        path.write_text(chain_program(350))
+        proc = run_subprocess("check", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT chain\n", "")

@@ -168,6 +168,16 @@ MALFORMED = {
                        "1:28: found 'EOF' (expected one of: >)"),
     "duplicate_name": ("type T = Unit<t where True> type T = Unit<s where True>",
                        "1:29: duplicate declaration name 'T'"),
+    # only Spawn keeps a bind annotation; the other bind tails reject one
+    "lam_annotation": (PROC % "Lam<t where True> { x : Unit<w where False> => Fwd<t0>(x) }",
+                       "2:25: found ':' (expected one of: =>)"),
+    "recvch_annotation": (PROC % "RecvCh<t0>(c) { x : Unit<w where True> => Fwd<t0>(x) }",
+                          "2:21: found ':' (expected one of: =>)"),
+    "cons_annotation": (PROC % "Cons<t0>(c) { v : Unit<w where True> => Fwd<t0>(c) }",
+                        "2:19: found ':' (expected one of: =>)"),
+    "query_annotation": (PROC % "Query<t where True> { v : Unit<w where True> => "
+                                "Close<u where True> }",
+                         "2:27: found ':' (expected one of: =>)"),
 }
 
 

@@ -16,20 +16,23 @@ def unit_after(base, off=0, binder="t"):
 
 
 class TestUrgency:
+    """Instantiation returns the components with the top binder replaced."""
+
     def test_unit_drops_binder(self):
-        assert urgency_instantiate(s.UnitT("t", t.TOP), t.init_plus(3)) == s.UUnit()
+        assert urgency_instantiate(s.UnitT("t", t.TOP), t.init_plus(3)) == ()
 
     def test_tensor_substitutes_both_components(self):
         a1 = s.UnitT("u", t.Leq(t.tvar("t"), t.tvar("u")))
         a2 = s.UnitT("u", t.Leq(t.tvar("t", 5), t.tvar("u")))
         got = urgency_instantiate(s.TensorT("t", t.TOP, a1, a2), t.init_plus(7))
-        assert got == s.UTensor(s.UnitT("u", t.Leq(t.init_plus(7), t.tvar("u"))),
-                                s.UnitT("u", t.Leq(t.init_plus(12), t.tvar("u"))))
+        assert got == (s.UnitT("u", t.Leq(t.init_plus(7), t.tvar("u"))),
+                       s.UnitT("u", t.Leq(t.init_plus(12), t.tvar("u"))))
 
-    def test_produce_keeps_payload(self):
+    def test_produce_substitutes_continuation(self):
+        # the payload sort is not a component: the checker reads it off the type
         inner = s.UnitT("u", t.Leq(t.tvar("t"), t.tvar("u")))
         got = urgency_instantiate(s.ProduceT("t", t.TOP, s.INT, inner), t.init_plus(2))
-        assert got == s.UProduce(s.INT, s.UnitT("u", t.Leq(t.init_plus(2), t.tvar("u"))))
+        assert got == (s.UnitT("u", t.Leq(t.init_plus(2), t.tvar("u"))),)
 
     def test_commutes_with_outer_substitution(self):
         # instantiating after substituting an unrelated variable equals
@@ -39,8 +42,7 @@ class TestUrgency:
         at = t.init_plus(4)
         sub_first = urgency_instantiate(s.subst_time_in_type(a, "s", t.init_plus(9)), at)
         inst_first = urgency_instantiate(a, at)
-        subbed = s.UTensor(s.subst_time_in_type(inst_first.left, "s", t.init_plus(9)),
-                           s.subst_time_in_type(inst_first.right, "s", t.init_plus(9)))
+        subbed = tuple(s.subst_time_in_type(c, "s", t.init_plus(9)) for c in inst_first)
         assert sub_first == subbed
 
 
@@ -58,8 +60,8 @@ class TestFreeChannels:
                                               s.WaitP(t.tvar("t1"), "y",
                                                       s.CloseP("t", t.TOP)))))
         assert free_channels(body) == set()
-        assert free_channels(body.body) == {"x"}
-        assert free_channels(body.body.body) == {"x", "y"}
+        assert free_channels(body.cont) == {"x"}
+        assert free_channels(body.cont.cont) == {"x", "y"}
 
     @given(st.sampled_from(["x", "y", "z"]), st.sampled_from(["a", "b"]))
     def test_subst_chan_tracks_freeness(self, x, a):
@@ -133,5 +135,5 @@ def test_hub_body_channel_usage(load_corpus):
     # closed at the top, both sensors free once the two receives have bound them
     hub = load_corpus("smart_home.tsl").proc_decl("hub")
     assert free_channels(hub.body) == set()
-    assert free_channels(hub.body.body) == {"x"}
-    assert free_channels(hub.body.body.body) == {"x", "y"}
+    assert free_channels(hub.body.cont) == {"x"}
+    assert free_channels(hub.body.cont.cont) == {"x", "y"}
