@@ -267,6 +267,19 @@ def test_printer_layout_of_forms_the_corpus_lacks():
     assert render_program(parse_program(source)) == source
 
 
+def test_automaton_actions_round_trip():
+    # every action spelling, with and without a guard; the corpus uses only
+    # some of them
+    spellings = ("?L", "!R", "?cls", "!cls", "?chan", "!chan", "?val", "!val(f)")
+    transitions = "".join(f"  S0 --[{guard}{action}]--> {dst};\n"
+                          for action in spellings for guard, dst in (("", "S1"), ("7, ", "accept")))
+    source = ("extern fn f() -> int;\n\n"
+              f"automaton a {{\n  state S0 init;\n  state S1;\n{transitions}}}\n")
+    prog = parse_program(source)
+    assert render_program(prog) == source
+    assert parse_program(render_program(prog)) == prog
+
+
 def test_unicode_decimal_digits_are_integers():
     prog = parse_program("type T = Unit<t where Eq<t, Shift<t0, ٣>>>")
     assert prog.types[0].body.pred == t.Eq(t.tvar("t"), t.init_plus(3))
