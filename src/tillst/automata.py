@@ -1,61 +1,22 @@
 """Foreign components as timed automata, plus a trace-conformance monitor.
 
-Automata carry one implicit clock that resets on every transition; a
-transition is enabled once ``entry + guard_offset`` has passed.  The monitor
-walks a session type along the observable events of one channel, binding each
+The parser reads each automaton into a ``syntax.AutomatonDef``.  Automata
+carry one implicit clock that resets on every transition; a transition is
+enabled once ``entry + guard_offset`` has passed.  The monitor walks a
+session type along the observable events of one channel, binding each
 connective's time binder to the actual instant of the exchange and evaluating
 the next predicate under those bindings.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as s
 from . import temporal as t
-from .runtime import Action, SilentA
-
-ACCEPT = "accept"
-
-
-class AutomatonError(Exception):
-    """Malformed automaton declaration."""
-
-
-@dataclass(frozen=True)
-class AutoTransition:
-    src: str
-    guard_offset: int
-    action: Action  # the instance's channel fills in ``chan``
-    dst: str  # state name or ACCEPT
-    extern: Optional[str] = None  # what a value send reads
-
-
-@dataclass(frozen=True)
-class AutomatonDef:
-    name: str
-    states: tuple
-    initial: str
-    transitions: tuple
-
-
-def parse_action_template(text: str) -> tuple:
-    """``?L``, ``!cls``, ``!val(read_gas)``, ... as (action, extern)."""
-    m = re.fullmatch(r"([?!])(L|R|cls|chan|val(?:\(([A-Za-z_][A-Za-z0-9_]*)\))?)", text)
-    if not m:
-        raise AutomatonError(f"unparseable action template {text!r}")
-    direction = "send" if m.group(1) == "!" else "recv"
-    body = m.group(2)
-    if body in ("L", "R"):
-        return Action("label", direction, "", body), None
-    if body in ("cls", "chan"):
-        return Action("close" if body == "cls" else "chan", direction, ""), None
-    extern = m.group(3)
-    if direction == "send" and not extern:
-        raise AutomatonError("value sends must name their extern: !val(name)")
-    return Action("value", direction, ""), extern
+from .parser import render_prop
+from .syntax import ACCEPT, Action, AutomatonDef, AutoTransition, SilentA
 
 
 def builtin_bme680() -> AutomatonDef:
@@ -71,8 +32,7 @@ def builtin_bme680() -> AutomatonDef:
         AutoTransition("S4", 30, Action("value", "send", ""), "S5", "read_gas"),
         AutoTransition("S5", 20, Action("close", "send", ""), ACCEPT),
     ]
-    return AutomatonDef("bme680", ("S0", "S1", "S2", "S3", "S4", "S5", ACCEPT),
-                        "S0", tuple(tr))
+    return AutomatonDef("bme680", ("S0", "S1", "S2", "S3", "S4", "S5"), "S0", tuple(tr))
 
 
 def transitions_from(defn: AutomatonDef, state: str) -> list:
@@ -86,35 +46,6 @@ def automaton_transitions(defn: AutomatonDef, state: str, entry: int, now: int) 
             if entry + tr.guard_offset <= now]
 
 
-def load_automata(prog: s.Program) -> dict:
-    """Validate surface automaton declarations into definitions."""
-    out = {}
-    extern_names = {d.name for d in prog.externs}
-    for decl in prog.automata:
-        if len(set(decl.states)) != len(decl.states):
-            raise AutomatonError(f"automaton {decl.name} has duplicate states")
-        states = set(decl.states)
-        if decl.initial not in states:
-            raise AutomatonError(f"{decl.name}: unknown initial state {decl.initial}")
-        transitions = []
-        for tr in decl.transitions:
-            if tr.src not in states:
-                raise AutomatonError(f"{decl.name}: transition from unknown state {tr.src}")
-            if tr.dst != ACCEPT and tr.dst not in states:
-                raise AutomatonError(f"{decl.name}: transition to unknown state {tr.dst}")
-            if tr.guard_offset < 0:
-                raise AutomatonError(f"{decl.name}: negative guard offset")
-            action, extern = parse_action_template(tr.action)
-            if extern and extern not in extern_names:
-                raise AutomatonError(f"{decl.name}: undeclared extern {extern}")
-            transitions.append(AutoTransition(tr.src, tr.guard_offset, action, tr.dst, extern))
-        out[decl.name] = AutomatonDef(
-            decl.name,
-            tuple(decl.states) + ((ACCEPT,) if ACCEPT not in decl.states else ()),
-            decl.initial, tuple(transitions))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Trace conformance monitor
 
@@ -122,8 +53,6 @@ def load_automata(prog: s.Program) -> dict:
 @dataclass
 class TraceObligation:
     type: s.SessionType
-    current_time: int = 0
-    bound_times: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -157,8 +86,7 @@ def monitor_trace(obl: TraceObligation, events: list):
     reaches them, so an inner binder shadows an outer one of the same name.
     """
     a = obl.type
-    binds = dict(obl.bound_times or {})
-    last_time = obl.current_time
+    binds, last_time = {}, 0
     for idx, ev in enumerate(events):
         got, payload = ev.action.kind, ev.action.payload
         if isinstance(ev.action, SilentA):
@@ -183,8 +111,6 @@ def monitor_trace(obl: TraceObligation, events: list):
         except t.NonClosedError:
             return Violation(idx, "window predicate has unbound time variables")
         if not ok:
-            from .parser import render_prop
-
             pred = t.substitute_all(a.pred, {x: t.init_plus(n) for x, n in binds.items()
                                              if x != a.binder})
             return Violation(idx, f"time t0+{ev.time} outside the window",

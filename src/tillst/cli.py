@@ -1,8 +1,9 @@
 """Command-line entry point: check, run, smt, monitor.
 
 Exit codes: 0 success, 1 analysis failure (rejection, timing violation,
-deadlock, nonconformance), 2 usage or I/O errors, solver failures and input
-nested too deeply to analyse.
+deadlock, nonconformance), 2 every ``TillstError`` (malformed input, usage or
+I/O errors, solver failures, an unchecked program that cannot go on at run
+time) and input nested too deeply to analyse.
 """
 
 from __future__ import annotations
@@ -15,20 +16,20 @@ from typing import Optional
 
 from . import syntax as s
 from . import temporal as t
-from .automata import (AutomatonError, Conforms, TraceObligation, load_automata,
-                       monitor_trace)
+from .automata import Conforms, TraceObligation, monitor_trace
 from .parser import ParseError, parse_program
 from .runtime import (AutoC, ExternEnv, ParC, ProcC, SilentA, TraceFormatError,
                       run_scheduler, trace_from_jsonl, trace_to_jsonl)
 from .typecheck import EntailmentSolver, check_program
 
 
-class SystemExit2(Exception):
+class SystemExit2(t.TillstError):
     """Usage or I/O failure (exit code 2)."""
 
 
 def _load(path: str) -> s.Program:
-    """Parse a program file and validate its automata."""
+    """Parse a program file; the parser runs every static check of its
+    declarations, automata and systems included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -38,32 +39,22 @@ def _load(path: str) -> s.Program:
         prog = parse_program(source)
     except ParseError as exc:
         raise SystemExit2(f"{path}:{exc}") from exc
-    try:
-        load_automata(prog)
-    except AutomatonError as exc:
-        raise SystemExit2(f"{path}: {exc}") from exc
     return prog
 
 
 def build_system(prog: s.Program, name: str):
-    """Assemble the closed composition a ``system`` declaration describes."""
+    """Assemble the closed composition a ``system`` declaration describes;
+    the parser has checked its bindings.  Returns (configuration, start
+    instant, automaton definitions by name)."""
     sysd = prog.system_decl(name)
     if sysd is None:
         raise SystemExit2(f"no system named {name}")
     entry = prog.proc_decl(sysd.entry)
-    defs = load_automata(prog)
-    params = {v: ty for v, ty in entry.params}
-    if len(sysd.bindings) != len(entry.params):
-        raise SystemExit2(f"system {name}: {sysd.entry} takes {len(entry.params)} "
-                          f"channels, {len(sysd.bindings)} bound")
+    defs = {defn.name: defn for defn in prog.automata}
     start = sysd.start.ticks()
-    leaves, instances = [], {}
-    for param, machine, instance in sysd.bindings:
-        if param not in params:
-            raise SystemExit2(f"system {name}: {sysd.entry} has no parameter {param}")
-        defn = defs[machine]
-        leaves.append(AutoC(instance, machine, defn.initial, start))
-        instances[param] = instance
+    leaves = [AutoC(instance, machine, defs[machine].initial, start)
+              for _, machine, instance in sysd.bindings]
+    instances = {param: instance for param, _, instance in sysd.bindings}
     leaves.append(ProcC(name, s.subst_chan(entry.body, instances)))
     omega = leaves[-1]
     for leaf in reversed(leaves[:-1]):
@@ -197,7 +188,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "smt":
             return cmd_smt(args.file, args.out)
         return cmd_monitor(args.file, args.type_name, args.trace, args.channel)
-    except (SystemExit2, t.SolverTimeout, t.SolverError, t.FormulaTooLargeError) as exc:
+    except t.TillstError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -92,6 +92,14 @@ _TYPES = {"Unit": s.UnitT, "Tensor": s.TensorT, "Lolli": s.LolliT, "InChoice": s
           "ExChoice": s.EChoiceT, "Produce": s.ProduceT, "Request": s.QueryT}
 _TYPE_NAME = {cls: name for name, cls in _TYPES.items()}
 
+# Automaton action sigil -> direction, and word -> (message kind, label); a
+# value send also names the extern it reads: ``!val(read_gas)``.
+_DIRECTIONS = {"?": "recv", "!": "send"}
+_ACTIONS = {"L": ("label", "L"), "R": ("label", "R"), "cls": ("close", None),
+            "chan": ("chan", None), "val": ("value", None)}
+_SIGIL = {direction: sigil for sigil, direction in _DIRECTIONS.items()}
+_ACTION_WORD = {kind_label: word for word, kind_label in _ACTIONS.items()}
+
 
 class _Form(NamedTuple):
     """One process keyword: its class, head and tail.
@@ -237,7 +245,9 @@ class Parser:
         body = self._block()
         return s.ProcDecl(name, tuple(params), offered, body, pos=pos)
 
-    def automaton_decl(self, pos: tuple) -> s.AutomatonDecl:
+    def automaton_decl(self, pos: tuple) -> s.AutomatonDef:
+        """An automaton whose transitions leave and reach declared states
+        (or ``accept``); its errors point at the declaration."""
         name = self.ident()
         self.expect("{")
         states, initial, transitions = [], None, []
@@ -245,6 +255,8 @@ class Parser:
             if self.peek().kind == "IDENT" and self.peek().text == "state":
                 self.next()
                 st = self.ident()
+                if st in states:
+                    raise ParseError(f"automaton {name} has duplicate states", *pos)
                 states.append(st)
                 if self.peek().kind == "IDENT" and self.peek().text == "init":
                     self.next()
@@ -256,38 +268,45 @@ class Parser:
                 transitions.append(self.auto_transition())
         if initial is None:
             raise ParseError(f"automaton {name} has no init state", *pos)
-        return s.AutomatonDecl(name, tuple(states), initial, tuple(transitions), pos=pos)
+        for tr in transitions:
+            if tr.src not in states:
+                raise ParseError(f"automaton {name} has a transition from unknown state "
+                                 f"{tr.src}", *pos)
+            if tr.dst != s.ACCEPT and tr.dst not in states:
+                raise ParseError(f"automaton {name} has a transition to unknown state "
+                                 f"{tr.dst}", *pos)
+        return s.AutomatonDef(name, tuple(states), initial, tuple(transitions), pos=pos)
 
-    def auto_transition(self) -> s.AutoTransitionDecl:
+    def auto_transition(self) -> s.AutoTransition:
         src = self.ident()
         self.expect("--[")
         offset = 0
         if self.peek().kind == "INT":
             offset = int(self.next().text)
             self.expect(",")
-        action = self.auto_action()
+        action, extern = self.auto_action()
         self.expect("]-->")
         dst = self.ident()
         self.expect(";")
-        return s.AutoTransitionDecl(src, offset, action, dst)
+        return s.AutoTransition(src, offset, action, dst, extern)
 
-    def auto_action(self) -> str:
-        direction = self.peek().kind
-        if direction not in ("?", "!"):
-            self.fail("automaton action must start with ? or !", expected={"?", "!"})
+    def auto_action(self) -> tuple:
+        """``?L``, ``!cls``, ``!val(read_gas)``, ... as (action, extern); the
+        instance's channel fills in the action's ``chan``."""
+        direction = _DIRECTIONS.get(self.peek().kind)
+        if direction is None:
+            self.fail("automaton action must start with ? or !", expected=_DIRECTIONS)
         self.next()
         word = self.ident()
-        if word in ("L", "R", "cls", "chan"):
-            return direction + word
-        if word == "val":
-            if direction == "!":
-                self.expect("(")
-                extern = self.ident()
-                self.expect(")")
-                return f"!val({extern})"
-            return "?val"
-        self.fail(f"unknown automaton action {word!r}",
-                  expected={"L", "R", "val", "cls", "chan"})
+        if word not in _ACTIONS:
+            self.fail(f"unknown automaton action {word!r}", expected=_ACTIONS)
+        kind, label = _ACTIONS[word]
+        extern = None
+        if word == "val" and direction == "send":
+            self.expect("(")
+            extern = self.ident()
+            self.expect(")")
+        return s.Action(kind, direction, "", label), extern
 
     def system_decl(self, pos: tuple) -> s.SystemDecl:
         name = self.ident()
@@ -594,6 +613,12 @@ def _validate_program(prog: s.Program) -> None:
         for ref in sorted(mentioned - type_names):
             raise ParseError(f"fn {pd.name} references unknown type {ref}",
                              *(pd.pos or (0, 0)))
+    extern_names = {ext.name for ext in prog.externs}
+    for ad in prog.automata:
+        for tr in ad.transitions:
+            if tr.extern is not None and tr.extern not in extern_names:
+                raise ParseError(f"automaton {ad.name} reads undeclared extern {tr.extern}",
+                                 *(ad.pos or (0, 0)))
     declared_sorts = set(prog.sorts)
     for ext in prog.externs:
         for vt in list(ext.arg_types) + [ext.ret_type]:
@@ -602,14 +627,36 @@ def _validate_program(prog: s.Program) -> None:
                     f"extern {ext.name} uses undeclared sort {vt.name}",
                     *(ext.pos or (0, 0)))
     for sysd in prog.systems:
-        if prog.proc_decl(sysd.entry) is None:
-            raise ParseError(f"system {sysd.name} names unknown proc {sysd.entry}",
-                             *(sysd.pos or (0, 0)))
-        for _, machine, _ in sysd.bindings:
-            if all(a.name != machine for a in prog.automata):
-                raise ParseError(
-                    f"system {sysd.name} names unknown automaton {machine}",
-                    *(sysd.pos or (0, 0)))
+        _validate_system(prog, sysd)
+
+
+def _validate_system(prog: s.Program, sysd: s.SystemDecl) -> None:
+    """Each of the entry's channels is bound once, to an automaton instance
+    whose channel no other leaf of the system provides."""
+    name, where = sysd.name, sysd.pos or (0, 0)
+    entry = prog.proc_decl(sysd.entry)
+    if entry is None:
+        raise ParseError(f"system {name} names unknown proc {sysd.entry}", *where)
+    for _, machine, _ in sysd.bindings:
+        if all(a.name != machine for a in prog.automata):
+            raise ParseError(f"system {name} names unknown automaton {machine}", *where)
+    if len(sysd.bindings) != len(entry.params):
+        raise ParseError(f"system {name}: {sysd.entry} takes {len(entry.params)} channels, "
+                         f"{len(sysd.bindings)} bound", *where)
+    params = {v for v, _ in entry.params}
+    bound, providers = set(), {name}
+    for param, _, instance in sysd.bindings:
+        if param not in params:
+            raise ParseError(f"system {name}: {sysd.entry} has no parameter {param}", *where)
+        if param in bound:
+            raise ParseError(f"system {name}: parameter {param} is bound twice", *where)
+        if instance in providers:
+            raise ParseError(f"system {name}: channel {instance} has two providers", *where)
+        bound.add(param)
+        providers.add(instance)
+    if sysd.start.var is not None:
+        raise ParseError(f"system {name}: start instant {render_time(sysd.start)} is not closed",
+                         *where)
 
 
 def parse_program(source: str) -> s.Program:
@@ -736,7 +783,9 @@ def render_program(prog: s.Program) -> str:
             lines.append(f"  state {st}{suffix};")
         for tr in ad.transitions:
             guard = f"{tr.guard_offset}, " if tr.guard_offset else ""
-            lines.append(f"  {tr.src} --[{guard}{tr.action}]--> {tr.dst};")
+            action = _SIGIL[tr.action.direction] + _ACTION_WORD[tr.action.kind, tr.action.payload]
+            extern = f"({tr.extern})" if tr.extern else ""
+            lines.append(f"  {tr.src} --[{guard}{action}{extern}]--> {tr.dst};")
         lines.append("}")
         parts.append("\n".join(lines))
     for sd in prog.systems:

@@ -3,10 +3,11 @@
 Computation happens at instants: provider forms fire at any instant satisfying
 their predicate, client forms fire exactly at their annotation, and two leaves
 holding complementary actions on the same channel reduce silently.  An action
-is one record, ``Action(kind, direction, chan, payload)``: the message kind
-(chan | label | close | value), send or recv, the channel, and the label, the
-value or the sent channel's name; its complement swaps the direction.  The
-silent action ``SILENT`` is the one ``SilentA``.
+is one record, ``syntax.Action(kind, direction, chan, payload)``: the message
+kind (chan | label | close | value), send or recv, the channel, and the label,
+the value or the sent channel's name; its complement swaps the direction.  The
+silent action ``SILENT`` is the one ``SilentA``.  Automata run as the parser
+built them: ``defs`` maps each name to its ``syntax.AutomatonDef``.
 
 One generator, ``reductions``, lists every step available at an instant, and
 the scheduler, replay and the labelled view ``enumerate_transitions`` share
@@ -37,14 +38,17 @@ from typing import Callable, Optional, Union
 
 from . import syntax as s
 from . import temporal as t
-from .temporal import NonClosedError
+from .automata import automaton_transitions, transitions_from
+from .parser import render_prop
+from .syntax import ACCEPT, Action, SilentA
+from .temporal import NonClosedError, TillstError
 
 
-class ValueEvalError(Exception):
-    """An extern call could not be resolved at runtime."""
+class ValueEvalError(TillstError):
+    """An expression or extern call could not be evaluated at runtime."""
 
 
-class RuntimeInvariantError(Exception):
+class RuntimeInvariantError(TillstError):
     """Internal invariant broken (duplicate providers, open predicate)."""
 
 
@@ -82,7 +86,7 @@ def render_value(v: Value) -> str:
 class ExternEnv:
     """Deterministic extern evaluation, seeded per run.
 
-    Automaton payloads depend only on (extern, channel, state), process-side
+    Automaton payloads depend only on (extern, channel), process-side
     calls only on (extern, integer arguments), so values are stable under
     replay and under reordering of same-instant reductions.
     """
@@ -111,7 +115,7 @@ class ExternEnv:
             raise ValueEvalError(f"extern {name} is not declared")
         return self._make(name, sig[1], "", args)
 
-    def call_auto(self, name: str, chan: str, state: str) -> Value:
+    def call_auto(self, name: str, chan: str) -> Value:
         sig = self.sigs.get(name)
         if sig is None:
             raise ValueEvalError(f"automaton extern {name} is not declared")
@@ -312,27 +316,7 @@ def clients_of(leaves: list) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Actions
-
-
-@dataclass(frozen=True)
-class Action:
-    """One half of an exchange: the message kind (chan | label | close |
-    value), the direction (send | recv), the channel it happens on, and the
-    payload: the label, the ``Value`` or the sent channel's name.  A close
-    has no payload, nor has a receive whose payload its partner fixes."""
-
-    kind: str
-    direction: str
-    chan: str
-    payload: object = None
-
-
-class SilentA(Action):
-    """The silent action of a solitary fwd, spawn or if step."""
-
-    def __init__(self):
-        super().__init__("silent", "silent", "")
+# Actions (the record is ``syntax.Action``)
 
 
 SILENT = SilentA()
@@ -385,7 +369,7 @@ def _pred_holds_at(p: s.Process, env: Env, now: int) -> bool:
         return t.eval_prop(p.pred, {**env.times, p.binder: now})
     except NonClosedError as exc:
         raise RuntimeInvariantError(
-            f"provider predicate {p.pred} not closed at runtime") from exc
+            f"provider predicate {render_prop(p.pred)} not closed at runtime") from exc
 
 
 def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
@@ -455,8 +439,6 @@ def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
 
 
 def _auto_steps(leaf: AutoC, now: int, ext: ExternEnv, defs: dict, fresh: str) -> list:
-    from .automata import ACCEPT, automaton_transitions
-
     defn = defs.get(leaf.machine)
     if defn is None:
         raise ValueEvalError(f"unknown automaton {leaf.machine}")
@@ -467,7 +449,7 @@ def _auto_steps(leaf: AutoC, now: int, ext: ExternEnv, defs: dict, fresh: str) -
         if direction == "send" and kind == "chan":
             payload = fresh
         elif direction == "send" and kind == "value":
-            payload = ext.call_auto(tr.extern, leaf.chan, leaf.state)
+            payload = ext.call_auto(tr.extern, leaf.chan)
         steps.append(LocalStep(Action(kind, direction, leaf.chan, payload), lambda _, n=nxt: n))
     return steps
 
@@ -502,7 +484,7 @@ def enumerate_transitions(omega: Configuration, now: int,
     steps taken alone.  A receive stands for a family of transitions; its
     payload is None until a communication partner fixes it."""
     env = env or ExternEnv()
-    defs = defs if defs is not None else _builtin_defs()
+    defs = defs or {}
     leaves = conf_leaves(omega)
     _, _, per_leaf = _local_steps(leaves, now, env, defs)
     out = []
@@ -511,13 +493,6 @@ def enumerate_transitions(omega: Configuration, now: int,
             rest = leaves[:i] + leaves[i + 1:]
             out.append((step.action, par_of(rest + step.fire(step.action.payload))))
     return out
-
-
-def _builtin_defs() -> dict:
-    from .automata import builtin_bme680
-
-    b = builtin_bme680()
-    return {b.name: b}
 
 
 def _step_sort_key(event: TraceEvent) -> tuple:
@@ -531,7 +506,7 @@ def reductions(omega: Configuration, now: int,
     pairs in the candidate order the module docstring gives.  Configurations
     are congruence-normalized; an exchange's event records its send half."""
     env = env or ExternEnv()
-    defs = defs if defs is not None else _builtin_defs()
+    defs = defs or {}
     leaves = conf_leaves(congruence_normalize(omega))
     used, fresh, per_leaf = _local_steps(leaves, now, env, defs)
 
@@ -702,7 +677,6 @@ def replay(sigma: StepSequence, env: Optional[ExternEnv] = None,
     """Check every instantaneous step is derivable (as a communication or as
     an environment-facing send) and every clock advance is non-decreasing."""
     env = env or ExternEnv()
-    defs = defs if defs is not None else _builtin_defs()
     norm = congruence_normalize
     while not isinstance(sigma, Refl):
         if isinstance(sigma, StepT):
@@ -790,8 +764,6 @@ def _analyze_due_client(leaf: ProcC, now: int, leaves: list,
     if provider is None:
         return TimingViolationInfo(chan, when, "<no provider>", None)
     if isinstance(provider, AutoC):
-        from .automata import transitions_from
-
         defn = defs.get(provider.machine)
         if defn is None:
             return TimingViolationInfo(chan, when, "<unknown automaton>", None)
@@ -806,8 +778,6 @@ def _analyze_due_client(leaf: ProcC, now: int, leaves: list,
     if isinstance(provider, ProcC):
         p = provider.body
         if s.PROVIDES.get(type(p)) is want and not _pred_holds_at(p, provider.env, now):
-            from .parser import render_prop
-
             return TimingViolationInfo(chan, when,
                                        render_prop(provider.env.close(p.pred, p.binder)),
                                        {p.binder: now})
@@ -849,8 +819,6 @@ def _pending_instants(omega: Configuration, now: int, horizon: int,
                 if nxt is not None:
                     pend.append(nxt)
         elif isinstance(leaf, AutoC):
-            from .automata import transitions_from
-
             defn = defs.get(leaf.machine)
             if defn is None:
                 continue
@@ -870,7 +838,7 @@ def run_scheduler(omega: Configuration, start: int = 0,
     least pending one.  ``tiebreak`` may reorder same-instant firings (used by
     the confluence tests); the default takes the canonical first."""
     env = env or ExternEnv()
-    defs = defs if defs is not None else _builtin_defs()
+    defs = defs or {}
     if horizon is None:
         horizon = start + 10**6
     clock = start

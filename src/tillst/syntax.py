@@ -10,6 +10,8 @@ so those substitutions cannot capture.
 
 ``CONNECTIVES`` is the one table of connectives: components, message kind,
 the provider's direction, and the process forms that provide and use each.
+An exchange half is one ``Action`` record, shared by the runtime and by the
+transitions of each ``AutomatonDef``, the form the parser reads automata in.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .temporal import Prop, TimeExpr, substitute, substitute_all, tvar
+from .temporal import Prop, TillstError, TimeExpr, substitute, substitute_all, tvar
 
 
-class CyclicTypeDefError(Exception):
+class CyclicTypeDefError(TillstError):
     """Named type definitions form a reference cycle."""
 
 
@@ -366,20 +368,27 @@ class ProcDecl:
     pos: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
+ACCEPT = "accept"  # the final state every automaton has without declaring it
+
+
 @dataclass(frozen=True)
-class AutoTransitionDecl:
+class AutoTransition:
     src: str
-    guard_offset: int
-    action: str  # surface spelling, e.g. "?L", "!val(read_gas)", "!cls"
-    dst: str  # state name or "accept"
+    guard_offset: int  # ticks after the automaton entered ``src``
+    action: Action  # the instance's channel fills in ``chan``
+    dst: str  # a declared state or ACCEPT
+    extern: Optional[str] = None  # what a value send reads
 
 
 @dataclass(frozen=True)
-class AutomatonDecl:
+class AutomatonDef:
+    """A foreign component: its declared states, the initial one, and its
+    transitions, each checked against the states when it was parsed."""
+
     name: str
     states: tuple
     initial: str
-    transitions: tuple  # of AutoTransitionDecl
+    transitions: tuple  # of AutoTransition
     pos: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
@@ -398,7 +407,7 @@ class Program:
     externs: tuple = ()
     types: tuple = ()
     procs: tuple = ()
-    automata: tuple = ()
+    automata: tuple = ()  # of AutomatonDef
     systems: tuple = ()
 
     def type_decl(self, name: str) -> Optional[TypeDecl]:
@@ -456,6 +465,26 @@ PROVIDES = {form: ty for ty, c in CONNECTIVES.items() for form in c.providers}
 USES = {form: ty for ty, c in CONNECTIVES.items() for form in c.clients}
 # the label a sending form picks
 LABEL = {InLP: "L", InRP: "R", SelectLP: "L", SelectRP: "R"}
+
+
+@dataclass(frozen=True)
+class Action:
+    """One half of an exchange: the message kind (chan | label | close |
+    value), the direction (send | recv), the channel it happens on, and the
+    payload: the label, the ``Value`` or the sent channel's name.  A close
+    has no payload, nor has a receive whose payload its partner fixes."""
+
+    kind: str
+    direction: str
+    chan: str
+    payload: object = None
+
+
+class SilentA(Action):
+    """The silent action of a solitary fwd, spawn or if step."""
+
+    def __init__(self):
+        super().__init__("silent", "silent", "")
 
 
 def _rebuild(node, **changes):

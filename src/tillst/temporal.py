@@ -21,19 +21,24 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
-class NonClosedError(Exception):
+class TillstError(Exception):
+    """An input the toolchain cannot analyse, or an analysis it could not
+    finish; ``tillst`` reports it as one ``error:`` line and exits 2."""
+
+
+class NonClosedError(TillstError):
     """A closed-form evaluation met a free time variable."""
 
 
-class FormulaTooLargeError(Exception):
+class FormulaTooLargeError(TillstError):
     """DNF expansion exceeded the clause budget."""
 
 
-class SolverTimeout(Exception):
+class SolverTimeout(TillstError):
     """The external solver did not answer within the configured timeout."""
 
 
-class SolverError(Exception):
+class SolverError(TillstError):
     """The external solver is missing, crashed, or answered garbage."""
 
 

@@ -2,17 +2,15 @@ import pytest
 
 from tillst import syntax as s
 from tillst import temporal as t
-from tillst.automata import (ACCEPT, AutomatonError, builtin_bme680,
-                             automaton_transitions, load_automata,
-                             parse_action_template)
-from tillst.parser import parse_program
+from tillst.automata import ACCEPT, builtin_bme680, automaton_transitions
+from tillst.parser import ParseError, parse_program
 
 
 class TestBuiltinSensor:
     def test_shape(self):
         b = builtin_bme680()
         assert len(b.transitions) == 7
-        assert set(b.states) == {"S0", "S1", "S2", "S3", "S4", "S5", ACCEPT}
+        assert b.states == ("S0", "S1", "S2", "S3", "S4", "S5")
         assert b.initial == "S0"
 
     def test_configuration_choices(self):
@@ -48,26 +46,21 @@ class TestBuiltinSensor:
 
 class TestLoadAutomata:
     def test_surface_bme680_matches_builtin(self, load_corpus):
-        prog = load_corpus("smart_home.tsl")
-        loaded = load_automata(prog)["bme680"]
+        (loaded,) = load_corpus("smart_home.tsl").automata
         built = builtin_bme680()
-        assert set(loaded.states) == set(built.states)
+        assert loaded.states == built.states
         assert loaded.initial == built.initial
         assert set(loaded.transitions) == set(built.transitions)
 
-    def test_unknown_target_state(self):
-        prog = parse_program("automaton a { state S0 init; S0 --[!cls]--> S9; }")
-        with pytest.raises(AutomatonError):
-            load_automata(prog)
-
-    def test_undeclared_extern(self):
-        prog = parse_program(
-            "automaton a { state S0 init; S0 --[!val(ghost)]--> accept; }")
-        with pytest.raises(AutomatonError):
-            load_automata(prog)
-
     def test_empty_section(self):
-        assert load_automata(parse_program("")) == {}
+        assert parse_program("").automata == ()
+
+
+def parsed_transition(action: str) -> s.AutoTransition:
+    prog = parse_program("extern fn read_gas() -> int;\n"
+                         f"automaton a {{ state S0 init; S0 --[{action}]--> accept; }}")
+    (tr,) = prog.automata[0].transitions
+    return tr
 
 
 class TestActionTemplates:
@@ -78,17 +71,17 @@ class TestActionTemplates:
         ("?val", "value", "recv"),
     ])
     def test_parse(self, text, kind, direction):
-        action, extern = parse_action_template(text)
+        tr = parsed_transition(text)
         label = text[1:] if kind == "label" else None
-        assert (action.kind, action.direction, action.payload) == (kind, direction, label)
-        assert extern is None
+        assert tr.action == s.Action(kind, direction, "", label)
+        assert tr.extern is None
 
     def test_value_send_needs_extern(self):
-        action, extern = parse_action_template("!val(read_gas)")
-        assert (action.kind, action.direction, extern) == ("value", "send", "read_gas")
-        with pytest.raises(AutomatonError):
-            parse_action_template("!val")
+        tr = parsed_transition("!val(read_gas)")
+        assert (tr.action, tr.extern) == (s.Action("value", "send", ""), "read_gas")
+        with pytest.raises(ParseError):
+            parsed_transition("!val")
 
     def test_garbage(self):
-        with pytest.raises(AutomatonError):
-            parse_action_template("~zap")
+        with pytest.raises(ParseError):
+            parsed_transition("~zap")

@@ -302,6 +302,46 @@ class TestMalformedInputExitsTwo:
         assert proc.stderr == f"error: {path}:2:33: found ':' (expected one of: =>)\n"
 
 
+    # A program is not checked before it runs, so a defect the checker would
+    # reject can still surface at run time; each is one error line, exit 2.
+    UNCHECKED = {
+        "undeclared_extern": (
+            ["run", "--entry", "go"],
+            "fn f() -> Produce<int, t where Eq<t, t0>, Unit<u where Eq<u, t0>>> {\n"
+            "    Prod<t where Eq<t, t0>> $ nosuch() $;\n    Close<u where Eq<u, t0>>\n}\n"
+            "system go = f() @ t0;\n",
+            "extern nosuch is not declared"),
+        "open_client_instant": (
+            ["run", "--entry", "go"],
+            "fn g() -> Unit<t where True> {\n    Close<t where True>\n}\n"
+            "fn f() -> Unit<u where True> {\n"
+            "    Spawn<t0>(g) { x => Wait<zz>(x); Close<u where True> }\n}\n"
+            "system go = f() @ t0;\n",
+            "time expression zz is not closed"),
+        "open_provider_window": (
+            ["run", "--entry", "go"],
+            "fn f() -> Unit<t where True> {\n    Close<t where Leq<zz, t>>\n}\n"
+            "system go = f() @ t0;\n",
+            "provider predicate Leq<zz, t> not closed at runtime"),
+        "cyclic_type": (
+            ["monitor", "--type", "B", "--trace", "trace.jsonl"],
+            "type B = C;\ntype C = B;\n",
+            "cyclic type definition: C -> B -> C"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNCHECKED))
+    def test_unchecked_program(self, tmp_path, name):
+        command, source, message = self.UNCHECKED[name]
+        path = tmp_path / "prog.tsl"
+        path.write_text(source)
+        (tmp_path / "trace.jsonl").write_text("")
+        extra = [str(tmp_path / a) if a == "trace.jsonl" else a for a in command[1:]]
+        proc = run_subprocess(command[0], str(path), *extra)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+
+
 def smart_home_with(tmp_path, old: str, new: str) -> str:
     source = open(corpus_path("smart_home.tsl"), encoding="utf-8").read()
     assert old in source
@@ -311,8 +351,8 @@ def smart_home_with(tmp_path, old: str, new: str) -> str:
 
 
 class TestMalformedAutomatonExitsTwo:
-    """Automata are validated at load time, so every subcommand rejects
-    them before doing anything else."""
+    """Automata and systems are validated at load time, so every subcommand
+    rejects them before doing anything else."""
 
     COMMANDS = {"check": [], "run": ["--entry", "main"], "smt": ["--out", "queries"],
                 "monitor": ["--type", "BME680", "--trace", "trace.jsonl"]}
@@ -326,13 +366,27 @@ class TestMalformedAutomatonExitsTwo:
         proc = run_subprocess(command, path, *extra)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert proc.stderr == f"error: {path}: automaton bme680 has duplicate states\n"
+        assert proc.stderr == f"error: {path}:62:1: automaton bme680 has duplicate states\n"
 
     def test_undeclared_extern(self, tmp_path):
         path = smart_home_with(tmp_path, "!val(read_gas)", "!val(nosuch)")
         proc = run_subprocess("run", path, "--entry", "main")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == f"error: {path}: bme680: undeclared extern nosuch\n"
+        assert proc.stderr == (f"error: {path}:62:1: automaton bme680 reads undeclared "
+                               "extern nosuch\n")
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("bindings,channel", [("as s1, y = bme680 as s1", "s1"),
+                                                  ("as main, y = bme680 as s2", "main")],
+                             ids=["instance_twice", "instance_named_like_system"])
+    def test_clashing_instances(self, tmp_path, command, bindings, channel):
+        # ``run`` used to stop on a duplicate provider channel: a traceback, exit 1
+        path = smart_home_with(tmp_path, "as s1, y = bme680 as s2", bindings)
+        proc = run_subprocess(command, path, *self.COMMANDS[command])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (f"error: {path}:78:1: system main: channel {channel} "
+                               "has two providers\n")
 
 
 def hub_program(n: int) -> str:

@@ -150,14 +150,6 @@ def test_fuzzed_single_event_perturbations(load_corpus):
         assert isinstance(verdict, Violation) and verdict.index == idx
 
 
-def test_obligation_start_time_bounds_the_trace(load_corpus):
-    ty = bme680_type(load_corpus)
-    events = sensor_trace(4, 4, 34, 54)
-    late = TraceObligation(ty, current_time=10)
-    verdict = monitor_trace(late, events)
-    assert isinstance(verdict, Violation) and verdict.index == 0
-
-
 def test_out_of_order_events_flagged(load_corpus):
     ty = bme680_type(load_corpus)
     events = sensor_trace(4, 2, 34, 54)  # temp before the configure instant

@@ -5,7 +5,6 @@ import pytest
 
 from tillst import corpus_path
 from tillst import syntax as s
-from tillst.automata import load_automata
 from tillst.cli import build_system
 from tillst.parser import parse_program
 from tillst.runtime import AutoC, ExternEnv, ParC, ProcC, run_scheduler
@@ -114,7 +113,7 @@ def test_value_consuming_automaton():
     }
     """
     prog = parse_program(src)
-    defs = load_automata(prog)
+    defs = {defn.name: defn for defn in prog.automata}
     import tillst.temporal as t
 
     body = s.SupplyP("e", t.init_plus(2), s.IntLit(9),

@@ -123,6 +123,11 @@ PROC = "fn p() -> Unit<t where True> {\n  %s\n}\n"
 KEYWORDS = ("App, Case, Close, Cons, Fwd, Lam, Offer, Prod, Query, RecvCh, SelectL, "
             "SelectR, SendCh, Spawn, Supply, SwitchL, SwitchR, Wait, if")
 DECLS = "automaton, extern, fn, sort, system, type"
+SYSTEM = ("automaton a { state S0 init; S0 --[!cls]--> accept; }\n"
+          "fn f(x: Unit<t where True>, y: Unit<t where True>) -> Unit<t where True> {\n"
+          "  Wait<t0>(x); Wait<t0>(y); Close<t where True>\n"
+          "}\n"
+          "system m = %s;\n")
 
 MALFORMED = {
     "bad_character": ("type T = Unit<t where True> #", "1:29: unexpected character '#'"),
@@ -144,6 +149,33 @@ MALFORMED = {
     "duplicate_init": ("automaton a { state S0 init; state S1 init; }",
                        "1:43: duplicate init state"),
     "no_init": ("automaton a { state S0; }", "1:1: automaton a has no init state"),
+    # automata and systems are checked as they are read; errors point at the
+    # declaration
+    "automaton_duplicate_state": ("automaton a { state S0 init; state S0; }",
+                                  "1:1: automaton a has duplicate states"),
+    "automaton_source_state": ("automaton a { state S0 init; S9 --[!cls]--> accept; }",
+                               "1:1: automaton a has a transition from unknown state S9"),
+    "automaton_target_state": ("automaton a { state S0 init; S0 --[!cls]--> S9; }",
+                               "1:1: automaton a has a transition to unknown state S9"),
+    "automaton_extern": ("automaton a { state S0 init; S0 --[!val(ghost)]--> accept; }",
+                         "1:1: automaton a reads undeclared extern ghost"),
+    "automaton_val_extern": ("automaton a { state S0 init; S0 --[!val]--> accept; }",
+                             "1:40: found ']-->' (expected one of: ()"),
+    "automaton_garbage": ("automaton a { state S0 init; S0 --[~zap]--> accept; }",
+                          "1:36: unexpected character '~'"),
+    "system_automaton": (SYSTEM % "f(x = b as i, y = a as j) @ t0",
+                         "5:1: system m names unknown automaton b"),
+    "system_arity": (SYSTEM % "f(x = a as i) @ t0", "5:1: system m: f takes 2 channels, 1 bound"),
+    "system_parameter": (SYSTEM % "f(x = a as i, z = a as j) @ t0",
+                         "5:1: system m: f has no parameter z"),
+    "system_parameter_twice": (SYSTEM % "f(x = a as i, x = a as j) @ t0",
+                               "5:1: system m: parameter x is bound twice"),
+    "system_instance_twice": (SYSTEM % "f(x = a as i, y = a as i) @ t0",
+                              "5:1: system m: channel i has two providers"),
+    "system_instance_named_like_system": (SYSTEM % "f(x = a as m, y = a as j) @ t0",
+                                          "5:1: system m: channel m has two providers"),
+    "system_open_start": (SYSTEM % "f(x = a as i, y = a as j) @ Shift<t5, 1>",
+                          "5:1: system m: start instant Shift<t5, 1> is not closed"),
     "t0_binder": (PROC % "Close<t0 where True>",
                   "2:9: t0 is the initial instant and cannot be bound"),
     "declaration": ("let x = 1;", f"1:1: found 'let' (expected one of: {DECLS})"),
