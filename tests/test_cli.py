@@ -302,8 +302,9 @@ class TestMalformedInputExitsTwo:
         assert proc.stderr == f"error: {path}:2:33: found ':' (expected one of: =>)\n"
 
 
-    # A program is not checked before it runs, so a defect the checker would
-    # reject can still surface at run time; each is one error line, exit 2.
+    # ``run`` and ``monitor`` do not type-check the program first, so a
+    # defect ``check`` would reject can still stop them; each is one error
+    # line with exit 2.
     UNCHECKED = {
         "undeclared_extern": (
             ["run", "--entry", "go"],
