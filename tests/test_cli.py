@@ -301,7 +301,6 @@ class TestMalformedInputExitsTwo:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: {path}:2:33: found ':' (expected one of: =>)\n"
 
-
     # ``run`` and ``monitor`` do not type-check the program first, so a
     # defect ``check`` would reject can still stop them; each is one error
     # line with exit 2.
