@@ -18,8 +18,8 @@ from . import syntax as s
 from . import temporal as t
 from .automata import Conforms, TraceObligation, monitor_trace
 from .parser import ParseError, parse_program
-from .runtime import (AutoC, ExternEnv, ParC, ProcC, SilentA, TraceFormatError,
-                      run_scheduler, trace_from_jsonl, trace_to_jsonl)
+from .runtime import (AutoC, ExternEnv, ProcC, SilentA, TraceFormatError, run_scheduler,
+                      trace_from_jsonl, trace_to_jsonl)
 from .typecheck import EntailmentSolver, check_program
 
 
@@ -52,14 +52,10 @@ def build_system(prog: s.Program, name: str):
     entry = prog.proc_decl(sysd.entry)
     defs = {defn.name: defn for defn in prog.automata}
     start = sysd.start.ticks()
-    leaves = [AutoC(instance, machine, defs[machine].initial, start)
-              for _, machine, instance in sysd.bindings]
     instances = {param: instance for param, _, instance in sysd.bindings}
-    leaves.append(ProcC(name, s.subst_chan(entry.body, instances)))
-    omega = leaves[-1]
-    for leaf in reversed(leaves[:-1]):
-        omega = ParC(leaf, omega)
-    return omega, start, defs
+    autos = tuple(AutoC(instance, machine, defs[machine].initial, start)
+                  for _, machine, instance in sysd.bindings)
+    return autos + (ProcC(name, s.subst_chan(entry.body, instances)),), start, defs
 
 
 def cmd_check(path: str, backend: str, solver_bin: Optional[str], timeout_ms: int) -> int:
@@ -126,7 +122,7 @@ def cmd_monitor(path: str, type_name: str, trace_path: str,
     decl = prog.type_decl(type_name)
     if decl is None:
         raise SystemExit2(f"no type named {type_name}")
-    expanded = s.expand_type_refs(prog, decl.body)
+    expanded = s.expand_type_refs(prog, s.TypeRef(type_name))
     try:
         with open(trace_path, "r", encoding="utf-8") as fh:
             events = trace_from_jsonl(fh.read())

@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 
 from . import syntax as s
 from . import temporal as t
+from .temporal import render_time
 
 
 class ParseError(Exception):
@@ -665,13 +666,6 @@ def parse_program(source: str) -> s.Program:
 
 # ---------------------------------------------------------------------------
 # Pretty-printer (inverse of the parser up to alpha-renaming and positions)
-
-
-def render_time(e: t.TimeExpr) -> str:
-    base = e.var if e.var is not None else "t0"
-    if e.offset == 0:
-        return base
-    return f"Shift<{base}, {e.offset}>" if e.offset > 0 else f"Shift<{base}, -{-e.offset}>"
 
 
 def render_prop(p: t.Prop) -> str:

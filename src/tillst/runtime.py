@@ -9,6 +9,13 @@ the value or the sent channel's name; its complement swaps the direction.  The
 silent action ``SILENT`` is the one ``SilentA``.  Automata run as the parser
 built them: ``defs`` maps each name to its ``syntax.AutomatonDef``.
 
+A configuration is a tuple of leaves, each a process (``ProcC``), a forwarder
+(``FwdC``) or an automaton (``AutoC``) providing the channel its ``chan``
+names.  Parallel composition is concatenation, with unit ``STOP = ()``; it is
+associative and commutative, so ``congruence_normalize`` picks one canonical
+form per class: every forwarder merged into the leaf providing its client
+channel, then the leaves sorted by provided channel.
+
 One generator, ``reductions``, lists every step available at an instant, and
 the scheduler, replay and the labelled view ``enumerate_transitions`` share
 its single pass over the leaves.  It pairs each send with the receives
@@ -168,11 +175,6 @@ def eval_expr(e: s.Expr, env: ExternEnv, scope: Optional[dict] = None) -> Value:
 
 
 @dataclass(frozen=True)
-class StopC:
-    pass
-
-
-@dataclass(frozen=True)
 class Env:
     """A leaf's bindings: each fired time binder to the tick of its exchange,
     each received value variable to its value.  Time and value variables are
@@ -216,14 +218,8 @@ class ProcC:
 
 @dataclass(frozen=True)
 class FwdC:
-    provider: str
+    chan: str
     client: str
-
-
-@dataclass(frozen=True)
-class ParC:
-    left: "Configuration"
-    right: "Configuration"
 
 
 @dataclass(frozen=True)
@@ -234,53 +230,23 @@ class AutoC:
     entry: int
 
 
-Configuration = Union[StopC, ProcC, FwdC, ParC, AutoC]
+Configuration = tuple  # of leaves, as the module docstring says
 
-STOP = StopC()
+STOP: Configuration = ()
 
 
 def conf_leaves(omega: Configuration) -> list:
-    """The leaves of a parallel composition, left to right."""
-    out, todo = [], [omega]
-    while todo:
-        c = todo.pop()
-        if isinstance(c, ParC):
-            todo += (c.right, c.left)
-        elif not isinstance(c, StopC):
-            out.append(c)
-    return out
-
-
-def par_of(leaves: list) -> Configuration:
-    if not leaves:
-        return STOP
-    out = leaves[-1]
-    for leaf in reversed(leaves[:-1]):
-        out = ParC(leaf, out)
-    return out
-
-
-def provider_of(leaf) -> str:
-    if isinstance(leaf, FwdC):
-        return leaf.provider
-    return leaf.chan
-
-
-def _rename_provider(leaf, new: str):
-    if isinstance(leaf, ProcC):
-        return ProcC(new, leaf.body, leaf.env)
-    if isinstance(leaf, AutoC):
-        return AutoC(new, leaf.machine, leaf.state, leaf.entry)
-    return FwdC(new, leaf.client)
+    """The leaves of a configuration, left to right."""
+    return list(omega)
 
 
 def congruence_normalize(omega: Configuration) -> Configuration:
-    """Drop units, merge forwarders, and sort parallel components.
+    """Merge forwarders and sort the leaves by provided channel.
 
     A forwarder whose client channel has no provider yet is left in place for
     the scheduler to resolve later.  Idempotent.
     """
-    leaves = conf_leaves(omega)
+    leaves = list(omega)
     changed = True
     while changed:
         changed = False
@@ -288,23 +254,23 @@ def congruence_normalize(omega: Configuration) -> Configuration:
             if not isinstance(leaf, FwdC):
                 continue
             for j, other in enumerate(leaves):
-                if i != j and provider_of(other) == leaf.client:
-                    merged = _rename_provider(other, leaf.provider)
+                if i != j and other.chan == leaf.client:
+                    merged = replace(other, chan=leaf.chan)
                     leaves = [x for k, x in enumerate(leaves) if k not in (i, j)]
                     leaves.append(merged)
                     changed = True
                     break
             if changed:
                 break
-    leaves.sort(key=provider_of)
-    names = [provider_of(x) for x in leaves]
+    leaves.sort(key=lambda x: x.chan)
+    names = [x.chan for x in leaves]
     if len(set(names)) != len(names):
         dup = sorted(n for n in names if names.count(n) > 1)[0]
         raise RuntimeInvariantError(f"duplicate provider channel {dup}")
-    return par_of(leaves)
+    return tuple(leaves)
 
 
-def clients_of(leaves: list) -> set:
+def clients_of(leaves: Configuration) -> set:
     """Channels some leaf uses from the client side."""
     used = set()
     for leaf in leaves:
@@ -459,17 +425,17 @@ def _leaf_steps(leaf, now: int, ext: ExternEnv, defs: dict, fresh: str) -> list:
         return _proc_steps(leaf, now, ext, fresh)
     if isinstance(leaf, AutoC):
         return _auto_steps(leaf, now, ext, defs, fresh)
-    return []  # FwdC resolves through congruence, StopC is inert
+    return []  # FwdC resolves through congruence
 
 
-def _local_steps(leaves: list, now: int, ext: ExternEnv, defs: dict) -> tuple:
+def _local_steps(leaves: Configuration, now: int, ext: ExternEnv, defs: dict) -> tuple:
     """The one pass over the leaves: (the channels some leaf uses as a
     client, the fresh channel, each leaf's steps at ``now``).  A sent channel
     and a spawned child are both named by the fresh channel, the least ``#k``
     unused in the configuration, so replays and reorderings allocate
     identical names."""
     used = clients_of(leaves)
-    taken = used.union(map(provider_of, leaves))
+    taken = used.union(leaf.chan for leaf in leaves)
     k = 1
     while f"#{k}" in taken:
         k += 1
@@ -485,13 +451,12 @@ def enumerate_transitions(omega: Configuration, now: int,
     payload is None until a communication partner fixes it."""
     env = env or ExternEnv()
     defs = defs or {}
-    leaves = conf_leaves(omega)
-    _, _, per_leaf = _local_steps(leaves, now, env, defs)
+    _, _, per_leaf = _local_steps(omega, now, env, defs)
     out = []
     for i, steps in enumerate(per_leaf):
         for step in steps:
-            rest = leaves[:i] + leaves[i + 1:]
-            out.append((step.action, par_of(rest + step.fire(step.action.payload))))
+            rest = omega[:i] + omega[i + 1:]
+            out.append((step.action, rest + tuple(step.fire(step.action.payload))))
     return out
 
 
@@ -507,12 +472,12 @@ def reductions(omega: Configuration, now: int,
     are congruence-normalized; an exchange's event records its send half."""
     env = env or ExternEnv()
     defs = defs or {}
-    leaves = conf_leaves(congruence_normalize(omega))
+    leaves = congruence_normalize(omega)
     used, fresh, per_leaf = _local_steps(leaves, now, env, defs)
 
     def after(fired: tuple, replaced: list) -> Configuration:
-        keep = [x for k, x in enumerate(leaves) if k not in fired]
-        return congruence_normalize(par_of(keep + replaced))
+        return congruence_normalize([x for k, x in enumerate(leaves) if k not in fired]
+                                    + replaced)
 
     receivers = {}
     for j, steps in enumerate(per_leaf):
@@ -521,7 +486,7 @@ def reductions(omega: Configuration, now: int,
                 receivers.setdefault(rcv.action, []).append((j, rcv))
     comm, pairs, offered = [], [], []
     for i, steps in enumerate(per_leaf):
-        own = provider_of(leaves[i])
+        own = leaves[i].chan
         for step in steps:
             a = step.action
             if isinstance(a, SilentA):
@@ -607,9 +572,15 @@ def seq_concat(s1: StepSequence, s2: StepSequence) -> StepSequence:
     while not isinstance(s1, Refl):
         spine.append(s1)
         s1 = s1.rest
+    return seq_prepend(spine, s2)
+
+
+def seq_prepend(spine: list, tail: StepSequence) -> StepSequence:
+    """The steps of ``spine`` in order, each continued by the next and the
+    last by ``tail``; the ``rest`` each step carries is ignored."""
     for sig in reversed(spine):
-        s2 = replace(sig, rest=s2)
-    return s2
+        tail = replace(sig, rest=tail)
+    return tail
 
 
 def seq_extend_to(sigma: StepSequence, end_time: int) -> StepSequence:
@@ -641,26 +612,34 @@ def seq_interleave(s1: StepSequence, s2: StepSequence) -> StepSequence:
 
 
 def _il(s1: StepSequence, s2: StepSequence) -> StepSequence:
-    pc = lambda a, b: congruence_normalize(ParC(a, b))
-    if isinstance(s1, Refl) and isinstance(s2, Refl):
-        return Refl(s1.time, pc(s1.config, s2.config))
-    if isinstance(s1, StepC):
-        other = seq_start(s2)[1]
-        return StepC(s1.time, pc(s1.before, other), pc(s1.after, other), _il(s1.rest, s2))
-    if isinstance(s2, StepC):
-        other = seq_start(s1)[1]
-        return StepC(s2.time, pc(other, s2.before), pc(other, s2.after), _il(s1, s2.rest))
-    if isinstance(s1, StepT) and isinstance(s2, StepT):
-        if s1.t2 <= s2.t2:
-            nxt = s2.rest if s1.t2 == s2.t2 else StepT(s1.t2, s2.t2, s2.config, s2.rest)
-            return StepT(s1.t1, s1.t2, pc(s1.config, s2.config), _il(s1.rest, nxt))
-        nxt = StepT(s2.t2, s1.t2, s1.config, s1.rest)
-        return StepT(s2.t1, s2.t2, pc(s1.config, s2.config), _il(nxt, s2.rest))
-    if isinstance(s1, StepT):  # s2 is Refl
-        return StepT(s1.t1, s1.t2, pc(s1.config, s2.config),
-                     _il(s1.rest, Refl(s1.t2, s2.config)))
-    return StepT(s2.t1, s2.t2, pc(s1.config, s2.config),
-                 _il(Refl(s2.t2, s1.config), s2.rest))
+    pc = lambda a, b: congruence_normalize(a + b)
+    spine = []
+    while not (isinstance(s1, Refl) and isinstance(s2, Refl)):
+        if isinstance(s1, StepC):
+            other = seq_start(s2)[1]
+            spine.append(StepC(s1.time, pc(s1.before, other), pc(s1.after, other), None))
+            s1 = s1.rest
+        elif isinstance(s2, StepC):
+            other = seq_start(s1)[1]
+            spine.append(StepC(s2.time, pc(other, s2.before), pc(other, s2.after), None))
+            s2 = s2.rest
+        elif isinstance(s1, StepT) and (isinstance(s2, Refl) or s1.t2 <= s2.t2):
+            spine.append(StepT(s1.t1, s1.t2, pc(s1.config, s2.config), None))
+            if isinstance(s2, Refl):
+                s2 = Refl(s1.t2, s2.config)
+            elif s1.t2 < s2.t2:
+                s2 = StepT(s1.t2, s2.t2, s2.config, s2.rest)
+            else:
+                s2 = s2.rest
+            s1 = s1.rest
+        else:  # s2 is a StepT ending first, or s1 is Refl
+            spine.append(StepT(s2.t1, s2.t2, pc(s1.config, s2.config), None))
+            if isinstance(s1, Refl):
+                s1 = Refl(s2.t2, s1.config)
+            else:
+                s1 = StepT(s2.t2, s1.t2, s1.config, s1.rest)
+            s2 = s2.rest
+    return seq_prepend(spine, Refl(s1.time, pc(s1.config, s2.config)))
 
 
 def seq_steps(sigma: StepSequence) -> int:
@@ -745,7 +724,7 @@ def _client_instant(leaf: ProcC) -> Optional[int]:
     return None
 
 
-def _analyze_due_client(leaf: ProcC, now: int, leaves: list,
+def _analyze_due_client(leaf: ProcC, now: int, leaves: Configuration,
                         defs: dict) -> Optional[TimingViolationInfo]:
     """A client whose instant has arrived but whose exchange did not happen:
     blame the provider window when the shapes complement, otherwise leave it
@@ -758,7 +737,7 @@ def _analyze_due_client(leaf: ProcC, now: int, leaves: list,
     when = leaf.env.tick(term.at)
     provider = None
     for x in leaves:
-        if x is not leaf and provider_of(x) == chan:
+        if x is not leaf and x.chan == chan:
             provider = x
             break
     if provider is None:
@@ -803,10 +782,9 @@ def _earliest_enabled(leaf: ProcC, lo: int, horizon: int) -> Optional[int]:
 
 def _pending_instants(omega: Configuration, now: int, horizon: int,
                       defs: dict) -> list:
-    leaves = conf_leaves(omega)
-    used = clients_of(leaves)
+    used = clients_of(omega)
     pend = []
-    for leaf in leaves:
+    for leaf in omega:
         if isinstance(leaf, ProcC):
             tick = _client_instant(leaf)
             if tick is not None:
@@ -843,7 +821,7 @@ def run_scheduler(omega: Configuration, start: int = 0,
         horizon = start + 10**6
     clock = start
     config = congruence_normalize(omega)
-    steps = []  # ("C", time, before, after) | ("T", t1, t2, config)
+    steps = []  # StepC and StepT, each without its rest
     trace = []
     status, error = "done", None
 
@@ -854,14 +832,13 @@ def run_scheduler(omega: Configuration, start: int = 0,
                 break
             pick = 0 if tiebreak is None else tiebreak(clock, candidates) % len(candidates)
             new_config, event = candidates[pick]
-            steps.append(("C", clock, config, new_config))
+            steps.append(StepC(clock, config, new_config, None))
             trace.append(event)
             config = new_config
-        if config == STOP:
+        if not config:
             break
-        leaves = conf_leaves(config)
         violation = None
-        for leaf in leaves:
+        for leaf in config:
             if isinstance(leaf, ProcC):
                 tick = _client_instant(leaf)
                 if tick is None:
@@ -873,7 +850,7 @@ def run_scheduler(omega: Configuration, start: int = 0,
                         "<instant already passed>")
                     break
                 if tick == clock and not isinstance(leaf.body, (s.FwdP, s.SpawnP)):
-                    violation = _analyze_due_client(leaf, clock, leaves, defs)
+                    violation = _analyze_due_client(leaf, clock, config, defs)
                     if violation:
                         break
         if violation is not None:
@@ -881,24 +858,16 @@ def run_scheduler(omega: Configuration, start: int = 0,
             break
         pend = _pending_instants(config, clock, horizon, defs)
         if not pend:
-            stuck = sorted(describe_leaf(x) for x in leaves)
+            stuck = sorted(describe_leaf(x) for x in config)
             status, error = "deadlock", DeadlockInfo(clock, stuck)
             break
         nxt = pend[0]
         if nxt > horizon:
             status = "horizon"
             break
-        steps.append(("T", clock, nxt, config))
+        steps.append(StepT(clock, nxt, config, None))
         clock = nxt
-
-    sigma: StepSequence = Refl(clock, config)
-    for item in reversed(steps):
-        if item[0] == "C":
-            _, when, before, after = item
-            sigma = StepC(when, before, after, sigma)
-        else:
-            _, t1, t2, conf = item
-            sigma = StepT(t1, t2, conf, sigma)
+    sigma = seq_prepend(steps, Refl(clock, config))
     return RunResult(status, trace, config, sigma, clock, error)
 
 
@@ -907,9 +876,7 @@ def describe_leaf(leaf) -> str:
         return f"{leaf.chan}: {type(leaf.body).__name__}"
     if isinstance(leaf, AutoC):
         return f"{leaf.chan}: {leaf.machine}[{leaf.state}]"
-    if isinstance(leaf, FwdC):
-        return f"{leaf.provider}: fwd {leaf.client}"
-    return "stop"
+    return f"{leaf.chan}: fwd {leaf.client}"
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,14 @@ class TimeExpr:
     def ticks(self) -> int:
         """Value of a closed expression, as ticks since init."""
         if self.var is not None:
-            raise NonClosedError(f"time expression {self} is not closed")
+            raise NonClosedError(f"time expression {render_time(self)} is not closed")
         return self.offset
 
-    def __str__(self) -> str:
-        base = self.var if self.var is not None else "t0"
-        if self.offset == 0:
-            return base
-        return f"{base}{self.offset:+d}"
+
+def render_time(e: TimeExpr) -> str:
+    """The surface spelling: ``t0``, ``x`` or ``Shift<x, n>``."""
+    base = e.var if e.var is not None else "t0"
+    return f"Shift<{base}, {e.offset}>" if e.offset else base
 
 
 INIT = TimeExpr(None, 0)
@@ -98,14 +98,12 @@ def subst_time(e: TimeExpr, m: Mapping[str, TimeExpr]) -> TimeExpr:
 
 @dataclass(frozen=True)
 class Top:
-    def __str__(self) -> str:
-        return "true"
+    pass
 
 
 @dataclass(frozen=True)
 class Bot:
-    def __str__(self) -> str:
-        return "false"
+    pass
 
 
 @dataclass(frozen=True)
@@ -113,17 +111,11 @@ class And:
     left: "Prop"
     right: "Prop"
 
-    def __str__(self) -> str:
-        return f"({self.left} and {self.right})"
-
 
 @dataclass(frozen=True)
 class Or:
     left: "Prop"
     right: "Prop"
-
-    def __str__(self) -> str:
-        return f"({self.left} or {self.right})"
 
 
 @dataclass(frozen=True)
@@ -131,26 +123,17 @@ class Imp:
     left: "Prop"
     right: "Prop"
 
-    def __str__(self) -> str:
-        return f"({self.left} -> {self.right})"
-
 
 @dataclass(frozen=True)
 class Eq:
     left: TimeExpr
     right: TimeExpr
 
-    def __str__(self) -> str:
-        return f"{self.left} = {self.right}"
-
 
 @dataclass(frozen=True)
 class Leq:
     left: TimeExpr
     right: TimeExpr
-
-    def __str__(self) -> str:
-        return f"{self.left} <= {self.right}"
 
 
 Prop = Union[Top, Bot, And, Or, Imp, Eq, Leq]

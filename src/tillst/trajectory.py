@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .runtime import (Configuration, ParC, Refl, StepC, StepSequence, StepT,
-                      congruence_normalize, seq_concat, seq_end,
-                      seq_interleave, seq_start)
+from .runtime import (Configuration, Refl, SequenceMismatch, StepSequence, StepT,
+                      congruence_normalize, seq_concat, seq_end, seq_interleave,
+                      seq_prepend, seq_start)
 
 
 class DomainError(Exception):
@@ -73,19 +73,12 @@ def traj_from_sigma(sigma: StepSequence, end: Optional[int] = None) -> CTraj:
     the next clock advance, and instantaneous steps collapse into the value
     the instant settles on."""
     start = seq_start(sigma)[0]
-    points = []
-
-    def walk(sig) -> None:
-        if isinstance(sig, Refl):
-            points.append((sig.time, sig.config))
-            return
+    points, sig = [], sigma
+    while not isinstance(sig, Refl):
         if isinstance(sig, StepT):
             points.append((sig.t1, sig.config))
-            walk(sig.rest)
-            return
-        walk(sig.rest)
-
-    walk(sigma)
+        sig = sig.rest
+    points.append((sig.time, sig.config))
     # collapse duplicate instants (instantaneous runs) keeping the settled value
     merged = []
     for tick, conf in points:
@@ -131,8 +124,6 @@ def traj_concat(w1: CTraj, w2: CTraj) -> CTraj:
     if w1.end is None or w1.end != w2.start:
         raise DomainError(f"domains not connected: [{w1.start},{w1.end}) then "
                           f"[{w2.start},{w2.end})")
-    from .runtime import SequenceMismatch
-
     try:
         sigma = seq_concat(w1.sigma, w2.sigma)
     except SequenceMismatch as exc:
@@ -147,24 +138,25 @@ def traj_concat(w1: CTraj, w2: CTraj) -> CTraj:
 
 
 def _lpar_sigma(sigma: StepSequence, when: int) -> StepSequence:
-    if isinstance(sigma, Refl):
-        return sigma
-    if isinstance(sigma, StepC):
-        return StepC(sigma.time, sigma.before, sigma.after,
-                     _lpar_sigma(sigma.rest, when))
-    if when < sigma.t2:
-        return StepT(sigma.t1, when, sigma.config, Refl(when, sigma.config))
-    return StepT(sigma.t1, sigma.t2, sigma.config, _lpar_sigma(sigma.rest, when))
+    """The steps before ``when``, a clock advance across it cut there."""
+    spine = []
+    while not isinstance(sigma, Refl):
+        if isinstance(sigma, StepT) and when < sigma.t2:
+            spine.append(StepT(sigma.t1, when, sigma.config, None))
+            sigma = Refl(when, sigma.config)
+            break
+        spine.append(sigma)
+        sigma = sigma.rest
+    return seq_prepend(spine, sigma)
 
 
 def _rpar_sigma(sigma: StepSequence, when: int) -> StepSequence:
-    if isinstance(sigma, Refl):
-        return Refl(when, sigma.config)
-    if isinstance(sigma, StepC):
-        return _rpar_sigma(sigma.rest, when)
-    if when < sigma.t2:
-        return StepT(when, sigma.t2, sigma.config, sigma.rest)
-    return _rpar_sigma(sigma.rest, when)
+    """The steps from ``when`` on, a clock advance across it started there."""
+    while not isinstance(sigma, Refl):
+        if isinstance(sigma, StepT) and when < sigma.t2:
+            return StepT(when, sigma.t2, sigma.config, sigma.rest)
+        sigma = sigma.rest
+    return Refl(when, sigma.config)
 
 
 def traj_partition(w: CTraj, when: int) -> tuple:
@@ -188,9 +180,9 @@ def traj_interleave(w1: CTraj, w2: CTraj) -> CTraj:
         raise DomainError("interleaving needs equal domains")
     sigma = seq_interleave(w1.sigma, w2.sigma)
     if w1.end == w1.start:  # empty segments still carry a nominal anchor
-        anchor = congruence_normalize(ParC(w1.r.points[0][1], w2.r.points[0][1]))
+        anchor = congruence_normalize(w1.r.points[0][1] + w2.r.points[0][1])
         return CTraj(Trajectory(w1.start, w1.end, ((w1.start, anchor),)), sigma)
     times = sorted(set(w1.r.breakpoint_times()) | set(w2.r.breakpoint_times()))
-    pts = tuple((tick, congruence_normalize(ParC(w1.at(tick), w2.at(tick))))
+    pts = tuple((tick, congruence_normalize(w1.at(tick) + w2.at(tick)))
                 for tick in times)
     return CTraj(Trajectory(w1.start, w1.end, pts), sigma)

@@ -17,7 +17,7 @@ from tillst import temporal as t
 from tillst.automata import Conforms, TraceObligation, Violation, monitor_trace
 from tillst.cli import build_system
 from tillst.parser import parse_program
-from tillst.runtime import (Action, ExternEnv, ParC, ProcC, TraceEvent,
+from tillst.runtime import (Action, ExternEnv, ProcC, TraceEvent,
                             congruence_normalize, replay, run_scheduler,
                             seq_extend_to)
 from tillst.trajectory import (traj_concat, traj_equiv, traj_from_sigma,
@@ -133,7 +133,7 @@ def _random_run(rng, prefix, horizon):
     client = ProcC(b, s.ConsP(a, t.init_plus(n1), "v",
                               s.WaitP(t.init_plus(n2), a,
                                       s.CloseP("u", t.Eq(t.tvar("u"), t.init_plus(n2))))))
-    result = run_scheduler(ParC(provider, client), 0, horizon=horizon)
+    result = run_scheduler((provider, client), 0, horizon=horizon)
     assert result.status == "done"
     return traj_from_sigma(seq_extend_to(result.sigma, horizon), end=horizon)
 
@@ -153,7 +153,7 @@ def test_criterion_4_trajectory_algebra():
             wi = traj_interleave(w1, w2)
             for tick in set(w1.r.breakpoint_times()) | set(w2.r.breakpoint_times()):
                 assert congruence_normalize(wi.at(tick)) == congruence_normalize(
-                    ParC(w1.at(tick), w2.at(tick)))
+                    w1.at(tick) + w2.at(tick))
             cut = rng.randrange(horizon)
             left, right = traj_partition(wi, cut)
             assert traj_equiv(traj_concat(left, right), wi)

@@ -318,6 +318,13 @@ class TestMalformedInputExitsTwo:
             "    Spawn<t0>(g) { x => Wait<zz>(x); Close<u where True> }\n}\n"
             "system go = f() @ t0;\n",
             "time expression zz is not closed"),
+        "open_shifted_instant": (
+            ["run", "--entry", "go"],
+            "fn g() -> Unit<t where True> {\n    Close<t where True>\n}\n"
+            "fn f() -> Unit<u where True> {\n"
+            "    Spawn<t0>(g) { x => Wait<Shift<zz, 3>>(x); Close<u where True> }\n}\n"
+            "system go = f() @ t0;\n",
+            "time expression Shift<zz, 3> is not closed"),
         "open_provider_window": (
             ["run", "--entry", "go"],
             "fn f() -> Unit<t where True> {\n    Close<t where Leq<zz, t>>\n}\n"
@@ -326,7 +333,7 @@ class TestMalformedInputExitsTwo:
         "cyclic_type": (
             ["monitor", "--type", "B", "--trace", "trace.jsonl"],
             "type B = C;\ntype C = B;\n",
-            "cyclic type definition: C -> B -> C"),
+            "cyclic type definition: B -> C -> B"),
     }
 
     @pytest.mark.parametrize("name", sorted(UNCHECKED))

@@ -7,7 +7,7 @@ from tillst import corpus_path
 from tillst import syntax as s
 from tillst.cli import build_system
 from tillst.parser import parse_program
-from tillst.runtime import AutoC, ExternEnv, ParC, ProcC, run_scheduler
+from tillst.runtime import AutoC, ExternEnv, ProcC, run_scheduler
 from tillst.typecheck import check_program
 
 
@@ -118,7 +118,7 @@ def test_value_consuming_automaton():
 
     body = s.SupplyP("e", t.init_plus(2), s.IntLit(9),
                      s.CloseP("u", t.Leq(t.INIT, t.tvar("u"))))
-    omega = ParC(AutoC("e", "sink", "S0", 0), ProcC("root", body))
+    omega = (AutoC("e", "sink", "S0", 0), ProcC("root", body))
     result = run_scheduler(omega, 0, env=ExternEnv(prog), defs=defs)
     assert result.status == "done"
     kinds = [(ev.time, ev.channel) for ev in result.trace]

@@ -8,13 +8,15 @@ from tillst import syntax as s
 from tillst import temporal as t
 from tillst.cli import build_system
 from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
-                            ParC, ProcC, Refl, RuntimeInvariantError, SILENT,
-                            StepC, StopC, TraceEvent, complementary,
+                            ProcC, Refl, RuntimeInvariantError, SILENT, StepC,
+                            StepT, TraceEvent, complementary,
                             congruence_normalize, conf_leaves,
-                            enumerate_transitions, eval_expr, par_of,
-                            provider_of, reductions, replay, run_scheduler,
-                            seq_concat, seq_end, seq_steps, trace_from_jsonl,
-                            trace_to_jsonl)
+                            enumerate_transitions, eval_expr, reductions,
+                            replay, run_scheduler, seq_concat, seq_end,
+                            seq_interleave, seq_start, seq_steps,
+                            trace_from_jsonl, trace_to_jsonl)
+from tillst.trajectory import (traj_concat, traj_equiv, traj_from_sigma,
+                               traj_partition)
 
 T0 = t.INIT
 sh = t.init_plus
@@ -45,27 +47,17 @@ def test_complementary_table():
 CLOSE = s.CloseP("t", t.TOP)
 
 leaf_configs = st.one_of(
-    st.just(StopC()),
     st.builds(ProcC, st.sampled_from("abcdef"), st.just(CLOSE)),
+    st.builds(FwdC, st.sampled_from("abcdef"), st.sampled_from("abcdefghij")),
     st.builds(AutoC, st.sampled_from("ghij"), st.just("bme680"),
               st.sampled_from(["S0", "S2"]), st.integers(0, 5)),
 )
 
-
-@st.composite
-def configurations(draw):
-    leaves = draw(st.lists(leaf_configs, max_size=5))
-    names = [provider_of(x) for x in leaves if not isinstance(x, StopC)]
-    if len(set(names)) != len(names):
-        leaves = list({provider_of(x): x for x in leaves
-                       if not isinstance(x, StopC)}.values())
-    conf = STOP
-    for leaf in leaves:
-        conf = ParC(leaf, conf) if draw(st.booleans()) else ParC(conf, leaf)
-    return conf
+# one provider per channel, in any order
+configurations = st.lists(leaf_configs, max_size=5, unique_by=lambda x: x.chan).map(tuple)
 
 
-@given(configurations())
+@given(configurations)
 def test_normalize_idempotent(conf):
     once = congruence_normalize(conf)
     assert congruence_normalize(once) == once
@@ -73,83 +65,81 @@ def test_normalize_idempotent(conf):
 
 class TestCongruence:
     def test_stop_unit(self):
-        assert congruence_normalize(ParC(STOP, ProcC("a", CLOSE))) == ProcC("a", CLOSE)
+        assert congruence_normalize(STOP + (ProcC("a", CLOSE),)) == (ProcC("a", CLOSE),)
 
     def test_fwd_merge(self):
-        got = congruence_normalize(ParC(ProcC("a", CLOSE), FwdC("b", "a")))
-        assert got == ProcC("b", CLOSE)
+        got = congruence_normalize((ProcC("a", CLOSE), FwdC("b", "a")))
+        assert got == (ProcC("b", CLOSE),)
 
     def test_fwd_contraction_chain(self):
-        conf = ParC(FwdC("c", "b"), ParC(FwdC("b", "a"), ProcC("a", CLOSE)))
-        assert congruence_normalize(conf) == ProcC("c", CLOSE)
+        conf = (FwdC("c", "b"), FwdC("b", "a"), ProcC("a", CLOSE))
+        assert congruence_normalize(conf) == (ProcC("c", CLOSE),)
 
     def test_dangling_forward_kept(self):
-        conf = ParC(FwdC("a", "ghost"), ProcC("b", CLOSE))
+        conf = (FwdC("a", "ghost"), ProcC("b", CLOSE))
         got = congruence_normalize(conf)
         assert FwdC("a", "ghost") in conf_leaves(got)
 
     def test_duplicate_providers_rejected(self):
         with pytest.raises(RuntimeInvariantError):
-            congruence_normalize(ParC(ProcC("a", CLOSE), ProcC("a", CLOSE)))
+            congruence_normalize((ProcC("a", CLOSE), ProcC("a", CLOSE)))
 
 
 class TestEnumerate:
     def test_close_fires_inside_window(self):
-        w = ProcC("a", s.CloseP("t", t.Leq(T0, t.tvar("t"))))
+        w = (ProcC("a", s.CloseP("t", t.Leq(T0, t.tvar("t")))),)
         assert enumerate_transitions(w, 7) == [(Action("close", "send", "a"), STOP)]
 
     def test_offer_exposes_both_branches(self):
-        off = ProcC("a", s.OfferP("t", t.TOP, s.CloseP("u", t.TOP), s.CloseP("v", t.BOT)))
+        off = (ProcC("a", s.OfferP("t", t.TOP, s.CloseP("u", t.TOP), s.CloseP("v", t.BOT))),)
         outs = enumerate_transitions(off, 3)
         assert {o[0] for o in outs} == {Action("label", "recv", "a", "L"), Action("label", "recv", "a", "R")}
-        assert all(isinstance(c, ProcC) for _, c in outs)
+        assert all(isinstance(leaf, ProcC) for _, (leaf,) in outs)
 
     def test_client_fires_only_at_annotation(self):
-        wait = ProcC("a", s.WaitP(sh(5), "x", CLOSE))
+        wait = (ProcC("a", s.WaitP(sh(5), "x", CLOSE)),)
         assert enumerate_transitions(wait, 4) == []
         assert len(enumerate_transitions(wait, 5)) == 1
 
     def test_channel_receive_without_partner_keeps_its_name(self):
         # the receive's payload is unknown until a partner fixes it, so the
         # continuation still names the bound channel
-        recv = ProcC("a", s.LamRecv("t", t.TOP, "x", s.FwdP(T0, "x")))
-        ((action, conf),) = enumerate_transitions(recv, 0)
+        recv = (ProcC("a", s.LamRecv("t", t.TOP, "x", s.FwdP(T0, "x"))),)
+        ((action, (leaf,)),) = enumerate_transitions(recv, 0)
         assert action == Action("chan", "recv", "a")
-        assert conf.body == s.FwdP(T0, "x") and conf.env.times == {"t": 0}
+        assert leaf.body == s.FwdP(T0, "x") and leaf.env.times == {"t": 0}
 
 
 class TestCommStep:
     def test_close_meets_wait(self):
-        omega = ParC(ProcC("a", s.CloseP("t", t.TOP)),
-                     ProcC("b", s.WaitP(sh(2), "a", CLOSE)))
+        omega = (ProcC("a", s.CloseP("t", t.TOP)), ProcC("b", s.WaitP(sh(2), "a", CLOSE)))
         ((conf, ev),) = reductions(omega, 2)
-        assert conf == ProcC("b", CLOSE)
+        assert conf == (ProcC("b", CLOSE),)
         assert ev.action == Action("close", "send", "a") and ev.time == 2
 
     def test_spawn_is_solitary_silent(self):
         prog = s.Program(procs=(s.ProcDecl("w", (), s.UnitT("t", t.TOP), CLOSE),))
         env = ExternEnv(prog)
-        omega = ProcC("a", s.SpawnP(sh(1), "w", (), "k", s.WaitP(sh(1), "k", CLOSE)))
+        omega = (ProcC("a", s.SpawnP(sh(1), "w", (), "k", s.WaitP(sh(1), "k", CLOSE))),)
         ((conf, ev),) = reductions(omega, 1, env)
         assert ev.action == SILENT and ev.tag == "spawn"
-        leaves = conf_leaves(conf)
-        assert {provider_of(x) for x in leaves} == {"a", "#1"}
+        assert {x.chan for x in conf} == {"a", "#1"}
 
     def test_no_partner_no_step(self):
         # a lone provider's only candidate is its environment-facing send
-        assert reductions(ProcC("a", s.CloseP("t", t.TOP)), 0) == \
+        assert reductions((ProcC("a", s.CloseP("t", t.TOP)),), 0) == \
             [(STOP, TraceEvent(0, Action("close", "send", "a"), "a"))]
 
     def test_value_exchange_evaluates_sender_first(self):
         prog = s.Program(externs=(s.ExternDecl("mk", (), s.INT),))
         env = ExternEnv(prog, seed=3)
-        omega = ParC(ProcC("a", s.ProdP("t", t.TOP, s.CallE("mk", ()), CLOSE)),
-                     ProcC("b", s.ConsP("a", sh(0), "v",
-                                        s.SupplyP("missing", sh(0), s.VarE("v"), CLOSE))))
+        omega = (ProcC("a", s.ProdP("t", t.TOP, s.CallE("mk", ()), CLOSE)),
+                 ProcC("b", s.ConsP("a", sh(0), "v",
+                                    s.SupplyP("missing", sh(0), s.VarE("v"), CLOSE))))
         ((conf, ev),) = reductions(omega, 0, env)
         assert ev.action.kind == "value" and isinstance(ev.action.payload, IntV)
         # the received value is bound in the receiving leaf's environment
-        proc_b = next(x for x in conf_leaves(conf) if x.chan == "b")
+        proc_b = next(x for x in conf if x.chan == "b")
         assert proc_b.body.expr == s.VarE("v")
         assert proc_b.env.values == {"v": ev.action.payload}
 
@@ -157,7 +147,7 @@ class TestCommStep:
         # the fresh name depends only on the configuration, not on counters
         prog = s.Program(procs=(s.ProcDecl("w", (), s.UnitT("t", t.TOP), CLOSE),))
         env = ExternEnv(prog)
-        omega = ProcC("a", s.SpawnP(sh(0), "w", (), "k", s.WaitP(sh(0), "k", CLOSE)))
+        omega = (ProcC("a", s.SpawnP(sh(0), "w", (), "k", s.WaitP(sh(0), "k", CLOSE))),)
         first = reductions(omega, 0, env)
         second = reductions(omega, 0, env)
         assert first == second
@@ -165,8 +155,29 @@ class TestCommStep:
 
 class TestDeepStructures:
     def test_conf_leaves_of_thousands_of_leaves(self):
-        leaves = [ProcC(f"c{i}", CLOSE) for i in range(3000)]
-        assert conf_leaves(par_of(leaves)) == leaves
+        # 2998 clients idle at t0 around one close meeting its wait
+        idle = [ProcC(f"c{i:04d}", s.WaitP(sh(5), f"d{i:04d}", CLOSE)) for i in range(2998)]
+        pair = [ProcC("a", s.CloseP("t", t.TOP)), ProcC("b", s.WaitP(T0, "a", CLOSE))]
+        conf = congruence_normalize(idle[::-1] + pair)
+        assert conf_leaves(conf) == pair + idle
+        copy = congruence_normalize(pair + idle)
+        assert conf is not copy and conf == copy and hash(conf) == hash(copy)
+        after = congruence_normalize(idle + [ProcC("b", CLOSE)])
+        assert replay(StepC(0, conf, after, Refl(0, after)))
+
+    def test_trajectory_of_a_long_sequence(self):
+        conf, other = (ProcC("a", CLOSE),), (ProcC("b", CLOSE),)
+        sigma = Refl(1500, conf)
+        for k in reversed(range(1500)):
+            sigma = StepT(k, k + 1, conf, StepC(k + 1, conf, conf, sigma))
+        w = traj_from_sigma(sigma, end=1500)
+        assert w.r.breakpoint_times() == list(range(1500))
+        merged = seq_interleave(sigma, Refl(0, other))
+        assert seq_steps(merged) == 1500 and seq_end(merged) == (1500, conf + other)
+        left, right = traj_partition(w, 750)
+        assert seq_end(left.sigma) == (750, conf) and seq_start(right.sigma) == (750, conf)
+        assert seq_steps(left.sigma) == seq_steps(right.sigma) == 750
+        assert traj_equiv(traj_concat(left, right), w)
 
     def test_seq_concat_of_a_long_sequence(self):
         sigma = Refl(0, STOP)
@@ -178,41 +189,41 @@ class TestDeepStructures:
 
 class TestScheduler:
     def test_adequacy_single_close(self):
-        p = ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5))))
+        p = (ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5)))),)
         r = run_scheduler(p, 0)
         assert r.status == "done" and r.end_time == 5
         assert r.trace == [TraceEvent(5, Action("close", "send", "a"), "a")]
         assert replay(r.sigma)
 
     def test_adequacy_against_wait_harness(self):
-        p = ParC(ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5)))),
-                 ProcC("h", s.WaitP(sh(5), "a", s.CloseP("t", t.TOP))))
+        p = (ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5)))),
+             ProcC("h", s.WaitP(sh(5), "a", s.CloseP("t", t.TOP))))
         r = run_scheduler(p, 0)
         assert r.status == "done"
         assert [(e.time, e.action.kind, e.channel) for e in r.trace] == \
             [(5, "close", "a"), (5, "close", "h")]
 
     def test_deadlock_on_unchosen_offer(self):
-        off = ProcC("a", s.OfferP("t", t.TOP, CLOSE, CLOSE))
+        off = (ProcC("a", s.OfferP("t", t.TOP, CLOSE, CLOSE)),)
         r = run_scheduler(off, 0)
         assert r.status == "deadlock"
         assert r.error.pending
 
     def test_timing_violation_blames_window(self):
-        omega = ParC(ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(3)))),
-                     ProcC("b", s.WaitP(sh(9), "a", CLOSE)))
+        omega = (ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(3)))),
+                 ProcC("b", s.WaitP(sh(9), "a", CLOSE)))
         r = run_scheduler(omega, 0)
         assert r.status == "timing_violation"
         assert r.error.channel == "a" and r.error.client_time == 9
 
     def test_missing_provider_is_timing_violation(self):
-        omega = ProcC("b", s.WaitP(sh(1), "ghost", CLOSE))
+        omega = (ProcC("b", s.WaitP(sh(1), "ghost", CLOSE)),)
         r = run_scheduler(omega, 0)
         assert r.status == "timing_violation"
         assert r.error.provider_pred == "<no provider>"
 
     def test_horizon_stops_runaway(self):
-        p = ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5000))))
+        p = (ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5000)))),)
         r = run_scheduler(p, 0, horizon=100)
         assert r.status == "horizon"
 
@@ -274,9 +285,8 @@ class TestWholeSystem:
                            s.AppSend("z", T0, s.FwdP(T0, "s1"),
                                      s.AppSend("z", T0, s.FwdP(T0, "s2"),
                                                s.FwdP(T0, "z"))))
-        omega = ParC(AutoC("s1", "bme680", "S0", 0),
-                     ParC(AutoC("s2", "bme680", "S0", 0),
-                          ProcC("main", wrapper)))
+        omega = (AutoC("s1", "bme680", "S0", 0), AutoC("s2", "bme680", "S0", 0),
+                 ProcC("main", wrapper))
         r = run_scheduler(omega, 0, env=env, defs=defs)
         assert r.status == "done" and r.end_time == 50
         comms = [(e.time, e.action.kind) for e in r.trace
@@ -326,15 +336,14 @@ class TestReplay:
     def test_forged_step_rejected(self):
         from tillst.runtime import Refl, StepC
 
-        before = ParC(ProcC("a", s.CloseP("t", t.TOP)),
-                      ProcC("b", s.WaitP(sh(0), "a", CLOSE)))
-        forged = StepC(0, before, ProcC("b", s.CloseP("t", t.BOT)), Refl(0, STOP))
+        before = (ProcC("a", s.CloseP("t", t.TOP)), ProcC("b", s.WaitP(sh(0), "a", CLOSE)))
+        forged = StepC(0, before, (ProcC("b", s.CloseP("t", t.BOT)),), Refl(0, STOP))
         assert not replay(forged)
 
     def test_backwards_clock_rejected(self):
         from tillst.runtime import Refl, StepT
 
-        conf = ProcC("a", CLOSE)
+        conf = (ProcC("a", CLOSE),)
         assert not replay(StepT(5, 3, conf, Refl(3, conf)))
 
 
@@ -402,10 +411,9 @@ class TestSemanticSoundnessSmoke:
 
     def test_stale_client_instant_is_a_timing_violation(self):
         # ill-typed on purpose: after waiting to t0+5 the next wait is at t0+3
-        omega = ParC(
-            ParC(ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5)))),
-                 ProcC("b", s.CloseP("t", t.Leq(T0, t.tvar("t"))))),
-            ProcC("c", s.WaitP(sh(5), "a", s.WaitP(sh(3), "b", CLOSE))))
+        omega = (ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5)))),
+                 ProcC("b", s.CloseP("t", t.Leq(T0, t.tvar("t")))),
+                 ProcC("c", s.WaitP(sh(5), "a", s.WaitP(sh(3), "b", CLOSE))))
         r = run_scheduler(omega, 0)
         assert r.status == "timing_violation"
         assert r.error.provider_pred == "<instant already passed>"
@@ -427,7 +435,7 @@ class TestRemainingConnectivesAtRuntime:
                                        s.CloseP("u", t.TOP),
                                        s.CloseP("u", t.BOT)))
         client = ProcC("b", s.SelectLP("a", sh(0), s.WaitP(sh(0), "a", CLOSE)))
-        r = run_scheduler(ParC(provider, client), 0)
+        r = run_scheduler((provider, client), 0)
         assert r.status == "done"
         kinds = [(e.action.kind, e.channel) for e in r.trace]
         assert kinds == [("label", "a"), ("close", "a"), ("close", "b")]
@@ -438,7 +446,7 @@ class TestRemainingConnectivesAtRuntime:
         client = ProcC("b", s.PairRecv("a", sh(0), "y",
                                        s.WaitP(sh(0), "y",
                                                s.WaitP(sh(0), "a", CLOSE))))
-        r = run_scheduler(ParC(provider, client), 0)
+        r = run_scheduler((provider, client), 0)
         assert r.status == "done"
         chan_ev = r.trace[0]
         assert chan_ev.action.kind == "chan" and chan_ev.payload() == "#1"
@@ -448,7 +456,7 @@ class TestRemainingConnectivesAtRuntime:
         client = ProcC("b", s.CaseP(sh(0), "a",
                                     s.WaitP(sh(0), "a", s.CloseP("u", t.BOT)),
                                     s.WaitP(sh(0), "a", CLOSE)))
-        r = run_scheduler(ParC(provider, client), 0)
+        r = run_scheduler((provider, client), 0)
         assert r.status == "done"
         assert r.trace[0].action == Action("label", "send", "a", "R")
 

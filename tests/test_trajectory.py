@@ -6,7 +6,7 @@ import pytest
 
 from tillst import syntax as s
 from tillst import temporal as t
-from tillst.runtime import (ParC, ProcC, Refl, StepT, congruence_normalize,
+from tillst.runtime import (ProcC, Refl, StepT, congruence_normalize,
                             replay, run_scheduler, seq_concat, seq_extend_to,
                             seq_interleave, seq_steps)
 from tillst.trajectory import (DomainError, traj_at, traj_concat,
@@ -27,7 +27,7 @@ def close_chain(rng, prefix):
     client = ProcC(b, s.ConsP(a, sh(n1), "v",
                               s.WaitP(sh(n2), a,
                                       s.CloseP("u", t.Eq(t.tvar("u"), sh(n2))))))
-    return ParC(provider, client)
+    return (provider, client)
 
 
 def harvest(rng, prefix):
@@ -57,7 +57,7 @@ def test_interleave_is_pointwise_parallel(harvested):
         wi = traj_interleave(w1, w2)
         for tm in sample_times(w1, w2):
             assert congruence_normalize(traj_at(wi, tm)) == \
-                congruence_normalize(ParC(traj_at(w1, tm), traj_at(w2, tm)))
+                congruence_normalize(traj_at(w1, tm) + traj_at(w2, tm))
 
 
 def test_partition_concat_duality(harvested):
@@ -112,38 +112,46 @@ def test_concat_needs_connected_domains(harvested):
 
 class TestSequenceOps:
     def test_concat_left_unit(self):
-        conf = ProcC("a", s.CloseP("t", t.TOP))
+        conf = (ProcC("a", s.CloseP("t", t.TOP)),)
         sigma = StepT(0, 4, conf, Refl(4, conf))
         assert seq_concat(Refl(0, conf), sigma) == sigma
 
     def test_concat_bridges_time_gap(self):
-        conf = ProcC("a", s.CloseP("t", t.TOP))
+        conf = (ProcC("a", s.CloseP("t", t.TOP)),)
         out = seq_concat(Refl(0, conf), Refl(7, conf))
         assert isinstance(out, StepT) and (out.t1, out.t2) == (0, 7)
 
     def test_concat_rejects_mismatched_states(self):
         from tillst.runtime import SequenceMismatch
 
-        a = Refl(0, ProcC("a", s.CloseP("t", t.TOP)))
-        b = Refl(0, ProcC("b", s.CloseP("t", t.TOP)))
+        a = Refl(0, (ProcC("a", s.CloseP("t", t.TOP)),))
+        b = Refl(0, (ProcC("b", s.CloseP("t", t.TOP)),))
         with pytest.raises(SequenceMismatch):
             seq_concat(a, b)
 
     def test_interleave_of_refls(self):
-        a = Refl(2, ProcC("a", s.CloseP("t", t.TOP)))
-        b = Refl(2, ProcC("b", s.CloseP("t", t.TOP)))
+        a = Refl(2, (ProcC("a", s.CloseP("t", t.TOP)),))
+        b = Refl(2, (ProcC("b", s.CloseP("t", t.TOP)),))
         out = seq_interleave(a, b)
         assert isinstance(out, Refl)
         assert congruence_normalize(out.config) == congruence_normalize(
-            ParC(a.config, b.config))
+            a.config + b.config)
 
     def test_time_advance_merges_to_nearer_target(self):
-        conf_a = ProcC("a", s.CloseP("t", t.TOP))
-        conf_b = ProcC("b", s.CloseP("t", t.TOP))
+        conf_a = (ProcC("a", s.CloseP("t", t.TOP)),)
+        conf_b = (ProcC("b", s.CloseP("t", t.TOP)),)
         sa = StepT(0, 3, conf_a, Refl(3, conf_a))
         sb = StepT(0, 9, conf_b, Refl(9, conf_b))
         out = seq_interleave(sa, sb)
         assert isinstance(out, StepT) and out.t2 == 3
+
+    def test_equal_time_advances_merge_into_one(self):
+        conf_a = (ProcC("a", s.CloseP("t", t.TOP)),)
+        conf_b = (ProcC("b", s.CloseP("t", t.TOP)),)
+        out = seq_interleave(StepT(0, 5, conf_a, Refl(5, conf_a)),
+                             StepT(0, 5, conf_b, Refl(5, conf_b)))
+        both = conf_a + conf_b
+        assert out == StepT(0, 5, both, Refl(5, both))
 
     def test_step_count_additive(self):
         rng = random.Random(5)
