@@ -100,8 +100,6 @@ def monitor_trace(obl: TraceObligation, events: list):
         last_time = ev.time
         if isinstance(a, s.TypeRef):
             return Violation(idx, f"unresolved type reference {a.name}")
-        if a is None:
-            return Violation(idx, "event after the protocol already closed")
         want = s.CONNECTIVES[type(a)].kind
         if got != want:
             return Violation(idx, f"expected a {want} exchange, saw {got}")

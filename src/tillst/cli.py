@@ -18,8 +18,8 @@ from . import syntax as s
 from . import temporal as t
 from .automata import Conforms, TraceObligation, monitor_trace
 from .parser import ParseError, parse_program
-from .runtime import (AutoC, ExternEnv, ProcC, SilentA, TraceFormatError, run_scheduler,
-                      trace_from_jsonl, trace_to_jsonl)
+from .runtime import (AutoC, Env, ExternEnv, ProcC, SilentA, TraceFormatError,
+                      run_scheduler, trace_from_jsonl, trace_to_jsonl)
 from .typecheck import EntailmentSolver, check_program
 
 
@@ -55,7 +55,7 @@ def build_system(prog: s.Program, name: str):
     instances = {param: instance for param, _, instance in sysd.bindings}
     autos = tuple(AutoC(instance, machine, defs[machine].initial, start)
                   for _, machine, instance in sysd.bindings)
-    return autos + (ProcC(name, s.subst_chan(entry.body, instances)),), start, defs
+    return autos + (ProcC(name, entry.body, Env(chans=instances)),), start, defs
 
 
 def cmd_check(path: str, backend: str, solver_bin: Optional[str], timeout_ms: int) -> int:
@@ -188,9 +188,9 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # predicates, expressions, type substitution and alpha-equivalence,
-        # free_channels and the solver's DNF of the hypothesis list still
-        # recurse once per level of nesting
+        # predicates, expressions, type substitution, alpha-equivalence and
+        # the solver's DNF of the hypothesis list still recurse once per
+        # level of nesting
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

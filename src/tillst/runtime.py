@@ -28,11 +28,13 @@ candidate (a ``tiebreak`` may pick another) until none is left at the current
 clock, then advances the clock to the least pending instant.  Each run yields
 a replayable step sequence.
 
-A process leaf carries an environment instead of rewritten continuations:
-when a provider fires, its time binder is bound to the current tick, and a
-received value is bound to its variable.  Predicates, annotations and
-expressions are evaluated under that environment.  Channel names are the one
-thing substituted into terms, since they name the leaves themselves.
+A process leaf carries an environment instead of rewritten continuations,
+so its body is always a subterm of the program as parsed: when a provider
+fires, its time binder is bound to the current tick; a received value is
+bound to its variable; a received channel, a spawned child's channel and a
+callee's parameters are bound to the runtime channels they stand for.
+Predicates, annotations and expressions are evaluated, and channel names
+resolved, under that environment.
 
 Fresh channels are named ``#k`` with k derived from the configuration itself,
 so replays and reorderings allocate identical names.
@@ -177,20 +179,31 @@ def eval_expr(e: s.Expr, env: ExternEnv, scope: Optional[dict] = None) -> Value:
 @dataclass(frozen=True)
 class Env:
     """A leaf's bindings: each fired time binder to the tick of its exchange,
-    each received value variable to its value.  Time and value variables are
+    each received value variable to its value, each channel variable to the
+    runtime channel it stands for.  Time, value and channel variables are
     separate namespaces, as in the source.  Never mutated."""
 
     times: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
+    chans: dict = field(default_factory=dict)
 
     def __hash__(self):
-        return hash((frozenset(self.times.items()), frozenset(self.values.items())))
+        return hash((frozenset(self.times.items()), frozenset(self.values.items()),
+                     frozenset(self.chans.items())))
 
     def bind_time(self, name: str, tick: int) -> "Env":
-        return Env({**self.times, name: tick}, self.values)
+        return Env({**self.times, name: tick}, self.values, self.chans)
 
     def bind_value(self, name: str, value: Value) -> "Env":
-        return Env(self.times, {**self.values, name: value})
+        return Env(self.times, {**self.values, name: value}, self.chans)
+
+    def bind_chan(self, name: str, chan: str) -> "Env":
+        return Env(self.times, self.values, {**self.chans, name: chan})
+
+    def chan(self, name: str) -> str:
+        """The runtime channel a body's channel name stands for; a name not
+        bound here is its own runtime name."""
+        return self.chans.get(name, name)
 
     def tick(self, e: t.TimeExpr) -> int:
         """The instant an annotation denotes (NonClosedError if unbound)."""
@@ -275,7 +288,7 @@ def clients_of(leaves: Configuration) -> set:
     used = set()
     for leaf in leaves:
         if isinstance(leaf, ProcC):
-            used |= s.free_channels(leaf.body)
+            used.update(map(leaf.env.chan, s.free_channels(leaf.body)))
         elif isinstance(leaf, FwdC):
             used.add(leaf.client)
     return used
@@ -354,7 +367,7 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
         conn = s.CONNECTIVES[s.USES[form]]
         if env.tick(p.at) != now:
             return []
-        chan, direction = p.chan, _DUAL_DIR[conn.provider_dir]
+        chan, direction = env.chan(p.chan), _DUAL_DIR[conn.provider_dir]
     else:
         return _silent_steps(leaf, now, ext, fresh)
     kind, sends = conn.kind, direction == "send"
@@ -367,9 +380,8 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     if kind == "chan" and sends:
         return [step(lambda c: [ProcC(a, p.cont, env), ProcC(c, p.payload, env)], fresh)]
     if kind == "chan":
-        # with no partner (c is None) the continuation keeps its bound name
-        return [step(lambda c: [ProcC(a, p.cont if c is None else
-                                      s.subst_chan(p.cont, p.var, c), env)])]
+        # with no partner (c is None) the bound name stays unbound
+        return [step(lambda c: [ProcC(a, p.cont, env if c is None else env.bind_chan(p.var, c))])]
     if kind == "label" and sends:
         return [step(lambda _: [ProcC(a, p.cont, env)], s.LABEL[form])]
     if kind == "label":
@@ -391,15 +403,15 @@ def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     if env.tick(p.at) != now:
         return []
     if isinstance(p, s.FwdP):
-        return [LocalStep(SILENT, lambda _: [FwdC(a, p.chan)], "fwd")]
+        return [LocalStep(SILENT, lambda _: [FwdC(a, env.chan(p.chan))], "fwd")]
     decl = ext.prog.proc_decl(p.callee)
     if decl is None:
         raise ValueEvalError(f"spawn of undeclared proc {p.callee}")
 
     def fire(_):
-        params = {param: arg for (param, _), arg in zip(decl.params, p.args)}
-        return [ProcC(fresh, s.subst_chan(decl.body, params)),
-                ProcC(a, s.subst_chan(p.cont, p.bound, fresh), env)]
+        params = {param: env.chan(arg) for (param, _), arg in zip(decl.params, p.args)}
+        return [ProcC(fresh, decl.body, Env(chans=params)),
+                ProcC(a, p.cont, env.bind_chan(p.bound, fresh))]
 
     return [LocalStep(SILENT, fire, "spawn")]
 
@@ -733,7 +745,7 @@ def _analyze_due_client(leaf: ProcC, now: int, leaves: Configuration,
     want = s.USES.get(type(term))
     if want is None:
         return None
-    chan = term.chan
+    chan = leaf.env.chan(term.chan)
     when = leaf.env.tick(term.at)
     provider = None
     for x in leaves:
@@ -845,8 +857,9 @@ def run_scheduler(omega: Configuration, start: int = 0,
                     continue
                 if tick < clock:
                     # created after its own instant: can never fire
+                    chan = getattr(leaf.body, "chan", None)
                     violation = TimingViolationInfo(
-                        getattr(leaf.body, "chan", leaf.chan), tick,
+                        leaf.chan if chan is None else leaf.env.chan(chan), tick,
                         "<instant already passed>")
                     break
                 if tick == clock and not isinstance(leaf.body, (s.FwdP, s.SpawnP)):

@@ -2,11 +2,11 @@
 
 Provider forms carry a time binder and predicate; client forms carry a
 concrete time expression.  Channel, time and value variables live in separate
-namespaces.  Only channel names are ever substituted into process terms: the
-checker binds time binders through a map to solver variables, the runtime
-through an environment of fired instants and received values.  Types are
-substituted into; ``expand_type_refs`` names every binder of a type uniquely,
-so those substitutions cannot capture.
+namespaces.  Nothing is substituted into process terms: the checker binds
+time binders through a map to solver variables, the runtime binds all three
+kinds of variable through a leaf's environment.  Types are substituted into;
+``expand_type_refs`` names every binder of a type uniquely, so those
+substitutions cannot capture.
 
 ``CONNECTIVES`` is the one table of connectives: components, message kind,
 the provider's direction, and the process forms that provide and use each.
@@ -625,44 +625,26 @@ _PROC_FIELDS = {
 
 
 def free_channels(p: Process) -> set:
-    uses, binder, children = _PROC_FIELDS[type(p)]
-    out = set()
-    for name in children:
-        out |= free_channels(getattr(p, name))
-    if binder is not None:
-        out.discard(getattr(p, binder))
-    if uses == "args":
-        out.update(p.args)
-    elif uses is not None:
-        out.add(getattr(p, uses))
+    """The channels ``p`` uses and does not bind.  Each form's last child is
+    read in a loop and the others from a stack, each with the number of
+    channel binders above it, so deep terms need no Python stack."""
+    out, binders, bound, stack = set(), [], {}, [(p, 0)]
+    while stack:
+        p, depth = stack.pop()
+        while len(binders) > depth:
+            bound[binders.pop()] -= 1
+        while True:
+            uses, binder, children = _PROC_FIELDS[type(p)]
+            if uses == "args":
+                out.update(x for x in p.args if not bound.get(x))
+            elif uses is not None and not bound.get(getattr(p, uses)):
+                out.add(getattr(p, uses))
+            if binder is not None:
+                binders.append(getattr(p, binder))
+                bound[binders[-1]] = bound.get(binders[-1], 0) + 1
+            if not children:
+                break
+            for name in children[:-1]:
+                stack.append((getattr(p, name), len(binders)))
+            p = getattr(p, children[-1])
     return out
-
-
-def subst_chan(p: Process, m, a: Optional[str] = None) -> Process:
-    """[m]P: rename free channels by the mapping ``m``, all in one pass
-    (``subst_chan(p, x, a)`` is [a/x]P).  A channel binder that would capture
-    a replacement becomes ``stem#k``, k the least for which that name is
-    neither free in its scope nor a replacement."""
-    if a is not None:
-        m = {m: a}
-    if not m:
-        return p
-    uses, binder, children = _PROC_FIELDS[type(p)]
-    changes, inner = {}, m
-    if binder is not None:
-        bound = getattr(p, binder)
-        inner = {x: c for x, c in m.items() if x != bound}
-        if bound in inner.values():
-            taken = set(inner.values()).union(
-                *(free_channels(getattr(p, name)) for name in children))
-            stem, k = bound.split("#")[0], 1
-            while f"{stem}#{k}" in taken:
-                k += 1
-            changes[binder] = inner[bound] = f"{stem}#{k}"
-    for name in children:
-        changes[name] = subst_chan(getattr(p, name), inner)
-    if uses == "args":
-        changes["args"] = tuple(m.get(c, c) for c in p.args)
-    elif uses is not None:
-        changes[uses] = m.get(getattr(p, uses), getattr(p, uses))
-    return _rebuild(p, **changes)

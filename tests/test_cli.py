@@ -441,3 +441,21 @@ class TestDeepInputChecks:
         path.write_text(chain_program(350))
         proc = run_subprocess("check", str(path))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT chain\n", "")
+
+    def test_deep_protocol_below_a_channel_send(self, tmp_path):
+        # splitting the context at App reads the free channels of the whole
+        # 1200-stage continuation
+        n = 1200
+        ty = "".join(f"Produce<int, s_{i} where True, " for i in range(n))
+        stages = "".join(f"    Prod<s_{i} where True> $ {i} $;\n" for i in range(n))
+        path = tmp_path / "deep_app.tsl"
+        unit = "Unit<u where Geq<u, t0>>"
+        path.write_text(
+            f"fn f(x: {unit}, c: Lolli<t where Geq<t, t0>, {unit}, {unit}>)\n"
+            f"    -> {ty}Unit<z where True>{'>' * n} {{\n"
+            "    App<t0>(c <= { Fwd<t0>(x) });\n    Wait<t0>(c);\n"
+            f"{stages}    Close<z where True>\n}}\n")
+        proc = run_subprocess("check", str(path))
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout.startswith("REJECT f: TimingViolation at f/AppSend/WaitP/ProdP: ")
+        assert proc.stdout.count("\n") == 1

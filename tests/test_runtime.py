@@ -479,8 +479,10 @@ def test_system_end_instants(name, entry, load_corpus):
 
 
 class TestBinding:
-    """Time binders and value variables bind by name, innermost first, in
-    both the checker and the runtime."""
+    """Time binders, value variables and channel variables bind by name,
+    innermost first, in both the checker and the runtime.  At run time a
+    channel variable stands for the runtime channel its leaf bound it to, and
+    a spawned callee's parameters for the caller's channels."""
 
     # The second Prod rebinds t to t0+7, so Wait<Shift<t, 5>> means t0+12:
     # inside c's window (from t0+10) and when the automaton may close.  Read
@@ -520,6 +522,43 @@ class TestBinding:
     system go = relay(p = give1 as g1, q = give2 as g2, r = take as k) @ t0;
     """
 
+    # The instance is called c, like the spawn's binder, and the receive
+    # rebinds x: the waits must reach #1 and the received #2, not instance c.
+    SHADOWED_CHANNEL = """
+    automaton closer { state S0 init; S0 --[!cls]--> accept; }
+    fn pair() -> Tensor<t where Eq<t, t0>, Unit<a where Eq<a, t0>>, Unit<b where Eq<b, t0>>> {
+        SendCh<t where Eq<t, t0>> { Close<a where Eq<a, t0>> };
+        Close<b where Eq<b, t0>>
+    }
+    fn main(x: Unit<u where Geq<u, t0>>) -> Unit<z where Eq<z, t0>> {
+        Wait<t0>(x);
+        Spawn<t0>(pair) { c =>
+        RecvCh<t0>(c) { x =>
+            Wait<t0>(c);
+            Wait<t0>(x);
+            Close<z where Eq<z, t0>>
+        }}
+    }
+    system sh = main(x = closer as c) @ t0;
+    """
+
+    # Ill-typed on purpose: late is spawned at t0+5 and hands its parameter,
+    # the caller's c, to a wait at LATE_WAIT.
+    SPAWNED_ARGUMENT = """
+    automaton closer { state S0 init; S0 --[!cls]--> accept; }
+    fn late(x: Unit<u where Geq<u, t0>>) -> Unit<z where Geq<z, t0>> {
+        Wait<LATE_WAIT>(x);
+        Close<z where Geq<z, t0>>
+    }
+    fn main(c: Unit<u where Geq<u, t0>>) -> Unit<z where Geq<z, t0>> {
+        Spawn<Shift<t0, 5>>(late, c) { k =>
+            Wait<Shift<t0, 5>>(k);
+            Close<z where Geq<z, t0>>
+        }
+    }
+    system st = main(c = closer as s1) @ t0;
+    """
+
     @staticmethod
     def run(src, entry):
         from tillst.parser import parse_program
@@ -547,3 +586,22 @@ class TestBinding:
         supplied = [e.payload() for e in r.trace
                     if e.channel == "k" and e.action.kind == "value"]
         assert supplied == ["second@g2"]
+
+    def test_received_channel_shadows_outer_binding(self):
+        verdicts, r = self.run(self.SHADOWED_CHANNEL, "sh")
+        assert verdicts == ["ACCEPT pair", "ACCEPT main"]
+        assert r.status == "done"
+        assert [(e.action.kind, e.channel, e.payload()) for e in r.trace] == [
+            ("close", "c", None), ("silent", "#1", "spawn"), ("chan", "#1", "#2"),
+            ("close", "#1", None), ("close", "#2", None), ("close", "sh", None)]
+
+    def test_spawn_argument_is_the_callers_channel(self):
+        _, r = self.run(self.SPAWNED_ARGUMENT.replace("LATE_WAIT", "Shift<t0, 5>"), "st")
+        assert (r.status, r.end_time, len(r.trace)) == ("done", 5, 4)
+        assert ("close", "s1") in [(e.action.kind, e.channel) for e in r.trace]
+
+    def test_stale_instant_names_the_callers_channel(self):
+        _, r = self.run(self.SPAWNED_ARGUMENT.replace("LATE_WAIT", "t0"), "st")
+        assert r.status == "timing_violation"
+        assert r.error.render() == ("client instant t0+0 on s1 misses the provider "
+                                    "window <instant already passed>")
