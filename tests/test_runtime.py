@@ -222,6 +222,48 @@ class TestScheduler:
         assert r.status == "timing_violation"
         assert r.error.provider_pred == "<no provider>"
 
+    # Each way a run can stop short of done at the end of an instant: the
+    # leaves as (channel, body) and the run's outcome.
+    BLAME = {
+        "provider_window": (
+            [("a", "Prod<s where Eq<s, Shift<t0, 1>>> $ 7 $; "
+                   "Close<u where Leq<Shift<s, 5>, u>>"),
+             ("b", "Cons<Shift<t0, 1>>(a) { v => Wait<Shift<t0, 3>>(a); "
+                   "Close<z where Eq<z, t0>> }")],
+            "client instant t0+3 on a misses the provider window "
+            "Leq<Shift<t0, 6>, u>", {"u": 3}),
+        "stale_forward": (
+            [("a", "Close<u where Eq<u, Shift<t0, 3>>>"),
+             ("c", "Wait<Shift<t0, 3>>(a); Fwd<Shift<t0, 1>>(d)"),
+             ("d", "Close<u where Geq<u, t0>>")],
+            "client instant t0+1 on d misses the provider window "
+            "<instant already passed>", None),
+        "stale_spawn": (
+            [("a", "Close<u where Eq<u, Shift<t0, 3>>>"),
+             ("c", "Wait<Shift<t0, 3>>(a); Spawn<Shift<t0, 1>>(w) { k => "
+                   "Wait<Shift<t0, 1>>(k); Close<z where Geq<z, t0>> }")],
+            "client instant t0+1 on c misses the provider window "
+            "<instant already passed>", None),
+        "own_channel": (
+            [("a", "Wait<t0>(a); Close<z where Eq<z, t0>>")],
+            "client instant t0+0 on a misses the provider window <no provider>", None),
+        "shape_mismatch": (
+            [("a", "Close<u where Geq<u, t0>>"),
+             ("b", "SelectL<t0>(a); Wait<t0>(a); Close<z where Eq<z, t0>>")],
+            "deadlock at t0+0: a: CloseP; b: SelectLP", None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLAME))
+    def test_every_blame_class(self, case):
+        from tillst.parser import Parser
+
+        leaves, message, counterexample = self.BLAME[case]
+        omega = tuple(ProcC(chan, Parser(body).process()) for chan, body in leaves)
+        r = run_scheduler(omega, 0)
+        assert r.status == ("deadlock" if case == "shape_mismatch" else "timing_violation")
+        assert r.error.render() == message
+        assert getattr(r.error, "counterexample", None) == counterexample
+
     def test_horizon_stops_runaway(self):
         p = (ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5000)))),)
         r = run_scheduler(p, 0, horizon=100)
