@@ -96,7 +96,8 @@ def monitor_trace(obl: TraceObligation, events: list):
         if got in ("value", "chan") and payload is None:
             return Violation(idx, f"{got} exchange without a payload")
         if ev.time < last_time:
-            return Violation(idx, f"event at t0+{ev.time} precedes t0+{last_time}")
+            return Violation(idx, f"event at {t.render_instant(ev.time)} "
+                                  f"precedes {t.render_instant(last_time)}")
         last_time = ev.time
         if isinstance(a, s.TypeRef):
             return Violation(idx, f"unresolved type reference {a.name}")
@@ -111,7 +112,7 @@ def monitor_trace(obl: TraceObligation, events: list):
         if not ok:
             pred = t.substitute_all(a.pred, {x: t.init_plus(n) for x, n in binds.items()
                                              if x != a.binder})
-            return Violation(idx, f"time t0+{ev.time} outside the window",
+            return Violation(idx, f"time {t.render_instant(ev.time)} outside the window",
                              failed_pred=render_prop(pred))
         if want == "close":
             if idx != len(events) - 1:

@@ -88,7 +88,7 @@ def cmd_run(path: str, entry: str, horizon: Optional[int], trace_out: Optional[s
     else:
         sys.stdout.write(text)
     if result.ok:
-        print(f"done at t0+{result.end_time} ({len(result.trace)} events)")
+        print(f"done at {t.render_instant(result.end_time)} ({len(result.trace)} events)")
         return 0
     detail = result.error.render() if result.error else result.status
     print(f"{result.status}: {detail}")

@@ -14,7 +14,8 @@ A configuration is a tuple of leaves, each a process (``ProcC``), a forwarder
 names.  Parallel composition is concatenation, with unit ``STOP = ()``; it is
 associative and commutative, so ``congruence_normalize`` picks one canonical
 form per class: every forwarder merged into the leaf providing its client
-channel, then the leaves sorted by provided channel.
+channel, found through one map from provided channel to leaf, then the
+leaves sorted by provided channel.
 
 One generator, ``reductions``, lists every step available at an instant, and
 the scheduler, replay and the labelled view ``enumerate_transitions`` share
@@ -25,8 +26,9 @@ leaf, stably sorted by (channel, kind, tag, payload) and deduplicated; then
 the sends of providers whose channel no leaf uses, offered to the environment
 as observable events, sorted the same way.  The scheduler takes the first
 candidate (a ``tiebreak`` may pick another) until none is left at the current
-clock, then advances the clock to the least pending instant.  Each run yields
-a replayable step sequence.
+clock.  One wait pass over the leaves then either blames a timing violation
+or lists the pending instants, and the clock advances to the least of them.
+Each run yields a replayable step sequence.
 
 A process leaf carries an environment instead of rewritten continuations,
 so its body is always a subterm of the program as parsed: when a provider
@@ -256,31 +258,27 @@ def conf_leaves(omega: Configuration) -> list:
 def congruence_normalize(omega: Configuration) -> Configuration:
     """Merge forwarders and sort the leaves by provided channel.
 
-    A forwarder whose client channel has no provider yet is left in place for
-    the scheduler to resolve later.  Idempotent.
+    Each forwarder, in turn, merges into the leaf providing its client
+    channel, found through one map from provided channel to leaf; a merged
+    forwarder is visited again, so chains collapse.  A forwarder whose client
+    channel has no provider yet is left in place for the scheduler to resolve
+    later.  Idempotent.
     """
-    leaves = list(omega)
-    changed = True
-    while changed:
-        changed = False
-        for i, leaf in enumerate(leaves):
-            if not isinstance(leaf, FwdC):
-                continue
-            for j, other in enumerate(leaves):
-                if i != j and other.chan == leaf.client:
-                    merged = replace(other, chan=leaf.chan)
-                    leaves = [x for k, x in enumerate(leaves) if k not in (i, j)]
-                    leaves.append(merged)
-                    changed = True
-                    break
-            if changed:
-                break
-    leaves.sort(key=lambda x: x.chan)
-    names = [x.chan for x in leaves]
-    if len(set(names)) != len(names):
-        dup = sorted(n for n in names if names.count(n) > 1)[0]
+    by_chan = {leaf.chan: leaf for leaf in omega}
+    if len(by_chan) != len(omega):
+        names = sorted(leaf.chan for leaf in omega)
+        dup = next(a for a, b in zip(names, names[1:]) if a == b)
         raise RuntimeInvariantError(f"duplicate provider channel {dup}")
-    return tuple(leaves)
+    work = [leaf for leaf in omega if isinstance(leaf, FwdC)]
+    for fwd in work:  # visits the merged forwarders appended below
+        other = by_chan.get(fwd.client)
+        if by_chan.get(fwd.chan) is not fwd or other is None or other is fwd:
+            continue
+        del by_chan[fwd.client]
+        by_chan[fwd.chan] = merged = replace(other, chan=fwd.chan)
+        if isinstance(merged, FwdC):
+            work.append(merged)
+    return tuple(by_chan[chan] for chan in sorted(by_chan))
 
 
 def clients_of(leaves: Configuration) -> set:
@@ -700,8 +698,8 @@ class TimingViolationInfo:
     counterexample: Optional[dict] = None
 
     def render(self) -> str:
-        return (f"client instant t0+{self.client_time} on {self.channel} misses "
-                f"the provider window {self.provider_pred}")
+        return (f"client instant {t.render_instant(self.client_time)} on {self.channel} "
+                f"misses the provider window {self.provider_pred}")
 
 
 @dataclass
@@ -711,7 +709,7 @@ class DeadlockInfo:
 
     def render(self) -> str:
         what = "; ".join(self.pending) or "nothing enabled"
-        return f"deadlock at t0+{self.time}: {what}"
+        return f"deadlock at {t.render_instant(self.time)}: {what}"
 
 
 @dataclass
@@ -726,53 +724,6 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.status == "done"
-
-
-def _client_instant(leaf: ProcC) -> Optional[int]:
-    """The instant of a client, forward or spawn leaf; None for providers."""
-    p = leaf.body
-    if type(p) in s.USES or isinstance(p, (s.FwdP, s.SpawnP)):
-        return leaf.env.tick(p.at)
-    return None
-
-
-def _analyze_due_client(leaf: ProcC, now: int, leaves: Configuration,
-                        defs: dict) -> Optional[TimingViolationInfo]:
-    """A client whose instant has arrived but whose exchange did not happen:
-    blame the provider window when the shapes complement, otherwise leave it
-    pending (a shape mismatch stalls into deadlock, not a timing fault)."""
-    term = leaf.body
-    want = s.USES.get(type(term))
-    if want is None:
-        return None
-    chan = leaf.env.chan(term.chan)
-    when = leaf.env.tick(term.at)
-    provider = None
-    for x in leaves:
-        if x is not leaf and x.chan == chan:
-            provider = x
-            break
-    if provider is None:
-        return TimingViolationInfo(chan, when, "<no provider>", None)
-    if isinstance(provider, AutoC):
-        defn = defs.get(provider.machine)
-        if defn is None:
-            return TimingViolationInfo(chan, when, "<unknown automaton>", None)
-        conn = s.CONNECTIVES[want]
-        kinds = [(tr.action.kind, tr.action.direction, provider.entry + tr.guard_offset)
-                 for tr in transitions_from(defn, provider.state)]
-        matching = [rel for k, d, rel in kinds if (k, d) == (conn.kind, conn.provider_dir)]
-        if matching and min(matching) > now:
-            guard = f"entry+{min(matching) - provider.entry} <= t"
-            return TimingViolationInfo(chan, when, guard, {"t": now})
-        return None
-    if isinstance(provider, ProcC):
-        p = provider.body
-        if s.PROVIDES.get(type(p)) is want and not _pred_holds_at(p, provider.env, now):
-            return TimingViolationInfo(chan, when,
-                                       render_prop(provider.env.close(p.pred, p.binder)),
-                                       {p.binder: now})
-    return None
 
 
 def _earliest_enabled(leaf: ProcC, lo: int, horizon: int) -> Optional[int]:
@@ -792,31 +743,64 @@ def _earliest_enabled(leaf: ProcC, lo: int, horizon: int) -> Optional[int]:
     return model[p.binder]
 
 
-def _pending_instants(omega: Configuration, now: int, horizon: int,
-                      defs: dict) -> list:
-    used = clients_of(omega)
-    pend = []
-    for leaf in omega:
-        if isinstance(leaf, ProcC):
-            tick = _client_instant(leaf)
-            if tick is not None:
-                if tick > now:
-                    pend.append(tick)
-            elif type(leaf.body) in s.PROVIDES and leaf.chan not in used:
-                if s.CONNECTIVES[s.PROVIDES[type(leaf.body)]].provider_dir != "send":
-                    continue
-                nxt = _earliest_enabled(leaf, now + 1, horizon)
-                if nxt is not None:
-                    pend.append(nxt)
-        elif isinstance(leaf, AutoC):
-            defn = defs.get(leaf.machine)
-            if defn is None:
-                continue
-            for tr in transitions_from(defn, leaf.state):
-                release = leaf.entry + tr.guard_offset
-                if release > now:
-                    pend.append(release)
-    return sorted(set(pend))
+def _wait_pass(leaves: Configuration, now: int, horizon: int, defs: dict) -> tuple:
+    """What the leaves wait for once the instant ``now`` has no step left:
+    (a timing violation or None, the sorted instants after ``now`` at which a
+    step may become available).
+
+    Client, forward and spawn leaves come first.  One whose instant has passed
+    was created after it and can never fire.  A client due now that did not
+    exchange is blamed on the provider of its channel when the shapes
+    complement; a shape mismatch stalls into deadlock instead.  Only then are
+    automaton releases and the windows of providers sending to the
+    environment read, so the solver runs after every violation check.
+    """
+    by_chan = {leaf.chan: leaf for leaf in leaves}
+    pend = set()
+    for leaf in leaves:
+        if not isinstance(leaf, ProcC):
+            continue
+        p, form = leaf.body, type(leaf.body)
+        if form not in s.USES and form not in (s.FwdP, s.SpawnP):
+            continue
+        tick = leaf.env.tick(p.at)
+        if tick > now:
+            pend.add(tick)
+            continue
+        chan = leaf.chan if form is s.SpawnP else leaf.env.chan(p.chan)
+        if tick < now:
+            return TimingViolationInfo(chan, tick, "<instant already passed>"), []
+        if form not in s.USES:  # a forward or spawn due now has fired
+            continue
+        provider = by_chan.get(chan)
+        if provider is None or provider is leaf:
+            return TimingViolationInfo(chan, tick, "<no provider>"), []
+        want = s.USES[form]
+        if isinstance(provider, AutoC):
+            conn = s.CONNECTIVES[want]
+            guards = [tr.guard_offset
+                      for tr in transitions_from(defs[provider.machine], provider.state)
+                      if (tr.action.kind, tr.action.direction) == (conn.kind, conn.provider_dir)]
+            if guards and provider.entry + min(guards) > now:
+                return TimingViolationInfo(chan, tick, f"entry+{min(guards)} <= t", {"t": now}), []
+        elif isinstance(provider, ProcC):
+            q = provider.body
+            if s.PROVIDES.get(type(q)) is want and not _pred_holds_at(q, provider.env, now):
+                window = render_prop(provider.env.close(q.pred, q.binder))
+                return TimingViolationInfo(chan, tick, window, {q.binder: now}), []
+    used = clients_of(leaves)
+    for leaf in leaves:
+        if isinstance(leaf, AutoC):
+            releases = (leaf.entry + tr.guard_offset
+                        for tr in transitions_from(defs[leaf.machine], leaf.state))
+            pend.update(r for r in releases if r > now)
+        elif (isinstance(leaf, ProcC) and type(leaf.body) in s.PROVIDES
+              and leaf.chan not in used
+              and s.CONNECTIVES[s.PROVIDES[type(leaf.body)]].provider_dir == "send"):
+            nxt = _earliest_enabled(leaf, now + 1, horizon)
+            if nxt is not None:
+                pend.add(nxt)
+    return None, sorted(pend)
 
 
 def run_scheduler(omega: Configuration, start: int = 0,
@@ -849,27 +833,10 @@ def run_scheduler(omega: Configuration, start: int = 0,
             config = new_config
         if not config:
             break
-        violation = None
-        for leaf in config:
-            if isinstance(leaf, ProcC):
-                tick = _client_instant(leaf)
-                if tick is None:
-                    continue
-                if tick < clock:
-                    # created after its own instant: can never fire
-                    chan = getattr(leaf.body, "chan", None)
-                    violation = TimingViolationInfo(
-                        leaf.chan if chan is None else leaf.env.chan(chan), tick,
-                        "<instant already passed>")
-                    break
-                if tick == clock and not isinstance(leaf.body, (s.FwdP, s.SpawnP)):
-                    violation = _analyze_due_client(leaf, clock, config, defs)
-                    if violation:
-                        break
+        violation, pend = _wait_pass(config, clock, horizon, defs)
         if violation is not None:
             status, error = "timing_violation", violation
             break
-        pend = _pending_instants(config, clock, horizon, defs)
         if not pend:
             stuck = sorted(describe_leaf(x) for x in config)
             status, error = "deadlock", DeadlockInfo(clock, stuck)

@@ -73,6 +73,11 @@ def render_time(e: TimeExpr) -> str:
     return f"Shift<{base}, {e.offset}>" if e.offset else base
 
 
+def render_instant(n: int) -> str:
+    """A closed instant as diagnostics print it: ``t0+5``, ``t0-3``."""
+    return f"t0{n:+d}"
+
+
 INIT = TimeExpr(None, 0)
 
 

@@ -1,21 +1,23 @@
-"""Computable trajectories: piecewise-constant views of a run plus the step
-sequence that justifies them.
+"""Computable trajectories: step sequences read as piecewise-constant views
+of a run.
 
 A trajectory maps each instant of a left-closed right-open interval to a
 configuration; at an instant with several reductions it already shows the
-configuration after all of them.  Pairing with a step sequence makes it
-computable; concatenation, partitioning, and interleaving act on both halves
-of the pair at once.
+configuration after all of them.  It is its step sequence and the end of its
+interval: the breakpoints are read off the sequence once, so concatenation,
+partitioning and interleaving act on the sequence alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .runtime import (Configuration, Refl, SequenceMismatch, StepSequence, StepT,
                       congruence_normalize, seq_concat, seq_end, seq_interleave,
                       seq_prepend, seq_start)
+from .temporal import render_instant
 
 
 class DomainError(Exception):
@@ -23,43 +25,45 @@ class DomainError(Exception):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    start: int
-    end: Optional[int]  # None = unbounded
-    points: tuple  # ordered (time, configuration), first at ``start``
+class CTraj:
+    """A computable trajectory: the step sequence ``sigma`` read as a
+    function on [its start, ``end``); ``end`` None is unbounded."""
+
+    sigma: StepSequence
+    end: Optional[int] = None
+
+    @cached_property
+    def points(self) -> tuple:
+        """(instant, configuration) at each breakpoint, first at ``start``:
+        the configuration each clock advance leaves from and the last one,
+        each instant showing the configuration it settles on."""
+        points, sig = [], self.sigma
+        while not isinstance(sig, Refl):
+            if isinstance(sig, StepT):
+                points.append((sig.t1, sig.config))
+            sig = sig.rest
+        points.append((sig.time, sig.config))
+        settled = list(dict(points).items())  # the last configuration per instant
+        if self.end is not None:
+            settled = [pt for pt in settled if pt[0] < self.end] or settled[:1]
+        return tuple(settled)
+
+    @property
+    def start(self) -> int:
+        return seq_start(self.sigma)[0]
 
     def at(self, when: int) -> Configuration:
         if when < self.start or (self.end is not None and when >= self.end):
-            raise DomainError(f"t0+{when} outside [{self.start}, {self.end})")
+            raise DomainError(f"{render_instant(when)} outside [{self.start}, {self.end})")
         value = self.points[0][1]
         for tick, conf in self.points:
-            if tick <= when:
-                value = conf
-            else:
+            if tick > when:
                 break
+            value = conf
         return value
 
     def breakpoint_times(self) -> list:
         return [tick for tick, _ in self.points]
-
-
-@dataclass(frozen=True)
-class CTraj:
-    """A computable trajectory: the function together with its receipt."""
-
-    r: Trajectory
-    sigma: StepSequence
-
-    def at(self, when: int) -> Configuration:
-        return self.r.at(when)
-
-    @property
-    def start(self) -> int:
-        return self.r.start
-
-    @property
-    def end(self) -> Optional[int]:
-        return self.r.end
 
     def initial(self) -> Configuration:
         return seq_start(self.sigma)[1]
@@ -72,27 +76,9 @@ def traj_from_sigma(sigma: StepSequence, end: Optional[int] = None) -> CTraj:
     """Fill the gaps of a step sequence: the configuration holds steady until
     the next clock advance, and instantaneous steps collapse into the value
     the instant settles on."""
-    start = seq_start(sigma)[0]
-    points, sig = [], sigma
-    while not isinstance(sig, Refl):
-        if isinstance(sig, StepT):
-            points.append((sig.t1, sig.config))
-        sig = sig.rest
-    points.append((sig.time, sig.config))
-    # collapse duplicate instants (instantaneous runs) keeping the settled value
-    merged = []
-    for tick, conf in points:
-        if merged and merged[-1][0] == tick:
-            merged[-1] = (tick, conf)
-        else:
-            merged.append((tick, conf))
-    final_t = seq_end(sigma)[0]
-    if end is not None and end < final_t:
+    if end is not None and end < seq_end(sigma)[0]:
         raise DomainError("domain end precedes the sequence's terminal instant")
-    if end is not None:
-        inside = [pt for pt in merged if pt[0] < end]
-        merged = inside or merged[:1]
-    return CTraj(Trajectory(start, end, tuple(merged)), sigma)
+    return CTraj(sigma, end)
 
 
 def traj_at(w: CTraj, when: int) -> Configuration:
@@ -108,7 +94,7 @@ def traj_equiv(w1: CTraj, w2: CTraj, interval: Optional[tuple] = None) -> bool:
         lo, hi = w1.start, w1.end
     else:
         lo, hi = interval
-    samples = set(w1.r.breakpoint_times()) | set(w2.r.breakpoint_times()) | {lo}
+    samples = set(w1.breakpoint_times()) | set(w2.breakpoint_times()) | {lo}
     for tick in sorted(samples):
         if tick < lo or (hi is not None and tick >= hi):
             continue
@@ -128,13 +114,7 @@ def traj_concat(w1: CTraj, w2: CTraj) -> CTraj:
         sigma = seq_concat(w1.sigma, w2.sigma)
     except SequenceMismatch as exc:
         raise DomainError(str(exc)) from exc
-    pts = [pt for pt in w1.r.points if pt[0] < w1.end]
-    for pt in w2.r.points:
-        if pts and pts[-1][0] == pt[0]:
-            pts[-1] = pt
-        else:
-            pts.append(pt)
-    return CTraj(Trajectory(w1.start, w2.end, tuple(pts)), sigma)
+    return CTraj(sigma, w2.end)
 
 
 def _lpar_sigma(sigma: StepSequence, when: int) -> StepSequence:
@@ -162,27 +142,12 @@ def _rpar_sigma(sigma: StepSequence, when: int) -> StepSequence:
 def traj_partition(w: CTraj, when: int) -> tuple:
     """Split at an instant of the domain: ([start, when), [when, end))."""
     if when < w.start or (w.end is not None and when >= w.end):
-        raise DomainError(f"partition point t0+{when} outside the domain")
-    left_sigma = _lpar_sigma(w.sigma, when)
-    right_sigma = _rpar_sigma(w.sigma, when)
-    left_pts = tuple(pt for pt in w.r.points if pt[0] <= when) or w.r.points[:1]
-    left_pts = tuple(pt for pt in left_pts if pt[0] < when) or (w.r.points[0],)
-    right_first = w.at(when)
-    right_pts = ((when, right_first),) + tuple(pt for pt in w.r.points if pt[0] > when)
-    left = CTraj(Trajectory(w.start, when, left_pts), left_sigma)
-    right = CTraj(Trajectory(when, w.end, right_pts), right_sigma)
-    return left, right
+        raise DomainError(f"partition point {render_instant(when)} outside the domain")
+    return CTraj(_lpar_sigma(w.sigma, when), when), CTraj(_rpar_sigma(w.sigma, when), w.end)
 
 
 def traj_interleave(w1: CTraj, w2: CTraj) -> CTraj:
     """Parallel-compose trajectories over the same interval."""
     if (w1.start, w1.end) != (w2.start, w2.end):
         raise DomainError("interleaving needs equal domains")
-    sigma = seq_interleave(w1.sigma, w2.sigma)
-    if w1.end == w1.start:  # empty segments still carry a nominal anchor
-        anchor = congruence_normalize(w1.r.points[0][1] + w2.r.points[0][1])
-        return CTraj(Trajectory(w1.start, w1.end, ((w1.start, anchor),)), sigma)
-    times = sorted(set(w1.r.breakpoint_times()) | set(w2.r.breakpoint_times()))
-    pts = tuple((tick, congruence_normalize(w1.at(tick) + w2.at(tick)))
-                for tick in times)
-    return CTraj(Trajectory(w1.start, w1.end, pts), sigma)
+    return CTraj(seq_interleave(w1.sigma, w2.sigma), w1.end)

@@ -52,7 +52,7 @@ class TypingError:
         msg = f"{self.kind} at {self.location}: {self.judgment}"
         if self.counterexample is not None:
             binding = ", ".join(
-                f"{k} = t0{v:+d}" for k, v in sorted(self.counterexample.items()))
+                f"{k} = {t.render_instant(v)}" for k, v in sorted(self.counterexample.items()))
             msg += f" [counterexample: {binding or 'empty assignment'}]"
         return msg
 

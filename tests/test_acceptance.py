@@ -151,7 +151,7 @@ def test_criterion_4_trajectory_algebra():
             harvested += 2
         for w1, w2 in pairs:
             wi = traj_interleave(w1, w2)
-            for tick in set(w1.r.breakpoint_times()) | set(w2.r.breakpoint_times()):
+            for tick in set(w1.breakpoint_times()) | set(w2.breakpoint_times()):
                 assert congruence_normalize(wi.at(tick)) == congruence_normalize(
                     w1.at(tick) + w2.at(tick))
             cut = rng.randrange(horizon)

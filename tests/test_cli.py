@@ -109,6 +109,23 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[-1] == "done at t0+50 (9 events)"
 
+    def test_negative_instants_spelled_with_a_minus(self, capsys, tmp_path):
+        path = tmp_path / "late.tsl"
+        path.write_text("""
+        type U = Unit<u where Geq<u, t0>>
+        automaton a { state S0 init; S0 --[!cls]--> accept; }
+        fn late(x: U) -> U { Wait<Shift<t0, -3>>(x); Close<u where Geq<u, t0>> }
+        system st = late(x = a as s1) @ t0;
+        """)
+        code, out, _ = run_cli(capsys, "run", str(path), "--entry", "st")
+        assert code == 1 and out == ("timing_violation: client instant t0-3 on s1 "
+                                     "misses the provider window <instant already passed>\n")
+        trace = tmp_path / "early.jsonl"
+        trace.write_text('{"time": -2, "dir": "send", "kind": "close", "channel": "s1"}\n')
+        code, out, _ = run_cli(capsys, "monitor", str(path), "--type", "U",
+                               "--trace", str(trace))
+        assert code == 1 and "event at t0-2 precedes t0+0" in out
+
     def test_unknown_entry(self, capsys):
         code, _, err = run_cli(capsys, "run", corpus_path("adequacy.tsl"),
                                "--entry", "nope")

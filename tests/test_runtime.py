@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -83,6 +84,62 @@ class TestCongruence:
     def test_duplicate_providers_rejected(self):
         with pytest.raises(RuntimeInvariantError):
             congruence_normalize((ProcC("a", CLOSE), ProcC("a", CLOSE)))
+        # a forwarder merging one of them away does not hide the duplicate
+        with pytest.raises(RuntimeInvariantError, match="duplicate provider channel a$"):
+            congruence_normalize((ProcC("b", CLOSE), ProcC("a", CLOSE), ProcC("a", CLOSE),
+                                  FwdC("c", "a")))
+
+    def test_far_end_first_chain_collapses(self):
+        chain = tuple(FwdC(f"f{k:04d}", f"f{k - 1:04d}") for k in range(3000, 0, -1))
+        got = congruence_normalize(chain + (ProcC("f0000", CLOSE),))
+        assert got == (ProcC("f3000", CLOSE),)
+
+
+def restart_normalize(omega):
+    """The reference: after each merge, scan every leaf again from the
+    first."""
+    leaves = list(omega)
+    changed = True
+    while changed:
+        changed = False
+        for i, leaf in enumerate(leaves):
+            if not isinstance(leaf, FwdC):
+                continue
+            for j, other in enumerate(leaves):
+                if i != j and other.chan == leaf.client:
+                    merged = dataclasses.replace(other, chan=leaf.chan)
+                    leaves = [x for k, x in enumerate(leaves) if k not in (i, j)]
+                    leaves.append(merged)
+                    changed = True
+                    break
+            if changed:
+                break
+    return tuple(sorted(leaves, key=lambda x: x.chan))
+
+
+@st.composite
+def forwarder_chains(draw):
+    """Chains of forwarders, each above a process, an automaton or a channel
+    no leaf provides, with the leaves in any order."""
+    names = iter(draw(st.permutations([f"c{k:02d}" for k in range(24)])))
+    leaves = []
+    for root, length in draw(st.lists(st.tuples(st.sampled_from(["proc", "auto", "none"]),
+                                                st.integers(0, 4)), max_size=4)):
+        below = next(names)
+        if root == "proc":
+            leaves.append(ProcC(below, CLOSE))
+        elif root == "auto":
+            leaves.append(AutoC(below, "bme680", "S0", 0))
+        for _ in range(length):
+            chan = next(names)
+            leaves.append(FwdC(chan, below))
+            below = chan
+    return tuple(draw(st.permutations(leaves)))
+
+
+@given(st.one_of(forwarder_chains(), configurations))
+def test_normalize_matches_restart_loop(conf):
+    assert congruence_normalize(conf) == restart_normalize(conf)
 
 
 class TestEnumerate:
@@ -171,7 +228,7 @@ class TestDeepStructures:
         for k in reversed(range(1500)):
             sigma = StepT(k, k + 1, conf, StepC(k + 1, conf, conf, sigma))
         w = traj_from_sigma(sigma, end=1500)
-        assert w.r.breakpoint_times() == list(range(1500))
+        assert w.breakpoint_times() == list(range(1500))
         merged = seq_interleave(sigma, Refl(0, other))
         assert seq_steps(merged) == 1500 and seq_end(merged) == (1500, conf + other)
         left, right = traj_partition(w, 750)

@@ -1,4 +1,4 @@
-"""Trajectory algebra laws over randomized scheduler runs."""
+"""Laws of the trajectory algebra over randomized scheduler runs."""
 
 import random
 
@@ -38,7 +38,7 @@ def harvest(rng, prefix):
 
 
 def sample_times(w1, w2):
-    times = set(w1.r.breakpoint_times()) | set(w2.r.breakpoint_times())
+    times = set(w1.breakpoint_times()) | set(w2.breakpoint_times())
     return sorted(tm for tm in times if 0 <= tm < HORIZON)
 
 
