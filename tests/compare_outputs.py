@@ -1,0 +1,147 @@
+"""Compare what two source trees of tillst print, byte for byte.
+
+Usage: python tests/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory holding the ``tillst`` package, such as the
+``src`` directory of a checkout.  The inputs are the corpus files of
+CHANGE_SRC and the seed-1 programs and traces of the fanout, chain,
+disjunctive and corpus workloads of ``perfbench/workloads.py``.  For every
+program the two trees are compared on:
+
+- ``check``: stdout, stderr and exit code;
+- ``run`` of every system: stdout, stderr, exit code and the trace file;
+- ``smt``: stdout, stderr, exit code, every script, and ``index.json``
+  without the ``ms`` field each query's time is recorded in;
+- ``monitor`` of every type against up to four channels of each run trace,
+  and the monitor operations of the workloads themselves.
+
+Each tree runs in a process of its own, which calls ``tillst.cli.main``
+once per command.  Exits 0 when every output is identical; otherwise lists
+the differing outputs and exits 1.  Not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SEED = 1
+MONITORED_CHANNELS = 4
+
+
+def plan(corpus_dir: Path, inputs: Path) -> None:
+    """Write every input file and ``plan.json`` into ``inputs``."""
+    sys.path.insert(0, str(HERE.parent))
+    from perfbench.workloads import generate
+
+    files = {p.name: p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.tsl"))}
+    monitors = []
+    for name in ("fanout", "chain", "disjunctive", "corpus"):
+        w = generate(name, SEED, corpus_dir)
+        files.update(w.files)
+        monitors += [(op.program, op.type_name, op.trace, op.channel)
+                     for op in w.ops if op.kind == "monitor"]
+    for name, text in files.items():
+        (inputs / name).write_text(text, encoding="utf-8")
+    programs = {name: {"systems": re.findall(r"\bsystem\s+(\w+)", text),
+                       "types": re.findall(r"\btype\s+(\w+)\s*=", text)}
+                for name, text in sorted(files.items()) if name.endswith(".tsl")}
+    (inputs / "plan.json").write_text(json.dumps({"programs": programs, "monitors": monitors}))
+
+
+def collect(inputs: str) -> None:
+    """Run every planned command with the ``tillst`` on ``sys.path`` and
+    write the outputs, keyed by command, to ``outputs.json``.  Files are
+    written below the working directory, under the same relative names for
+    both trees, since ``smt`` prints the directory it writes to."""
+    from tillst.cli import main
+
+    inputs, out = Path(inputs), Path()
+    spec = json.loads((inputs / "plan.json").read_text())
+    outputs = {}
+
+    def call(key: str, *argv: str) -> None:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        outputs[key] = {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+                        "exit": code}
+
+    def monitor(program: str, type_name: str, trace: Path, channel: str) -> None:
+        call(f"monitor {program} {type_name} {trace.name} {channel}", "monitor",
+             str(inputs / program), "--type", type_name, "--trace", str(trace),
+             "--channel", channel)
+
+    traces = out / "traces"
+    traces.mkdir()
+    for program, decls in spec["programs"].items():
+        path = str(inputs / program)
+        call(f"check {program}", "check", path)
+        queries = out / "smt" / program
+        call(f"smt {program}", "smt", path, "--out", str(queries))
+        for script in sorted(queries.glob("*.smt2")):
+            outputs[f"smt {program} {script.name}"] = script.read_text(encoding="utf-8")
+        if (queries / "index.json").exists():
+            index = json.loads((queries / "index.json").read_text(encoding="utf-8"))
+            outputs[f"smt {program} index.json"] = [
+                {k: v for k, v in entry.items() if k != "ms"} for entry in index]
+        for system in decls["systems"]:
+            trace = traces / f"{program[:-4]}.{system}.out.jsonl"
+            call(f"run {program} {system}", "run", path, "--entry", system,
+                 "--trace", str(trace))
+            if not trace.exists():
+                continue
+            text = trace.read_text(encoding="utf-8")
+            outputs[f"trace {trace.name}"] = text
+            channels = sorted({json.loads(line)["channel"] for line in text.splitlines()})
+            for channel in channels[:MONITORED_CHANNELS]:
+                for type_name in decls["types"]:
+                    monitor(program, type_name, trace, channel)
+    for program, type_name, trace, channel in spec["monitors"]:
+        given = inputs / trace
+        monitor(program, type_name, given if given.exists() else traces / trace, channel)
+    (out / "outputs.json").write_text(json.dumps(outputs), encoding="utf-8")
+
+
+def run_tree(src: str, inputs: Path, out: Path) -> dict:
+    out.mkdir()
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+            "import compare_outputs; compare_outputs.collect(sys.argv[3])")
+    subprocess.run([sys.executable, "-c", code, str(Path(src).resolve()), str(HERE),
+                    str(inputs)], check=True, cwd=out)
+    return json.loads((out / "outputs.json").read_text(encoding="utf-8"))
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent_src, change_src = argv
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        plan(Path(change_src).resolve() / "tillst" / "corpus", inputs)
+        parent = run_tree(parent_src, inputs, tmp / "parent")
+        change = run_tree(change_src, inputs, tmp / "change")
+    keys = parent.keys() | change.keys()
+    differ = sorted(key for key in keys if parent.get(key) != change.get(key))
+    for key in differ:
+        print(f"differs: {key}")
+    programs = sum(key.startswith("check ") for key in keys)
+    print(f"{len(keys) - len(differ)} of {len(keys)} outputs identical over {programs} programs")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
