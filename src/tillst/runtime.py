@@ -17,18 +17,28 @@ form per class: every forwarder merged into the leaf providing its client
 channel, found through one map from provided channel to leaf, then the
 leaves sorted by provided channel.
 
-One generator, ``reductions``, lists every step available at an instant, and
-the scheduler, replay and the labelled view ``enumerate_transitions`` share
-its single pass over the leaves.  It pairs each send with the receives
-waiting for it by looking up the complementary action.  Its candidate order:
-the solitary silent steps by leaf, then the exchanges by (sender, receiver)
-leaf, stably sorted by (channel, kind, tag, payload) and deduplicated; then
-the sends of providers whose channel no leaf uses, offered to the environment
-as observable events, sorted the same way.  The scheduler takes the first
-candidate (a ``tiebreak`` may pick another) until none is left at the current
-clock.  One wait pass over the leaves then either blames a timing violation
-or lists the pending instants, and the clock advances to the least of them.
-Each run yields a replayable step sequence.
+One index, built for one ``run_scheduler``, ``replay`` or ``reductions`` call
+and dropped when it returns, generates the candidate steps of an instant.  It
+holds the configuration as a map from provided channel to leaf, a count per
+channel of the leaves that use it as a client, and each leaf's local steps at
+the current instant, sends and receives both keyed by the receive a send
+pairs with, so each send meets the receives waiting for it by lookup.  A
+taken step forgets the steps of only the leaves it fired or created, which
+are read again when next asked for; every leaf's steps are read again when
+the clock or the fresh name changes.  A body's free channels are computed
+once per body node.  The candidate order: the solitary silent steps by leaf,
+then the exchanges by (sender, receiver) leaf, stably sorted by (channel,
+kind, tag, payload); then the sends of providers whose channel no leaf uses,
+offered to the environment as observable events, sorted the same way.  The
+candidates come out in that order, and a candidate's normalized
+configuration is built only when read: the scheduler builds only the first
+(a ``tiebreak`` and ``reductions`` build the whole list, deduplicating the
+silent steps and exchanges), and replay builds them in turn until one
+matches the recorded step.  The scheduler takes a candidate until none is
+left at the current clock.  One wait pass over the index's leaves then
+either blames a timing violation or lists the pending instants, and the
+clock advances to the least of them.  Each run yields a replayable step
+sequence.
 
 A process leaf carries an environment instead of rewritten continuations,
 so its body is always a subterm of the program as parsed: when a provider
@@ -44,7 +54,9 @@ so replays and reorderings allocate identical names.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 from . import syntax as s
@@ -281,17 +293,6 @@ def congruence_normalize(omega: Configuration) -> Configuration:
     return tuple(by_chan[chan] for chan in sorted(by_chan))
 
 
-def clients_of(leaves: Configuration) -> set:
-    """Channels some leaf uses from the client side."""
-    used = set()
-    for leaf in leaves:
-        if isinstance(leaf, ProcC):
-            used.update(map(leaf.env.chan, s.free_channels(leaf.body)))
-        elif isinstance(leaf, FwdC):
-            used.add(leaf.client)
-    return used
-
-
 # ---------------------------------------------------------------------------
 # Actions (the record is ``syntax.Action``)
 
@@ -438,19 +439,28 @@ def _leaf_steps(leaf, now: int, ext: ExternEnv, defs: dict, fresh: str) -> list:
     return []  # FwdC resolves through congruence
 
 
-def _local_steps(leaves: Configuration, now: int, ext: ExternEnv, defs: dict) -> tuple:
-    """The one pass over the leaves: (the channels some leaf uses as a
-    client, the fresh channel, each leaf's steps at ``now``).  A sent channel
-    and a spawned child are both named by the fresh channel, the least ``#k``
-    unused in the configuration, so replays and reorderings allocate
-    identical names."""
-    used = clients_of(leaves)
-    taken = used.union(leaf.chan for leaf in leaves)
+NO_CHANNELS = frozenset()
+
+
+def _client_channels(leaf, table: dict) -> frozenset:
+    """The channels ``leaf`` uses from the client side, its body's free
+    channels read from ``table`` (see ``syntax.free_channel_table``)."""
+    if isinstance(leaf, ProcC):
+        fc, chans = s.free_channel_table(leaf.body, table), leaf.env.chans
+        return fc if chans.keys().isdisjoint(fc) else frozenset(map(chans.get, fc, fc))
+    if isinstance(leaf, FwdC):
+        return frozenset((leaf.client,))
+    return NO_CHANNELS
+
+
+def _fresh_name(provided, used) -> str:
+    """The channel a sent channel and a spawned child are both named by: the
+    least ``#k`` neither provided nor used, so replays and reorderings
+    allocate identical names."""
     k = 1
-    while f"#{k}" in taken:
+    while f"#{k}" in provided or f"#{k}" in used:
         k += 1
-    fresh = f"#{k}"
-    return used, fresh, [_leaf_steps(leaf, now, ext, defs, fresh) for leaf in leaves]
+    return f"#{k}"
 
 
 def enumerate_transitions(omega: Configuration, now: int,
@@ -461,7 +471,10 @@ def enumerate_transitions(omega: Configuration, now: int,
     payload is None until a communication partner fixes it."""
     env = env or ExternEnv()
     defs = defs or {}
-    _, _, per_leaf = _local_steps(omega, now, env, defs)
+    table = {}
+    used = NO_CHANNELS.union(*(_client_channels(leaf, table) for leaf in omega))
+    fresh = _fresh_name({leaf.chan for leaf in omega}, used)
+    per_leaf = [_leaf_steps(leaf, now, env, defs, fresh) for leaf in omega]
     out = []
     for i, steps in enumerate(per_leaf):
         for step in steps:
@@ -474,50 +487,225 @@ def _step_sort_key(event: TraceEvent) -> tuple:
     return (event.channel, event.action.kind, event.tag or "", str(event.payload() or ""))
 
 
+class _Candidate:
+    """One step of the index's current instant: the leaves it fires, the
+    local steps that replace them (a send's partner receive, if any) and its
+    event.  ``rank`` is its place in the candidate order.  Its configuration
+    is built from the index, which must not move meanwhile, when first
+    read."""
+
+    __slots__ = ("index", "rank", "fired", "step", "partner", "payload", "event", "_after")
+
+    def __init__(self, index, rank, fired, step, partner, payload, event):
+        self.index, self.rank, self.fired, self.event = index, rank, fired, event
+        self.step, self.partner, self.payload = step, partner, payload
+        self._after = None
+
+    @property
+    def after(self) -> tuple:
+        """(configuration, its provided channels, the channels whose leaf
+        changed or None if not known)."""
+        if self._after is None:
+            replaced = self.step.fire(self.payload)
+            if self.partner is not None:
+                replaced = replaced + self.partner.fire(self.payload)
+            self._after = self.index.after(self.fired, replaced)
+        return self._after
+
+    @property
+    def config(self) -> Configuration:
+        return self.after[0]
+
+
+_by_rank = attrgetter("rank")
+
+
+class _Index:
+    """The state of one ``run_scheduler``, ``replay`` or ``reductions`` call,
+    dropped when the call returns.
+
+    It holds the normalized configuration ``conf``, its provided channels in
+    order (``chans``) and the map ``leaves`` from provided channel to leaf;
+    the channels each leaf uses as a client (``uses``) and, per channel, the
+    number of leaves that use it (``clients``); and the leaves' steps at the
+    instant ``now``, registered by kind: silent steps by leaf, sends by the
+    receive they pair with (``sends``), receives by their action (``recv``),
+    the keys the two share (``matched``), and sends on the sender's own
+    channel by leaf (``offers``).  Bodies' free channels are read from a
+    table kept per body node (``free``).  Taking a step forgets the steps of
+    only the leaves it fired or created, and they are read again when next
+    asked for; all steps are read again when the clock or the fresh name
+    changes.
+    """
+
+    def __init__(self, omega: Configuration, now: int, ext: ExternEnv, defs: dict):
+        self.ext, self.defs, self.now = ext, defs, now
+        self.free = {}
+        self.conf = congruence_normalize(omega)
+        self.chans = [leaf.chan for leaf in self.conf]
+        self.leaves, self.uses, self.clients, self.fwds = {}, {}, {}, set()
+        self.regs, self.stale = {}, set()  # per leaf, the table entries of its steps
+        self.silent, self.sends, self.recv, self.matched, self.offers = {}, {}, {}, set(), {}
+        for leaf in self.conf:
+            self._place(leaf.chan, leaf)
+        self.fresh = _fresh_name(self.leaves, self.clients)
+
+    def _place(self, chan: str, leaf) -> None:
+        """Put ``leaf`` (None: no leaf) at ``chan`` in place of the leaf
+        there, counting the channels it uses instead of that leaf's."""
+        self._forget_steps(chan)
+        old, was, used = self.leaves.pop(chan, None), self.uses.pop(chan, NO_CHANNELS), NO_CHANNELS
+        if leaf is not None:
+            self.leaves[chan] = leaf
+            # a process that moved on within its body's uses keeps its set
+            same = (isinstance(leaf, ProcC) and isinstance(old, ProcC)
+                    and leaf.env.chans is old.env.chans
+                    and s.free_channel_table(leaf.body, self.free)
+                    is s.free_channel_table(old.body, self.free))
+            self.uses[chan] = used = was if same else _client_channels(leaf, self.free)
+            self.stale.add(chan)
+        (self.fwds.add if isinstance(leaf, FwdC) else self.fwds.discard)(chan)
+        clients = self.clients
+        for x in was - used:
+            if clients[x] == 1:
+                del clients[x]
+            else:
+                clients[x] -= 1
+        for x in used - was:
+            clients[x] = clients.get(x, 0) + 1
+
+    def _register(self, table: dict, key, chan: str, entry: tuple) -> None:
+        table.setdefault(key, {}).setdefault(chan, []).append(entry)
+        self.regs.setdefault(chan, []).append((table, key))
+        if key in self.sends and key in self.recv:
+            self.matched.add(key)
+
+    def _forget_steps(self, chan: str) -> None:
+        for table, key in self.regs.pop(chan, ()):
+            by_leaf = table.get(key)
+            if by_leaf is not None and by_leaf.pop(chan, None) is not None and not by_leaf:
+                del table[key]
+                self.matched.discard(key)
+        self.silent.pop(chan, None)
+        self.offers.pop(chan, None)
+        self.stale.discard(chan)
+
+    def _read_stale(self) -> None:
+        """Read the steps of the leaves whose steps are not known, in channel
+        order, so an error names the leaf a full pass would name first."""
+        for chan in sorted(self.stale):
+            steps = _leaf_steps(self.leaves[chan], self.now, self.ext, self.defs, self.fresh)
+            for k, step in enumerate(steps):
+                a = step.action
+                if isinstance(a, SilentA):
+                    self.silent.setdefault(chan, []).append((k, step))
+                elif a.direction == "recv":
+                    self._register(self.recv, a, chan, (k, step))
+                else:
+                    self._register(self.sends, _partner(a), chan, (k, step))
+                    if a.chan == chan:
+                        self.offers.setdefault(chan, []).append((k, step))
+        self.stale.clear()
+
+    def _forget_all_steps(self) -> None:
+        for table in (self.regs, self.silent, self.sends, self.recv, self.matched, self.offers):
+            table.clear()
+        self.stale = set(self.leaves)
+
+    def advance(self, now: int) -> None:
+        """Move the clock to ``now``."""
+        self.now = now
+        self._forget_all_steps()
+
+    def candidates(self) -> tuple:
+        """(the silent steps and exchanges, the sends offered to the
+        environment) at the current instant, each list in the candidate
+        order of the module docstring; not deduplicated."""
+        self._read_stale()
+        now, comm, offered = self.now, [], []
+        for i, steps in self.silent.items():
+            for k, step in steps:
+                event = TraceEvent(now, SILENT, self.fresh if step.tag == "spawn" else i, step.tag)
+                comm.append(_Candidate(self, (_step_sort_key(event), 0, i, k), (i,), step,
+                                       None, None, event))
+        for key in self.matched:
+            receivers = self.recv[key]
+            for i, sends in self.sends[key].items():
+                for k, step in sends:
+                    a = step.action
+                    event = TraceEvent(now, a, a.chan)
+                    rank = _step_sort_key(event)
+                    comm += [_Candidate(self, (rank, 1, i, j, k, kj), (i, j), step, rcv,
+                                        a.payload, event)
+                             for j, rcvs in receivers.items() if j != i for kj, rcv in rcvs]
+        for i in self.offers.keys() - self.clients.keys():
+            for k, step in self.offers[i]:
+                event = TraceEvent(now, step.action, i)
+                offered.append(_Candidate(self, (_step_sort_key(event), i, k), (i,), step, None,
+                                          step.action.payload, event))
+        comm.sort(key=_by_rank)
+        offered.sort(key=_by_rank)
+        return comm, offered
+
+    def after(self, fired: tuple, replaced: list) -> tuple:
+        """``_Candidate.after`` for the step that replaces the leaves at the
+        channels ``fired`` by ``replaced``.  Without forwarders to merge the
+        configuration is spliced; otherwise it is normalized whole."""
+        if not self.fwds and not any(isinstance(x, FwdC) for x in replaced):
+            conf, chans = list(self.conf), self.chans.copy()
+            for chan in fired:
+                p = bisect_left(chans, chan)
+                del chans[p], conf[p]
+            for leaf in replaced:
+                p = bisect_left(chans, leaf.chan)
+                if chans[p:p + 1] == [leaf.chan]:
+                    break  # a duplicate provider, which normalizing reports
+                chans.insert(p, leaf.chan)
+                conf.insert(p, leaf)
+            else:
+                return tuple(conf), chans, set(fired).union(x.chan for x in replaced)
+        conf = congruence_normalize([x for x in self.conf if x.chan not in fired] + replaced)
+        return conf, [x.chan for x in conf], None
+
+    def take(self, cand: _Candidate, conf: Optional[Configuration] = None) -> None:
+        """Make the configuration after ``cand`` current, held as the equal
+        configuration ``conf`` if given."""
+        built, chans, touched = cand.after
+        conf = built if conf is None else conf
+        if touched is None:
+            new = dict(zip(chans, conf))
+            touched = {c for c in self.leaves.keys() | new.keys()
+                       if self.leaves.get(c) is not new.get(c)}
+        self.conf, self.chans = conf, chans
+        for chan in touched:
+            p = bisect_left(chans, chan)
+            self._place(chan, conf[p] if chans[p:p + 1] == [chan] else None)
+        fresh = _fresh_name(self.leaves, self.clients)
+        if fresh != self.fresh:
+            self.fresh = fresh
+            self._forget_all_steps()
+
+
+def _listed(index: _Index) -> list:
+    """Every candidate at the index's instant in candidate order, silent
+    steps and exchanges with equal configuration and event deduplicated."""
+    comm, offered = index.candidates()
+    if len(comm) > 1:  # hashing a configuration walks every leaf's body
+        unique = {}
+        for cand in comm:
+            unique.setdefault((cand.config, cand.event), cand)
+        comm = list(unique.values())
+    return comm + offered
+
+
 def reductions(omega: Configuration, now: int,
                env: Optional[ExternEnv] = None,
                defs: Optional[dict] = None) -> list:
     """Every step available at this instant, as (configuration, event)
     pairs in the candidate order the module docstring gives.  Configurations
     are congruence-normalized; an exchange's event records its send half."""
-    env = env or ExternEnv()
-    defs = defs or {}
-    leaves = congruence_normalize(omega)
-    used, fresh, per_leaf = _local_steps(leaves, now, env, defs)
-
-    def after(fired: tuple, replaced: list) -> Configuration:
-        return congruence_normalize([x for k, x in enumerate(leaves) if k not in fired]
-                                    + replaced)
-
-    receivers = {}
-    for j, steps in enumerate(per_leaf):
-        for rcv in steps:
-            if rcv.action.direction == "recv":
-                receivers.setdefault(rcv.action, []).append((j, rcv))
-    comm, pairs, offered = [], [], []
-    for i, steps in enumerate(per_leaf):
-        own = leaves[i].chan
-        for step in steps:
-            a = step.action
-            if isinstance(a, SilentA):
-                chan = fresh if step.tag == "spawn" else own
-                comm.append((after((i,), step.fire(None)), TraceEvent(now, a, chan, step.tag)))
-                continue
-            if a.direction != "send":
-                continue
-            pairs += [(i, j, step, rcv) for j, rcv in receivers.get(_partner(a), ()) if j != i]
-            if a.chan == own and own not in used:
-                offered.append((after((i,), step.fire(a.payload)), TraceEvent(now, a, a.chan)))
-    pairs.sort(key=lambda m: m[:2])
-    for i, j, snd, rcv in pairs:
-        a = snd.action
-        conf = after((i, j), snd.fire(a.payload) + rcv.fire(a.payload))
-        comm.append((conf, TraceEvent(now, a, a.chan)))
-    comm.sort(key=lambda c: _step_sort_key(c[1]))
-    if len(comm) > 1:  # hashing a configuration walks every leaf's body
-        comm = list(dict.fromkeys(comm))
-    offered.sort(key=lambda c: _step_sort_key(c[1]))
-    return comm + offered
+    index = _Index(omega, now, env or ExternEnv(), defs or {})
+    return [(cand.config, cand.event) for cand in _listed(index)]
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +855,7 @@ def replay(sigma: StepSequence, env: Optional[ExternEnv] = None,
     an environment-facing send) and every clock advance is non-decreasing."""
     env = env or ExternEnv()
     norm = congruence_normalize
+    index = None  # the configuration each checked step leads to
     while not isinstance(sigma, Refl):
         if isinstance(sigma, StepT):
             if sigma.t1 > sigma.t2:
@@ -674,14 +863,21 @@ def replay(sigma: StepSequence, env: Optional[ExternEnv] = None,
             nxt_t, nxt_c = seq_start(sigma.rest)
             if nxt_t != sigma.t2 or norm(nxt_c) != norm(sigma.config):
                 return False
+            if index is not None:
+                index.advance(sigma.t2)
             sigma = sigma.rest
             continue
         nxt_t, nxt_c = seq_start(sigma.rest)
         want = norm(sigma.after)
-        if nxt_t != sigma.time or norm(nxt_c) != want:
+        if nxt_t != sigma.time or (nxt_c is not sigma.after and norm(nxt_c) != want):
             return False
-        if not any(conf == want for conf, _ in reductions(sigma.before, sigma.time, env, defs)):
+        if index is None:
+            index = _Index(sigma.before, sigma.time, env, defs or {})
+        comm, offered = index.candidates()
+        match = next((cand for cand in comm + offered if cand.config == want), None)
+        if match is None:
             return False
+        index.take(match, want)  # later steps then compare identical leaves
         sigma = sigma.rest
     return True
 
@@ -743,9 +939,9 @@ def _earliest_enabled(leaf: ProcC, lo: int, horizon: int) -> Optional[int]:
     return model[p.binder]
 
 
-def _wait_pass(leaves: Configuration, now: int, horizon: int, defs: dict) -> tuple:
-    """What the leaves wait for once the instant ``now`` has no step left:
-    (a timing violation or None, the sorted instants after ``now`` at which a
+def _wait_pass(index: _Index, horizon: int) -> tuple:
+    """What the index's leaves wait for once its instant has no step left:
+    (a timing violation or None, the sorted instants after it at which a
     step may become available).
 
     Client, forward and spawn leaves come first.  One whose instant has passed
@@ -755,7 +951,7 @@ def _wait_pass(leaves: Configuration, now: int, horizon: int, defs: dict) -> tup
     automaton releases and the windows of providers sending to the
     environment read, so the solver runs after every violation check.
     """
-    by_chan = {leaf.chan: leaf for leaf in leaves}
+    leaves, by_chan, now, defs = index.conf, index.leaves, index.now, index.defs
     pend = set()
     for leaf in leaves:
         if not isinstance(leaf, ProcC):
@@ -788,14 +984,13 @@ def _wait_pass(leaves: Configuration, now: int, horizon: int, defs: dict) -> tup
             if s.PROVIDES.get(type(q)) is want and not _pred_holds_at(q, provider.env, now):
                 window = render_prop(provider.env.close(q.pred, q.binder))
                 return TimingViolationInfo(chan, tick, window, {q.binder: now}), []
-    used = clients_of(leaves)
     for leaf in leaves:
         if isinstance(leaf, AutoC):
             releases = (leaf.entry + tr.guard_offset
                         for tr in transitions_from(defs[leaf.machine], leaf.state))
             pend.update(r for r in releases if r > now)
         elif (isinstance(leaf, ProcC) and type(leaf.body) in s.PROVIDES
-              and leaf.chan not in used
+              and leaf.chan not in index.clients
               and s.CONNECTIVES[s.PROVIDES[type(leaf.body)]].provider_dir == "send"):
             nxt = _earliest_enabled(leaf, now + 1, horizon)
             if nxt is not None:
@@ -816,24 +1011,31 @@ def run_scheduler(omega: Configuration, start: int = 0,
     if horizon is None:
         horizon = start + 10**6
     clock = start
-    config = congruence_normalize(omega)
+    index = _Index(omega, start, env, defs)
     steps = []  # StepC and StepT, each without its rest
     trace = []
     status, error = "done", None
 
     while True:
         while True:
-            candidates = reductions(config, clock, env, defs)
-            if not candidates:
-                break
-            pick = 0 if tiebreak is None else tiebreak(clock, candidates) % len(candidates)
-            new_config, event = candidates[pick]
-            steps.append(StepC(clock, config, new_config, None))
-            trace.append(event)
-            config = new_config
+            if tiebreak is None:
+                comm, offered = index.candidates()
+                if not comm and not offered:
+                    break
+                chosen = (comm or offered)[0]
+            else:
+                candidates = _listed(index)
+                if not candidates:
+                    break
+                pick = tiebreak(clock, [(c.config, c.event) for c in candidates])
+                chosen = candidates[pick % len(candidates)]
+            steps.append(StepC(clock, index.conf, chosen.config, None))
+            trace.append(chosen.event)
+            index.take(chosen)
+        config = index.conf
         if not config:
             break
-        violation, pend = _wait_pass(config, clock, horizon, defs)
+        violation, pend = _wait_pass(index, horizon)
         if violation is not None:
             status, error = "timing_violation", violation
             break
@@ -847,6 +1049,7 @@ def run_scheduler(omega: Configuration, start: int = 0,
             break
         steps.append(StepT(clock, nxt, config, None))
         clock = nxt
+        index.advance(clock)
     sigma = seq_prepend(steps, Refl(clock, config))
     return RunResult(status, trace, config, sigma, clock, error)
 

@@ -648,3 +648,35 @@ def free_channels(p: Process) -> set:
                 stack.append((getattr(p, name), len(binders)))
             p = getattr(p, children[-1])
     return out
+
+
+def free_channel_table(p: Process, table: dict) -> frozenset:
+    """``free_channels(p)``, with the free channels of ``p`` and of every
+    subterm recorded in ``table`` as ``id(node) -> (node, channels)``, so a
+    subterm already recorded is not read again.  A node that adds no channel
+    to its only child's set and binds none of it shares that set.  Children
+    are read before their parents from an explicit stack, so deep terms need
+    no Python stack."""
+    stack = [p]
+    while stack:
+        q = stack[-1]
+        if id(q) in table:  # the table holds q, so its id is not reused
+            stack.pop()
+            continue
+        uses, binder, children = _PROC_FIELDS[type(q)]
+        kids = [getattr(q, name) for name in children]
+        missing = [kid for kid in kids if id(kid) not in table]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        own = q.args if uses == "args" else (getattr(q, uses),) if uses else ()
+        sets = [table[id(kid)][1] for kid in kids]
+        if binder is not None:
+            bound = getattr(q, binder)
+            sets = [fc - {bound} if bound in fc else fc for fc in sets]
+        if len(sets) == 1 and sets[0].issuperset(own):
+            table[id(q)] = (q, sets[0])
+        else:
+            table[id(q)] = (q, frozenset(own).union(*sets))
+    return table[id(p)][1]

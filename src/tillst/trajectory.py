@@ -10,6 +10,7 @@ partitioning and interleaving act on the sequence alone.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -52,18 +53,19 @@ class CTraj:
     def start(self) -> int:
         return seq_start(self.sigma)[0]
 
+    @cached_property
+    def _ticks(self) -> list:
+        return [tick for tick, _ in self.points]
+
     def at(self, when: int) -> Configuration:
+        """The configuration of the last breakpoint at or before ``when``,
+        found by bisection."""
         if when < self.start or (self.end is not None and when >= self.end):
             raise DomainError(f"{render_instant(when)} outside [{self.start}, {self.end})")
-        value = self.points[0][1]
-        for tick, conf in self.points:
-            if tick > when:
-                break
-            value = conf
-        return value
+        return self.points[max(bisect_right(self._ticks, when) - 1, 0)][1]
 
     def breakpoint_times(self) -> list:
-        return [tick for tick, _ in self.points]
+        return list(self._ticks)
 
     def initial(self) -> Configuration:
         return seq_start(self.sigma)[1]

@@ -4,9 +4,11 @@ Usage: python tests/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory holding the ``tillst`` package, such as the
 ``src`` directory of a checkout.  The inputs are the corpus files of
-CHANGE_SRC and the seed-1 programs and traces of the fanout, chain,
-disjunctive and corpus workloads of ``perfbench/workloads.py``.  For every
-program the two trees are compared on:
+CHANGE_SRC, the seed-1 programs and traces of the fanout, chain,
+disjunctive and corpus workloads of ``perfbench/workloads.py``, and that
+file's fanout programs at N=256 and chain program at n=300, the sizes the
+scaling baselines are measured at.  For every program the two trees are
+compared on:
 
 - ``check``: stdout, stderr and exit code;
 - ``run`` of every system: stdout, stderr, exit code and the trace file;
@@ -39,7 +41,7 @@ MONITORED_CHANNELS = 4
 def plan(corpus_dir: Path, inputs: Path) -> None:
     """Write every input file and ``plan.json`` into ``inputs``."""
     sys.path.insert(0, str(HERE.parent))
-    from perfbench.workloads import generate
+    from perfbench.workloads import chain_program, fanout_program, generate
 
     files = {p.name: p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.tsl"))}
     monitors = []
@@ -48,6 +50,9 @@ def plan(corpus_dir: Path, inputs: Path) -> None:
         files.update(w.files)
         monitors += [(op.program, op.type_name, op.trace, op.channel)
                      for op in w.ops if op.kind == "monitor"]
+    files["fanout256.tsl"] = fanout_program(256, False)
+    files["fanout256_mut.tsl"] = fanout_program(256, True)
+    files["chain300.tsl"] = chain_program(300, list(range(300)))
     for name, text in files.items():
         (inputs / name).write_text(text, encoding="utf-8")
     programs = {name: {"systems": re.findall(r"\bsystem\s+(\w+)", text),

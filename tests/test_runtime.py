@@ -1,13 +1,17 @@
 import dataclasses
 import itertools
+import random
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.cli import build_system
+from tillst.parser import parse_program
 from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
                             ProcC, Refl, RuntimeInvariantError, SILENT, StepC,
                             StepT, TraceEvent, complementary,
@@ -16,8 +20,14 @@ from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
                             replay, run_scheduler, seq_concat, seq_end,
                             seq_interleave, seq_start, seq_steps,
                             trace_from_jsonl, trace_to_jsonl)
+from tillst.temporal import TillstError
+from tillst.runtime import (_Index, _leaf_steps, _partner, _step_sort_key,
+                            _wait_pass, DeadlockInfo, SilentA, describe_leaf)
 from tillst.trajectory import (traj_concat, traj_equiv, traj_from_sigma,
                                traj_partition)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
+from perfbench.workloads import chain_program, fanout_program  # noqa: E402
 
 T0 = t.INIT
 sh = t.init_plus
@@ -395,29 +405,39 @@ class TestWholeSystem:
         assert replay(r.sigma, env, defs)
 
     def test_instant_confluence(self, load_corpus):
-        # permuting the firing order within each instant leaves the event
-        # multiset unchanged (instants with at most 4 simultaneous choices)
-        _, omega, start, defs, env = whole_system(load_corpus)
-        base = run_scheduler(omega, start, env=env, defs=defs)
-        baseline = sorted(as_tuples(base.trace))
-        # count micro-steps per instant in the baseline
-        per_instant = {}
-        for ev in base.trace:
-            per_instant[ev.time] = per_instant.get(ev.time, 0) + 1
-        for when, micro in sorted(per_instant.items()):
-            if micro > 4:
-                continue
-            for perm in itertools.permutations(range(micro)):
-                plan = list(perm)
-
-                def tiebreak(clock, candidates, w=when, plan=plan):
-                    if clock == w and plan:
-                        return plan.pop(0)
-                    return 0
-
-                r = run_scheduler(omega, start, env=env, defs=defs, tiebreak=tiebreak)
-                assert r.status == "done"
-                assert sorted(as_tuples(r.trace)) == baseline
+        # reordering the firings within each instant leaves the event
+        # multiset unchanged: every order of an instant with at most 4
+        # micro-steps, 20 seeded random orders of a longer one
+        systems = [(load_corpus("smart_home.tsl"), "main"),
+                   (parse_program(fanout_program(6, False)), "main"),
+                   (parse_program(chain_program(10, list(range(10)))), "go")]
+        for prog, entry in systems:
+            omega, start, defs = build_system(prog, entry)
+            env = ExternEnv(prog, seed=0)
+            base = run_scheduler(omega, start, env=env, defs=defs)
+            assert base.status == "done"
+            baseline = sorted(as_tuples(base.trace))
+            # count micro-steps per instant in the baseline
+            per_instant = {}
+            for ev in base.trace:
+                per_instant[ev.time] = per_instant.get(ev.time, 0) + 1
+            for when, micro in sorted(per_instant.items()):
+                if micro > 4:
+                    def tiebreak(clock, candidates, w=when, rng=random.Random(when)):
+                        return rng.randrange(len(candidates)) if clock == w else 0
+                    tiebreaks = [tiebreak] * 20  # one random order per run
+                else:
+                    tiebreaks = []
+                    for perm in itertools.permutations(range(micro)):
+                        def tiebreak(clock, candidates, w=when, plan=list(perm)):
+                            if clock == w and plan:
+                                return plan.pop(0)
+                            return 0
+                        tiebreaks.append(tiebreak)
+                for tiebreak in tiebreaks:
+                    r = run_scheduler(omega, start, env=env, defs=defs, tiebreak=tiebreak)
+                    assert r.status == "done"
+                    assert sorted(as_tuples(r.trace)) == baseline
 
 
 class TestReplay:
@@ -704,3 +724,203 @@ class TestBinding:
         assert r.status == "timing_violation"
         assert r.error.render() == ("client instant t0+0 on s1 misses the provider "
                                     "window <instant already passed>")
+
+
+# ---------------------------------------------------------------------------
+# The indexed scheduler against the loop it replaced
+
+
+def reference_reductions(omega, now, env, defs):
+    """The reference: one pass over every leaf at every call, clients read
+    from each body's free channels, then every candidate built and
+    normalized, in the candidate order of the runtime's docstring."""
+    leaves = congruence_normalize(omega)
+    used = set()
+    for leaf in leaves:
+        if isinstance(leaf, ProcC):
+            used.update(map(leaf.env.chan, s.free_channels(leaf.body)))
+        elif isinstance(leaf, FwdC):
+            used.add(leaf.client)
+    taken = used.union(leaf.chan for leaf in leaves)
+    k = 1
+    while f"#{k}" in taken:
+        k += 1
+    fresh = f"#{k}"
+    per_leaf = [_leaf_steps(leaf, now, env, defs, fresh) for leaf in leaves]
+
+    def after(fired, replaced):
+        return congruence_normalize([x for k, x in enumerate(leaves) if k not in fired]
+                                    + replaced)
+
+    receivers = {}
+    for j, steps in enumerate(per_leaf):
+        for rcv in steps:
+            if rcv.action.direction == "recv":
+                receivers.setdefault(rcv.action, []).append((j, rcv))
+    comm, pairs, offered = [], [], []
+    for i, steps in enumerate(per_leaf):
+        own = leaves[i].chan
+        for step in steps:
+            a = step.action
+            if isinstance(a, SilentA):
+                chan = fresh if step.tag == "spawn" else own
+                comm.append((after((i,), step.fire(None)), TraceEvent(now, a, chan, step.tag)))
+                continue
+            if a.direction != "send":
+                continue
+            pairs += [(i, j, step, rcv) for j, rcv in receivers.get(_partner(a), ()) if j != i]
+            if a.chan == own and own not in used:
+                offered.append((after((i,), step.fire(a.payload)), TraceEvent(now, a, a.chan)))
+    pairs.sort(key=lambda m: m[:2])
+    for i, j, snd, rcv in pairs:
+        a = snd.action
+        comm.append((after((i, j), snd.fire(a.payload) + rcv.fire(a.payload)),
+                     TraceEvent(now, a, a.chan)))
+    comm.sort(key=lambda c: _step_sort_key(c[1]))
+    if len(comm) > 1:
+        comm = list(dict.fromkeys(comm))
+    offered.sort(key=lambda c: _step_sort_key(c[1]))
+    return comm + offered
+
+
+def reference_run(omega, start, env, defs, horizon):
+    """The reference scheduler: the first reference candidate at every
+    step, checked against ``reductions``, then the wait pass over an index
+    built afresh.  Returns (status, error, trace, steps, final, end)."""
+    clock, config = start, congruence_normalize(omega)
+    steps, trace = [], []
+    status, error = "done", None
+    while True:
+        while True:
+            candidates = reference_reductions(config, clock, env, defs)
+            assert reductions(config, clock, env, defs) == candidates
+            if not candidates:
+                break
+            new_config, event = candidates[0]
+            steps.append(StepC(clock, config, new_config, None))
+            trace.append(event)
+            config = new_config
+        if not config:
+            break
+        violation, pend = _wait_pass(_Index(config, clock, env, defs), horizon)
+        if violation is not None:
+            status, error = "timing_violation", violation
+            break
+        if not pend:
+            status = "deadlock"
+            error = DeadlockInfo(clock, sorted(describe_leaf(x) for x in config))
+            break
+        if pend[0] > horizon:
+            status = "horizon"
+            break
+        steps.append(StepT(clock, pend[0], config, None))
+        clock = pend[0]
+    return status, error, trace, steps, config, clock
+
+
+def _differential_cases():
+    """Every corpus system, fanout N=2..24 with and without the early gas
+    reading, chain n=10 with a late stage, and two smart-home mutants that
+    the checker accepts and the run rejects."""
+    from tillst import corpus_files, corpus_path
+
+    cases = []
+    for path in corpus_files():
+        text = Path(path).read_text(encoding="utf-8")
+        cases += [pytest.param(text, d.name, id=f"{Path(path).stem}:{d.name}")
+                  for d in parse_program(text).systems]
+    cases += [pytest.param(fanout_program(n, mut), "main", id=f"fanout{n}{'_mut' * mut}")
+              for n in range(2, 25) for mut in (False, True)]
+    home = Path(corpus_path("smart_home.tsl")).read_text(encoding="utf-8")
+    guard40 = home.replace("S4 --[30, !val(read_gas)]", "S4 --[40, !val(read_gas)]")
+    no_r = home.replace("S0 --[?R]--> S2;", "")
+    assert guard40 != home and no_r != home
+    cases += [pytest.param(chain_program(10, list(range(10)), late=4), "go", id="chain10_late4"),
+              pytest.param(guard40, "main", id="smart_home_guard40"),
+              pytest.param(no_r, "main", id="smart_home_no_R")]
+    return cases
+
+
+@pytest.mark.parametrize("text,entry", _differential_cases())
+def test_scheduler_matches_reference_loop(text, entry):
+    prog = parse_program(text)
+    omega, start, defs = build_system(prog, entry)
+    env = ExternEnv(prog, seed=0)
+    horizon = start + 10**6
+    status, error, trace, steps, final, end = reference_run(omega, start, env, defs, horizon)
+    r = run_scheduler(omega, start, env=env, defs=defs)
+    assert (r.status, r.end_time, r.final) == (status, end, final)
+    assert (r.error and r.error.render()) == (error and error.render())
+    assert r.trace == trace
+    got, node = [], r.sigma
+    while not isinstance(node, Refl):
+        got.append(dataclasses.replace(node, rest=None))
+        node = node.rest
+    assert got == steps
+    assert node == Refl(end, final)
+
+
+SPAWNED = s.ProcDecl("w", (("x", None),), None, s.SelectLP("x", sh(0), CLOSE))
+instants = st.integers(0, 1).map(sh)
+names = st.sampled_from("abcdy")
+ints = st.integers(0, 1).map(s.IntLit)
+
+
+def compound(sub):
+    return st.one_of(
+        st.builds(s.WaitP, instants, names, sub),
+        st.builds(s.LamRecv, st.just("t"), st.just(t.TOP), names, sub),
+        st.builds(s.AppSend, names, instants, sub, sub),
+        st.builds(s.PairSend, st.just("t"), st.just(t.TOP), sub, sub),
+        st.builds(s.PairRecv, names, instants, names, sub),
+        st.builds(s.InLP, st.just("t"), st.just(t.TOP), sub),
+        st.builds(s.InRP, st.just("t"), st.just(t.TOP), sub),
+        st.builds(s.CaseP, instants, names, sub, sub),
+        st.builds(s.OfferP, st.just("t"), st.just(t.TOP), sub, sub),
+        st.builds(s.SelectLP, names, instants, sub),
+        st.builds(s.SelectRP, names, instants, sub),
+        st.builds(s.ProdP, st.just("t"), st.just(t.TOP), ints, sub),
+        st.builds(s.ConsP, names, instants, st.just("v"), sub),
+        st.builds(s.QueryRecvP, st.just("t"), st.just(t.TOP), st.just("v"), sub),
+        st.builds(s.SupplyP, names, instants, ints, sub),
+        st.builds(s.SpawnP, instants, st.just("w"), st.tuples(names), names, sub),
+    )
+
+
+# Process bodies of every form but the conditional, providing at any instant
+# and using channels a..d (and y, which a receive or a spawn may bind) at t0
+# or t0+1, linear or not.
+processes = st.recursive(st.one_of(st.just(CLOSE), st.builds(s.FwdP, instants, names)),
+                         compound, max_leaves=8)
+
+
+def outcome(thunk):
+    try:
+        return "ok", thunk()
+    except TillstError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcd"), processes), max_size=4,
+                unique_by=lambda x: x[0]))
+# two senders of one label and two receivers of it: the exchanges order by
+# sender, then receiver
+@example([("a", s.OfferP("t", t.TOP, CLOSE, CLOSE)), ("b", s.SelectLP("a", sh(0), CLOSE)),
+          ("c", s.SelectLP("a", sh(0), CLOSE)), ("d", s.CaseP(sh(0), "a", CLOSE, CLOSE))])
+def test_index_matches_reference_on_random_configurations(leaves):
+    # exchanges, sends to the environment, fresh names and forwarders
+    # among process leaves that need not be well typed
+    omega = tuple(ProcC(chan, body) for chan, body in leaves)
+    env = ExternEnv(s.Program(procs=(SPAWNED,)))
+    assert outcome(lambda: reductions(omega, 0, env)) == \
+        outcome(lambda: reference_reductions(omega, 0, env, {}))
+
+    def run():
+        r = run_scheduler(omega, 0, horizon=4, env=env)
+        return r.status, r.error and r.error.render(), r.trace, seq_steps(r.sigma), r.final
+
+    def reference():
+        status, error, trace, steps, final, _ = reference_run(omega, 0, env, {}, 4)
+        return status, error and error.render(), trace, len(trace), final
+
+    assert outcome(run) == outcome(reference)

@@ -2,8 +2,8 @@ import pytest
 
 from tillst import syntax as s
 from tillst import temporal as t
-from tillst.syntax import (CyclicTypeDefError, expand_type_refs, free_channels,
-                           urgency_instantiate)
+from tillst.syntax import (CyclicTypeDefError, expand_type_refs, free_channel_table,
+                           free_channels, urgency_instantiate)
 
 T0 = t.INIT
 
@@ -131,3 +131,22 @@ def test_hub_body_channel_usage(load_corpus):
     assert free_channels(hub.body) == set()
     assert free_channels(hub.body.cont) == {"x"}
     assert free_channels(hub.body.cont.cont) == {"x", "y"}
+
+
+def test_free_channel_table_agrees_on_every_subterm(load_corpus):
+    # every subterm of every corpus body, each read from one table filled by
+    # its root; a 3000-level term needs no Python stack
+    from tillst import corpus_files
+
+    deep = s.CloseP("t", t.TOP)
+    for i in range(3000):
+        deep = s.WaitP(T0, f"c{i % 3}", s.PairRecv("d", T0, f"c{i % 3}", deep))
+    assert free_channel_table(deep, {}) == {"c0", "c1", "c2", "d"}
+    for path in corpus_files():
+        for decl in load_corpus(path.rsplit("/", 1)[-1]).procs:
+            table, stack = {}, [decl.body]
+            free_channel_table(decl.body, table)
+            while stack:
+                p = stack.pop()
+                assert table[id(p)] == (p, free_channels(p))
+                stack += [getattr(p, name) for name in s._PROC_FIELDS[type(p)][2]]

@@ -89,6 +89,32 @@ def test_interleaved_sigma_replays(harvested):
         assert replay(traj_interleave(w1, w2).sigma)
 
 
+def linear_at(w, when):
+    """The reference: scan the breakpoints from the first."""
+    value = w.points[0][1]
+    for tick, conf in w.points:
+        if tick > when:
+            break
+        value = conf
+    return value
+
+
+def test_at_matches_linear_scan(harvested):
+    # at, between and after every breakpoint of bounded, interleaved and
+    # unbounded trajectories
+    rng = random.Random(19)
+    for w1, w2 in harvested:
+        unbounded = traj_from_sigma(run_scheduler(close_chain(rng, "u_"), 0).sigma)
+        for w in (w1, w2, traj_interleave(w1, w2), unbounded):
+            ticks = w.breakpoint_times()
+            last = HORIZON - 1 if w.end is not None else ticks[-1] + 100
+            samples = {last}
+            for tick, nxt in zip(ticks, ticks[1:] + [last + 1]):
+                samples.update((tick, tick + 1, (tick + nxt) // 2, nxt - 1))
+            for when in sorted(x for x in samples if w.start <= x <= last):
+                assert traj_at(w, when) is linear_at(w, when)
+
+
 def test_partition_at_left_endpoint_boundary(harvested):
     w1, _ = harvested[0]
     left, right = traj_partition(w1, 0)
