@@ -23,14 +23,16 @@ holds the configuration as a map from provided channel to leaf, a count per
 channel of the leaves that use it as a client, and each leaf's local steps at
 the current instant, sends and receives both keyed by the receive a send
 pairs with, so each send meets the receives waiting for it by lookup.  A
-taken step forgets the steps of only the leaves it fired or created, which
-are read again when next asked for; every leaf's steps are read again when
-the clock or the fresh name changes.  A body's free channels are computed
-once per body node.  The candidate order: the solitary silent steps by leaf,
-then the exchanges by (sender, receiver) leaf, stably sorted by (channel,
-kind, tag, payload); then the sends of providers whose channel no leaf uses,
-offered to the environment as observable events, sorted the same way.  The
-candidates come out in that order, and a candidate's normalized
+taken step forgets the steps of only the leaves of the new configuration
+that are not the very objects the index held (those it fired or created,
+and any leaf a forwarder merged into), which are read again when next asked
+for; every leaf's steps are read again when the clock or the fresh name
+changes.  A body's free channels are computed once per body node.  The
+candidate order: the solitary silent steps by leaf, then the exchanges by
+(sender, receiver) leaf, stably sorted by (channel, kind, tag, payload);
+then the sends of providers whose channel no leaf uses, offered to the
+environment as observable events, sorted the same way.  The candidates
+come out in that order, and a candidate's normalized
 configuration is built only when read: the scheduler builds only the first
 (a ``tiebreak`` and ``reductions`` build the whole list, deduplicating the
 silent steps and exchanges), and replay builds them in turn until one
@@ -54,7 +56,6 @@ so replays and reorderings allocate identical names.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Optional, Union
@@ -494,27 +495,23 @@ class _Candidate:
     is built from the index, which must not move meanwhile, when first
     read."""
 
-    __slots__ = ("index", "rank", "fired", "step", "partner", "payload", "event", "_after")
+    __slots__ = ("index", "rank", "fired", "step", "partner", "payload", "event", "_config")
 
     def __init__(self, index, rank, fired, step, partner, payload, event):
         self.index, self.rank, self.fired, self.event = index, rank, fired, event
         self.step, self.partner, self.payload = step, partner, payload
-        self._after = None
-
-    @property
-    def after(self) -> tuple:
-        """(configuration, its provided channels, the channels whose leaf
-        changed or None if not known)."""
-        if self._after is None:
-            replaced = self.step.fire(self.payload)
-            if self.partner is not None:
-                replaced = replaced + self.partner.fire(self.payload)
-            self._after = self.index.after(self.fired, replaced)
-        return self._after
+        self._config = None
 
     @property
     def config(self) -> Configuration:
-        return self.after[0]
+        """The normalized configuration after this step."""
+        if self._config is None:
+            replaced = self.step.fire(self.payload)
+            if self.partner is not None:
+                replaced = replaced + self.partner.fire(self.payload)
+            kept = [x for x in self.index.conf if x.chan not in self.fired]
+            self._config = congruence_normalize(kept + replaced)
+        return self._config
 
 
 _by_rank = attrgetter("rank")
@@ -524,26 +521,26 @@ class _Index:
     """The state of one ``run_scheduler``, ``replay`` or ``reductions`` call,
     dropped when the call returns.
 
-    It holds the normalized configuration ``conf``, its provided channels in
-    order (``chans``) and the map ``leaves`` from provided channel to leaf;
-    the channels each leaf uses as a client (``uses``) and, per channel, the
-    number of leaves that use it (``clients``); and the leaves' steps at the
-    instant ``now``, registered by kind: silent steps by leaf, sends by the
-    receive they pair with (``sends``), receives by their action (``recv``),
+    It holds the normalized configuration ``conf`` and the map ``leaves``
+    from provided channel to leaf; the channels each leaf uses as a client
+    (``uses``) and, per channel, the number of leaves that use it
+    (``clients``); and the leaves' steps at the instant ``now``, registered
+    by kind: silent steps by leaf, sends by the receive they pair with
+    (``sends``), receives by their action (``recv``),
     the keys the two share (``matched``), and sends on the sender's own
     channel by leaf (``offers``).  Bodies' free channels are read from a
     table kept per body node (``free``).  Taking a step forgets the steps of
-    only the leaves it fired or created, and they are read again when next
-    asked for; all steps are read again when the clock or the fresh name
-    changes.
+    only the leaves that are not the very objects the index held (those it
+    fired or created, and any leaf a forwarder merged into), and they are
+    read again when next asked for; all steps are read again when the clock
+    or the fresh name changes.
     """
 
     def __init__(self, omega: Configuration, now: int, ext: ExternEnv, defs: dict):
         self.ext, self.defs, self.now = ext, defs, now
         self.free = {}
         self.conf = congruence_normalize(omega)
-        self.chans = [leaf.chan for leaf in self.conf]
-        self.leaves, self.uses, self.clients, self.fwds = {}, {}, {}, set()
+        self.leaves, self.uses, self.clients = {}, {}, {}
         self.regs, self.stale = {}, set()  # per leaf, the table entries of its steps
         self.silent, self.sends, self.recv, self.matched, self.offers = {}, {}, {}, set(), {}
         for leaf in self.conf:
@@ -564,7 +561,6 @@ class _Index:
                     is s.free_channel_table(old.body, self.free))
             self.uses[chan] = used = was if same else _client_channels(leaf, self.free)
             self.stale.add(chan)
-        (self.fwds.add if isinstance(leaf, FwdC) else self.fwds.discard)(chan)
         clients = self.clients
         for x in was - used:
             if clients[x] == 1:
@@ -647,39 +643,16 @@ class _Index:
         offered.sort(key=_by_rank)
         return comm, offered
 
-    def after(self, fired: tuple, replaced: list) -> tuple:
-        """``_Candidate.after`` for the step that replaces the leaves at the
-        channels ``fired`` by ``replaced``.  Without forwarders to merge the
-        configuration is spliced; otherwise it is normalized whole."""
-        if not self.fwds and not any(isinstance(x, FwdC) for x in replaced):
-            conf, chans = list(self.conf), self.chans.copy()
-            for chan in fired:
-                p = bisect_left(chans, chan)
-                del chans[p], conf[p]
-            for leaf in replaced:
-                p = bisect_left(chans, leaf.chan)
-                if chans[p:p + 1] == [leaf.chan]:
-                    break  # a duplicate provider, which normalizing reports
-                chans.insert(p, leaf.chan)
-                conf.insert(p, leaf)
-            else:
-                return tuple(conf), chans, set(fired).union(x.chan for x in replaced)
-        conf = congruence_normalize([x for x in self.conf if x.chan not in fired] + replaced)
-        return conf, [x.chan for x in conf], None
-
     def take(self, cand: _Candidate, conf: Optional[Configuration] = None) -> None:
         """Make the configuration after ``cand`` current, held as the equal
-        configuration ``conf`` if given."""
-        built, chans, touched = cand.after
-        conf = built if conf is None else conf
-        if touched is None:
-            new = dict(zip(chans, conf))
-            touched = {c for c in self.leaves.keys() | new.keys()
-                       if self.leaves.get(c) is not new.get(c)}
-        self.conf, self.chans = conf, chans
+        configuration ``conf`` if given.  Only the leaves that are not the
+        very objects the index holds are placed again."""
+        conf = cand.config if conf is None else conf
+        old, new = self.leaves, {leaf.chan: leaf for leaf in conf}
+        touched = [c for c in old.keys() | new.keys() if old.get(c) is not new.get(c)]
+        self.conf = conf
         for chan in touched:
-            p = bisect_left(chans, chan)
-            self._place(chan, conf[p] if chans[p:p + 1] == [chan] else None)
+            self._place(chan, new.get(chan))
         fresh = _fresh_name(self.leaves, self.clients)
         if fresh != self.fresh:
             self.fresh = fresh

@@ -624,36 +624,10 @@ _PROC_FIELDS = {
 }
 
 
-def free_channels(p: Process) -> set:
-    """The channels ``p`` uses and does not bind.  Each form's last child is
-    read in a loop and the others from a stack, each with the number of
-    channel binders above it, so deep terms need no Python stack."""
-    out, binders, bound, stack = set(), [], {}, [(p, 0)]
-    while stack:
-        p, depth = stack.pop()
-        while len(binders) > depth:
-            bound[binders.pop()] -= 1
-        while True:
-            uses, binder, children = _PROC_FIELDS[type(p)]
-            if uses == "args":
-                out.update(x for x in p.args if not bound.get(x))
-            elif uses is not None and not bound.get(getattr(p, uses)):
-                out.add(getattr(p, uses))
-            if binder is not None:
-                binders.append(getattr(p, binder))
-                bound[binders[-1]] = bound.get(binders[-1], 0) + 1
-            if not children:
-                break
-            for name in children[:-1]:
-                stack.append((getattr(p, name), len(binders)))
-            p = getattr(p, children[-1])
-    return out
-
-
 def free_channel_table(p: Process, table: dict) -> frozenset:
-    """``free_channels(p)``, with the free channels of ``p`` and of every
-    subterm recorded in ``table`` as ``id(node) -> (node, channels)``, so a
-    subterm already recorded is not read again.  A node that adds no channel
+    """The channels ``p`` uses and does not bind, with those of ``p`` and of
+    every subterm recorded in ``table`` as ``id(node) -> (node, channels)``,
+    so a subterm already recorded is not read again.  A node that adds no channel
     to its only child's set and binds none of it shares that set.  Children
     are read before their parents from an explicit stack, so deep terms need
     no Python stack."""
@@ -680,3 +654,9 @@ def free_channel_table(p: Process, table: dict) -> frozenset:
         else:
             table[id(q)] = (q, frozenset(own).union(*sets))
     return table[id(p)][1]
+
+
+def free_channels(p: Process) -> set:
+    """The channels ``p`` uses and does not bind, read with a table of its
+    own (see ``free_channel_table``)."""
+    return set(free_channel_table(p, {}))

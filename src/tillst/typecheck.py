@@ -229,10 +229,13 @@ def cut_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
 
 
 def split_context(delta: dict, p1: s.Process, p2: s.Process,
-                  location: str = "split") -> tuple:
-    """Split Delta by free channels; any overlap or leftover is a linearity bug."""
-    fc1 = s.free_channels(p1)
-    fc2 = s.free_channels(p2)
+                  location: str = "split", table: Optional[dict] = None) -> tuple:
+    """Split Delta by free channels; any overlap or leftover is a linearity
+    bug.  The free channels are read from ``table`` (see
+    ``syntax.free_channel_table``), which a caller may keep across splits."""
+    table = {} if table is None else table
+    fc1 = s.free_channel_table(p1, table)
+    fc2 = s.free_channel_table(p2, table)
     both = fc1 & fc2 & set(delta)
     if both:
         name = sorted(both)[0]
@@ -275,6 +278,7 @@ class Checker:
         self.solver = solver or EntailmentSolver()
         self.externs = {d.name: (tuple(d.arg_types), d.ret_type) for d in prog.externs}
         self.names = s.NameSupply()
+        self.free = {}  # free channels per process node, for split_context
         self.rules = {s.FwdP: self._fwd, s.SpawnP: self._spawn, s.IfP: self._if}
 
     def expand(self, a):
@@ -433,7 +437,7 @@ class Checker:
         if kind == "close":
             return [] if sends else [judge(p.cont, ctx, j.a)]
         if kind == "chan" and sends:
-            d1, d2 = split_context(ctx, p.payload, p.cont, loc)
+            d1, d2 = split_context(ctx, p.payload, p.cont, loc, self.free)
             # a client's payload is located under /payload
             return [judge(p.payload, d1, comps[0], loc if provider else loc + "/payload"),
                     on(p.cont, comps[1], d2)]

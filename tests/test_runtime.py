@@ -924,3 +924,30 @@ def test_index_matches_reference_on_random_configurations(leaves):
         return status, error and error.render(), trace, len(trace), final
 
     assert outcome(run) == outcome(reference)
+
+
+def test_duplicate_transitions_give_one_candidate():
+    # two identical transitions from one state, each paired with the one
+    # waiting client: the index lists both exchanges, and reductions, like
+    # the reference, keeps the first of the two equal candidates
+    prog = parse_program("""
+    automaton twice { state S0 init; S0 --[!cls]--> accept; S0 --[!cls]--> accept; }
+    fn main(c: Unit<u where Geq<u, t0>>) -> Unit<z where Eq<z, t0>> {
+        Wait<t0>(c);
+        Close<z where Eq<z, t0>>
+    }
+    system d = main(c = twice as k) @ t0;
+    """)
+    omega, start, defs = build_system(prog, "d")
+    env = ExternEnv(prog)
+    comm, offered = _Index(omega, start, env, defs).candidates()
+    assert len(comm) == 2 and not offered
+    assert comm[0].config == comm[1].config and comm[0].event == comm[1].event
+    got = reductions(omega, start, env, defs)
+    assert got == reference_reductions(omega, start, env, defs)
+    assert got == [(comm[0].config, comm[0].event)]
+    assert [event.channel for _, event in got] == ["k"]
+    seen = []
+    r = run_scheduler(omega, start, env=env, defs=defs,
+                      tiebreak=lambda now, cands: seen.append(len(cands)) or 0)
+    assert r.status == "done" and seen == [1, 1]
