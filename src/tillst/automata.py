@@ -16,23 +16,7 @@ from typing import Optional
 from . import syntax as s
 from . import temporal as t
 from .parser import render_prop
-from .syntax import ACCEPT, Action, AutomatonDef, AutoTransition, SilentA
-
-
-def builtin_bme680() -> AutomatonDef:
-    """The environment sensor: configure (L = temperature only, R = plus air
-    quality), report readings, then shut down; heating takes 30 ticks and the
-    cool-down 20."""
-    tr = [
-        AutoTransition("S0", 0, Action("label", "recv", "", "L"), "S1"),
-        AutoTransition("S0", 0, Action("label", "recv", "", "R"), "S2"),
-        AutoTransition("S1", 0, Action("value", "send", ""), "S3", "read_temp"),
-        AutoTransition("S3", 0, Action("close", "send", ""), ACCEPT),
-        AutoTransition("S2", 0, Action("value", "send", ""), "S4", "read_temp"),
-        AutoTransition("S4", 30, Action("value", "send", ""), "S5", "read_gas"),
-        AutoTransition("S5", 20, Action("close", "send", ""), ACCEPT),
-    ]
-    return AutomatonDef("bme680", ("S0", "S1", "S2", "S3", "S4", "S5"), "S0", tuple(tr))
+from .syntax import AutomatonDef, SilentA
 
 
 def transitions_from(defn: AutomatonDef, state: str) -> list:

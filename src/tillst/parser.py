@@ -608,6 +608,10 @@ def _validate_program(prog: s.Program) -> None:
             raise ParseError(f"type {td.name} references unknown type {ref}",
                              *(td.pos or (0, 0)))
     for pd in prog.procs:
+        names = [var for var, _ in pd.params]
+        for k, var in enumerate(names):
+            if var in names[:k]:
+                raise ParseError(f"fn {pd.name} has parameter {var} twice", *(pd.pos or (0, 0)))
         mentioned = _type_refs(pd.offered)
         for _, ty in pd.params:
             mentioned |= _type_refs(ty)

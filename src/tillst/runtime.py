@@ -31,16 +31,18 @@ changes.  A body's free channels are computed once per body node.  The
 candidate order: the solitary silent steps by leaf, then the exchanges by
 (sender, receiver) leaf, stably sorted by (channel, kind, tag, payload);
 then the sends of providers whose channel no leaf uses, offered to the
-environment as observable events, sorted the same way.  The candidates
-come out in that order, and a candidate's normalized
-configuration is built only when read: the scheduler builds only the first
-(a ``tiebreak`` and ``reductions`` build the whole list, deduplicating the
-silent steps and exchanges), and replay builds them in turn until one
-matches the recorded step.  The scheduler takes a candidate until none is
-left at the current clock.  One wait pass over the index's leaves then
-either blames a timing violation or lists the pending instants, and the
-clock advances to the least of them.  Each run yields a replayable step
-sequence.
+environment as observable events, sorted the same way.  The index makes one
+list in that order, on which silent steps and exchanges with equal
+configuration and event appear once (the first kept); a candidate's
+normalized configuration is built only when read, so where at most one
+silent step or exchange is listed the scheduler builds only the one it
+takes.  The scheduler, replay and ``reductions`` all read that list: the
+scheduler takes its first entry, or a ``tiebreak``'s pick, until none is
+left at the current clock; replay takes the entry whose configuration is the
+recorded one; and ``reductions`` returns it whole.  One wait pass over the
+index's leaves then either blames a timing violation or lists the pending
+instants, and the clock advances to the least of them.  Each run yields a
+replayable step sequence.
 
 A process leaf carries an environment instead of rewritten continuations,
 so its body is always a subterm of the program as parsed: when a provider
@@ -464,26 +466,6 @@ def _fresh_name(provided, used) -> str:
     return f"#{k}"
 
 
-def enumerate_transitions(omega: Configuration, now: int,
-                          env: Optional[ExternEnv] = None,
-                          defs: Optional[dict] = None) -> list:
-    """Root-level labelled steps available at this instant, each leaf's
-    steps taken alone.  A receive stands for a family of transitions; its
-    payload is None until a communication partner fixes it."""
-    env = env or ExternEnv()
-    defs = defs or {}
-    table = {}
-    used = NO_CHANNELS.union(*(_client_channels(leaf, table) for leaf in omega))
-    fresh = _fresh_name({leaf.chan for leaf in omega}, used)
-    per_leaf = [_leaf_steps(leaf, now, env, defs, fresh) for leaf in omega]
-    out = []
-    for i, steps in enumerate(per_leaf):
-        for step in steps:
-            rest = omega[:i] + omega[i + 1:]
-            out.append((step.action, rest + tuple(step.fire(step.action.payload))))
-    return out
-
-
 def _step_sort_key(event: TraceEvent) -> tuple:
     return (event.channel, event.action.kind, event.tag or "", str(event.payload() or ""))
 
@@ -613,10 +595,11 @@ class _Index:
         self.now = now
         self._forget_all_steps()
 
-    def candidates(self) -> tuple:
-        """(the silent steps and exchanges, the sends offered to the
-        environment) at the current instant, each list in the candidate
-        order of the module docstring; not deduplicated."""
+    def candidates(self) -> list:
+        """Every step at the current instant, in the candidate order of the
+        module docstring: the silent steps and exchanges, of which those with
+        equal configuration and event are listed once (the first kept), then
+        the sends offered to the environment."""
         self._read_stale()
         now, comm, offered = self.now, [], []
         for i, steps in self.silent.items():
@@ -640,8 +623,11 @@ class _Index:
                 offered.append(_Candidate(self, (_step_sort_key(event), i, k), (i,), step, None,
                                           step.action.payload, event))
         comm.sort(key=_by_rank)
+        if len(comm) > 1:  # hashing a configuration walks every leaf's body
+            first = {}
+            comm = [c for c in comm if first.setdefault((c.config, c.event), c) is c]
         offered.sort(key=_by_rank)
-        return comm, offered
+        return comm + offered
 
     def take(self, cand: _Candidate, conf: Optional[Configuration] = None) -> None:
         """Make the configuration after ``cand`` current, held as the equal
@@ -659,18 +645,6 @@ class _Index:
             self._forget_all_steps()
 
 
-def _listed(index: _Index) -> list:
-    """Every candidate at the index's instant in candidate order, silent
-    steps and exchanges with equal configuration and event deduplicated."""
-    comm, offered = index.candidates()
-    if len(comm) > 1:  # hashing a configuration walks every leaf's body
-        unique = {}
-        for cand in comm:
-            unique.setdefault((cand.config, cand.event), cand)
-        comm = list(unique.values())
-    return comm + offered
-
-
 def reductions(omega: Configuration, now: int,
                env: Optional[ExternEnv] = None,
                defs: Optional[dict] = None) -> list:
@@ -678,7 +652,7 @@ def reductions(omega: Configuration, now: int,
     pairs in the candidate order the module docstring gives.  Configurations
     are congruence-normalized; an exchange's event records its send half."""
     index = _Index(omega, now, env or ExternEnv(), defs or {})
-    return [(cand.config, cand.event) for cand in _listed(index)]
+    return [(cand.config, cand.event) for cand in index.candidates()]
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +820,7 @@ def replay(sigma: StepSequence, env: Optional[ExternEnv] = None,
             return False
         if index is None:
             index = _Index(sigma.before, sigma.time, env, defs or {})
-        comm, offered = index.candidates()
-        match = next((cand for cand in comm + offered if cand.config == want), None)
+        match = next((cand for cand in index.candidates() if cand.config == want), None)
         if match is None:
             return False
         index.take(match, want)  # later steps then compare identical leaves
@@ -990,18 +963,9 @@ def run_scheduler(omega: Configuration, start: int = 0,
     status, error = "done", None
 
     while True:
-        while True:
-            if tiebreak is None:
-                comm, offered = index.candidates()
-                if not comm and not offered:
-                    break
-                chosen = (comm or offered)[0]
-            else:
-                candidates = _listed(index)
-                if not candidates:
-                    break
-                pick = tiebreak(clock, [(c.config, c.event) for c in candidates])
-                chosen = candidates[pick % len(candidates)]
+        while cands := index.candidates():
+            pick = 0 if tiebreak is None else tiebreak(clock, [(c.config, c.event) for c in cands])
+            chosen = cands[pick % len(cands)]
             steps.append(StepC(clock, index.conf, chosen.config, None))
             trace.append(chosen.event)
             index.take(chosen)

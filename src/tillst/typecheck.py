@@ -208,24 +208,16 @@ def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
     return True, ""
 
 
-def fwd_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
-               location: str = "fwd") -> bool:
-    """A can be forwarded as B at time ``at`` (all of B's window reachable)."""
-    names = s.NameSupply()
-    a, b = (s.expand_type_refs(None, x, names) for x in (a, b))
-    return _retype(solver or EntailmentSolver(), g, f, a, b, at, location, cut=False)[0]
-
-
-def cut_retype(g, f, a, b, at, solver: Optional[EntailmentSolver] = None,
-               location: str = "cut") -> bool:
-    """A covers the parts of B reachable from time ``at`` (cut permission)."""
-    names = s.NameSupply()
-    a, b = (s.expand_type_refs(None, x, names) for x in (a, b))
-    return _retype(solver or EntailmentSolver(), g, f, a, b, at, location, cut=True)[0]
-
-
 # ---------------------------------------------------------------------------
 # Linear context handling
+
+
+def _require_unbound(delta: dict, name: str, location: str) -> None:
+    """A bound channel must not name one still in Delta, which it would
+    drop unused."""
+    if name in delta:
+        raise TypeCheckError(TypingError(
+            LINEARITY_VIOLATION, location, f"channel {name} is bound while still available"))
 
 
 def split_context(delta: dict, p1: s.Process, p2: s.Process,
@@ -350,10 +342,15 @@ class Checker:
         when = t.subst_time(p.at, j.tm)
         self._require(j.g, j.f, t.Eq(j.at, when), TIMING_VIOLATION, loc,
                       "spawn annotation differs from judgment time")
-        for arg in p.args:
+        for k, arg in enumerate(p.args):
             if arg not in delta:
                 raise TypeCheckError(TypingError(
                     LINEARITY_VIOLATION, loc, f"spawn argument {arg} is not available"))
+            if arg in p.args[:k]:
+                raise TypeCheckError(TypingError(
+                    LINEARITY_VIOLATION, loc, f"spawn argument {arg} is passed twice"))
+        rest = {x: b for x, b in delta.items() if x not in p.args}
+        _require_unbound(rest, p.bound, loc)
         # Arguments are passed verbatim: alpha-equal types required.
         delta1 = {}
         for arg, (param, want) in zip(p.args, decl.params):
@@ -371,9 +368,7 @@ class Checker:
             ok, reason = _retype(self.solver, j.g, j.f, offered, bound, when, loc, cut=True)
             if not ok:
                 raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
-            rest = {x: b for x, b in delta.items() if x not in p.args}
-            rest[p.bound] = bound
-            return [j._replace(delta=rest, p=p.cont, at=when, location=loc)]
+            return [j._replace(delta={**rest, p.bound: bound}, p=p.cont, at=when, location=loc)]
 
         body = Judgment(j.g, j.f, j.gamma, delta1, {}, decl.body, when, offered,
                         f"{loc}/{p.callee}", j.spawns + (p.callee,))
@@ -442,6 +437,7 @@ class Checker:
             return [judge(p.payload, d1, comps[0], loc if provider else loc + "/payload"),
                     on(p.cont, comps[1], d2)]
         if kind == "chan":
+            _require_unbound(j.delta, p.var, loc)
             return [on(p.cont, comps[1], {**ctx, p.var: comps[0]})]
         if kind == "label" and sends:
             return [on(p.cont, comps["LR".index(s.LABEL[type(p)])])]
@@ -469,20 +465,6 @@ class DeclReport:
         if self.accepted:
             return f"ACCEPT {self.name}"
         return f"REJECT {self.name}: {self.error.render()}"
-
-
-def check_process(g, f, gamma, delta, p, at, a,
-                  prog: Optional[s.Program] = None,
-                  solver: Optional[EntailmentSolver] = None) -> Optional[TypingError]:
-    """Standalone judgment check; returns None on success."""
-    checker = Checker(prog or s.Program(), solver)
-    norm = lambda ty: s.expand_type_refs(None, ty, checker.names)
-    try:
-        checker.check_process(list(g), list(f), dict(gamma),
-                              {x: norm(b) for x, b in delta.items()}, {}, p, at, norm(a))
-        return None
-    except TypeCheckError as exc:
-        return exc.error
 
 
 def check_program(prog: s.Program,

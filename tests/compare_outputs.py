@@ -12,13 +12,16 @@ compared on:
 
 - ``check``: stdout, stderr and exit code;
 - ``run`` of every system: stdout, stderr, exit code and the trace file;
+- ``replay``'s verdict on the step sequence of that run, made in-process
+  with the seed ``run`` uses (or the error that stops the run or replay);
 - ``smt``: stdout, stderr, exit code, every script, and ``index.json``
   without the ``ms`` field each query's time is recorded in;
 - ``monitor`` of every type against up to four channels of each run trace,
   and the monitor operations of the workloads themselves.
 
 Each tree runs in a process of its own, which calls ``tillst.cli.main``
-once per command.  Exits 0 when every output is identical; otherwise lists
+once per command, and ``tillst.runtime.run_scheduler`` and ``replay`` once
+per system.  Exits 0 when every output is identical; otherwise lists
 the differing outputs and exits 1.  Not collected by pytest.
 """
 
@@ -66,7 +69,10 @@ def collect(inputs: str) -> None:
     write the outputs, keyed by command, to ``outputs.json``.  Files are
     written below the working directory, under the same relative names for
     both trees, since ``smt`` prints the directory it writes to."""
-    from tillst.cli import main
+    from tillst.cli import build_system, main
+    from tillst.parser import ParseError, parse_program
+    from tillst.runtime import ExternEnv, replay, run_scheduler
+    from tillst.temporal import TillstError
 
     inputs, out = Path(inputs), Path()
     spec = json.loads((inputs / "plan.json").read_text())
@@ -81,6 +87,16 @@ def collect(inputs: str) -> None:
                 code = exc.code
         outputs[key] = {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
                         "exit": code}
+
+    def replayed(path: str, system: str):
+        """Whether the step sequence of the system's default run replays."""
+        try:
+            prog = parse_program(Path(path).read_text(encoding="utf-8"))
+            omega, start, defs = build_system(prog, system)
+            sigma = run_scheduler(omega, start, env=ExternEnv(prog), defs=defs).sigma
+            return replay(sigma, ExternEnv(prog), defs)
+        except (ParseError, TillstError, RecursionError) as exc:
+            return f"error: {type(exc).__name__}: {exc}"
 
     def monitor(program: str, type_name: str, trace: Path, channel: str) -> None:
         call(f"monitor {program} {type_name} {trace.name} {channel}", "monitor",
@@ -104,6 +120,7 @@ def collect(inputs: str) -> None:
             trace = traces / f"{program[:-4]}.{system}.out.jsonl"
             call(f"run {program} {system}", "run", path, "--entry", system,
                  "--trace", str(trace))
+            outputs[f"replay {program} {system}"] = replayed(path, system)
             if not trace.exists():
                 continue
             text = trace.read_text(encoding="utf-8")

@@ -392,6 +392,18 @@ class TestMalformedAutomatonExitsTwo:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {path}:62:1: automaton bme680 has duplicate states\n"
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_repeated_parameter(self, tmp_path, command):
+        # the checker kept one x, so the caller's second sensor went unused
+        path = smart_home_with(tmp_path, "hub_main(x: BME680, y: BME680)",
+                               "hub_main(x: BME680, x: BME680)")
+        (tmp_path / "trace.jsonl").write_text("")
+        extra = [str(tmp_path / a) if a in ("queries", "trace.jsonl") else a
+                 for a in self.COMMANDS[command]]
+        proc = run_subprocess(command, path, *extra)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {path}:48:1: fn hub_main has parameter x twice\n"
+
     def test_undeclared_extern(self, tmp_path):
         path = smart_home_with(tmp_path, "!val(read_gas)", "!val(nosuch)")
         proc = run_subprocess("run", path, "--entry", "main")

@@ -170,6 +170,9 @@ MALFORMED = {
                          "5:1: system m: f has no parameter z"),
     "system_parameter_twice": (SYSTEM % "f(x = a as i, x = a as j) @ t0",
                                "5:1: system m: parameter x is bound twice"),
+    "fn_parameter_twice": ("fn two(a: Unit<t where True>, a: Unit<t where True>) -> "
+                           "Unit<t where True> {\n  Wait<t0>(a); Close<t where True>\n}",
+                           "1:1: fn two has parameter a twice"),
     "system_instance_twice": (SYSTEM % "f(x = a as i, y = a as i) @ t0",
                               "5:1: system m: channel i has two providers"),
     "system_instance_named_like_system": (SYSTEM % "f(x = a as m, y = a as j) @ t0",

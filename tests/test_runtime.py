@@ -15,10 +15,9 @@ from tillst.parser import parse_program
 from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
                             ProcC, Refl, RuntimeInvariantError, SILENT, StepC,
                             StepT, TraceEvent, complementary,
-                            congruence_normalize, conf_leaves,
-                            enumerate_transitions, eval_expr, reductions,
-                            replay, run_scheduler, seq_concat, seq_end,
-                            seq_interleave, seq_start, seq_steps,
+                            congruence_normalize, conf_leaves, eval_expr,
+                            reductions, replay, run_scheduler, seq_concat,
+                            seq_end, seq_interleave, seq_start, seq_steps,
                             trace_from_jsonl, trace_to_jsonl)
 from tillst.temporal import TillstError
 from tillst.runtime import (_Index, _leaf_steps, _partner, _step_sort_key,
@@ -152,27 +151,39 @@ def test_normalize_matches_restart_loop(conf):
     assert congruence_normalize(conf) == restart_normalize(conf)
 
 
+def leaf_transitions(omega, now):
+    """Each leaf's steps at ``now`` taken alone, as (action, configuration)
+    pairs.  A receive stands for a family of transitions; its payload is
+    None, as no partner fixes it."""
+    env, out = ExternEnv(), []
+    for i, leaf in enumerate(omega):
+        rest = omega[:i] + omega[i + 1:]
+        out += [(step.action, rest + tuple(step.fire(step.action.payload)))
+                for step in _leaf_steps(leaf, now, env, {}, "#1")]
+    return out
+
+
 class TestEnumerate:
     def test_close_fires_inside_window(self):
         w = (ProcC("a", s.CloseP("t", t.Leq(T0, t.tvar("t")))),)
-        assert enumerate_transitions(w, 7) == [(Action("close", "send", "a"), STOP)]
+        assert leaf_transitions(w, 7) == [(Action("close", "send", "a"), STOP)]
 
     def test_offer_exposes_both_branches(self):
         off = (ProcC("a", s.OfferP("t", t.TOP, s.CloseP("u", t.TOP), s.CloseP("v", t.BOT))),)
-        outs = enumerate_transitions(off, 3)
+        outs = leaf_transitions(off, 3)
         assert {o[0] for o in outs} == {Action("label", "recv", "a", "L"), Action("label", "recv", "a", "R")}
         assert all(isinstance(leaf, ProcC) for _, (leaf,) in outs)
 
     def test_client_fires_only_at_annotation(self):
         wait = (ProcC("a", s.WaitP(sh(5), "x", CLOSE)),)
-        assert enumerate_transitions(wait, 4) == []
-        assert len(enumerate_transitions(wait, 5)) == 1
+        assert leaf_transitions(wait, 4) == []
+        assert len(leaf_transitions(wait, 5)) == 1
 
     def test_channel_receive_without_partner_keeps_its_name(self):
         # the receive's payload is unknown until a partner fixes it, so the
         # continuation still names the bound channel
         recv = (ProcC("a", s.LamRecv("t", t.TOP, "x", s.FwdP(T0, "x"))),)
-        ((action, (leaf,)),) = enumerate_transitions(recv, 0)
+        ((action, (leaf,)),) = leaf_transitions(recv, 0)
         assert action == Action("chan", "recv", "a")
         assert leaf.body == s.FwdP(T0, "x") and leaf.env.times == {"t": 0}
 
@@ -928,8 +939,8 @@ def test_index_matches_reference_on_random_configurations(leaves):
 
 def test_duplicate_transitions_give_one_candidate():
     # two identical transitions from one state, each paired with the one
-    # waiting client: the index lists both exchanges, and reductions, like
-    # the reference, keeps the first of the two equal candidates
+    # waiting client: two exchanges with equal configuration and event, of
+    # which the index, like the reference, lists the first only
     prog = parse_program("""
     automaton twice { state S0 init; S0 --[!cls]--> accept; S0 --[!cls]--> accept; }
     fn main(c: Unit<u where Geq<u, t0>>) -> Unit<z where Eq<z, t0>> {
@@ -940,12 +951,14 @@ def test_duplicate_transitions_give_one_candidate():
     """)
     omega, start, defs = build_system(prog, "d")
     env = ExternEnv(prog)
-    comm, offered = _Index(omega, start, env, defs).candidates()
-    assert len(comm) == 2 and not offered
-    assert comm[0].config == comm[1].config and comm[0].event == comm[1].event
+    index = _Index(omega, start, env, defs)
+    (cand,) = index.candidates()
+    ((sender, two),) = [(i, sends) for key in index.matched
+                        for i, sends in index.sends[key].items()]
+    assert sender == "k" and len(two) == 2
     got = reductions(omega, start, env, defs)
     assert got == reference_reductions(omega, start, env, defs)
-    assert got == [(comm[0].config, comm[0].event)]
+    assert got == [(cand.config, cand.event)]
     assert [event.channel for _, event in got] == ["k"]
     seen = []
     r = run_scheduler(omega, start, env=env, defs=defs,

@@ -3,11 +3,38 @@ import pytest
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.parser import parse_program
-from tillst.typecheck import (EntailmentSolver, TypeCheckError, check_expr,
-                              check_process, check_program, cut_retype,
-                              fwd_retype, split_context)
+from tillst.typecheck import (Checker, EntailmentSolver, TypeCheckError,
+                              _retype, check_expr, check_program,
+                              split_context)
 
 T0 = t.INIT
+
+
+def fwd_retype(g, f, a, b, at):
+    """A can be forwarded as B at time ``at`` (all of B's window reachable)."""
+    names = s.NameSupply()
+    a, b = (s.expand_type_refs(None, x, names) for x in (a, b))
+    return _retype(EntailmentSolver(), g, f, a, b, at, "fwd", cut=False)[0]
+
+
+def cut_retype(g, f, a, b, at):
+    """A covers the parts of B reachable from time ``at`` (cut permission)."""
+    names = s.NameSupply()
+    a, b = (s.expand_type_refs(None, x, names) for x in (a, b))
+    return _retype(EntailmentSolver(), g, f, a, b, at, "cut", cut=True)[0]
+
+
+def check_process(g, f, gamma, delta, p, at, a):
+    """The judgment G;F | Gamma;Delta |- p :: a @ at on its own: None when
+    it holds, else the typing error."""
+    checker = Checker(s.Program())
+    norm = lambda ty: s.expand_type_refs(None, ty, checker.names)
+    try:
+        checker.check_process(list(g), list(f), dict(gamma),
+                              {x: norm(b) for x, b in delta.items()}, {}, p, at, norm(a))
+        return None
+    except TypeCheckError as exc:
+        return exc.error
 
 
 def U(pred, binder="t"):
@@ -347,6 +374,26 @@ REJECTS = {
         f"fn q(c: {UNIT}) -> {UNIT} {{ Wait<t0>(c); {CLOSE} }}\nfn p() -> {UNIT} {{ "
         f"Spawn<t0>(q, z) {{ k => Wait<t0>(k); {CLOSE} }} }}",
         "LinearityViolation at p/SpawnP: spawn argument z is not available"),
+    "spawn_argument_twice": (
+        f"fn q(a: {UNIT}, b: {UNIT}) -> {UNIT} {{ Wait<t0>(a); Wait<t0>(b); {CLOSE} }}\n"
+        f"fn p(x: {UNIT}) -> {UNIT} {{ Spawn<t0>(q, x, x) {{ k => Wait<t0>(k); {CLOSE} }} }}",
+        "LinearityViolation at p/SpawnP: spawn argument x is passed twice"),
+    # a binder naming a channel still in Delta would drop that channel unused
+    "spawn_rebinds": (
+        f"fn q() -> {UNIT} {{ {CLOSE} }}\n"
+        f"fn p(x: {UNIT}) -> {UNIT} {{ Spawn<t0>(q) {{ x => Wait<t0>(x); {CLOSE} }} }}",
+        "LinearityViolation at p/SpawnP: channel x is bound while still available"),
+    "lam_rebinds": (
+        f"fn p(x: {UNIT}) -> Lolli<t where Eq<t, t0>, {UNIT}, {UNIT}> {{ "
+        f"Lam<t where Eq<t, t0>> {{ x => Wait<t0>(x); {CLOSE} }} }}",
+        "LinearityViolation at p/LamRecv: channel x is bound while still available"),
+    "recvch_rebinds": (
+        f"fn p(x: {UNIT}, c: {TENSOR}) -> {UNIT} {{ "
+        f"RecvCh<t0>(c) {{ x => Wait<t0>(x); Wait<t0>(c); {CLOSE} }} }}",
+        "LinearityViolation at p/PairRecv: channel x is bound while still available"),
+    "recvch_rebinds_own_channel": (
+        f"fn p(c: {TENSOR}) -> {UNIT} {{ RecvCh<t0>(c) {{ c => Wait<t0>(c); {CLOSE} }} }}",
+        "LinearityViolation at p/PairRecv: channel c is bound while still available"),
     "spawn_argument_type": (
         f"fn q(c: {UNIT}) -> {UNIT} {{ Wait<t0>(c); "
         f"{CLOSE} }}\nfn p(z: Unit<u where Geq<u, Shift<t0, 1>>>) -> {UNIT} {{ "
@@ -418,3 +465,12 @@ def test_rejection_message(name):
     source, message = REJECTS[name]
     reports = {r.name: r for r in check_program(parse_program(source))}
     assert reports["p"].render() == f"REJECT p: {message}"
+
+
+def test_spawn_may_rebind_a_channel_it_passes():
+    # the spawn's own arguments leave Delta before its binder enters it
+    src = f"""
+    fn id(y: {UNIT}) -> {UNIT} {{ Fwd<t0>(y) }}
+    fn p(x: {UNIT}) -> {UNIT} {{ Spawn<t0>(id, x) {{ x => Wait<t0>(x); {CLOSE} }} }}
+    """
+    assert all(r.accepted for r in check_program(parse_program(src)))
