@@ -304,6 +304,22 @@ CLOSE = "Close<u where Geq<u, t0>>"
 TENSOR = f"Tensor<t where Geq<t, t0>, {UNIT}, {UNIT}>"
 WINDOW = "Unit<t where In<t0, t, Shift<t0, 5>>>"
 
+# Channels partly consumed by a client exchange, whose rest is read by a
+# forward, a spawn and a payload provider: each reads the consumed binder
+# as the instant of that exchange.
+D = "type D = Produce<s where Geq<s, t0>, int, Unit<z where Eq<z, Shift<s, 5>>>>;\n"
+RELAY = (f"{D}fn relay(x: D) -> Unit<u where Eq<u, Shift<t0, 8>>> {{ "
+         "Cons<Shift<t0, 3>>(x) { v => Fwd<Shift<t0, 3>>(x) } }")
+SINK = ("fn sink(y: Unit<z where Eq<z, Shift<t0, 8>>>) -> Unit<u where Eq<u, Shift<t0, 9>>> "
+        "{ Wait<Shift<t0, 8>>(y); Close<u where Eq<u, Shift<t0, 9>>> }\n")
+MAIN = ("fn main(x: D) -> Unit<u where Eq<u, Shift<t0, 9>>> { Cons<Shift<t0, 3>>(x) { v => "
+        "Spawn<Shift<t0, 3>>(sink, x) { k => Fwd<Shift<t0, 3>>(k) } } }")
+L = ("type L = Lolli<t where Geq<t, t0>, Unit<a where Eq<a, Shift<t, 2>>>, "
+     "Unit<b where Geq<b, t>>>;\n")
+USER = (f"{L}fn user(x: L) -> Unit<u where Eq<u, Shift<t0, 5>>> {{ "
+        "App<Shift<t0, 1>>(x <= { Close<a where Eq<a, Shift<t0, 3>>> }); "
+        "Wait<Shift<t0, 4>>(x); Close<u where Eq<u, Shift<t0, 5>>> }")
+
 REJECTS = {
     "provider_type_window": (
         f"fn p() -> Unit<t where Leq<t0, t>> {{ Close<t where Leq<Shift<t0, 3>, t>> }}",
@@ -457,14 +473,52 @@ REJECTS = {
         f"{CLOSE} }} }}",
         "TimingViolation at p/WaitP/SpawnP/q/CloseP: provider is too late for its window: "
         "t#4; Eq<t#4, Shift<t0, 2>> |- Leq<Shift<t0, 5>, t#4> [counterexample: t#4 = t0+2]"),
+    "forward_after_client": (
+        RELAY.replace("Shift<t0, 8>", "Shift<t0, 9>"),
+        "RetypeFailure at relay/ConsP/FwdP: window not covered: u#3; "
+        "Eq<u#3, Shift<t0, 9>> |- Eq<u#3, Shift<t0, 8>>"),
+    "spawn_after_client": (
+        D + SINK.replace("Shift<t0, 8>", "Shift<t0, 7>") + MAIN,
+        "ShapeMismatch at main/ConsP/SpawnP: spawn argument x has type "
+        "Unit<z#4 where Eq<z#4, Shift<t0, 8>>>, but sink expects "
+        "Unit<z#6 where Eq<z#6, Shift<t0, 7>>>"),
+    "payload_after_client": (
+        USER.replace("Close<a where Eq<a, Shift<t0, 3>>>", "Close<a where Eq<a, Shift<t0, 4>>>"),
+        "PredicateUnsatisfied at user/AppSend/payload/CloseP: type window not honored by term "
+        "predicate: a#2; Eq<a#2, Shift<t0, 3>> |- Eq<a#2, Shift<t0, 4>> "
+        "[counterexample: a#2 = t0+3]"),
+    # the type's t is free: the process binder t does not capture it
+    "free_type_variable": (
+        "fn prov() -> Unit<u where Leq<t, u>> { Close<t where Geq<t, t0>> }",
+        "PredicateUnsatisfied at prov/CloseP: type window not honored by term predicate: u#1; "
+        "Leq<t, u#1> |- Leq<t0, u#1> [counterexample: u#1 = t0-1]"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REJECTS))
 def test_rejection_message(name):
     source, message = REJECTS[name]
+    decl = message.split(" at ", 1)[1].split("/", 1)[0]  # a location starts with it
     reports = {r.name: r for r in check_program(parse_program(source))}
-    assert reports["p"].render() == f"REJECT p: {message}"
+    assert reports[decl].render() == f"REJECT {decl}: {message}"
+
+
+ACCEPTS = {
+    "forward_after_client": (RELAY, ["ACCEPT relay"]),
+    "spawn_after_client": (D + SINK + MAIN, ["ACCEPT sink", "ACCEPT main"]),
+    "payload_after_client": (USER, ["ACCEPT user"]),
+    "payload_forward_after_client": (
+        f"{L}fn user(x: L, y: Unit<a where Eq<a, Shift<t0, 3>>>) -> "
+        "Unit<u where Eq<u, Shift<t0, 5>>> { App<Shift<t0, 1>>(x <= { Fwd<Shift<t0, 1>>(y) }); "
+        "Wait<Shift<t0, 4>>(x); Close<u where Eq<u, Shift<t0, 5>>> }",
+        ["ACCEPT user"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTS))
+def test_partly_consumed_channel_accepted(name):
+    source, lines = ACCEPTS[name]
+    assert [r.render() for r in check_program(parse_program(source))] == lines
 
 
 def test_spawn_may_rebind_a_channel_it_passes():
