@@ -90,8 +90,7 @@ def cmd_run(path: str, entry: str, horizon: Optional[int], trace_out: Optional[s
     if result.ok:
         print(f"done at {t.render_instant(result.end_time)} ({len(result.trace)} events)")
         return 0
-    detail = result.error.render() if result.error else result.status
-    print(f"{result.status}: {detail}")
+    print(f"{result.status}: {result.error.render()}")
     return 1
 
 
@@ -188,9 +187,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # predicates, expressions, type substitution, alpha-equivalence and
-        # the solver's DNF of the hypothesis list still recurse once per
-        # level of nesting
+        # predicates, expressions, alpha-equivalence and the solver's DNF
+        # of the hypothesis list still recurse once per level of nesting
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

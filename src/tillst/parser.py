@@ -681,15 +681,16 @@ def render_prop(p: t.Prop) -> str:
     return f"{name}<{part(p.left)}, {part(p.right)}>"
 
 
-def render_type(a: s.SessionType) -> str:
-    """The surface spelling of a type; the last component in a loop."""
-    out, depth = [], 0
+def render_type(a: s.SessionType, m: Optional[dict] = None) -> str:
+    """The surface spelling of a type, its free time variables read through
+    ``m``; the last component in a loop."""
+    out, depth, m = [], 0, m or {}
     while not isinstance(a, s.TypeRef):
-        parts = [f"{a.binder} where {render_prop(a.pred)}"]
+        parts = [f"{a.binder} where {render_prop(t.substitute_all(a.pred, m))}"]
         if s.CONNECTIVES[type(a)].kind == "value":
             parts.insert(0, str(a.payload))
         *firsts, last = s.components(a) or (None,)
-        parts += map(render_type, firsts)
+        parts += (render_type(c, m) for c in firsts)
         out.append(f"{_TYPE_NAME[type(a)]}<{', '.join(parts)}")
         depth += 1
         if last is None:

@@ -855,6 +855,16 @@ class DeadlockInfo:
 
 
 @dataclass
+class HorizonInfo:
+    next_instant: int
+    horizon: int
+
+    def render(self) -> str:
+        return (f"next pending instant {t.render_instant(self.next_instant)} is past "
+                f"the horizon {t.render_instant(self.horizon)}")
+
+
+@dataclass
 class RunResult:
     status: str  # done | timing_violation | deadlock | horizon
     trace: list
@@ -982,7 +992,7 @@ def run_scheduler(omega: Configuration, start: int = 0,
             break
         nxt = pend[0]
         if nxt > horizon:
-            status = "horizon"
+            status, error = "horizon", HorizonInfo(nxt, horizon)
             break
         steps.append(StepT(clock, nxt, config, None))
         clock = nxt

@@ -2,11 +2,11 @@
 
 Provider forms carry a time binder and predicate; client forms carry a
 concrete time expression.  Channel, time and value variables live in separate
-namespaces.  Nothing is substituted into process terms: the checker binds
-time binders through a map to solver variables, the runtime binds all three
-kinds of variable through a leaf's environment.  Types are substituted into;
-``expand_type_refs`` names every binder of a type uniquely, so those
-substitutions cannot capture.
+namespaces.  ``expand_type_refs`` builds each type once, naming every binder
+uniquely; after it, nothing is substituted into a type or a process term.
+The checker binds process and type binders through maps to their instants,
+and the runtime binds all three kinds of variable through a leaf's
+environment.
 
 ``CONNECTIVES`` is the one table of connectives: components, message kind,
 the provider's direction, and the process forms that provide and use each.
@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .temporal import Prop, TillstError, TimeExpr, substitute, substitute_all, tvar
+from .temporal import Prop, TillstError, TimeExpr, substitute_all, tvar
 
 
 class CyclicTypeDefError(TillstError):
@@ -499,24 +499,6 @@ def components(a: SessionType) -> tuple:
     return tuple(getattr(a, name) for name in CONNECTIVES[type(a)].components)
 
 
-def _map_components(a: SessionType, f, *args) -> dict:
-    # a plain loop: one stack frame per level, as deep types need
-    out = {}
-    for name in CONNECTIVES[type(a)].components:
-        out[name] = f(getattr(a, name), *args)
-    return out
-
-
-def subst_time_in_type(a: SessionType, name: str, e: TimeExpr) -> SessionType:
-    """[e/name]A; a binder named ``name`` shadows it.  Nothing is renamed:
-    the caller keeps e's variable from being bound inside A, as it is once
-    expand_type_refs has named every binder uniquely."""
-    if isinstance(a, TypeRef) or a.binder == name:
-        return a
-    return _rebuild(a, pred=substitute(a.pred, name, e),
-                    **_map_components(a, subst_time_in_type, name, e))
-
-
 def expand_type_refs(prog: Optional[Program], a: SessionType,
                      names: Optional[NameSupply] = None) -> SessionType:
     """Resolve TypeRef nodes against the program and name every binder
@@ -565,17 +547,11 @@ def expand_type_refs(prog: Optional[Program], a: SessionType,
     return walk(a, (), {})
 
 
-def urgency_instantiate(a: SessionType, at: TimeExpr) -> tuple:
-    """The components of ``a`` with its top binder instantiated to ``at``."""
-    if isinstance(a, TypeRef):
-        raise ValueError("urgency instantiation needs a TypeRef-free type")
-    return tuple(subst_time_in_type(c, a.binder, at) for c in components(a))
-
-
-def alpha_eq_type(a: SessionType, b: SessionType) -> bool:
-    """Structural equality up to renaming of time binders.  Binders pair up
-    by position: both stand for ``#d``, d their depth, a name neither source
-    nor a NameSupply can produce."""
+def alpha_eq_type(a: SessionType, b: SessionType, m: Optional[dict] = None) -> bool:
+    """Structural equality up to renaming of time binders, with ``a``'s free
+    time variables read through ``m``.  Binders pair up by position: both
+    stand for ``#d``, d their depth, a name neither source nor a NameSupply
+    can produce."""
 
     def eq(a, b, ma: dict, mb: dict, depth: int) -> bool:
         if isinstance(a, TypeRef) or isinstance(b, TypeRef):
@@ -593,7 +569,7 @@ def alpha_eq_type(a: SessionType, b: SessionType) -> bool:
                 return False
         return True
 
-    return eq(a, b, {}, {}, 0)
+    return eq(a, b, m or {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------

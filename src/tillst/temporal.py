@@ -195,11 +195,6 @@ def free_time_vars(p: Prop) -> set:
     return out
 
 
-def substitute(p: Prop, name: str, e: TimeExpr) -> Prop:
-    """[e/name]p."""
-    return substitute_all(p, {name: e})
-
-
 def substitute_all(p: Prop, m: Mapping[str, TimeExpr]) -> Prop:
     """Simultaneous substitution [m]p; props bind no time variables, so
     nothing can be captured."""

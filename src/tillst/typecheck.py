@@ -17,10 +17,12 @@ structure held fixed (the lolli argument is contravariant).  Every temporal
 premise is discharged by the solver, and every query is recorded so it can
 be exported as SMT-LIB2.
 
-Binders are never substituted into process terms.  Types are expanded with
-uniquely named binders, and each type binder is itself the solver variable
-for its instant; the judgment carries a map from the process's time binders
-to those variables.
+Nothing is substituted into a process term or a type.  Types are expanded
+with uniquely named binders, and a provider's type binder is itself the
+solver variable for its instant.  The judgment carries two maps: from the
+process's time binders to those variables, and from each type binder a
+client exchange fixed to that exchange's instant, through which every type
+is read.
 """
 
 from __future__ import annotations
@@ -162,13 +164,6 @@ def check_expr(gamma: dict, e: s.Expr, externs: dict, location: str = "") -> s.V
 # Retyping relations
 
 
-def _close(a, m: dict):
-    """Type ``a`` with its free time variables replaced as ``m`` says."""
-    for name, e in m.items():
-        a = s.subst_time_in_type(a, name, e)
-    return a
-
-
 def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
             cut: bool, ma=None, mb=None) -> tuple:
     """Shared engine for forward and cut retyping.
@@ -176,12 +171,13 @@ def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
     Returns (ok, reason).  Cut retyping adds T <= t to the hypotheses instead
     of requiring it as a separate premise.  Binders pair up: b's binder is
     the solver variable for both instants, and ``ma``/``mb`` map the binders
-    of the enclosing connectives on each side to their variables.
+    of the enclosing connectives on each side (and any binder a client
+    exchange fixed, see ``Judgment``) to their instants.
     """
     ma, mb = ma or {}, mb or {}
     if type(a) is not type(b) or isinstance(a, s.TypeRef):
-        return False, (f"connective mismatch: {render_type(_close(a, ma))} "
-                       f"vs {render_type(_close(b, mb))}")
+        return False, (f"connective mismatch: {render_type(a, ma)} "
+                       f"vs {render_type(b, mb)}")
     u = t.tvar(b.binder)
     ma, mb = {**ma, a.binder: u}, {**mb, b.binder: u}
     a_pred, b_pred = t.substitute_all(a.pred, ma), t.substitute_all(b.pred, mb)
@@ -249,14 +245,19 @@ def split_context(delta: dict, p1: s.Process, p2: s.Process,
 
 class Judgment(NamedTuple):
     """A pending G;F | Gamma;Delta |- p :: a @ at.  ``tm`` maps the time
-    binders in scope in ``p`` to their instants, ``location`` is the
-    parent's, and ``spawns`` names the procs whose bodies enclose ``p``."""
+    binders in scope in ``p`` to their instants.  ``bm`` maps each type
+    binder a client exchange fixed to that exchange's instant; every type
+    in the judgment is read through it, and none is rebuilt.  The two maps
+    stay apart, since a type may name a free variable spelled like a
+    process binder.  ``location`` is the parent's, and ``spawns`` names the
+    procs whose bodies enclose ``p``."""
 
     g: list
     f: list
     gamma: dict
     delta: dict
     tm: dict
+    bm: dict
     p: s.Process
     at: t.TimeExpr
     a: s.SessionType
@@ -289,7 +290,7 @@ class Checker:
     def check_process(self, g, f, gamma, delta, tm, p, at, a, location="") -> None:
         """G;F | Gamma;Delta |- p :: a @ at, raising TypingError on failure.
         ``tm`` maps the time binders in scope in ``p`` to their instants."""
-        pending = [Judgment(g, f, gamma, delta, tm, p, at, a, location)]
+        pending = [Judgment(g, f, gamma, delta, tm, {}, p, at, a, location)]
         while pending:
             item = pending.pop()
             if callable(item):
@@ -317,7 +318,8 @@ class Checker:
         when = t.subst_time(p.at, j.tm)
         self._require(j.g, j.f, t.Eq(j.at, when), TIMING_VIOLATION, loc,
                       "forward annotation differs from judgment time")
-        ok, reason = _retype(self.solver, j.g, j.f, delta[p.chan], j.a, when, loc, cut=False)
+        ok, reason = _retype(self.solver, j.g, j.f, delta[p.chan], j.a, when, loc,
+                             cut=False, ma=j.bm, mb=j.bm)
         if not ok:
             raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
         return []
@@ -355,10 +357,10 @@ class Checker:
         delta1 = {}
         for arg, (param, want) in zip(p.args, decl.params):
             want = self.expand(want)
-            if not s.alpha_eq_type(delta[arg], want):
+            if not s.alpha_eq_type(delta[arg], want, j.bm):
                 raise TypeCheckError(TypingError(
                     SHAPE_MISMATCH, loc,
-                    f"spawn argument {arg} has type {render_type(delta[arg])}, "
+                    f"spawn argument {arg} has type {render_type(delta[arg], j.bm)}, "
                     f"but {p.callee} expects {render_type(want)}"))
             delta1[param] = delta[arg]
         offered = self.expand(decl.offered)
@@ -370,7 +372,7 @@ class Checker:
                 raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
             return [j._replace(delta={**rest, p.bound: bound}, p=p.cont, at=when, location=loc)]
 
-        body = Judgment(j.g, j.f, j.gamma, delta1, {}, decl.body, when, offered,
+        body = Judgment(j.g, j.f, j.gamma, delta1, {}, j.bm, decl.body, when, offered,
                         f"{loc}/{p.callee}", j.spawns + (p.callee,))
         return [body, cut]
 
@@ -391,7 +393,7 @@ class Checker:
             ctx = {x: c for x, c in j.delta.items() if x != p.chan}
         form = (s.PROVIDES if provider else s.USES)[type(p)]
         if not isinstance(ty, form):
-            want = ty.name if isinstance(ty, s.TypeRef) else render_type(ty)
+            want = ty.name if isinstance(ty, s.TypeRef) else render_type(ty, j.bm)
             raise TypeCheckError(TypingError(
                 SHAPE_MISMATCH, loc,
                 f"process form {type(p).__name__} cannot provide or use {want}"))
@@ -400,30 +402,30 @@ class Checker:
         if kind == "close" and sends and ctx:
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc, f"channel {sorted(ctx)[0]} unused at close"))
-        g, f, tm = j.g, j.f, j.tm
+        g, f, tm, bm = j.g, j.f, j.tm, j.bm
         if provider:
             now = t.tvar(ty.binder)
             tm = {**tm, p.binder: now}
-            term_pred = t.substitute_all(p.pred, tm)
+            term_pred, window = t.substitute_all(p.pred, tm), t.substitute_all(ty.pred, bm)
             g = list(g) + [ty.binder]
-            self._require(g, list(f) + [ty.pred], term_pred, PREDICATE_UNSATISFIED, loc,
+            self._require(g, list(f) + [window], term_pred, PREDICATE_UNSATISFIED, loc,
                           "type window not honored by term predicate")
-            self._require(g, list(f) + [term_pred], ty.pred, PREDICATE_UNSATISFIED, loc,
+            self._require(g, list(f) + [term_pred], window, PREDICATE_UNSATISFIED, loc,
                           "term predicate exceeds the type window")
-            f = list(f) + [ty.pred]
+            f = list(f) + [window]
             self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
                           "provider is too late for its window")
-            comps = s.components(ty)
         else:
             now = t.subst_time(p.at, tm)
+            bm = {**bm, ty.binder: now}
             self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
                           "client instant precedes the current time")
-            self._require(g, f, t.substitute(ty.pred, ty.binder, now), TIMING_VIOLATION, loc,
+            self._require(g, f, t.substitute_all(ty.pred, bm), TIMING_VIOLATION, loc,
                           "client instant misses the provider window")
-            comps = s.urgency_instantiate(ty, now)
+        comps = s.components(ty)
 
         def judge(q, d, a, where=loc, gamma=j.gamma) -> Judgment:
-            return Judgment(g, f, gamma, d, tm, q, now, a, where, j.spawns)
+            return Judgment(g, f, gamma, d, tm, bm, q, now, a, where, j.spawns)
 
         def on(q, c, d=ctx, **kw) -> Judgment:
             """q goes on with the exchanged channel at type c."""

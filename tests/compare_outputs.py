@@ -7,8 +7,9 @@ Each argument is a directory holding the ``tillst`` package, such as the
 CHANGE_SRC, the seed-1 programs and traces of the fanout, chain,
 disjunctive and corpus workloads of ``perfbench/workloads.py``, and that
 file's fanout programs at N=256 and chain program at n=300, the sizes the
-scaling baselines are measured at.  For every program the two trees are
-compared on:
+scaling baselines are measured at.  Each program's systems and types are
+the ones CHANGE_SRC's parser reads from it.  For every program the two
+trees are compared on:
 
 - ``check``: stdout, stderr and exit code;
 - ``run`` of every system: stdout, stderr, exit code and the trace file;
@@ -30,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import re
 import subprocess
 import sys
 import tempfile
@@ -41,11 +41,14 @@ SEED = 1
 MONITORED_CHANNELS = 4
 
 
-def plan(corpus_dir: Path, inputs: Path) -> None:
-    """Write every input file and ``plan.json`` into ``inputs``."""
-    sys.path.insert(0, str(HERE.parent))
+def plan(src: Path, inputs: Path) -> None:
+    """Write every input file and ``plan.json`` into ``inputs``.  The
+    systems and types of each program are read with the parser of ``src``."""
+    sys.path[:0] = [str(HERE.parent), str(src)]
     from perfbench.workloads import chain_program, fanout_program, generate
+    from tillst.parser import parse_program
 
+    corpus_dir = src / "tillst" / "corpus"
     files = {p.name: p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.tsl"))}
     monitors = []
     for name in ("fanout", "chain", "disjunctive", "corpus"):
@@ -58,9 +61,12 @@ def plan(corpus_dir: Path, inputs: Path) -> None:
     files["chain300.tsl"] = chain_program(300, list(range(300)))
     for name, text in files.items():
         (inputs / name).write_text(text, encoding="utf-8")
-    programs = {name: {"systems": re.findall(r"\bsystem\s+(\w+)", text),
-                       "types": re.findall(r"\btype\s+(\w+)\s*=", text)}
-                for name, text in sorted(files.items()) if name.endswith(".tsl")}
+    programs = {}
+    for name, text in sorted(files.items()):
+        if name.endswith(".tsl"):
+            prog = parse_program(text)
+            programs[name] = {"systems": [d.name for d in prog.systems],
+                              "types": [d.name for d in prog.types]}
     (inputs / "plan.json").write_text(json.dumps({"programs": programs, "monitors": monitors}))
 
 
@@ -153,7 +159,7 @@ def main(argv: list) -> int:
         tmp = Path(tmp)
         inputs = tmp / "inputs"
         inputs.mkdir()
-        plan(Path(change_src).resolve() / "tillst" / "corpus", inputs)
+        plan(Path(change_src).resolve(), inputs)
         parent = run_tree(parent_src, inputs, tmp / "parent")
         change = run_tree(change_src, inputs, tmp / "change")
     keys = parent.keys() | change.keys()

@@ -126,6 +126,12 @@ class TestRun:
                                "--trace", str(trace))
         assert code == 1 and "event at t0-2 precedes t0+0" in out
 
+    def test_horizon_names_the_next_instant(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "run", corpus_path("smart_home.tsl"), "--entry", "main",
+                               "--horizon", "10", "--trace", str(tmp_path / "t.jsonl"))
+        assert (code, out) == (1, "horizon: next pending instant t0+30 is past the "
+                                  "horizon t0+10\n")
+
     def test_unknown_entry(self, capsys):
         code, _, err = run_cli(capsys, "run", corpus_path("adequacy.tsl"),
                                "--entry", "nope")
@@ -488,3 +494,17 @@ class TestDeepInputChecks:
         assert (proc.returncode, proc.stderr) == (1, "")
         assert proc.stdout.startswith("REJECT f: TimingViolation at f/AppSend/WaitP/ProdP: ")
         assert proc.stdout.count("\n") == 1
+
+    def test_deep_protocol_consumed_by_a_client(self, tmp_path):
+        # each client exchange binds its stage's binder; the 1200-stage rest
+        # of the type is read through that binding, never rebuilt
+        n = 1200
+        ty = "".join(f"Produce<s_{i} where Geq<s_{i}, t0>, int, " for i in range(n))
+        stages = "".join(f"    Cons<t0>(x) {{ v_{i} =>\n" for i in range(n))
+        path = tmp_path / "deep_client.tsl"
+        path.write_text(
+            f"type CHAIN = {ty}Unit<z where Geq<z, t0>>{'>' * n};\n"
+            "fn consumer(x: CHAIN) -> Unit<u where Eq<u, t0>> {\n"
+            f"{stages}    Wait<t0>(x); Close<u where Eq<u, t0>>\n{'}' * n}\n}}\n")
+        proc = run_subprocess("check", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT consumer\n", "")

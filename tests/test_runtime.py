@@ -21,7 +21,8 @@ from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
                             trace_from_jsonl, trace_to_jsonl)
 from tillst.temporal import TillstError
 from tillst.runtime import (_Index, _leaf_steps, _partner, _step_sort_key,
-                            _wait_pass, DeadlockInfo, SilentA, describe_leaf)
+                            _wait_pass, DeadlockInfo, HorizonInfo, SilentA,
+                            describe_leaf)
 from tillst.trajectory import (traj_concat, traj_equiv, traj_from_sigma,
                                traj_partition)
 
@@ -822,7 +823,7 @@ def reference_run(omega, start, env, defs, horizon):
             error = DeadlockInfo(clock, sorted(describe_leaf(x) for x in config))
             break
         if pend[0] > horizon:
-            status = "horizon"
+            status, error = "horizon", HorizonInfo(pend[0], horizon)
             break
         steps.append(StepT(clock, pend[0], config, None))
         clock = pend[0]

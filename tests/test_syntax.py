@@ -2,46 +2,9 @@ import pytest
 
 from tillst import syntax as s
 from tillst import temporal as t
-from tillst.syntax import (CyclicTypeDefError, expand_type_refs, free_channel_table,
-                           free_channels, urgency_instantiate)
+from tillst.syntax import CyclicTypeDefError, expand_type_refs, free_channel_table, free_channels
 
 T0 = t.INIT
-
-
-def unit_after(base, off=0, binder="t"):
-    return s.UnitT(binder, t.Leq(t.tvar(base, off) if base else t.init_plus(off),
-                                 t.tvar(binder)))
-
-
-class TestUrgency:
-    """Instantiation returns the components with the top binder replaced."""
-
-    def test_unit_drops_binder(self):
-        assert urgency_instantiate(s.UnitT("t", t.TOP), t.init_plus(3)) == ()
-
-    def test_tensor_substitutes_both_components(self):
-        a1 = s.UnitT("u", t.Leq(t.tvar("t"), t.tvar("u")))
-        a2 = s.UnitT("u", t.Leq(t.tvar("t", 5), t.tvar("u")))
-        got = urgency_instantiate(s.TensorT("t", t.TOP, a1, a2), t.init_plus(7))
-        assert got == (s.UnitT("u", t.Leq(t.init_plus(7), t.tvar("u"))),
-                       s.UnitT("u", t.Leq(t.init_plus(12), t.tvar("u"))))
-
-    def test_produce_substitutes_continuation(self):
-        # the payload sort is not a component: the checker reads it off the type
-        inner = s.UnitT("u", t.Leq(t.tvar("t"), t.tvar("u")))
-        got = urgency_instantiate(s.ProduceT("t", t.TOP, s.INT, inner), t.init_plus(2))
-        assert got == (s.UnitT("u", t.Leq(t.init_plus(2), t.tvar("u"))),)
-
-    def test_commutes_with_outer_substitution(self):
-        # instantiating after substituting an unrelated variable equals
-        # substituting after instantiating
-        a = s.TensorT("t", t.Leq(t.tvar("s"), t.tvar("t")),
-                      unit_after("t"), unit_after("s"))
-        at = t.init_plus(4)
-        sub_first = urgency_instantiate(s.subst_time_in_type(a, "s", t.init_plus(9)), at)
-        inst_first = urgency_instantiate(a, at)
-        subbed = tuple(s.subst_time_in_type(c, "s", t.init_plus(9)) for c in inst_first)
-        assert sub_first == subbed
 
 
 class TestFreeChannels:

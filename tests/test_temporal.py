@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from tillst import temporal as t
 from tillst.temporal import (BOT, INIT, TOP, And, Eq, Imp, Leq, Or,
                              eval_closed_prop, eval_prop, entails, init_plus,
-                             p_in, solve_satisfiable, substitute, tvar)
+                             p_in, solve_satisfiable, substitute_all, tvar)
 
 times = st.builds(
     t.TimeExpr,
@@ -66,21 +66,21 @@ class TestEvalClosed:
 
 class TestSubstitute:
     def test_direct(self):
-        got = substitute(Leq(tvar("t1"), tvar("t2")), "t2", init_plus(5))
+        got = substitute_all(Leq(tvar("t1"), tvar("t2")), {"t2": init_plus(5)})
         assert got == Leq(tvar("t1"), init_plus(5))
 
     def test_no_occurrence(self):
-        assert substitute(TOP, "t", init_plus(1)) == TOP
+        assert substitute_all(TOP, {"t": init_plus(1)}) == TOP
 
     def test_offset_composition(self):
-        got = substitute(Eq(tvar("t"), tvar("u")), "t", tvar("u", 1))
+        got = substitute_all(Eq(tvar("t"), tvar("u")), {"t": tvar("u", 1)})
         assert got == Eq(tvar("u", 1), tvar("u"))
 
     @given(props(times), st.integers(-20, 20))
     def test_substitution_evaluates(self, p, n):
         # substituting then evaluating = evaluating under the extended scope
-        inst = substitute(substitute(substitute(p, "t1", init_plus(n)),
-                                     "t2", init_plus(0)), "t3", init_plus(7))
+        inst = substitute_all(substitute_all(substitute_all(p, {"t1": init_plus(n)}),
+                                             {"t2": init_plus(0)}), {"t3": init_plus(7)})
         assert eval_closed_prop(inst) == eval_prop(p, {"t1": n, "t2": 0, "t3": 7})
 
 
