@@ -152,6 +152,29 @@ class TestSolve:
         with pytest.raises(t.FormulaTooLargeError):
             solve_satisfiable(["t1"], blowup, budget=50)
 
+    # Each list's budget B is the number of literals its DNF expansion
+    # charges: the query answers at B and exceeds the budget at B - 1.  A
+    # TOP after the last other hypothesis is skipped, and charges nothing.
+    CONJ = [Leq(tvar("t1"), init_plus(5)), Eq(tvar("t2"), tvar("t1", 1)),
+            Leq(INIT, tvar("t2")), Eq(tvar("t3"), tvar("t2"))]
+
+    @pytest.mark.parametrize("f,budget", [
+        (CONJ, 20),
+        ([Or(Leq(tvar("t1"), init_plus(3)), Eq(tvar("t1"), tvar("t2"))),
+          t.p_neq(tvar("t2"), tvar("t3")), Leq(tvar("t3"), init_plus(9)),
+          t.p_neq(tvar("t1"), INIT)], 60),
+        ([Imp(Leq(tvar("t1"), init_plus(3)), Eq(tvar("t2"), INIT)),
+          t.p_not(Eq(tvar("t1"), tvar("t2"))), Leq(INIT, tvar("t3")),
+          Eq(tvar("t3"), tvar("t1", 2))], 41),
+        ([TOP] + CONJ, 26),
+        (CONJ[:2] + [TOP] + CONJ[2:], 23),
+        (CONJ + [TOP], 20),
+    ], ids=["conjunctive", "or-neq", "imp-not-eq", "top-first", "top-middle", "top-last"])
+    def test_clause_budget_threshold(self, f, budget):
+        assert solve_satisfiable(["t1", "t2", "t3"], f, budget=budget) is not None
+        with pytest.raises(t.FormulaTooLargeError):
+            solve_satisfiable(["t1", "t2", "t3"], f, budget=budget - 1)
+
     def test_pre_init_instants_allowed(self):
         model = solve_satisfiable(["t1"], [Leq(tvar("t1", 5), INIT)])
         assert model is not None and model["t1"] <= -5
