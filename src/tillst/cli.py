@@ -187,8 +187,9 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # predicates, expressions, alpha-equivalence and the solver's DNF
-        # of the hypothesis list still recurse once per level of nesting
+        # predicates (the solver's DNF of each hypothesis among them),
+        # expressions and alpha-equivalence still recurse once per level of
+        # nesting; the solver folds over the hypothesis list itself
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

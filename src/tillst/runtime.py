@@ -1067,6 +1067,8 @@ def trace_from_jsonl(text: str) -> list:
         if kind not in _TRACE_KINDS:
             raise TraceFormatError(f"{n}: kind {kind!r} is not one of {', '.join(_TRACE_KINDS)}")
         payload = obj.get("payload")
+        if payload is not None and not isinstance(payload, str):
+            raise TraceFormatError(f"{n}: payload {payload!r} is not a string or null")
         if dirn == "silent":
             events.append(TraceEvent(time, SILENT, chan, payload))
             continue

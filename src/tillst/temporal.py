@@ -5,7 +5,9 @@ distinguished initial instant ``init`` fixed to 0.  Every time expression
 normalizes to ``base + offset`` where the base is either ``init`` or a single
 time variable.  Entailment G;F |- p is decided by unsatisfiability of
 F together with the negation of p over integer assignments, using an internal
-DNF + negative-cycle difference-logic procedure.  Each conjunct runs
+DNF + negative-cycle difference-logic procedure.  The DNF is folded over the
+hypothesis list one hypothesis at a time, so only the nesting within a
+single proposition takes stack frames.  Each conjunct runs
 Bellman-Ford from a virtual source and stops at the first pass whose parent
 graph holds a cycle, which is a negative cycle; a conjunct still relaxing
 after |V| passes is unsatisfiable too.  Queries export as SMT-LIB2 scripts
@@ -175,13 +177,6 @@ def p_in(lo: TimeExpr, t: TimeExpr, hi: TimeExpr) -> Prop:
     return And(Leq(lo, t), Leq(t, hi))
 
 
-def p_and_all(props: Sequence[Prop]) -> Prop:
-    out: Prop = TOP
-    for p in reversed(props):
-        out = p if out == TOP else And(p, out)
-    return out
-
-
 def free_time_vars(p: Prop) -> set:
     if isinstance(p, (Top, Bot)):
         return set()
@@ -254,62 +249,53 @@ def _leq_lit(a: TimeExpr, b: TimeExpr) -> _Lit:
     return (_node(a), _node(b), b.offset - a.offset)
 
 
+def _charge(budget: list, n: int) -> None:
+    """Spend ``n`` literals of the single-cell countdown ``budget``."""
+    budget[0] -= n
+    if budget[0] < 0:
+        raise FormulaTooLargeError("DNF expansion exceeded the clause budget")
+
+
 def _dnf(p: Prop, positive: bool, budget: list) -> list:
     """Disjunctive normal form as a list of conjuncts (lists of literals).
 
     Integer semantics: not (a <= b) becomes b+1 <= a; equalities split into
-    two inequalities, disequalities into a disjunction.  ``budget`` is a
-    single-cell countdown of literals the expansion may still produce.
+    two inequalities, disequalities into a disjunction.  The connectives
+    share one rule: an implication flips its left child's polarity, and a
+    node is the product of its children's forms exactly when it is a
+    positive And or a negated Or or Imp, else their union.  Every literal
+    produced is charged to ``budget``.
     """
-
-    def spend(n: int) -> None:
-        budget[0] -= n
-        if budget[0] < 0:
-            raise FormulaTooLargeError("DNF expansion exceeded the clause budget")
-
     if isinstance(p, Top):
         return [[]] if positive else []
     if isinstance(p, Bot):
         return [] if positive else [[]]
-    if isinstance(p, Imp):
-        return _dnf_imp(p, positive, budget)
-    if isinstance(p, And):
-        if positive:
-            return _dnf_product(_dnf(p.left, True, budget), _dnf(p.right, True, budget), budget)
-        return _dnf(p.left, False, budget) + _dnf(p.right, False, budget)
-    if isinstance(p, Or):
-        if positive:
-            return _dnf(p.left, True, budget) + _dnf(p.right, True, budget)
-        return _dnf_product(_dnf(p.left, False, budget), _dnf(p.right, False, budget), budget)
+    if isinstance(p, (And, Or, Imp)):
+        left = _dnf(p.left, positive != (type(p) is Imp), budget)
+        right = _dnf(p.right, positive, budget)
+        if (type(p) is And) == positive:
+            return _dnf_product(left, right, budget)
+        return left + right
     if isinstance(p, Leq):
-        spend(1)
+        _charge(budget, 1)
         if positive:
             return [[_leq_lit(p.left, p.right)]]
         return [[_leq_lit(p.right.shift(1), p.left)]]
     # Eq
+    _charge(budget, 2)
     if positive:
-        spend(2)
         return [[_leq_lit(p.left, p.right), _leq_lit(p.right, p.left)]]
-    spend(2)
     return [
         [_leq_lit(p.left.shift(1), p.right)],
         [_leq_lit(p.right.shift(1), p.left)],
     ]
 
 
-def _dnf_imp(p: Imp, positive: bool, budget: list) -> list:
-    if positive:
-        return _dnf(p.left, False, budget) + _dnf(p.right, True, budget)
-    return _dnf_product(_dnf(p.left, True, budget), _dnf(p.right, False, budget), budget)
-
-
 def _dnf_product(left: list, right: list, budget: list) -> list:
     out = []
     for a in left:
         for b in right:
-            budget[0] -= len(a) + len(b)
-            if budget[0] < 0:
-                raise FormulaTooLargeError("DNF expansion exceeded the clause budget")
+            _charge(budget, len(a) + len(b))
             out.append(a + b)
     return out
 
@@ -373,8 +359,15 @@ def solve_satisfiable(
     """
     names = list(dict.fromkeys(g))
     cell = [budget]
-    conjuncts = _dnf(p_and_all(list(f)), True, cell)
-    for conj in conjuncts:
+    # the DNF of f[0] /\ (f[1] /\ ...), folded from the right; a TOP after
+    # the last other hypothesis is skipped, so it charges no product
+    conjuncts: Optional[list] = None
+    for p in reversed(f):
+        if conjuncts is not None:
+            conjuncts = _dnf_product(_dnf(p, True, cell), conjuncts, cell)
+        elif p != TOP:
+            conjuncts = _dnf(p, True, cell)
+    for conj in [[]] if conjuncts is None else conjuncts:
         nodes = list(dict.fromkeys(
             [_INIT_NODE] + [n for lit in conj for n in (lit[0], lit[1])] + names))
         model = _solve_conjunct(conj, nodes)

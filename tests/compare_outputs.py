@@ -7,7 +7,9 @@ Each argument is a directory holding the ``tillst`` package, such as the
 CHANGE_SRC, the seed-1 programs and traces of the fanout, chain,
 disjunctive and corpus workloads of ``perfbench/workloads.py``, and that
 file's fanout programs at N=256 and chain program at n=300, the sizes the
-scaling baselines are measured at.  Each program's systems and types are
+scaling baselines are measured at, and its chain programs at n=700 and
+n=750, the deepest chain that checks and the first whose queries exceed
+the solver's clause budget.  Each program's systems and types are
 the ones CHANGE_SRC's parser reads from it.  For every program the two
 trees are compared on:
 
@@ -58,7 +60,8 @@ def plan(src: Path, inputs: Path) -> None:
                      for op in w.ops if op.kind == "monitor"]
     files["fanout256.tsl"] = fanout_program(256, False)
     files["fanout256_mut.tsl"] = fanout_program(256, True)
-    files["chain300.tsl"] = chain_program(300, list(range(300)))
+    for n in (300, 700, 750):
+        files[f"chain{n}.tsl"] = chain_program(n, list(range(n)))
     for name, text in files.items():
         (inputs / name).write_text(text, encoding="utf-8")
     programs = {}

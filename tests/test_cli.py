@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tillst import corpus_path
 from tillst.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
+from perfbench.workloads import chain_type  # noqa: E402
 
 
 def run_cli(capsys, *args):
@@ -234,8 +238,10 @@ class TestMonitorCmd:
         (GOOD.replace('"close"', '"datagram"'), "kind 'datagram'"),
         (GOOD.replace('"time": 0', '"time": "soon"'), "time 'soon' is not an integer"),
         (GOOD.replace('"a"', '5'), "channel 5 is not a string"),
+        (GOOD.replace('"close"', '"label"').replace("null", "5"),
+         "payload 5 is not a string or null"),
     ], ids=["not-json", "not-an-object", "too-deep", "missing-key", "bad-dir", "bad-kind",
-            "bad-time", "bad-channel"])
+            "bad-time", "bad-channel", "bad-payload"])
     def test_malformed_trace_line_exits_two(self, tmp_path, line, reason):
         path = tmp_path / "bad.jsonl"
         path.write_text(self.GOOD + "\n" + line + "\n")
@@ -508,3 +514,12 @@ class TestDeepInputChecks:
             f"{stages}    Wait<t0>(x); Close<u where Eq<u, t0>>\n{'}' * n}\n}}\n")
         proc = run_subprocess("check", str(path))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT consumer\n", "")
+
+    def test_deep_forward(self, tmp_path):
+        # retyping a forward asks one query per stage; the solver folds each
+        # query's hypothesis list instead of recursing through it
+        path = tmp_path / "relay500.tsl"
+        path.write_text(f"type C = {chain_type(500)};\n"
+                        "fn relay(x: C) -> C { Fwd<t0>(x) }\n")
+        proc = run_subprocess("check", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT relay\n", "")
