@@ -516,8 +516,9 @@ class TestDeepInputChecks:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT consumer\n", "")
 
     def test_deep_forward(self, tmp_path):
-        # retyping a forward asks one query per stage; the solver folds each
-        # query's hypothesis list instead of recursing through it
+        # retyping a forward asks two queries per stage, each over the
+        # hypotheses of every stage above it; the solver folds each list
+        # instead of recursing through it
         path = tmp_path / "relay500.tsl"
         path.write_text(f"type C = {chain_type(500)};\n"
                         "fn relay(x: C) -> C { Fwd<t0>(x) }\n")
