@@ -189,7 +189,7 @@ def main(argv: Optional[list] = None) -> int:
     except RecursionError:
         # predicates (the solver's DNF of each hypothesis among them),
         # expressions and alpha-equivalence still recurse once per level of
-        # nesting; the solver folds over the hypothesis list itself
+        # nesting; the solver walks the hypothesis list in loops
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

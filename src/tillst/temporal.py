@@ -5,22 +5,30 @@ distinguished initial instant ``init`` fixed to 0.  Every time expression
 normalizes to ``base + offset`` where the base is either ``init`` or a single
 time variable.  Entailment G;F |- p is decided by unsatisfiability of
 F together with the negation of p over integer assignments, using an internal
-DNF + negative-cycle difference-logic procedure.  The DNF is folded over the
-hypothesis list one hypothesis at a time, so only the nesting within a
-single proposition takes stack frames.  Each conjunct runs
-Bellman-Ford from a virtual source and stops at the first pass whose parent
-graph holds a cycle, which is a negative cycle; a conjunct still relaxing
-after |V| passes is unsatisfiable too.  Queries export as SMT-LIB2 scripts
+DNF + difference-logic procedure.  Hypotheses form a persistent list
+(``Hyps``): lists that share a prefix share its cells, each cell expands its
+own hypothesis's DNF once, and the clause budget of a query, exactly what a
+right fold of its list's DNFs would charge, is O(1) arithmetic on running
+sums the cells keep.  One context per root holds an incremental difference
+graph of the single-conjunct hypotheses' literals, with a feasible potential
+and an undo trail.  A query pops the graph to the prefix it shares with its
+list, pushes the rest, and searches the disjunctive hypotheses and the
+negated goal depth-first in list order, in a loop, so only the nesting
+within a single proposition takes stack frames.  The conjunct a satisfiable
+query finds runs Bellman-Ford from a virtual source, which stops at the
+first pass whose parent graph holds a cycle, and its distances are the
+counterexample.  Queries export as SMT-LIB2 scripts
 (logic QF_LIA) that an external solver binary can discharge.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 
 class TillstError(Exception):
@@ -230,8 +238,8 @@ def eval_closed_prop(p: Prop) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Internal decision procedure: NNF -> DNF of difference constraints, one
-# negative-cycle check per conjunct.
+# Internal decision procedure: each hypothesis's DNF of difference
+# constraints, searched incrementally along a persistent hypothesis list.
 
 _INIT_NODE = "$init"
 
@@ -239,14 +247,13 @@ _INIT_NODE = "$init"
 # the init node.
 _Lit = tuple
 
-
-def _node(e: TimeExpr) -> str:
-    return e.var if e.var is not None else _INIT_NODE
+CLAUSE_BUDGET = 10**6  # the DNF literals one query may charge
 
 
 def _leq_lit(a: TimeExpr, b: TimeExpr) -> _Lit:
     # a.base + a.off <= b.base + b.off  ~~>  a.base - b.base <= b.off - a.off
-    return (_node(a), _node(b), b.offset - a.offset)
+    return (_INIT_NODE if a.var is None else a.var, _INIT_NODE if b.var is None else b.var,
+            b.offset - a.offset)
 
 
 def _charge(budget: list, n: int) -> None:
@@ -264,40 +271,32 @@ def _dnf(p: Prop, positive: bool, budget: list) -> list:
     share one rule: an implication flips its left child's polarity, and a
     node is the product of its children's forms exactly when it is a
     positive And or a negated Or or Imp, else their union.  Every literal
-    produced is charged to ``budget``.
+    produced is charged to ``budget``, a product's before it is built.
     """
-    if isinstance(p, Top):
-        return [[]] if positive else []
-    if isinstance(p, Bot):
-        return [] if positive else [[]]
-    if isinstance(p, (And, Or, Imp)):
-        left = _dnf(p.left, positive != (type(p) is Imp), budget)
-        right = _dnf(p.right, positive, budget)
-        if (type(p) is And) == positive:
-            return _dnf_product(left, right, budget)
-        return left + right
     if isinstance(p, Leq):
         _charge(budget, 1)
         if positive:
             return [[_leq_lit(p.left, p.right)]]
         return [[_leq_lit(p.right.shift(1), p.left)]]
-    # Eq
-    _charge(budget, 2)
-    if positive:
-        return [[_leq_lit(p.left, p.right), _leq_lit(p.right, p.left)]]
-    return [
-        [_leq_lit(p.left.shift(1), p.right)],
-        [_leq_lit(p.right.shift(1), p.left)],
-    ]
-
-
-def _dnf_product(left: list, right: list, budget: list) -> list:
-    out = []
-    for a in left:
-        for b in right:
-            _charge(budget, len(a) + len(b))
-            out.append(a + b)
-    return out
+    if isinstance(p, Eq):
+        _charge(budget, 2)
+        if positive:
+            return [[_leq_lit(p.left, p.right), _leq_lit(p.right, p.left)]]
+        return [
+            [_leq_lit(p.left.shift(1), p.right)],
+            [_leq_lit(p.right.shift(1), p.left)],
+        ]
+    if isinstance(p, Top):
+        return [[]] if positive else []
+    if isinstance(p, Bot):
+        return [] if positive else [[]]
+    # And, Or, Imp
+    left = _dnf(p.left, positive != (type(p) is Imp), budget)
+    right = _dnf(p.right, positive, budget)
+    if (type(p) is And) == positive:
+        _charge(budget, len(right) * sum(map(len, left)) + len(left) * sum(map(len, right)))
+        return [a + b for a in left for b in right]
+    return left + right
 
 
 def _solve_conjunct(literals: list, nodes: list) -> Optional[dict]:
@@ -347,47 +346,305 @@ def _solve_conjunct(literals: list, nodes: list) -> Optional[dict]:
     return {n: dist[n] - base for n in nodes if n != _INIT_NODE}
 
 
+class Hyps:
+    """A hypothesis list F, persistent: ``push`` returns the list with one
+    more hypothesis at its end and leaves this one as it was.  ``Hyps()``
+    is the empty list, the root of a tree of lists that share their prefixes
+    and one search context; pushing an equal proposition onto the same list
+    returns the same cell.  Iterating gives the hypotheses in list order.
+
+    Each cell expands its own hypothesis's DNF once, when it is pushed,
+    under ``CLAUSE_BUDGET``.  It also keeps what a query needs to charge
+    the budget in O(1): the literals its list's expansions charged
+    (``own``), and over every suffix of its list the suffix's DNF conjunct
+    count (summed in ``sn``) and literal count (summed in ``sl``).  A right
+    fold of the list's DNFs charges each product the literal count of the
+    suffix it builds, and builds every suffix but the innermost, so the
+    fold charges ``own + sl - last``.  ``last`` is the literal count of the
+    last hypothesis that is not TOP, since a trailing TOP builds no
+    product.  Pushing a hypothesis whose own DNF exceeds the budget raises
+    ``FormulaTooLargeError``, as every query of its list would.
+
+    ``single`` and ``ors`` link to the nearest cell at or above this one
+    whose DNF is one non-empty conjunct, and two or more conjuncts.
+    ``pos`` is the cell's place on its context's stack (-1 when off it),
+    and ``dead`` marks a list known to be unsatisfiable.
+    """
+
+    __slots__ = ("parent", "prop", "ctx", "kids", "dnf", "own", "sn", "sl", "last",
+                 "single", "ors", "pos", "dead")
+
+    def __init__(self):
+        self.parent = self.prop = self.kids = self.single = self.ors = None
+        self.ctx = _Context()
+        self.own = self.sn = self.sl = self.last = 0
+        self.dnf = [[]]
+        self.pos, self.dead = -1, False
+
+    def push(self, p: Prop) -> "Hyps":
+        """This list with ``p`` appended."""
+        if self.kids is None:
+            self.kids = {}
+        cell = self.kids.get(p)
+        if cell is not None:
+            return cell
+        countdown = [CLAUSE_BUDGET]
+        dnf = _dnf(p, True, countdown)
+        n, size = len(dnf), sum(map(len, dnf))
+        cell = self.kids[p] = object.__new__(Hyps)
+        cell.parent, cell.prop, cell.ctx = self, p, self.ctx
+        cell.kids, cell.dnf = None, dnf
+        cell.own = self.own + CLAUSE_BUDGET - countdown[0]
+        # each suffix of the parent's list grows by p's DNF, and p's DNF
+        # alone is one suffix more
+        cell.sn = n * (self.sn + 1)
+        cell.sl = n * self.sl + size * (self.sn + 1)
+        cell.last = self.last if type(p) is Top else size
+        cell.single = cell if n == 1 and size else self.single
+        cell.ors = cell if n > 1 else self.ors
+        cell.pos, cell.dead = -1, self.dead or n == 0
+        return cell
+
+    def extend(self, props: Iterable[Prop]) -> "Hyps":
+        f = self
+        for p in props:
+            f = f.push(p)
+        return f
+
+    def __iter__(self):
+        props, c = [], self
+        while c.parent is not None:
+            props.append(c.prop)
+            c = c.parent
+        return reversed(props)
+
+
+class _Context:
+    """The search state of one root's lists: a difference graph that holds
+    the literals of a stack of single-conjunct cells on one path from the
+    root, a feasible potential for it, and an undo trail.
+
+    An edge y -> x of weight c stands for x - y <= c, and ``pot`` satisfies
+    every edge.  A node enters at the value that makes its first edge tight,
+    so asserting a fresh s = t0+k moves nothing.  An edge the potential
+    violates is repaired by Dijkstra's search from its head over reduced
+    costs, which reaches its tail exactly when the edge closes a negative
+    cycle (Cotton & Maler, SAT 2006).  The trail records each new node,
+    changed value and added edge, so backtracking is undoing.  ``unsat``
+    remembers the (list, goal) queries found unsatisfiable.
+    """
+
+    __slots__ = ("pot", "out", "trail", "stack", "marks", "unsat")
+
+    def __init__(self):
+        self.pot, self.out, self.trail = {}, {}, []
+        self.stack, self.marks = [], []
+        self.unsat = set()
+
+    def _add(self, lit: _Lit) -> bool:
+        """Assert one literal; False when it closes a negative cycle."""
+        x, y, c = lit
+        pot, trail = self.pot, self.trail
+        if y not in pot:
+            pot[y] = pot[x] - c if x in pot else 0
+            trail.append((y, None))
+        if x not in pot:
+            pot[x] = pot[y] + c
+            trail.append((x, None))
+        edges = self.out.get(y)
+        if edges is None:
+            edges = self.out[y] = []
+        edges.append((x, c))
+        trail.append(y)
+        gap = pot[x] - pot[y] - c  # how far x has to come down
+        if gap <= 0:
+            return True
+        # every node whose reduced distance from x is under gap comes down
+        # by the difference; reaching y that close means a negative cycle.
+        # Edges are relaxed newest first: a goal's edge usually closes its
+        # cycle through the latest binders, and init has an edge to each.
+        settled, heap = {}, [(0, x)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d >= gap:
+                break
+            if u in settled:
+                continue
+            settled[u] = d
+            for v, w in reversed(self.out.get(u, ())):
+                r = d + pot[u] + w - pot[v]
+                if r < gap and v == y:
+                    return False
+                if r < gap and v not in settled:
+                    heapq.heappush(heap, (r, v))
+        for u, d in settled.items():
+            trail.append((u, pot[u]))
+            pot[u] -= gap - d
+        return True
+
+    def _undo(self, mark: int) -> None:
+        pot, out, trail = self.pot, self.out, self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            if type(entry) is str:
+                out[entry].pop()
+            elif entry[1] is None:
+                del pot[entry[0]]
+            else:
+                pot[entry[0]] = entry[1]
+
+    def _sync(self, f: Hyps) -> bool:
+        """Pop the stack to f's deepest single-conjunct cell on it and push
+        the rest of f's; False when their literals conflict."""
+        todo, c = [], f.single
+        while c is not None and c.pos < 0:
+            if c.dead:
+                return False
+            todo.append(c)
+            c = c.parent.single
+        keep = 0 if c is None else c.pos + 1
+        if keep < len(self.stack):
+            self._undo(self.marks[keep])
+            for gone in self.stack[keep:]:
+                gone.pos = -1
+            del self.stack[keep:], self.marks[keep:]
+        for c in reversed(todo):
+            mark = len(self.trail)
+            if not all(map(self._add, c.dnf[0])):
+                self._undo(mark)
+                c.dead = True
+                return False
+            c.pos = len(self.stack)
+            self.stack.append(c)
+            self.marks.append(mark)
+        return True
+
+    def _search(self, forms: list) -> Optional[list]:
+        """The first choice of one conjunct per form, in lexicographic
+        order, whose literals the graph admits; the graph is left as it
+        was.  Depth-first, undoing a level's literals to backtrack."""
+        n = len(forms)
+        picks, marks = [0] * n, [0] * n
+        base, i = len(self.trail), 0
+        while i < n:
+            if picks[i] == len(forms[i]):
+                if i == 0:
+                    return None
+                picks[i] = 0
+                i -= 1
+                self._undo(marks[i])
+                picks[i] += 1
+                continue
+            marks[i] = len(self.trail)
+            if all(map(self._add, forms[i][picks[i]])):
+                i += 1
+            else:
+                self._undo(marks[i])
+                picks[i] += 1
+        self._undo(base)
+        return [form[k] for form, k in zip(forms, picks)]
+
+    def model(self, f: Hyps, goal: Optional[Prop], g: Iterable[str],
+              budget: int) -> Optional[dict]:
+        """A model of f's list, and of not ``goal`` when one is given, or
+        None.  The budget is charged first, as the right fold of the list's
+        and the negated goal's DNFs would.  Then the single-conjunct cells
+        come from the stack and the disjunctive ones, and the negated goal,
+        are searched in list order, so the conjunct found is the first
+        satisfiable one of that fold.  Bellman-Ford runs on it alone."""
+        if goal is None:
+            forms, charge = [], f.own + f.sl - f.last
+        else:
+            # the negated goal is pushed last, and starts the fold
+            countdown = [budget]
+            neg = _dnf(goal, False, countdown)
+            forms = [neg]
+            charge = (f.own + budget - countdown[0] + len(neg) * f.sl
+                      + sum(map(len, neg)) * f.sn)
+        if charge > budget:
+            raise FormulaTooLargeError("DNF expansion exceeded the clause budget")
+        key = (f, goal)
+        if f.dead or key in self.unsat:
+            return None
+        ors, c = [], f.ors
+        while c is not None:
+            ors.append(c)
+            c = c.parent.ors
+        ors.reverse()
+        picks = self._search([c.dnf for c in ors] + forms) if self._sync(f) else None
+        if picks is None:
+            self.unsat.add(key)
+            return None
+        chosen, parts, c = dict(zip(ors, picks)), picks[len(ors):], f
+        while c.parent is not None:
+            parts.append(chosen.get(c, c.dnf[0]))
+            c = c.parent
+        return _conjunct_model([lit for part in reversed(parts) for lit in part], g)
+
+
+def _conjunct_model(literals: list, g: Iterable[str]) -> Optional[dict]:
+    """Bellman-Ford's model of one conjunct, total over ``g``, or None."""
+    names = list(dict.fromkeys(g))
+    nodes = list(dict.fromkeys(
+        [_INIT_NODE] + [n for lit in literals for n in (lit[0], lit[1])] + names))
+    model = _solve_conjunct(literals, nodes)
+    return None if model is None else {n: model.get(n, 0) for n in names}
+
+
+def _one_shot(g: Iterable[str], f: list, goal: Optional[Prop], budget: int) -> Optional[dict]:
+    """What ``_Context.model`` answers for the plain list ``f``, which no
+    cell shares: the budget is charged from the suffix sums a ``Hyps`` cell
+    keeps, and the same search runs on a fresh context.  A list without a
+    disjunction is one conjunct, which Bellman-Ford decides on its own."""
+    countdown = [budget]
+    while goal is None and f and type(f[-1]) is Top:
+        f.pop()  # a trailing TOP builds no product
+    forms = [_dnf(p, True, countdown) for p in f]
+    if goal is not None:
+        forms.append(_dnf(goal, False, countdown))
+    count, sn, sl, size = 1, 0, 0, 0
+    for form in forms:
+        n, size = len(form), sum(map(len, form))
+        count, sn, sl = count * n, n * (sn + 1), n * sl + size * (sn + 1)
+    _charge(countdown, sl - size)  # the last form starts the fold, with no product
+    if count == 1:  # every form is one conjunct
+        return _conjunct_model([lit for form in forms for lit in form[0]], g)
+    picks = _Context()._search(forms)
+    if picks is None:
+        return None
+    return _conjunct_model([lit for pick in picks for lit in pick], g)
+
+
 def solve_satisfiable(
     g: Iterable[str],
-    f: Sequence[Prop],
-    budget: int = 10**6,
+    f: Union[Hyps, Iterable[Prop]],
+    budget: int = CLAUSE_BUDGET,
 ) -> Optional[dict]:
     """A satisfying assignment of the conjunction of ``f``, or None.
 
     The assignment is total over ``g`` (unconstrained variables get 0) and
     maps each variable to its instant as an offset from init.
     """
-    names = list(dict.fromkeys(g))
-    cell = [budget]
-    # the DNF of f[0] /\ (f[1] /\ ...), folded from the right; a TOP after
-    # the last other hypothesis is skipped, so it charges no product
-    conjuncts: Optional[list] = None
-    for p in reversed(f):
-        if conjuncts is not None:
-            conjuncts = _dnf_product(_dnf(p, True, cell), conjuncts, cell)
-        elif p != TOP:
-            conjuncts = _dnf(p, True, cell)
-    for conj in [[]] if conjuncts is None else conjuncts:
-        nodes = list(dict.fromkeys(
-            [_INIT_NODE] + [n for lit in conj for n in (lit[0], lit[1])] + names))
-        model = _solve_conjunct(conj, nodes)
-        if model is not None:
-            return {n: model.get(n, 0) for n in names}
-    return None
+    if isinstance(f, Hyps):
+        return f.ctx.model(f, None, g, budget)
+    return _one_shot(g, list(f), None, budget)
 
 
 def entails_cex(
     g: Iterable[str],
-    f: Sequence[Prop],
+    f: Union[Hyps, Iterable[Prop]],
     p: Prop,
-    budget: int = 10**6,
+    budget: int = CLAUSE_BUDGET,
 ) -> tuple:
     """(holds, counterexample): holds iff F /\\ not p is unsatisfiable."""
-    cex = solve_satisfiable(g, list(f) + [p_not(p)], budget=budget)
+    if isinstance(f, Hyps):
+        cex = f.ctx.model(f, p, g, budget)
+    else:
+        cex = _one_shot(g, list(f), p, budget)
     return (cex is None, cex)
 
 
-def entails(g: Iterable[str], f: Sequence[Prop], p: Prop) -> bool:
+def entails(g: Iterable[str], f: Union[Hyps, Iterable[Prop]], p: Prop) -> bool:
     """G;F |- p: every F-satisfying assignment satisfies p."""
     holds, _ = entails_cex(g, f, p)
     return holds
@@ -429,7 +686,7 @@ def _smt_prop(p: Prop) -> str:
     return f"(<= {_smt_time(p.left)} {_smt_time(p.right)})"
 
 
-def emit_smtlib(g: Iterable[str], f: Sequence[Prop], p: Prop) -> str:
+def emit_smtlib(g: Iterable[str], f: Iterable[Prop], p: Prop) -> str:
     """Self-contained QF_LIA script; ``sat`` refutes the entailment."""
     lines = ["(set-logic QF_LIA)", "(declare-const init Int)", "(assert (= init 0))"]
     for name in dict.fromkeys(g):
@@ -483,7 +740,7 @@ def run_external_solver(
 
 def entails_external(
     g: Iterable[str],
-    f: Sequence[Prop],
+    f: Iterable[Prop],
     p: Prop,
     solver_bin: Optional[str] = None,
     timeout_ms: int = 5000,

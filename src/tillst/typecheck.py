@@ -68,7 +68,7 @@ class TypeCheckError(Exception):
 @dataclass
 class QueryRecord:
     g: tuple
-    f: tuple
+    f: t.Hyps
     prop: t.Prop
     holds: bool
     location: str
@@ -79,7 +79,10 @@ class EntailmentSolver:
     """Entailment backend with a query log for SMT export.
 
     The internal backend is total and produces counterexample assignments;
-    the external backend shells out to an SMT-LIB2 solver binary.
+    the external backend shells out to an SMT-LIB2 solver binary.  Every
+    hypothesis list is a cell below ``root``, so the internal backend
+    answers each query on top of the checked prefix it shares with the
+    query before.
     """
 
     def __init__(self, backend: str = "internal", solver_bin: Optional[str] = None,
@@ -88,10 +91,14 @@ class EntailmentSolver:
         self.solver_bin = solver_bin
         self.timeout_ms = timeout_ms
         self.queries: list = []
+        self.root = t.Hyps()
+
+    def hyps(self, f) -> t.Hyps:
+        """``f`` as a cell below ``root``; a plain sequence is pushed."""
+        return f if isinstance(f, t.Hyps) else self.root.extend(f)
 
     def holds(self, g, f, p, location: str) -> tuple:
-        g = tuple(g)
-        f = tuple(f)
+        g, f = tuple(g), self.hyps(f)
         start = time.perf_counter()
         if self.backend == "external":
             verdict = t.entails_external(g, f, p, self.solver_bin, self.timeout_ms)
@@ -181,8 +188,9 @@ def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
     u = t.tvar(b.binder)
     ma, mb = {**ma, a.binder: u}, {**mb, b.binder: u}
     a_pred, b_pred = t.substitute_all(a.pred, ma), t.substitute_all(b.pred, mb)
-    g2 = list(g) + [b.binder]
-    hyp = list(f) + ([t.Leq(at, u)] if cut else []) + [b_pred]
+    g2 = (*g, b.binder)
+    hyp = solver.hyps(f)
+    hyp = (hyp.push(t.Leq(at, u)) if cut else hyp).push(b_pred)
     ok, _ = solver.holds(g2, hyp, a_pred, location)
     if not ok:
         return False, f"window not covered: {_render_judgment(g2, hyp, a_pred)}"
@@ -252,8 +260,8 @@ class Judgment(NamedTuple):
     process binder.  ``location`` is the parent's, and ``spawns`` names the
     procs whose bodies enclose ``p``."""
 
-    g: list
-    f: list
+    g: tuple
+    f: t.Hyps
     gamma: dict
     delta: dict
     tm: dict
@@ -290,7 +298,8 @@ class Checker:
     def check_process(self, g, f, gamma, delta, tm, p, at, a, location="") -> None:
         """G;F | Gamma;Delta |- p :: a @ at, raising TypingError on failure.
         ``tm`` maps the time binders in scope in ``p`` to their instants."""
-        pending = [Judgment(g, f, gamma, delta, tm, {}, p, at, a, location)]
+        pending = [Judgment(tuple(g), self.solver.hyps(f), gamma, delta, tm, {}, p, at, a,
+                            location)]
         while pending:
             item = pending.pop()
             if callable(item):
@@ -407,12 +416,11 @@ class Checker:
             now = t.tvar(ty.binder)
             tm = {**tm, p.binder: now}
             term_pred, window = t.substitute_all(p.pred, tm), t.substitute_all(ty.pred, bm)
-            g = list(g) + [ty.binder]
-            self._require(g, list(f) + [window], term_pred, PREDICATE_UNSATISFIED, loc,
+            g, f = g + (ty.binder,), f.push(window)
+            self._require(g, f, term_pred, PREDICATE_UNSATISFIED, loc,
                           "type window not honored by term predicate")
-            self._require(g, list(f) + [term_pred], window, PREDICATE_UNSATISFIED, loc,
+            self._require(g, j.f.push(term_pred), window, PREDICATE_UNSATISFIED, loc,
                           "term predicate exceeds the type window")
-            f = list(f) + [window]
             self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
                           "provider is too late for its window")
         else:
@@ -479,7 +487,7 @@ def check_program(prog: s.Program,
         try:
             delta = {v: checker.expand(a) for v, a in decl.params}
             offered = checker.expand(decl.offered)
-            checker.check_process([], [], {}, delta, {}, decl.body, t.INIT, offered,
+            checker.check_process((), (), {}, delta, {}, decl.body, t.INIT, offered,
                                   location)
             reports.append(DeclReport(decl.name, True))
         except TypeCheckError as exc:

@@ -9,8 +9,10 @@ disjunctive and corpus workloads of ``perfbench/workloads.py``, and that
 file's fanout programs at N=256 and chain program at n=300, the sizes the
 scaling baselines are measured at, and its chain programs at n=700 and
 n=750, the deepest chain that checks and the first whose queries exceed
-the solver's clause budget.  Each program's systems and types are
-the ones CHANGE_SRC's parser reads from it.  For every program the two
+the solver's clause budget, and a chain at n=120 whose middle stage's
+window is disjunctive, with the mutant of it whose stage 110 opens late.
+Each program's systems and types are the ones CHANGE_SRC's parser reads
+from it.  For every program the two
 trees are compared on:
 
 - ``check``: stdout, stderr and exit code;
@@ -43,6 +45,18 @@ SEED = 1
 MONITORED_CHANNELS = 4
 
 
+def neq_chain(n: int, m: int, late: int = -1) -> str:
+    """``chain_program(n, range(n), late)`` whose stage m's window, in the
+    type and in the term, also excludes t0+m.  That disjunction's first
+    disjunct, s_m < t0+m, contradicts the stage's equality, so every later
+    query's search backtracks past it."""
+    from perfbench.workloads import chain_program
+
+    eq = f"Eq<s{m}, Shift<t0, {m + 1}>>"
+    return chain_program(n, list(range(n)), late).replace(
+        eq, f"And<{eq}, Neq<s{m}, Shift<t0, {m}>>>")
+
+
 def plan(src: Path, inputs: Path) -> None:
     """Write every input file and ``plan.json`` into ``inputs``.  The
     systems and types of each program are read with the parser of ``src``."""
@@ -62,6 +76,8 @@ def plan(src: Path, inputs: Path) -> None:
     files["fanout256_mut.tsl"] = fanout_program(256, True)
     for n in (300, 700, 750):
         files[f"chain{n}.tsl"] = chain_program(n, list(range(n)))
+    files["chain120_neq.tsl"] = neq_chain(120, 60)
+    files["chain120_neq_late.tsl"] = neq_chain(120, 60, late=110)
     for name, text in files.items():
         (inputs / name).write_text(text, encoding="utf-8")
     programs = {}

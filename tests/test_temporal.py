@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import oracle_entails
 from tillst import temporal as t
 from tillst.temporal import (BOT, INIT, TOP, And, Eq, Imp, Leq, Or,
                              eval_closed_prop, eval_prop, entails, init_plus,
@@ -158,7 +159,7 @@ class TestSolve:
     CONJ = [Leq(tvar("t1"), init_plus(5)), Eq(tvar("t2"), tvar("t1", 1)),
             Leq(INIT, tvar("t2")), Eq(tvar("t3"), tvar("t2"))]
 
-    @pytest.mark.parametrize("f,budget", [
+    thresholds = pytest.mark.parametrize("f,budget", [
         (CONJ, 20),
         ([Or(Leq(tvar("t1"), init_plus(3)), Eq(tvar("t1"), tvar("t2"))),
           t.p_neq(tvar("t2"), tvar("t3")), Leq(tvar("t3"), init_plus(9)),
@@ -170,6 +171,8 @@ class TestSolve:
         (CONJ[:2] + [TOP] + CONJ[2:], 23),
         (CONJ + [TOP], 20),
     ], ids=["conjunctive", "or-neq", "imp-not-eq", "top-first", "top-middle", "top-last"])
+
+    @thresholds
     def test_clause_budget_threshold(self, f, budget):
         assert solve_satisfiable(["t1", "t2", "t3"], f, budget=budget) is not None
         with pytest.raises(t.FormulaTooLargeError):
@@ -223,7 +226,125 @@ class TestSolveConjunct:
         assert t._solve_conjunct(lits[:-1], nodes) == reference_solve(lits[:-1], nodes)
 
 
+class TestContext:
+    @settings(max_examples=300)
+    @given(difference_graphs())
+    def test_add_keeps_a_feasible_potential_and_undo_restores_it(self, graph):
+        """Asserting literals one at a time rejects exactly the one that makes
+        the set unsatisfiable; the potential satisfies every kept literal,
+        and undoing a rejected literal, or everything, restores the graph."""
+        lits, nodes = graph
+        ctx, kept = t._Context(), []
+        for lit in lits:
+            mark, before = len(ctx.trail), dict(ctx.pot)
+            ok = ctx._add(lit)
+            assert ok == (t._solve_conjunct(kept + [lit], nodes) is not None)
+            if ok:
+                kept.append(lit)
+                assert all(ctx.pot[x] - ctx.pot[y] <= c for x, y, c in kept)
+            else:
+                ctx._undo(mark)
+                assert ctx.pot == before
+        ctx._undo(0)
+        assert ctx.pot == {} and not any(ctx.out.values())
+
+
 class TestInRange:
     def test_desugar(self):
         p = p_in(INIT, tvar("t"), init_plus(5))
         assert p == And(Leq(INIT, tvar("t")), Leq(tvar("t"), init_plus(5)))
+
+
+# Hypothesis lists for the shared-root tests: two variables and small offsets
+# keep the brute-force oracle's sweep short.
+small_times = st.builds(t.TimeExpr, st.one_of(st.none(), st.sampled_from(["t1", "t2"])),
+                        st.integers(-3, 3))
+
+
+def hyp_props(time_strategy):
+    """Leq, Eq, Neq, TOP and BOT under Or, Imp and And."""
+    atoms = st.one_of(
+        st.just(TOP), st.just(BOT),
+        st.builds(Leq, time_strategy, time_strategy),
+        st.builds(Eq, time_strategy, time_strategy),
+        st.builds(t.p_neq, time_strategy, time_strategy),
+    )
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(st.builds(Or, inner, inner), st.builds(Imp, inner, inner),
+                                st.builds(And, inner, inner)),
+        max_leaves=3,
+    )
+
+
+@st.composite
+def hyp_trees(draw):
+    """Lists as a tree below one root, each pushing a proposition onto the
+    root or an earlier list, so a disjunction may sit at any depth; then
+    queries in random order, each a list (-1 is the root) and a goal (None
+    asks for a model of the list alone)."""
+    props = hyp_props(small_times)
+    tree = []
+    for i in range(draw(st.integers(1, 6))):
+        tree.append((draw(st.integers(-1, i - 1)), draw(props)))
+    queries = draw(st.lists(st.tuples(st.integers(-1, len(tree) - 1), st.none() | props),
+                            min_size=1, max_size=8))
+    return tree, queries
+
+
+class TestHyps:
+    G = ["t1", "t2"]
+
+    def test_push_shares_equal_hypotheses(self):
+        root = t.Hyps()
+        a = root.push(Leq(INIT, tvar("t1")))
+        assert root.push(Leq(INIT, tvar("t1"))) is a
+        assert a.push(TOP) is a.push(TOP) and a.push(TOP) is not a.push(BOT)
+        assert list(a.push(BOT)) == [Leq(INIT, tvar("t1")), BOT] and list(root) == []
+
+    @settings(max_examples=150)
+    @given(hyp_trees())
+    def test_shared_root_answers_like_a_fresh_one(self, drawn):
+        tree, queries = drawn
+        root = t.Hyps()
+        cells, lists = [], []
+        for parent, p in tree:
+            cells.append((root if parent < 0 else cells[parent]).push(p))
+            lists.append(([] if parent < 0 else lists[parent]) + [p])
+        for k, goal in queries:
+            f, plain = (root, []) if k < 0 else (cells[k], lists[k])
+            fresh = t.Hyps().extend(plain)
+            assert list(f) == plain
+            if goal is None:
+                model = solve_satisfiable(self.G, f)
+                assert model == solve_satisfiable(self.G, fresh) \
+                    == solve_satisfiable(self.G, plain)
+                assert (model is None) == oracle_entails(self.G, plain, BOT)
+                assert model is None or all(eval_prop(q, model) for q in plain)
+            else:
+                holds, cex = t.entails_cex(self.G, f, goal)
+                assert (holds, cex) == t.entails_cex(self.G, fresh, goal) \
+                    == t.entails_cex(self.G, plain, goal)
+                assert holds == oracle_entails(self.G, plain, goal)
+                assert holds or (all(eval_prop(q, cex) for q in plain)
+                                 and not eval_prop(goal, cex))
+
+    @given(st.lists(hyp_props(small_times), max_size=5), st.none() | hyp_props(small_times),
+           st.integers(0, 120))
+    def test_shared_root_charges_the_budget_like_the_fold(self, f, goal, budget):
+        def answer(hyps):
+            try:
+                if goal is None:
+                    return solve_satisfiable(self.G, hyps, budget=budget)
+                return t.entails_cex(self.G, hyps, goal, budget=budget)
+            except t.FormulaTooLargeError:
+                return "exceeded"
+
+        assert answer(t.Hyps().extend(f)) == answer(f)
+
+    @TestSolve.thresholds
+    def test_clause_budget_threshold_on_a_shared_root(self, f, budget):
+        hyps = t.Hyps().extend(f)
+        assert solve_satisfiable(["t1", "t2", "t3"], hyps, budget=budget) is not None
+        with pytest.raises(t.FormulaTooLargeError):
+            solve_satisfiable(["t1", "t2", "t3"], hyps, budget=budget - 1)

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from tillst import syntax as s
@@ -6,6 +9,9 @@ from tillst.parser import parse_program
 from tillst.typecheck import (Checker, EntailmentSolver, TypeCheckError,
                               _retype, check_expr, check_program,
                               split_context)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
+from perfbench.workloads import chain_program  # noqa: E402
 
 T0 = t.INIT
 
@@ -528,3 +534,40 @@ def test_spawn_may_rebind_a_channel_it_passes():
     fn p(x: {UNIT}) -> {UNIT} {{ Spawn<t0>(id, x) {{ x => Wait<t0>(x); {CLOSE} }} }}
     """
     assert all(r.accepted for r in check_program(parse_program(src)))
+
+
+def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypatch):
+    """Each hypothesis cell's DNF is expanded once, when it is pushed, and
+    Bellman-Ford runs only for a query that fails, to build its
+    counterexample; the rest are decided on the shared difference graph."""
+    real_dnf, real_solve = t._dnf, t._solve_conjunct
+    expanded, solved, depth = [], [], [0]
+
+    def dnf(p, positive, budget):
+        if positive and not depth[0]:  # a hypothesis, not a goal or a subterm
+            expanded.append(p)
+        depth[0] += 1
+        try:
+            return real_dnf(p, positive, budget)
+        finally:
+            depth[0] -= 1
+
+    def solve(literals, nodes):
+        solved.append(literals)
+        return real_solve(literals, nodes)
+
+    monkeypatch.setattr(t, "_dnf", dnf)
+    monkeypatch.setattr(t, "_solve_conjunct", solve)
+    for late, accepted in ((-1, True), (40, False)):
+        expanded.clear()
+        solved.clear()
+        solver = EntailmentSolver()
+        [report] = check_program(parse_program(chain_program(50, list(range(50)), late)),
+                                 solver)
+        assert report.accepted == accepted
+        cells, todo = 0, [solver.root]
+        while todo:
+            kids = list((todo.pop().kids or {}).values())
+            cells, todo = cells + len(kids), todo + kids
+        assert len(expanded) == cells > 40
+        assert len(solved) == sum(not q.holds for q in solver.queries) == int(not accepted)
