@@ -7,7 +7,8 @@ time variable.  Entailment G;F |- p is decided by unsatisfiability of
 F together with the negation of p over integer assignments, using an internal
 DNF + difference-logic procedure.  Hypotheses form a persistent list
 (``Hyps``): lists that share a prefix share its cells, each cell expands its
-own hypothesis's DNF once, and the clause budget of a query, exactly what a
+own hypothesis's DNF once, for the first query through it that is decided
+here rather than exported, and the clause budget of a query, exactly what a
 right fold of its list's DNFs would charge, is O(1) arithmetic on running
 sums the cells keep.  One context per root holds an incremental difference
 graph of the single-conjunct hypotheses' literals, with a feasible potential
@@ -17,7 +18,8 @@ negated goal depth-first in list order, in a loop, so only the nesting
 within a single proposition takes stack frames.  The conjunct a satisfiable
 query finds runs Bellman-Ford from a virtual source, which stops at the
 first pass whose parent graph holds a cycle, and its distances are the
-counterexample.  Queries export as SMT-LIB2 scripts
+counterexample.  A plain list, asked once, is charged from the same
+suffix sums without building cells.  Queries export as SMT-LIB2 scripts
 (logic QF_LIA) that an external solver binary can discharge.
 """
 
@@ -346,6 +348,14 @@ def _solve_conjunct(literals: list, nodes: list) -> Optional[dict]:
     return {n: dist[n] - base for n in nodes if n != _INIT_NODE}
 
 
+def _suffix_sums(sn: int, sl: int, dnf: list) -> tuple:
+    """A list's suffix sums ``sn`` and ``sl`` (see ``Hyps``) once ``dnf`` is
+    appended, and ``dnf``'s literal count: each suffix grows by ``dnf``, and
+    ``dnf`` alone is one suffix more."""
+    n, size = len(dnf), sum(map(len, dnf))
+    return n * (sn + 1), n * sl + size * (sn + 1), size
+
+
 class Hyps:
     """A hypothesis list F, persistent: ``push`` returns the list with one
     more hypothesis at its end and leaves this one as it was.  ``Hyps()``
@@ -353,56 +363,45 @@ class Hyps:
     and one search context; pushing an equal proposition onto the same list
     returns the same cell.  Iterating gives the hypotheses in list order.
 
-    Each cell expands its own hypothesis's DNF once, when it is pushed,
-    under ``CLAUSE_BUDGET``.  It also keeps what a query needs to charge
-    the budget in O(1): the literals its list's expansions charged
-    (``own``), and over every suffix of its list the suffix's DNF conjunct
-    count (summed in ``sn``) and literal count (summed in ``sl``).  A right
-    fold of the list's DNFs charges each product the literal count of the
-    suffix it builds, and builds every suffix but the innermost, so the
-    fold charges ``own + sl - last``.  ``last`` is the literal count of the
-    last hypothesis that is not TOP, since a trailing TOP builds no
-    product.  Pushing a hypothesis whose own DNF exceeds the budget raises
-    ``FormulaTooLargeError``, as every query of its list would.
+    A cell expands its own hypothesis's DNF once, the first time a query
+    of a list through it is decided here (``_expand``), so a list that is
+    only exported as SMT-LIB is never expanded.  It then also keeps what a
+    query needs to charge the budget in O(1): the literals its list's
+    expansions charged (``own``), and over every suffix of its list the
+    suffix's DNF conjunct count (summed in ``sn``) and literal count
+    (summed in ``sl``).  A right fold of the list's DNFs charges each
+    product the literal count of the suffix it builds, and builds every
+    suffix but the innermost, so the fold charges ``own + sl - last``.
+    ``last`` is the literal count of the last hypothesis that is not TOP,
+    since a trailing TOP builds no product.
 
     ``single`` and ``ors`` link to the nearest cell at or above this one
     whose DNF is one non-empty conjunct, and two or more conjuncts.
     ``pos`` is the cell's place on its context's stack (-1 when off it),
-    and ``dead`` marks a list known to be unsatisfiable.
+    and ``dead`` marks a list known to be unsatisfiable.  ``dnf`` is None
+    until the cell is expanded, and the fields after it are unset.
     """
 
-    __slots__ = ("parent", "prop", "ctx", "kids", "dnf", "own", "sn", "sl", "last",
-                 "single", "ors", "pos", "dead")
+    __slots__ = ("parent", "prop", "ctx", "kids", "pos", "dead", "dnf", "own", "sn",
+                 "sl", "last", "single", "ors")
 
     def __init__(self):
         self.parent = self.prop = self.kids = self.single = self.ors = None
         self.ctx = _Context()
-        self.own = self.sn = self.sl = self.last = 0
-        self.dnf = [[]]
         self.pos, self.dead = -1, False
+        self.dnf = [[]]
+        self.own = self.sn = self.sl = self.last = 0
 
     def push(self, p: Prop) -> "Hyps":
         """This list with ``p`` appended."""
         if self.kids is None:
             self.kids = {}
         cell = self.kids.get(p)
-        if cell is not None:
-            return cell
-        countdown = [CLAUSE_BUDGET]
-        dnf = _dnf(p, True, countdown)
-        n, size = len(dnf), sum(map(len, dnf))
-        cell = self.kids[p] = object.__new__(Hyps)
-        cell.parent, cell.prop, cell.ctx = self, p, self.ctx
-        cell.kids, cell.dnf = None, dnf
-        cell.own = self.own + CLAUSE_BUDGET - countdown[0]
-        # each suffix of the parent's list grows by p's DNF, and p's DNF
-        # alone is one suffix more
-        cell.sn = n * (self.sn + 1)
-        cell.sl = n * self.sl + size * (self.sn + 1)
-        cell.last = self.last if type(p) is Top else size
-        cell.single = cell if n == 1 and size else self.single
-        cell.ors = cell if n > 1 else self.ors
-        cell.pos, cell.dead = -1, self.dead or n == 0
+        if cell is None:
+            cell = self.kids[p] = object.__new__(Hyps)
+            cell.parent, cell.prop, cell.ctx = self, p, self.ctx
+            cell.kids = cell.dnf = None
+            cell.pos, cell.dead = -1, False
         return cell
 
     def extend(self, props: Iterable[Prop]) -> "Hyps":
@@ -417,6 +416,29 @@ class Hyps:
             props.append(c.prop)
             c = c.parent
         return reversed(props)
+
+    def _expand(self, budget: int) -> None:
+        """Expand the cells of this list that are not yet, from the top.
+        The expansions charge ``budget`` together with the cells above
+        them, and every query of the list charges at least that, so
+        exceeding it raises ``FormulaTooLargeError`` and leaves the cell
+        unexpanded."""
+        todo, c = [], self
+        while c.dnf is None:
+            todo.append(c)
+            c = c.parent
+        for c in reversed(todo):
+            up = c.parent
+            countdown = [budget - up.own]
+            dnf = _dnf(c.prop, True, countdown)
+            n = len(dnf)
+            c.own = budget - countdown[0]
+            c.sn, c.sl, size = _suffix_sums(up.sn, up.sl, dnf)
+            c.last = up.last if type(c.prop) is Top else size
+            c.single = c if n == 1 and size else up.single
+            c.ors = c if n > 1 else up.ors
+            c.dead = up.dead or n == 0
+            c.dnf = dnf
 
 
 class _Context:
@@ -552,15 +574,16 @@ class _Context:
         come from the stack and the disjunctive ones, and the negated goal,
         are searched in list order, so the conjunct found is the first
         satisfiable one of that fold.  Bellman-Ford runs on it alone."""
+        f._expand(budget)
         if goal is None:
             forms, charge = [], f.own + f.sl - f.last
         else:
             # the negated goal is pushed last, and starts the fold
-            countdown = [budget]
+            countdown = [budget - f.own]
             neg = _dnf(goal, False, countdown)
             forms = [neg]
-            charge = (f.own + budget - countdown[0] + len(neg) * f.sl
-                      + sum(map(len, neg)) * f.sn)
+            _, sl, size = _suffix_sums(f.sn, f.sl, neg)
+            charge = budget - countdown[0] + sl - size
         if charge > budget:
             raise FormulaTooLargeError("DNF expansion exceeded the clause budget")
         key = (f, goal)
@@ -591,27 +614,29 @@ def _conjunct_model(literals: list, g: Iterable[str]) -> Optional[dict]:
     return None if model is None else {n: model.get(n, 0) for n in names}
 
 
-def _one_shot(g: Iterable[str], f: list, goal: Optional[Prop], budget: int) -> Optional[dict]:
-    """What ``_Context.model`` answers for the plain list ``f``, which no
-    cell shares: the budget is charged from the suffix sums a ``Hyps`` cell
-    keeps, and the same search runs on a fresh context.  A list without a
-    disjunction is one conjunct, which Bellman-Ford decides on its own."""
-    countdown = [budget]
-    while goal is None and f and type(f[-1]) is Top:
-        f.pop()  # a trailing TOP builds no product
-    forms = [_dnf(p, True, countdown) for p in f]
+def _model(f: Union[Hyps, Iterable[Prop]], goal: Optional[Prop], g: Iterable[str],
+           budget: int) -> Optional[dict]:
+    """``_Context.model`` of ``f``.  A plain list is asked once, so no cell
+    or graph would be used again: its charge comes from the same suffix
+    sums, the same search runs on a fresh graph when some DNF offers a
+    choice of conjuncts, and otherwise Bellman-Ford decides the one
+    conjunct alone, at half the cost of pushing the list onto a root."""
+    if isinstance(f, Hyps):
+        return f.ctx.model(f, goal, g, budget)
+    countdown, forms, sn, sl, last = [budget], [], 0, 0, 0
+    for p in f:
+        forms.append(_dnf(p, True, countdown))
+        sn, sl, size = _suffix_sums(sn, sl, forms[-1])
+        last = last if type(p) is Top else size
     if goal is not None:
         forms.append(_dnf(goal, False, countdown))
-    count, sn, sl, size = 1, 0, 0, 0
-    for form in forms:
-        n, size = len(form), sum(map(len, form))
-        count, sn, sl = count * n, n * (sn + 1), n * sl + size * (sn + 1)
-    _charge(countdown, sl - size)  # the last form starts the fold, with no product
-    if count == 1:  # every form is one conjunct
-        return _conjunct_model([lit for form in forms for lit in form[0]], g)
-    picks = _Context()._search(forms)
-    if picks is None:
-        return None
+        sn, sl, last = _suffix_sums(sn, sl, forms[-1])
+    _charge(countdown, sl - last)
+    picks = [form[0] for form in forms if len(form) == 1]
+    if len(picks) < len(forms):
+        picks = _Context()._search(forms)
+        if picks is None:
+            return None
     return _conjunct_model([lit for pick in picks for lit in pick], g)
 
 
@@ -625,9 +650,7 @@ def solve_satisfiable(
     The assignment is total over ``g`` (unconstrained variables get 0) and
     maps each variable to its instant as an offset from init.
     """
-    if isinstance(f, Hyps):
-        return f.ctx.model(f, None, g, budget)
-    return _one_shot(g, list(f), None, budget)
+    return _model(f, None, g, budget)
 
 
 def entails_cex(
@@ -637,10 +660,7 @@ def entails_cex(
     budget: int = CLAUSE_BUDGET,
 ) -> tuple:
     """(holds, counterexample): holds iff F /\\ not p is unsatisfiable."""
-    if isinstance(f, Hyps):
-        cex = f.ctx.model(f, p, g, budget)
-    else:
-        cex = _one_shot(g, list(f), p, budget)
+    cex = _model(f, p, g, budget)
     return (cex is None, cex)
 
 

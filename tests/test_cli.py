@@ -75,6 +75,21 @@ class TestCheck:
                                "--solver", "external", "--solver-bin", str(stub))
         assert code == 0 and "ACCEPT minimum" in out
 
+    def test_external_backend_asks_about_a_window_too_large_to_expand(self, capsys,
+                                                                       tmp_path):
+        # the internal backend exits 2 on this window's DNF (see
+        # TestSolverFailuresExitTwo); the external one only writes scripts
+        asked = tmp_path / "asked"
+        stub = tmp_path / "stub"
+        stub.write_text(f"#!/bin/sh\necho \"$1\" >> {asked}\necho unsat\n")
+        stub.chmod(0o755)
+        path = tmp_path / "win16.tsl"
+        path.write_text(window_program(16))
+        code, out, err = run_cli(capsys, "check", str(path), "--solver", "external",
+                                 "--solver-bin", str(stub))
+        assert (code, err) == (0, "") and "ACCEPT provider" in out
+        assert len(asked.read_text().splitlines()) == 3
+
 
 class TestRun:
     def test_smart_home_trace(self, capsys, tmp_path):

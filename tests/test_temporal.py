@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +279,30 @@ def hyp_props(time_strategy):
     )
 
 
+def right_fold(f: list, goal, g: list):
+    """The reference for a query's answer and charge: the right fold of the
+    plain list's DNFs, the negated goal pushed last, charging each
+    hypothesis's own expansion and then its product with the fold so far,
+    pair by pair.  A TOP after the last other hypothesis starts no fold and
+    charges nothing.  The answer is Bellman-Ford's model of the first
+    satisfiable conjunct, as ``solve_satisfiable`` or ``entails_cex`` gives
+    it; the charge is the literals the fold spent."""
+    spent, conjuncts = [10**9], None
+    for p in reversed(f if goal is None else f + [t.p_not(goal)]):
+        if conjuncts is not None:
+            product = []
+            for a in t._dnf(p, True, spent):
+                for b in conjuncts:
+                    t._charge(spent, len(a) + len(b))
+                    product.append(a + b)
+            conjuncts = product
+        elif p != TOP:
+            conjuncts = t._dnf(p, True, spent)
+    models = (t._conjunct_model(c, g) for c in ([[]] if conjuncts is None else conjuncts))
+    model = next((m for m in models if m is not None), None)
+    return (model if goal is None else (model is None, model)), 10**9 - spent[0]
+
+
 @st.composite
 def hyp_trees(draw):
     """Lists as a tree below one root, each pushing a proposition onto the
@@ -301,6 +327,33 @@ class TestHyps:
         assert root.push(Leq(INIT, tvar("t1"))) is a
         assert a.push(TOP) is a.push(TOP) and a.push(TOP) is not a.push(BOT)
         assert list(a.push(BOT)) == [Leq(INIT, tvar("t1")), BOT] and list(root) == []
+
+    def test_cells_expand_when_a_query_is_decided_under_its_budget(self):
+        big = Eq(tvar("t1"), INIT)
+        for i in range(12):
+            big = Or(big, Eq(tvar("t1"), init_plus(i)))  # 26 literals
+        f = t.Hyps().push(big).push(Leq(tvar("t1"), init_plus(3)))
+        assert f.dnf is None and f.parent.dnf is None
+        assert "(assert (or" in t.emit_smtlib(self.G, f, TOP)
+        with pytest.raises(t.FormulaTooLargeError):
+            solve_satisfiable(self.G, f, budget=26)
+        assert f.dnf is None and len(f.parent.dnf) == 13
+        assert solve_satisfiable(self.G, f) == {"t1": 0, "t2": 0}
+
+    def test_plain_list_queries_leave_no_cycles(self):
+        # the runtime asks one-shot queries while much else is alive, where
+        # every collection of the cycle collector is costly
+        f = [t.p_neq(tvar("t1"), init_plus(7)), Leq(init_plus(7), tvar("t1"))]
+        gc.collect()
+        gc.disable()
+        try:
+            assert solve_satisfiable(["t1"], f) == {"t1": 8}
+            assert t.entails_cex(["t1"], f, Leq(init_plus(8), tvar("t1")))[0]
+            with pytest.raises(t.FormulaTooLargeError):
+                solve_satisfiable(["t1"], f, budget=3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @settings(max_examples=150)
     @given(hyp_trees())
@@ -329,18 +382,38 @@ class TestHyps:
                 assert holds or (all(eval_prop(q, cex) for q in plain)
                                  and not eval_prop(goal, cex))
 
-    @given(st.lists(hyp_props(small_times), max_size=5), st.none() | hyp_props(small_times),
-           st.integers(0, 120))
-    def test_shared_root_charges_the_budget_like_the_fold(self, f, goal, budget):
-        def answer(hyps):
+    @settings(max_examples=150)
+    @given(hyp_trees(), st.lists(st.integers(-2, 1) | st.integers(-60, 60), min_size=8,
+                                 max_size=8))
+    def test_queries_answer_and_charge_as_the_right_fold(self, drawn, slacks):
+        """Each query asks at a budget near what the right fold charges its
+        list: on a shared root, after queries of other lists at other
+        budgets have expanded some of its cells, and as a plain list.  Both
+        raise exactly when that charge is over the budget, and otherwise
+        give the fold's answer.  Each list is asked again with a TOP after
+        it, which charges nothing."""
+        tree, queries = drawn
+        root = t.Hyps()
+        cells, lists = [], []
+        for parent, p in tree:
+            cells.append((root if parent < 0 else cells[parent]).push(p))
+            lists.append(([] if parent < 0 else lists[parent]) + [p])
+
+        def ask(f, goal, budget):
             try:
                 if goal is None:
-                    return solve_satisfiable(self.G, hyps, budget=budget)
-                return t.entails_cex(self.G, hyps, goal, budget=budget)
+                    return solve_satisfiable(self.G, f, budget=budget)
+                return t.entails_cex(self.G, f, goal, budget=budget)
             except t.FormulaTooLargeError:
                 return "exceeded"
 
-        assert answer(t.Hyps().extend(f)) == answer(f)
+        for (k, goal), slack in zip(queries, slacks):
+            f, plain = (root, []) if k < 0 else (cells[k], lists[k])
+            for f, plain in ((f, plain), (f.push(TOP), plain + [TOP])):
+                answer, charge = right_fold(plain, goal, self.G)
+                budget = max(0, charge + slack)
+                expected = "exceeded" if budget < charge else answer
+                assert ask(f, goal, budget) == ask(plain, goal, budget) == expected
 
     @TestSolve.thresholds
     def test_clause_budget_threshold_on_a_shared_root(self, f, budget):

@@ -537,9 +537,10 @@ def test_spawn_may_rebind_a_channel_it_passes():
 
 
 def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypatch):
-    """Each hypothesis cell's DNF is expanded once, when it is pushed, and
-    Bellman-Ford runs only for a query that fails, to build its
-    counterexample; the rest are decided on the shared difference graph."""
+    """Each hypothesis cell's DNF is expanded once, at the first query of a
+    list through it, and Bellman-Ford runs only for a query that fails, to
+    build its counterexample; the rest are decided on the shared difference
+    graph."""
     real_dnf, real_solve = t._dnf, t._solve_conjunct
     expanded, solved, depth = [], [], [0]
 
