@@ -6,6 +6,8 @@ of the binder); processes use the keyword spellings Close, Wait, Lam, App,
 SendCh, RecvCh, SwitchL, SwitchR, Case, Offer, SelectL, SelectR, Prod, Cons,
 Query, Supply, Fwd, Spawn, plus ``if $e$ { P } else { Q }``.  Functional
 expressions are delimited by ``$``.  Line comments start with ``//``.
+``tokenize`` splits the source in one regex scan, classifies each piece by its
+text and returns ``Token`` tuples, which the parser's cursor indexes directly.
 
 One surface table, ``_FORMS``, drives both directions: each process keyword
 maps to its ``syntax`` class, its head (``<b where P>`` for providers,
@@ -21,7 +23,6 @@ parses and prints at the default recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import syntax as s
@@ -38,45 +39,43 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{hint}")
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, or the symbol itself
     text: str
     line: int
     col: int
 
 
-# Blanks and comments (skipped), decimal integers (``_`` separates digits),
-# identifiers, then the symbols, longest first.  An identifier must start
-# with a letter or ``_``: ``[^\W\d]`` also admits digit-like characters such
-# as ``²``, which ``tokenize`` rejects.
-_TOKEN = re.compile(r"(?P<skip>(?:[ \t\r\n]|//[^\n]*)+)|(?P<INT>\d[\d_]*)|(?P<IDENT>[^\W\d]\w*)"
-                    r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]")
+# The pieces of the one scan: a run of blanks and comments, a decimal integer
+# (``_`` separates digits), a word, a symbol (longest first), or any other
+# character.  A word must start with a letter or ``_``: ``\w`` also admits
+# digit-like characters such as ``²``, which ``tokenize`` rejects.
+_PIECE = re.compile(r"(?:[ \t\r\n]|//[^\n]*)+|\d[\d_]*|\w+"
+                    r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]|.")
+_SYMBOLS = frozenset(("]-->", "--[", "->", "=>", "==", "!=", "<=", ">=", *"-<>(){},;:=$@?!+*"))
 
 
 def tokenize(source: str) -> list:
     toks = []
-    line, line_start, pos = 1, 0, 0
-    match = _TOKEN.match
-    while pos < len(source):
-        m = match(source, pos)
-        if m is None or m.lastgroup == "IDENT" and not (source[pos].isalpha()
-                                                        or source[pos] == "_"):
-            raise ParseError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
-            breaks = text.count("\n")
-            if breaks:
-                line += breaks
-                line_start = pos + text.rindex("\n") + 1
+    append, new = toks.append, tuple.__new__
+    line, line_start, offset = 1, 0, 0
+    for text in _PIECE.findall(source):
+        if text in _SYMBOLS:
+            append(new(Token, (text, text, line, offset - line_start + 1)))
+        elif (first := text[0]).isalpha() or first == "_":
+            append(new(Token, ("IDENT", text, line, offset - line_start + 1)))
+        elif first.isdecimal():
+            append(new(Token, ("INT", text.replace("_", ""), line, offset - line_start + 1)))
+        elif first in " \t\r\n" or text[:2] == "//":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = offset + text.rindex("\n") + 1
         else:
-            if kind == "INT":
-                text = text.replace("_", "")
-            toks.append(Token(kind or text, text, line, pos - line_start + 1))
-        pos = m.end()
+            raise ParseError(f"unexpected character {first!r}", line, offset - line_start + 1)
+        offset += len(text)
     rest = source[line_start:]
     end = rest.find("//")  # a trailing comment does not move the end column
-    toks.append(Token("EOF", "", line, (len(rest) if end < 0 else end) + 1))
+    append(new(Token, ("EOF", "", line, (len(rest) if end < 0 else end) + 1)))
     return toks
 
 
@@ -154,7 +153,9 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        if ahead:  # lookahead stops at EOF; next() never moves past it
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
@@ -163,25 +164,27 @@ class Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != kind:
-            raise ParseError(f"found {tok.text or tok.kind!r}", tok.line, tok.col,
-                             expected={kind})
-        return self.next()
+            self.fail(f"found {tok.text or tok.kind!r}", expected={kind})
+        if kind != "EOF":
+            self.pos += 1
+        return tok
 
     def accept(self, kind: str) -> Optional[Token]:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
+        return self.next() if self.toks[self.pos].kind == kind else None
 
     def ident(self) -> str:
-        return self.expect("IDENT").text
+        tok = self.toks[self.pos]
+        if tok.kind != "IDENT":
+            self.fail(f"found {tok.text or tok.kind!r}", expected={"IDENT"})
+        self.pos += 1
+        return tok.text
 
     def keyword(self, word: str) -> Token:
         tok = self.peek()
         if tok.kind != "IDENT" or tok.text != word:
-            raise ParseError(f"found {tok.text or tok.kind!r}", tok.line, tok.col,
-                             expected={word})
+            self.fail(f"found {tok.text or tok.kind!r}", expected={word})
         return self.next()
 
     def fail(self, message: str, expected=None):
@@ -551,12 +554,9 @@ class Parser:
             self.expect(")")
             return e
         if tok.kind == "IDENT":
-            if tok.text == "true":
+            if tok.text in ("true", "false"):
                 self.next()
-                return s.BoolLit(True)
-            if tok.text == "false":
-                self.next()
-                return s.BoolLit(False)
+                return s.BoolLit(tok.text == "true")
             if tok.text == "if":
                 self.next()
                 cond = self.expr()

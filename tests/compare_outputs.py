@@ -11,9 +11,13 @@ scaling baselines are measured at, and its chain programs at n=700 and
 n=750, the deepest chain that checks and the first whose queries exceed
 the solver's clause budget, and a chain at n=120 whose middle stage's
 window is disjunctive, with the mutant of it whose stage 110 opens late.
-Each program's systems and types are the ones CHANGE_SRC's parser reads
-from it.  For every program the two
-trees are compared on:
+Malformed inputs come from each corpus file too: the file cut at a quarter,
+half and three quarters of its length, and the file with ``²`` and with a
+lone ``/`` spliced into its first ``fn`` body.  Each program's systems and
+types are the ones CHANGE_SRC's parser reads from it; a program that fails
+to parse has none, so only its ``check`` and ``smt`` run, and their exit-2
+``path:line:col:`` lines are compared byte for byte.  For every program the
+two trees are compared on:
 
 - ``check``: stdout, stderr and exit code;
 - ``run`` of every system: stdout, stderr, exit code and the trace file;
@@ -57,15 +61,30 @@ def neq_chain(n: int, m: int, late: int = -1) -> str:
         eq, f"And<{eq}, Neq<s{m}, Shift<t0, {m}>>>")
 
 
+def malformed(name: str, text: str) -> dict:
+    """Copies of a corpus file cut at a quarter, half and three quarters of
+    its length, and with ``²`` and with a lone ``/`` spliced in before the
+    first token of its first ``fn`` body."""
+    stem = name[:-4]
+    line = text.index("\n", text.index("\nfn ") + 1) + 1  # the body's first line
+    at = line + len(text[line:]) - len(text[line:].lstrip(" \t"))
+    copies = {f"{stem}_cut{k}.tsl": text[:len(text) * k // 4] for k in (1, 2, 3)}
+    copies[f"{stem}_sup.tsl"] = text[:at] + "²" + text[at:]
+    copies[f"{stem}_slash.tsl"] = text[:at] + "/" + text[at:]
+    return copies
+
+
 def plan(src: Path, inputs: Path) -> None:
     """Write every input file and ``plan.json`` into ``inputs``.  The
     systems and types of each program are read with the parser of ``src``."""
     sys.path[:0] = [str(HERE.parent), str(src)]
     from perfbench.workloads import chain_program, fanout_program, generate
-    from tillst.parser import parse_program
+    from tillst.parser import ParseError, parse_program
 
     corpus_dir = src / "tillst" / "corpus"
     files = {p.name: p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.tsl"))}
+    for name, text in list(files.items()):
+        files.update(malformed(name, text))
     monitors = []
     for name in ("fanout", "chain", "disjunctive", "corpus"):
         w = generate(name, SEED, corpus_dir)
@@ -83,7 +102,11 @@ def plan(src: Path, inputs: Path) -> None:
     programs = {}
     for name, text in sorted(files.items()):
         if name.endswith(".tsl"):
-            prog = parse_program(text)
+            try:
+                prog = parse_program(text)
+            except ParseError:
+                programs[name] = {"systems": [], "types": []}
+                continue
             programs[name] = {"systems": [d.name for d in prog.systems],
                               "types": [d.name for d in prog.types]}
     (inputs / "plan.json").write_text(json.dumps({"programs": programs, "monitors": monitors}))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,73 @@ def test_tokens_and_positions():
         ("--[", "--[", 2, 7), ("->", "->", 2, 10), ("IDENT", "é2", 2, 12),
         ("IDENT", "_", 2, 15), ("<=", "<=", 3, 1), ("EOF", "", 3, 4)]
     assert tokenize("") == [Token("EOF", "", 1, 1)]
+
+
+# The reference tokenizer: one named-group ``re.match`` per piece, kept to pin
+# the one-scan ``tokenize`` to the same tokens and errors.
+REFERENCE_TOKEN = re.compile(r"(?P<skip>(?:[ \t\r\n]|//[^\n]*)+)|(?P<INT>\d[\d_]*)"
+                             r"|(?P<IDENT>[^\W\d]\w*)"
+                             r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]")
+
+
+def reference_tokenize(source: str) -> list:
+    toks = []
+    line, line_start, pos = 1, 0, 0
+    match = REFERENCE_TOKEN.match
+    while pos < len(source):
+        m = match(source, pos)
+        if m is None or m.lastgroup == "IDENT" and not (source[pos].isalpha()
+                                                        or source[pos] == "_"):
+            raise ParseError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                line_start = pos + text.rindex("\n") + 1
+        else:
+            if kind == "INT":
+                text = text.replace("_", "")
+            toks.append((kind or text, text, line, pos - line_start + 1))
+        pos = m.end()
+    rest = source[line_start:]
+    end = rest.find("//")
+    toks.append(("EOF", "", line, (len(rest) if end < 0 else end) + 1))
+    return toks
+
+
+SYMBOLS = ["]-->", "--[", "->", "=>", "==", "!=", "<=", ">=", *"-<>(){},;:=$@?!+*"]
+PIECES = st.sampled_from(
+    SYMBOLS + ["]", "[", "--", "-->", "]--", "=>=", "<==", "!==",  # near-symbols
+               "x", "Close", "t0", "_", "x_1", "é", "éa", "a²", "x٣",  # words
+               "0", "12", "1_000", "7_", "٣", "1٣_2",  # integers
+               " ", "\t", "\n", "\r\n", "\r", "  \n\t ", "\n\n",  # blanks
+               "//", "// note", "// x\n", "//\r\n", "///",  # comments
+               "²", "/", "#", "~", ".", "\x0b", "\xa0"])  # rejected
+SOURCES = st.lists(PIECES | st.text(alphabet="a1_ /\n-=>]é²٣", max_size=3),
+                   max_size=25).map("".join)
+
+
+def tokens_or_error(tokenizer, source: str):
+    try:
+        return tokenizer(source)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+@settings(max_examples=600)
+@given(source=SOURCES)
+def test_tokenize_matches_reference(source):
+    assert tokens_or_error(tokenize, source) == tokens_or_error(reference_tokenize, source)
+    blank = source + " \t\n  \r\n  "  # a trailing blank run
+    assert tokens_or_error(tokenize, blank) == tokens_or_error(reference_tokenize, blank)
+
+
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.split("/")[-1])
+def test_tokenize_matches_reference_on_corpus(path):
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    assert tokenize(source) == reference_tokenize(source)
 
 
 PROC = "fn p() -> Unit<t where True> {\n  %s\n}\n"
