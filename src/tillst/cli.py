@@ -187,9 +187,9 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # predicates (the solver's DNF of each hypothesis among them),
-        # expressions and alpha-equivalence still recurse once per level of
-        # nesting; the solver walks the hypothesis list in loops
+        # predicates outside the solver, expressions and alpha-equivalence
+        # still recurse once per level of nesting; the solver and the
+        # retyping relations walk theirs in loops
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

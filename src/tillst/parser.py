@@ -48,8 +48,9 @@ class Token(NamedTuple):
 
 # The pieces of the one scan: a run of blanks and comments, a decimal integer
 # (``_`` separates digits), a word, a symbol (longest first), or any other
-# character.  A word must start with a letter or ``_``: ``\w`` also admits
-# digit-like characters such as ``²``, which ``tokenize`` rejects.
+# character.  A word starts with a letter or ``_`` and continues with ``\w``,
+# which also admits digit-like characters such as ``²``: ``a²`` is a name,
+# and ``tokenize`` rejects ``²a`` at its first character.
 _PIECE = re.compile(r"(?:[ \t\r\n]|//[^\n]*)+|\d[\d_]*|\w+"
                     r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]|.")
 _SYMBOLS = frozenset(("]-->", "--[", "->", "=>", "==", "!=", "<=", ">=", *"-<>(){},;:=$@?!+*"))

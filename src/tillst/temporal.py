@@ -4,22 +4,24 @@ Time is discrete (integer ticks, surface unit milliseconds) and anchored at a
 distinguished initial instant ``init`` fixed to 0.  Every time expression
 normalizes to ``base + offset`` where the base is either ``init`` or a single
 time variable.  Entailment G;F |- p is decided by unsatisfiability of
-F together with the negation of p over integer assignments, using an internal
-DNF + difference-logic procedure.  Hypotheses form a persistent list
-(``Hyps``): lists that share a prefix share its cells, each cell expands its
-own hypothesis's DNF once, for the first query through it that is decided
-here rather than exported, and the clause budget of a query, exactly what a
-right fold of its list's DNFs would charge, is O(1) arithmetic on running
-sums the cells keep.  One context per root holds an incremental difference
-graph of the single-conjunct hypotheses' literals, with a feasible potential
-and an undo trail.  A query pops the graph to the prefix it shares with its
-list, pushes the rest, and searches the disjunctive hypotheses and the
-negated goal depth-first in list order, in a loop, so only the nesting
-within a single proposition takes stack frames.  The conjunct a satisfiable
-query finds runs Bellman-Ford from a virtual source, which stops at the
-first pass whose parent graph holds a cycle, and its distances are the
-counterexample.  A plain list, asked once, is charged from the same
-suffix sums without building cells.  Queries export as SMT-LIB2 scripts
+F together with the negation of p over integer assignments, by a
+depth-first search over the propositions on a difference graph.
+Hypotheses form a persistent list (``Hyps``): lists that share a prefix
+share its cells, and each cell reads its own hypothesis once, for the first
+query through it that is decided here rather than exported, as a list of
+difference literals or as a proposition that offers a choice.  One context
+per root holds an incremental difference graph of the literals, with a
+feasible potential and an undo trail.  A query pops the graph to the prefix
+it shares with its list, pushes the rest, and asserts the negated goal when
+it offers no choice.  It then searches the hypotheses that offer a choice,
+and a negated goal that does, in list order: left side first, undoing back
+to the latest choice when a literal closes a negative cycle, in a loop that
+takes no stack frame per level.  The search gives up after a budget of
+asserted literals.  The conjunct a satisfiable query finds runs
+Bellman-Ford from a virtual source, which stops at the first pass whose
+parent graph holds a cycle, and its distances are the counterexample.  A
+plain list, asked once, goes straight to Bellman-Ford when nothing in it
+offers a choice.  Queries export as SMT-LIB2 scripts
 (logic QF_LIA) that an external solver binary can discharge.
 """
 
@@ -43,7 +45,7 @@ class NonClosedError(TillstError):
 
 
 class FormulaTooLargeError(TillstError):
-    """DNF expansion exceeded the clause budget."""
+    """A query's search asserted more literals than its budget allows."""
 
 
 class SolverTimeout(TillstError):
@@ -240,8 +242,9 @@ def eval_closed_prop(p: Prop) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Internal decision procedure: each hypothesis's DNF of difference
-# constraints, searched incrementally along a persistent hypothesis list.
+# Internal decision procedure: a depth-first search over the propositions of
+# a query, on an incremental difference graph kept along a persistent
+# hypothesis list.
 
 _INIT_NODE = "$init"
 
@@ -249,7 +252,9 @@ _INIT_NODE = "$init"
 # the init node.
 _Lit = tuple
 
-CLAUSE_BUDGET = 10**6  # the DNF literals one query may charge
+_FALSE = (_INIT_NODE, _INIT_NODE, -1)  # a literal no graph admits
+
+SEARCH_BUDGET = 10**5  # the literals one query's search may assert
 
 
 def _leq_lit(a: TimeExpr, b: TimeExpr) -> _Lit:
@@ -258,47 +263,48 @@ def _leq_lit(a: TimeExpr, b: TimeExpr) -> _Lit:
             b.offset - a.offset)
 
 
-def _charge(budget: list, n: int) -> None:
-    """Spend ``n`` literals of the single-cell countdown ``budget``."""
-    budget[0] -= n
-    if budget[0] < 0:
-        raise FormulaTooLargeError("DNF expansion exceeded the clause budget")
+def _sides(p: Prop, positive: bool) -> Optional[tuple]:
+    """``(both, left, right)`` for ``p`` at ``positive`` polarity when it has
+    two sides, each a (proposition, polarity) item, or None for an atom.
 
-
-def _dnf(p: Prop, positive: bool, budget: list) -> list:
-    """Disjunctive normal form as a list of conjuncts (lists of literals).
-
-    Integer semantics: not (a <= b) becomes b+1 <= a; equalities split into
-    two inequalities, disequalities into a disjunction.  The connectives
-    share one rule: an implication flips its left child's polarity, and a
-    node is the product of its children's forms exactly when it is a
-    positive And or a negated Or or Imp, else their union.  Every literal
-    produced is charged to ``budget``, a product's before it is built.
+    The connectives share one rule: an implication flips its left side's
+    polarity, and both sides must hold exactly when the node is a positive
+    And or a negated Or or Imp; otherwise the node offers a choice of them.
+    A negated equality is a choice of two strict inequalities.
     """
-    if isinstance(p, Leq):
-        _charge(budget, 1)
-        if positive:
-            return [[_leq_lit(p.left, p.right)]]
-        return [[_leq_lit(p.right.shift(1), p.left)]]
-    if isinstance(p, Eq):
-        _charge(budget, 2)
-        if positive:
-            return [[_leq_lit(p.left, p.right), _leq_lit(p.right, p.left)]]
-        return [
-            [_leq_lit(p.left.shift(1), p.right)],
-            [_leq_lit(p.right.shift(1), p.left)],
-        ]
-    if isinstance(p, Top):
-        return [[]] if positive else []
-    if isinstance(p, Bot):
-        return [] if positive else [[]]
-    # And, Or, Imp
-    left = _dnf(p.left, positive != (type(p) is Imp), budget)
-    right = _dnf(p.right, positive, budget)
-    if (type(p) is And) == positive:
-        _charge(budget, len(right) * sum(map(len, left)) + len(left) * sum(map(len, right)))
-        return [a + b for a in left for b in right]
-    return left + right
+    kind = type(p)
+    if kind is Eq and not positive:
+        return False, (Leq(p.left.shift(1), p.right), True), (Leq(p.right.shift(1), p.left), True)
+    if kind is And or kind is Or or kind is Imp:
+        return (kind is And) == positive, (p.left, positive != (kind is Imp)), (p.right, positive)
+    return None
+
+
+def _atom(p: Prop, positive: bool) -> list:
+    """The literals of an atom ``_sides`` does not split: not (a <= b) is
+    b+1 <= a in the integers, a positive equality is two inequalities, and a
+    TOP or BOT that fails is ``_FALSE``."""
+    if type(p) is Leq:
+        return [_leq_lit(p.left, p.right) if positive else _leq_lit(p.right.shift(1), p.left)]
+    if type(p) is Eq:
+        return [_leq_lit(p.left, p.right), _leq_lit(p.right, p.left)]
+    return [] if (type(p) is Top) == positive else [_FALSE]
+
+
+def _literals(p: Prop, positive: bool) -> Optional[list]:
+    """The literals of ``p`` at ``positive`` polarity, or None when some node
+    of it offers a choice."""
+    lits, todo = [], [(p, positive)]
+    while todo:
+        p, positive = todo.pop()
+        sides = _sides(p, positive)
+        if sides is None:
+            lits += _atom(p, positive)
+        elif not sides[0]:
+            return None
+        else:
+            todo += (sides[2], sides[1])
+    return lits
 
 
 def _solve_conjunct(literals: list, nodes: list) -> Optional[dict]:
@@ -348,12 +354,7 @@ def _solve_conjunct(literals: list, nodes: list) -> Optional[dict]:
     return {n: dist[n] - base for n in nodes if n != _INIT_NODE}
 
 
-def _suffix_sums(sn: int, sl: int, dnf: list) -> tuple:
-    """A list's suffix sums ``sn`` and ``sl`` (see ``Hyps``) once ``dnf`` is
-    appended, and ``dnf``'s literal count: each suffix grows by ``dnf``, and
-    ``dnf`` alone is one suffix more."""
-    n, size = len(dnf), sum(map(len, dnf))
-    return n * (sn + 1), n * sl + size * (sn + 1), size
+_UNREAD = object()  # a cell's ``lits`` before its hypothesis is read
 
 
 class Hyps:
@@ -363,34 +364,22 @@ class Hyps:
     and one search context; pushing an equal proposition onto the same list
     returns the same cell.  Iterating gives the hypotheses in list order.
 
-    A cell expands its own hypothesis's DNF once, the first time a query
-    of a list through it is decided here (``_expand``), so a list that is
-    only exported as SMT-LIB is never expanded.  It then also keeps what a
-    query needs to charge the budget in O(1): the literals its list's
-    expansions charged (``own``), and over every suffix of its list the
-    suffix's DNF conjunct count (summed in ``sn``) and literal count
-    (summed in ``sl``).  A right fold of the list's DNFs charges each
-    product the literal count of the suffix it builds, and builds every
-    suffix but the innermost, so the fold charges ``own + sl - last``.
-    ``last`` is the literal count of the last hypothesis that is not TOP,
-    since a trailing TOP builds no product.
-
-    ``single`` and ``ors`` link to the nearest cell at or above this one
-    whose DNF is one non-empty conjunct, and two or more conjuncts.
-    ``pos`` is the cell's place on its context's stack (-1 when off it),
-    and ``dead`` marks a list known to be unsatisfiable.  ``dnf`` is None
-    until the cell is expanded, and the fields after it are unset.
+    A cell reads its own hypothesis once, the first time a query of a list
+    through it is decided here (``_read``), so a list that is only exported
+    as SMT-LIB is never read.  ``lits`` is then the hypothesis's literals,
+    or None when it offers a choice (see ``_literals``).  ``single`` and
+    ``ors`` link to the nearest cell at or above this one that has
+    literals, and that offers a choice.  ``pos`` is the cell's place on its
+    context's stack (-1 when off it), and ``dead`` marks a cell whose
+    literals conflict with those above it.
     """
 
-    __slots__ = ("parent", "prop", "ctx", "kids", "pos", "dead", "dnf", "own", "sn",
-                 "sl", "last", "single", "ors")
+    __slots__ = ("parent", "prop", "ctx", "kids", "pos", "dead", "lits", "single", "ors")
 
     def __init__(self):
         self.parent = self.prop = self.kids = self.single = self.ors = None
         self.ctx = _Context()
-        self.pos, self.dead = -1, False
-        self.dnf = [[]]
-        self.own = self.sn = self.sl = self.last = 0
+        self.pos, self.dead, self.lits = -1, False, []
 
     def push(self, p: Prop) -> "Hyps":
         """This list with ``p`` appended."""
@@ -400,7 +389,7 @@ class Hyps:
         if cell is None:
             cell = self.kids[p] = object.__new__(Hyps)
             cell.parent, cell.prop, cell.ctx = self, p, self.ctx
-            cell.kids = cell.dnf = None
+            cell.kids, cell.lits = None, _UNREAD
             cell.pos, cell.dead = -1, False
         return cell
 
@@ -417,34 +406,24 @@ class Hyps:
             c = c.parent
         return reversed(props)
 
-    def _expand(self, budget: int) -> None:
-        """Expand the cells of this list that are not yet, from the top.
-        The expansions charge ``budget`` together with the cells above
-        them, and every query of the list charges at least that, so
-        exceeding it raises ``FormulaTooLargeError`` and leaves the cell
-        unexpanded."""
+    def _read(self) -> None:
+        """Read the hypotheses of this list's cells that are not yet, from
+        the top."""
         todo, c = [], self
-        while c.dnf is None:
+        while c.lits is _UNREAD:
             todo.append(c)
             c = c.parent
         for c in reversed(todo):
             up = c.parent
-            countdown = [budget - up.own]
-            dnf = _dnf(c.prop, True, countdown)
-            n = len(dnf)
-            c.own = budget - countdown[0]
-            c.sn, c.sl, size = _suffix_sums(up.sn, up.sl, dnf)
-            c.last = up.last if type(c.prop) is Top else size
-            c.single = c if n == 1 and size else up.single
-            c.ors = c if n > 1 else up.ors
-            c.dead = up.dead or n == 0
-            c.dnf = dnf
+            c.lits = _literals(c.prop, True)
+            c.single = c if c.lits else up.single
+            c.ors = c if c.lits is None else up.ors
 
 
 class _Context:
     """The search state of one root's lists: a difference graph that holds
-    the literals of a stack of single-conjunct cells on one path from the
-    root, a feasible potential for it, and an undo trail.
+    the literals of a stack of cells on one path from the root, a feasible
+    potential for it, and an undo trail.
 
     An edge y -> x of weight c stands for x - y <= c, and ``pot`` satisfies
     every edge.  A node enters at the value that makes its first edge tight,
@@ -453,7 +432,8 @@ class _Context:
     costs, which reaches its tail exactly when the edge closes a negative
     cycle (Cotton & Maler, SAT 2006).  The trail records each new node,
     changed value and added edge, so backtracking is undoing.  ``unsat``
-    remembers the (list, goal) queries found unsatisfiable.
+    maps each (list, goal) query found unsatisfiable to the literals its
+    search asserted.
     """
 
     __slots__ = ("pot", "out", "trail", "stack", "marks", "unsat")
@@ -461,7 +441,7 @@ class _Context:
     def __init__(self):
         self.pot, self.out, self.trail = {}, {}, []
         self.stack, self.marks = [], []
-        self.unsat = set()
+        self.unsat = {}
 
     def _add(self, lit: _Lit) -> bool:
         """Assert one literal; False when it closes a negative cycle."""
@@ -516,7 +496,7 @@ class _Context:
                 pot[entry[0]] = entry[1]
 
     def _sync(self, f: Hyps) -> bool:
-        """Pop the stack to f's deepest single-conjunct cell on it and push
+        """Pop the stack to f's deepest cell with literals on it and push
         the rest of f's; False when their literals conflict."""
         todo, c = [], f.single
         while c is not None and c.pos < 0:
@@ -532,7 +512,7 @@ class _Context:
             del self.stack[keep:], self.marks[keep:]
         for c in reversed(todo):
             mark = len(self.trail)
-            if not all(map(self._add, c.dnf[0])):
+            if not all(map(self._add, c.lits)):
                 self._undo(mark)
                 c.dead = True
                 return False
@@ -541,68 +521,78 @@ class _Context:
             self.marks.append(mark)
         return True
 
-    def _search(self, forms: list) -> Optional[list]:
-        """The first choice of one conjunct per form, in lexicographic
-        order, whose literals the graph admits; the graph is left as it
-        was.  Depth-first, undoing a level's literals to backtrack."""
-        n = len(forms)
-        picks, marks = [0] * n, [0] * n
-        base, i = len(self.trail), 0
-        while i < n:
-            if picks[i] == len(forms[i]):
-                if i == 0:
-                    return None
-                picks[i] = 0
-                i -= 1
-                self._undo(marks[i])
-                picks[i] += 1
-                continue
-            marks[i] = len(self.trail)
-            if all(map(self._add, forms[i][picks[i]])):
-                i += 1
-            else:
-                self._undo(marks[i])
-                picks[i] += 1
-        self._undo(base)
-        return [form[k] for form, k in zip(forms, picks)]
+    def _search(self, lits: list, items: list, g: Iterable[str], budget: int) -> tuple:
+        """``(model, spent)``: Bellman-Ford's model of the first conjunct of
+        ``lits`` and the (proposition, polarity) ``items`` that the graph
+        admits, or None, and the literals the search asserted.
+
+        ``lits`` are asserted first.  The search then takes the items in
+        order, depth-first: it asserts an atom's literals, takes both sides
+        of a node that needs both, left first, and tries the left side of a
+        choice first, undoing back to its right side when a literal closes
+        a negative cycle.  So the conjunct it completes is the first
+        satisfiable one of the product of the items' DNFs, in the order a
+        right fold of them lists it.  It raises ``FormulaTooLargeError`` as
+        soon as it has asserted more than ``budget`` literals.  The graph is
+        left as it was.
+        """
+        base = len(self.trail)
+        try:
+            if not all(map(self._add, lits)):
+                return None, 0
+            todo, choices, spent = None, [], 0
+            for item in reversed(items):
+                todo = (item, todo)
+            while todo is not None:
+                (p, positive), todo = todo
+                sides = _sides(p, positive)
+                if sides is None:
+                    atom = _atom(p, positive)
+                    spent += len(atom)
+                    if spent > budget:
+                        raise FormulaTooLargeError(
+                            f"solver search exceeded its budget of {budget} literals")
+                    if all(map(self._add, atom)):
+                        continue
+                    if not choices:
+                        return None, spent
+                    mark, todo = choices.pop()
+                    self._undo(mark)
+                elif sides[0]:
+                    todo = (sides[1], (sides[2], todo))
+                else:
+                    choices.append((len(self.trail), (sides[2], todo)))
+                    todo = (sides[1], todo)
+            edges = [(x, y, c) for y, out in self.out.items() for x, c in out]
+            return _conjunct_model(edges, g), spent
+        finally:
+            self._undo(base)
 
     def model(self, f: Hyps, goal: Optional[Prop], g: Iterable[str],
               budget: int) -> Optional[dict]:
         """A model of f's list, and of not ``goal`` when one is given, or
-        None.  The budget is charged first, as the right fold of the list's
-        and the negated goal's DNFs would.  Then the single-conjunct cells
-        come from the stack and the disjunctive ones, and the negated goal,
-        are searched in list order, so the conjunct found is the first
-        satisfiable one of that fold.  Bellman-Ford runs on it alone."""
-        f._expand(budget)
-        if goal is None:
-            forms, charge = [], f.own + f.sl - f.last
-        else:
-            # the negated goal is pushed last, and starts the fold
-            countdown = [budget - f.own]
-            neg = _dnf(goal, False, countdown)
-            forms = [neg]
-            _, sl, size = _suffix_sums(f.sn, f.sl, neg)
-            charge = budget - countdown[0] + sl - size
-        if charge > budget:
-            raise FormulaTooLargeError("DNF expansion exceeded the clause budget")
+        None.  The literals of f's cells come from the stack, and a negated
+        goal that offers no choice is asserted next.  The cells that offer
+        a choice, then a negated goal that does, are searched in list
+        order.  A query found unsatisfiable is answered again at once
+        under any budget its search fitted in."""
+        f._read()
         key = (f, goal)
-        if f.dead or key in self.unsat:
+        if self.unsat.get(key, budget + 1) <= budget:
             return None
-        ors, c = [], f.ors
+        items, c = [], f.ors
         while c is not None:
-            ors.append(c)
+            items.append((c.prop, True))
             c = c.parent.ors
-        ors.reverse()
-        picks = self._search([c.dnf for c in ors] + forms) if self._sync(f) else None
-        if picks is None:
-            self.unsat.add(key)
-            return None
-        chosen, parts, c = dict(zip(ors, picks)), picks[len(ors):], f
-        while c.parent is not None:
-            parts.append(chosen.get(c, c.dnf[0]))
-            c = c.parent
-        return _conjunct_model([lit for part in reversed(parts) for lit in part], g)
+        items.reverse()
+        lits = [] if goal is None else _literals(goal, False)
+        if lits is None:
+            lits = []
+            items.append((goal, False))
+        model, spent = self._search(lits, items, g, budget) if self._sync(f) else (None, 0)
+        if model is None:
+            self.unsat[key] = spent
+        return model
 
 
 def _conjunct_model(literals: list, g: Iterable[str]) -> Optional[dict]:
@@ -617,33 +607,28 @@ def _conjunct_model(literals: list, g: Iterable[str]) -> Optional[dict]:
 def _model(f: Union[Hyps, Iterable[Prop]], goal: Optional[Prop], g: Iterable[str],
            budget: int) -> Optional[dict]:
     """``_Context.model`` of ``f``.  A plain list is asked once, so no cell
-    or graph would be used again: its charge comes from the same suffix
-    sums, the same search runs on a fresh graph when some DNF offers a
-    choice of conjuncts, and otherwise Bellman-Ford decides the one
-    conjunct alone, at half the cost of pushing the list onto a root."""
+    or graph would be used again: the propositions that offer a choice are
+    searched on a fresh graph after the others' literals, and when none
+    does, Bellman-Ford decides those literals alone, at half the cost of
+    pushing the list onto a root."""
     if isinstance(f, Hyps):
         return f.ctx.model(f, goal, g, budget)
-    countdown, forms, sn, sl, last = [budget], [], 0, 0, 0
-    for p in f:
-        forms.append(_dnf(p, True, countdown))
-        sn, sl, size = _suffix_sums(sn, sl, forms[-1])
-        last = last if type(p) is Top else size
-    if goal is not None:
-        forms.append(_dnf(goal, False, countdown))
-        sn, sl, last = _suffix_sums(sn, sl, forms[-1])
-    _charge(countdown, sl - last)
-    picks = [form[0] for form in forms if len(form) == 1]
-    if len(picks) < len(forms):
-        picks = _Context()._search(forms)
-        if picks is None:
-            return None
-    return _conjunct_model([lit for pick in picks for lit in pick], g)
+    lits, items = [], []
+    for item in [(p, True) for p in f] + ([] if goal is None else [(goal, False)]):
+        own = _literals(*item)
+        if own is None:
+            items.append(item)
+        else:
+            lits += own
+    if not items:
+        return _conjunct_model(lits, g)
+    return _Context()._search(lits, items, g, budget)[0]
 
 
 def solve_satisfiable(
     g: Iterable[str],
     f: Union[Hyps, Iterable[Prop]],
-    budget: int = CLAUSE_BUDGET,
+    budget: int = SEARCH_BUDGET,
 ) -> Optional[dict]:
     """A satisfying assignment of the conjunction of ``f``, or None.
 
@@ -657,7 +642,7 @@ def entails_cex(
     g: Iterable[str],
     f: Union[Hyps, Iterable[Prop]],
     p: Prop,
-    budget: int = CLAUSE_BUDGET,
+    budget: int = SEARCH_BUDGET,
 ) -> tuple:
     """(holds, counterexample): holds iff F /\\ not p is unsatisfiable."""
     cex = _model(f, p, g, budget)

@@ -179,36 +179,36 @@ def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
     of requiring it as a separate premise.  Binders pair up: b's binder is
     the solver variable for both instants, and ``ma``/``mb`` map the binders
     of the enclosing connectives on each side (and any binder a client
-    exchange fixed, see ``Judgment``) to their instants.
+    exchange fixed, see ``Judgment``) to their instants.  The pairs of
+    components wait on a stack of their own, taken depth-first and left
+    first, so a protocol's depth costs no Python stack.
     """
-    ma, mb = ma or {}, mb or {}
-    if type(a) is not type(b) or isinstance(a, s.TypeRef):
-        return False, (f"connective mismatch: {render_type(a, ma)} "
-                       f"vs {render_type(b, mb)}")
-    u = t.tvar(b.binder)
-    ma, mb = {**ma, a.binder: u}, {**mb, b.binder: u}
-    a_pred, b_pred = t.substitute_all(a.pred, ma), t.substitute_all(b.pred, mb)
-    g2 = (*g, b.binder)
-    hyp = solver.hyps(f)
-    hyp = (hyp.push(t.Leq(at, u)) if cut else hyp).push(b_pred)
-    ok, _ = solver.holds(g2, hyp, a_pred, location)
-    if not ok:
-        return False, f"window not covered: {_render_judgment(g2, hyp, a_pred)}"
-    if not cut:
-        reach = t.Leq(at, u)
-        ok, _ = solver.holds(g2, hyp, reach, location)
+    todo = [(g, solver.hyps(f), a, b, at, ma or {}, mb or {})]
+    while todo:
+        g, hyp, a, b, at, ma, mb = todo.pop()
+        if type(a) is not type(b) or isinstance(a, s.TypeRef):
+            return False, (f"connective mismatch: {render_type(a, ma)} "
+                           f"vs {render_type(b, mb)}")
+        u = t.tvar(b.binder)
+        ma, mb = {**ma, a.binder: u}, {**mb, b.binder: u}
+        a_pred, b_pred = t.substitute_all(a.pred, ma), t.substitute_all(b.pred, mb)
+        g = (*g, b.binder)
+        hyp = (hyp.push(t.Leq(at, u)) if cut else hyp).push(b_pred)
+        ok, _ = solver.holds(g, hyp, a_pred, location)
         if not ok:
-            return False, f"unreachable instant: {_render_judgment(g2, hyp, reach)}"
-    if isinstance(a, s.LolliT):  # the argument is contravariant
-        pairs = [(b.arg, a.arg, mb, ma), (a.cont, b.cont, ma, mb)]
-    else:
-        if isinstance(a, (s.ProduceT, s.QueryT)) and a.payload != b.payload:
-            return False, f"payload sort mismatch: {a.payload} vs {b.payload}"
-        pairs = [(x, y, ma, mb) for x, y in zip(s.components(a), s.components(b))]
-    for sub_a, sub_b, m_a, m_b in pairs:
-        ok, reason = _retype(solver, g2, hyp, sub_a, sub_b, u, location, cut, m_a, m_b)
-        if not ok:
-            return False, reason
+            return False, f"window not covered: {_render_judgment(g, hyp, a_pred)}"
+        if not cut:
+            reach = t.Leq(at, u)
+            ok, _ = solver.holds(g, hyp, reach, location)
+            if not ok:
+                return False, f"unreachable instant: {_render_judgment(g, hyp, reach)}"
+        if isinstance(a, s.LolliT):  # the argument is contravariant
+            pairs = [(b.arg, a.arg, mb, ma), (a.cont, b.cont, ma, mb)]
+        else:
+            if isinstance(a, (s.ProduceT, s.QueryT)) and a.payload != b.payload:
+                return False, f"payload sort mismatch: {a.payload} vs {b.payload}"
+            pairs = [(x, y, ma, mb) for x, y in zip(s.components(a), s.components(b))]
+        todo += [(g, hyp, x, y, u, m_x, m_y) for x, y, m_x, m_y in reversed(pairs)]
     return True, ""
 
 

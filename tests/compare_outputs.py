@@ -7,10 +7,14 @@ Each argument is a directory holding the ``tillst`` package, such as the
 CHANGE_SRC, the seed-1 programs and traces of the fanout, chain,
 disjunctive and corpus workloads of ``perfbench/workloads.py``, and that
 file's fanout programs at N=256 and chain program at n=300, the sizes the
-scaling baselines are measured at, and its chain programs at n=700 and
-n=750, the deepest chain that checks and the first whose queries exceed
-the solver's clause budget, and a chain at n=120 whose middle stage's
-window is disjunctive, with the mutant of it whose stage 110 opens late.
+scaling baselines are measured at.  Deep and disjunctive inputs probe the
+solver's limits: the chain programs at n=700, 750 and 1000 and a forward
+of a 2000-stage chain type; a chain at n=120 whose middle stage's window
+is disjunctive, with the mutant of it whose stage 110 opens late; the
+disjunctive program whose window excludes 64 instants, with the mutant
+whose provider no longer excludes the first; and a chain whose every
+window is a choice of two instants, at 13 stages, the largest whose
+search fits the solver's budget, and at 14, the first that exits 2 on it.
 Malformed inputs come from each corpus file too: the file cut at a quarter,
 half and three quarters of its length, and the file with ``²`` and with a
 lone ``/`` spliced into its first ``fn`` body.  Each program's systems and
@@ -61,6 +65,20 @@ def neq_chain(n: int, m: int, late: int = -1) -> str:
         eq, f"And<{eq}, Neq<s{m}, Shift<t0, {m}>>>")
 
 
+def or_chain(n: int) -> str:
+    """n Produce stages, stage i one or two ticks after stage i-1, and its
+    provider with the same windows.  Checking stage i's window searches
+    the 2^i choices of the stages before it."""
+    def window(i):
+        prev = f"s{i - 1}" if i else "t0"
+        return f"Or<Eq<s{i}, Shift<{prev}, 1>>, Eq<s{i}, Shift<{prev}, 2>>>"
+    ty = "".join(f"Produce<int, s{i} where {window(i)}, " for i in range(n))
+    body = "".join(f"    Prod<s{i} where {window(i)}> $ {i} $;\n" for i in range(n))
+    close = f"z where Geq<z, s{n - 1}>"
+    return (f"type ORS = {ty}Unit<{close}>{'>' * n};\n\nfn ors() -> ORS {{\n{body}"
+            f"    Close<{close}>\n}}\n\nsystem go = ors() @ t0;\n")
+
+
 def malformed(name: str, text: str) -> dict:
     """Copies of a corpus file cut at a quarter, half and three quarters of
     its length, and with ``²`` and with a lone ``/`` spliced in before the
@@ -78,7 +96,8 @@ def plan(src: Path, inputs: Path) -> None:
     """Write every input file and ``plan.json`` into ``inputs``.  The
     systems and types of each program are read with the parser of ``src``."""
     sys.path[:0] = [str(HERE.parent), str(src)]
-    from perfbench.workloads import chain_program, fanout_program, generate
+    from perfbench.workloads import (chain_program, chain_type, disjunctive_program,
+                                     fanout_program, generate)
     from tillst.parser import ParseError, parse_program
 
     corpus_dir = src / "tillst" / "corpus"
@@ -93,10 +112,17 @@ def plan(src: Path, inputs: Path) -> None:
                      for op in w.ops if op.kind == "monitor"]
     files["fanout256.tsl"] = fanout_program(256, False)
     files["fanout256_mut.tsl"] = fanout_program(256, True)
-    for n in (300, 700, 750):
+    for n in (300, 700, 750, 1000):
         files[f"chain{n}.tsl"] = chain_program(n, list(range(n)))
+    files["relay2000.tsl"] = (f"type C = {chain_type(2000)};\n"
+                              "fn relay(x: C) -> C { Fwd<t0>(x) }\n")
     files["chain120_neq.tsl"] = neq_chain(120, 60)
     files["chain120_neq_late.tsl"] = neq_chain(120, 60, late=110)
+    excluded = list(range(5, 69))
+    files["win64.tsl"] = disjunctive_program(5, excluded, excluded)
+    files["win64_mut.tsl"] = disjunctive_program(5, excluded, excluded[1:])
+    for n in (13, 14):
+        files[f"or{n}.tsl"] = or_chain(n)
     for name, text in files.items():
         (inputs / name).write_text(text, encoding="utf-8")
     programs = {}

@@ -10,7 +10,8 @@ from tillst import corpus_path
 from tillst.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
-from perfbench.workloads import chain_type  # noqa: E402
+from compare_outputs import or_chain  # noqa: E402
+from perfbench.workloads import chain_type, disjunctive_program  # noqa: E402
 
 
 def run_cli(capsys, *args):
@@ -77,8 +78,7 @@ class TestCheck:
 
     def test_external_backend_asks_about_a_window_too_large_to_expand(self, capsys,
                                                                        tmp_path):
-        # the internal backend exits 2 on this window's DNF (see
-        # TestSolverFailuresExitTwo); the external one only writes scripts
+        # the external backend reads no hypothesis: it only writes scripts
         asked = tmp_path / "asked"
         stub = tmp_path / "stub"
         stub.write_text(f"#!/bin/sh\necho \"$1\" >> {asked}\necho unsat\n")
@@ -286,15 +286,12 @@ class TestSolverFailuresExitTwo:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: /bin/true produced no sat/unsat verdict (stdout: '')\n"
 
-    @pytest.mark.parametrize("command", [["check"], ["run", "--entry", "go"]],
-                             ids=["check", "run"])
-    def test_disequality_window_too_large(self, tmp_path, command):
-        path = tmp_path / "win16.tsl"
-        path.write_text(window_program(16))
-        proc = run_subprocess(command[0], str(path), *command[1:])
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr == "error: DNF expansion exceeded the clause budget\n"
+    def test_search_over_budget(self, tmp_path):
+        path = tmp_path / "or14.tsl"
+        path.write_text(or_chain(14))
+        proc = run_subprocess("check", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: solver search exceeded its budget of 100000 literals\n"
 
 
 def test_system_binding_must_name_a_parameter(tmp_path, capsys):
@@ -493,10 +490,11 @@ class TestDeepInputChecks:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT hub_n\n", "")
 
     def test_deep_chain(self, tmp_path):
-        path = tmp_path / "chain350.tsl"
-        path.write_text(chain_program(350))
-        proc = run_subprocess("check", str(path))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT chain\n", "")
+        for n in (350, 1000):
+            path = tmp_path / f"chain{n}.tsl"
+            path.write_text(chain_program(n))
+            proc = run_subprocess("check", str(path))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT chain\n", ""), n
 
     def test_deep_protocol_below_a_channel_send(self, tmp_path):
         # splitting the context at App reads the free channels of the whole
@@ -531,11 +529,34 @@ class TestDeepInputChecks:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT consumer\n", "")
 
     def test_deep_forward(self, tmp_path):
-        # retyping a forward asks two queries per stage, each over the
-        # hypotheses of every stage above it; the solver folds each list
-        # instead of recursing through it
-        path = tmp_path / "relay500.tsl"
-        path.write_text(f"type C = {chain_type(500)};\n"
-                        "fn relay(x: C) -> C { Fwd<t0>(x) }\n")
-        proc = run_subprocess("check", str(path))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT relay\n", "")
+        # retyping a forward pairs the two types' stages on a stack of its
+        # own and asks two queries per stage, each over the hypotheses of
+        # every stage above it
+        for n in (500, 1000, 2000):
+            path = tmp_path / f"relay{n}.tsl"
+            path.write_text(f"type C = {chain_type(n)};\n"
+                            "fn relay(x: C) -> C { Fwd<t0>(x) }\n")
+            proc = run_subprocess("check", str(path))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ACCEPT relay\n", ""), n
+
+
+class TestDisjunctiveWindows:
+    """A window that excludes its first 64 instants: the solver searches
+    its disjunctions one at a time instead of expanding 2^64 conjuncts."""
+
+    EXCLUDED = list(range(5, 69))
+
+    def test_window_checks_and_runs(self, capsys, tmp_path):
+        path = tmp_path / "win64.tsl"
+        path.write_text(disjunctive_program(5, self.EXCLUDED, self.EXCLUDED))
+        assert run_cli(capsys, "check", str(path)) == (0, "ACCEPT provider\n", "")
+        code, out, err = run_cli(capsys, "run", str(path), "--entry", "go")
+        assert (code, out.splitlines()[-1], err) == (0, "done at t0+69 (1 events)", "")
+
+    def test_provider_that_closes_too_early_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "win64_mut.tsl"
+        path.write_text(disjunctive_program(5, self.EXCLUDED, self.EXCLUDED[1:]))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, err) == (1, "") and out.count("\n") == 1
+        assert out.startswith("REJECT provider: PredicateUnsatisfied at provider/CloseP: ")
+        assert out.endswith(" [counterexample: t#1 = t0+5]\n")

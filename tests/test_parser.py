@@ -396,6 +396,13 @@ def test_non_decimal_digit_is_rejected():
         assert str(exc.value) == f"1:{source.index(chr(0xb2)) + 1}: unexpected character '²'"
 
 
+def test_a_word_starts_with_a_letter_and_continues_with_word_characters():
+    assert parse_program("type a² = Unit<t where True>;").types[0].name == "a²"
+    with pytest.raises(ParseError) as exc:
+        parse_program("type ²a = Unit<t where True>;")
+    assert str(exc.value) == "1:6: unexpected character '²'"
+
+
 def chain_source(n: int, names=lambda i: f"s{i}", z="z") -> str:
     """A depth-n Produce protocol and its provider, spelled as the printer
     spells them; ``names`` renames the binders."""

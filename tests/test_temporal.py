@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracle import oracle_entails
 from tillst import temporal as t
-from tillst.temporal import (BOT, INIT, TOP, And, Eq, Imp, Leq, Or,
+from tillst.temporal import (BOT, INIT, TOP, And, Bot, Eq, Imp, Leq, Or, Top,
                              eval_closed_prop, eval_prop, entails, init_plus,
                              p_in, solve_satisfiable, substitute_all, tvar)
 
@@ -148,37 +148,52 @@ class TestSolve:
             assert all(eval_prop(q, model) for q in f)
 
     def test_clause_budget(self):
-        big = Eq(tvar("t1"), INIT)
-        for i in range(12):
-            big = Or(big, Eq(tvar("t1"), init_plus(i)))
-        blowup = [big] * 8
+        # each t_i is t_(i-1) + 1 or + 2, and the negated goal t_8 >= 17 only
+        # conflicts once all eight choices are made: the search tries all
+        # 256 of them
+        g = [f"t{i}" for i in range(1, 9)]
+        prev = [INIT] + [tvar(v) for v in g]
+        steps = [Or(Eq(tvar(v), prev[i].shift(1)), Eq(tvar(v), prev[i].shift(2)))
+                 for i, v in enumerate(g)]
+        goal = Leq(tvar("t8"), init_plus(16))
+        assert t.entails_cex(g, steps, goal) == (True, None)
         with pytest.raises(t.FormulaTooLargeError):
-            solve_satisfiable(["t1"], blowup, budget=50)
+            t.entails_cex(g, steps, goal, budget=50)
 
-    # Each list's budget B is the number of literals its DNF expansion
-    # charges: the query answers at B and exceeds the budget at B - 1.  A
-    # TOP after the last other hypothesis is skipped, and charges nothing.
+    # Each query's budget B is the number of literals its search asserts:
+    # the query answers at B and exceeds the budget at B - 1.  Hypotheses
+    # and negated goals that offer no choice are asserted before the search
+    # and cost nothing, TOP among them.
     CONJ = [Leq(tvar("t1"), init_plus(5)), Eq(tvar("t2"), tvar("t1", 1)),
             Leq(INIT, tvar("t2")), Eq(tvar("t3"), tvar("t2"))]
+    OR_NEQ = [Or(Leq(tvar("t1"), init_plus(3)), Eq(tvar("t1"), tvar("t2"))),
+              t.p_neq(tvar("t2"), tvar("t3")), Leq(tvar("t3"), init_plus(9)),
+              t.p_neq(tvar("t1"), INIT)]
+    T1_LATE = Leq(tvar("t1"), init_plus(3))  # negated, t1 >= 4 refutes the Or's left
 
-    thresholds = pytest.mark.parametrize("f,budget", [
-        (CONJ, 20),
-        ([Or(Leq(tvar("t1"), init_plus(3)), Eq(tvar("t1"), tvar("t2"))),
-          t.p_neq(tvar("t2"), tvar("t3")), Leq(tvar("t3"), init_plus(9)),
-          t.p_neq(tvar("t1"), INIT)], 60),
+    thresholds = pytest.mark.parametrize("f,goal,budget,answer", [
+        (CONJ, Eq(tvar("t3"), tvar("t1", 1)), 2, (True, None)),
+        (OR_NEQ, T1_LATE, 6, (False, {"t1": 4, "t2": 4, "t3": 5})),
         ([Imp(Leq(tvar("t1"), init_plus(3)), Eq(tvar("t2"), INIT)),
           t.p_not(Eq(tvar("t1"), tvar("t2"))), Leq(INIT, tvar("t3")),
-          Eq(tvar("t3"), tvar("t1", 2))], 41),
-        ([TOP] + CONJ, 26),
-        (CONJ[:2] + [TOP] + CONJ[2:], 23),
-        (CONJ + [TOP], 20),
+          Eq(tvar("t3"), tvar("t1", 2))], None, 2, {"t1": 4, "t2": 6, "t3": 6}),
+        ([TOP] + OR_NEQ, T1_LATE, 6, (False, {"t1": 4, "t2": 4, "t3": 5})),
+        (OR_NEQ[:2] + [TOP] + OR_NEQ[2:], T1_LATE, 6, (False, {"t1": 4, "t2": 4, "t3": 5})),
+        (OR_NEQ + [TOP], None, 3, {"t1": -1, "t2": -1, "t3": 0}),
     ], ids=["conjunctive", "or-neq", "imp-not-eq", "top-first", "top-middle", "top-last"])
 
+    @staticmethod
+    def ask(f, goal, budget):
+        if goal is None:
+            return solve_satisfiable(["t1", "t2", "t3"], f, budget=budget)
+        return t.entails_cex(["t1", "t2", "t3"], f, goal, budget=budget)
+
     @thresholds
-    def test_clause_budget_threshold(self, f, budget):
-        assert solve_satisfiable(["t1", "t2", "t3"], f, budget=budget) is not None
-        with pytest.raises(t.FormulaTooLargeError):
-            solve_satisfiable(["t1", "t2", "t3"], f, budget=budget - 1)
+    def test_clause_budget_threshold(self, f, goal, budget, answer):
+        for hyps in (f, t.Hyps().extend(f)):  # a plain list and a fresh root
+            assert self.ask(hyps, goal, budget) == answer
+            with pytest.raises(t.FormulaTooLargeError):
+                self.ask(hyps, goal, budget - 1)
 
     def test_pre_init_instants_allowed(self):
         model = solve_satisfiable(["t1"], [Leq(tvar("t1", 5), INIT)])
@@ -279,28 +294,42 @@ def hyp_props(time_strategy):
     )
 
 
+def reference_dnf(p, positive: bool) -> list:
+    """Disjunctive normal form as a list of conjuncts (lists of literals).
+
+    Integer semantics: not (a <= b) becomes b+1 <= a; equalities split into
+    two inequalities, disequalities into a disjunction.  An implication
+    flips its left child's polarity, and a node is the product of its
+    children's forms exactly when it is a positive And or a negated Or or
+    Imp, else their union."""
+    if isinstance(p, Leq):
+        if positive:
+            return [[t._leq_lit(p.left, p.right)]]
+        return [[t._leq_lit(p.right.shift(1), p.left)]]
+    if isinstance(p, Eq):
+        if positive:
+            return [[t._leq_lit(p.left, p.right), t._leq_lit(p.right, p.left)]]
+        return [[t._leq_lit(p.left.shift(1), p.right)], [t._leq_lit(p.right.shift(1), p.left)]]
+    if isinstance(p, (Top, Bot)):
+        return [[]] if isinstance(p, Top) == positive else []
+    left = reference_dnf(p.left, positive != isinstance(p, Imp))
+    right = reference_dnf(p.right, positive)
+    if isinstance(p, And) == positive:
+        return [a + b for a in left for b in right]
+    return left + right
+
+
 def right_fold(f: list, goal, g: list):
-    """The reference for a query's answer and charge: the right fold of the
-    plain list's DNFs, the negated goal pushed last, charging each
-    hypothesis's own expansion and then its product with the fold so far,
-    pair by pair.  A TOP after the last other hypothesis starts no fold and
-    charges nothing.  The answer is Bellman-Ford's model of the first
-    satisfiable conjunct, as ``solve_satisfiable`` or ``entails_cex`` gives
-    it; the charge is the literals the fold spent."""
-    spent, conjuncts = [10**9], None
+    """The reference for a query's answer: Bellman-Ford's model of the first
+    satisfiable conjunct of the right fold of the plain list's DNFs, the
+    negated goal pushed last, as ``solve_satisfiable`` or ``entails_cex``
+    gives it."""
+    conjuncts = [[]]
     for p in reversed(f if goal is None else f + [t.p_not(goal)]):
-        if conjuncts is not None:
-            product = []
-            for a in t._dnf(p, True, spent):
-                for b in conjuncts:
-                    t._charge(spent, len(a) + len(b))
-                    product.append(a + b)
-            conjuncts = product
-        elif p != TOP:
-            conjuncts = t._dnf(p, True, spent)
-    models = (t._conjunct_model(c, g) for c in ([[]] if conjuncts is None else conjuncts))
+        conjuncts = [a + b for a in reference_dnf(p, True) for b in conjuncts]
+    models = (t._conjunct_model(c, g) for c in conjuncts)
     model = next((m for m in models if m is not None), None)
-    return (model if goal is None else (model is None, model)), 10**9 - spent[0]
+    return model if goal is None else (model is None, model)
 
 
 @st.composite
@@ -329,16 +358,24 @@ class TestHyps:
         assert list(a.push(BOT)) == [Leq(INIT, tvar("t1")), BOT] and list(root) == []
 
     def test_cells_expand_when_a_query_is_decided_under_its_budget(self):
+        """A cell reads its hypothesis at the first query decided here, not
+        when the list is exported; a query over its budget has read it too,
+        and leaves the graph as it found it."""
         big = Eq(tvar("t1"), INIT)
         for i in range(12):
-            big = Or(big, Eq(tvar("t1"), init_plus(i)))  # 26 literals
-        f = t.Hyps().push(big).push(Leq(tvar("t1"), init_plus(3)))
-        assert f.dnf is None and f.parent.dnf is None
+            big = Or(big, Eq(tvar("t1"), init_plus(i)))
+        f = t.Hyps().push(big).push(Leq(init_plus(10), tvar("t1")))
+        assert f.lits is f.parent.lits is t._UNREAD
         assert "(assert (or" in t.emit_smtlib(self.G, f, TOP)
+        assert f.lits is f.parent.lits is t._UNREAD
+        # t1 >= 10 refutes the first eleven disjuncts, two literals each
         with pytest.raises(t.FormulaTooLargeError):
-            solve_satisfiable(self.G, f, budget=26)
-        assert f.dnf is None and len(f.parent.dnf) == 13
-        assert solve_satisfiable(self.G, f) == {"t1": 0, "t2": 0}
+            solve_satisfiable(self.G, f, budget=23)
+        assert f.parent.lits is None and f.lits == [(t._INIT_NODE, "t1", -10)]
+        alone = t._Context()  # the graph of the stack, t1 >= 10 alone
+        alone._add(f.lits[0])
+        assert f.ctx.stack == [f] and (f.ctx.trail, f.ctx.pot) == (alone.trail, alone.pot)
+        assert solve_satisfiable(self.G, f, budget=24) == {"t1": 10, "t2": 10}
 
     def test_plain_list_queries_leave_no_cycles(self):
         # the runtime asks one-shot queries while much else is alive, where
@@ -350,7 +387,7 @@ class TestHyps:
             assert solve_satisfiable(["t1"], f) == {"t1": 8}
             assert t.entails_cex(["t1"], f, Leq(init_plus(8), tvar("t1")))[0]
             with pytest.raises(t.FormulaTooLargeError):
-                solve_satisfiable(["t1"], f, budget=3)
+                solve_satisfiable(["t1"], f, budget=1)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -383,15 +420,13 @@ class TestHyps:
                                  and not eval_prop(goal, cex))
 
     @settings(max_examples=150)
-    @given(hyp_trees(), st.lists(st.integers(-2, 1) | st.integers(-60, 60), min_size=8,
-                                 max_size=8))
-    def test_queries_answer_and_charge_as_the_right_fold(self, drawn, slacks):
-        """Each query asks at a budget near what the right fold charges its
-        list: on a shared root, after queries of other lists at other
-        budgets have expanded some of its cells, and as a plain list.  Both
-        raise exactly when that charge is over the budget, and otherwise
-        give the fold's answer.  Each list is asked again with a TOP after
-        it, which charges nothing."""
+    @given(hyp_trees(), st.lists(st.integers(0, 12), min_size=8, max_size=8))
+    def test_queries_answer_as_the_right_fold(self, drawn, budgets):
+        """Each query answers as the right fold of its list's DNFs: on a
+        shared root, after queries of other lists at other budgets, on a
+        fresh root and as a plain list, and again with a TOP after the
+        list.  Asked at a small budget, the three exceed it together or
+        give that answer."""
         tree, queries = drawn
         root = t.Hyps()
         cells, lists = [], []
@@ -399,7 +434,7 @@ class TestHyps:
             cells.append((root if parent < 0 else cells[parent]).push(p))
             lists.append(([] if parent < 0 else lists[parent]) + [p])
 
-        def ask(f, goal, budget):
+        def ask(f, goal, budget=t.SEARCH_BUDGET):
             try:
                 if goal is None:
                     return solve_satisfiable(self.G, f, budget=budget)
@@ -407,17 +442,27 @@ class TestHyps:
             except t.FormulaTooLargeError:
                 return "exceeded"
 
-        for (k, goal), slack in zip(queries, slacks):
+        for (k, goal), budget in zip(queries, budgets):
             f, plain = (root, []) if k < 0 else (cells[k], lists[k])
             for f, plain in ((f, plain), (f.push(TOP), plain + [TOP])):
-                answer, charge = right_fold(plain, goal, self.G)
-                budget = max(0, charge + slack)
-                expected = "exceeded" if budget < charge else answer
-                assert ask(f, goal, budget) == ask(plain, goal, budget) == expected
+                answer = right_fold(plain, goal, self.G)
+                tight = ask(f, goal, budget)
+                assert tight == ask(t.Hyps().extend(plain), goal, budget) \
+                    == ask(plain, goal, budget)
+                assert tight in ("exceeded", answer)
+                assert ask(f, goal) == ask(t.Hyps().extend(plain), goal) \
+                    == ask(plain, goal) == answer
 
     @TestSolve.thresholds
-    def test_clause_budget_threshold_on_a_shared_root(self, f, budget):
-        hyps = t.Hyps().extend(f)
-        assert solve_satisfiable(["t1", "t2", "t3"], hyps, budget=budget) is not None
-        with pytest.raises(t.FormulaTooLargeError):
-            solve_satisfiable(["t1", "t2", "t3"], hyps, budget=budget - 1)
+    def test_clause_budget_threshold_on_a_shared_root(self, f, goal, budget, answer):
+        """The thresholds hold on a root whose graph holds other lists, and
+        a query found unsatisfiable is searched again under a smaller
+        budget."""
+        root = t.Hyps()
+        hyps = root.extend(f)
+        TestSolve.ask(hyps.parent, goal, t.SEARCH_BUDGET)
+        TestSolve.ask(root.push(TOP).extend(f), goal, t.SEARCH_BUDGET)
+        for _ in range(2):
+            assert TestSolve.ask(hyps, goal, budget) == answer
+            with pytest.raises(t.FormulaTooLargeError):
+                TestSolve.ask(hyps, goal, budget - 1)

@@ -537,27 +537,23 @@ def test_spawn_may_rebind_a_channel_it_passes():
 
 
 def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypatch):
-    """Each hypothesis cell's DNF is expanded once, at the first query of a
-    list through it, and Bellman-Ford runs only for a query that fails, to
-    build its counterexample; the rest are decided on the shared difference
+    """Each hypothesis cell is read once, at the first query of a list
+    through it, and Bellman-Ford runs only for a query that fails, to build
+    its counterexample; the rest are decided on the shared difference
     graph."""
-    real_dnf, real_solve = t._dnf, t._solve_conjunct
-    expanded, solved, depth = [], [], [0]
+    real_literals, real_solve = t._literals, t._solve_conjunct
+    expanded, solved = [], []
 
-    def dnf(p, positive, budget):
-        if positive and not depth[0]:  # a hypothesis, not a goal or a subterm
+    def literals(p, positive):
+        if positive:  # a hypothesis, not a negated goal
             expanded.append(p)
-        depth[0] += 1
-        try:
-            return real_dnf(p, positive, budget)
-        finally:
-            depth[0] -= 1
+        return real_literals(p, positive)
 
     def solve(literals, nodes):
         solved.append(literals)
         return real_solve(literals, nodes)
 
-    monkeypatch.setattr(t, "_dnf", dnf)
+    monkeypatch.setattr(t, "_literals", literals)
     monkeypatch.setattr(t, "_solve_conjunct", solve)
     for late, accepted in ((-1, True), (40, False)):
         expanded.clear()
