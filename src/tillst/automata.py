@@ -94,10 +94,8 @@ def monitor_trace(obl: TraceObligation, events: list):
         except t.NonClosedError:
             return Violation(idx, "window predicate has unbound time variables")
         if not ok:
-            pred = t.substitute_all(a.pred, {x: t.init_plus(n) for x, n in binds.items()
-                                             if x != a.binder})
             return Violation(idx, f"time {t.render_instant(ev.time)} outside the window",
-                             failed_pred=render_prop(pred))
+                             failed_pred=render_prop(t.close(a.pred, binds, a.binder)))
         if want == "close":
             if idx != len(events) - 1:
                 return Violation(idx + 1, "events continue after close")

@@ -41,8 +41,10 @@ scheduler takes its first entry, or a ``tiebreak``'s pick, until none is
 left at the current clock; replay takes the entry whose configuration is the
 recorded one; and ``reductions`` returns it whole.  One wait pass over the
 index's leaves then either blames a timing violation or lists the pending
-instants, and the clock advances to the least of them.  Each run yields a
-replayable step sequence.
+instants, and the clock advances to the least of them.  A provider that
+offers to the environment pends at the least instant its window holds,
+found with no solver: the window is read at the instants where one of its
+atoms changes truth.  Each run yields a replayable step sequence.
 
 A process leaf carries an environment instead of rewritten continuations,
 so its body is always a subterm of the program as parsed: when a provider
@@ -227,13 +229,6 @@ class Env:
         if e.var in self.times:
             return self.times[e.var] + e.offset
         return e.ticks()
-
-    def close(self, pred: t.Prop, binder: str) -> t.Prop:
-        """``pred`` with the fired binders other than ``binder`` replaced by
-        their instants, for messages and solver queries."""
-        return t.substitute_all(pred, {x: t.init_plus(self.times[x])
-                                       for x in t.free_time_vars(pred)
-                                       if x != binder and x in self.times})
 
 
 EMPTY_ENV = Env()
@@ -878,24 +873,28 @@ class RunResult:
         return self.status == "done"
 
 
-def _earliest_enabled(leaf: ProcC, lo: int, horizon: int) -> Optional[int]:
-    """Least instant >= lo at which the provider leaf's window holds.
+def _earliest_enabled(leaf: ProcC, lo: int) -> Optional[int]:
+    """Least instant >= lo at which the provider leaf's window holds, or None.
 
-    The linear scan stops at the horizon; a solver witness past it is
-    returned as-is (possibly non-minimal) since the run ends there anyway.
+    Closed under the fired binders, each atom of the window either is
+    constant in the leaf's binder or bounds the binder, shifted by a, by an
+    instant k, and then changes truth only at k - a or k - a + 1.  Between
+    consecutive cuts the window's truth is constant, so the least instant
+    is lo or a cut after it.
     """
     p = leaf.body
-    pred = leaf.env.close(p.pred, p.binder)
-    model = t.solve_satisfiable([p.binder], [pred, t.Leq(t.init_plus(lo), t.tvar(p.binder))])
-    if model is None:
-        return None
-    for cand in range(lo, min(model[p.binder], horizon) + 1):
+    cuts = set()
+    for atom in t.atoms(t.close(p.pred, leaf.env.times, p.binder)):
+        for e, k in ((atom.left, atom.right), (atom.right, atom.left)):
+            if e.var == p.binder and k.var is None:
+                cuts.update((k.offset - e.offset, k.offset - e.offset + 1))
+    for cand in [lo, *sorted(c for c in cuts if c > lo)]:
         if _pred_holds_at(p, leaf.env, cand):
             return cand
-    return model[p.binder]
+    return None
 
 
-def _wait_pass(index: _Index, horizon: int) -> tuple:
+def _wait_pass(index: _Index) -> tuple:
     """What the index's leaves wait for once its instant has no step left:
     (a timing violation or None, the sorted instants after it at which a
     step may become available).
@@ -905,7 +904,8 @@ def _wait_pass(index: _Index, horizon: int) -> tuple:
     exchange is blamed on the provider of its channel when the shapes
     complement; a shape mismatch stalls into deadlock instead.  Only then are
     automaton releases and the windows of providers sending to the
-    environment read, so the solver runs after every violation check.
+    environment read: such a provider pends at the least later instant its
+    window holds (``_earliest_enabled``), exactly, whatever the horizon.
     """
     leaves, by_chan, now, defs = index.conf, index.leaves, index.now, index.defs
     pend = set()
@@ -938,7 +938,7 @@ def _wait_pass(index: _Index, horizon: int) -> tuple:
         elif isinstance(provider, ProcC):
             q = provider.body
             if s.PROVIDES.get(type(q)) is want and not _pred_holds_at(q, provider.env, now):
-                window = render_prop(provider.env.close(q.pred, q.binder))
+                window = render_prop(t.close(q.pred, provider.env.times, q.binder))
                 return TimingViolationInfo(chan, tick, window, {q.binder: now}), []
     for leaf in leaves:
         if isinstance(leaf, AutoC):
@@ -948,7 +948,7 @@ def _wait_pass(index: _Index, horizon: int) -> tuple:
         elif (isinstance(leaf, ProcC) and type(leaf.body) in s.PROVIDES
               and leaf.chan not in index.clients
               and s.CONNECTIVES[s.PROVIDES[type(leaf.body)]].provider_dir == "send"):
-            nxt = _earliest_enabled(leaf, now + 1, horizon)
+            nxt = _earliest_enabled(leaf, now + 1)
             if nxt is not None:
                 pend.add(nxt)
     return None, sorted(pend)
@@ -982,7 +982,7 @@ def run_scheduler(omega: Configuration, start: int = 0,
         config = index.conf
         if not config:
             break
-        violation, pend = _wait_pass(index, horizon)
+        violation, pend = _wait_pass(index)
         if violation is not None:
             status, error = "timing_violation", violation
             break

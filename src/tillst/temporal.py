@@ -17,12 +17,12 @@ it offers no choice.  It then searches the hypotheses that offer a choice,
 and a negated goal that does, in list order: left side first, undoing back
 to the latest choice when a literal closes a negative cycle, in a loop that
 takes no stack frame per level.  The search gives up after a budget of
-asserted literals.  The conjunct a satisfiable query finds runs
-Bellman-Ford from a virtual source, which stops at the first pass whose
-parent graph holds a cycle, and its distances are the counterexample.  A
-plain list, asked once, goes straight to Bellman-Ford when nothing in it
-offers a choice.  Queries export as SMT-LIB2 scripts
-(logic QF_LIA) that an external solver binary can discharge.
+asserted literals.  The graph's negative-cycle check is the only one: a
+plain list, asked once, is searched the same way on a fresh graph.  For
+the conjunct a satisfiable query completes, Bellman-Ford from a virtual
+source gives the shortest distances, which are the counterexample.
+Queries export as SMT-LIB2 scripts (logic QF_LIA) that an external solver
+binary can discharge.
 """
 
 from __future__ import annotations
@@ -189,17 +189,20 @@ def p_in(lo: TimeExpr, t: TimeExpr, hi: TimeExpr) -> Prop:
     return And(Leq(lo, t), Leq(t, hi))
 
 
+def atoms(p: Prop):
+    """The equalities and inequalities of ``p``, left to right."""
+    todo = [p]
+    while todo:
+        p = todo.pop()
+        kind = type(p)
+        if kind is Eq or kind is Leq:
+            yield p
+        elif kind is And or kind is Or or kind is Imp:
+            todo += (p.right, p.left)
+
+
 def free_time_vars(p: Prop) -> set:
-    if isinstance(p, (Top, Bot)):
-        return set()
-    if isinstance(p, (And, Or, Imp)):
-        return free_time_vars(p.left) | free_time_vars(p.right)
-    out = set()
-    if p.left.var is not None:
-        out.add(p.left.var)
-    if p.right.var is not None:
-        out.add(p.right.var)
-    return out
+    return {e.var for a in atoms(p) for e in (a.left, a.right) if e.var is not None}
 
 
 def substitute_all(p: Prop, m: Mapping[str, TimeExpr]) -> Prop:
@@ -210,6 +213,13 @@ def substitute_all(p: Prop, m: Mapping[str, TimeExpr]) -> Prop:
     if isinstance(p, (Eq, Leq)):
         return type(p)(subst_time(p.left, m), subst_time(p.right, m))
     return type(p)(substitute_all(p.left, m), substitute_all(p.right, m))
+
+
+def close(p: Prop, instants: Mapping[str, int], binder: str) -> Prop:
+    """``p`` with each variable other than ``binder`` that ``instants``
+    maps replaced by its instant."""
+    return substitute_all(p, {x: init_plus(instants[x]) for x in free_time_vars(p)
+                              if x != binder and x in instants})
 
 
 def eval_prop(p: Prop, assignment: Mapping[str, int]) -> bool:
@@ -305,53 +315,6 @@ def _literals(p: Prop, positive: bool) -> Optional[list]:
         else:
             todo += (sides[2], sides[1])
     return lits
-
-
-def _solve_conjunct(literals: list, nodes: list) -> Optional[dict]:
-    """Bellman-Ford on the difference-constraint graph.
-
-    Edge y -> x with weight c for each x - y <= c.  A negative cycle means the
-    conjunct is unsatisfiable; otherwise the distances from a virtual source
-    yield a model, shifted so that init maps to 0.
-
-    Each strict relaxation records the node's parent.  Any cycle in the
-    parent graph has negative weight (Cherkassky & Goldberg, 1999), so after
-    every pass that changed something the parent graph is searched, and the
-    conjunct is rejected at the first cycle, usually within a few passes.
-    Still relaxing after |V| passes is the fallback test.  The early exit
-    only ever rejects, and the shortest distances of a satisfiable conjunct
-    are unique, so every model is the one the full |V| passes would give.
-    """
-    dist = {n: 0 for n in nodes}  # virtual source at distance 0 to every node
-    parent: dict = {}
-    edges = [(y, x, c) for (x, y, c) in literals]
-    for _ in range(len(nodes)):
-        changed = False
-        for y, x, c in edges:
-            if dist[y] + c < dist[x]:
-                dist[x] = dist[y] + c
-                parent[x] = y
-                changed = True
-        if not changed:
-            break
-        # walk the parent pointers once: a node is unseen, on the current
-        # path (1) or done (2); meeting the current path again is a cycle
-        state: dict = {}
-        for start in parent:
-            path, n = [], start
-            while n in parent and n not in state:
-                state[n] = 1
-                path.append(n)
-                n = parent[n]
-            if state.get(n) == 1:
-                return None  # a cycle of parents has negative weight
-            state.update(dict.fromkeys(path, 2))
-    else:
-        for y, x, c in edges:
-            if dist[y] + c < dist[x]:
-                return None  # still relaxing: negative cycle
-    base = dist[_INIT_NODE]
-    return {n: dist[n] - base for n in nodes if n != _INIT_NODE}
 
 
 _UNREAD = object()  # a cell's ``lits`` before its hypothesis is read
@@ -595,22 +558,37 @@ class _Context:
         return model
 
 
-def _conjunct_model(literals: list, g: Iterable[str]) -> Optional[dict]:
-    """Bellman-Ford's model of one conjunct, total over ``g``, or None."""
+def _conjunct_model(literals: list, g: Iterable[str]) -> dict:
+    """Bellman-Ford's model of one conjunct that ``_Context._add`` accepted,
+    total over ``g``.
+
+    Each literal x - y <= c is an edge y -> x of weight c, and a virtual
+    source reaches every node at distance 0.  The model is the shortest
+    distances, shifted so that init maps to 0.  They are unique on a
+    feasible graph, so the model does not depend on the literals' order.
+    The passes stop at |V|, so a conjunct with a negative cycle, which no
+    caller passes, cannot hang them.
+    """
     names = list(dict.fromkeys(g))
-    nodes = list(dict.fromkeys(
-        [_INIT_NODE] + [n for lit in literals for n in (lit[0], lit[1])] + names))
-    model = _solve_conjunct(literals, nodes)
-    return None if model is None else {n: model.get(n, 0) for n in names}
+    dist = dict.fromkeys([_INIT_NODE, *(n for lit in literals for n in lit[:2]), *names], 0)
+    edges = [(y, x, c) for (x, y, c) in literals]
+    for _ in range(len(dist)):
+        changed = False
+        for y, x, c in edges:
+            if dist[y] + c < dist[x]:
+                dist[x] = dist[y] + c
+                changed = True
+        if not changed:
+            break
+    base = dist[_INIT_NODE]
+    return {n: dist[n] - base for n in names}
 
 
 def _model(f: Union[Hyps, Iterable[Prop]], goal: Optional[Prop], g: Iterable[str],
            budget: int) -> Optional[dict]:
     """``_Context.model`` of ``f``.  A plain list is asked once, so no cell
-    or graph would be used again: the propositions that offer a choice are
-    searched on a fresh graph after the others' literals, and when none
-    does, Bellman-Ford decides those literals alone, at half the cost of
-    pushing the list onto a root."""
+    or graph would be used again: it is searched on a fresh graph, the
+    literals of the propositions that offer no choice first."""
     if isinstance(f, Hyps):
         return f.ctx.model(f, goal, g, budget)
     lits, items = [], []
@@ -620,8 +598,6 @@ def _model(f: Union[Hyps, Iterable[Prop]], goal: Optional[Prop], g: Iterable[str
             items.append(item)
         else:
             lits += own
-    if not items:
-        return _conjunct_model(lits, g)
     return _Context()._search(lits, items, g, budget)[0]
 
 
@@ -632,8 +608,12 @@ def solve_satisfiable(
 ) -> Optional[dict]:
     """A satisfying assignment of the conjunction of ``f``, or None.
 
-    The assignment is total over ``g`` (unconstrained variables get 0) and
-    maps each variable to its instant as an offset from init.
+    The assignment is total over ``g`` and maps each variable to its instant
+    as an offset from init.  It is the model ``_conjunct_model`` makes of the
+    conjunct the search completes: every node's shortest distance from a
+    source at distance 0 to all of them, less init's.  So a variable no
+    literal constrains gets minus init's distance, which is 0 only when no
+    literal pulls init below the source.
     """
     return _model(f, None, g, budget)
 

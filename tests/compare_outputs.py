@@ -15,6 +15,9 @@ disjunctive program whose window excludes 64 instants, with the mutant
 whose provider no longer excludes the first; and a chain whose every
 window is a choice of two instants, at 13 stages, the largest whose
 search fits the solver's budget, and at 14, the first that exits 2 on it.
+Two providers probe how a run finds a window's next instant: one whose
+window opens at t0+900000, and one whose window's first disjunct opens
+after its second, which also runs with ``--horizon 50``.
 Malformed inputs come from each corpus file too: the file cut at a quarter,
 half and three quarters of its length, and the file with ``²`` and with a
 lone ``/`` spliced into its first ``fn`` body.  Each program's systems and
@@ -24,7 +27,8 @@ to parse has none, so only its ``check`` and ``smt`` run, and their exit-2
 two trees are compared on:
 
 - ``check``: stdout, stderr and exit code;
-- ``run`` of every system: stdout, stderr, exit code and the trace file;
+- ``run`` of every system: stdout, stderr, exit code and the trace file,
+  and stdout, stderr and exit code under the program's horizon if it has one;
 - ``replay``'s verdict on the step sequence of that run, made in-process
   with the seed ``run`` uses (or the error that stops the run or replay);
 - ``smt``: stdout, stderr, exit code, every script, and ``index.json``
@@ -79,6 +83,17 @@ def or_chain(n: int) -> str:
             f"    Close<{close}>\n}}\n\nsystem go = ors() @ t0;\n")
 
 
+def provider_program(window: str) -> str:
+    """A system ``st`` whose one provider closes at the first instant that
+    ``window``, over the binder z, admits."""
+    return (f"fn p() -> Unit<z where {window}> {{ Close<z where {window}> }}\n"
+            "system st = p() @ t0;\n")
+
+
+LATE_OR = "Or<Geq<z, Shift<t0, 400>>, And<Geq<z, Shift<t0, 60>>, Leq<z, Shift<t0, 70>>>>"
+HORIZONS = {"late_or.tsl": 50}  # programs also run with --horizon
+
+
 def malformed(name: str, text: str) -> dict:
     """Copies of a corpus file cut at a quarter, half and three quarters of
     its length, and with ``²`` and with a lone ``/`` spliced in before the
@@ -123,6 +138,8 @@ def plan(src: Path, inputs: Path) -> None:
     files["win64_mut.tsl"] = disjunctive_program(5, excluded, excluded[1:])
     for n in (13, 14):
         files[f"or{n}.tsl"] = or_chain(n)
+    files["far_window.tsl"] = provider_program("Geq<z, Shift<t0, 900000>>")
+    files["late_or.tsl"] = provider_program(LATE_OR)
     for name, text in files.items():
         (inputs / name).write_text(text, encoding="utf-8")
     programs = {}
@@ -194,6 +211,10 @@ def collect(inputs: str) -> None:
             trace = traces / f"{program[:-4]}.{system}.out.jsonl"
             call(f"run {program} {system}", "run", path, "--entry", system,
                  "--trace", str(trace))
+            if program in HORIZONS:
+                horizon = str(HORIZONS[program])
+                call(f"run {program} {system} --horizon {horizon}", "run", path,
+                     "--entry", system, "--horizon", horizon)
             outputs[f"replay {program} {system}"] = replayed(path, system)
             if not trace.exists():
                 continue

@@ -10,7 +10,7 @@ from tillst import corpus_path
 from tillst.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
-from compare_outputs import or_chain  # noqa: E402
+from compare_outputs import LATE_OR, or_chain, provider_program  # noqa: E402
 from perfbench.workloads import chain_type, disjunctive_program  # noqa: E402
 
 
@@ -150,6 +150,16 @@ class TestRun:
                                "--horizon", "10", "--trace", str(tmp_path / "t.jsonl"))
         assert (code, out) == (1, "horizon: next pending instant t0+30 is past the "
                                   "horizon t0+10\n")
+
+    def test_horizon_names_the_least_pending_instant(self, capsys, tmp_path):
+        # the window's first disjunct opens later than its second
+        path = tmp_path / "late.tsl"
+        path.write_text(provider_program(LATE_OR))
+        code, out, _ = run_cli(capsys, "run", str(path), "--entry", "st", "--horizon", "50")
+        assert (code, out) == (1, "horizon: next pending instant t0+60 is past the "
+                                  "horizon t0+50\n")
+        code, out, _ = run_cli(capsys, "run", str(path), "--entry", "st")
+        assert code == 0 and out.splitlines()[-1] == "done at t0+60 (1 events)"
 
     def test_unknown_entry(self, capsys):
         code, _, err = run_cli(capsys, "run", corpus_path("adequacy.tsl"),

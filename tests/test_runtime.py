@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tillst import runtime as rt
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.cli import build_system
@@ -347,6 +348,21 @@ class TestScheduler:
         p = (ProcC("a", s.CloseP("t", t.Eq(t.tvar("t"), sh(5000)))),)
         r = run_scheduler(p, 0, horizon=100)
         assert r.status == "horizon"
+
+    def test_a_far_window_is_read_a_few_times(self, monkeypatch):
+        # the next instant comes from the window's cuts, not a tick scan
+        reads = []
+
+        def holds(p, env, now):
+            reads.append(now)
+            return real(p, env, now)
+
+        real = rt._pred_holds_at
+        monkeypatch.setattr(rt, "_pred_holds_at", holds)
+        p = (ProcC("a", s.CloseP("t", t.Leq(sh(900000), t.tvar("t")))),)
+        r = run_scheduler(p, 0)
+        assert (r.status, r.end_time, len(r.trace)) == ("done", 900000, 1)
+        assert len(reads) <= 10
 
     def test_linearity_preserved_along_runs(self, load_corpus):
         prog = load_corpus("smart_home.tsl")
@@ -738,6 +754,26 @@ class TestBinding:
                                     "window <instant already passed>")
 
 
+# One-variable windows once the fired binder y is closed: the constants stay
+# within 6 of t0 and y, so every cut is below 30 and a scan to 40 is exact.
+window_times = st.builds(t.TimeExpr, st.sampled_from([None, "z", "y"]), st.integers(-6, 6))
+windows = st.recursive(
+    st.one_of(st.just(t.TOP), st.just(t.BOT), st.builds(t.Leq, window_times, window_times),
+              st.builds(t.Eq, window_times, window_times),
+              st.builds(t.p_neq, window_times, window_times)),
+    lambda inner: st.one_of(st.builds(t.And, inner, inner), st.builds(t.Or, inner, inner),
+                            st.builds(t.p_not, inner)),
+    max_leaves=5,
+)
+
+
+@given(windows, st.integers(-10, 10), st.integers(-12, 12))
+def test_earliest_enabled_is_the_first_tick_the_window_holds(pred, y, lo):
+    leaf = ProcC("a", s.CloseP("z", pred), rt.Env({"y": y}))
+    scan = next((n for n in range(lo, 40) if t.eval_prop(pred, {"y": y, "z": n})), None)
+    assert rt._earliest_enabled(leaf, lo) == scan
+
+
 # ---------------------------------------------------------------------------
 # The indexed scheduler against the loop it replaced
 
@@ -814,7 +850,7 @@ def reference_run(omega, start, env, defs, horizon):
             config = new_config
         if not config:
             break
-        violation, pend = _wait_pass(_Index(config, clock, env, defs), horizon)
+        violation, pend = _wait_pass(_Index(config, clock, env, defs))
         if violation is not None:
             status, error = "timing_violation", violation
             break

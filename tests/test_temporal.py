@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import oracle_entails
@@ -230,17 +230,21 @@ class TestSolveConjunct:
     @settings(max_examples=500)
     @given(difference_graphs())
     def test_agrees_with_full_bellman_ford(self, graph):
+        """On a satisfiable conjunct, the only kind it is given, the model
+        is the full Bellman-Ford's, whatever the literals' order."""
         lits, nodes = graph
-        assert t._solve_conjunct(lits, nodes) == reference_solve(lits, nodes)
+        model = reference_solve(lits, nodes)
+        assume(model is not None)
+        assert t._conjunct_model(lits, nodes[1:]) == model
 
     def test_negative_ring_past_eight_nodes(self):
-        # eleven nodes: a ring of weight -1 at the end of a chain of
-        # decreasing edges; without the ring's last edge it is satisfiable
+        # eleven nodes: a chain of decreasing edges, listed from its end so
+        # that each pass moves its distances one edge on, with a ring of
+        # weight 0 at its end
         nodes = [t._INIT_NODE] + [f"v{i}" for i in range(10)]
-        lits = [(f"v{i + 1}", f"v{i}", -1) for i in range(9)]
-        lits += [("v7", "v9", 1), ("v8", "v7", -1), ("v9", "v8", -1)]
-        assert t._solve_conjunct(lits, nodes) is None
-        assert t._solve_conjunct(lits[:-1], nodes) == reference_solve(lits[:-1], nodes)
+        lits = [(f"v{i + 1}", f"v{i}", -1) for i in reversed(range(9))] + [("v7", "v9", 2)]
+        model = t._conjunct_model(lits, nodes[1:])
+        assert model == reference_solve(lits, nodes) == {f"v{i}": -i for i in range(10)}
 
 
 class TestContext:
@@ -255,7 +259,7 @@ class TestContext:
         for lit in lits:
             mark, before = len(ctx.trail), dict(ctx.pot)
             ok = ctx._add(lit)
-            assert ok == (t._solve_conjunct(kept + [lit], nodes) is not None)
+            assert ok == (reference_solve(kept + [lit], nodes) is not None)
             if ok:
                 kept.append(lit)
                 assert all(ctx.pot[x] - ctx.pot[y] <= c for x, y, c in kept)
@@ -327,8 +331,10 @@ def right_fold(f: list, goal, g: list):
     conjuncts = [[]]
     for p in reversed(f if goal is None else f + [t.p_not(goal)]):
         conjuncts = [a + b for a in reference_dnf(p, True) for b in conjuncts]
-    models = (t._conjunct_model(c, g) for c in conjuncts)
-    model = next((m for m in models if m is not None), None)
+    nodes = (list(dict.fromkeys([t._INIT_NODE, *g, *(n for lit in c for n in lit[:2])]))
+             for c in conjuncts)
+    models = (reference_solve(c, n) for c, n in zip(conjuncts, nodes))
+    model = next(({x: m[x] for x in g} for m in models if m is not None), None)
     return model if goal is None else (model is None, model)
 
 
@@ -378,8 +384,9 @@ class TestHyps:
         assert solve_satisfiable(self.G, f, budget=24) == {"t1": 10, "t2": 10}
 
     def test_plain_list_queries_leave_no_cycles(self):
-        # the runtime asks one-shot queries while much else is alive, where
-        # every collection of the cycle collector is costly
+        # a plain list is a one-shot query, which a caller may ask while
+        # much else is alive, where every collection of the cycle collector
+        # is costly
         f = [t.p_neq(tvar("t1"), init_plus(7)), Leq(init_plus(7), tvar("t1"))]
         gc.collect()
         gc.disable()

@@ -541,7 +541,7 @@ def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypa
     through it, and Bellman-Ford runs only for a query that fails, to build
     its counterexample; the rest are decided on the shared difference
     graph."""
-    real_literals, real_solve = t._literals, t._solve_conjunct
+    real_literals, real_model = t._literals, t._conjunct_model
     expanded, solved = [], []
 
     def literals(p, positive):
@@ -549,12 +549,12 @@ def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypa
             expanded.append(p)
         return real_literals(p, positive)
 
-    def solve(literals, nodes):
+    def model(literals, g):
         solved.append(literals)
-        return real_solve(literals, nodes)
+        return real_model(literals, g)
 
     monkeypatch.setattr(t, "_literals", literals)
-    monkeypatch.setattr(t, "_solve_conjunct", solve)
+    monkeypatch.setattr(t, "_conjunct_model", model)
     for late, accepted in ((-1, True), (40, False)):
         expanded.clear()
         solved.clear()
