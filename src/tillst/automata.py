@@ -19,8 +19,9 @@ from .parser import render_prop
 from .syntax import AutomatonDef, SilentA
 
 
-def transitions_from(defn: AutomatonDef, state: str) -> list:
-    return [tr for tr in defn.transitions if tr.src == state]
+def transitions_from(defn: AutomatonDef, state: str) -> tuple:
+    """The transitions out of ``state``, in declaration order."""
+    return defn.moves.get(state, ())
 
 
 def automaton_transitions(defn: AutomatonDef, state: str, entry: int, now: int) -> list:

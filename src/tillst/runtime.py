@@ -15,36 +15,45 @@ names.  Parallel composition is concatenation, with unit ``STOP = ()``; it is
 associative and commutative, so ``congruence_normalize`` picks one canonical
 form per class: every forwarder merged into the leaf providing its client
 channel, found through one map from provided channel to leaf, then the
-leaves sorted by provided channel.
+leaves sorted by provided channel.  It normalizes only configurations that
+come from outside a step: a run's entry configuration, and the recorded
+ones that replay and trajectories compare.
 
 One index, built for one ``run_scheduler``, ``replay`` or ``reductions`` call
-and dropped when it returns, generates the candidate steps of an instant.  It
-holds the configuration as a map from provided channel to leaf, a count per
-channel of the leaves that use it as a client, and each leaf's local steps at
-the current instant, sends and receives both keyed by the receive a send
-pairs with, so each send meets the receives waiting for it by lookup.  A
-taken step forgets the steps of only the leaves of the new configuration
-that are not the very objects the index held (those it fired or created,
-and any leaf a forwarder merged into), which are read again when next asked
-for; every leaf's steps are read again when the clock or the fresh name
-changes.  A body's free channels are computed once per body node.  The
-candidate order: the solitary silent steps by leaf, then the exchanges by
-(sender, receiver) leaf, stably sorted by (channel, kind, tag, payload);
-then the sends of providers whose channel no leaf uses, offered to the
-environment as observable events, sorted the same way.  The index makes one
-list in that order, on which silent steps and exchanges with equal
-configuration and event appear once (the first kept); a candidate's
-normalized configuration is built only when read, so where at most one
-silent step or exchange is listed the scheduler builds only the one it
-takes.  The scheduler, replay and ``reductions`` all read that list: the
+and dropped when it returns, generates the candidate steps of an instant and
+applies the one taken.  It holds the configuration as the sorted tuple and as
+a map from provided channel to leaf, a count per channel of the names by
+which leaves use it as a client, the forwarders by the client channel they
+wait for, and each leaf's local steps at the current instant, sends and
+receives both keyed by the receive a send pairs with, so each send meets the
+receives waiting for it by lookup.  A step's delta maps each channel whose
+leaf it changes to the new leaf or to none: the fired leaves go, the new ones
+come, a new forwarder merges into the provider of its client and a waiting
+forwarder into a new leaf providing its client, as normalization would merge
+them.  The configuration after the step is the held tuple with the delta
+spliced in by bisection on the channel.  Taking the step places again only
+the delta's channels: their steps are forgotten and read again when next
+asked for, and the client counts and the sends offered to the environment
+change at those channels alone.  So a step's Python work grows with the
+leaves it touches, not with the system.  Every leaf's steps are read again
+when the clock or the fresh name changes.  A body's free channels are
+computed once per body node.  The candidate order: the solitary silent steps
+by leaf, then the exchanges by (sender, receiver) leaf, stably sorted by
+(channel, kind, tag, payload); then the sends of providers whose channel no
+leaf uses, offered to the environment as observable events, sorted the same
+way.  The index makes one list in that order, on which silent steps and
+exchanges with equal configuration and event appear once (the first kept);
+a candidate's delta and configuration are built only when read, so where at
+most one silent step or exchange is listed the scheduler builds only the one
+it takes.  The scheduler, replay and ``reductions`` all read that list: the
 scheduler takes its first entry, or a ``tiebreak``'s pick, until none is
 left at the current clock; replay takes the entry whose configuration is the
 recorded one; and ``reductions`` returns it whole.  One wait pass over the
 index's leaves then either blames a timing violation or lists the pending
 instants, and the clock advances to the least of them.  A provider that
-offers to the environment pends at the least instant its window holds,
-found with no solver: the window is read at the instants where one of its
-atoms changes truth.  Each run yields a replayable step sequence.
+offers to the environment pends at the least instant its window holds, found
+with no solver: the window is read at the instants where one of its atoms
+changes truth.  Each run yields a replayable step sequence.
 
 A process leaf carries an environment instead of rewritten continuations,
 so its body is always a subterm of the program as parsed: when a provider
@@ -60,6 +69,7 @@ so replays and reorderings allocate identical names.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Optional, Union
@@ -437,18 +447,16 @@ def _leaf_steps(leaf, now: int, ext: ExternEnv, defs: dict, fresh: str) -> list:
     return []  # FwdC resolves through congruence
 
 
-NO_CHANNELS = frozenset()
-
-
-def _client_channels(leaf, table: dict) -> frozenset:
-    """The channels ``leaf`` uses from the client side, its body's free
-    channels read from ``table`` (see ``syntax.free_channel_table``)."""
+def _client_uses(leaf, table: dict):
+    """The channels ``leaf`` uses from the client side, once per name its
+    body uses them by: its body's free channels, read from ``table`` (see
+    ``syntax.free_channel_table``), under its channel bindings."""
     if isinstance(leaf, ProcC):
         fc, chans = s.free_channel_table(leaf.body, table), leaf.env.chans
-        return fc if chans.keys().isdisjoint(fc) else frozenset(map(chans.get, fc, fc))
+        return fc if chans.keys().isdisjoint(fc) else [chans.get(x, x) for x in fc]
     if isinstance(leaf, FwdC):
-        return frozenset((leaf.client,))
-    return NO_CHANNELS
+        return (leaf.client,)
+    return ()
 
 
 def _fresh_name(provided, used) -> str:
@@ -468,30 +476,61 @@ def _step_sort_key(event: TraceEvent) -> tuple:
 class _Candidate:
     """One step of the index's current instant: the leaves it fires, the
     local steps that replace them (a send's partner receive, if any) and its
-    event.  ``rank`` is its place in the candidate order.  Its configuration
-    is built from the index, which must not move meanwhile, when first
-    read."""
+    event.  ``rank`` is its place in the candidate order.  What it changes
+    in the configuration (``delta``) and the configuration after it are
+    built from the index, which must not move meanwhile, when first read."""
 
-    __slots__ = ("index", "rank", "fired", "step", "partner", "payload", "event", "_config")
+    __slots__ = ("index", "rank", "fired", "step", "partner", "payload", "event",
+                 "_delta", "_config")
 
     def __init__(self, index, rank, fired, step, partner, payload, event):
         self.index, self.rank, self.fired, self.event = index, rank, fired, event
         self.step, self.partner, self.payload = step, partner, payload
-        self._config = None
+        self._delta = self._config = None
 
     @property
-    def config(self) -> Configuration:
-        """The normalized configuration after this step."""
-        if self._config is None:
+    def delta(self) -> dict:
+        """Each channel whose leaf this step changes, mapped to its new leaf
+        or to None (see ``_Index.delta``)."""
+        if self._delta is None:
             replaced = self.step.fire(self.payload)
             if self.partner is not None:
                 replaced = replaced + self.partner.fire(self.payload)
-            kept = [x for x in self.index.conf if x.chan not in self.fired]
-            self._config = congruence_normalize(kept + replaced)
+            self._delta = self.index.delta(self.fired, replaced)
+        return self._delta
+
+    @property
+    def config(self) -> Configuration:
+        """The normalized configuration after this step: the index's, with
+        ``delta`` spliced in."""
+        if self._config is None:
+            self._config = _splice(self.index.conf, self.delta)
         return self._config
 
 
 _by_rank = attrgetter("rank")
+_by_chan = attrgetter("chan")
+
+
+def _splice(conf: Configuration, delta: dict) -> Configuration:
+    """``conf`` with the leaf at each channel of ``delta`` replaced by the
+    channel's entry there, or dropped where the entry is None.  Each channel
+    is found by bisection, so the leaves stay sorted by channel."""
+    out, pos = [], 0
+    for chan in sorted(delta):
+        i = bisect_left(conf, chan, pos, key=_by_chan)
+        out += conf[pos:i]
+        pos = i + 1 if i < len(conf) and conf[i].chan == chan else i
+        if delta[chan] is not None:
+            out.append(delta[chan])
+    out += conf[pos:]
+    return tuple(out)
+
+
+def _leaf_at(conf: Configuration, chan: str):
+    """The leaf of ``conf`` providing ``chan``, or None."""
+    i = bisect_left(conf, chan, key=_by_chan)
+    return conf[i] if i < len(conf) and conf[i].chan == chan else None
 
 
 class _Index:
@@ -499,53 +538,109 @@ class _Index:
     dropped when the call returns.
 
     It holds the normalized configuration ``conf`` and the map ``leaves``
-    from provided channel to leaf; the channels each leaf uses as a client
-    (``uses``) and, per channel, the number of leaves that use it
-    (``clients``); and the leaves' steps at the instant ``now``, registered
-    by kind: silent steps by leaf, sends by the receive they pair with
-    (``sends``), receives by their action (``recv``),
-    the keys the two share (``matched``), and sends on the sender's own
-    channel by leaf (``offers``).  Bodies' free channels are read from a
-    table kept per body node (``free``).  Taking a step forgets the steps of
-    only the leaves that are not the very objects the index held (those it
-    fired or created, and any leaf a forwarder merged into), and they are
-    read again when next asked for; all steps are read again when the clock
-    or the fresh name changes.
+    from provided channel to leaf; per channel, the number of names by which
+    leaves use it as a client (``clients``); the forwarders by their client
+    channel, which no leaf provides (``forwards``); and the leaves' steps at
+    the instant ``now``, registered by kind: silent steps by leaf, sends by
+    the receive they pair with (``sends``), receives by their action
+    (``recv``), the keys the two share (``matched``), sends on the sender's
+    own channel by leaf (``offers``), the channels of those no leaf uses,
+    which are offered to the environment (``offered``).  Bodies' free
+    channels are read from a table kept per body node (``free``).
+
+    Only the entry configuration is normalized with ``congruence_normalize``.
+    A step changes it by its ``delta``: its fired leaves go, its new leaves
+    come, and the forwarders they let merge merge.  Taking the step splices
+    the delta into ``conf`` and places again only the delta's channels: their
+    steps are forgotten and read again when next asked for, and the client
+    counts and the offered set change at those channels alone.  All steps are
+    read again when the clock or the fresh name changes.
     """
 
     def __init__(self, omega: Configuration, now: int, ext: ExternEnv, defs: dict):
         self.ext, self.defs, self.now = ext, defs, now
         self.free = {}
         self.conf = congruence_normalize(omega)
-        self.leaves, self.uses, self.clients = {}, {}, {}
+        self.leaves, self.clients, self.forwards = {}, {}, {}
         self.regs, self.stale = {}, set()  # per leaf, the table entries of its steps
-        self.silent, self.sends, self.recv, self.matched, self.offers = {}, {}, {}, set(), {}
+        self.silent, self.sends, self.recv, self.matched = {}, {}, {}, set()
+        self.offers, self.offered = {}, set()
         for leaf in self.conf:
             self._place(leaf.chan, leaf)
         self.fresh = _fresh_name(self.leaves, self.clients)
+
+    def delta(self, fired: tuple, replaced: list) -> dict:
+        """What a step that fires the leaves at ``fired`` and adds the leaves
+        ``replaced`` changes: a map from each channel whose leaf changes to its
+        new leaf, or to None where no leaf is left.  It is the difference
+        between ``conf`` and ``congruence_normalize`` of the kept leaves, in
+        order, followed by ``replaced``: the same duplicate is named, and the
+        forwarders that normalization could merge, those held whose client a
+        new leaf provides (by channel) and then the new ones, merge in the
+        same order."""
+        held = self.leaves
+        delta, dup = dict.fromkeys(fired), set()
+        for leaf in replaced:
+            chan = leaf.chan
+            if delta.get(chan) is not None or (chan not in delta and chan in held):
+                dup.add(chan)
+            delta[chan] = leaf
+        if dup:
+            raise RuntimeInvariantError(f"duplicate provider channel {min(dup)}")
+        work = [held[f] for leaf in replaced for f in self.forwards.get(leaf.chan, ())
+                if f not in delta]
+        work.sort(key=_by_chan)
+        work += [leaf for leaf in replaced if isinstance(leaf, FwdC)]
+        for fwd in work:  # visits the merged forwarders appended below
+            other = delta[fwd.client] if fwd.client in delta else held.get(fwd.client)
+            here = delta[fwd.chan] if fwd.chan in delta else held.get(fwd.chan)
+            if here is not fwd or other is None or other is fwd:
+                continue
+            delta[fwd.client] = None
+            delta[fwd.chan] = merged = replace(other, chan=fwd.chan)
+            if isinstance(merged, FwdC):
+                work.append(merged)
+        return delta
 
     def _place(self, chan: str, leaf) -> None:
         """Put ``leaf`` (None: no leaf) at ``chan`` in place of the leaf
         there, counting the channels it uses instead of that leaf's."""
         self._forget_steps(chan)
-        old, was, used = self.leaves.pop(chan, None), self.uses.pop(chan, NO_CHANNELS), NO_CHANNELS
+        old = self.leaves.pop(chan, None)
+        if isinstance(old, FwdC):
+            waiting = self.forwards[old.client]
+            waiting.discard(chan)
+            if not waiting:
+                del self.forwards[old.client]
         if leaf is not None:
             self.leaves[chan] = leaf
-            # a process that moved on within its body's uses keeps its set
-            same = (isinstance(leaf, ProcC) and isinstance(old, ProcC)
-                    and leaf.env.chans is old.env.chans
-                    and s.free_channel_table(leaf.body, self.free)
-                    is s.free_channel_table(old.body, self.free))
-            self.uses[chan] = used = was if same else _client_channels(leaf, self.free)
             self.stale.add(chan)
-        clients = self.clients
-        for x in was - used:
-            if clients[x] == 1:
-                del clients[x]
+            if isinstance(leaf, FwdC):
+                self.forwards.setdefault(leaf.client, set()).add(chan)
+        if isinstance(old, ProcC) and isinstance(leaf, ProcC) and old.env.chans is leaf.env.chans:
+            # a process that moved on within its body under the same bindings
+            # stops using at most its old node's own channels
+            left = s.channels_left(old.body, leaf.body, self.free)
+            if left is not None:
+                if left:
+                    self._count(map(leaf.env.chan, left), -1)
+                return
+        self._count(_client_uses(old, self.free), -1)
+        self._count(_client_uses(leaf, self.free), 1)
+
+    def _count(self, chans, by: int) -> None:
+        """Add ``by`` to the client count of each of ``chans``; a channel's
+        sends are offered to the environment while its count is zero."""
+        clients, offered = self.clients, self.offered
+        for x in chans:
+            n = clients.get(x, 0) + by
+            if n:
+                clients[x] = n
+                offered.discard(x)
             else:
-                clients[x] -= 1
-        for x in used - was:
-            clients[x] = clients.get(x, 0) + 1
+                del clients[x]
+                if x in self.offers:
+                    offered.add(x)
 
     def _register(self, table: dict, key, chan: str, entry: tuple) -> None:
         table.setdefault(key, {}).setdefault(chan, []).append(entry)
@@ -561,6 +656,7 @@ class _Index:
                 self.matched.discard(key)
         self.silent.pop(chan, None)
         self.offers.pop(chan, None)
+        self.offered.discard(chan)
         self.stale.discard(chan)
 
     def _read_stale(self) -> None:
@@ -578,10 +674,13 @@ class _Index:
                     self._register(self.sends, _partner(a), chan, (k, step))
                     if a.chan == chan:
                         self.offers.setdefault(chan, []).append((k, step))
+                        if chan not in self.clients:
+                            self.offered.add(chan)
         self.stale.clear()
 
     def _forget_all_steps(self) -> None:
-        for table in (self.regs, self.silent, self.sends, self.recv, self.matched, self.offers):
+        for table in (self.regs, self.silent, self.sends, self.recv, self.matched,
+                      self.offers, self.offered):
             table.clear()
         self.stale = set(self.leaves)
 
@@ -612,7 +711,7 @@ class _Index:
                     comm += [_Candidate(self, (rank, 1, i, j, k, kj), (i, j), step, rcv,
                                         a.payload, event)
                              for j, rcvs in receivers.items() if j != i for kj, rcv in rcvs]
-        for i in self.offers.keys() - self.clients.keys():
+        for i in self.offered:
             for k, step in self.offers[i]:
                 event = TraceEvent(now, step.action, i)
                 offered.append(_Candidate(self, (_step_sort_key(event), i, k), (i,), step, None,
@@ -626,14 +725,16 @@ class _Index:
 
     def take(self, cand: _Candidate, conf: Optional[Configuration] = None) -> None:
         """Make the configuration after ``cand`` current, held as the equal
-        configuration ``conf`` if given.  Only the leaves that are not the
-        very objects the index holds are placed again."""
-        conf = cand.config if conf is None else conf
-        old, new = self.leaves, {leaf.chan: leaf for leaf in conf}
-        touched = [c for c in old.keys() | new.keys() if old.get(c) is not new.get(c)]
-        self.conf = conf
-        for chan in touched:
-            self._place(chan, new.get(chan))
+        configuration ``conf`` if given.  Only the channels of the
+        candidate's delta are placed again, with ``conf``'s leaves there if
+        it is given."""
+        if conf is None:
+            self.conf, placed = cand.config, cand.delta.items()
+        else:
+            self.conf, placed = conf, [(chan, _leaf_at(conf, chan)) for chan in cand.delta]
+        for chan, leaf in placed:
+            if self.leaves.get(chan) is not leaf:
+                self._place(chan, leaf)
         fresh = _fresh_name(self.leaves, self.clients)
         if fresh != self.fresh:
             self.fresh = fresh

@@ -383,13 +383,22 @@ class AutoTransition:
 @dataclass(frozen=True)
 class AutomatonDef:
     """A foreign component: its declared states, the initial one, and its
-    transitions, each checked against the states when it was parsed."""
+    transitions, each checked against the states when it was parsed.
+    ``moves`` groups the transitions by source state, in declaration order;
+    it is built with the definition."""
 
     name: str
     states: tuple
     initial: str
     transitions: tuple  # of AutoTransition
     pos: Optional[tuple] = field(default=None, compare=False, repr=False)
+    moves: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        moves = {}
+        for tr in self.transitions:
+            moves.setdefault(tr.src, []).append(tr)
+        object.__setattr__(self, "moves", {src: tuple(trs) for src, trs in moves.items()})
 
 
 @dataclass(frozen=True)
@@ -607,6 +616,9 @@ def free_channel_table(p: Process, table: dict) -> frozenset:
     to its only child's set and binds none of it shares that set.  Children
     are read before their parents from an explicit stack, so deep terms need
     no Python stack."""
+    known = table.get(id(p))
+    if known is not None:
+        return known[1]
     stack = [p]
     while stack:
         q = stack[-1]
@@ -620,7 +632,7 @@ def free_channel_table(p: Process, table: dict) -> frozenset:
             stack.extend(missing)
             continue
         stack.pop()
-        own = q.args if uses == "args" else (getattr(q, uses),) if uses else ()
+        own = _own_channels(q, uses)
         sets = [table[id(kid)][1] for kid in kids]
         if binder is not None:
             bound = getattr(q, binder)
@@ -630,6 +642,26 @@ def free_channel_table(p: Process, table: dict) -> frozenset:
         else:
             table[id(q)] = (q, frozenset(own).union(*sets))
     return table[id(p)][1]
+
+
+def _own_channels(q: Process, uses: Optional[str]) -> tuple:
+    return q.args if uses == "args" else (getattr(q, uses),) if uses else ()
+
+
+def channels_left(p: Process, q: Process, table: dict) -> Optional[tuple]:
+    """The channels free in ``p`` and not in ``q``, when every channel free
+    in ``q`` is free in ``p`` and the difference can be read off ``p``'s
+    node: when the two share their set in ``table`` (see
+    ``free_channel_table``), or when ``q`` is ``p``'s only child and ``p``
+    binds no channel, so only ``p``'s own channels can be missing from
+    ``q``.  None for any other pair."""
+    fp, fq = free_channel_table(p, table), free_channel_table(q, table)
+    if fp is fq:
+        return ()
+    uses, binder, children = _PROC_FIELDS[type(p)]
+    if binder is not None or len(children) != 1 or getattr(p, children[0]) is not q:
+        return None
+    return tuple(x for x in _own_channels(p, uses) if x not in fq)
 
 
 def free_channels(p: Process) -> set:

@@ -6,25 +6,31 @@ Each argument is a directory holding the ``tillst`` package, such as the
 ``src`` directory of a checkout.  The inputs are the corpus files of
 CHANGE_SRC, the seed-1 programs and traces of the fanout, chain,
 disjunctive and corpus workloads of ``perfbench/workloads.py``, and that
-file's fanout programs at N=256 and chain program at n=300, the sizes the
-scaling baselines are measured at.  Deep and disjunctive inputs probe the
-solver's limits: the chain programs at n=700, 750 and 1000 and a forward
-of a 2000-stage chain type; a chain at n=120 whose middle stage's window
-is disjunctive, with the mutant of it whose stage 110 opens late; the
-disjunctive program whose window excludes 64 instants, with the mutant
-whose provider no longer excludes the first; and a chain whose every
-window is a choice of two instants, at 13 stages, the largest whose
-search fits the solver's budget, and at 14, the first that exits 2 on it.
-Two providers probe how a run finds a window's next instant: one whose
+file's fanout programs, plain and mutated, at N=256 and N=1024 and its
+chain program at n=300, the sizes the scaling baselines are measured at.
+Two relays run forwarders through the runtime's step path
+(``relay_program``, with 3 and 200 relays): spawned processes that each
+forward the one before, and a spawned relay that forwards a channel
+created after it was spawned.  Two systems spawn 3 and 200 live
+providers in turn (``spawn_program``), so the fresh name changes at
+every spawn.  Deep and disjunctive inputs probe the solver's limits: the
+chain programs at n=700, 750 and 1000 and a forward of a 2000-stage
+chain type; a chain at n=120 whose middle stage's window is disjunctive,
+with the mutant of it whose stage 110 opens late; the disjunctive
+program whose window excludes 64 instants, with the mutant whose
+provider no longer excludes the first; and a chain whose every window is
+a choice of two instants, at 13 stages, the largest whose search fits
+the solver's budget, and at 14, the first that exits 2 on it.  Two
+providers probe how a run finds a window's next instant: one whose
 window opens at t0+900000, and one whose window's first disjunct opens
-after its second, which also runs with ``--horizon 50``.
-Malformed inputs come from each corpus file too: the file cut at a quarter,
-half and three quarters of its length, and the file with ``²`` and with a
-lone ``/`` spliced into its first ``fn`` body.  Each program's systems and
-types are the ones CHANGE_SRC's parser reads from it; a program that fails
-to parse has none, so only its ``check`` and ``smt`` run, and their exit-2
-``path:line:col:`` lines are compared byte for byte.  For every program the
-two trees are compared on:
+after its second, which also runs with ``--horizon 50``.  Malformed
+inputs come from each corpus file too: the file cut at a quarter, half
+and three quarters of its length, and the file with ``²`` and with a
+lone ``/`` spliced into its first ``fn`` body.  Each program's systems
+and types are the ones CHANGE_SRC's parser reads from it; a program that
+fails to parse has none, so only its ``check`` and ``smt`` run, and
+their exit-2 ``path:line:col:`` lines are compared byte for byte.  For
+every program the two trees are compared on:
 
 - ``check``: stdout, stderr and exit code;
 - ``run`` of every system: stdout, stderr, exit code and the trace file,
@@ -90,6 +96,41 @@ def provider_program(window: str) -> str:
             "system st = p() @ t0;\n")
 
 
+def relay_program(n: int) -> str:
+    """A system ``go`` whose forwarders are made by spawns: ``src`` closes
+    at t0+5, n spawned ``relay`` processes each forward the one before, and
+    a spawned ``late_relay`` receives a channel and forwards it.  That
+    channel's provider, a forward of the last relay, is created by the
+    ``App`` that sends it, after ``late_relay`` was spawned."""
+    spawns = ["Spawn<t0>(src) { a0 =>"]
+    spawns += [f"Spawn<t0>(relay, a{i}) {{ a{i + 1} =>" for i in range(n)]
+    body = "\n    ".join(spawns + [
+        "Spawn<t0>(late_relay) { r =>",
+        f"App<t0>(r <= {{ Fwd<t0>(a{n}) }});",
+        "Wait<Shift<t0, 5>>(r);",
+        "Close<z where Eq<z, Shift<t0, 5>>>"])
+    return ("type U = Unit<t where Eq<t, Shift<t0, 5>>>\n"
+            "type R = Lolli<t1 where Eq<t1, t0>, U, U>\n\n"
+            "fn src() -> U { Close<t where Eq<t, Shift<t0, 5>>> }\n\n"
+            "fn relay(x: U) -> U { Fwd<t0>(x) }\n\n"
+            "fn late_relay() -> R { Lam<t1 where Eq<t1, t0>> { x => Fwd<t0>(x) } }\n\n"
+            f"fn main() -> U {{\n    {body}\n    {'}' * (n + 2)}\n}}\n\n"
+            "system go = main() @ t0;\n")
+
+
+def spawn_program(n: int) -> str:
+    """A system ``go`` that spawns n providers in turn, each closing at
+    t0+5, and then waits on each: every spawn changes the fresh name while
+    the providers spawned before it are still live."""
+    body = "\n    ".join([f"Spawn<t0>(src) {{ a{i} =>" for i in range(n)]
+                         + [f"Wait<Shift<t0, 5>>(a{i});" for i in range(n)]
+                         + ["Close<z where Eq<z, Shift<t0, 5>>>"])
+    return ("type U = Unit<t where Eq<t, Shift<t0, 5>>>\n\n"
+            "fn src() -> U { Close<t where Eq<t, Shift<t0, 5>>> }\n\n"
+            f"fn main() -> U {{\n    {body}\n    {'}' * n}\n}}\n\n"
+            "system go = main() @ t0;\n")
+
+
 LATE_OR = "Or<Geq<z, Shift<t0, 400>>, And<Geq<z, Shift<t0, 60>>, Leq<z, Shift<t0, 70>>>>"
 HORIZONS = {"late_or.tsl": 50}  # programs also run with --horizon
 
@@ -125,8 +166,9 @@ def plan(src: Path, inputs: Path) -> None:
         files.update(w.files)
         monitors += [(op.program, op.type_name, op.trace, op.channel)
                      for op in w.ops if op.kind == "monitor"]
-    files["fanout256.tsl"] = fanout_program(256, False)
-    files["fanout256_mut.tsl"] = fanout_program(256, True)
+    for n in (256, 1024):
+        files[f"fanout{n}.tsl"] = fanout_program(n, False)
+        files[f"fanout{n}_mut.tsl"] = fanout_program(n, True)
     for n in (300, 700, 750, 1000):
         files[f"chain{n}.tsl"] = chain_program(n, list(range(n)))
     files["relay2000.tsl"] = (f"type C = {chain_type(2000)};\n"
@@ -140,6 +182,9 @@ def plan(src: Path, inputs: Path) -> None:
         files[f"or{n}.tsl"] = or_chain(n)
     files["far_window.tsl"] = provider_program("Geq<z, Shift<t0, 900000>>")
     files["late_or.tsl"] = provider_program(LATE_OR)
+    for n in (3, 200):
+        files[f"relay{n}.tsl"] = relay_program(n)
+        files[f"spawn{n}.tsl"] = spawn_program(n)
     for name, text in files.items():
         (inputs / name).write_text(text, encoding="utf-8")
     programs = {}

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tillst import runtime as rt
@@ -1001,3 +1001,155 @@ def test_duplicate_transitions_give_one_candidate():
     r = run_scheduler(omega, start, env=env, defs=defs,
                       tiebreak=lambda now, cands: seen.append(len(cands)) or 0)
     assert r.status == "done" and seen == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# The step's delta against normalizing the whole configuration
+
+
+@st.composite
+def steps_on_configurations(draw):
+    """A normalized configuration of processes, automata, forwarder chains
+    and forwarders whose client no leaf provides, and a step on it: some of
+    its channels fired and new leaves on held channels, on the clients of
+    forwarders and on new channels, so that new leaves meet held ones,
+    fired ones, each other and the clients of forwarders.  A new process
+    closes, or waits on a channel first, so it may become a held provider's
+    first client."""
+    conf = congruence_normalize(draw(st.one_of(forwarder_chains(), configurations)))
+    held = [leaf.chan for leaf in conf]
+    fired = draw(st.lists(st.sampled_from(held), unique=True) if held else st.just([]))
+    free = st.sampled_from(fired + [x.client for x in conf if isinstance(x, FwdC)]
+                           + ["n0", "n1", "n2"])
+    names = st.one_of(free, free, free, st.sampled_from(held)) if held else free
+    forwarders = st.builds(FwdC, names, names)
+    bodies = st.one_of(st.just(CLOSE), st.builds(s.WaitP, st.just(sh(0)), names, st.just(CLOSE)))
+    new_leaves = st.one_of(st.builds(ProcC, names, bodies), forwarders, forwarders,
+                           st.builds(AutoC, names, st.just("bme680"), st.just("S0"), st.just(0)))
+    return conf, tuple(fired), draw(st.lists(new_leaves, min_size=1, max_size=4))
+
+
+BME680_S0 = {d.name: d for d in parse_program(
+    "automaton bme680 { state S0 init; S0 --[?L]--> accept; }").automata}
+
+
+def index_state(index):
+    """What an index holds, with its candidates read."""
+    cands = outcome(lambda: [(c.event, c.config) for c in index.candidates()])
+    return (index.conf, index.leaves, index.clients, index.forwards, index.offered,
+            index.fresh, cands)
+
+
+def check_take(index, cand, take=_Index.take):
+    """Take ``cand`` on ``index`` with ``take``, its candidates read: its
+    configuration must be the kept leaves and the new ones normalized, and
+    the index must then hold what an index built afresh on that
+    configuration holds."""
+    replaced = cand.step.fire(cand.payload)
+    if cand.partner is not None:
+        replaced = replaced + cand.partner.fire(cand.payload)
+    kept = [x for x in index.conf if x.chan not in cand.fired]
+    want = outcome(lambda: congruence_normalize(kept + replaced))
+    assert outcome(lambda: cand.config) == want
+    if want[0] == "ok":
+        outcome(index.candidates)
+        take(index, cand)
+        assert index_state(index) == index_state(_Index(want[1], index.now, index.ext,
+                                                        index.defs))
+    return want
+
+
+@settings(max_examples=200)
+@given(steps_on_configurations())
+@example(((FwdC("a", "g"), ProcC("b", CLOSE)), (), [AutoC("g", "bme680", "S0", 0)]))
+@example(((FwdC("a", "g"), FwdC("b", "g")), (), [ProcC("g", CLOSE)]))
+@example(((FwdC("b", "g"),), (), [FwdC("a", "g"), ProcC("g", CLOSE)]))
+@example(((ProcC("a", CLOSE), FwdC("b", "z")), ("a",), [FwdC("z", "a"), ProcC("a", CLOSE)]))
+@example(((ProcC("a", CLOSE),), (), [ProcC("b", s.WaitP(sh(0), "a", CLOSE))]))
+@example(((ProcC("a", CLOSE),), (), [ProcC("b", CLOSE), ProcC("a", CLOSE), ProcC("b", CLOSE)]))
+def test_delta_splices_the_normalized_configuration(case):
+    # the examples: a held forwarder merges into a new provider of its
+    # client; of two held forwarders waiting on one client, the first by
+    # channel merges, and of a held and a new one, the held one; a new
+    # forwarder's client is another new leaf's channel, which is also a
+    # held forwarder's client; a new leaf is a
+    # held provider's first client, whose close is then no longer offered
+    # to the environment; two new leaves and a held one share channels
+    conf, fired, replaced = case
+    index = _Index(conf, 0, ExternEnv(), BME680_S0)
+    step = rt.LocalStep(SILENT, lambda _: list(replaced))
+    check_take(index, rt._Candidate(index, None, fired, step, None, None, None))
+
+
+def _stepped_systems():
+    """Every corpus system, fanout N=6, relays of forwarders made by spawns
+    and systems spawning live providers in turn (``compare_outputs``'s
+    ``relay_program`` and ``spawn_program``)."""
+    from tillst import corpus_files
+
+    from compare_outputs import relay_program, spawn_program
+
+    cases = [(Path(path).read_text(encoding="utf-8"), d.name, Path(path).stem)
+             for path in corpus_files()
+             for d in parse_program(Path(path).read_text(encoding="utf-8")).systems]
+    cases += [(fanout_program(6, False), "main", "fanout6")]
+    cases += [(relay_program(n), "go", f"relay{n}") for n in (0, 1, 3)]
+    cases += [(spawn_program(n), "go", f"spawn{n}") for n in (1, 3)]
+    return [pytest.param(text, entry, id=f"{name}:{entry}") for text, entry, name in cases]
+
+
+@pytest.mark.parametrize("text,entry", _stepped_systems())
+def test_each_step_of_a_run_matches_the_normalized_configuration(text, entry, monkeypatch):
+    prog = parse_program(text)
+    omega, start, defs = build_system(prog, entry)
+    env = ExternEnv(prog)
+    taken = []
+
+    def take(index, cand, conf=None):
+        if conf is None:
+            taken.append(check_take(index, cand, real))
+            return
+        # replay: the index holds the recorded configuration's own leaves
+        real(index, cand, conf)
+        replayed.append(cand)
+        assert index.conf is conf
+        assert all(index.leaves.get(chan) is leaf for leaf in conf for chan in cand.delta
+                   if leaf.chan == chan)
+
+    real, replayed = _Index.take, []
+    monkeypatch.setattr(_Index, "take", take)
+    r = run_scheduler(omega, start, env=env, defs=defs)
+    assert len(taken) == seq_steps(r.sigma) > 0
+    assert replay(r.sigma, env, defs)
+    assert len(replayed) == len(taken)
+
+
+def test_a_step_places_only_the_channels_it_touches(monkeypatch):
+    # a 64-sensor hub: the entry configuration is the only one normalized
+    # whole, and each step places at most the four leaves it changes
+    prog = parse_program(fanout_program(64, False))
+    omega, start, defs = build_system(prog, "main")
+    normalized, placed, per_step = [], [], []
+
+    def normalize(omega):
+        normalized.append(len(omega))
+        return real_normalize(omega)
+
+    def place(index, chan, leaf):
+        placed.append(chan)
+        real_place(index, chan, leaf)
+
+    def take(index, cand, conf=None):
+        before = len(placed)
+        real_take(index, cand, conf)
+        per_step.append(len(placed) - before)
+
+    real_normalize, real_place, real_take = rt.congruence_normalize, _Index._place, _Index.take
+    monkeypatch.setattr(rt, "congruence_normalize", normalize)
+    monkeypatch.setattr(_Index, "_place", place)
+    monkeypatch.setattr(_Index, "take", take)
+    r = run_scheduler(omega, start, env=ExternEnv(prog), defs=defs)
+    assert (r.status, len(r.trace)) == ("done", 64 * 7 // 2 + 1)
+    assert normalized == [65]
+    assert len(per_step) == len(r.trace) and max(per_step) <= 4
+    assert len(placed) == 65 + sum(per_step)
