@@ -6,8 +6,13 @@ of the binder); processes use the keyword spellings Close, Wait, Lam, App,
 SendCh, RecvCh, SwitchL, SwitchR, Case, Offer, SelectL, SelectR, Prod, Cons,
 Query, Supply, Fwd, Spawn, plus ``if $e$ { P } else { Q }``.  Functional
 expressions are delimited by ``$``.  Line comments start with ``//``.
-``tokenize`` splits the source in one regex scan, classifies each piece by its
-text and returns ``Token`` tuples, which the parser's cursor indexes directly.
+``_scan`` splits the source in one regex pass into three parallel lists, the
+pieces' kinds, texts and offsets, and builds no object per piece; the
+parser's cursor indexes ``kinds`` and ``texts`` directly.  A line and column
+is computed from an offset only when read (for an error or a declaration's
+``pos``), by bisecting the line starts.  ``tokenize`` is a view over the same
+scan that returns ``Token`` tuples with their lines and columns; the parser
+never builds one.
 
 One surface table, ``_FORMS``, drives both directions: each process keyword
 maps to its ``syntax`` class, its head (``<b where P>`` for providers,
@@ -23,6 +28,8 @@ parses and prints at the default recursion limit.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, islice
 from typing import NamedTuple, Optional
 
 from . import syntax as s
@@ -40,44 +47,93 @@ class ParseError(Exception):
 
 
 class Token(NamedTuple):
-    kind: str  # IDENT, INT, or the symbol itself
+    kind: str  # IDENT, INT, the symbol itself, or EOF
     text: str
     line: int
     col: int
 
 
-# The pieces of the one scan: a run of blanks and comments, a decimal integer
-# (``_`` separates digits), a word, a symbol (longest first), or any other
-# character.  A word starts with a letter or ``_`` and continues with ``\w``,
-# which also admits digit-like characters such as ``²``: ``a²`` is a name,
-# and ``tokenize`` rejects ``²a`` at its first character.
-_PIECE = re.compile(r"(?:[ \t\r\n]|//[^\n]*)+|\d[\d_]*|\w+"
-                    r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]|.")
-_SYMBOLS = frozenset(("]-->", "--[", "->", "=>", "==", "!=", "<=", ">=", *"-<>(){},;:=$@?!+*"))
+# One match of the scan: a run of blanks and comments (group 1), then a piece
+# (group 2): a decimal integer (``_`` separates digits), a word, a symbol
+# (longest first), any other character, or, at the end of the source, the
+# empty EOF piece.  ``split`` returns each match's two groups after the text
+# between matches, which is always empty, so the pieces' offsets are the
+# running sums of the parts' lengths.  The possessive blank run never gives
+# back a comment's tail, so no piece starts inside a comment.  A word starts
+# with a letter or ``_`` and continues with ``\w``, which also admits
+# digit-like characters such as ``²``: ``a²`` is a name, and the scan rejects
+# ``²a`` at its first character.
+_PIECE = re.compile(r"((?:[ \t\r\n]|//[^\n]*+)*+)(\d[\d_]*|\w+"
+                    r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]|.|\Z)")
+_SYMBOLS = ("]-->", "--[", "->", "=>", "==", "!=", "<=", ">=", *"-<>(){},;:=$@?!+*")
+_GIVEN_KINDS = {**dict(zip(_SYMBOLS, _SYMBOLS)), "": "EOF"}
+
+
+class _Kinds(dict):
+    """Piece text -> kind, for one scan.  Symbols and the empty EOF piece are
+    given; a word or an integer is classified by its first character when it
+    is first met.  An integer spelled with ``_`` is noted in ``digits`` with
+    the digits it stands for, and a piece that is neither maps to None."""
+
+    def __init__(self):
+        super().__init__(_GIVEN_KINDS)
+        self.digits = {}
+        self.rejected = False
+
+    def __missing__(self, text: str) -> Optional[str]:
+        first = text[0]
+        if first.isalpha() or first == "_":
+            kind = "IDENT"
+        elif first.isdecimal():
+            kind = "INT"
+            if "_" in text:
+                self.digits[text] = text.replace("_", "")
+        else:
+            kind, self.rejected = None, True
+        self[text] = kind
+        return kind
+
+
+def _line_starts(source: str) -> list:
+    """The offset at which each line starts, then one past the end."""
+    return [0, *accumulate(map((1).__add__, map(len, source.split("\n"))))]
+
+
+def _line_col(starts: list, offset: int) -> tuple:
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
+
+
+def _scan(source: str) -> tuple:
+    """The source's pieces as three parallel lists: kinds, texts (an
+    integer's without ``_``) and offsets, ending in the EOF piece.  EOF sits
+    at the end of the source, or at the comment that ends its last line."""
+    parts = _PIECE.split(source)
+    texts = parts[2::3]
+    offsets = list(islice(accumulate(map(len, parts)), 1, None, 3))
+    if len(texts) > 1 and not texts[-2]:
+        # a trailing blank run is matched before the end: drop the second,
+        # empty match at the end
+        del texts[-1], offsets[-1]
+    kinds_of = _Kinds()
+    kinds = list(map(kinds_of.__getitem__, texts))
+    if kinds_of.rejected:
+        at = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[at][0]!r}",
+                         *_line_col(_line_starts(source), offsets[at]))
+    if kinds_of.digits:
+        texts = list(map(kinds_of.digits.get, texts, texts))
+    comment = source.find("//", source.rfind("\n") + 1)
+    offsets[-1] = len(source) if comment < 0 else comment
+    return kinds, texts, offsets
 
 
 def tokenize(source: str) -> list:
-    toks = []
-    append, new = toks.append, tuple.__new__
-    line, line_start, offset = 1, 0, 0
-    for text in _PIECE.findall(source):
-        if text in _SYMBOLS:
-            append(new(Token, (text, text, line, offset - line_start + 1)))
-        elif (first := text[0]).isalpha() or first == "_":
-            append(new(Token, ("IDENT", text, line, offset - line_start + 1)))
-        elif first.isdecimal():
-            append(new(Token, ("INT", text.replace("_", ""), line, offset - line_start + 1)))
-        elif first in " \t\r\n" or text[:2] == "//":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = offset + text.rindex("\n") + 1
-        else:
-            raise ParseError(f"unexpected character {first!r}", line, offset - line_start + 1)
-        offset += len(text)
-    rest = source[line_start:]
-    end = rest.find("//")  # a trailing comment does not move the end column
-    append(new(Token, ("EOF", "", line, (len(rest) if end < 0 else end) + 1)))
-    return toks
+    """The scan's pieces as ``Token`` tuples, each with its line and column."""
+    kinds, texts, offsets = _scan(source)
+    starts = _line_starts(source)
+    return [Token(kind, text, *_line_col(starts, offset))
+            for kind, text, offset in zip(kinds, texts, offsets)]
 
 
 # Proposition keyword -> constructor and its arguments ("p" a proposition,
@@ -147,61 +203,70 @@ _LAST = {cls: children[-1] for cls, (_, _, children) in s._PROC_FIELDS.items() i
 
 
 class Parser:
+    """A cursor over the scan's lists: ``kinds[pos]`` and ``texts[pos]`` are
+    the current piece.  Lines and columns are computed only when read, for
+    an error or a declaration's ``pos``."""
+
     def __init__(self, source: str):
-        self.toks = tokenize(source)
+        self.source = source
+        self.kinds, self.texts, self.offsets = _scan(source)
         self.pos = 0
+        self._starts = None
 
-    # -- token plumbing ----------------------------------------------------
+    # -- piece plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:  # lookahead stops at EOF; next() never moves past it
-            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-        return self.toks[self.pos]
+    def where(self, at: int) -> tuple:
+        """The line and column of piece ``at``."""
+        if self._starts is None:
+            self._starts = _line_starts(self.source)
+        return _line_col(self._starts, self.offsets[at])
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.unexpected({kind})
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def expect(self, kind: str) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != kind:
-            self.fail(f"found {tok.text or tok.kind!r}", expected={kind})
-        if kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def accept(self, kind: str) -> Optional[Token]:
-        return self.next() if self.toks[self.pos].kind == kind else None
+    def accept(self, kind: str) -> Optional[str]:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            return None
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def ident(self) -> str:
-        tok = self.toks[self.pos]
-        if tok.kind != "IDENT":
-            self.fail(f"found {tok.text or tok.kind!r}", expected={"IDENT"})
-        self.pos += 1
-        return tok.text
+        pos = self.pos
+        if self.kinds[pos] != "IDENT":
+            self.unexpected({"IDENT"})
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            self.fail(f"found {tok.text or tok.kind!r}", expected={word})
-        return self.next()
+    def keyword(self, word: str) -> str:
+        # a word's text is only ever an IDENT's
+        if self.texts[self.pos] != word:
+            self.unexpected({word})
+        self.pos += 1
+        return word
 
     def fail(self, message: str, expected=None):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected=expected)
+        raise ParseError(message, *self.where(self.pos), expected=expected)
+
+    def unexpected(self, expected):
+        self.fail(f"found {self.texts[self.pos] or self.kinds[self.pos]!r}", expected)
 
     # -- program -----------------------------------------------------------
 
     def program(self) -> s.Program:
         decls = {word: [] for word in _DECLS}
-        while (tok := self.peek()).kind != "EOF":
-            read = _DECLS.get(tok.text) if tok.kind == "IDENT" else None
+        while self.kinds[self.pos] != "EOF":
+            word = self.texts[self.pos]
+            read = _DECLS.get(word)
             if read is None:
-                self.fail(f"found {tok.text!r}", expected=_DECLS)
-            self.next()
-            decls[tok.text].append(read(self, (tok.line, tok.col)))
+                self.fail(f"found {word!r}", expected=_DECLS)
+            at = self.pos
+            self.pos += 1
+            decls[word].append(read(self, self.where(at)))
         prog = s.Program(*(tuple(group) for group in decls.values()))
         _validate_program(prog)
         return prog
@@ -216,7 +281,7 @@ class Parser:
         name = self.ident()
         self.expect("(")
         args = []
-        if self.peek().kind != ")":
+        if self.kinds[self.pos] != ")":
             args.append(self.value_sort())
             while self.accept(","):
                 args.append(self.value_sort())
@@ -237,7 +302,7 @@ class Parser:
         name = self.ident()
         self.expect("(")
         params = []
-        if self.peek().kind != ")":
+        if self.kinds[self.pos] != ")":
             while True:
                 var = self.ident()
                 self.expect(":")
@@ -257,14 +322,14 @@ class Parser:
         self.expect("{")
         states, initial, transitions = [], None, []
         while not self.accept("}"):
-            if self.peek().kind == "IDENT" and self.peek().text == "state":
-                self.next()
+            if self.texts[self.pos] == "state":
+                self.pos += 1
                 st = self.ident()
                 if st in states:
                     raise ParseError(f"automaton {name} has duplicate states", *pos)
                 states.append(st)
-                if self.peek().kind == "IDENT" and self.peek().text == "init":
-                    self.next()
+                if self.texts[self.pos] == "init":
+                    self.pos += 1
                     if initial is not None:
                         self.fail("duplicate init state")
                     initial = st
@@ -286,8 +351,8 @@ class Parser:
         src = self.ident()
         self.expect("--[")
         offset = 0
-        if self.peek().kind == "INT":
-            offset = int(self.next().text)
+        if self.kinds[self.pos] == "INT":
+            offset = int(self.expect("INT"))
             self.expect(",")
         action, extern = self.auto_action()
         self.expect("]-->")
@@ -298,10 +363,10 @@ class Parser:
     def auto_action(self) -> tuple:
         """``?L``, ``!cls``, ``!val(read_gas)``, ... as (action, extern); the
         instance's channel fills in the action's ``chan``."""
-        direction = _DIRECTIONS.get(self.peek().kind)
+        direction = _DIRECTIONS.get(self.kinds[self.pos])
         if direction is None:
             self.fail("automaton action must start with ? or !", expected=_DIRECTIONS)
-        self.next()
+        self.pos += 1
         word = self.ident()
         if word not in _ACTIONS:
             self.fail(f"unknown automaton action {word!r}", expected=_ACTIONS)
@@ -319,7 +384,7 @@ class Parser:
         entry = self.ident()
         self.expect("(")
         bindings = []
-        if self.peek().kind != ")":
+        if self.kinds[self.pos] != ")":
             while True:
                 param = self.ident()
                 self.expect("=")
@@ -353,8 +418,9 @@ class Parser:
             self.expect("<")
             conn, fields = s.CONNECTIVES[cls], {}
             # Produce / Request: payload sort and binder in either order
-            if conn.kind == "value" and not (self.peek(1).kind == "IDENT"
-                                             and self.peek(1).text == "where"):
+            pos = self.pos
+            if conn.kind == "value" and (self.kinds[pos] == "EOF"
+                                         or self.texts[pos + 1] != "where"):
                 fields["payload"] = self.value_sort()
                 self.expect(",")
             fields["binder"], fields["pred"] = self.binder()
@@ -376,11 +442,10 @@ class Parser:
         return node
 
     def binder(self) -> tuple:
-        tok = self.peek()
+        at = self.pos
         name = self.ident()
         if name == "t0":
-            raise ParseError("t0 is the initial instant and cannot be bound",
-                             tok.line, tok.col)
+            raise ParseError("t0 is the initial instant and cannot be bound", *self.where(at))
         self.keyword("where")
         return name, self.prop()
 
@@ -401,17 +466,15 @@ class Parser:
         return make(*parts)
 
     def time_expr(self) -> t.TimeExpr:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "Shift":
-            self.next()
+        name = self.ident()
+        if name == "Shift":
             self.expect("<")
             base = self.time_expr()
             self.expect(",")
             sign = -1 if self.accept("-") else 1
-            amount = int(self.expect("INT").text)
+            amount = int(self.expect("INT"))
             self.expect(">")
             return base.shift(sign * amount)
-        name = self.ident()
         if name == "t0":
             return t.INIT
         return t.tvar(name)
@@ -420,13 +483,12 @@ class Parser:
 
     def process(self) -> s.Process:
         """A process; each form's last child is read in a loop."""
-        pending = []  # (class, fields, closing tokens) waiting for the last child
+        pending = []  # (class, fields, closing kinds) waiting for the last child
         while True:
-            tok = self.peek()
-            form = _FORMS.get(tok.text) if tok.kind == "IDENT" else None
+            form = _FORMS.get(self.texts[self.pos])
             if form is None:
-                self.fail(f"found {tok.text or tok.kind!r}", expected=_FORMS)
-            self.next()
+                self.unexpected(_FORMS)
+            self.pos += 1
             fields = self._head(form)
             closing = self._tail(form, fields)
             if closing is None:
@@ -465,7 +527,7 @@ class Parser:
         return fields
 
     def _tail(self, form: _Form, fields: dict) -> Optional[tuple]:
-        """Read the tail up to its last child; return the tokens that close
+        """Read the tail up to its last child; return the kinds that close
         it after that child (None: the form has no tail)."""
         if form.tail == "none":
             return None
@@ -521,61 +583,62 @@ class Parser:
 
     def expr(self) -> s.Expr:
         left = self.arith()
-        tok = self.peek()
-        if tok.kind in ("==", "!=", "<=", ">=", "<", ">"):
-            self.next()
-            return s.Cmp(tok.kind, left, self.arith())
+        op = self.kinds[self.pos]
+        if op in ("==", "!=", "<=", ">=", "<", ">"):
+            self.pos += 1
+            return s.Cmp(op, left, self.arith())
         return left
 
     def arith(self) -> s.Expr:
         left = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        while (op := self.kinds[self.pos]) in ("+", "-"):
+            self.pos += 1
             left = s.Arith(op, left, self.term())
         return left
 
     def term(self) -> s.Expr:
         left = self.atom()
-        while self.peek().kind == "*":
-            self.next()
+        while self.kinds[self.pos] == "*":
+            self.pos += 1
             left = s.Arith("*", left, self.atom())
         return left
 
     def atom(self) -> s.Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return s.IntLit(int(tok.text))
-        if tok.kind == "-" and self.peek(1).kind == "INT":
-            self.next()
-            return s.IntLit(-int(self.next().text))
-        if tok.kind == "(":
-            self.next()
+        pos, kinds = self.pos, self.kinds
+        kind, text = kinds[pos], self.texts[pos]
+        if kind == "INT":
+            self.pos = pos + 1
+            return s.IntLit(int(text))
+        if kind == "-" and kinds[pos + 1] == "INT":  # "-" is never the EOF piece
+            self.pos = pos + 2
+            return s.IntLit(-int(self.texts[pos + 1]))
+        if kind == "(":
+            self.pos = pos + 1
             e = self.expr()
             self.expect(")")
             return e
-        if tok.kind == "IDENT":
-            if tok.text in ("true", "false"):
-                self.next()
-                return s.BoolLit(tok.text == "true")
-            if tok.text == "if":
-                self.next()
+        if kind == "IDENT":
+            if text in ("true", "false"):
+                self.pos = pos + 1
+                return s.BoolLit(text == "true")
+            if text == "if":
+                self.pos = pos + 1
                 cond = self.expr()
                 self.keyword("then")
                 then = self.expr()
                 self.keyword("else")
                 return s.IfE(cond, then, self.expr())
-            name = self.ident()
+            self.pos = pos + 1
             if self.accept("("):
                 args = []
-                if self.peek().kind != ")":
+                if self.kinds[self.pos] != ")":
                     args.append(self.expr())
                     while self.accept(","):
                         args.append(self.expr())
                 self.expect(")")
-                return s.CallE(name, tuple(args))
-            return s.VarE(name)
-        self.fail(f"found {tok.text or tok.kind!r} in expression")
+                return s.CallE(text, tuple(args))
+            return s.VarE(text)
+        self.fail(f"found {text or kind!r} in expression")
 
 
 # declaration keyword -> reader, in the order of Program's fields
@@ -609,10 +672,11 @@ def _validate_program(prog: s.Program) -> None:
             raise ParseError(f"type {td.name} references unknown type {ref}",
                              *(td.pos or (0, 0)))
     for pd in prog.procs:
-        names = [var for var, _ in pd.params]
-        for k, var in enumerate(names):
-            if var in names[:k]:
+        names = set()
+        for var, _ in pd.params:
+            if var in names:
                 raise ParseError(f"fn {pd.name} has parameter {var} twice", *(pd.pos or (0, 0)))
+            names.add(var)
         mentioned = _type_refs(pd.offered)
         for _, ty in pd.params:
             mentioned |= _type_refs(ty)

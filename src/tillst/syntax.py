@@ -519,41 +519,45 @@ def expand_type_refs(prog: Optional[Program], a: SessionType,
     enclosing exchange).  With ``prog`` None, references stay in place and
     only the binders are renamed.
     """
-    names = names or NameSupply()
+    return _expand(prog, names or NameSupply(), a, (), {})
 
-    def walk(ty: SessionType, stack: tuple, ren: dict) -> SessionType:
-        # Binders are named in pre-order: a node, its leading components,
-        # then the last component, which is walked in this loop.
-        pending, ren = [], dict(ren)
-        while True:
-            if isinstance(ty, TypeRef):
-                if prog is None:
-                    break
-                if ty.name in stack:
-                    cycle = " -> ".join(stack + (ty.name,))
-                    raise CyclicTypeDefError(f"cyclic type definition: {cycle}")
-                decl = prog.type_decl(ty.name)
-                if decl is None:
-                    raise CyclicTypeDefError(f"unknown type name: {ty.name}")
-                ty, stack = decl.body, stack + (ty.name,)
-                continue
-            new = names(ty.binder)
-            ren[ty.binder] = tvar(new)
-            changes = {"binder": new, "pred": substitute_all(ty.pred, ren)}
-            *firsts, last = CONNECTIVES[type(ty)].components or (None,)
-            for name in firsts:
-                changes[name] = walk(getattr(ty, name), stack, ren)
-            pending.append((ty, changes, last))
-            if last is None:
+
+def _expand(prog: Optional[Program], names: NameSupply, ty: SessionType, stack: tuple,
+            ren: dict) -> SessionType:
+    """``expand_type_refs`` below the type names in ``stack``, with the
+    renaming ``ren`` of the binders in scope.  A module-level function, not
+    a closure: a nested function that calls itself is a reference cycle,
+    which would keep ``prog`` alive until the next garbage collection."""
+    # Binders are named in pre-order: a node, its leading components, then
+    # the last component, which is walked in this loop.
+    pending, ren = [], dict(ren)
+    while True:
+        if isinstance(ty, TypeRef):
+            if prog is None:
                 break
-            ty = getattr(ty, last)
-        for node, changes, last in reversed(pending):
-            if last is not None:
-                changes[last] = ty
-            ty = _rebuild(node, **changes)
-        return ty
-
-    return walk(a, (), {})
+            if ty.name in stack:
+                cycle = " -> ".join(stack + (ty.name,))
+                raise CyclicTypeDefError(f"cyclic type definition: {cycle}")
+            decl = prog.type_decl(ty.name)
+            if decl is None:
+                raise CyclicTypeDefError(f"unknown type name: {ty.name}")
+            ty, stack = decl.body, stack + (ty.name,)
+            continue
+        new = names(ty.binder)
+        ren[ty.binder] = tvar(new)
+        changes = {"binder": new, "pred": substitute_all(ty.pred, ren)}
+        *firsts, last = CONNECTIVES[type(ty)].components or (None,)
+        for name in firsts:
+            changes[name] = _expand(prog, names, getattr(ty, name), stack, ren)
+        pending.append((ty, changes, last))
+        if last is None:
+            break
+        ty = getattr(ty, last)
+    for node, changes, last in reversed(pending):
+        if last is not None:
+            changes[last] = ty
+        ty = _rebuild(node, **changes)
+    return ty
 
 
 def alpha_eq_type(a: SessionType, b: SessionType, m: Optional[dict] = None) -> bool:

@@ -280,7 +280,6 @@ class Checker:
         self.externs = {d.name: (tuple(d.arg_types), d.ret_type) for d in prog.externs}
         self.names = s.NameSupply()
         self.free = {}  # free channels per process node, for split_context
-        self.rules = {s.FwdP: self._fwd, s.SpawnP: self._spawn, s.IfP: self._if}
 
     def expand(self, a):
         return s.expand_type_refs(self.prog, a, self.names)
@@ -306,7 +305,7 @@ class Checker:
                 premises = item()
             else:
                 loc = f"{item.location}/{type(item.p).__name__}"
-                premises = self.rules.get(type(item.p), self._exchange)(item, loc)
+                premises = _RULES.get(type(item.p), Checker._exchange)(self, item, loc)
             pending.extend(reversed(premises))
 
     def _if(self, j: Judgment, loc: str) -> list:
@@ -463,6 +462,13 @@ class Checker:
                     f"{what} value has sort {got}, {whose} wants {ty.payload}"))
             return [on(p.cont, comps[0])]
         return [on(p.cont, comps[0], gamma={**j.gamma, p.var: ty.payload})]
+
+
+# Process class -> its rule; every other process is an exchange.  A table of
+# functions, not of a checker's bound methods, which would make each checker
+# a reference cycle that holds its program and query log until the next
+# garbage collection.
+_RULES = {s.FwdP: Checker._fwd, s.SpawnP: Checker._spawn, s.IfP: Checker._if}
 
 
 @dataclass

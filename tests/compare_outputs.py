@@ -25,8 +25,14 @@ providers probe how a run finds a window's next instant: one whose
 window opens at t0+900000, and one whose window's first disjunct opens
 after its second, which also runs with ``--horizon 50``.  Malformed
 inputs come from each corpus file too: the file cut at a quarter, half
-and three quarters of its length, and the file with ``²`` and with a
-lone ``/`` spliced into its first ``fn`` body.  Each program's systems
+and three quarters of its length, the file with ``²`` and with a lone
+``/`` spliced into its first ``fn`` body, and the file with ``²``
+spliced into its last line.  So that error positions are compared deep
+into large files, the seed-1 ``chain150.tsl`` and ``fanout96.tsl`` are
+also cut at 90% and 99% of their length.  A copy of each corpus file
+with ``\r\n`` line ends runs every command, and a file that ends in a
+``//`` comment with no newline, after the first half of the first
+corpus file, probes where the end of input is reported.  Each program's systems
 and types are the ones CHANGE_SRC's parser reads from it; a program that
 fails to parse has none, so only its ``check`` and ``smt`` run, and
 their exit-2 ``path:line:col:`` lines are compared byte for byte.  For
@@ -135,16 +141,24 @@ LATE_OR = "Or<Geq<z, Shift<t0, 400>>, And<Geq<z, Shift<t0, 60>>, Leq<z, Shift<t0
 HORIZONS = {"late_or.tsl": 50}  # programs also run with --horizon
 
 
+def first_token(text: str, line: int) -> int:
+    """The offset of the first non-blank character of the line at ``line``."""
+    return line + len(text[line:]) - len(text[line:].lstrip(" \t"))
+
+
 def malformed(name: str, text: str) -> dict:
     """Copies of a corpus file cut at a quarter, half and three quarters of
-    its length, and with ``²`` and with a lone ``/`` spliced in before the
-    first token of its first ``fn`` body."""
+    its length, with ``²`` and with a lone ``/`` spliced in before the first
+    token of its first ``fn`` body, with ``²`` spliced in before the first
+    token of its last line, and with ``\r\n`` line ends."""
     stem = name[:-4]
-    line = text.index("\n", text.index("\nfn ") + 1) + 1  # the body's first line
-    at = line + len(text[line:]) - len(text[line:].lstrip(" \t"))
+    at = first_token(text, text.index("\n", text.index("\nfn ") + 1) + 1)
+    last = first_token(text, text.rstrip("\n").rfind("\n") + 1)
     copies = {f"{stem}_cut{k}.tsl": text[:len(text) * k // 4] for k in (1, 2, 3)}
     copies[f"{stem}_sup.tsl"] = text[:at] + "²" + text[at:]
     copies[f"{stem}_slash.tsl"] = text[:at] + "/" + text[at:]
+    copies[f"{stem}_suplast.tsl"] = text[:last] + "²" + text[last:]
+    copies[f"{stem}_crlf.tsl"] = text.replace("\n", "\r\n")
     return copies
 
 
@@ -158,14 +172,20 @@ def plan(src: Path, inputs: Path) -> None:
 
     corpus_dir = src / "tillst" / "corpus"
     files = {p.name: p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.tsl"))}
+    first = next(iter(files.values()))
     for name, text in list(files.items()):
         files.update(malformed(name, text))
+    files["eof_comment.tsl"] = first[:len(first) // 2] + "\n// cut here"
     monitors = []
     for name in ("fanout", "chain", "disjunctive", "corpus"):
         w = generate(name, SEED, corpus_dir)
         files.update(w.files)
         monitors += [(op.program, op.type_name, op.trace, op.channel)
                      for op in w.ops if op.kind == "monitor"]
+    for name in ("chain150.tsl", "fanout96.tsl"):
+        text = files[name]
+        for percent in (90, 99):
+            files[f"{name[:-4]}_cut{percent}.tsl"] = text[:len(text) * percent // 100]
     for n in (256, 1024):
         files[f"fanout{n}.tsl"] = fanout_program(n, False)
         files[f"fanout{n}_mut.tsl"] = fanout_program(n, True)

@@ -1,16 +1,21 @@
 import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tillst import corpus_files
+from tillst import corpus_files, parser
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.cli import main
 from tillst.parser import (ParseError, Token, parse_program, render_program, render_type,
                            tokenize)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
+from perfbench.workloads import generate  # noqa: E402
 
 
 def test_unit_type_decl():
@@ -185,6 +190,60 @@ def test_tokenize_matches_reference_on_corpus(path):
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     assert tokenize(source) == reference_tokenize(source)
+
+
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+# Every source whose declarations' positions are pinned: the corpus, a copy of
+# each corpus file with \r\n line ends, and the seed-1 benchmark programs.
+POSITIONED = {Path(path).name: read(path) for path in corpus_files()}
+POSITIONED.update({f"{name[:-4]}_crlf.tsl": text.replace("\n", "\r\n")
+                   for name, text in list(POSITIONED.items())})
+for workload in ("fanout", "chain", "disjunctive", "corpus"):
+    POSITIONED.update((name, text) for name, text in
+                      generate(workload, 1, Path(corpus_files()[0]).parent).files.items()
+                      if name.endswith(".tsl"))
+
+# declaration keyword -> the Program field of its declarations (sorts keep no
+# position)
+DECL_FIELDS = {"extern": "externs", "type": "types", "fn": "procs", "automaton": "automata",
+               "system": "systems"}
+
+
+def keyword_positions(source: str) -> dict:
+    """The line and column of each declaration keyword, in source order, as
+    ``reference_tokenize`` reads them: the top-level words that begin a
+    declaration (an extern's ``fn`` does not)."""
+    found = {word: [] for word in DECL_FIELDS}
+    depth, previous = 0, None
+    for kind, text, line, col in reference_tokenize(source):
+        depth += (kind == "{") - (kind == "}")
+        if depth == 0 and kind == "IDENT" and text in found and previous != "extern":
+            found[text].append((line, col))
+        previous = text
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(POSITIONED))
+def test_declaration_positions_are_their_keywords(name):
+    source = POSITIONED[name]
+    prog = parse_program(source)
+    got = {word: [d.pos for d in getattr(prog, field)] for word, field in DECL_FIELDS.items()}
+    assert got == keyword_positions(source)
+    assert sum(map(len, got.values())) > 0
+
+
+def test_a_parse_builds_no_token(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a successful parse built a Token")
+
+    monkeypatch.setattr(parser, "tokenize", refuse)
+    monkeypatch.setattr(parser, "Token", refuse)
+    for path in corpus_files():
+        parse_program(read(path))
 
 
 PROC = "fn p() -> Unit<t where True> {\n  %s\n}\n"

@@ -1,8 +1,10 @@
+import gc
 import sys
 from pathlib import Path
 
 import pytest
 
+from tillst import corpus_files
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.parser import parse_program
@@ -568,3 +570,23 @@ def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypa
             cells, todo = cells + len(kids), todo + kids
         assert len(expanded) == cells > 40
         assert len(solved) == sum(not q.holds for q in solver.queries) == int(not accepted)
+
+
+def test_a_check_leaves_no_cycle_through_its_program():
+    # Neither the checker nor a type expansion is a reference cycle, so the
+    # program, the checker and its query log are freed when the check
+    # returns, not at the next garbage collection.
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for path in corpus_files():
+            with open(path, encoding="utf-8") as fh:
+                check_program(parse_program(fh.read()))
+        gc.collect()
+        kept = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not kept & {"Program", "ProcDecl", "Checker", "EntailmentSolver", "QueryRecord"}
