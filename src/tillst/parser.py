@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import NamedTuple, Optional
 
 from . import syntax as s
@@ -58,12 +58,13 @@ class Token(NamedTuple):
 # (longest first), any other character, or, at the end of the source, the
 # empty EOF piece.  ``split`` returns each match's two groups after the text
 # between matches, which is always empty, so the pieces' offsets are the
-# running sums of the parts' lengths.  The possessive blank run never gives
-# back a comment's tail, so no piece starts inside a comment.  A word starts
+# running sums of the parts' lengths.  The blank run takes every newline, so
+# group 2 always matches where the run stops (``.`` matches anything but a
+# newline, ``\Z`` the end): no piece starts inside a comment.  A word starts
 # with a letter or ``_`` and continues with ``\w``, which also admits
 # digit-like characters such as ``²``: ``a²`` is a name, and the scan rejects
 # ``²a`` at its first character.
-_PIECE = re.compile(r"((?:[ \t\r\n]|//[^\n]*+)*+)(\d[\d_]*|\w+"
+_PIECE = re.compile(r"((?:[ \t\r\n]|//[^\n]*)*)(\d[\d_]*|\w+"
                     r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]|.|\Z)")
 _SYMBOLS = ("]-->", "--[", "->", "=>", "==", "!=", "<=", ">=", *"-<>(){},;:=$@?!+*")
 _GIVEN_KINDS = {**dict(zip(_SYMBOLS, _SYMBOLS)), "": "EOF"}
@@ -78,7 +79,6 @@ class _Kinds(dict):
     def __init__(self):
         super().__init__(_GIVEN_KINDS)
         self.digits = {}
-        self.rejected = False
 
     def __missing__(self, text: str) -> Optional[str]:
         first = text[0]
@@ -89,7 +89,7 @@ class _Kinds(dict):
             if "_" in text:
                 self.digits[text] = text.replace("_", "")
         else:
-            kind, self.rejected = None, True
+            kind = None
         self[text] = kind
         return kind
 
@@ -117,7 +117,7 @@ def _scan(source: str) -> tuple:
         del texts[-1], offsets[-1]
     kinds_of = _Kinds()
     kinds = list(map(kinds_of.__getitem__, texts))
-    if kinds_of.rejected:
+    if None in kinds:
         at = kinds.index(None)
         raise ParseError(f"unexpected character {texts[at][0]!r}",
                          *_line_col(_line_starts(source), offsets[at]))
@@ -129,11 +129,21 @@ def _scan(source: str) -> tuple:
 
 
 def tokenize(source: str) -> list:
-    """The scan's pieces as ``Token`` tuples, each with its line and column."""
+    """The scan's pieces as ``Token`` tuples, each with its line and column.
+    The offsets ascend, so one walk over the line starts places them all;
+    ``tuple.__new__`` builds the tuples as ``Token._make`` does, without a
+    Python-level call per piece."""
     kinds, texts, offsets = _scan(source)
     starts = _line_starts(source)
-    return [Token(kind, text, *_line_col(starts, offset))
-            for kind, text, offset in zip(kinds, texts, offsets)]
+    lines, cols = [], []
+    line, next_start = 1, starts[1]
+    for offset in offsets:
+        while next_start <= offset:
+            line += 1
+            next_start = starts[line]
+        lines.append(line)
+        cols.append(offset - starts[line - 1] + 1)
+    return list(map(tuple.__new__, repeat(Token), zip(kinds, texts, lines, cols)))
 
 
 # Proposition keyword -> constructor and its arguments ("p" a proposition,
