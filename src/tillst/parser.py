@@ -58,14 +58,16 @@ class Token(NamedTuple):
 # (longest first), any other character, or, at the end of the source, the
 # empty EOF piece.  ``split`` returns each match's two groups after the text
 # between matches, which is always empty, so the pieces' offsets are the
-# running sums of the parts' lengths.  The blank run takes every newline, so
-# group 2 always matches where the run stops (``.`` matches anything but a
-# newline, ``\Z`` the end): no piece starts inside a comment.  A word starts
-# with a letter or ``_`` and continues with ``\w``, which also admits
-# digit-like characters such as ``²``: ``a²`` is a name, and the scan rejects
-# ``²a`` at its first character.
-_PIECE = re.compile(r"((?:[ \t\r\n]|//[^\n]*)*)(\d[\d_]*|\w+"
-                    r"|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]|.|\Z)")
+# running sums of the parts' lengths.  Group 1 spells out its first comment
+# so that the engine passes over the comment branch at a glance when the
+# blanks end at anything but ``/``.  The run takes every newline, so group 2
+# always matches where it stops (``.`` matches anything but a newline, ``\Z``
+# the end) and the run never gives back a comment's tail: no piece starts
+# inside a comment.  A word starts with a letter or ``_`` and continues with
+# ``\w``, which also admits digit-like characters such as ``²``: ``a²`` is a
+# name, and the scan rejects ``²a`` at its first character.
+_PIECE = re.compile(r"([ \t\r\n]*(?://[^\n]*[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*|))"
+                    r"(\d[\d_]*|\w+|\]-->|--\[|->|=>|==|!=|<=|>=|[-<>(){},;:=$@?!+*]|.|\Z)")
 _SYMBOLS = ("]-->", "--[", "->", "=>", "==", "!=", "<=", ">=", *"-<>(){},;:=$@?!+*")
 _GIVEN_KINDS = {**dict(zip(_SYMBOLS, _SYMBOLS)), "": "EOF"}
 
@@ -117,7 +119,7 @@ def _scan(source: str) -> tuple:
         del texts[-1], offsets[-1]
     kinds_of = _Kinds()
     kinds = list(map(kinds_of.__getitem__, texts))
-    if None in kinds:
+    if None in kinds_of.values():
         at = kinds.index(None)
         raise ParseError(f"unexpected character {texts[at][0]!r}",
                          *_line_col(_line_starts(source), offsets[at]))
