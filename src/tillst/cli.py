@@ -9,6 +9,7 @@ time) and input nested too deeply to analyse.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -145,7 +146,9 @@ def cmd_monitor(path: str, type_name: str, trace_path: str,
     return 1
 
 
-def main(argv: Optional[list] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process when first used."""
     parser = argparse.ArgumentParser(prog="tillst",
                                      description="timed session-type toolchain")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -173,8 +176,11 @@ def main(argv: Optional[list] = None) -> int:
     p_mon.add_argument("--type", required=True, dest="type_name")
     p_mon.add_argument("--trace", required=True)
     p_mon.add_argument("--channel")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "check":
             return cmd_check(args.file, args.solver, args.solver_bin, args.timeout_ms)

@@ -15,9 +15,10 @@ names.  Parallel composition is concatenation, with unit ``STOP = ()``; it is
 associative and commutative, so ``congruence_normalize`` picks one canonical
 form per class: every forwarder merged into the leaf providing its client
 channel, found through one map from provided channel to leaf, then the
-leaves sorted by provided channel.  It normalizes only configurations that
-come from outside a step: a run's entry configuration, and the recorded
-ones that replay and trajectories compare.
+leaves sorted by provided channel, by the merge a step's delta makes.  Step
+sequences hold configurations in this form and ``replay`` compares them as
+recorded; only entry configurations and those trajectories compare are
+normalized.
 
 One index, built for one ``run_scheduler``, ``replay`` or ``reductions`` call
 and dropped when it returns, generates the candidate steps of an instant and
@@ -276,29 +277,10 @@ def conf_leaves(omega: Configuration) -> list:
 
 
 def congruence_normalize(omega: Configuration) -> Configuration:
-    """Merge forwarders and sort the leaves by provided channel.
-
-    Each forwarder, in turn, merges into the leaf providing its client
-    channel, found through one map from provided channel to leaf; a merged
-    forwarder is visited again, so chains collapse.  A forwarder whose client
-    channel has no provider yet is left in place for the scheduler to resolve
-    later.  Idempotent.
-    """
-    by_chan = {leaf.chan: leaf for leaf in omega}
-    if len(by_chan) != len(omega):
-        names = sorted(leaf.chan for leaf in omega)
-        dup = next(a for a, b in zip(names, names[1:]) if a == b)
-        raise RuntimeInvariantError(f"duplicate provider channel {dup}")
-    work = [leaf for leaf in omega if isinstance(leaf, FwdC)]
-    for fwd in work:  # visits the merged forwarders appended below
-        other = by_chan.get(fwd.client)
-        if by_chan.get(fwd.chan) is not fwd or other is None or other is fwd:
-            continue
-        del by_chan[fwd.client]
-        by_chan[fwd.chan] = merged = replace(other, chan=fwd.chan)
-        if isinstance(merged, FwdC):
-            work.append(merged)
-    return tuple(by_chan[chan] for chan in sorted(by_chan))
+    """The leaves of ``omega`` added by one step to the empty configuration
+    (see ``_merge``), sorted by provided channel; a forwarder whose client
+    has no provider stays.  Idempotent.  Step sequences hold this form."""
+    return _splice((), _merge({}, {}, (), omega))
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +509,38 @@ def _splice(conf: Configuration, delta: dict) -> Configuration:
     return tuple(out)
 
 
+def _merge(held: dict, forwards: dict, fired: tuple, replaced) -> dict:
+    """What a step that fires the leaves at ``fired`` and adds ``replaced``
+    changes in the normalized configuration ``held`` (by provided channel;
+    ``forwards``: its forwarders by client): each channel whose leaf changes,
+    mapped to its new leaf or None.  The least duplicate channel is named.
+    Each forwarder merges into its client's provider: the held ones whose
+    client a new leaf provides, by channel, then the new ones; a merged
+    forwarder is visited again, so chains collapse."""
+    delta, dup = dict.fromkeys(fired), set()
+    for leaf in replaced:
+        chan = leaf.chan
+        if delta.get(chan) is not None or (chan not in delta and chan in held):
+            dup.add(chan)
+        delta[chan] = leaf
+    if dup:
+        raise RuntimeInvariantError(f"duplicate provider channel {min(dup)}")
+    work = [held[f] for leaf in replaced for f in forwards.get(leaf.chan, ())
+            if f not in delta]
+    work.sort(key=_by_chan)
+    work += [leaf for leaf in replaced if isinstance(leaf, FwdC)]
+    for fwd in work:  # visits the merged forwarders appended below
+        other = delta[fwd.client] if fwd.client in delta else held.get(fwd.client)
+        here = delta[fwd.chan] if fwd.chan in delta else held.get(fwd.chan)
+        if here is not fwd or other is None or other is fwd:
+            continue
+        delta[fwd.client] = None
+        delta[fwd.chan] = merged = replace(other, chan=fwd.chan)
+        if isinstance(merged, FwdC):
+            work.append(merged)
+    return delta
+
+
 def _leaf_at(conf: Configuration, chan: str):
     """The leaf of ``conf`` providing ``chan``, or None."""
     i = bisect_left(conf, chan, key=_by_chan)
@@ -548,13 +562,14 @@ class _Index:
     which are offered to the environment (``offered``).  Bodies' free
     channels are read from a table kept per body node (``free``).
 
-    Only the entry configuration is normalized with ``congruence_normalize``.
-    A step changes it by its ``delta``: its fired leaves go, its new leaves
-    come, and the forwarders they let merge merge.  Taking the step splices
-    the delta into ``conf`` and places again only the delta's channels: their
-    steps are forgotten and read again when next asked for, and the client
-    counts and the offered set change at those channels alone.  All steps are
-    read again when the clock or the fresh name changes.
+    Only the entry configuration is normalized; replay compares the others
+    as recorded.  A step changes it by its ``delta`` (``_merge``): its fired
+    leaves go, its new leaves come, and the forwarders they let merge merge.
+    Taking the step splices the delta into ``conf`` and places again only
+    the delta's channels: their steps are forgotten and read again when next
+    asked for, and the client counts and the offered set change at those
+    channels alone.  All steps are read again when the clock or the fresh
+    name changes.
     """
 
     def __init__(self, omega: Configuration, now: int, ext: ExternEnv, defs: dict):
@@ -571,36 +586,8 @@ class _Index:
 
     def delta(self, fired: tuple, replaced: list) -> dict:
         """What a step that fires the leaves at ``fired`` and adds the leaves
-        ``replaced`` changes: a map from each channel whose leaf changes to its
-        new leaf, or to None where no leaf is left.  It is the difference
-        between ``conf`` and ``congruence_normalize`` of the kept leaves, in
-        order, followed by ``replaced``: the same duplicate is named, and the
-        forwarders that normalization could merge, those held whose client a
-        new leaf provides (by channel) and then the new ones, merge in the
-        same order."""
-        held = self.leaves
-        delta, dup = dict.fromkeys(fired), set()
-        for leaf in replaced:
-            chan = leaf.chan
-            if delta.get(chan) is not None or (chan not in delta and chan in held):
-                dup.add(chan)
-            delta[chan] = leaf
-        if dup:
-            raise RuntimeInvariantError(f"duplicate provider channel {min(dup)}")
-        work = [held[f] for leaf in replaced for f in self.forwards.get(leaf.chan, ())
-                if f not in delta]
-        work.sort(key=_by_chan)
-        work += [leaf for leaf in replaced if isinstance(leaf, FwdC)]
-        for fwd in work:  # visits the merged forwarders appended below
-            other = delta[fwd.client] if fwd.client in delta else held.get(fwd.client)
-            here = delta[fwd.chan] if fwd.chan in delta else held.get(fwd.chan)
-            if here is not fwd or other is None or other is fwd:
-                continue
-            delta[fwd.client] = None
-            delta[fwd.chan] = merged = replace(other, chan=fwd.chan)
-            if isinstance(merged, FwdC):
-                work.append(merged)
-        return delta
+        ``replaced`` changes (see ``_merge``)."""
+        return _merge(self.leaves, self.forwards, fired, replaced)
 
     def _place(self, chan: str, leaf) -> None:
         """Put ``leaf`` (None: no leaf) at ``chan`` in place of the leaf
@@ -895,24 +882,26 @@ def seq_steps(sigma: StepSequence) -> int:
 def replay(sigma: StepSequence, env: Optional[ExternEnv] = None,
            defs: Optional[dict] = None) -> bool:
     """Check every instantaneous step is derivable (as a communication or as
-    an environment-facing send) and every clock advance is non-decreasing."""
+    an environment-facing send) and every clock advance is non-decreasing.
+
+    Only the entry configuration is normalized; the others are compared as
+    recorded, so one congruent to its normal form but not in it fails."""
     env = env or ExternEnv()
-    norm = congruence_normalize
     index = None  # the configuration each checked step leads to
     while not isinstance(sigma, Refl):
         if isinstance(sigma, StepT):
             if sigma.t1 > sigma.t2:
                 return False
             nxt_t, nxt_c = seq_start(sigma.rest)
-            if nxt_t != sigma.t2 or norm(nxt_c) != norm(sigma.config):
+            if nxt_t != sigma.t2 or (nxt_c is not sigma.config and nxt_c != sigma.config):
                 return False
             if index is not None:
                 index.advance(sigma.t2)
             sigma = sigma.rest
             continue
         nxt_t, nxt_c = seq_start(sigma.rest)
-        want = norm(sigma.after)
-        if nxt_t != sigma.time or (nxt_c is not sigma.after and norm(nxt_c) != want):
+        want = sigma.after
+        if nxt_t != sigma.time or (nxt_c is not want and nxt_c != want):
             return False
         if index is None:
             index = _Index(sigma.before, sigma.time, env, defs or {})

@@ -431,12 +431,6 @@ class Program:
                 return d
         return None
 
-    def extern_decl(self, name: str) -> Optional[ExternDecl]:
-        for d in self.externs:
-            if d.name == name:
-                return d
-        return None
-
     def system_decl(self, name: str) -> Optional[SystemDecl]:
         for d in self.systems:
             if d.name == name:

@@ -43,6 +43,10 @@ every program the two trees are compared on:
   and stdout, stderr and exit code under the program's horizon if it has one;
 - ``replay``'s verdict on the step sequence of that run, made in-process
   with the seed ``run`` uses (or the error that stops the run or replay);
+- ``replay``'s verdict on two sequences built from that one, which hold
+  the configurations it records: ``seq_extend_to`` it 5 instants past its
+  end (``... extended``), and ``traj_concat`` of the ``traj_partition`` of
+  its trajectory to its end + 1 at its middle instant (``... partitioned``);
 - ``smt``: stdout, stderr, exit code, every script, and ``index.json``
   without the ``ms`` field each query's time is recorded in;
 - ``monitor`` of every type against up to four channels of each run trace,
@@ -227,7 +231,9 @@ def collect(inputs: str) -> None:
     both trees, since ``smt`` prints the directory it writes to."""
     from tillst.cli import build_system, main
     from tillst.parser import ParseError, parse_program
-    from tillst.runtime import ExternEnv, replay, run_scheduler
+    from tillst.runtime import (ExternEnv, replay, run_scheduler, seq_end, seq_extend_to,
+                                seq_start)
+    from tillst.trajectory import traj_concat, traj_from_sigma, traj_partition
     from tillst.temporal import TillstError
 
     inputs, out = Path(inputs), Path()
@@ -244,15 +250,20 @@ def collect(inputs: str) -> None:
         outputs[key] = {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
                         "exit": code}
 
-    def replayed(path: str, system: str):
-        """Whether the step sequence of the system's default run replays."""
+    def replayed(path: str, system: str) -> list:
+        """Whether the step sequence of the system's default run replays,
+        extended 5 instants past its end, and rebuilt from its trajectory
+        partitioned at its middle instant."""
         try:
             prog = parse_program(Path(path).read_text(encoding="utf-8"))
             omega, start, defs = build_system(prog, system)
             sigma = run_scheduler(omega, start, env=ExternEnv(prog), defs=defs).sigma
-            return replay(sigma, ExternEnv(prog), defs)
+            first, end = seq_start(sigma)[0], seq_end(sigma)[0]
+            halves = traj_partition(traj_from_sigma(sigma, end + 1), (first + end) // 2)
+            return [replay(seq, ExternEnv(prog), defs)
+                    for seq in (sigma, seq_extend_to(sigma, end + 5), traj_concat(*halves).sigma)]
         except (ParseError, TillstError, RecursionError) as exc:
-            return f"error: {type(exc).__name__}: {exc}"
+            return 3 * [f"error: {type(exc).__name__}: {exc}"]
 
     def monitor(program: str, type_name: str, trace: Path, channel: str) -> None:
         call(f"monitor {program} {type_name} {trace.name} {channel}", "monitor",
@@ -280,7 +291,9 @@ def collect(inputs: str) -> None:
                 horizon = str(HORIZONS[program])
                 call(f"run {program} {system} --horizon {horizon}", "run", path,
                      "--entry", system, "--horizon", horizon)
-            outputs[f"replay {program} {system}"] = replayed(path, system)
+            key = f"replay {program} {system}"
+            outputs[key], outputs[f"{key} extended"], outputs[f"{key} partitioned"] = \
+                replayed(path, system)
             if not trace.exists():
                 continue
             text = trace.read_text(encoding="utf-8")

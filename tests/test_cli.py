@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -302,6 +303,22 @@ class TestSolverFailuresExitTwo:
         proc = run_subprocess("check", str(path))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: solver search exceeded its budget of 100000 literals\n"
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # the second and third calls reuse the parser the first one built
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    counts = []
+    for _ in range(3):
+        assert run_cli(capsys, "check", corpus_path("smart_home.tsl"))[0] == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_system_binding_must_name_a_parameter(tmp_path, capsys):

@@ -1052,6 +1052,8 @@ def check_take(index, cand, take=_Index.take):
     want = outcome(lambda: congruence_normalize(kept + replaced))
     assert outcome(lambda: cand.config) == want
     if want[0] == "ok":
+        # an oracle apart from the merge both share
+        assert want[1] == restart_normalize(kept + replaced)
         outcome(index.candidates)
         take(index, cand)
         assert index_state(index) == index_state(_Index(want[1], index.now, index.ext,
@@ -1153,3 +1155,43 @@ def test_a_step_places_only_the_channels_it_touches(monkeypatch):
     assert normalized == [65]
     assert len(per_step) == len(r.trace) and max(per_step) <= 4
     assert len(placed) == 65 + sum(per_step)
+
+
+def test_replay_normalizes_only_the_entry_configuration(monkeypatch):
+    # the recorded configurations are compared as recorded: the 65-leaf
+    # entry is the one configuration replay normalizes
+    prog = parse_program(fanout_program(64, False))
+    omega, start, defs = build_system(prog, "main")
+    r = run_scheduler(omega, start, env=ExternEnv(prog), defs=defs)
+    normalized, real_normalize = [], rt.congruence_normalize
+
+    def normalize(omega):
+        normalized.append(len(omega))
+        return real_normalize(omega)
+
+    monkeypatch.setattr(rt, "congruence_normalize", normalize)
+    assert replay(r.sigma, ExternEnv(prog), defs)
+    assert normalized == [65]
+
+
+def test_replay_compares_recorded_configurations_as_recorded():
+    # a recorded configuration congruent to its normal form but not in it:
+    # the first step's after, and the next node's start, with the leaves of
+    # the normal form reversed
+    prog = parse_program(fanout_program(4, False))
+    omega, start, defs = build_system(prog, "main")
+    r = run_scheduler(omega, start, env=ExternEnv(prog), defs=defs)
+    spine, sigma = [], r.sigma
+    while not isinstance(sigma, Refl):
+        spine.append(sigma)
+        sigma = sigma.rest
+    spine.append(sigma)
+    k = next(i for i, node in enumerate(spine) if isinstance(node, StepC))
+    flipped = spine[k].after[::-1]
+    assert flipped != spine[k].after and congruence_normalize(flipped) == spine[k].after
+    spine[k] = dataclasses.replace(spine[k], after=flipped)
+    field = "before" if isinstance(spine[k + 1], StepC) else "config"
+    spine[k + 1] = dataclasses.replace(spine[k + 1], **{field: flipped})
+    forged = rt.seq_prepend(spine[:-1], spine[-1])
+    assert replay(r.sigma, ExternEnv(prog), defs)
+    assert not replay(forged, ExternEnv(prog), defs)
