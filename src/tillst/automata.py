@@ -10,12 +10,12 @@ the next predicate under those bindings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as s
 from . import temporal as t
 from .parser import render_prop
+from .record import record
 from .syntax import AutomatonDef, SilentA
 
 
@@ -35,17 +35,17 @@ def automaton_transitions(defn: AutomatonDef, state: str, entry: int, now: int) 
 # Trace conformance monitor
 
 
-@dataclass
+@record
 class TraceObligation:
     type: s.SessionType
 
 
-@dataclass(frozen=True)
+@record
 class Conforms:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     index: int
     reason: str

@@ -66,12 +66,14 @@ resolved, under that environment.
 
 Fresh channels are named ``#k`` with k derived from the configuration itself,
 so replays and reorderings allocate identical names.
+
+Values, environments, leaves, trace events, steps, step sequences and run
+results are immutable ``record``s (``tillst.record``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Optional, Union
 
@@ -79,6 +81,7 @@ from . import syntax as s
 from . import temporal as t
 from .automata import automaton_transitions, transitions_from
 from .parser import render_prop
+from .record import field, record, replace
 from .syntax import ACCEPT, Action, SilentA
 from .temporal import NonClosedError, TillstError
 
@@ -95,17 +98,17 @@ class RuntimeInvariantError(TillstError):
 # Values
 
 
-@dataclass(frozen=True)
+@record
 class BoolV:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class IntV:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class OpaqueV:
     sort: str
     tag: str
@@ -206,7 +209,7 @@ def eval_expr(e: s.Expr, env: ExternEnv, scope: Optional[dict] = None) -> Value:
 # Configurations
 
 
-@dataclass(frozen=True)
+@record
 class Env:
     """A leaf's bindings: each fired time binder to the tick of its exchange,
     each received value variable to its value, each channel variable to the
@@ -245,20 +248,20 @@ class Env:
 EMPTY_ENV = Env()
 
 
-@dataclass(frozen=True)
+@record
 class ProcC:
     chan: str
     body: s.Process
     env: Env = EMPTY_ENV
 
 
-@dataclass(frozen=True)
+@record
 class FwdC:
     chan: str
     client: str
 
 
-@dataclass(frozen=True)
+@record
 class AutoC:
     chan: str
     machine: str
@@ -305,7 +308,7 @@ def _partner(send: Action) -> Action:
     return complementary(send if send.kind == "label" else Action(send.kind, "send", send.chan))
 
 
-@dataclass(frozen=True)
+@record
 class TraceEvent:
     time: int
     action: Action
@@ -324,7 +327,7 @@ class TraceEvent:
 # Local transitions
 
 
-@dataclass
+@record
 class LocalStep:
     action: Action  # SILENT for a solitary step
     fire: Callable  # payload -> list of replacement leaves
@@ -742,13 +745,13 @@ def reductions(omega: Configuration, now: int,
 # Step sequences (multistep reduction proof terms)
 
 
-@dataclass(frozen=True)
+@record
 class Refl:
     time: int
     config: Configuration
 
 
-@dataclass(frozen=True)
+@record
 class StepT:
     t1: int
     t2: int
@@ -756,7 +759,7 @@ class StepT:
     rest: "StepSequence"
 
 
-@dataclass(frozen=True)
+@record
 class StepC:
     time: int
     before: Configuration
@@ -917,7 +920,7 @@ def replay(sigma: StepSequence, env: Optional[ExternEnv] = None,
 # Scheduler
 
 
-@dataclass
+@record
 class TimingViolationInfo:
     channel: str
     client_time: int
@@ -929,7 +932,7 @@ class TimingViolationInfo:
                 f"misses the provider window {self.provider_pred}")
 
 
-@dataclass
+@record
 class DeadlockInfo:
     time: int
     pending: list
@@ -939,7 +942,7 @@ class DeadlockInfo:
         return f"deadlock at {t.render_instant(self.time)}: {what}"
 
 
-@dataclass
+@record
 class HorizonInfo:
     next_instant: int
     horizon: int
@@ -949,7 +952,7 @@ class HorizonInfo:
                 f"the horizon {t.render_instant(self.horizon)}")
 
 
-@dataclass
+@record
 class RunResult:
     status: str  # done | timing_violation | deadlock | horizon
     trace: list

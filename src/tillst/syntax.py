@@ -12,14 +12,18 @@ environment.
 the provider's direction, and the process forms that provide and use each.
 An exchange half is one ``Action`` record, shared by the runtime and by the
 transitions of each ``AutomatonDef``, the form the parser reads automata in.
+
+Every node, declaration and program is an immutable ``record``
+(``tillst.record``): equal when its class and fields are equal, with the
+declarations' source positions left out of equality, hashing and ``repr``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .record import field, record, replace
 from .temporal import Prop, TillstError, TimeExpr, substitute_all, tvar
 
 
@@ -43,19 +47,19 @@ class NameSupply:
 # Value sorts
 
 
-@dataclass(frozen=True)
+@record
 class BoolType:
     def __str__(self) -> str:
         return "bool"
 
 
-@dataclass(frozen=True)
+@record
 class IntType:
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
+@record
 class NamedType:
     name: str
 
@@ -73,13 +77,13 @@ INT = IntType()
 # Session types.  The binder scopes over the predicate and every component.
 
 
-@dataclass(frozen=True)
+@record
 class UnitT:
     binder: str
     pred: Prop
 
 
-@dataclass(frozen=True)
+@record
 class TensorT:
     binder: str
     pred: Prop
@@ -87,7 +91,7 @@ class TensorT:
     right: "SessionType"
 
 
-@dataclass(frozen=True)
+@record
 class LolliT:
     binder: str
     pred: Prop
@@ -95,7 +99,7 @@ class LolliT:
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@record
 class IChoiceT:
     binder: str
     pred: Prop
@@ -103,7 +107,7 @@ class IChoiceT:
     right: "SessionType"
 
 
-@dataclass(frozen=True)
+@record
 class EChoiceT:
     binder: str
     pred: Prop
@@ -111,7 +115,7 @@ class EChoiceT:
     right: "SessionType"
 
 
-@dataclass(frozen=True)
+@record
 class ProduceT:
     binder: str
     pred: Prop
@@ -119,7 +123,7 @@ class ProduceT:
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@record
 class QueryT:
     binder: str
     pred: Prop
@@ -127,7 +131,7 @@ class QueryT:
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@record
 class TypeRef:
     name: str
 
@@ -139,43 +143,43 @@ SessionType = Union[UnitT, TensorT, LolliT, IChoiceT, EChoiceT, ProduceT, QueryT
 # Functional expressions
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class VarE:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Arith:
     op: str  # + - *
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Cmp:
     op: str  # == != < <= > >=
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class IfE:
     cond: "Expr"
     then: "Expr"
     orelse: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class CallE:
     name: str
     args: tuple
@@ -188,20 +192,20 @@ Expr = Union[BoolLit, IntLit, VarE, Arith, Cmp, IfE, CallE]
 # Process terms
 
 
-@dataclass(frozen=True)
+@record
 class CloseP:
     binder: str
     pred: Prop
 
 
-@dataclass(frozen=True)
+@record
 class WaitP:
     at: TimeExpr
     chan: str
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class LamRecv:
     binder: str
     pred: Prop
@@ -209,7 +213,7 @@ class LamRecv:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class AppSend:
     chan: str
     at: TimeExpr
@@ -217,7 +221,7 @@ class AppSend:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class PairSend:
     binder: str
     pred: Prop
@@ -225,7 +229,7 @@ class PairSend:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class PairRecv:
     chan: str
     at: TimeExpr
@@ -233,21 +237,21 @@ class PairRecv:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class InLP:
     binder: str
     pred: Prop
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class InRP:
     binder: str
     pred: Prop
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class CaseP:
     at: TimeExpr
     chan: str
@@ -255,7 +259,7 @@ class CaseP:
     right: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class OfferP:
     binder: str
     pred: Prop
@@ -263,21 +267,21 @@ class OfferP:
     right: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class SelectLP:
     chan: str
     at: TimeExpr
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class SelectRP:
     chan: str
     at: TimeExpr
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class ProdP:
     binder: str
     pred: Prop
@@ -285,7 +289,7 @@ class ProdP:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class ConsP:
     chan: str
     at: TimeExpr
@@ -293,7 +297,7 @@ class ConsP:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class QueryRecvP:
     binder: str
     pred: Prop
@@ -301,7 +305,7 @@ class QueryRecvP:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class SupplyP:
     chan: str
     at: TimeExpr
@@ -309,13 +313,13 @@ class SupplyP:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record
 class FwdP:
     at: TimeExpr
     chan: str
 
 
-@dataclass(frozen=True)
+@record
 class SpawnP:
     at: TimeExpr
     callee: str
@@ -325,7 +329,7 @@ class SpawnP:
     bound_type: Optional[SessionType] = None
 
 
-@dataclass(frozen=True)
+@record
 class IfP:
     # Data-dependent branch; both arms must check at the same judgment.
     cond: Expr
@@ -344,7 +348,7 @@ Process = Union[
 # Program files
 
 
-@dataclass(frozen=True)
+@record
 class ExternDecl:
     name: str
     arg_types: tuple
@@ -352,14 +356,14 @@ class ExternDecl:
     pos: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class TypeDecl:
     name: str
     body: SessionType
     pos: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class ProcDecl:
     name: str
     params: tuple  # of (var, SessionType)
@@ -371,7 +375,7 @@ class ProcDecl:
 ACCEPT = "accept"  # the final state every automaton has without declaring it
 
 
-@dataclass(frozen=True)
+@record
 class AutoTransition:
     src: str
     guard_offset: int  # ticks after the automaton entered ``src``
@@ -380,7 +384,7 @@ class AutoTransition:
     extern: Optional[str] = None  # what a value send reads
 
 
-@dataclass(frozen=True)
+@record
 class AutomatonDef:
     """A foreign component: its declared states, the initial one, and its
     transitions, each checked against the states when it was parsed.
@@ -401,7 +405,7 @@ class AutomatonDef:
         object.__setattr__(self, "moves", {src: tuple(trs) for src, trs in moves.items()})
 
 
-@dataclass(frozen=True)
+@record
 class SystemDecl:
     name: str
     entry: str
@@ -410,7 +414,7 @@ class SystemDecl:
     pos: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     sorts: tuple = ()
     externs: tuple = ()
@@ -442,7 +446,7 @@ class Program:
 # The connective table
 
 
-@dataclass(frozen=True)
+@record
 class Connective:
     """How one connective is exchanged, provided and used."""
 
@@ -470,7 +474,7 @@ USES = {form: ty for ty, c in CONNECTIVES.items() for form in c.clients}
 LABEL = {InLP: "L", InRP: "R", SelectLP: "L", SelectRP: "R"}
 
 
-@dataclass(frozen=True)
+@record
 class Action:
     """One half of an exchange: the message kind (chan | label | close |
     value), the direction (send | recv), the channel it happens on, and the
@@ -488,10 +492,6 @@ class SilentA(Action):
 
     def __init__(self):
         super().__init__("silent", "silent", "")
-
-
-def _rebuild(node, **changes):
-    return type(node)(**{**vars(node), **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +550,7 @@ def _expand(prog: Optional[Program], names: NameSupply, ty: SessionType, stack: 
     for node, changes, last in reversed(pending):
         if last is not None:
             changes[last] = ty
-        ty = _rebuild(node, **changes)
+        ty = replace(node, **changes)
     return ty
 
 

@@ -22,17 +22,18 @@ plain list, asked once, is searched the same way on a fresh graph.  For
 the conjunct a satisfiable query completes, Bellman-Ford from a virtual
 source gives the shortest distances, which are the counterexample.
 Queries export as SMT-LIB2 scripts (logic QF_LIA) that an external solver
-binary can discharge.
+binary can discharge; the modules that run it load only when it runs.
+Time expressions and propositions are immutable ``record``s
+(``tillst.record``).
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-import subprocess
-import tempfile
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
+
+from .record import record
 
 
 class TillstError(Exception):
@@ -60,7 +61,7 @@ class SolverError(TillstError):
 # Time expressions
 
 
-@dataclass(frozen=True)
+@record
 class TimeExpr:
     """base + offset; ``var is None`` means the base is the init constant."""
 
@@ -115,41 +116,41 @@ def subst_time(e: TimeExpr, m: Mapping[str, TimeExpr]) -> TimeExpr:
 # Propositions
 
 
-@dataclass(frozen=True)
+@record
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Bot:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "Prop"
     right: "Prop"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "Prop"
     right: "Prop"
 
 
-@dataclass(frozen=True)
+@record
 class Imp:
     left: "Prop"
     right: "Prop"
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     left: TimeExpr
     right: TimeExpr
 
 
-@dataclass(frozen=True)
+@record
 class Leq:
     left: TimeExpr
     right: TimeExpr
@@ -697,6 +698,8 @@ def run_external_solver(
     binary = solver_bin or os.environ.get("SOLVER_BIN")
     if not binary:
         raise SolverError("no external solver configured (set SOLVER_BIN)")
+    import subprocess  # imported here: only an external solver run needs them
+    import tempfile
     with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as fh:
         fh.write(script)
         path = fh.name

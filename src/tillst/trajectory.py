@@ -11,10 +11,10 @@ partitioning and interleaving act on the sequence alone.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from .record import record
 from .runtime import (Configuration, Refl, SequenceMismatch, StepSequence, StepT,
                       congruence_normalize, seq_concat, seq_end, seq_interleave,
                       seq_prepend, seq_start)
@@ -25,7 +25,7 @@ class DomainError(Exception):
     """An instant outside the trajectory's interval, or mismatched domains."""
 
 
-@dataclass(frozen=True)
+@record
 class CTraj:
     """A computable trajectory: the step sequence ``sigma`` read as a
     function on [its start, ``end``); ``end`` None is unbounded."""

@@ -28,12 +28,12 @@ is read.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import syntax as s
 from . import temporal as t
 from .parser import render_prop, render_type
+from .record import record
 
 TIMING_VIOLATION = "TimingViolation"
 PREDICATE_UNSATISFIED = "PredicateUnsatisfied"
@@ -43,7 +43,7 @@ RETYPE_FAILURE = "RetypeFailure"
 EXPR_TYPE_ERROR = "ExprTypeError"
 
 
-@dataclass
+@record
 class TypingError:
     kind: str
     location: str
@@ -65,7 +65,7 @@ class TypeCheckError(Exception):
         super().__init__(error.render())
 
 
-@dataclass
+@record
 class QueryRecord:
     g: tuple
     f: t.Hyps
@@ -471,7 +471,7 @@ class Checker:
 _RULES = {s.FwdP: Checker._fwd, s.SpawnP: Checker._spawn, s.IfP: Checker._if}
 
 
-@dataclass
+@record
 class DeclReport:
     name: str
     accepted: bool

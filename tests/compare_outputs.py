@@ -50,7 +50,10 @@ every program the two trees are compared on:
 - ``smt``: stdout, stderr, exit code, every script, and ``index.json``
   without the ``ms`` field each query's time is recorded in;
 - ``monitor`` of every type against up to four channels of each run trace,
-  and the monitor operations of the workloads themselves.
+  and the monitor operations of the workloads themselves;
+- for each corpus file, the ``repr`` of the program ``parse_program``
+  reads from it (``repr FILE``) and the ``repr`` of the report list
+  ``check_program`` makes of that program (``repr FILE reports``).
 
 Each tree runs in a process of its own, which calls ``tillst.cli.main``
 once per command, and ``tillst.runtime.run_scheduler`` and ``replay`` once
@@ -221,7 +224,9 @@ def plan(src: Path, inputs: Path) -> None:
                 continue
             programs[name] = {"systems": [d.name for d in prog.systems],
                               "types": [d.name for d in prog.types]}
-    (inputs / "plan.json").write_text(json.dumps({"programs": programs, "monitors": monitors}))
+    (inputs / "plan.json").write_text(json.dumps({"programs": programs, "monitors": monitors,
+                                                  "corpus": sorted(p.name for p in
+                                                                   corpus_dir.glob("*.tsl"))}))
 
 
 def collect(inputs: str) -> None:
@@ -235,6 +240,7 @@ def collect(inputs: str) -> None:
                                 seq_start)
     from tillst.trajectory import traj_concat, traj_from_sigma, traj_partition
     from tillst.temporal import TillstError
+    from tillst.typecheck import check_program
 
     inputs, out = Path(inputs), Path()
     spec = json.loads((inputs / "plan.json").read_text())
@@ -305,6 +311,13 @@ def collect(inputs: str) -> None:
     for program, type_name, trace, channel in spec["monitors"]:
         given = inputs / trace
         monitor(program, type_name, given if given.exists() else traces / trace, channel)
+    for program in spec["corpus"]:
+        try:
+            prog = parse_program((inputs / program).read_text(encoding="utf-8"))
+            outputs[f"repr {program}"] = repr(prog)
+            outputs[f"repr {program} reports"] = repr(check_program(prog))
+        except (ParseError, TillstError) as exc:
+            outputs[f"repr {program}"] = f"error: {type(exc).__name__}: {exc}"
     (out / "outputs.json").write_text(json.dumps(outputs), encoding="utf-8")
 
 

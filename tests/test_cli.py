@@ -305,6 +305,19 @@ class TestSolverFailuresExitTwo:
         assert proc.stderr == "error: solver search exceeded its budget of 100000 literals\n"
 
 
+def test_import_loads_no_solver_or_dataclass_machinery():
+    # no timing: which modules ``import tillst.cli`` pulls in, without the
+    # site module's preloads; ``subprocess`` loads only for an external solver
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys, tillst.cli\n"
+             "print(sorted(m for m in ('dataclasses', 'inspect', 'subprocess',"
+             " 'importlib.resources') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     # the second and third calls reuse the parser the first one built
     built, init = [], argparse.ArgumentParser.__init__

@@ -474,7 +474,7 @@ def chain_source(n: int, names=lambda i: f"s{i}", z="z") -> str:
 
 
 def test_depth_3000_protocol(tmp_path, capsys):
-    # Compared as text: dataclass == on a chain this deep overflows the stack.
+    # Compared as text: record == on a chain this deep overflows the stack.
     n = 3000
     source = chain_source(n)
     prog = parse_program(source)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -13,6 +12,7 @@ from tillst import syntax as s
 from tillst import temporal as t
 from tillst.cli import build_system
 from tillst.parser import parse_program
+from tillst.record import replace
 from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
                             ProcC, Refl, RuntimeInvariantError, SILENT, StepC,
                             StepT, TraceEvent, complementary,
@@ -118,7 +118,7 @@ def restart_normalize(omega):
                 continue
             for j, other in enumerate(leaves):
                 if i != j and other.chan == leaf.client:
-                    merged = dataclasses.replace(other, chan=leaf.chan)
+                    merged = replace(other, chan=leaf.chan)
                     leaves = [x for k, x in enumerate(leaves) if k not in (i, j)]
                     leaves.append(merged)
                     changed = True
@@ -902,7 +902,7 @@ def test_scheduler_matches_reference_loop(text, entry):
     assert r.trace == trace
     got, node = [], r.sigma
     while not isinstance(node, Refl):
-        got.append(dataclasses.replace(node, rest=None))
+        got.append(replace(node, rest=None))
         node = node.rest
     assert got == steps
     assert node == Refl(end, final)
@@ -1189,9 +1189,9 @@ def test_replay_compares_recorded_configurations_as_recorded():
     k = next(i for i, node in enumerate(spine) if isinstance(node, StepC))
     flipped = spine[k].after[::-1]
     assert flipped != spine[k].after and congruence_normalize(flipped) == spine[k].after
-    spine[k] = dataclasses.replace(spine[k], after=flipped)
+    spine[k] = replace(spine[k], after=flipped)
     field = "before" if isinstance(spine[k + 1], StepC) else "config"
-    spine[k + 1] = dataclasses.replace(spine[k + 1], **{field: flipped})
+    spine[k + 1] = replace(spine[k + 1], **{field: flipped})
     forged = rt.seq_prepend(spine[:-1], spine[-1])
     assert replay(r.sigma, ExternEnv(prog), defs)
     assert not replay(forged, ExternEnv(prog), defs)
