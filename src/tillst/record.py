@@ -1,17 +1,17 @@
 """Immutable records: the one class decorator behind every AST node,
-proposition, runtime leaf, step and report.
+proposition, runtime leaf and report.
 
 ``@record`` reads a class's fields from its annotations, after those of
 any record base, and gives the class an ``__init__``, ``__eq__`` and
 ``__hash__`` compiled from one source string per class, unless the class
 defines its own.  Equality and hashing compare the tuple of the fields
-with ``compare`` set, and records of different classes are never equal;
-``repr`` shows the fields with ``repr`` set, and a default stays a class
+that are not ``hidden``, and records of different classes are never
+equal; ``repr`` shows the same fields, and a default stays a class
 attribute.  Assigning or deleting an attribute raises
 ``FrozenRecordError``.  ``__init__`` sets each field with
 ``object.__setattr__``, never writing the instance dict itself, and then
-runs the class's ``__post_init__``, if it has one, which sets the fields
-that have ``init`` off.  ``replace`` builds a copy through ``__init__``.
+runs the class's ``__post_init__``, if it has one.  ``replace`` builds a
+copy through ``__init__``.
 """
 
 _MISSING = object()
@@ -21,19 +21,16 @@ class FrozenRecordError(AttributeError):
     """An assignment to, or deletion of, an attribute of a record."""
 
 
-class Field:
-    __slots__ = ("name", "default", "default_factory", "compare", "repr", "init")
+class field:
+    """A field's options, as the class attribute its annotation names: a
+    ``default`` or a ``default_factory``, and ``hidden`` to leave the field
+    out of ``==``, ``hash`` and ``repr``."""
 
-    def __init__(self, default=_MISSING, default_factory=_MISSING, compare=True,
-                 repr=True, init=True):
+    __slots__ = ("name", "default", "default_factory", "hidden")
+
+    def __init__(self, *, default=_MISSING, default_factory=_MISSING, hidden=False):
         self.name, self.default, self.default_factory = None, default, default_factory
-        self.compare, self.repr, self.init = compare, repr, init
-
-
-def field(*, default=_MISSING, default_factory=_MISSING, compare=True, repr=True,
-          init=True):
-    """A field's options, as the class attribute its annotation names."""
-    return Field(default, default_factory, compare, repr, init)
+        self.hidden = hidden
 
 
 def _frozen(self, name, value=None):  # both __setattr__ and __delattr__
@@ -42,7 +39,7 @@ def _frozen(self, name, value=None):  # both __setattr__ and __delattr__
 
 def _repr(self):
     shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
-                      for f in self.__record_fields__ if f.repr)
+                      for f in self.__record_fields__ if not f.hidden)
     return f"{self.__class__.__qualname__}({shown})"
 
 
@@ -51,8 +48,8 @@ def record(cls):
               for f in base.__dict__.get("__record_fields__", ())}
     for name in cls.__dict__.get("__annotations__", {}):
         f = cls.__dict__.get(name, _MISSING)
-        if not isinstance(f, Field):
-            f = Field(default=f)
+        if not isinstance(f, field):
+            f = field(default=f)
         elif f.default is _MISSING:
             delattr(cls, name)
         else:
@@ -63,8 +60,6 @@ def record(cls):
     ns = {"_record_set": object.__setattr__, "_record_missing": _MISSING}
     params, body = ["self"], []
     for f in cls.__record_fields__:
-        if not f.init:  # left to __post_init__
-            continue
         value = f.name
         if f.default_factory is not _MISSING:
             ns[f"_record_factory_{f.name}"] = f.default_factory
@@ -78,7 +73,7 @@ def record(cls):
         body.append(f"  _record_set(self, {f.name!r}, {value})\n")
     if hasattr(cls, "__post_init__"):
         body.append("  self.__post_init__()\n")
-    key = [f.name for f in cls.__record_fields__ if f.compare]
+    key = [f.name for f in cls.__record_fields__ if not f.hidden]
     mine, theirs = ("".join(f"{who}.{name}, " for name in key) for who in ("self", "other"))
     exec(f"def __init__({', '.join(params)}):\n{''.join(body) or '  pass'}\n"
          f"def __eq__(self, other):\n"
@@ -100,6 +95,6 @@ def replace(obj, **changes):
     """A copy of record ``obj`` with the named fields changed, built by its
     ``__init__`` (so its ``__post_init__`` runs again)."""
     for f in obj.__record_fields__:
-        if f.init and f.name not in changes:
+        if f.name not in changes:
             changes[f.name] = getattr(obj, f.name)
     return obj.__class__(**changes)

@@ -67,15 +67,16 @@ resolved, under that environment.
 Fresh channels are named ``#k`` with k derived from the configuration itself,
 so replays and reorderings allocate identical names.
 
-Values, environments, leaves, trace events, steps, step sequences and run
-results are immutable ``record``s (``tillst.record``).
+Values, environments, leaves, trace events, step sequences and run results
+are immutable ``record``s (``tillst.record``); a leaf's ``LocalStep`` is a
+named tuple.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import syntax as s
 from . import temporal as t
@@ -327,8 +328,10 @@ class TraceEvent:
 # Local transitions
 
 
-@record
-class LocalStep:
+class LocalStep(NamedTuple):
+    """A leaf's local step.  A tuple, not a ``record``: one is built per
+    step, and a record's ``__init__`` costs more."""
+
     action: Action  # SILENT for a solitary step
     fire: Callable  # payload -> list of replacement leaves
     tag: Optional[str] = None  # silent flavor

@@ -353,14 +353,14 @@ class ExternDecl:
     name: str
     arg_types: tuple
     ret_type: ValueType
-    pos: Optional[tuple] = field(default=None, compare=False, repr=False)
+    pos: Optional[tuple] = field(default=None, hidden=True)
 
 
 @record
 class TypeDecl:
     name: str
     body: SessionType
-    pos: Optional[tuple] = field(default=None, compare=False, repr=False)
+    pos: Optional[tuple] = field(default=None, hidden=True)
 
 
 @record
@@ -369,7 +369,7 @@ class ProcDecl:
     params: tuple  # of (var, SessionType)
     offered: SessionType
     body: Process
-    pos: Optional[tuple] = field(default=None, compare=False, repr=False)
+    pos: Optional[tuple] = field(default=None, hidden=True)
 
 
 ACCEPT = "accept"  # the final state every automaton has without declaring it
@@ -395,8 +395,7 @@ class AutomatonDef:
     states: tuple
     initial: str
     transitions: tuple  # of AutoTransition
-    pos: Optional[tuple] = field(default=None, compare=False, repr=False)
-    moves: dict = field(init=False, compare=False, repr=False)
+    pos: Optional[tuple] = field(default=None, hidden=True)
 
     def __post_init__(self):
         moves = {}
@@ -411,7 +410,7 @@ class SystemDecl:
     entry: str
     bindings: tuple  # of (param, automaton, instance)
     start: TimeExpr
-    pos: Optional[tuple] = field(default=None, compare=False, repr=False)
+    pos: Optional[tuple] = field(default=None, hidden=True)
 
 
 @record

@@ -65,8 +65,10 @@ class TypeCheckError(Exception):
         super().__init__(error.render())
 
 
-@record
-class QueryRecord:
+class QueryRecord(NamedTuple):
+    """One entailment query and its verdict.  A tuple, not a ``record``: one
+    is built per query, and a record's ``__init__`` costs more."""
+
     g: tuple
     f: t.Hyps
     prop: t.Prop

@@ -98,7 +98,7 @@ def test_fields_follow_the_annotations_after_those_of_record_bases():
     class Base:
         a: int
         b: int = 2
-        tags: list = field(default_factory=list, compare=False)
+        tags: list = field(default_factory=list, hidden=True)
 
     @record
     class Sub(Base):
@@ -108,7 +108,7 @@ def test_fields_follow_the_annotations_after_those_of_record_bases():
             object.__setattr__(self, "total", self.a + self.b + self.c)
 
     made = Sub(1)
-    assert repr(made).endswith("<locals>.Sub(a=1, b=2, tags=[], c=3)") and made.total == 6
+    assert repr(made).endswith("<locals>.Sub(a=1, b=2, c=3)") and made.total == 6
     assert Sub(1, 2, ["x"], 3) == made and Sub(1, 2, [], 4) != made
     assert Sub(1).tags is not made.tags and Base(1) != Sub(1)
     assert replace(made, c=10).total == 13
