@@ -2,10 +2,10 @@
 
 The parser reads each automaton into a ``syntax.AutomatonDef``.  Automata
 carry one implicit clock that resets on every transition; a transition is
-enabled once ``entry + guard_offset`` has passed.  The monitor walks a
-session type along the observable events of one channel, binding each
-connective's time binder to the actual instant of the exchange and evaluating
-the next predicate under those bindings.
+enabled once ``entry + guard_offset`` has passed.  The monitor checks that a
+channel's events form a trace, and walks the session type along them with
+``syntax.step``, which binds each connective's time binder to the actual
+instant of the exchange and checks the exchange against its window.
 """
 
 from __future__ import annotations
@@ -19,15 +19,10 @@ from .record import record
 from .syntax import AutomatonDef, SilentA
 
 
-def transitions_from(defn: AutomatonDef, state: str) -> tuple:
-    """The transitions out of ``state``, in declaration order."""
-    return defn.moves.get(state, ())
-
-
 def automaton_transitions(defn: AutomatonDef, state: str, entry: int, now: int) -> list:
     """Transitions whose lower-bound guard has been released by ``now``.
     Taking one resets the implicit clock (entry := now)."""
-    return [tr for tr in transitions_from(defn, state)
+    return [tr for tr in defn.moves.get(state, ())
             if entry + tr.guard_offset <= now]
 
 
@@ -61,19 +56,17 @@ def monitor_trace(obl: TraceObligation, events: list):
 
     A channel trace records each exchange once, by its send half, as ``run``
     writes it: every event must be a send, and a value or channel exchange
-    must carry its payload.  Each event must land in the current connective's
-    window (with earlier binders fixed at their actual exchange instants) and
-    carry the right kind of message; the trace must end exactly when the
-    terminal close happens.
+    must carry its payload.  Each event must be an exchange ``syntax.step``
+    allows, and the trace must end exactly when the terminal close happens.
     Channels transmitted at tensor/lolli steps continue the main protocol on
     the continuation component; their own protocols run on other channels and
-    are outside this event stream.  Binders are bound by name as the walk
-    reaches them, so an inner binder shadows an outer one of the same name.
+    are outside this event stream.
     """
-    a = obl.type
-    binds, last_time = {}, 0
+    a, times, last_time = obl.type, {}, 0
     for idx, ev in enumerate(events):
         got, payload = ev.action.kind, ev.action.payload
+        if a is None:
+            return Violation(idx, "events continue after close")
         if isinstance(ev.action, SilentA):
             return Violation(idx, "silent event inside a channel trace")
         if ev.action.direction != "send":
@@ -84,28 +77,11 @@ def monitor_trace(obl: TraceObligation, events: list):
             return Violation(idx, f"event at {t.render_instant(ev.time)} "
                                   f"precedes {t.render_instant(last_time)}")
         last_time = ev.time
-        if isinstance(a, s.TypeRef):
-            return Violation(idx, f"unresolved type reference {a.name}")
-        want = s.CONNECTIVES[type(a)].kind
-        if got != want:
-            return Violation(idx, f"expected a {want} exchange, saw {got}")
-        binds[a.binder] = ev.time
         try:
-            ok = t.eval_prop(a.pred, binds)
-        except t.NonClosedError:
-            return Violation(idx, "window predicate has unbound time variables")
-        if not ok:
-            return Violation(idx, f"time {t.render_instant(ev.time)} outside the window",
-                             failed_pred=render_prop(t.close(a.pred, binds, a.binder)))
-        if want == "close":
-            if idx != len(events) - 1:
-                return Violation(idx + 1, "events continue after close")
-            return Conforms()
-        parts = s.components(a)
-        if want == "label":
-            if payload not in ("L", "R"):
-                return Violation(idx, "label exchange without a label")
-            a = parts[0] if payload == "L" else parts[1]
-        else:  # the continuation is the last component
-            a = parts[-1]
-    return Violation(len(events), "trace ended before the protocol closed")
+            a = s.step(a, times, got, payload, ev.time)
+        except s.ProtocolError as exc:
+            window = None if exc.window is None else render_prop(exc.window)
+            return Violation(idx, str(exc), failed_pred=window)
+    if a is not None:
+        return Violation(len(events), "trace ended before the protocol closed")
+    return Conforms()

@@ -74,6 +74,8 @@ def cmd_check(path: str, backend: str, solver_bin: Optional[str], timeout_ms: in
 
 def cmd_run(path: str, entry: str, horizon: Optional[int], trace_out: Optional[str],
             seed: int) -> int:
+    if horizon is not None and horizon < 0:
+        raise SystemExit2(f"--horizon must not be negative, got {horizon}")
     prog = _load(path)
     omega, start, defs = build_system(prog, entry)
     env = ExternEnv(prog, seed=seed)

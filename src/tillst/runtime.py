@@ -80,7 +80,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from . import syntax as s
 from . import temporal as t
-from .automata import automaton_transitions, transitions_from
+from .automata import automaton_transitions
 from .parser import render_prop
 from .record import field, record, replace
 from .syntax import ACCEPT, Action, SilentA
@@ -1027,7 +1027,7 @@ def _wait_pass(index: _Index) -> tuple:
         if isinstance(provider, AutoC):
             conn = s.CONNECTIVES[want]
             guards = [tr.guard_offset
-                      for tr in transitions_from(defs[provider.machine], provider.state)
+                      for tr in defs[provider.machine].moves.get(provider.state, ())
                       if (tr.action.kind, tr.action.direction) == (conn.kind, conn.provider_dir)]
             if guards and provider.entry + min(guards) > now:
                 return TimingViolationInfo(chan, tick, f"entry+{min(guards)} <= t", {"t": now}), []
@@ -1039,7 +1039,7 @@ def _wait_pass(index: _Index) -> tuple:
     for leaf in leaves:
         if isinstance(leaf, AutoC):
             releases = (leaf.entry + tr.guard_offset
-                        for tr in transitions_from(defs[leaf.machine], leaf.state))
+                        for tr in defs[leaf.machine].moves.get(leaf.state, ()))
             pend.update(r for r in releases if r > now)
         elif (isinstance(leaf, ProcC) and type(leaf.body) in s.PROVIDES
               and leaf.chan not in index.clients

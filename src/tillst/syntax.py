@@ -10,6 +10,7 @@ environment.
 
 ``CONNECTIVES`` is the one table of connectives: components, message kind,
 the provider's direction, and the process forms that provide and use each.
+Beside it, ``step`` is the one rule that advances a type along an exchange.
 An exchange half is one ``Action`` record, shared by the runtime and by the
 transitions of each ``AutomatonDef``, the form the parser reads automata in.
 
@@ -24,7 +25,8 @@ import itertools
 from typing import Optional, Union
 
 from .record import field, record, replace
-from .temporal import Prop, TillstError, TimeExpr, substitute_all, tvar
+from .temporal import (NonClosedError, Prop, TillstError, TimeExpr, close, eval_prop,
+                       render_instant, substitute_all, tvar)
 
 
 class CyclicTypeDefError(TillstError):
@@ -471,6 +473,45 @@ PROVIDES = {form: ty for ty, c in CONNECTIVES.items() for form in c.providers}
 USES = {form: ty for ty, c in CONNECTIVES.items() for form in c.clients}
 # the label a sending form picks
 LABEL = {InLP: "L", InRP: "R", SelectLP: "L", SelectRP: "R"}
+
+
+class ProtocolError(TillstError):
+    """An exchange the protocol does not allow; ``window`` is the missed
+    window, closed under the earlier binders, when the instant misses it."""
+
+    def __init__(self, reason: str, window: Optional[Prop] = None):
+        super().__init__(reason)
+        self.window = window
+
+
+def step(a: SessionType, times: dict, kind: str, label: object,
+         instant: int) -> Optional[SessionType]:
+    """The component of ``a`` that runs after an exchange of ``kind`` at
+    ``instant``: the branch ``label`` picks for a choice, the last component
+    for any other connective, None after a close.  Binds ``a.binder`` to
+    ``instant`` in ``times``, the instants of the earlier exchanges by
+    binder name, so a later binder shadows an earlier one of the same name.
+    Raises ``ProtocolError`` when the exchange is not allowed."""
+    if isinstance(a, TypeRef):
+        raise ProtocolError(f"unresolved type reference {a.name}")
+    conn = CONNECTIVES[type(a)]
+    if kind != conn.kind:
+        raise ProtocolError(f"expected a {conn.kind} exchange, saw {kind}")
+    times[a.binder] = instant
+    try:
+        ok = eval_prop(a.pred, times)
+    except NonClosedError:
+        raise ProtocolError("window predicate has unbound time variables") from None
+    if not ok:
+        raise ProtocolError(f"time {render_instant(instant)} outside the window",
+                            close(a.pred, times, a.binder))
+    if kind == "close":
+        return None
+    if kind != "label":
+        return getattr(a, conn.components[-1])
+    if label not in ("L", "R"):
+        raise ProtocolError("label exchange without a label")
+    return a.left if label == "L" else a.right
 
 
 @record

@@ -51,6 +51,10 @@ every program the two trees are compared on:
   without the ``ms`` field each query's time is recorded in;
 - ``monitor`` of every type against up to four channels of each run trace,
   and the monitor operations of the workloads themselves;
+- for each corpus file, ``monitor`` of the same types and channels against
+  two mutants of each run trace: one with its last event dropped
+  (``.dropped``) and one with its last event one tick earlier
+  (``.early``);
 - for each corpus file, the ``repr`` of the program ``parse_program``
   reads from it (``repr FILE``) and the ``repr`` of the report list
   ``check_program`` makes of that program (``repr FILE reports``).
@@ -304,10 +308,21 @@ def collect(inputs: str) -> None:
                 continue
             text = trace.read_text(encoding="utf-8")
             outputs[f"trace {trace.name}"] = text
-            channels = sorted({json.loads(line)["channel"] for line in text.splitlines()})
-            for channel in channels[:MONITORED_CHANNELS]:
-                for type_name in decls["types"]:
-                    monitor(program, type_name, trace, channel)
+            lines = text.splitlines()
+            channels = sorted({json.loads(line)["channel"] for line in lines})
+            watched = [trace]
+            if program in spec["corpus"] and lines:
+                last = json.loads(lines[-1])
+                mutants = {"dropped": lines[:-1],
+                           "early": lines[:-1] + [json.dumps(dict(last, time=last["time"] - 1))]}
+                for tag, mutant in mutants.items():
+                    watched.append(traces / f"{program[:-4]}.{system}.{tag}.jsonl")
+                    watched[-1].write_text("".join(line + "\n" for line in mutant),
+                                           encoding="utf-8")
+            for watch in watched:
+                for channel in channels[:MONITORED_CHANNELS]:
+                    for type_name in decls["types"]:
+                        monitor(program, type_name, watch, channel)
     for program, type_name, trace, channel in spec["monitors"]:
         given = inputs / trace
         monitor(program, type_name, given if given.exists() else traces / trace, channel)

@@ -162,6 +162,14 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", str(path), "--entry", "st")
         assert code == 0 and out.splitlines()[-1] == "done at t0+60 (1 events)"
 
+    def test_negative_horizon_exits_two_before_running(self, capsys, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        code, out, err = run_cli(capsys, "run", corpus_path("smart_home.tsl"), "--entry", "main",
+                                 "--horizon", "-5", "--trace", str(trace))
+        assert (code, out) == (2, "")
+        assert err == "error: --horizon must not be negative, got -5\n"
+        assert not trace.exists()
+
     def test_unknown_entry(self, capsys):
         code, _, err = run_cli(capsys, "run", corpus_path("adequacy.tsl"),
                                "--entry", "nope")
