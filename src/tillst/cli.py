@@ -132,6 +132,7 @@ def cmd_monitor(path: str, type_name: str, trace_path: str,
         raise SystemExit2(f"cannot read trace: {exc}") from exc
     except TraceFormatError as exc:
         raise SystemExit2(f"{trace_path}:{exc}") from exc
+    named = {ev.channel for ev in events}  # a silent event names a channel too
     events = [ev for ev in events if not isinstance(ev.action, SilentA)]
     channels = sorted({ev.channel for ev in events})
     if channel is None:
@@ -139,6 +140,8 @@ def cmd_monitor(path: str, type_name: str, trace_path: str,
             raise SystemExit2(f"trace covers several channels ({', '.join(channels)}); "
                               "pass --channel")
         channel = channels[0] if channels else ""
+    elif channel not in named:
+        raise SystemExit2(f"trace {trace_path} never names channel {channel}")
     events = [ev for ev in events if ev.channel == channel]
     verdict = monitor_trace(TraceObligation(expanded), events)
     if isinstance(verdict, Conforms):

@@ -5,7 +5,8 @@ distinguished initial instant ``init`` fixed to 0.  Every time expression
 normalizes to ``base + offset`` where the base is either ``init`` or a single
 time variable.  Entailment G;F |- p is decided by unsatisfiability of
 F together with the negation of p over integer assignments, by a
-depth-first search over the propositions on a difference graph.
+depth-first search over the propositions on a difference graph; a goal
+that names no time variable and holds at init needs no search.
 Hypotheses form a persistent list (``Hyps``): lists that share a prefix
 share its cells, and each cell reads its own hypothesis once, for the first
 query through it that is decided here rather than exported, as a list of
@@ -619,13 +620,43 @@ def solve_satisfiable(
     return _model(f, None, g, budget)
 
 
+def _closed_truth(p: Prop) -> Optional[bool]:
+    """``p``'s truth value when it names no time variable, else None.  The
+    walk stops at the first variable it meets."""
+    values, todo = [], [p]
+    while todo:
+        p = todo.pop()
+        kind = type(p)
+        if kind is And or kind is Or or kind is Imp:
+            todo += (kind, p.right, p.left)  # the class marks where both sides are done
+        elif kind is type:
+            right, left = values.pop(), values.pop()
+            values.append(left and right if p is And else
+                          left or right if p is Or else not left or right)
+        elif kind is Eq or kind is Leq:
+            if p.left.var is not None or p.right.var is not None:
+                return None
+            values.append(p.left.offset == p.right.offset if kind is Eq
+                          else p.left.offset <= p.right.offset)
+        else:
+            values.append(kind is Top)
+    return values[0]
+
+
 def entails_cex(
     g: Iterable[str],
     f: Union[Hyps, Iterable[Prop]],
     p: Prop,
     budget: int = SEARCH_BUDGET,
 ) -> tuple:
-    """(holds, counterexample): holds iff F /\\ not p is unsatisfiable."""
+    """(holds, counterexample): holds iff F /\\ not p is unsatisfiable.
+
+    A goal that names no time variable and holds at init holds under any
+    F, so it is answered without a search.  Every other goal, a closed one
+    that is false included, is searched: its counterexample, and whether
+    it exhausts ``budget``, are the search's."""
+    if _closed_truth(p):
+        return True, None
     cex = _model(f, p, g, budget)
     return (cex is None, cex)
 

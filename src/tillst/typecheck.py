@@ -23,6 +23,15 @@ solver variable for its instant.  The judgment carries two maps: from the
 process's time binders to those variables, and from each type binder a
 client exchange fixed to that exchange's instant, through which every type
 is read.
+
+A judgment owns its maps (Gamma, Delta and those two), since each is
+checked once and depth-first.  A rule with one premise changes them in
+place and hands them on, so an exchange costs nothing per channel in
+Delta.  A rule with two premises gives the first one copies, as that one
+is checked before the second, which gets the originals; ``check_process``
+copies its arguments once, so a caller's dicts never change.  A location
+is a path, ``(parent, step)`` down from the declaration's name, rendered
+only by a ``TypingError`` and by ``QueryRecord.location``.
 """
 
 from __future__ import annotations
@@ -43,12 +52,29 @@ RETYPE_FAILURE = "RetypeFailure"
 EXPR_TYPE_ERROR = "ExprTypeError"
 
 
+def _render_location(loc) -> str:
+    """A location path, ``(parent, step)`` pairs down from a root string,
+    as ``root/step/.../step``; a string is its own rendering."""
+    steps = []
+    while type(loc) is tuple:
+        loc, step = loc
+        steps.append(step)
+    steps.append(loc)
+    return "/".join(reversed(steps))
+
+
 @record
 class TypingError:
+    """A rejected judgment.  ``location`` may be given as a path; it is
+    kept rendered."""
+
     kind: str
     location: str
     judgment: str
     counterexample: Optional[dict] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "location", _render_location(self.location))
 
     def render(self) -> str:
         msg = f"{self.kind} at {self.location}: {self.judgment}"
@@ -73,8 +99,12 @@ class QueryRecord(NamedTuple):
     f: t.Hyps
     prop: t.Prop
     holds: bool
-    location: str
+    path: object  # the location, as the checker passed it
     seconds: float  # wall time of the query
+
+    @property
+    def location(self) -> str:
+        return _render_location(self.path)
 
 
 class EntailmentSolver:
@@ -99,7 +129,7 @@ class EntailmentSolver:
         """``f`` as a cell below ``root``; a plain sequence is pushed."""
         return f if isinstance(f, t.Hyps) else self.root.extend(f)
 
-    def holds(self, g, f, p, location: str) -> tuple:
+    def holds(self, g, f, p, location) -> tuple:
         g, f = tuple(g), self.hyps(f)
         start = time.perf_counter()
         if self.backend == "external":
@@ -122,7 +152,7 @@ def _render_judgment(g, f, p) -> str:
 # Functional layer
 
 
-def check_expr(gamma: dict, e: s.Expr, externs: dict, location: str = "") -> s.ValueType:
+def check_expr(gamma: dict, e: s.Expr, externs: dict, location="") -> s.ValueType:
     def err(msg: str):
         raise TypeCheckError(TypingError(EXPR_TYPE_ERROR, location, msg))
 
@@ -173,7 +203,7 @@ def check_expr(gamma: dict, e: s.Expr, externs: dict, location: str = "") -> s.V
 # Retyping relations
 
 
-def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
+def _retype(solver: EntailmentSolver, g, f, a, b, at, location,
             cut: bool, ma=None, mb=None) -> tuple:
     """Shared engine for forward and cut retyping.
 
@@ -183,16 +213,18 @@ def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
     of the enclosing connectives on each side (and any binder a client
     exchange fixed, see ``Judgment``) to their instants.  The pairs of
     components wait on a stack of their own, taken depth-first and left
-    first, so a protocol's depth costs no Python stack.
+    first, so a protocol's depth costs no Python stack.  Each pair owns its
+    maps, as a judgment does: they are copied once here, since ``ma`` and
+    ``mb`` may be one dict, and again for the first of two pairs.
     """
-    todo = [(g, solver.hyps(f), a, b, at, ma or {}, mb or {})]
+    todo = [(g, solver.hyps(f), a, b, at, dict(ma or ()), dict(mb or ()))]
     while todo:
         g, hyp, a, b, at, ma, mb = todo.pop()
         if type(a) is not type(b) or isinstance(a, s.TypeRef):
             return False, (f"connective mismatch: {render_type(a, ma)} "
                            f"vs {render_type(b, mb)}")
         u = t.tvar(b.binder)
-        ma, mb = {**ma, a.binder: u}, {**mb, b.binder: u}
+        ma[a.binder] = mb[b.binder] = u
         a_pred, b_pred = t.substitute_all(a.pred, ma), t.substitute_all(b.pred, mb)
         g = (*g, b.binder)
         hyp = (hyp.push(t.Leq(at, u)) if cut else hyp).push(b_pred)
@@ -210,6 +242,9 @@ def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
             if isinstance(a, (s.ProduceT, s.QueryT)) and a.payload != b.payload:
                 return False, f"payload sort mismatch: {a.payload} vs {b.payload}"
             pairs = [(x, y, ma, mb) for x, y in zip(s.components(a), s.components(b))]
+        if len(pairs) == 2:
+            x, y, m_x, m_y = pairs[0]
+            pairs[0] = x, y, dict(m_x), dict(m_y)
         todo += [(g, hyp, x, y, u, m_x, m_y) for x, y, m_x, m_y in reversed(pairs)]
     return True, ""
 
@@ -218,7 +253,7 @@ def _retype(solver: EntailmentSolver, g, f, a, b, at, location: str,
 # Linear context handling
 
 
-def _require_unbound(delta: dict, name: str, location: str) -> None:
+def _require_unbound(delta: dict, name: str, location) -> None:
     """A bound channel must not name one still in Delta, which it would
     drop unused."""
     if name in delta:
@@ -227,7 +262,7 @@ def _require_unbound(delta: dict, name: str, location: str) -> None:
 
 
 def split_context(delta: dict, p1: s.Process, p2: s.Process,
-                  location: str = "split", table: Optional[dict] = None) -> tuple:
+                  location="split", table: Optional[dict] = None) -> tuple:
     """Split Delta by free channels; any overlap or leftover is a linearity
     bug.  The free channels are read from ``table`` (see
     ``syntax.free_channel_table``), which a caller may keep across splits."""
@@ -259,8 +294,13 @@ class Judgment(NamedTuple):
     binder a client exchange fixed to that exchange's instant; every type
     in the judgment is read through it, and none is rebuilt.  The two maps
     stay apart, since a type may name a free variable spelled like a
-    process binder.  ``location`` is the parent's, and ``spawns`` names the
-    procs whose bodies enclose ``p``."""
+    process binder.  ``location`` is the parent's path (see
+    ``_render_location``), and ``spawns`` names the procs whose bodies
+    enclose ``p``.
+
+    The judgment owns ``gamma``, ``delta``, ``tm`` and ``bm``: its rule may
+    change them and hand them to its premise.  A rule with two premises
+    hands the first ``copied()`` maps and the second the originals."""
 
     g: tuple
     f: t.Hyps
@@ -271,8 +311,13 @@ class Judgment(NamedTuple):
     p: s.Process
     at: t.TimeExpr
     a: s.SessionType
-    location: str
+    location: object
     spawns: tuple = ()
+
+    def copied(self) -> "Judgment":
+        """This judgment with copies of the maps it owns."""
+        return self._replace(gamma=dict(self.gamma), delta=dict(self.delta),
+                             tm=dict(self.tm), bm=dict(self.bm))
 
 
 class Checker:
@@ -288,7 +333,7 @@ class Checker:
 
     # -- premise helpers -----------------------------------------------------
 
-    def _require(self, g, f, p, kind: str, location: str, what: str) -> None:
+    def _require(self, g, f, p, kind: str, location, what: str) -> None:
         ok, cex = self.solver.holds(g, f, p, location)
         if not ok:
             raise TypeCheckError(TypingError(
@@ -298,27 +343,28 @@ class Checker:
 
     def check_process(self, g, f, gamma, delta, tm, p, at, a, location="") -> None:
         """G;F | Gamma;Delta |- p :: a @ at, raising TypingError on failure.
-        ``tm`` maps the time binders in scope in ``p`` to their instants."""
-        pending = [Judgment(tuple(g), self.solver.hyps(f), gamma, delta, tm, {}, p, at, a,
-                            location)]
+        ``tm`` maps the time binders in scope in ``p`` to their instants.
+        The dicts passed in are copied, not changed."""
+        pending = [Judgment(tuple(g), self.solver.hyps(f), dict(gamma), dict(delta), dict(tm),
+                            {}, p, at, a, location)]
         while pending:
             item = pending.pop()
             if callable(item):
                 premises = item()
             else:
-                loc = f"{item.location}/{type(item.p).__name__}"
+                loc = (item.location, type(item.p).__name__)
                 premises = _RULES.get(type(item.p), Checker._exchange)(self, item, loc)
             pending.extend(reversed(premises))
 
-    def _if(self, j: Judgment, loc: str) -> list:
+    def _if(self, j: Judgment, loc) -> list:
         cond = check_expr(j.gamma, j.p.cond, self.externs, loc)
         if cond != s.BOOL:
             raise TypeCheckError(TypingError(
                 EXPR_TYPE_ERROR, loc, f"if condition has sort {cond}, not bool"))
-        return [j._replace(p=j.p.then, location=loc + "/then"),
-                j._replace(p=j.p.orelse, location=loc + "/else")]
+        return [j._replace(p=j.p.then, location=(loc, "then")).copied(),
+                j._replace(p=j.p.orelse, location=(loc, "else"))]
 
-    def _fwd(self, j: Judgment, loc: str) -> list:
+    def _fwd(self, j: Judgment, loc) -> list:
         p, delta = j.p, j.delta
         if set(delta) != {p.chan}:
             extra = sorted(set(delta) - {p.chan}) or ["<empty>"]
@@ -334,7 +380,7 @@ class Checker:
             raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
         return []
 
-    def _spawn(self, j: Judgment, loc: str) -> list:
+    def _spawn(self, j: Judgment, loc) -> list:
         """The callee's body, re-checked at the spawn-site time (declared
         signatures are established at t0 and do not transport to later
         instants), then a step that retypes its channel and goes on."""
@@ -361,8 +407,8 @@ class Checker:
             if arg in p.args[:k]:
                 raise TypeCheckError(TypingError(
                     LINEARITY_VIOLATION, loc, f"spawn argument {arg} is passed twice"))
-        rest = {x: b for x, b in delta.items() if x not in p.args}
-        _require_unbound(rest, p.bound, loc)
+        if p.bound not in p.args:
+            _require_unbound(delta, p.bound, loc)
         # Arguments are passed verbatim: alpha-equal types required.
         delta1 = {}
         for arg, (param, want) in zip(p.args, decl.params):
@@ -380,27 +426,31 @@ class Checker:
             ok, reason = _retype(self.solver, j.g, j.f, offered, bound, when, loc, cut=True)
             if not ok:
                 raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
-            return [j._replace(delta={**rest, p.bound: bound}, p=p.cont, at=when, location=loc)]
+            for arg in p.args:
+                del delta[arg]
+            delta[p.bound] = bound
+            return [j._replace(p=p.cont, at=when, location=loc)]
 
-        body = Judgment(j.g, j.f, j.gamma, delta1, {}, j.bm, decl.body, when, offered,
-                        f"{loc}/{p.callee}", j.spawns + (p.callee,))
+        body = Judgment(j.g, j.f, dict(j.gamma), delta1, {}, dict(j.bm), decl.body, when,
+                        offered, (loc, p.callee), j.spawns + (p.callee,))
         return [body, cut]
 
-    def _exchange(self, j: Judgment, loc: str) -> list:
+    def _exchange(self, j: Judgment, loc) -> list:
         """One rule for both sides of every connective.  A provider advances
         the type it offers, at its own binder, whose window must be the
         term's (both entailment directions); a client advances its channel's
         type, at its annotation, which must be reachable and in the window.
-        The message kind and whether this side sends pick the premises."""
-        p, provider = j.p, type(j.p) in s.PROVIDES
+        The message kind and whether this side sends pick the premises.
+        The judgment's maps go on to them changed in place: a client's
+        channel leaves Delta and comes back last, at its new type."""
+        p, provider, delta = j.p, type(j.p) in s.PROVIDES, j.delta
         if provider:
-            ty, ctx = j.a, j.delta
-        elif p.chan not in j.delta:
+            ty = j.a
+        elif p.chan not in delta:
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc, f"channel {p.chan} is not available"))
         else:
-            ty = j.delta[p.chan]
-            ctx = {x: c for x, c in j.delta.items() if x != p.chan}
+            ty = delta[p.chan]
         form = (s.PROVIDES if provider else s.USES)[type(p)]
         if not isinstance(ty, form):
             want = ty.name if isinstance(ty, s.TypeRef) else render_type(ty, j.bm)
@@ -409,13 +459,12 @@ class Checker:
                 f"process form {type(p).__name__} cannot provide or use {want}"))
         conn = s.CONNECTIVES[form]
         kind, sends = conn.kind, (conn.provider_dir == "send") == provider
-        if kind == "close" and sends and ctx:
+        if kind == "close" and sends and delta:  # only a provider sends a close
             raise TypeCheckError(TypingError(
-                LINEARITY_VIOLATION, loc, f"channel {sorted(ctx)[0]} unused at close"))
+                LINEARITY_VIOLATION, loc, f"channel {sorted(delta)[0]} unused at close"))
         g, f, tm, bm = j.g, j.f, j.tm, j.bm
         if provider:
-            now = t.tvar(ty.binder)
-            tm = {**tm, p.binder: now}
+            now = tm[p.binder] = t.tvar(ty.binder)
             term_pred, window = t.substitute_all(p.pred, tm), t.substitute_all(ty.pred, bm)
             g, f = g + (ty.binder,), f.push(window)
             self._require(g, f, term_pred, PREDICATE_UNSATISFIED, loc,
@@ -425,36 +474,42 @@ class Checker:
             self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
                           "provider is too late for its window")
         else:
-            now = t.subst_time(p.at, tm)
-            bm = {**bm, ty.binder: now}
+            now = bm[ty.binder] = t.subst_time(p.at, tm)
             self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
                           "client instant precedes the current time")
             self._require(g, f, t.substitute_all(ty.pred, bm), TIMING_VIOLATION, loc,
                           "client instant misses the provider window")
         comps = s.components(ty)
+        if kind == "chan" and not sends:
+            _require_unbound(delta, p.var, loc)  # Delta still holds the used channel
+        if not provider:
+            del delta[p.chan]
 
-        def judge(q, d, a, where=loc, gamma=j.gamma) -> Judgment:
-            return Judgment(g, f, gamma, d, tm, bm, q, now, a, where, j.spawns)
+        def judge(q, d, a, where=loc) -> Judgment:
+            return Judgment(g, f, j.gamma, d, tm, bm, q, now, a, where, j.spawns)
 
-        def on(q, c, d=ctx, **kw) -> Judgment:
+        def on(q, c, d=delta, where=loc) -> Judgment:
             """q goes on with the exchanged channel at type c."""
-            return judge(q, d, c, **kw) if provider else judge(q, {**d, p.chan: c}, j.a, **kw)
+            if provider:
+                return judge(q, d, c, where)
+            d[p.chan] = c
+            return judge(q, d, j.a, where)
 
         if kind == "close":
-            return [] if sends else [judge(p.cont, ctx, j.a)]
+            return [] if sends else [judge(p.cont, delta, j.a)]
         if kind == "chan" and sends:
-            d1, d2 = split_context(ctx, p.payload, p.cont, loc, self.free)
+            d1, d2 = split_context(delta, p.payload, p.cont, loc, self.free)
             # a client's payload is located under /payload
-            return [judge(p.payload, d1, comps[0], loc if provider else loc + "/payload"),
-                    on(p.cont, comps[1], d2)]
+            payload = judge(p.payload, d1, comps[0], loc if provider else (loc, "payload"))
+            return [payload.copied(), on(p.cont, comps[1], d2)]
         if kind == "chan":
-            _require_unbound(j.delta, p.var, loc)
-            return [on(p.cont, comps[1], {**ctx, p.var: comps[0]})]
+            delta[p.var] = comps[0]
+            return [on(p.cont, comps[1])]
         if kind == "label" and sends:
             return [on(p.cont, comps["LR".index(s.LABEL[type(p)])])]
-        if kind == "label":
-            return [on(p.left, comps[0], where=loc + "/L"),
-                    on(p.right, comps[1], where=loc + "/R")]
+        if kind == "label":  # the left premise copies Delta before the right sets it
+            return [on(p.left, comps[0], where=(loc, "L")).copied(),
+                    on(p.right, comps[1], where=(loc, "R"))]
         if sends:
             got = check_expr(j.gamma, p.expr, self.externs, loc)
             if got != ty.payload:
@@ -462,8 +517,9 @@ class Checker:
                 raise TypeCheckError(TypingError(
                     EXPR_TYPE_ERROR, loc,
                     f"{what} value has sort {got}, {whose} wants {ty.payload}"))
-            return [on(p.cont, comps[0])]
-        return [on(p.cont, comps[0], gamma={**j.gamma, p.var: ty.payload})]
+        else:
+            j.gamma[p.var] = ty.payload
+        return [on(p.cont, comps[0])]
 
 
 # Process class -> its rule; every other process is an exchange.  A table of

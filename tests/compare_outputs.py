@@ -13,7 +13,11 @@ Two relays run forwarders through the runtime's step path
 forward the one before, and a spawned relay that forwards a channel
 created after it was spawned.  Two systems spawn 3 and 200 live
 providers in turn (``spawn_program``), so the fresh name changes at
-every spawn.  Deep and disjunctive inputs probe the solver's limits: the
+every spawn.  A wide program branches at every exchange
+(``branch_program(64)``): its hub Cases on an internal choice each time
+and keeps the sensors it has not closed in both branches, and its mutant
+closes a sensor a tick late inside the right branch of exchange 40.
+Deep and disjunctive inputs probe the solver's limits: the
 chain programs at n=700, 750 and 1000 and a forward of a 2000-stage
 chain type; a chain at n=120 whose middle stage's window is disjunctive,
 with the mutant of it whose stage 110 opens late; the disjunctive
@@ -148,6 +152,36 @@ def spawn_program(n: int) -> str:
             "system go = main() @ t0;\n")
 
 
+def branch_program(n: int, late: int = -1) -> str:
+    """A system ``main`` whose hub holds a channel ``c`` of n nested internal
+    choices and n sensor channels x0..x{n-1}, each closed at t0.  At the
+    i-th exchange the hub Cases on ``c``: the left branch closes ``c`` and
+    xi..x{n-1}, the right branch closes xi and goes on, so the sensors not
+    yet closed stay in Delta in both branches.  The chooser picks R each
+    time.  In the right branch of exchange ``late`` (if any), xi is closed
+    one tick after its window."""
+    close = "Unit<e where Eq<e, t0>>"
+    ty = close
+    for i in reversed(range(n)):
+        ty = f"InChoice<b{i} where Eq<b{i}, t0>, Unit<l{i} where Eq<l{i}, t0>>, {ty}>"
+    done = "Close<z where Eq<z, t0>>"
+    body = f"Wait<t0>(c); {done}"
+    for i in reversed(range(n)):
+        drain = " ".join(f"Wait<t0>(x{j});" for j in range(i, n))
+        at = "Shift<t0, 1>" if i == late else "t0"
+        body = (f"Case<t0>(c) {{ L => Wait<t0>(c); {drain} {done} }}\n"
+                f"    {{ R => Wait<{at}>(x{i}); {body} }}")
+    moves = " ".join(f"S{i} --[!R]--> S{i + 1};" for i in range(n))
+    states = " ".join(f"state S{i}{' init' if i == 0 else ''};" for i in range(n + 1))
+    params = ", ".join(["c: C"] + [f"x{i}: U" for i in range(n)])
+    binds = ", ".join(["c = chooser as ch"] + [f"x{i} = sensor as s{i}" for i in range(n)])
+    return (f"type C = {ty}\ntype U = Unit<u where Eq<u, t0>>\n\n"
+            f"automaton chooser {{ {states} {moves} S{n} --[!cls]--> accept; }}\n"
+            "automaton sensor { state S0 init; S0 --[!cls]--> accept; }\n\n"
+            f"fn hub({params}) -> Unit<z where Eq<z, t0>> {{\n    {body}\n}}\n\n"
+            f"system main = hub({binds}) @ t0;\n")
+
+
 LATE_OR = "Or<Geq<z, Shift<t0, 400>>, And<Geq<z, Shift<t0, 60>>, Leq<z, Shift<t0, 70>>>>"
 HORIZONS = {"late_or.tsl": 50}  # programs also run with --horizon
 
@@ -213,6 +247,8 @@ def plan(src: Path, inputs: Path) -> None:
         files[f"or{n}.tsl"] = or_chain(n)
     files["far_window.tsl"] = provider_program("Geq<z, Shift<t0, 900000>>")
     files["late_or.tsl"] = provider_program(LATE_OR)
+    files["branch64.tsl"] = branch_program(64)
+    files["branch64_mut.tsl"] = branch_program(64, late=40)
     for n in (3, 200):
         files[f"relay{n}.tsl"] = relay_program(n)
         files[f"spawn{n}.tsl"] = spawn_program(n)

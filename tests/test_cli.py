@@ -250,6 +250,18 @@ class TestMonitorCmd:
                                "--type", "BME680", "--trace", str(path))
         assert code == 2 and "--channel" in err
 
+    def test_channel_the_trace_never_names_exits_two(self, capsys, tmp_path):
+        # a channel only a silent event names is observed, with no exchange
+        path = tmp_path / "spawned.jsonl"
+        path.write_text('{"time": 0, "dir": "silent", "kind": "chan", "channel": "s9", '
+                        '"payload": "spawn"}\n')
+        args = ("monitor", corpus_path("smart_home.tsl"), "--type", "BME680",
+                "--trace", str(path), "--channel")
+        assert run_cli(capsys, *args, "s9") == (
+            1, "violation at event 0: trace ended before the protocol closed\n", "")
+        assert run_cli(capsys, *args, "nosuch") == (
+            2, "", f"error: trace {path} never names channel nosuch\n")
+
     def test_received_halves_do_not_conform(self, capsys, tmp_path):
         path = self.trace_for(capsys, tmp_path)
         flipped = [dict(obj, dir="recv") if obj["channel"] == "s1" else obj

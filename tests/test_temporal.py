@@ -124,6 +124,39 @@ class TestEntails:
     def test_closed_agrees_with_eval(self, p):
         assert entails([], [], p) == eval_closed_prop(p)
 
+    CLOSED_TRUE = [Leq(INIT, init_plus(3)), TOP, Imp(BOT, BOT),
+                   Or(BOT, Eq(init_plus(2), init_plus(2)))]
+    CLOSED_FALSE = [Leq(init_plus(3), INIT), BOT, Eq(INIT, init_plus(1)),
+                    And(TOP, Or(BOT, Leq(init_plus(1), INIT)))]
+    HYPS = {"satisfiable": [Leq(INIT, tvar("t1"))],
+            "unsatisfiable": [Leq(tvar("t1"), init_plus(-1)), Leq(INIT, tvar("t1"))],
+            "disjunctive": [Or(Eq(tvar("t1"), init_plus(1)), Eq(tvar("t1"), init_plus(2)))]}
+
+    @pytest.mark.parametrize("f", sorted(HYPS))
+    @pytest.mark.parametrize("goal", CLOSED_TRUE + CLOSED_FALSE, ids=repr)
+    def test_closed_goal_answers_as_the_search(self, monkeypatch, f, goal):
+        # a closed goal that holds is answered without a search; one that
+        # fails is searched, for its counterexample under F
+        g, real = ["t1"], t._model
+        cex = real(self.HYPS[f], goal, g, t.SEARCH_BUDGET)
+        searched = []
+        monkeypatch.setattr(t, "_model", lambda *args: searched.append(args) or real(*args))
+        for hyps in (self.HYPS[f], t.Hyps().extend(self.HYPS[f])):
+            assert t.entails_cex(g, hyps, goal) == (cex is None, cex)
+        assert len(searched) == (0 if goal in self.CLOSED_TRUE else 2)
+
+    @given(props(times))
+    def test_closed_truth_stops_at_a_variable(self, p):
+        closed = not t.free_time_vars(p)
+        assert t._closed_truth(p) == (eval_closed_prop(p) if closed else None)
+
+    def test_deep_closed_goal_takes_no_stack(self):
+        p = TOP
+        for _ in range(5000):
+            p = And(p, Leq(INIT, INIT))
+        assert t._closed_truth(p) is True
+        assert t._closed_truth(And(p, Leq(INIT, tvar("t1")))) is None
+
 
 class TestSolve:
     def test_contradictory_window(self):

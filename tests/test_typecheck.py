@@ -13,7 +13,7 @@ from tillst.typecheck import (Checker, EntailmentSolver, TypeCheckError,
                               split_context)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
-from perfbench.workloads import chain_program  # noqa: E402
+from perfbench.workloads import chain_program, fanout_program  # noqa: E402
 
 T0 = t.INIT
 
@@ -327,6 +327,9 @@ L = ("type L = Lolli<t where Geq<t, t0>, Unit<a where Eq<a, Shift<t, 2>>>, "
 USER = (f"{L}fn user(x: L) -> Unit<u where Eq<u, Shift<t0, 5>>> {{ "
         "App<Shift<t0, 1>>(x <= { Close<a where Eq<a, Shift<t0, 3>>> }); "
         "Wait<Shift<t0, 4>>(x); Close<u where Eq<u, Shift<t0, 5>>> }")
+A8 = "Unit<u where Eq<u, Shift<t0, 8>>>"
+USE_X = "Cons<Shift<t0, 3>>(x) { v => Fwd<Shift<t0, 3>>(x) }"  # provides A8 from x: D
+REQ = "Request<int, q where Geq<q, t0>, Unit<w where Geq<w, q>>>"
 
 REJECTS = {
     "provider_type_window": (
@@ -495,6 +498,32 @@ REJECTS = {
         "PredicateUnsatisfied at user/AppSend/payload/CloseP: type window not honored by term "
         "predicate: a#2; Eq<a#2, Shift<t0, 3>> |- Eq<a#2, Shift<t0, 4>> "
         "[counterexample: a#2 = t0+3]"),
+    # In each rule with two premises the first makes a client exchange on x
+    # (or binds v) and the second fails: it sees Delta, Gamma and x's type,
+    # rendered through the binders fixed so far, as they were before the
+    # first.  A sent channel or a spawn argument goes to the first premise
+    # alone, so there the second reads v.
+    "if_else_after_then": (
+        f"{D}fn p(x: D) -> {A8} {{ if $ true $ {{ {USE_X} }} else {{ Wait<t0>(x); "
+        f"Close<u where Eq<u, Shift<t0, 8>>> }} }}",
+        "ShapeMismatch at p/IfP/else/WaitP: process form WaitP cannot provide or use "
+        "Produce<int, s#1 where Leq<t0, s#1>, Unit<z#2 where Eq<z#2, Shift<s#1, 5>>>>"),
+    "case_right_after_left": (
+        f"{D}fn p(c: InChoice<c where Geq<c, t0>, Unit<l where Geq<l, c>>, "
+        f"Unit<r where Geq<r, c>>>, x: D) -> {A8} {{ Case<t0>(c) {{ L => Wait<t0>(c); {USE_X} }} "
+        f"{{ R => Wait<t0>(c); Wait<t0>(x); Close<u where Eq<u, Shift<t0, 8>>> }} }}",
+        "ShapeMismatch at p/CaseP/R/WaitP/WaitP: process form WaitP cannot provide or use "
+        "Produce<int, s#4 where Leq<t0, s#4>, Unit<z#5 where Eq<z#5, Shift<s#4, 5>>>>"),
+    "app_continuation_after_payload": (
+        f"{D}fn p(c: Lolli<t where Geq<t, t0>, {A8}, {REQ}>, x: D) -> {UNIT} {{ "
+        f"App<t0>(c <= {{ {USE_X} }}); Supply<Shift<t0, 3>>(c) $ v $; "
+        f"Wait<Shift<t0, 3>>(c); {CLOSE} }}",
+        "ExprTypeError at p/AppSend/SupplyP: unbound value variable v"),
+    "spawn_cut_after_body": (
+        f"{D}fn q(x: D) -> {A8} {{ {USE_X} }}\nfn p(y: D, r: {REQ}) -> {UNIT} {{ "
+        f"Spawn<t0>(q, y) {{ k => Supply<t0>(r) $ v $; Wait<Shift<t0, 8>>(k); "
+        f"Wait<Shift<t0, 8>>(r); {CLOSE} }} }}",
+        "ExprTypeError at p/SpawnP/SupplyP: unbound value variable v"),
     # the type's t is free: the process binder t does not capture it
     "free_type_variable": (
         "fn prov() -> Unit<u where Leq<t, u>> { Close<t where Geq<t, t0>> }",
@@ -590,3 +619,59 @@ def test_a_check_leaves_no_cycle_through_its_program():
         gc.garbage.clear()
         gc.enable()
     assert not kept & {"Program", "ProcDecl", "Checker", "EntailmentSolver", "QueryRecord"}
+
+
+def test_check_process_leaves_the_callers_dicts_unchanged():
+    # the body fills each map the checker keeps: a value receive (Gamma),
+    # client exchanges (Delta and the type binders), a provider (tm); the
+    # second offered type fails at the last step, after all of those
+    body = ("Cons<Shift<t0, 3>>(x) { v => Wait<Shift<t0, 8>>(x); "
+            "Close<u where Eq<u, Shift<t0, 8>>> }")
+    for offered, accepted in ((A8, True), (A8.replace("8", "9"), False)):
+        prog = parse_program(f"{D}fn p(x: D) -> {offered} {{ {body} }}")
+        checker = Checker(prog)
+        decl = prog.procs[0]
+        gamma, tm = {"w": s.INT}, {"b": t.init_plus(1)}
+        delta = {"x": checker.expand(s.TypeRef("D"))}
+        before = (dict(gamma), dict(delta), dict(tm))
+        try:
+            checker.check_process((), (), gamma, delta, tm, decl.body, T0,
+                                  checker.expand(decl.offered), "p")
+        except TypeCheckError as exc:
+            assert not accepted and exc.error.kind == "PredicateUnsatisfied"
+        else:
+            assert accepted
+        assert (gamma, delta, tm) == before
+
+
+def test_fanout_hub_exchanges_hand_one_delta_on(monkeypatch):
+    # every client exchange on the hub's one path of judgments updates the
+    # same Delta in place: none copies the context of the other sensors
+    seen = []
+    exchange = Checker._exchange
+
+    def spy(self, j, loc):
+        if type(j.p) not in s.PROVIDES:
+            seen.append(j.delta)
+        return exchange(self, j, loc)
+
+    monkeypatch.setattr(Checker, "_exchange", spy)
+    [report] = check_program(parse_program(fanout_program(64, False)))
+    assert report.accepted
+    assert len(seen) == 32 * 4 + 32 * 3  # SelectR, Cons, Cons, Wait; SelectL, Cons, Wait
+    assert all(d is seen[0] for d in seen)
+
+
+def test_retype_owns_its_maps():
+    # the caller's map is copied, and the second of two component pairs does
+    # not see the binders the first one fixed: a's right window names u
+    # free, spelled like its left binder (expanded types never do this)
+    def u_then_w(v, w):
+        after = lambda x: t.Leq(t.tvar(x), t.tvar(w))
+        return s.TensorT("t", t.Leq(T0, t.tvar("t")), U(t.Leq(t.tvar("t"), t.tvar(v)), v),
+                         U(t.And(after("t"), after("u")), w))
+
+    a, b = u_then_w("u", "w"), u_then_w("v", "w2")
+    bm = {"x": T0}
+    assert _retype(EntailmentSolver(), (), (), a, b, T0, "fwd", cut=False, ma=bm, mb=bm)[0]
+    assert bm == {"x": T0}
