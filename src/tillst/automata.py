@@ -10,8 +10,6 @@ instant of the exchange and checks the exchange against its window.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import syntax as s
 from . import temporal as t
 from .parser import render_prop
@@ -44,7 +42,7 @@ class Conforms:
 class Violation:
     index: int
     reason: str
-    failed_pred: Optional[str] = None
+    failed_pred: str | None = None
 
     def render(self) -> str:
         extra = f" ({self.failed_pred})" if self.failed_pred else ""

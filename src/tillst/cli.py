@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
 
 from . import syntax as s
 from . import temporal as t
@@ -21,7 +20,7 @@ from .automata import Conforms, TraceObligation, monitor_trace
 from .parser import ParseError, parse_program
 from .runtime import (AutoC, Env, ExternEnv, ProcC, SilentA, TraceFormatError,
                       run_scheduler, trace_from_jsonl, trace_to_jsonl)
-from .typecheck import EntailmentSolver, check_program
+from .typecheck import EntailmentSolver, LoggingSolver, check_program
 
 
 class SystemExit2(t.TillstError):
@@ -59,7 +58,7 @@ def build_system(prog: s.Program, name: str):
     return autos + (ProcC(name, entry.body, Env(chans=instances)),), start, defs
 
 
-def cmd_check(path: str, backend: str, solver_bin: Optional[str], timeout_ms: int) -> int:
+def cmd_check(path: str, backend: str, solver_bin: str | None, timeout_ms: int) -> int:
     prog = _load(path)
     if backend == "external":
         solver_bin = solver_bin or os.environ.get("SOLVER_BIN")
@@ -72,7 +71,7 @@ def cmd_check(path: str, backend: str, solver_bin: Optional[str], timeout_ms: in
     return 0 if all(r.accepted for r in reports) else 1
 
 
-def cmd_run(path: str, entry: str, horizon: Optional[int], trace_out: Optional[str],
+def cmd_run(path: str, entry: str, horizon: int | None, trace_out: str | None,
             seed: int) -> int:
     if horizon is not None and horizon < 0:
         raise SystemExit2(f"--horizon must not be negative, got {horizon}")
@@ -99,7 +98,7 @@ def cmd_run(path: str, entry: str, horizon: Optional[int], trace_out: Optional[s
 
 def cmd_smt(path: str, out_dir: str) -> int:
     prog = _load(path)
-    solver = EntailmentSolver("internal")
+    solver = LoggingSolver("internal")
     check_program(prog, solver)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -119,7 +118,7 @@ def cmd_smt(path: str, out_dir: str) -> int:
 
 
 def cmd_monitor(path: str, type_name: str, trace_path: str,
-                channel: Optional[str] = None) -> int:
+                channel: str | None = None) -> int:
     prog = _load(path)
     decl = prog.type_decl(type_name)
     if decl is None:
@@ -184,7 +183,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "check":

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import accumulate, islice, repeat
-from typing import NamedTuple, Optional
 
 from . import syntax as s
 from . import temporal as t
@@ -46,11 +46,11 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{hint}")
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT, INT, the symbol itself, or EOF
-    text: str
-    line: int
-    col: int
+class Token(namedtuple("Token", "kind text line col")):
+    """A piece of the source: its ``kind`` (IDENT, INT, the symbol itself,
+    or EOF), its ``text``, and the line and column it starts at."""
+
+    __slots__ = ()
 
 
 # One match of the scan: a run of blanks and comments (group 1), then a piece
@@ -82,7 +82,7 @@ class _Kinds(dict):
         super().__init__(_GIVEN_KINDS)
         self.digits = {}
 
-    def __missing__(self, text: str) -> Optional[str]:
+    def __missing__(self, text: str) -> str | None:
         first = text[0]
         if first.isalpha() or first == "_":
             kind = "IDENT"
@@ -170,7 +170,7 @@ _SIGIL = {direction: sigil for sigil, direction in _DIRECTIONS.items()}
 _ACTION_WORD = {kind_label: word for word, kind_label in _ACTIONS.items()}
 
 
-class _Form(NamedTuple):
+class _Form(namedtuple("_Form", "cls head tail var ann", defaults=("var", None))):
     """One process keyword: its class, head and tail.
 
     Heads: ``provider`` reads ``<b where P>`` into binder/pred; ``client``
@@ -179,14 +179,12 @@ class _Form(NamedTuple):
     child P: ``none``, ``seq`` ``; P``, ``bind`` ``{ x => P }`` (or
     ``{ x : T => P }`` where the class has an ``ann`` field), ``branch``
     ``{ L => P } { R => P }``, ``expr`` ``$ e $; P``, ``block`` ``{ P }; P``,
-    ``else`` ``{ P } else { P }``.
+    ``else`` ``{ P } else { P }``.  ``var`` names the field that holds a
+    ``bind`` tail's x (``var`` by default), and ``ann`` the field of its
+    annotation, if any.
     """
 
-    cls: type
-    head: str
-    tail: str
-    var: str = "var"  # bind: the field holding x
-    ann: Optional[str] = None
+    __slots__ = ()
 
 
 _FORMS = {
@@ -240,7 +238,7 @@ class Parser:
         self.pos = pos + 1
         return self.texts[pos]
 
-    def accept(self, kind: str) -> Optional[str]:
+    def accept(self, kind: str) -> str | None:
         pos = self.pos
         if self.kinds[pos] != kind:
             return None
@@ -538,7 +536,7 @@ class Parser:
         self.expect(")")
         return fields
 
-    def _tail(self, form: _Form, fields: dict) -> Optional[tuple]:
+    def _tail(self, form: _Form, fields: dict) -> tuple | None:
         """Read the tail up to its last child; return the kinds that close
         it after that child (None: the form has no tail)."""
         if form.tail == "none":
@@ -758,7 +756,7 @@ def render_prop(p: t.Prop) -> str:
     return f"{name}<{part(p.left)}, {part(p.right)}>"
 
 
-def render_type(a: s.SessionType, m: Optional[dict] = None) -> str:
+def render_type(a: s.SessionType, m: dict | None = None) -> str:
     """The surface spelling of a type, its free time variables read through
     ``m``; the last component in a loop."""
     out, depth, m = [], 0, m or {}

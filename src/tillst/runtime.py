@@ -75,8 +75,9 @@ named tuple.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Callable
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Union
 
 from . import syntax as s
 from . import temporal as t
@@ -115,7 +116,7 @@ class OpaqueV:
     tag: str
 
 
-Value = Union[BoolV, IntV, OpaqueV]
+Value = (BoolV, IntV, OpaqueV)
 
 
 def render_value(v: Value) -> str:
@@ -134,7 +135,7 @@ class ExternEnv:
     replay and under reordering of same-instant reductions.
     """
 
-    def __init__(self, prog: Optional[s.Program] = None, seed: int = 0):
+    def __init__(self, prog: s.Program | None = None, seed: int = 0):
         self.prog = prog or s.Program()
         self.seed = seed
         self.sigs = {d.name: (tuple(d.arg_types), d.ret_type) for d in self.prog.externs}
@@ -165,7 +166,7 @@ class ExternEnv:
         return self._make(name, sig[1], chan, ())
 
 
-def eval_expr(e: s.Expr, env: ExternEnv, scope: Optional[dict] = None) -> Value:
+def eval_expr(e: s.Expr, env: ExternEnv, scope: dict | None = None) -> Value:
     scope = scope or {}
     if isinstance(e, s.BoolLit):
         return BoolV(e.value)
@@ -314,9 +315,9 @@ class TraceEvent:
     time: int
     action: Action
     channel: str
-    tag: Optional[str] = None  # spawn / fwd / if for silent steps
+    tag: str | None = None  # spawn / fwd / if for silent steps
 
-    def payload(self) -> Optional[str]:
+    def payload(self) -> str | None:
         """The payload as a trace line writes it; a silent step's tag."""
         if isinstance(self.action, SilentA):
             return self.tag
@@ -328,13 +329,13 @@ class TraceEvent:
 # Local transitions
 
 
-class LocalStep(NamedTuple):
-    """A leaf's local step.  A tuple, not a ``record``: one is built per
-    step, and a record's ``__init__`` costs more."""
+class LocalStep(namedtuple("LocalStep", "action fire tag", defaults=(None,))):
+    """A leaf's local step: its ``action`` (SILENT for a solitary step),
+    ``fire``, which maps a payload to the leaves that replace the leaf, and
+    a silent step's flavor, ``tag``.  A tuple, not a ``record``: one is
+    built per step, and a record's ``__init__`` costs more."""
 
-    action: Action  # SILENT for a solitary step
-    fire: Callable  # payload -> list of replacement leaves
-    tag: Optional[str] = None  # silent flavor
+    __slots__ = ()
 
 
 def _pred_holds_at(p: s.Process, env: Env, now: int) -> bool:
@@ -716,7 +717,7 @@ class _Index:
         offered.sort(key=_by_rank)
         return comm + offered
 
-    def take(self, cand: _Candidate, conf: Optional[Configuration] = None) -> None:
+    def take(self, cand: _Candidate, conf: Configuration | None = None) -> None:
         """Make the configuration after ``cand`` current, held as the equal
         configuration ``conf`` if given.  Only the channels of the
         candidate's delta are placed again, with ``conf``'s leaves there if
@@ -735,8 +736,8 @@ class _Index:
 
 
 def reductions(omega: Configuration, now: int,
-               env: Optional[ExternEnv] = None,
-               defs: Optional[dict] = None) -> list:
+               env: ExternEnv | None = None,
+               defs: dict | None = None) -> list:
     """Every step available at this instant, as (configuration, event)
     pairs in the candidate order the module docstring gives.  Configurations
     are congruence-normalized; an exchange's event records its send half."""
@@ -770,7 +771,7 @@ class StepC:
     rest: "StepSequence"
 
 
-StepSequence = Union[Refl, StepT, StepC]
+StepSequence = (Refl, StepT, StepC)
 
 
 def seq_start(sigma: StepSequence) -> tuple:
@@ -876,17 +877,8 @@ def _il(s1: StepSequence, s2: StepSequence) -> StepSequence:
     return seq_prepend(spine, Refl(s1.time, pc(s1.config, s2.config)))
 
 
-def seq_steps(sigma: StepSequence) -> int:
-    n = 0
-    while not isinstance(sigma, Refl):
-        if isinstance(sigma, StepC):
-            n += 1
-        sigma = sigma.rest
-    return n
-
-
-def replay(sigma: StepSequence, env: Optional[ExternEnv] = None,
-           defs: Optional[dict] = None) -> bool:
+def replay(sigma: StepSequence, env: ExternEnv | None = None,
+           defs: dict | None = None) -> bool:
     """Check every instantaneous step is derivable (as a communication or as
     an environment-facing send) and every clock advance is non-decreasing.
 
@@ -928,7 +920,7 @@ class TimingViolationInfo:
     channel: str
     client_time: int
     provider_pred: str
-    counterexample: Optional[dict] = None
+    counterexample: dict | None = None
 
     def render(self) -> str:
         return (f"client instant {t.render_instant(self.client_time)} on {self.channel} "
@@ -962,14 +954,14 @@ class RunResult:
     final: Configuration
     sigma: StepSequence
     end_time: int
-    error: Optional[object] = None
+    error: object | None = None
 
     @property
     def ok(self) -> bool:
         return self.status == "done"
 
 
-def _earliest_enabled(leaf: ProcC, lo: int) -> Optional[int]:
+def _earliest_enabled(leaf: ProcC, lo: int) -> int | None:
     """Least instant >= lo at which the provider leaf's window holds, or None.
 
     Closed under the fired binders, each atom of the window either is
@@ -1051,10 +1043,10 @@ def _wait_pass(index: _Index) -> tuple:
 
 
 def run_scheduler(omega: Configuration, start: int = 0,
-                  horizon: Optional[int] = None,
-                  env: Optional[ExternEnv] = None,
-                  defs: Optional[dict] = None,
-                  tiebreak: Optional[Callable] = None) -> RunResult:
+                  horizon: int | None = None,
+                  env: ExternEnv | None = None,
+                  defs: dict | None = None,
+                  tiebreak: Callable | None = None) -> RunResult:
     """Deterministic execution: drain the current instant, then jump to the
     least pending one.  ``tiebreak`` may reorder same-instant firings (used by
     the confluence tests); the default takes the canonical first."""

@@ -22,7 +22,6 @@ declarations' source positions left out of equality, hashing and ``repr``.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Union
 
 from .record import field, record, replace
 from .temporal import (NonClosedError, Prop, TillstError, TimeExpr, close, eval_prop,
@@ -69,7 +68,7 @@ class NamedType:
         return self.name
 
 
-ValueType = Union[BoolType, IntType, NamedType]
+ValueType = (BoolType, IntType, NamedType)
 
 BOOL = BoolType()
 INT = IntType()
@@ -138,7 +137,7 @@ class TypeRef:
     name: str
 
 
-SessionType = Union[UnitT, TensorT, LolliT, IChoiceT, EChoiceT, ProduceT, QueryT, TypeRef]
+SessionType = (UnitT, TensorT, LolliT, IChoiceT, EChoiceT, ProduceT, QueryT, TypeRef)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ class CallE:
     args: tuple
 
 
-Expr = Union[BoolLit, IntLit, VarE, Arith, Cmp, IfE, CallE]
+Expr = (BoolLit, IntLit, VarE, Arith, Cmp, IfE, CallE)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ class SpawnP:
     args: tuple
     bound: str
     cont: "Process"
-    bound_type: Optional[SessionType] = None
+    bound_type: SessionType | None = None
 
 
 @record
@@ -339,11 +338,11 @@ class IfP:
     orelse: "Process"
 
 
-Process = Union[
+Process = (
     CloseP, WaitP, LamRecv, AppSend, PairSend, PairRecv, InLP, InRP, CaseP,
     OfferP, SelectLP, SelectRP, ProdP, ConsP, QueryRecvP, SupplyP, FwdP,
     SpawnP, IfP,
-]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +354,14 @@ class ExternDecl:
     name: str
     arg_types: tuple
     ret_type: ValueType
-    pos: Optional[tuple] = field(default=None, hidden=True)
+    pos: tuple | None = field(default=None, hidden=True)
 
 
 @record
 class TypeDecl:
     name: str
     body: SessionType
-    pos: Optional[tuple] = field(default=None, hidden=True)
+    pos: tuple | None = field(default=None, hidden=True)
 
 
 @record
@@ -371,7 +370,7 @@ class ProcDecl:
     params: tuple  # of (var, SessionType)
     offered: SessionType
     body: Process
-    pos: Optional[tuple] = field(default=None, hidden=True)
+    pos: tuple | None = field(default=None, hidden=True)
 
 
 ACCEPT = "accept"  # the final state every automaton has without declaring it
@@ -383,7 +382,7 @@ class AutoTransition:
     guard_offset: int  # ticks after the automaton entered ``src``
     action: Action  # the instance's channel fills in ``chan``
     dst: str  # a declared state or ACCEPT
-    extern: Optional[str] = None  # what a value send reads
+    extern: str | None = None  # what a value send reads
 
 
 @record
@@ -397,7 +396,7 @@ class AutomatonDef:
     states: tuple
     initial: str
     transitions: tuple  # of AutoTransition
-    pos: Optional[tuple] = field(default=None, hidden=True)
+    pos: tuple | None = field(default=None, hidden=True)
 
     def __post_init__(self):
         moves = {}
@@ -412,7 +411,7 @@ class SystemDecl:
     entry: str
     bindings: tuple  # of (param, automaton, instance)
     start: TimeExpr
-    pos: Optional[tuple] = field(default=None, hidden=True)
+    pos: tuple | None = field(default=None, hidden=True)
 
 
 @record
@@ -424,19 +423,19 @@ class Program:
     automata: tuple = ()  # of AutomatonDef
     systems: tuple = ()
 
-    def type_decl(self, name: str) -> Optional[TypeDecl]:
+    def type_decl(self, name: str) -> TypeDecl | None:
         for d in self.types:
             if d.name == name:
                 return d
         return None
 
-    def proc_decl(self, name: str) -> Optional[ProcDecl]:
+    def proc_decl(self, name: str) -> ProcDecl | None:
         for d in self.procs:
             if d.name == name:
                 return d
         return None
 
-    def system_decl(self, name: str) -> Optional[SystemDecl]:
+    def system_decl(self, name: str) -> SystemDecl | None:
         for d in self.systems:
             if d.name == name:
                 return d
@@ -479,13 +478,13 @@ class ProtocolError(TillstError):
     """An exchange the protocol does not allow; ``window`` is the missed
     window, closed under the earlier binders, when the instant misses it."""
 
-    def __init__(self, reason: str, window: Optional[Prop] = None):
+    def __init__(self, reason: str, window: Prop | None = None):
         super().__init__(reason)
         self.window = window
 
 
 def step(a: SessionType, times: dict, kind: str, label: object,
-         instant: int) -> Optional[SessionType]:
+         instant: int) -> SessionType | None:
     """The component of ``a`` that runs after an exchange of ``kind`` at
     ``instant``: the branch ``label`` picks for a choice, the last component
     for any other connective, None after a close.  Binds ``a.binder`` to
@@ -542,8 +541,8 @@ def components(a: SessionType) -> tuple:
     return tuple(getattr(a, name) for name in CONNECTIVES[type(a)].components)
 
 
-def expand_type_refs(prog: Optional[Program], a: SessionType,
-                     names: Optional[NameSupply] = None) -> SessionType:
+def expand_type_refs(prog: Program | None, a: SessionType,
+                     names: NameSupply | None = None) -> SessionType:
     """Resolve TypeRef nodes against the program and name every binder
     afresh from ``names`` (a new supply unless one is given).
 
@@ -556,7 +555,7 @@ def expand_type_refs(prog: Optional[Program], a: SessionType,
     return _expand(prog, names or NameSupply(), a, (), {})
 
 
-def _expand(prog: Optional[Program], names: NameSupply, ty: SessionType, stack: tuple,
+def _expand(prog: Program | None, names: NameSupply, ty: SessionType, stack: tuple,
             ren: dict) -> SessionType:
     """``expand_type_refs`` below the type names in ``stack``, with the
     renaming ``ren`` of the binders in scope.  A module-level function, not
@@ -594,7 +593,7 @@ def _expand(prog: Optional[Program], names: NameSupply, ty: SessionType, stack: 
     return ty
 
 
-def alpha_eq_type(a: SessionType, b: SessionType, m: Optional[dict] = None) -> bool:
+def alpha_eq_type(a: SessionType, b: SessionType, m: dict | None = None) -> bool:
     """Structural equality up to renaming of time binders, with ``a``'s free
     time variables read through ``m``.  Binders pair up by position: both
     stand for ``#d``, d their depth, a name neither source nor a NameSupply
@@ -682,11 +681,11 @@ def free_channel_table(p: Process, table: dict) -> frozenset:
     return table[id(p)][1]
 
 
-def _own_channels(q: Process, uses: Optional[str]) -> tuple:
+def _own_channels(q: Process, uses: str | None) -> tuple:
     return q.args if uses == "args" else (getattr(q, uses),) if uses else ()
 
 
-def channels_left(p: Process, q: Process, table: dict) -> Optional[tuple]:
+def channels_left(p: Process, q: Process, table: dict) -> tuple | None:
     """The channels free in ``p`` and not in ``q``, when every channel free
     in ``q`` is free in ``p`` and the difference can be read off ``p``'s
     node: when the two share their set in ``table`` (see
@@ -700,9 +699,3 @@ def channels_left(p: Process, q: Process, table: dict) -> Optional[tuple]:
     if binder is not None or len(children) != 1 or getattr(p, children[0]) is not q:
         return None
     return tuple(x for x in _own_channels(p, uses) if x not in fq)
-
-
-def free_channels(p: Process) -> set:
-    """The channels ``p`` uses and does not bind, read with a table of its
-    own (see ``free_channel_table``)."""
-    return set(free_channel_table(p, {}))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import Iterable, Mapping, Optional, Union
+from collections.abc import Iterable, Mapping
 
 from .record import record
 
@@ -66,7 +66,7 @@ class SolverError(TillstError):
 class TimeExpr:
     """base + offset; ``var is None`` means the base is the init constant."""
 
-    var: Optional[str]
+    var: str | None
     offset: int
 
     def shift(self, delta: int) -> "TimeExpr":
@@ -157,7 +157,7 @@ class Leq:
     right: TimeExpr
 
 
-Prop = Union[Top, Bot, And, Or, Imp, Eq, Leq]
+Prop = (Top, Bot, And, Or, Imp, Eq, Leq)
 
 TOP = Top()
 BOT = Bot()
@@ -249,10 +249,6 @@ def eval_prop(p: Prop, assignment: Mapping[str, int]) -> bool:
     return val(p.left) <= val(p.right)
 
 
-def eval_closed_prop(p: Prop) -> bool:
-    return eval_prop(p, {})
-
-
 # ---------------------------------------------------------------------------
 # Internal decision procedure: a depth-first search over the propositions of
 # a query, on an incremental difference graph kept along a persistent
@@ -275,7 +271,7 @@ def _leq_lit(a: TimeExpr, b: TimeExpr) -> _Lit:
             b.offset - a.offset)
 
 
-def _sides(p: Prop, positive: bool) -> Optional[tuple]:
+def _sides(p: Prop, positive: bool) -> tuple | None:
     """``(both, left, right)`` for ``p`` at ``positive`` polarity when it has
     two sides, each a (proposition, polarity) item, or None for an atom.
 
@@ -303,7 +299,7 @@ def _atom(p: Prop, positive: bool) -> list:
     return [] if (type(p) is Top) == positive else [_FALSE]
 
 
-def _literals(p: Prop, positive: bool) -> Optional[list]:
+def _literals(p: Prop, positive: bool) -> list | None:
     """The literals of ``p`` at ``positive`` polarity, or None when some node
     of it offers a choice."""
     lits, todo = [], [(p, positive)]
@@ -533,8 +529,8 @@ class _Context:
         finally:
             self._undo(base)
 
-    def model(self, f: Hyps, goal: Optional[Prop], g: Iterable[str],
-              budget: int) -> Optional[dict]:
+    def model(self, f: Hyps, goal: Prop | None, g: Iterable[str],
+              budget: int) -> dict | None:
         """A model of f's list, and of not ``goal`` when one is given, or
         None.  The literals of f's cells come from the stack, and a negated
         goal that offers no choice is asserted next.  The cells that offer
@@ -586,8 +582,8 @@ def _conjunct_model(literals: list, g: Iterable[str]) -> dict:
     return {n: dist[n] - base for n in names}
 
 
-def _model(f: Union[Hyps, Iterable[Prop]], goal: Optional[Prop], g: Iterable[str],
-           budget: int) -> Optional[dict]:
+def _model(f: Hyps | Iterable[Prop], goal: Prop | None, g: Iterable[str],
+           budget: int) -> dict | None:
     """``_Context.model`` of ``f``.  A plain list is asked once, so no cell
     or graph would be used again: it is searched on a fresh graph, the
     literals of the propositions that offer no choice first."""
@@ -603,24 +599,7 @@ def _model(f: Union[Hyps, Iterable[Prop]], goal: Optional[Prop], g: Iterable[str
     return _Context()._search(lits, items, g, budget)[0]
 
 
-def solve_satisfiable(
-    g: Iterable[str],
-    f: Union[Hyps, Iterable[Prop]],
-    budget: int = SEARCH_BUDGET,
-) -> Optional[dict]:
-    """A satisfying assignment of the conjunction of ``f``, or None.
-
-    The assignment is total over ``g`` and maps each variable to its instant
-    as an offset from init.  It is the model ``_conjunct_model`` makes of the
-    conjunct the search completes: every node's shortest distance from a
-    source at distance 0 to all of them, less init's.  So a variable no
-    literal constrains gets minus init's distance, which is 0 only when no
-    literal pulls init below the source.
-    """
-    return _model(f, None, g, budget)
-
-
-def _closed_truth(p: Prop) -> Optional[bool]:
+def _closed_truth(p: Prop) -> bool | None:
     """``p``'s truth value when it names no time variable, else None.  The
     walk stops at the first variable it meets."""
     values, todo = [], [p]
@@ -645,7 +624,7 @@ def _closed_truth(p: Prop) -> Optional[bool]:
 
 def entails_cex(
     g: Iterable[str],
-    f: Union[Hyps, Iterable[Prop]],
+    f: Hyps | Iterable[Prop],
     p: Prop,
     budget: int = SEARCH_BUDGET,
 ) -> tuple:
@@ -659,12 +638,6 @@ def entails_cex(
         return True, None
     cex = _model(f, p, g, budget)
     return (cex is None, cex)
-
-
-def entails(g: Iterable[str], f: Union[Hyps, Iterable[Prop]], p: Prop) -> bool:
-    """G;F |- p: every F-satisfying assignment satisfies p."""
-    holds, _ = entails_cex(g, f, p)
-    return holds
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +690,7 @@ def emit_smtlib(g: Iterable[str], f: Iterable[Prop], p: Prop) -> str:
 
 def run_external_solver(
     script: str,
-    solver_bin: Optional[str] = None,
+    solver_bin: str | None = None,
     timeout_ms: int = 5000,
 ) -> str:
     """Run an SMT-LIB2 script through a solver binary; returns sat or unsat.
@@ -761,7 +734,7 @@ def entails_external(
     g: Iterable[str],
     f: Iterable[Prop],
     p: Prop,
-    solver_bin: Optional[str] = None,
+    solver_bin: str | None = None,
     timeout_ms: int = 5000,
 ) -> bool:
     verdict = run_external_solver(emit_smtlib(g, f, p), solver_bin, timeout_ms)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from typing import Optional
 
 from .record import record
 from .runtime import (Configuration, Refl, SequenceMismatch, StepSequence, StepT,
@@ -31,7 +30,7 @@ class CTraj:
     function on [its start, ``end``); ``end`` None is unbounded."""
 
     sigma: StepSequence
-    end: Optional[int] = None
+    end: int | None = None
 
     @cached_property
     def points(self) -> tuple:
@@ -74,7 +73,7 @@ class CTraj:
         return seq_end(self.sigma)[1]
 
 
-def traj_from_sigma(sigma: StepSequence, end: Optional[int] = None) -> CTraj:
+def traj_from_sigma(sigma: StepSequence, end: int | None = None) -> CTraj:
     """Fill the gaps of a step sequence: the configuration holds steady until
     the next clock advance, and instantaneous steps collapse into the value
     the instant settles on."""
@@ -87,7 +86,7 @@ def traj_at(w: CTraj, when: int) -> Configuration:
     return w.at(when)
 
 
-def traj_equiv(w1: CTraj, w2: CTraj, interval: Optional[tuple] = None) -> bool:
+def traj_equiv(w1: CTraj, w2: CTraj, interval: tuple | None = None) -> bool:
     """Pointwise equality (modulo congruence) on the given interval, default
     the shared domain."""
     if interval is None:

@@ -14,8 +14,8 @@ side sends (the key ``runtime`` steps by) then pick the premises on the
 continuation.  Forwarding and spawning go through the forward/cut retyping
 relations, which compare temporal windows by entailment with the connective
 structure held fixed (the lolli argument is contravariant).  Every temporal
-premise is discharged by the solver, and every query is recorded so it can
-be exported as SMT-LIB2.
+premise is discharged by the solver; a ``LoggingSolver`` also records every
+query, so that ``tillst smt`` can export it as SMT-LIB2.
 
 Nothing is substituted into a process term or a type.  Types are expanded
 with uniquely named binders, and a provider's type binder is itself the
@@ -37,7 +37,7 @@ only by a ``TypingError`` and by ``QueryRecord.location``.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from . import syntax as s
 from . import temporal as t
@@ -71,7 +71,7 @@ class TypingError:
     kind: str
     location: str
     judgment: str
-    counterexample: Optional[dict] = None
+    counterexample: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "location", _render_location(self.location))
@@ -91,16 +91,13 @@ class TypeCheckError(Exception):
         super().__init__(error.render())
 
 
-class QueryRecord(NamedTuple):
-    """One entailment query and its verdict.  A tuple, not a ``record``: one
-    is built per query, and a record's ``__init__`` costs more."""
+class QueryRecord(namedtuple("QueryRecord", "g f prop holds path seconds")):
+    """One entailment query and its verdict: G, F and the goal, whether it
+    holds, the location as the checker passed it (``path``), and the
+    query's wall time in seconds.  A tuple, not a ``record``: one is built
+    per query, and a record's ``__init__`` costs more."""
 
-    g: tuple
-    f: t.Hyps
-    prop: t.Prop
-    holds: bool
-    path: object  # the location, as the checker passed it
-    seconds: float  # wall time of the query
+    __slots__ = ()
 
     @property
     def location(self) -> str:
@@ -108,21 +105,21 @@ class QueryRecord(NamedTuple):
 
 
 class EntailmentSolver:
-    """Entailment backend with a query log for SMT export.
+    """Entailment backend.
 
     The internal backend is total and produces counterexample assignments;
     the external backend shells out to an SMT-LIB2 solver binary.  Every
     hypothesis list is a cell below ``root``, so the internal backend
     answers each query on top of the checked prefix it shares with the
-    query before.
+    query before.  It keeps no record of the queries (see
+    ``LoggingSolver``).
     """
 
-    def __init__(self, backend: str = "internal", solver_bin: Optional[str] = None,
+    def __init__(self, backend: str = "internal", solver_bin: str | None = None,
                  timeout_ms: int = 5000):
         self.backend = backend
         self.solver_bin = solver_bin
         self.timeout_ms = timeout_ms
-        self.queries: list = []
         self.root = t.Hyps()
 
     def hyps(self, f) -> t.Hyps:
@@ -130,13 +127,26 @@ class EntailmentSolver:
         return f if isinstance(f, t.Hyps) else self.root.extend(f)
 
     def holds(self, g, f, p, location) -> tuple:
+        """(holds, counterexample) for G;F |- p; the external backend gives
+        no counterexample.  ``location`` is for a subclass's log."""
+        f = self.hyps(f)
+        if self.backend == "external":
+            return t.entails_external(g, f, p, self.solver_bin, self.timeout_ms), None
+        return t.entails_cex(g, f, p)
+
+
+class LoggingSolver(EntailmentSolver):
+    """An ``EntailmentSolver`` that keeps a ``QueryRecord`` of every query
+    in ``queries``, timed, for the SMT export."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queries: list = []
+
+    def holds(self, g, f, p, location) -> tuple:
         g, f = tuple(g), self.hyps(f)
         start = time.perf_counter()
-        if self.backend == "external":
-            verdict = t.entails_external(g, f, p, self.solver_bin, self.timeout_ms)
-            cex = None
-        else:
-            verdict, cex = t.entails_cex(g, f, p)
+        verdict, cex = super().holds(g, f, p, location)
         seconds = time.perf_counter() - start
         self.queries.append(QueryRecord(g, f, p, verdict, location, seconds))
         return verdict, cex
@@ -262,7 +272,7 @@ def _require_unbound(delta: dict, name: str, location) -> None:
 
 
 def split_context(delta: dict, p1: s.Process, p2: s.Process,
-                  location="split", table: Optional[dict] = None) -> tuple:
+                  location="split", table: dict | None = None) -> tuple:
     """Split Delta by free channels; any overlap or leftover is a linearity
     bug.  The free channels are read from ``table`` (see
     ``syntax.free_channel_table``), which a caller may keep across splits."""
@@ -288,7 +298,8 @@ def split_context(delta: dict, p1: s.Process, p2: s.Process,
 # Process typing
 
 
-class Judgment(NamedTuple):
+class Judgment(namedtuple("Judgment", "g f gamma delta tm bm p at a location spawns",
+                          defaults=((),))):
     """A pending G;F | Gamma;Delta |- p :: a @ at.  ``tm`` maps the time
     binders in scope in ``p`` to their instants.  ``bm`` maps each type
     binder a client exchange fixed to that exchange's instant; every type
@@ -302,17 +313,7 @@ class Judgment(NamedTuple):
     change them and hand them to its premise.  A rule with two premises
     hands the first ``copied()`` maps and the second the originals."""
 
-    g: tuple
-    f: t.Hyps
-    gamma: dict
-    delta: dict
-    tm: dict
-    bm: dict
-    p: s.Process
-    at: t.TimeExpr
-    a: s.SessionType
-    location: object
-    spawns: tuple = ()
+    __slots__ = ()
 
     def copied(self) -> "Judgment":
         """This judgment with copies of the maps it owns."""
@@ -321,7 +322,7 @@ class Judgment(NamedTuple):
 
 
 class Checker:
-    def __init__(self, prog: s.Program, solver: Optional[EntailmentSolver] = None):
+    def __init__(self, prog: s.Program, solver: EntailmentSolver | None = None):
         self.prog = prog
         self.solver = solver or EntailmentSolver()
         self.externs = {d.name: (tuple(d.arg_types), d.ret_type) for d in prog.externs}
@@ -533,7 +534,7 @@ _RULES = {s.FwdP: Checker._fwd, s.SpawnP: Checker._spawn, s.IfP: Checker._if}
 class DeclReport:
     name: str
     accepted: bool
-    error: Optional[TypingError] = None
+    error: TypingError | None = None
 
     def render(self) -> str:
         if self.accepted:
@@ -542,7 +543,7 @@ class DeclReport:
 
 
 def check_program(prog: s.Program,
-                  solver: Optional[EntailmentSolver] = None) -> list:
+                  solver: EntailmentSolver | None = None) -> list:
     """Check every proc declaration at time t0 with its params as Delta."""
     checker = Checker(prog, solver)
     reports = []

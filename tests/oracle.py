@@ -134,7 +134,7 @@ _agreement_cache = {}
 
 def agreement_report(count=520, seed=20260808):
     """(instances, disagreement indexes); computed once per session."""
-    from tillst.temporal import entails
+    from helpers import entails
 
     key = (count, seed)
     if key not in _agreement_cache:

@@ -166,6 +166,7 @@ def test_criterion_4_trajectory_algebra():
 
 
 def test_criterion_5_solver_soundness():
+    from helpers import entails
     from oracle import agreement_report
 
     with criterion(5, "entailment agrees with the brute-force oracle on 500+ cases"):
@@ -180,7 +181,7 @@ def test_criterion_5_solver_soundness():
         if solver_bin:
             sample = random.Random(3).sample(instances, 30)
             for g, f, p in sample:
-                assert t.entails(g, f, p) == t.entails_external(g, f, p, solver_bin)
+                assert entails(g, f, p) == t.entails_external(g, f, p, solver_bin)
         else:
             print("\n[criterion 5] note: no external QF_LIA solver on PATH; "
                   "export agreement checked by the stub-plumbing tests only")

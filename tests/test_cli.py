@@ -192,9 +192,9 @@ class TestSmt:
         # every dumped script re-checks to the recorded verdict
         from tillst import temporal as t
         from tillst.parser import parse_program
-        from tillst.typecheck import EntailmentSolver, check_program
+        from tillst.typecheck import LoggingSolver, check_program
 
-        solver = EntailmentSolver()
+        solver = LoggingSolver()
         check_program(parse_program(open(corpus_path("p3_deadline_miss.tsl")).read()),
                       solver)
         assert [q.holds for q in solver.queries] == [e["holds"] for e in index]
@@ -331,7 +331,7 @@ def test_import_loads_no_solver_or_dataclass_machinery():
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = ("import sys, tillst.cli\n"
              "print(sorted(m for m in ('dataclasses', 'inspect', 'subprocess',"
-             " 'importlib.resources') if m in sys.modules))")
+             " 'importlib.resources', 'typing') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import free_channels, seq_steps
 from tillst import runtime as rt
 from tillst import syntax as s
 from tillst import temporal as t
@@ -18,7 +19,7 @@ from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
                             StepT, TraceEvent, complementary,
                             congruence_normalize, conf_leaves, eval_expr,
                             reductions, replay, run_scheduler, seq_concat,
-                            seq_end, seq_interleave, seq_start, seq_steps,
+                            seq_end, seq_interleave, seq_start,
                             trace_from_jsonl, trace_to_jsonl)
 from tillst.temporal import TillstError
 from tillst.runtime import (_Index, _leaf_steps, _partner, _step_sort_key,
@@ -786,7 +787,7 @@ def reference_reductions(omega, now, env, defs):
     used = set()
     for leaf in leaves:
         if isinstance(leaf, ProcC):
-            used.update(map(leaf.env.chan, s.free_channels(leaf.body)))
+            used.update(map(leaf.env.chan, free_channels(leaf.body)))
         elif isinstance(leaf, FwdC):
             used.add(leaf.client)
     taken = used.union(leaf.chan for leaf in leaves)

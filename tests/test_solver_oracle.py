@@ -5,9 +5,10 @@ import shutil
 
 import pytest
 
+from helpers import entails
 from oracle import agreement_report, oracle_entails
 from tillst import temporal as t
-from tillst.temporal import INIT, TOP, emit_smtlib, entails, init_plus, tvar
+from tillst.temporal import INIT, TOP, emit_smtlib, init_plus, tvar
 
 
 def test_agrees_with_oracle_everywhere():

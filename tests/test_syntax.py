@@ -1,8 +1,9 @@
 import pytest
 
+from helpers import free_channels
 from tillst import syntax as s
 from tillst import temporal as t
-from tillst.syntax import CyclicTypeDefError, expand_type_refs, free_channel_table, free_channels
+from tillst.syntax import CyclicTypeDefError, expand_type_refs, free_channel_table
 
 T0 = t.INIT
 

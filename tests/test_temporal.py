@@ -4,11 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import entails, eval_closed_prop, solve_satisfiable
 from oracle import oracle_entails
 from tillst import temporal as t
 from tillst.temporal import (BOT, INIT, TOP, And, Bot, Eq, Imp, Leq, Or, Top,
-                             eval_closed_prop, eval_prop, entails, init_plus,
-                             p_in, solve_satisfiable, substitute_all, tvar)
+                             eval_prop, init_plus, p_in, substitute_all, tvar)
 
 times = st.builds(
     t.TimeExpr,

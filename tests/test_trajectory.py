@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from helpers import seq_steps
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.runtime import (ProcC, Refl, StepT, congruence_normalize,
                             replay, run_scheduler, seq_concat, seq_extend_to,
-                            seq_interleave, seq_steps)
+                            seq_interleave)
 from tillst.trajectory import (DomainError, traj_at, traj_concat,
                                traj_equiv, traj_from_sigma, traj_interleave,
                                traj_partition)

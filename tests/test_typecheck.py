@@ -8,7 +8,7 @@ from tillst import corpus_files
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.parser import parse_program
-from tillst.typecheck import (Checker, EntailmentSolver, TypeCheckError,
+from tillst.typecheck import (Checker, EntailmentSolver, LoggingSolver, TypeCheckError,
                               _retype, check_expr, check_program,
                               split_context)
 
@@ -208,7 +208,7 @@ def test_retype_failures_blame_the_right_rule(load_corpus):
 
 def test_shape_mismatch_never_reaches_the_solver(load_corpus):
     prog = load_corpus("deadlock.tsl")
-    solver = EntailmentSolver()
+    solver = LoggingSolver()
     reports = check_program(prog, solver)
     bad = {r.name: r for r in reports}["dmain"]
     assert bad.error.kind == "ShapeMismatch"
@@ -292,12 +292,10 @@ def test_recursive_spawn_rejected():
 
 
 def test_every_process_form_has_exactly_one_rule():
-    import typing
-
     judgmental = {s.FwdP, s.SpawnP, s.IfP}
     covered = set(s.PROVIDES) | set(s.USES) | judgmental
     assert set(s.PROVIDES) & set(s.USES) == set()
-    assert covered == set(typing.get_args(s.Process))
+    assert covered == set(s.Process)
 
 
 def test_empty_program_empty_report():
@@ -589,7 +587,7 @@ def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypa
     for late, accepted in ((-1, True), (40, False)):
         expanded.clear()
         solved.clear()
-        solver = EntailmentSolver()
+        solver = LoggingSolver()
         [report] = check_program(parse_program(chain_program(50, list(range(50)), late)),
                                  solver)
         assert report.accepted == accepted
@@ -603,22 +601,26 @@ def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypa
 
 def test_a_check_leaves_no_cycle_through_its_program():
     # Neither the checker nor a type expansion is a reference cycle, so the
-    # program, the checker and its query log are freed when the check
-    # returns, not at the next garbage collection.
+    # program, the checker and a logging solver's query log are freed when
+    # the check returns, not at the next garbage collection.
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         for path in corpus_files():
             with open(path, encoding="utf-8") as fh:
-                check_program(parse_program(fh.read()))
+                text = fh.read()
+            for solver in (EntailmentSolver(), LoggingSolver()):
+                check_program(parse_program(text), solver)
+            del solver
         gc.collect()
         kept = {type(o).__name__ for o in gc.garbage}
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    assert not kept & {"Program", "ProcDecl", "Checker", "EntailmentSolver", "QueryRecord"}
+    assert not kept & {"Program", "ProcDecl", "Checker", "EntailmentSolver", "LoggingSolver",
+                       "QueryRecord"}
 
 
 def test_check_process_leaves_the_callers_dicts_unchanged():
