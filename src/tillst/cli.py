@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -97,6 +96,8 @@ def cmd_run(path: str, entry: str, horizon: int | None, trace_out: str | None,
 
 
 def cmd_smt(path: str, out_dir: str) -> int:
+    import json
+
     prog = _load(path)
     solver = LoggingSolver("internal")
     check_program(prog, solver)
@@ -197,9 +198,9 @@ def main(argv: list | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # predicates outside the solver, expressions and alpha-equivalence
-        # still recurse once per level of nesting; the solver and the
-        # retyping relations walk theirs in loops
+        # reading, substituting and printing predicates, expressions and
+        # alpha-equivalence still recurse once per level of nesting; the
+        # evaluator, the solver and the retyping relations walk theirs in loops
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

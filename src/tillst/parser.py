@@ -14,15 +14,15 @@ is computed from an offset only when read (for an error or a declaration's
 scan that returns ``Token`` tuples with their lines and columns; the parser
 never builds one.
 
-One surface table, ``_FORMS``, drives both directions: each process keyword
-maps to its ``syntax`` class, its head (``<b where P>`` for providers,
-``<T>(c)`` for clients; App, Spawn and if read their own) and its tail.  The
-tail ends in the form's last child (``syntax._PROC_FIELDS``), and that child
-is read and printed in a loop, with the forms still waiting for it and their
-closing tokens on an explicit stack; only payloads, left branches and the
-``then`` arm recurse.  Types do the same through ``_TYPES`` and
-``CONNECTIVES[...].components``, so a protocol nested thousands of levels deep
-parses and prints at the default recursion limit.
+The rows of ``syntax.FORMS`` drive both directions: each process keyword
+names its class, its head (``<b where P>`` for providers, ``<T>(c)`` for
+clients; App, Spawn and if read their own) and its tail.  The tail ends in
+the form's last child, and that child is read and printed in a loop, with
+the forms still waiting for it and their closing tokens on an explicit
+stack; only payloads, left branches and the ``then`` arm recurse.  Types do
+the same through ``_TYPES`` and ``CONNECTIVES[...].components``, so a
+protocol nested thousands of levels deep parses and prints at the default
+recursion limit.
 """
 
 from __future__ import annotations
@@ -170,46 +170,8 @@ _SIGIL = {direction: sigil for sigil, direction in _DIRECTIONS.items()}
 _ACTION_WORD = {kind_label: word for word, kind_label in _ACTIONS.items()}
 
 
-class _Form(namedtuple("_Form", "cls head tail var ann", defaults=("var", None))):
-    """One process keyword: its class, head and tail.
-
-    Heads: ``provider`` reads ``<b where P>`` into binder/pred; ``client``
-    reads ``<T>(c)`` into at/chan; ``app`` is ``<T>(c <= { P })``, ``spawn``
-    ``<T>(f, a, ...)`` and ``if`` ``$ e $``.  Tails, each ending in the last
-    child P: ``none``, ``seq`` ``; P``, ``bind`` ``{ x => P }`` (or
-    ``{ x : T => P }`` where the class has an ``ann`` field), ``branch``
-    ``{ L => P } { R => P }``, ``expr`` ``$ e $; P``, ``block`` ``{ P }; P``,
-    ``else`` ``{ P } else { P }``.  ``var`` names the field that holds a
-    ``bind`` tail's x (``var`` by default), and ``ann`` the field of its
-    annotation, if any.
-    """
-
-    __slots__ = ()
-
-
-_FORMS = {
-    "Close": _Form(s.CloseP, "provider", "none"),
-    "Wait": _Form(s.WaitP, "client", "seq"),
-    "Lam": _Form(s.LamRecv, "provider", "bind"),
-    "App": _Form(s.AppSend, "app", "seq"),
-    "SendCh": _Form(s.PairSend, "provider", "block"),
-    "RecvCh": _Form(s.PairRecv, "client", "bind"),
-    "SwitchL": _Form(s.InLP, "provider", "seq"),
-    "SwitchR": _Form(s.InRP, "provider", "seq"),
-    "Case": _Form(s.CaseP, "client", "branch"),
-    "Offer": _Form(s.OfferP, "provider", "branch"),
-    "SelectL": _Form(s.SelectLP, "client", "seq"),
-    "SelectR": _Form(s.SelectRP, "client", "seq"),
-    "Prod": _Form(s.ProdP, "provider", "expr"),
-    "Cons": _Form(s.ConsP, "client", "bind"),
-    "Query": _Form(s.QueryRecvP, "provider", "bind"),
-    "Supply": _Form(s.SupplyP, "client", "expr"),
-    "Fwd": _Form(s.FwdP, "client", "none"),
-    "Spawn": _Form(s.SpawnP, "spawn", "bind", var="bound", ann="bound_type"),
-    "if": _Form(s.IfP, "if", "else"),
-}
-_KEYWORD = {form.cls: kw for kw, form in _FORMS.items()}
-_LAST = {cls: children[-1] for cls, (_, _, children) in s._PROC_FIELDS.items() if children}
+# process keyword -> its row of syntax.FORMS
+_FORMS = {form.keyword: form for form in s.FORMS.values()}
 
 
 class Parser:
@@ -493,7 +455,7 @@ class Parser:
 
     def process(self) -> s.Process:
         """A process; each form's last child is read in a loop."""
-        pending = []  # (class, fields, closing kinds) waiting for the last child
+        pending = []  # (form, fields, closing kinds) waiting for the last child
         while True:
             form = _FORMS.get(self.texts[self.pos])
             if form is None:
@@ -504,14 +466,14 @@ class Parser:
             if closing is None:
                 node = form.cls(**fields)
                 break
-            pending.append((form.cls, fields, closing))
-        for cls, fields, closing in reversed(pending):
+            pending.append((form, fields, closing))
+        for form, fields, closing in reversed(pending):
             for kind in closing:
                 self.expect(kind)
-            node = cls(**fields, **{_LAST[cls]: node})
+            node = form.cls(**fields, **{form.children[-1]: node})
         return node
 
-    def _head(self, form: _Form) -> dict:
+    def _head(self, form: s.Form) -> dict:
         if form.head == "if":
             return {"cond": self._dollar_expr()}
         self.expect("<")
@@ -536,7 +498,7 @@ class Parser:
         self.expect(")")
         return fields
 
-    def _tail(self, form: _Form, fields: dict) -> tuple | None:
+    def _tail(self, form: s.Form, fields: dict) -> tuple | None:
         """Read the tail up to its last child; return the kinds that close
         it after that child (None: the form has no tail)."""
         if form.tail == "none":
@@ -800,8 +762,8 @@ def render_process(p: s.Process, indent: int = 0) -> str:
     each form's last child is printed in a loop."""
     out, closing = [], []
     while True:
-        kw, pad = _KEYWORD[type(p)], "  " * indent
-        form = _FORMS[kw]
+        form, pad = s.FORMS[type(p)], "  " * indent
+        kw = form.keyword
         if form.head == "provider":
             out.append(f"{pad}{kw}<{p.binder} where {render_prop(p.pred)}>")
         elif form.head == "if":
@@ -833,7 +795,7 @@ def render_process(p: s.Process, indent: int = 0) -> str:
                 out.append(f" {_render_block(p.then, indent)} else {{\n")
             closing.append(f"\n{pad}}}")
             indent += 1
-        p = getattr(p, _LAST[type(p)])
+        p = getattr(p, form.children[-1])
     return "".join(out) + "".join(reversed(closing))
 
 

@@ -351,25 +351,22 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     """The leaf's step at ``now``, if any.  A provider form exchanges on the
     leaf's own channel and binds its binder to ``now``; a client form
     exchanges on the channel it names, at its annotation.  The connective
-    fixes the message kind and the provider's direction."""
-    a, p, env = leaf.chan, leaf.body, leaf.env
-    form = type(p)
-    if form in s.PROVIDES:
-        conn = s.CONNECTIVES[s.PROVIDES[form]]
+    fixes the message kind, and the form's row whether the leaf sends."""
+    a, p, env, form = leaf.chan, leaf.body, leaf.env, s.FORMS[type(leaf.body)]
+    if form.conn is None:
+        return _silent_steps(leaf, now, ext, fresh)
+    if form.provides:
         if not _pred_holds_at(p, env, now):
             return []
-        chan, direction, env = a, conn.provider_dir, env.bind_time(p.binder, now)
-    elif form in s.USES:
-        conn = s.CONNECTIVES[s.USES[form]]
-        if env.tick(p.at) != now:
-            return []
-        chan, direction = env.chan(p.chan), _DUAL_DIR[conn.provider_dir]
+        chan, env = a, env.bind_time(p.binder, now)
+    elif env.tick(p.at) != now:
+        return []
     else:
-        return _silent_steps(leaf, now, ext, fresh)
-    kind, sends = conn.kind, direction == "send"
+        chan = env.chan(p.chan)
+    kind, sends = s.CONNECTIVES[form.conn].kind, form.sends
 
     def step(fire, payload=None) -> LocalStep:
-        return LocalStep(Action(kind, direction, chan, payload), fire)
+        return LocalStep(Action(kind, "send" if sends else "recv", chan, payload), fire)
 
     if kind == "close":
         return [step(lambda _: [] if sends else [ProcC(a, p.cont, env)])]
@@ -379,7 +376,7 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
         # with no partner (c is None) the bound name stays unbound
         return [step(lambda c: [ProcC(a, p.cont, env if c is None else env.bind_chan(p.var, c))])]
     if kind == "label" and sends:
-        return [step(lambda _: [ProcC(a, p.cont, env)], s.LABEL[form])]
+        return [step(lambda _: [ProcC(a, p.cont, env)], form.label)]
     if kind == "label":
         return [step(lambda _, q=q: [ProcC(a, q, env)], lbl)
                 for lbl, q in (("L", p.left), ("R", p.right))]
@@ -1000,24 +997,23 @@ def _wait_pass(index: _Index) -> tuple:
     for leaf in leaves:
         if not isinstance(leaf, ProcC):
             continue
-        p, form = leaf.body, type(leaf.body)
-        if form not in s.USES and form not in (s.FwdP, s.SpawnP):
+        p, form = leaf.body, s.FORMS[type(leaf.body)]
+        if form.provides or form.cls is s.IfP:
             continue
         tick = leaf.env.tick(p.at)
         if tick > now:
             pend.add(tick)
             continue
-        chan = leaf.chan if form is s.SpawnP else leaf.env.chan(p.chan)
+        chan = leaf.chan if form.cls is s.SpawnP else leaf.env.chan(p.chan)
         if tick < now:
             return TimingViolationInfo(chan, tick, "<instant already passed>"), []
-        if form not in s.USES:  # a forward or spawn due now has fired
+        if form.conn is None:  # a forward or spawn due now has fired
             continue
         provider = by_chan.get(chan)
         if provider is None or provider is leaf:
             return TimingViolationInfo(chan, tick, "<no provider>"), []
-        want = s.USES[form]
         if isinstance(provider, AutoC):
-            conn = s.CONNECTIVES[want]
+            conn = s.CONNECTIVES[form.conn]
             guards = [tr.guard_offset
                       for tr in defs[provider.machine].moves.get(provider.state, ())
                       if (tr.action.kind, tr.action.direction) == (conn.kind, conn.provider_dir)]
@@ -1025,7 +1021,8 @@ def _wait_pass(index: _Index) -> tuple:
                 return TimingViolationInfo(chan, tick, f"entry+{min(guards)} <= t", {"t": now}), []
         elif isinstance(provider, ProcC):
             q = provider.body
-            if s.PROVIDES.get(type(q)) is want and not _pred_holds_at(q, provider.env, now):
+            qf = s.FORMS[type(q)]
+            if qf.provides and qf.conn is form.conn and not _pred_holds_at(q, provider.env, now):
                 window = render_prop(t.close(q.pred, provider.env.times, q.binder))
                 return TimingViolationInfo(chan, tick, window, {q.binder: now}), []
     for leaf in leaves:
@@ -1033,9 +1030,8 @@ def _wait_pass(index: _Index) -> tuple:
             releases = (leaf.entry + tr.guard_offset
                         for tr in defs[leaf.machine].moves.get(leaf.state, ()))
             pend.update(r for r in releases if r > now)
-        elif (isinstance(leaf, ProcC) and type(leaf.body) in s.PROVIDES
-              and leaf.chan not in index.clients
-              and s.CONNECTIVES[s.PROVIDES[type(leaf.body)]].provider_dir == "send"):
+        elif (isinstance(leaf, ProcC) and leaf.chan not in index.clients
+              and (form := s.FORMS[type(leaf.body)]).provides and form.sends):
             nxt = _earliest_enabled(leaf, now + 1)
             if nxt is not None:
                 pend.add(nxt)

@@ -8,9 +8,10 @@ The checker binds process and type binders through maps to their instants,
 and the runtime binds all three kinds of variable through a leaf's
 environment.
 
-``CONNECTIVES`` is the one table of connectives: components, message kind,
-the provider's direction, and the process forms that provide and use each.
-Beside it, ``step`` is the one rule that advances a type along an exchange.
+``CONNECTIVES`` is the one table of connectives (components, message kind,
+the provider's direction), and ``FORMS`` the one table of process forms,
+from which every per-form fact is derived.  ``step`` is the one rule that
+advances a type along an exchange.
 An exchange half is one ``Action`` record, shared by the runtime and by the
 transitions of each ``AutomatonDef``, the form the parser reads automata in.
 
@@ -22,6 +23,7 @@ declarations' source positions left out of equality, hashing and ``repr``.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 from .record import field, record, replace
 from .temporal import (NonClosedError, Prop, TillstError, TimeExpr, close, eval_prop,
@@ -443,35 +445,84 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# The connective table
+# The connective and process form tables
 
 
 @record
 class Connective:
-    """How one connective is exchanged, provided and used."""
+    """How one connective is exchanged."""
 
     components: tuple  # field names of the component session types
     kind: str  # message kind: close | chan | label | value (carries a payload sort)
     provider_dir: str  # send | recv: what the provider does with the message
-    providers: tuple  # process forms that provide the connective
-    clients: tuple  # process forms that use it
 
 
 CONNECTIVES = {
-    UnitT: Connective((), "close", "send", (CloseP,), (WaitP,)),
-    TensorT: Connective(("left", "right"), "chan", "send", (PairSend,), (PairRecv,)),
-    LolliT: Connective(("arg", "cont"), "chan", "recv", (LamRecv,), (AppSend,)),
-    IChoiceT: Connective(("left", "right"), "label", "send", (InLP, InRP), (CaseP,)),
-    EChoiceT: Connective(("left", "right"), "label", "recv", (OfferP,), (SelectLP, SelectRP)),
-    ProduceT: Connective(("cont",), "value", "send", (ProdP,), (ConsP,)),
-    QueryT: Connective(("cont",), "value", "recv", (QueryRecvP,), (SupplyP,)),
+    UnitT: Connective((), "close", "send"),
+    TensorT: Connective(("left", "right"), "chan", "send"),
+    LolliT: Connective(("arg", "cont"), "chan", "recv"),
+    IChoiceT: Connective(("left", "right"), "label", "send"),
+    EChoiceT: Connective(("left", "right"), "label", "recv"),
+    ProduceT: Connective(("cont",), "value", "send"),
+    QueryT: Connective(("cont",), "value", "recv"),
 }
 
-# process form -> the connective type it provides / uses
-PROVIDES = {form: ty for ty, c in CONNECTIVES.items() for form in c.providers}
-USES = {form: ty for ty, c in CONNECTIVES.items() for form in c.clients}
-# the label a sending form picks
-LABEL = {InLP: "L", InRP: "R", SelectLP: "L", SelectRP: "R"}
+
+class Form(namedtuple("Form", "cls keyword head tail conn label var ann "
+                              "provides sends uses binds children")):
+    """One process form: its class and keyword, its head and tail, the
+    connective it exchanges on (None for Fwd, Spawn and if), the label it
+    sends, and the fields a ``bind`` tail fills; ``_form`` derives the rest.
+
+    Heads: ``provider`` reads ``<b where P>`` into binder/pred; ``client``
+    reads ``<T>(c)`` into at/chan; ``app`` is ``<T>(c <= { P })``, ``spawn``
+    ``<T>(f, a, ...)`` and ``if`` ``$ e $``.  Tails, each ending in the last
+    child P: ``none``, ``seq`` ``; P``, ``bind`` ``{ x => P }`` (or
+    ``{ x : T => P }`` where the class has an ``ann`` field), ``branch``
+    ``{ L => P } { R => P }``, ``expr`` ``$ e $; P``, ``block`` ``{ P }; P``,
+    ``else`` ``{ P } else { P }``.  ``var`` names the field that holds a
+    ``bind`` tail's x, and ``ann`` the field of its annotation, if any.
+    Derived: whether it ``provides`` and ``sends``; the field naming the
+    channels it ``uses``; the field that ``binds`` a channel over its
+    children; and its ``children``, App's payload, then the tail's.
+    """
+
+    __slots__ = ()
+
+
+def _form(cls: type, keyword: str, head: str, tail: str, conn: type | None = None,
+          label: str | None = None, var: str = "var", ann: str | None = None) -> Form:
+    provides = head == "provider"
+    sends = conn is not None and (CONNECTIVES[conn].provider_dir == "send") == provides
+    uses = {"client": "chan", "app": "chan", "spawn": "args"}.get(head)
+    binds = var if tail == "bind" and (conn is None or CONNECTIVES[conn].kind != "value") else None
+    children = {"none": (), "block": ("payload", "cont"), "branch": ("left", "right"),
+                "else": ("then", "orelse")}.get(tail, ("cont",))
+    return Form(cls, keyword, head, tail, conn, label, var, ann, provides, sends, uses, binds,
+                ("payload",) + children if head == "app" else children)
+
+
+FORMS = {form.cls: form for form in (
+    _form(CloseP, "Close", "provider", "none", UnitT),
+    _form(WaitP, "Wait", "client", "seq", UnitT),
+    _form(LamRecv, "Lam", "provider", "bind", LolliT),
+    _form(AppSend, "App", "app", "seq", LolliT),
+    _form(PairSend, "SendCh", "provider", "block", TensorT),
+    _form(PairRecv, "RecvCh", "client", "bind", TensorT),
+    _form(InLP, "SwitchL", "provider", "seq", IChoiceT, "L"),
+    _form(InRP, "SwitchR", "provider", "seq", IChoiceT, "R"),
+    _form(CaseP, "Case", "client", "branch", IChoiceT),
+    _form(OfferP, "Offer", "provider", "branch", EChoiceT),
+    _form(SelectLP, "SelectL", "client", "seq", EChoiceT, "L"),
+    _form(SelectRP, "SelectR", "client", "seq", EChoiceT, "R"),
+    _form(ProdP, "Prod", "provider", "expr", ProduceT),
+    _form(ConsP, "Cons", "client", "bind", ProduceT),
+    _form(QueryRecvP, "Query", "provider", "bind", QueryT),
+    _form(SupplyP, "Supply", "client", "expr", QueryT),
+    _form(FwdP, "Fwd", "client", "none"),
+    _form(SpawnP, "Spawn", "spawn", "bind", var="bound", ann="bound_type"),
+    _form(IfP, "if", "if", "else"),
+)}
 
 
 class ProtocolError(TillstError):
@@ -621,31 +672,6 @@ def alpha_eq_type(a: SessionType, b: SessionType, m: dict | None = None) -> bool
 # ---------------------------------------------------------------------------
 # Process operations
 
-# Per process form: the field naming the channel(s) it uses, the field that
-# binds a channel over its children, and its child processes.
-_PROC_FIELDS = {
-    CloseP: (None, None, ()),
-    WaitP: ("chan", None, ("cont",)),
-    LamRecv: (None, "var", ("cont",)),
-    AppSend: ("chan", None, ("payload", "cont")),
-    PairSend: (None, None, ("payload", "cont")),
-    PairRecv: ("chan", "var", ("cont",)),
-    InLP: (None, None, ("cont",)),
-    InRP: (None, None, ("cont",)),
-    CaseP: ("chan", None, ("left", "right")),
-    OfferP: (None, None, ("left", "right")),
-    SelectLP: ("chan", None, ("cont",)),
-    SelectRP: ("chan", None, ("cont",)),
-    ProdP: (None, None, ("cont",)),
-    ConsP: ("chan", None, ("cont",)),
-    QueryRecvP: (None, None, ("cont",)),
-    SupplyP: ("chan", None, ("cont",)),
-    FwdP: ("chan", None, ()),
-    SpawnP: ("args", "bound", ("cont",)),
-    IfP: (None, None, ("then", "orelse")),
-}
-
-
 def free_channel_table(p: Process, table: dict) -> frozenset:
     """The channels ``p`` uses and does not bind, with those of ``p`` and of
     every subterm recorded in ``table`` as ``id(node) -> (node, channels)``,
@@ -662,17 +688,17 @@ def free_channel_table(p: Process, table: dict) -> frozenset:
         if id(q) in table:  # the table holds q, so its id is not reused
             stack.pop()
             continue
-        uses, binder, children = _PROC_FIELDS[type(q)]
-        kids = [getattr(q, name) for name in children]
+        form = FORMS[type(q)]
+        kids = [getattr(q, name) for name in form.children]
         missing = [kid for kid in kids if id(kid) not in table]
         if missing:
             stack.extend(missing)
             continue
         stack.pop()
-        own = _own_channels(q, uses)
+        own = _own_channels(q, form.uses)
         sets = [table[id(kid)][1] for kid in kids]
-        if binder is not None:
-            bound = getattr(q, binder)
+        if form.binds is not None:
+            bound = getattr(q, form.binds)
             sets = [fc - {bound} if bound in fc else fc for fc in sets]
         if len(sets) == 1 and sets[0].issuperset(own):
             table[id(q)] = (q, sets[0])
@@ -695,7 +721,7 @@ def channels_left(p: Process, q: Process, table: dict) -> tuple | None:
     fp, fq = free_channel_table(p, table), free_channel_table(q, table)
     if fp is fq:
         return ()
-    uses, binder, children = _PROC_FIELDS[type(p)]
-    if binder is not None or len(children) != 1 or getattr(p, children[0]) is not q:
+    form = FORMS[type(p)]
+    if form.binds is not None or len(form.children) != 1 or getattr(p, form.children[0]) is not q:
         return None
-    return tuple(x for x in _own_channels(p, uses) if x not in fq)
+    return tuple(x for x in _own_channels(p, form.uses) if x not in fq)

@@ -6,7 +6,7 @@ normalizes to ``base + offset`` where the base is either ``init`` or a single
 time variable.  Entailment G;F |- p is decided by unsatisfiability of
 F together with the negation of p over integer assignments, by a
 depth-first search over the propositions on a difference graph; a goal
-that names no time variable and holds at init needs no search.
+that evaluates to true with no time variable assigned needs no search.
 Hypotheses form a persistent list (``Hyps``): lists that share a prefix
 share its cells, and each cell reads its own hypothesis once, for the first
 query through it that is decided here rather than exported, as a list of
@@ -19,9 +19,9 @@ and a negated goal that does, in list order: left side first, undoing back
 to the latest choice when a literal closes a negative cycle, in a loop that
 takes no stack frame per level.  The search gives up after a budget of
 asserted literals.  The graph's negative-cycle check is the only one: a
-plain list, asked once, is searched the same way on a fresh graph.  For
-the conjunct a satisfiable query completes, Bellman-Ford from a virtual
-source gives the shortest distances, which are the counterexample.
+plain list is asked as the list of a fresh root.  For the conjunct a
+satisfiable query completes, Bellman-Ford from a virtual source gives the
+shortest distances, which are the counterexample.
 Queries export as SMT-LIB2 scripts (logic QF_LIA) that an external solver
 binary can discharge; the modules that run it load only when it runs.
 Time expressions and propositions are immutable ``record``s
@@ -225,28 +225,36 @@ def close(p: Prop, instants: Mapping[str, int], binder: str) -> Prop:
 
 
 def eval_prop(p: Prop, assignment: Mapping[str, int]) -> bool:
-    """Truth value under an integer assignment with init fixed at 0."""
-
-    def val(e: TimeExpr) -> int:
-        if e.var is None:
-            return e.offset
-        if e.var not in assignment:
-            raise NonClosedError(f"unassigned time variable {e.var}")
-        return assignment[e.var] + e.offset
-
-    if isinstance(p, Top):
-        return True
-    if isinstance(p, Bot):
-        return False
-    if isinstance(p, And):
-        return eval_prop(p.left, assignment) and eval_prop(p.right, assignment)
-    if isinstance(p, Or):
-        return eval_prop(p.left, assignment) or eval_prop(p.right, assignment)
-    if isinstance(p, Imp):
-        return (not eval_prop(p.left, assignment)) or eval_prop(p.right, assignment)
-    if isinstance(p, Eq):
-        return val(p.left) == val(p.right)
-    return val(p.left) <= val(p.right)
+    """Truth value under an integer assignment with init fixed at 0.  Sides
+    are read left to right, skipping a right side that cannot change the
+    value, in a loop that takes no stack frame per level."""
+    todo = []
+    while True:
+        kind = type(p)
+        if kind is And or kind is Or or kind is Imp:
+            todo.append(p)
+            p = p.left
+            continue
+        if kind is Leq or kind is Eq:
+            a, b = p.left, p.right
+            x = 0 if a.var is None else assignment.get(a.var)
+            y = 0 if b.var is None else assignment.get(b.var)
+            if x is None or y is None:
+                raise NonClosedError(f"unassigned time variable {a.var if x is None else b.var}")
+            x, y = x + a.offset, y + b.offset
+            value = x <= y if kind is Leq else x == y
+        else:
+            value = kind is Top
+        while todo:
+            p = todo.pop()
+            kind = type(p)
+            if kind is Imp:  # not left, or right
+                value = not value
+            if (kind is And) == value:  # True under And, False under Or or Imp
+                p = p.right
+                break
+        else:
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +374,14 @@ class Hyps:
             props.append(c.prop)
             c = c.parent
         return reversed(props)
+
+    def _release(self) -> None:
+        """Break the reference cycles of a fresh root whose one list is this
+        one: the links down the list, to a cell itself and to the context."""
+        c = self
+        while c is not None:
+            c.kids = c.single = c.ors = c.ctx = None
+            c = c.parent
 
     def _read(self) -> None:
         """Read the hypotheses of this list's cells that are not yet, from
@@ -582,46 +598,6 @@ def _conjunct_model(literals: list, g: Iterable[str]) -> dict:
     return {n: dist[n] - base for n in names}
 
 
-def _model(f: Hyps | Iterable[Prop], goal: Prop | None, g: Iterable[str],
-           budget: int) -> dict | None:
-    """``_Context.model`` of ``f``.  A plain list is asked once, so no cell
-    or graph would be used again: it is searched on a fresh graph, the
-    literals of the propositions that offer no choice first."""
-    if isinstance(f, Hyps):
-        return f.ctx.model(f, goal, g, budget)
-    lits, items = [], []
-    for item in [(p, True) for p in f] + ([] if goal is None else [(goal, False)]):
-        own = _literals(*item)
-        if own is None:
-            items.append(item)
-        else:
-            lits += own
-    return _Context()._search(lits, items, g, budget)[0]
-
-
-def _closed_truth(p: Prop) -> bool | None:
-    """``p``'s truth value when it names no time variable, else None.  The
-    walk stops at the first variable it meets."""
-    values, todo = [], [p]
-    while todo:
-        p = todo.pop()
-        kind = type(p)
-        if kind is And or kind is Or or kind is Imp:
-            todo += (kind, p.right, p.left)  # the class marks where both sides are done
-        elif kind is type:
-            right, left = values.pop(), values.pop()
-            values.append(left and right if p is And else
-                          left or right if p is Or else not left or right)
-        elif kind is Eq or kind is Leq:
-            if p.left.var is not None or p.right.var is not None:
-                return None
-            values.append(p.left.offset == p.right.offset if kind is Eq
-                          else p.left.offset <= p.right.offset)
-        else:
-            values.append(kind is Top)
-    return values[0]
-
-
 def entails_cex(
     g: Iterable[str],
     f: Hyps | Iterable[Prop],
@@ -630,13 +606,23 @@ def entails_cex(
 ) -> tuple:
     """(holds, counterexample): holds iff F /\\ not p is unsatisfiable.
 
-    A goal that names no time variable and holds at init holds under any
-    F, so it is answered without a search.  Every other goal, a closed one
-    that is false included, is searched: its counterexample, and whether
-    it exhausts ``budget``, are the search's."""
-    if _closed_truth(p):
-        return True, None
-    cex = _model(f, p, g, budget)
+    A goal that holds by ``eval_prop`` with no variable assigned holds under
+    any F, so it is answered without a search.  Every other goal, a closed
+    one that is false included, is searched: its counterexample, and whether
+    it exhausts ``budget``, are the search's.  A plain list is asked as the
+    list of a fresh root, released after the query."""
+    try:
+        if eval_prop(p, {}):
+            return True, None
+    except NonClosedError:
+        pass
+    fresh = not isinstance(f, Hyps)
+    f = Hyps().extend(f) if fresh else f
+    try:
+        cex = f.ctx.model(f, p, g, budget)
+    finally:
+        if fresh:
+            f._release()
     return (cex is None, cex)
 
 

@@ -444,27 +444,25 @@ class Checker:
         The message kind and whether this side sends pick the premises.
         The judgment's maps go on to them changed in place: a client's
         channel leaves Delta and comes back last, at its new type."""
-        p, provider, delta = j.p, type(j.p) in s.PROVIDES, j.delta
-        if provider:
+        p, form, delta = j.p, s.FORMS[type(j.p)], j.delta
+        if form.provides:
             ty = j.a
         elif p.chan not in delta:
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc, f"channel {p.chan} is not available"))
         else:
             ty = delta[p.chan]
-        form = (s.PROVIDES if provider else s.USES)[type(p)]
-        if not isinstance(ty, form):
+        if not isinstance(ty, form.conn):
             want = ty.name if isinstance(ty, s.TypeRef) else render_type(ty, j.bm)
             raise TypeCheckError(TypingError(
                 SHAPE_MISMATCH, loc,
                 f"process form {type(p).__name__} cannot provide or use {want}"))
-        conn = s.CONNECTIVES[form]
-        kind, sends = conn.kind, (conn.provider_dir == "send") == provider
+        kind, sends = s.CONNECTIVES[form.conn].kind, form.sends
         if kind == "close" and sends and delta:  # only a provider sends a close
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc, f"channel {sorted(delta)[0]} unused at close"))
         g, f, tm, bm = j.g, j.f, j.tm, j.bm
-        if provider:
+        if form.provides:
             now = tm[p.binder] = t.tvar(ty.binder)
             term_pred, window = t.substitute_all(p.pred, tm), t.substitute_all(ty.pred, bm)
             g, f = g + (ty.binder,), f.push(window)
@@ -483,7 +481,7 @@ class Checker:
         comps = s.components(ty)
         if kind == "chan" and not sends:
             _require_unbound(delta, p.var, loc)  # Delta still holds the used channel
-        if not provider:
+        if not form.provides:
             del delta[p.chan]
 
         def judge(q, d, a, where=loc) -> Judgment:
@@ -491,7 +489,7 @@ class Checker:
 
         def on(q, c, d=delta, where=loc) -> Judgment:
             """q goes on with the exchanged channel at type c."""
-            if provider:
+            if form.provides:
                 return judge(q, d, c, where)
             d[p.chan] = c
             return judge(q, d, j.a, where)
@@ -501,20 +499,20 @@ class Checker:
         if kind == "chan" and sends:
             d1, d2 = split_context(delta, p.payload, p.cont, loc, self.free)
             # a client's payload is located under /payload
-            payload = judge(p.payload, d1, comps[0], loc if provider else (loc, "payload"))
+            payload = judge(p.payload, d1, comps[0], loc if form.provides else (loc, "payload"))
             return [payload.copied(), on(p.cont, comps[1], d2)]
         if kind == "chan":
             delta[p.var] = comps[0]
             return [on(p.cont, comps[1])]
         if kind == "label" and sends:
-            return [on(p.cont, comps["LR".index(s.LABEL[type(p)])])]
+            return [on(p.cont, comps["LR".index(form.label)])]
         if kind == "label":  # the left premise copies Delta before the right sets it
             return [on(p.left, comps[0], where=(loc, "L")).copied(),
                     on(p.right, comps[1], where=(loc, "R"))]
         if sends:
             got = check_expr(j.gamma, p.expr, self.externs, loc)
             if got != ty.payload:
-                what, whose = ("produced", "type") if provider else ("supplied", "channel")
+                what, whose = ("produced", "type") if form.provides else ("supplied", "channel")
                 raise TypeCheckError(TypingError(
                     EXPR_TYPE_ERROR, loc,
                     f"{what} value has sort {got}, {whose} wants {ty.payload}"))

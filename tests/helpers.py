@@ -2,7 +2,7 @@
 
 from tillst.runtime import Refl, StepC
 from tillst.syntax import free_channel_table
-from tillst.temporal import SEARCH_BUDGET, _model, entails_cex, eval_prop
+from tillst.temporal import SEARCH_BUDGET, Hyps, entails_cex, eval_prop
 
 
 def entails(g, f, p) -> bool:
@@ -21,7 +21,13 @@ def solve_satisfiable(g, f, budget: int = SEARCH_BUDGET):
     variable no literal constrains gets minus init's distance, which is 0
     only when no literal pulls init below the source.
     """
-    return _model(f, None, g, budget)
+    if isinstance(f, Hyps):
+        return f.ctx.model(f, None, g, budget)
+    f = Hyps().extend(f)
+    try:
+        return f.ctx.model(f, None, g, budget)
+    finally:
+        f._release()
 
 
 def eval_closed_prop(p) -> bool:

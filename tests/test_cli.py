@@ -331,7 +331,7 @@ def test_import_loads_no_solver_or_dataclass_machinery():
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = ("import sys, tillst.cli\n"
              "print(sorted(m for m in ('dataclasses', 'inspect', 'subprocess',"
-             " 'importlib.resources', 'typing') if m in sys.modules))")
+             " 'importlib.resources', 'typing', 'json') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stderr) == (0, "")

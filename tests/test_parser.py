@@ -13,6 +13,7 @@ from tillst import temporal as t
 from tillst.cli import main
 from tillst.parser import (ParseError, Token, parse_program, render_program, render_type,
                            tokenize)
+from tillst.typecheck import _RULES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
 from perfbench.workloads import generate  # noqa: E402
@@ -406,8 +407,48 @@ PROCESSES = st.recursive(FORMS[s.CloseP](None) | FORMS[s.FwdP](None),
                          max_leaves=6)
 
 
-def test_forms_cover_every_process_class():
-    assert set(FORMS) == set(s._PROC_FIELDS)
+# Every per-form fact as literal data, as the separate tables that the rows
+# of ``syntax.FORMS`` replace wrote them: the keyword; the field naming the
+# channels the form uses, the field binding a channel over its children, and
+# the children; the connective it provides or uses; the label it sends.
+PER_FORM = {
+    s.CloseP: ("Close", None, None, (), "provides", s.UnitT, None),
+    s.WaitP: ("Wait", "chan", None, ("cont",), "uses", s.UnitT, None),
+    s.LamRecv: ("Lam", None, "var", ("cont",), "provides", s.LolliT, None),
+    s.AppSend: ("App", "chan", None, ("payload", "cont"), "uses", s.LolliT, None),
+    s.PairSend: ("SendCh", None, None, ("payload", "cont"), "provides", s.TensorT, None),
+    s.PairRecv: ("RecvCh", "chan", "var", ("cont",), "uses", s.TensorT, None),
+    s.InLP: ("SwitchL", None, None, ("cont",), "provides", s.IChoiceT, "L"),
+    s.InRP: ("SwitchR", None, None, ("cont",), "provides", s.IChoiceT, "R"),
+    s.CaseP: ("Case", "chan", None, ("left", "right"), "uses", s.IChoiceT, None),
+    s.OfferP: ("Offer", None, None, ("left", "right"), "provides", s.EChoiceT, None),
+    s.SelectLP: ("SelectL", "chan", None, ("cont",), "uses", s.EChoiceT, "L"),
+    s.SelectRP: ("SelectR", "chan", None, ("cont",), "uses", s.EChoiceT, "R"),
+    s.ProdP: ("Prod", None, None, ("cont",), "provides", s.ProduceT, None),
+    s.ConsP: ("Cons", "chan", None, ("cont",), "uses", s.ProduceT, None),
+    s.QueryRecvP: ("Query", None, None, ("cont",), "provides", s.QueryT, None),
+    s.SupplyP: ("Supply", "chan", None, ("cont",), "uses", s.QueryT, None),
+    s.FwdP: ("Fwd", "chan", None, (), None, None, None),
+    s.SpawnP: ("Spawn", "args", "bound", ("cont",), None, None, None),
+    s.IfP: ("if", None, None, ("then", "orelse"), None, None, None),
+}
+# the forms whose side sends the message of their exchange
+SENDERS = {s.CloseP, s.AppSend, s.PairSend, s.InLP, s.InRP, s.SelectLP, s.SelectRP,
+           s.ProdP, s.SupplyP}
+
+
+def test_form_rows_derive_every_per_form_fact():
+    # one row per process class, each with a strategy above; every exchange
+    # has one provider or client rule, and each other form one rule of the
+    # checker's own
+    assert list(s.FORMS) == list(s.Process) == list(FORMS) == list(PER_FORM)
+    assert {cls for cls, form in s.FORMS.items() if form.conn is None} == set(_RULES)
+    for cls, (keyword, uses, binds, children, side, conn, label) in PER_FORM.items():
+        form = s.FORMS[cls]
+        assert (form.cls, form.keyword, form.uses, form.binds, form.children) \
+            == (cls, keyword, uses, binds, children)
+        assert (form.provides, form.conn, form.label) == (side == "provides", conn, label)
+        assert form.sends == (cls in SENDERS)
 
 
 @pytest.mark.parametrize("form", FORMS, ids=lambda cls: cls.__name__)

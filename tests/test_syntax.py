@@ -108,7 +108,8 @@ def reference_free_channels(p):
         while len(binders) > depth:
             bound[binders.pop()] -= 1
         while True:
-            uses, binder, children = s._PROC_FIELDS[type(p)]
+            form = s.FORMS[type(p)]
+            uses, binder, children = form.uses, form.binds, form.children
             if uses == "args":
                 out.update(x for x in p.args if not bound.get(x))
             elif uses is not None and not bound.get(getattr(p, uses)):
@@ -141,4 +142,5 @@ def test_free_channel_table_agrees_on_every_subterm(load_corpus):
             while stack:
                 p = stack.pop()
                 assert table[id(p)] == (p, reference_free_channels(p))
-                stack += [getattr(p, name) for name in s._PROC_FIELDS[type(p)][2]]
+                stack += [getattr(p, name) for name in s.FORMS[type(p)].children]
+

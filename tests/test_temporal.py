@@ -137,25 +137,75 @@ class TestEntails:
     def test_closed_goal_answers_as_the_search(self, monkeypatch, f, goal):
         # a closed goal that holds is answered without a search; one that
         # fails is searched, for its counterexample under F
-        g, real = ["t1"], t._model
-        cex = real(self.HYPS[f], goal, g, t.SEARCH_BUDGET)
+        g, real = ["t1"], t._Context.model
+        fresh = t.Hyps().extend(self.HYPS[f])
+        cex = real(fresh.ctx, fresh, goal, g, t.SEARCH_BUDGET)
         searched = []
-        monkeypatch.setattr(t, "_model", lambda *args: searched.append(args) or real(*args))
+        monkeypatch.setattr(t._Context, "model",
+                            lambda ctx, *args: searched.append(args) or real(ctx, *args))
         for hyps in (self.HYPS[f], t.Hyps().extend(self.HYPS[f])):
             assert t.entails_cex(g, hyps, goal) == (cex is None, cex)
         assert len(searched) == (0 if goal in self.CLOSED_TRUE else 2)
 
-    @given(props(times))
-    def test_closed_truth_stops_at_a_variable(self, p):
-        closed = not t.free_time_vars(p)
-        assert t._closed_truth(p) == (eval_closed_prop(p) if closed else None)
+    @given(props(times), st.dictionaries(st.sampled_from(["t1", "t2", "t3"]),
+                                         st.integers(-30, 30)))
+    def test_eval_prop_answers_as_the_recursion(self, p, assignment):
+        # the same value as the recursive evaluator, or NonClosedError on the
+        # same inputs: both read sides left to right and skip a right side
+        # that cannot change the value
+        def reference(p):
+            def val(e):
+                if e.var is None:
+                    return e.offset
+                if e.var not in assignment:
+                    raise t.NonClosedError(f"unassigned time variable {e.var}")
+                return assignment[e.var] + e.offset
+
+            if isinstance(p, Top):
+                return True
+            if isinstance(p, Bot):
+                return False
+            if isinstance(p, And):
+                return reference(p.left) and reference(p.right)
+            if isinstance(p, Or):
+                return reference(p.left) or reference(p.right)
+            if isinstance(p, Imp):
+                return (not reference(p.left)) or reference(p.right)
+            if isinstance(p, Eq):
+                return val(p.left) == val(p.right)
+            return val(p.left) <= val(p.right)
+
+        try:
+            want = reference(p)
+        except t.NonClosedError as exc:
+            with pytest.raises(t.NonClosedError) as got:
+                eval_prop(p, assignment)
+            assert str(got.value) == str(exc)
+        else:
+            assert eval_prop(p, assignment) is want
 
     def test_deep_closed_goal_takes_no_stack(self):
         p = TOP
         for _ in range(5000):
             p = And(p, Leq(INIT, INIT))
-        assert t._closed_truth(p) is True
-        assert t._closed_truth(And(p, Leq(INIT, tvar("t1")))) is None
+        assert eval_prop(p, {}) is True
+        with pytest.raises(t.NonClosedError):
+            eval_prop(And(p, Leq(INIT, tvar("t1"))), {})
+        # 5000 levels of And, Or and Imp nested on either side, each atom's
+        # value folded in as the level is built
+        atoms = [(Leq(INIT, INIT), True), (Leq(init_plus(1), INIT), False), (TOP, True)]
+        for lean in ("left", "right"):
+            p, want = BOT, False
+            for i in range(5000):
+                atom, value = atoms[i % 3]
+                cls = (And, Or, Imp)[i % 7 % 3]
+                left, right = (want, value) if lean == "left" else (value, want)
+                p = cls(p, atom) if lean == "left" else cls(atom, p)
+                want = (left and right if cls is And else left or right if cls is Or
+                        else not left or right)
+            assert eval_prop(p, {}) is want
+            # a variable behind a side that fixes the value is never read
+            assert eval_prop((Or if want else And)(p, Leq(INIT, tvar("t1"))), {}) is want
 
 
 class TestSolve:

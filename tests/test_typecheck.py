@@ -291,13 +291,6 @@ def test_recursive_spawn_rejected():
     assert "recursive" in reports[0].error.judgment
 
 
-def test_every_process_form_has_exactly_one_rule():
-    judgmental = {s.FwdP, s.SpawnP, s.IfP}
-    covered = set(s.PROVIDES) | set(s.USES) | judgmental
-    assert set(s.PROVIDES) & set(s.USES) == set()
-    assert covered == set(s.Process)
-
-
 def test_empty_program_empty_report():
     assert check_program(parse_program("")) == []
 
@@ -653,7 +646,7 @@ def test_fanout_hub_exchanges_hand_one_delta_on(monkeypatch):
     exchange = Checker._exchange
 
     def spy(self, j, loc):
-        if type(j.p) not in s.PROVIDES:
+        if not s.FORMS[type(j.p)].provides:
             seen.append(j.delta)
         return exchange(self, j, loc)
 
