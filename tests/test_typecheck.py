@@ -9,7 +9,7 @@ from tillst import syntax as s
 from tillst import temporal as t
 from tillst.parser import parse_program
 from tillst.typecheck import (Checker, EntailmentSolver, LoggingSolver, TypeCheckError,
-                              _retype, check_expr, check_program,
+                              _RULES, _retype, check_expr, check_program,
                               split_context)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
@@ -289,6 +289,17 @@ def test_recursive_spawn_rejected():
     reports = check_program(parse_program(src))
     assert not reports[0].accepted
     assert "recursive" in reports[0].error.judgment
+
+
+def test_every_process_form_has_exactly_one_rule():
+    # an exchange form is checked by its provider or its client side; each
+    # other form by one rule of the checker's own
+    providers = {cls for cls, form in s.FORMS.items() if form.conn and form.provides}
+    clients = {cls for cls, form in s.FORMS.items() if form.conn and not form.provides}
+    judgmental = {s.FwdP, s.SpawnP, s.IfP}
+    assert set(_RULES) == judgmental
+    assert providers & clients == providers & judgmental == clients & judgmental == set()
+    assert providers | clients | judgmental == set(s.Process)
 
 
 def test_empty_program_empty_report():
