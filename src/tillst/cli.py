@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 
 from . import syntax as s
@@ -39,6 +40,22 @@ def _load(path: str) -> s.Program:
     except ParseError as exc:
         raise SystemExit2(f"{path}:{exc}") from exc
     return prog
+
+
+def _write(path: str, text: str, what: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8, in place: an existing regular
+    file is cut to the length written after the write, not emptied when
+    opened, since a truncating open can stall on the filesystem far longer
+    than the write takes.  A device such as ``os.devnull`` is only written
+    to."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {what}: {exc}") from exc
 
 
 def build_system(prog: s.Program, name: str):
@@ -81,11 +98,7 @@ def cmd_run(path: str, entry: str, horizon: int | None, trace_out: str | None,
     result = run_scheduler(omega, start, horizon=horizon, env=env, defs=defs)
     text = trace_to_jsonl(result.trace)
     if trace_out:
-        try:
-            with open(trace_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SystemExit2(f"cannot write trace: {exc}") from exc
+        _write(trace_out, text, "trace")
     else:
         sys.stdout.write(text)
     if result.ok:
@@ -103,17 +116,15 @@ def cmd_smt(path: str, out_dir: str) -> int:
     check_program(prog, solver)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        index = []
-        for i, q in enumerate(solver.queries):
-            fname = f"query_{i:04d}.smt2"
-            with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-                fh.write(t.emit_smtlib(q.g, q.f, q.prop))
-            index.append({"file": fname, "location": q.location,
-                          "holds": q.holds, "ms": round(q.seconds * 1000, 3)})
-        with open(os.path.join(out_dir, "index.json"), "w", encoding="utf-8") as fh:
-            json.dump(index, fh, indent=1)
     except OSError as exc:
         raise SystemExit2(f"cannot write queries: {exc}") from exc
+    index = []
+    for i, q in enumerate(solver.queries):
+        fname = f"query_{i:04d}.smt2"
+        _write(os.path.join(out_dir, fname), t.emit_smtlib(q.g, q.f, q.prop), "queries")
+        index.append({"file": fname, "location": q.location,
+                      "holds": q.holds, "ms": round(q.seconds * 1000, 3)})
+    _write(os.path.join(out_dir, "index.json"), json.dumps(index, indent=1), "queries")
     print(f"{len(solver.queries)} queries written to {out_dir}")
     return 0
 

@@ -1124,11 +1124,14 @@ _TRACE_KINDS = ("chan", "label", "close", "value")
 
 def trace_from_jsonl(text: str) -> list:
     """Parse a serialized trace back into events.  A received value's payload
-    stays a string (as an opaque value); a silent event's payload is its tag."""
+    stays a string (as an opaque value); a silent event's payload is its tag.
+    Lines end at ``"\\n"`` only (``strip`` drops a ``"\\r"`` before it): a
+    JSON string may hold U+0085, U+2028 and U+2029 raw, and ``splitlines``
+    would split at each of them."""
     import json
 
     events = []
-    for n, line in enumerate(text.splitlines(), 1):
+    for n, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue

@@ -44,7 +44,10 @@ every program the two trees are compared on:
 
 - ``check``: stdout, stderr and exit code;
 - ``run`` of every system: stdout, stderr, exit code and the trace file,
-  and stdout, stderr and exit code under the program's horizon if it has one;
+  and stdout, stderr and exit code under the program's horizon if it has one.
+  Before each run the trace path already holds ``STALE``, a text longer
+  than any trace, so ``run`` always writes over an existing file and the
+  trace it leaves must be exactly what it wrote, however it overwrites;
 - ``replay``'s verdict on the step sequence of that run, made in-process
   with the seed ``run`` uses (or the error that stops the run or replay);
 - ``replay``'s verdict on two sequences built from that one, which hold
@@ -82,6 +85,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SEED = 1
 MONITORED_CHANNELS = 4
+STALE = ("~" * 63 + "\n") * 8192  # 512 KiB: each run's trace file holds this first
 
 
 def neq_chain(n: int, m: int, late: int = -1) -> str:
@@ -331,6 +335,7 @@ def collect(inputs: str) -> None:
                 {k: v for k, v in entry.items() if k != "ms"} for entry in index]
         for system in decls["systems"]:
             trace = traces / f"{program[:-4]}.{system}.out.jsonl"
+            trace.write_text(STALE, encoding="utf-8")
             call(f"run {program} {system}", "run", path, "--entry", system,
                  "--trace", str(trace))
             if program in HORIZONS:
@@ -340,10 +345,14 @@ def collect(inputs: str) -> None:
             key = f"replay {program} {system}"
             outputs[key], outputs[f"{key} extended"], outputs[f"{key} partitioned"] = \
                 replayed(path, system)
-            if not trace.exists():
-                continue
             text = trace.read_text(encoding="utf-8")
+            if text == STALE:  # the run stopped before writing its trace
+                continue
             outputs[f"trace {trace.name}"] = text
+            if text.endswith(STALE[-64:]):  # the write left STALE's tail behind
+                continue
+            if len(text) >= len(STALE):
+                raise SystemExit(f"{trace.name} is no shorter than STALE; lengthen STALE")
             lines = text.splitlines()
             channels = sorted({json.loads(line)["channel"] for line in lines})
             watched = [trace]

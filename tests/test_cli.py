@@ -175,6 +175,28 @@ class TestRun:
                                "--entry", "nope")
         assert code == 2
 
+    def test_trace_over_a_longer_file_is_cut_to_length(self, capsys, tmp_path):
+        fresh, used = tmp_path / "fresh.jsonl", tmp_path / "used.jsonl"
+        used.write_text("x" * 100000 + "\n")
+        for path in (fresh, used):
+            code, _, _ = run_cli(capsys, "run", corpus_path("smart_home.tsl"),
+                                 "--entry", "main", "--trace", str(path))
+            assert code == 0
+        assert used.read_bytes() == fresh.read_bytes()
+        assert len(fresh.read_text().splitlines()) == 9
+
+    @pytest.mark.skipif(os.name != "posix", reason="os.devnull is a device only on POSIX")
+    def test_trace_to_devnull(self, capsys):
+        code, out, err = run_cli(capsys, "run", corpus_path("smart_home.tsl"),
+                                 "--entry", "main", "--trace", os.devnull)
+        assert (code, out, err) == (0, "done at t0+50 (9 events)\n", "")
+
+    def test_trace_to_a_directory_exits_two(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", corpus_path("smart_home.tsl"),
+                                 "--entry", "main", "--trace", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write trace: ")
+
 
 class TestSmt:
     def test_query_dump_matches_inline_verdicts(self, capsys, tmp_path):
@@ -206,6 +228,24 @@ class TestSmt:
         assert code == 0
         index = json.loads((out_dir / "index.json").read_text())
         assert index and all(entry["holds"] for entry in index)
+
+    def test_second_dump_over_the_first_leaves_the_same_files(self, capsys, tmp_path):
+        out_dir = tmp_path / "queries"
+
+        def dump():
+            code, _, _ = run_cli(capsys, "smt", corpus_path("p3_deadline_miss.tsl"),
+                                 "--out", str(out_dir))
+            assert code == 0
+            files = {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
+            index = json.loads(files.pop("index.json"))
+            return files, [{k: v for k, v in e.items() if k != "ms"} for e in index]
+
+        first = dump()
+        # pad half the files past what the next dump writes and cut the rest
+        # short; index.json is compared without its times, which vary by run
+        for i, path in enumerate(sorted(out_dir.iterdir())):
+            path.write_text(path.read_text()[:10] if i % 2 else path.read_text() * 3)
+        assert dump() == first
 
     def test_empty_program_zero_queries(self, capsys, tmp_path):
         empty = tmp_path / "empty.tsl"

@@ -15,8 +15,8 @@ from tillst.cli import build_system
 from tillst.parser import parse_program
 from tillst.record import replace
 from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
-                            ProcC, Refl, RuntimeInvariantError, SILENT, StepC,
-                            StepT, TraceEvent, complementary,
+                            OpaqueV, ProcC, Refl, RuntimeInvariantError, SILENT,
+                            StepC, StepT, TraceEvent, TraceFormatError, complementary,
                             congruence_normalize, conf_leaves, eval_expr,
                             reductions, replay, run_scheduler, seq_concat,
                             seq_end, seq_interleave, seq_start,
@@ -510,6 +510,16 @@ class TestTraceSerialization:
         text = trace_to_jsonl([TraceEvent(3, Action("close", "send", "a"), "a")])
         assert text.startswith('{"time": 3, "dir": "send", "kind": "close", '
                                '"channel": "a", "payload": null}')
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+    def test_lines_end_at_newline_only(self, sep):
+        # splitlines splits at each, and JSON allows each raw inside a string
+        line = '{"time": 1, "dir": "recv", "kind": "value", "channel": "a", ' \
+               f'"payload": "x{sep}y"}}'
+        back = trace_from_jsonl(line + "\r\n" + line + "\n")
+        assert [e.action.payload for e in back] == 2 * [OpaqueV("?", f"x{sep}y")]
+        with pytest.raises(TraceFormatError, match=r"^3: not a JSON object$"):
+            trace_from_jsonl(line + "\n" + line + "\n{not json\n")
 
 
 def as_tuples_reordered(trace):
