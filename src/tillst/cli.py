@@ -33,7 +33,7 @@ def _load(path: str) -> s.Program:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read {path}: {exc}") from exc
     try:
         prog = parse_program(source)
@@ -139,7 +139,7 @@ def cmd_monitor(path: str, type_name: str, trace_path: str,
     try:
         with open(trace_path, "r", encoding="utf-8") as fh:
             events = trace_from_jsonl(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read trace: {exc}") from exc
     except TraceFormatError as exc:
         raise SystemExit2(f"{trace_path}:{exc}") from exc

@@ -207,6 +207,17 @@ class Parser:
         self.pos = pos + 1
         return self.texts[pos]
 
+    def integer(self) -> int:
+        """The INT piece here, as an int; one longer than the interpreter
+        converts (``sys.get_int_max_str_digits``) is an error at the piece."""
+        at = self.pos
+        text = self.expect("INT")
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(f"integer literal of {len(text)} digits is too long",
+                             *self.where(at)) from None
+
     def ident(self) -> str:
         pos = self.pos
         if self.kinds[pos] != "IDENT":
@@ -324,7 +335,7 @@ class Parser:
         self.expect("--[")
         offset = 0
         if self.kinds[self.pos] == "INT":
-            offset = int(self.expect("INT"))
+            offset = self.integer()
             self.expect(",")
         action, extern = self.auto_action()
         self.expect("]-->")
@@ -444,7 +455,7 @@ class Parser:
             base = self.time_expr()
             self.expect(",")
             sign = -1 if self.accept("-") else 1
-            amount = int(self.expect("INT"))
+            amount = self.integer()
             self.expect(">")
             return base.shift(sign * amount)
         if name == "t0":
@@ -579,11 +590,10 @@ class Parser:
         pos, kinds = self.pos, self.kinds
         kind, text = kinds[pos], self.texts[pos]
         if kind == "INT":
-            self.pos = pos + 1
-            return s.IntLit(int(text))
+            return s.IntLit(self.integer())
         if kind == "-" and kinds[pos + 1] == "INT":  # "-" is never the EOF piece
-            self.pos = pos + 2
-            return s.IntLit(-int(self.texts[pos + 1]))
+            self.pos = pos + 1
+            return s.IntLit(-self.integer())
         if kind == "(":
             self.pos = pos + 1
             e = self.expr()

@@ -26,16 +26,19 @@ applies the one taken.  It holds the configuration as the sorted tuple and as
 a map from provided channel to leaf, a count per channel of the names by
 which leaves use it as a client, the forwarders by the client channel they
 wait for, and each leaf's local steps at the current instant, sends and
-receives both keyed by the receive a send pairs with, so each send meets the
-receives waiting for it by lookup.  A step's delta maps each channel whose
-leaf it changes to the new leaf or to none: the fired leaves go, the new ones
-come, a new forwarder merges into the provider of its client and a waiting
-forwarder into a new leaf providing its client, as normalization would merge
-them.  The configuration after the step is the held tuple with the delta
-spliced in by bisection on the channel.  Taking the step places again only
-the delta's channels: their steps are forgotten and read again when next
-asked for, and the client counts and the sends offered to the environment
-change at those channels alone.  So a step's Python work grows with the
+receives both keyed by the tuple ``(kind, channel, label)`` of the receive a
+send pairs with (a send keeps its payload in the key only for a label, since
+a sent value or channel is fixed by the send alone), so each send meets the
+receives waiting for it by lookup, and no ``Action`` is built to find it.
+A step's delta maps each channel whose leaf it changes to the new leaf or to
+none: the fired leaves go, the new ones come, a new forwarder merges into the
+provider of its client and a waiting forwarder into a new leaf providing its
+client, as normalization would merge them.  The configuration after the
+step is the held tuple with the delta spliced in by bisection on the
+channel.  Taking the step places again only the delta's channels: their
+steps are forgotten and read again when next asked for, and the client
+counts and the sends offered to the environment change at those channels
+alone.  So a step's Python work grows with the
 leaves it touches, not with the system.  Every leaf's steps are read again
 when the clock or the fresh name changes.  A body's free channels are
 computed once per body node.  The candidate order: the solitary silent steps
@@ -66,6 +69,10 @@ resolved, under that environment.
 
 Fresh channels are named ``#k`` with k derived from the configuration itself,
 so replays and reorderings allocate identical names.
+
+A trace is one JSON object per event and line.  ``trace_to_jsonl`` formats
+each line directly, byte-identical to ``json.dumps`` of the event's object
+under its defaults, and builds no dict per event.
 
 Values, environments, leaves, trace events, step sequences and run results
 are immutable ``record``s (``tillst.record``); a leaf's ``LocalStep`` is a
@@ -123,7 +130,10 @@ def render_value(v: Value) -> str:
     if isinstance(v, BoolV):
         return "true" if v.value else "false"
     if isinstance(v, IntV):
-        return str(v.value)
+        try:
+            return str(v.value)
+        except ValueError:
+            raise t.long_int_error(v.value) from None
     return v.tag
 
 
@@ -293,21 +303,6 @@ def congruence_normalize(omega: Configuration) -> Configuration:
 
 
 SILENT = SilentA()
-
-_DUAL_DIR = {"send": "recv", "recv": "send"}
-
-
-def complementary(alpha: Action) -> Action:
-    """The other half of the same exchange."""
-    if isinstance(alpha, SilentA):
-        return alpha
-    return Action(alpha.kind, _DUAL_DIR[alpha.direction], alpha.chan, alpha.payload)
-
-
-def _partner(send: Action) -> Action:
-    """The receive a send pairs with.  The receiver offers its own labels,
-    but a sent value or channel is fixed by the send alone."""
-    return complementary(send if send.kind == "label" else Action(send.kind, "send", send.chan))
 
 
 @record
@@ -559,9 +554,10 @@ class _Index:
     from provided channel to leaf; per channel, the number of names by which
     leaves use it as a client (``clients``); the forwarders by their client
     channel, which no leaf provides (``forwards``); and the leaves' steps at
-    the instant ``now``, registered by kind: silent steps by leaf, sends by
-    the receive they pair with (``sends``), receives by their action
-    (``recv``), the keys the two share (``matched``), sends on the sender's
+    the instant ``now``, registered by kind: silent steps by leaf, receives
+    by ``(kind, channel, payload)`` (``recv``), sends by the same fields of
+    the receive they pair with, the payload kept only for a label
+    (``sends``), the keys the two share (``matched``), sends on the sender's
     own channel by leaf (``offers``), the channels of those no leaf uses,
     which are offered to the environment (``offered``).  Bodies' free
     channels are read from a table kept per body node (``free``).
@@ -660,9 +656,12 @@ class _Index:
                 if isinstance(a, SilentA):
                     self.silent.setdefault(chan, []).append((k, step))
                 elif a.direction == "recv":
-                    self._register(self.recv, a, chan, (k, step))
+                    self._register(self.recv, (a.kind, a.chan, a.payload), chan, (k, step))
                 else:
-                    self._register(self.sends, _partner(a), chan, (k, step))
+                    # the receiver offers its own labels, but a sent value or
+                    # channel is fixed by the send alone
+                    key = (a.kind, a.chan, a.payload if a.kind == "label" else None)
+                    self._register(self.sends, key, chan, (k, step))
                     if a.chan == chan:
                         self.offers.setdefault(chan, []).append((k, step))
                         if chan not in self.clients:
@@ -1098,19 +1097,24 @@ def describe_leaf(leaf) -> str:
 
 
 def trace_to_jsonl(trace: list) -> str:
-    import json
+    """One line per event, each ending in ``"\\n"``: the text ``json.dumps``
+    makes, under its defaults, of the event's object, formatted directly.
+    ``dir`` and ``kind`` come from fixed vocabularies and ``time`` is an int,
+    so only ``channel`` and ``payload`` are escaped, by the function
+    ``json.dumps`` applies to a str."""
+    from json.encoder import encode_basestring_ascii as quote
 
     lines = []
-    for ev in trace:
-        a = ev.action
-        lines.append(json.dumps({
-            "time": ev.time,
-            "dir": a.direction,
-            "kind": "chan" if isinstance(a, SilentA) else a.kind,
-            "channel": ev.channel,
-            "payload": ev.payload(),
-        }))
-    return "\n".join(lines) + ("\n" if lines else "")
+    try:
+        for ev in trace:
+            a, p = ev.action, ev.payload()
+            kind = "chan" if isinstance(a, SilentA) else a.kind
+            lines.append(f'{{"time": {ev.time}, "dir": "{a.direction}", "kind": "{kind}", '
+                         f'"channel": {quote(ev.channel)}, '
+                         f'"payload": {"null" if p is None else quote(p)}}}\n')
+    except ValueError:  # only an int converts with a ValueError
+        raise t.long_int_error(ev.time) from None
+    return "".join(lines)
 
 
 class TraceFormatError(Exception):

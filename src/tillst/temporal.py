@@ -86,12 +86,25 @@ class TimeExpr:
 def render_time(e: TimeExpr) -> str:
     """The surface spelling: ``t0``, ``x`` or ``Shift<x, n>``."""
     base = e.var if e.var is not None else "t0"
-    return f"Shift<{base}, {e.offset}>" if e.offset else base
+    try:
+        return f"Shift<{base}, {e.offset}>" if e.offset else base
+    except ValueError:
+        raise long_int_error(e.offset) from None
 
 
 def render_instant(n: int) -> str:
     """A closed instant as diagnostics print it: ``t0+5``, ``t0-3``."""
-    return f"t0{n:+d}"
+    try:
+        return f"t0{n:+d}"
+    except ValueError:
+        raise long_int_error(n) from None
+
+
+def long_int_error(n: int) -> TillstError:
+    """The error for printing ``n``, an integer longer than the interpreter
+    converts to text (``sys.get_int_max_str_digits``)."""
+    return TillstError(f"integer of about {n.bit_length() * 30103 // 100000 + 1} "
+                       "digits is too long to print")
 
 
 INIT = TimeExpr(None, 0)

@@ -68,13 +68,22 @@ every program the two trees are compared on:
 
 Each tree runs in a process of its own, which calls ``tillst.cli.main``
 once per command, and ``tillst.runtime.run_scheduler`` and ``replay`` once
-per system.  Exits 0 when every output is identical; otherwise lists
-the differing outputs and exits 1.  Not collected by pytest.
+per system.  An output whose JSON text is longer than 1 KiB (``LONG``),
+such as most ``smt`` scripts, a large program's ``smt`` index and most
+traces, is recorded as that text's SHA-256 and length, so each tree's
+``outputs.json`` stays near 8 MB and comparing the two holds little in
+memory; equal outputs still compare equal, and a differing one is still
+listed by its key.  (Most of the bytes are the thousands of scripts of the
+large fanout programs, each shorter than 64 KiB, so a 64 KiB cut-off still
+left 350 MB per tree.)  Exits 0 when every
+output is identical; otherwise lists the differing outputs and exits 1.
+Not collected by pytest.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -86,6 +95,18 @@ HERE = Path(__file__).resolve().parent
 SEED = 1
 MONITORED_CHANNELS = 4
 STALE = ("~" * 63 + "\n") * 8192  # 512 KiB: each run's trace file holds this first
+LONG = 1024  # an output whose JSON text is longer is recorded by its digest
+
+
+class Outputs(dict):
+    """Outputs by key.  A value whose JSON text is longer than ``LONG`` is
+    kept as that text's SHA-256 and length."""
+
+    def __setitem__(self, key: str, value) -> None:
+        text = json.dumps(value)
+        if len(text) > LONG:
+            value = {"sha256": hashlib.sha256(text.encode()).hexdigest(), "length": len(text)}
+        super().__setitem__(key, value)
 
 
 def neq_chain(n: int, m: int, late: int = -1) -> str:
@@ -288,7 +309,7 @@ def collect(inputs: str) -> None:
 
     inputs, out = Path(inputs), Path()
     spec = json.loads((inputs / "plan.json").read_text())
-    outputs = {}
+    outputs = Outputs()
 
     def call(key: str, *argv: str) -> None:
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -1,7 +1,7 @@
 """Functions over ``tillst`` that only the tests call."""
 
 from tillst.runtime import Refl, StepC
-from tillst.syntax import free_channel_table
+from tillst.syntax import Action, SilentA, free_channel_table
 from tillst.temporal import SEARCH_BUDGET, Hyps, entails_cex, eval_prop
 
 
@@ -48,3 +48,19 @@ def seq_steps(sigma) -> int:
             n += 1
         sigma = sigma.rest
     return n
+
+
+_DUAL_DIR = {"send": "recv", "recv": "send"}
+
+
+def complementary(alpha: Action) -> Action:
+    """The other half of the same exchange."""
+    if isinstance(alpha, SilentA):
+        return alpha
+    return Action(alpha.kind, _DUAL_DIR[alpha.direction], alpha.chan, alpha.payload)
+
+
+def _partner(send: Action) -> Action:
+    """The receive a send pairs with.  The receiver offers its own labels,
+    but a sent value or channel is fixed by the send alone."""
+    return complementary(send if send.kind == "label" else Action(send.kind, "send", send.chan))

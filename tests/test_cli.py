@@ -27,6 +27,12 @@ def run_subprocess(*args):
                           capture_output=True, text=True, env=env)
 
 
+# Python 3.10 converts integers of any length; 3.11 refuses past a limit
+needs_int_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integers of any length")
+
+
 class TestCheck:
     def test_clean_corpus_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "check", corpus_path("smart_home.tsl"))
@@ -312,6 +318,17 @@ class TestMonitorCmd:
                                "--channel", "s1")
         assert code == 1 and "violation at event 0" in out
 
+    def test_trace_that_is_not_utf8_exits_two(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"time": 0, "dir": "send", "kind": "label", "channel": "s1", '
+                         b'"payload": "\xff"}\n')
+        proc = run_subprocess("monitor", corpus_path("smart_home.tsl"),
+                              "--type", "BME680", "--trace", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot read trace: 'utf-8' codec")
+        assert proc.stderr.count("\n") == 1
+
     GOOD = '{"time": 0, "dir": "send", "kind": "close", "channel": "a", "payload": null}'
 
     @pytest.mark.parametrize("line,reason", [
@@ -417,6 +434,41 @@ class TestMalformedInputExitsTwo:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {path}:1:39: unexpected character '²'\n"
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.tsl"
+        path.write_bytes(b"\xff\xfe bad")
+        proc = run_subprocess("check", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot read {path}: 'utf-8' codec")
+        assert proc.stderr.count("\n") == 1
+
+    @needs_int_digit_limit
+    def test_shift_past_the_int_digit_limit(self, tmp_path):
+        digits = sys.get_int_max_str_digits() + 700
+        path = tmp_path / "shift.tsl"
+        path.write_text(f"type T = Unit<t where Eq<t, Shift<t0, {'1' * digits}>>>\n")
+        proc = run_subprocess("check", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"error: {path}:1:39: integer literal of {digits} digits "
+                               "is too long\n")
+
+    @needs_int_digit_limit
+    def test_value_past_the_int_digit_limit(self, tmp_path):
+        # each factor converts, so the checker accepts; the product does not
+        factor = "9" * (sys.get_int_max_str_digits() - 300)
+        path = tmp_path / "prod.tsl"
+        path.write_text(
+            "fn f() -> Produce<int, t where Eq<t, t0>, Unit<u where Eq<u, t0>>> {\n"
+            f"    Prod<t where Eq<t, t0>> $ {factor} * {factor} $;\n"
+            "    Close<u where Eq<u, t0>>\n}\nsystem go = f() @ t0;\n")
+        assert run_subprocess("check", str(path)).stdout == "ACCEPT f\n"
+        proc = run_subprocess("run", str(path), "--entry", "go")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: integer of about ")
+        assert proc.stderr.endswith(" digits is too long to print\n")
 
     def test_deeply_nested_predicate(self, tmp_path):
         pred = "Geq<t, t0>"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import free_channels, seq_steps
+from helpers import _partner, complementary, free_channels, seq_steps
 from tillst import runtime as rt
 from tillst import syntax as s
 from tillst import temporal as t
@@ -16,13 +16,13 @@ from tillst.parser import parse_program
 from tillst.record import replace
 from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
                             OpaqueV, ProcC, Refl, RuntimeInvariantError, SILENT,
-                            StepC, StepT, TraceEvent, TraceFormatError, complementary,
+                            StepC, StepT, TraceEvent, TraceFormatError,
                             congruence_normalize, conf_leaves, eval_expr,
                             reductions, replay, run_scheduler, seq_concat,
                             seq_end, seq_interleave, seq_start,
                             trace_from_jsonl, trace_to_jsonl)
 from tillst.temporal import TillstError
-from tillst.runtime import (_Index, _leaf_steps, _partner, _step_sort_key,
+from tillst.runtime import (_Index, _leaf_steps, _step_sort_key,
                             _wait_pass, DeadlockInfo, HorizonInfo, SilentA,
                             describe_leaf)
 from tillst.trajectory import (traj_concat, traj_equiv, traj_from_sigma,
@@ -520,6 +520,66 @@ class TestTraceSerialization:
         assert [e.action.payload for e in back] == 2 * [OpaqueV("?", f"x{sep}y")]
         with pytest.raises(TraceFormatError, match=r"^3: not a JSON object$"):
             trace_from_jsonl(line + "\n" + line + "\n{not json\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts integers of any length")
+    def test_time_past_the_int_digit_limit(self):
+        far = 10 ** (sys.get_int_max_str_digits() + 10)
+        with pytest.raises(TillstError, match="^integer of about .* is too long to print$"):
+            trace_to_jsonl([TraceEvent(far, Action("close", "send", "a"), "a")])
+
+
+def json_dumps_trace(trace) -> str:
+    """The writer ``trace_to_jsonl`` replaced: ``json.dumps`` of each event's
+    object under its defaults."""
+    import json
+
+    lines = []
+    for ev in trace:
+        a = ev.action
+        lines.append(json.dumps({
+            "time": ev.time,
+            "dir": a.direction,
+            "kind": "chan" if isinstance(a, SilentA) else a.kind,
+            "channel": ev.channel,
+            "payload": ev.payload(),
+        }))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+trace_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\r", "\t", "\x1f", "\x7f", "\x85",
+                     "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600"]),
+    st.characters(exclude_categories=())), max_size=8)
+
+
+@st.composite
+def trace_events(draw):
+    """An event as the runtime records it: a silent step with its tag, or an
+    exchange's half with the payload its kind carries."""
+    time, chan = draw(st.integers(-10**30, 10**30)), draw(trace_text)
+    kind = draw(st.sampled_from(["silent", "chan", "label", "close", "value"]))
+    if kind == "silent":
+        tag = draw(st.one_of(st.sampled_from(["spawn", "fwd", "if"]), trace_text, st.none()))
+        return TraceEvent(time, SILENT, chan, tag)
+    payload = {
+        "chan": st.one_of(trace_text, st.none()),
+        "label": st.sampled_from(["L", "R"]) | trace_text,
+        "close": st.none(),
+        "value": st.one_of(st.none(), st.builds(IntV, st.integers(-10**40, 10**40)),
+                           st.builds(BoolV, st.booleans()),
+                           st.builds(OpaqueV, st.just("?"), trace_text)),
+    }[kind]
+    direction = draw(st.sampled_from(["send", "recv"]))
+    return TraceEvent(time, Action(kind, direction, chan, draw(payload)), chan)
+
+
+@given(st.lists(trace_events(), max_size=6))
+def test_trace_writer_matches_json_dumps(trace):
+    text = trace_to_jsonl(trace)
+    assert text == json_dumps_trace(trace)
+    assert trace_to_jsonl(trace_from_jsonl(text)) == text
 
 
 def as_tuples_reordered(trace):
