@@ -138,22 +138,20 @@ def cmd_monitor(path: str, type_name: str, trace_path: str,
     expanded = s.expand_type_refs(prog, s.TypeRef(type_name))
     try:
         with open(trace_path, "r", encoding="utf-8") as fh:
-            events = trace_from_jsonl(fh.read())
+            events = trace_from_jsonl(fh.read(), channel)
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read trace: {exc}") from exc
     except TraceFormatError as exc:
         raise SystemExit2(f"{trace_path}:{exc}") from exc
-    named = {ev.channel for ev in events}  # a silent event names a channel too
+    if channel is not None and not events:  # a silent event names a channel too
+        raise SystemExit2(f"trace {trace_path} never names channel {channel}")
     events = [ev for ev in events if not isinstance(ev.action, SilentA)]
-    channels = sorted({ev.channel for ev in events})
     if channel is None:
+        channels = sorted({ev.channel for ev in events})
         if len(channels) > 1:
             raise SystemExit2(f"trace covers several channels ({', '.join(channels)}); "
                               "pass --channel")
         channel = channels[0] if channels else ""
-    elif channel not in named:
-        raise SystemExit2(f"trace {trace_path} never names channel {channel}")
-    events = [ev for ev in events if ev.channel == channel]
     verdict = monitor_trace(TraceObligation(expanded), events)
     if isinstance(verdict, Conforms):
         print(f"conforms: {len(events)} events on {channel} against {type_name}")

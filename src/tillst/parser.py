@@ -6,13 +6,13 @@ of the binder); processes use the keyword spellings Close, Wait, Lam, App,
 SendCh, RecvCh, SwitchL, SwitchR, Case, Offer, SelectL, SelectR, Prod, Cons,
 Query, Supply, Fwd, Spawn, plus ``if $e$ { P } else { Q }``.  Functional
 expressions are delimited by ``$``.  Line comments start with ``//``.
-``_scan`` splits the source in one regex pass into three parallel lists, the
-pieces' kinds, texts and offsets, and builds no object per piece; the
-parser's cursor indexes ``kinds`` and ``texts`` directly.  A line and column
-is computed from an offset only when read (for an error or a declaration's
-``pos``), by bisecting the line starts.  ``tokenize`` is a view over the same
-scan that returns ``Token`` tuples with their lines and columns; the parser
-never builds one.
+``_scan`` splits the source in one regex pass into two parallel lists, the
+pieces' kinds and texts, and builds no object and no offset per piece; the
+parser's cursor indexes ``kinds`` and ``texts`` directly.  A piece's offset,
+line and column are computed from the split's parts only when read (for an
+error or a declaration's ``pos``), counting on from the last piece read.
+``tokenize`` is a view over the same scan that returns ``Token`` tuples with
+their lines and columns; the parser never builds one.
 
 The rows of ``syntax.FORMS`` drive both directions: each process keyword
 names its class, its head (``<b where P>`` for providers, ``<T>(c)`` for
@@ -28,7 +28,6 @@ recursion limit.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate, islice, repeat
 
@@ -101,33 +100,38 @@ def _line_starts(source: str) -> list:
     return [0, *accumulate(map((1).__add__, map(len, source.split("\n"))))]
 
 
-def _line_col(starts: list, offset: int) -> tuple:
-    line = bisect_right(starts, offset)
-    return line, offset - starts[line - 1] + 1
+def _line_col(source: str, offset: int) -> tuple:
+    """The line and column of ``offset``, counted from the start."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _end_offset(source: str) -> int:
+    """Where the EOF piece sits: at the end of the source, or at the comment
+    that ends its last line."""
+    comment = source.find("//", source.rfind("\n") + 1)
+    return len(source) if comment < 0 else comment
 
 
 def _scan(source: str) -> tuple:
-    """The source's pieces as three parallel lists: kinds, texts (an
-    integer's without ``_``) and offsets, ending in the EOF piece.  EOF sits
-    at the end of the source, or at the comment that ends its last line."""
+    """The source's pieces as two parallel lists, kinds and texts (an
+    integer's without ``_``), ending in the EOF piece, and the split's
+    parts, which the pieces' offsets are summed from: piece ``i`` starts
+    after ``parts[:3 * i + 2]``, and EOF at ``_end_offset``."""
     parts = _PIECE.split(source)
     texts = parts[2::3]
-    offsets = list(islice(accumulate(map(len, parts)), 1, None, 3))
     if len(texts) > 1 and not texts[-2]:
         # a trailing blank run is matched before the end: drop the second,
         # empty match at the end
-        del texts[-1], offsets[-1]
+        del texts[-1]
     kinds_of = _Kinds()
     kinds = list(map(kinds_of.__getitem__, texts))
     if None in kinds_of.values():
         at = kinds.index(None)
         raise ParseError(f"unexpected character {texts[at][0]!r}",
-                         *_line_col(_line_starts(source), offsets[at]))
+                         *_line_col(source, len("".join(parts[:3 * at + 2]))))
     if kinds_of.digits:
         texts = list(map(kinds_of.digits.get, texts, texts))
-    comment = source.find("//", source.rfind("\n") + 1)
-    offsets[-1] = len(source) if comment < 0 else comment
-    return kinds, texts, offsets
+    return kinds, texts, parts
 
 
 def tokenize(source: str) -> list:
@@ -135,7 +139,9 @@ def tokenize(source: str) -> list:
     The offsets ascend, so one walk over the line starts places them all;
     ``tuple.__new__`` builds the tuples as ``Token._make`` does, without a
     Python-level call per piece."""
-    kinds, texts, offsets = _scan(source)
+    kinds, texts, parts = _scan(source)
+    offsets = list(islice(accumulate(map(len, parts)), 1, None, 3))[:len(texts) - 1]
+    offsets.append(_end_offset(source))
     starts = _line_starts(source)
     lines, cols = [], []
     line, next_start = 1, starts[1]
@@ -176,22 +182,34 @@ _FORMS = {form.keyword: form for form in s.FORMS.values()}
 
 class Parser:
     """A cursor over the scan's lists: ``kinds[pos]`` and ``texts[pos]`` are
-    the current piece.  Lines and columns are computed only when read, for
-    an error or a declaration's ``pos``."""
+    the current piece.  No offset is kept per piece: a line and column is
+    computed from the split's parts only when read, for an error or a
+    declaration's ``pos``."""
 
     def __init__(self, source: str):
         self.source = source
-        self.kinds, self.texts, self.offsets = _scan(source)
+        self.kinds, self.texts, self._parts = _scan(source)
         self.pos = 0
-        self._starts = None
+        self._read = 0, 0, 1  # parts summed, their length, the line they end on
 
     # -- piece plumbing ------------------------------------------------------
 
     def where(self, at: int) -> tuple:
-        """The line and column of piece ``at``."""
-        if self._starts is None:
-            self._starts = _line_starts(self.source)
-        return _line_col(self._starts, self.offsets[at])
+        """The line and column of piece ``at``.  Declarations are read in
+        source order, so the parts and newlines are counted on from the last
+        piece placed, or from the start when ``at`` lies before it."""
+        source = self.source
+        summed, offset, line = self._read
+        end = 3 * at + 2
+        if end < summed:
+            summed, offset, line = 0, 0, 1
+        if at == len(self.texts) - 1:
+            start = _end_offset(source)
+        else:
+            start = offset + len("".join(self._parts[summed:end]))
+        line += source.count("\n", offset, start)
+        self._read = end, start, line
+        return line, start - source.rfind("\n", 0, start)
 
     def expect(self, kind: str) -> str:
         pos = self.pos

@@ -1126,24 +1126,31 @@ _TRACE_DIRS = ("send", "recv", "silent")
 _TRACE_KINDS = ("chan", "label", "close", "value")
 
 
-def trace_from_jsonl(text: str) -> list:
-    """Parse a serialized trace back into events.  A received value's payload
+def trace_from_jsonl(text: str, channel: str | None = None) -> list:
+    """Parse a serialized trace back into events: every event, or, given
+    ``channel``, only those on it, a silent event on it included.  Every line
+    is decoded and checked either way, and the first bad one is reported by
+    its number; only the events kept are built.  A received value's payload
     stays a string (as an opaque value); a silent event's payload is its tag.
     Lines end at ``"\\n"`` only (``strip`` drops a ``"\\r"`` before it): a
     JSON string may hold U+0085, U+2028 and U+2029 raw, and ``splitlines``
-    would split at each of them."""
-    import json
+    would split at each of them.  One decoder's ``raw_decode`` reads each
+    stripped line, and a line whose value ends before the line does is
+    refused: ``strip`` has already dropped every blank JSON allows around a
+    value, so these are exactly the lines ``json.loads`` refuses."""
+    from json import JSONDecoder
 
+    decode = JSONDecoder().raw_decode
     events = []
     for n, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = decode(line)
         except (ValueError, RecursionError):  # not JSON, or nested too deep to decode
-            obj = None
-        if not isinstance(obj, dict):
+            end = 0
+        if end != len(line) or not isinstance(obj, dict):
             raise TraceFormatError(f"{n}: not a JSON object")
         try:
             time, dirn, kind, chan = obj["time"], obj["dir"], obj["kind"], obj["channel"]
@@ -1160,6 +1167,8 @@ def trace_from_jsonl(text: str) -> list:
         payload = obj.get("payload")
         if payload is not None and not isinstance(payload, str):
             raise TraceFormatError(f"{n}: payload {payload!r} is not a string or null")
+        if channel is not None and chan != channel:
+            continue
         if dirn == "silent":
             events.append(TraceEvent(time, SILENT, chan, payload))
             continue

@@ -238,9 +238,19 @@ def close(p: Prop, instants: Mapping[str, int], binder: str) -> Prop:
 
 
 def eval_prop(p: Prop, assignment: Mapping[str, int]) -> bool:
-    """Truth value under an integer assignment with init fixed at 0.  Sides
-    are read left to right, skipping a right side that cannot change the
-    value, in a loop that takes no stack frame per level."""
+    """Truth value under an integer assignment with init fixed at 0, or
+    NonClosedError naming the first unassigned variable ``_truth`` reads."""
+    value = _truth(p, assignment)
+    if type(value) is str:
+        raise NonClosedError(f"unassigned time variable {value}")
+    return value
+
+
+def _truth(p: Prop, assignment: Mapping[str, int]) -> bool | str:
+    """``p``'s truth value, or the first variable read that ``assignment``
+    does not assign.  Sides are read left to right, skipping a right side
+    that cannot change the value, in a loop that takes no stack frame per
+    level."""
     todo = []
     while True:
         kind = type(p)
@@ -253,7 +263,7 @@ def eval_prop(p: Prop, assignment: Mapping[str, int]) -> bool:
             x = 0 if a.var is None else assignment.get(a.var)
             y = 0 if b.var is None else assignment.get(b.var)
             if x is None or y is None:
-                raise NonClosedError(f"unassigned time variable {a.var if x is None else b.var}")
+                return a.var if x is None else b.var
             x, y = x + a.offset, y + b.offset
             value = x <= y if kind is Leq else x == y
         else:
@@ -619,16 +629,13 @@ def entails_cex(
 ) -> tuple:
     """(holds, counterexample): holds iff F /\\ not p is unsatisfiable.
 
-    A goal that holds by ``eval_prop`` with no variable assigned holds under
+    A goal that holds by ``_truth`` with no variable assigned holds under
     any F, so it is answered without a search.  Every other goal, a closed
     one that is false included, is searched: its counterexample, and whether
     it exhausts ``budget``, are the search's.  A plain list is asked as the
     list of a fresh root, released after the query."""
-    try:
-        if eval_prop(p, {}):
-            return True, None
-    except NonClosedError:
-        pass
+    if _truth(p, {}) is True:
+        return True, None
     fresh = not isinstance(f, Hyps)
     f = Hyps().extend(f) if fresh else f
     try:

@@ -56,12 +56,19 @@ every program the two trees are compared on:
   its trajectory to its end + 1 at its middle instant (``... partitioned``);
 - ``smt``: stdout, stderr, exit code, every script, and ``index.json``
   without the ``ms`` field each query's time is recorded in;
-- ``monitor`` of every type against up to four channels of each run trace,
-  and the monitor operations of the workloads themselves;
-- for each corpus file, ``monitor`` of the same types and channels against
-  two mutants of each run trace: one with its last event dropped
-  (``.dropped``) and one with its last event one tick earlier
-  (``.early``);
+- ``monitor`` of every type against each run trace, without ``--channel``
+  (a trace that names several channels is refused) and with each of up to
+  four of its channels, and the monitor operations of the workloads
+  themselves;
+- for each corpus file, the same ``monitor`` commands against five copies
+  of each run trace: its last event dropped (``.dropped``), its last event
+  one tick earlier (``.early``), trailing data after its last object
+  (``.trailing``), the first line that names another channel than the
+  first in sorted order cut in the middle, so that the first channel's
+  monitor does not watch it (``.cut``; a trace of one channel has none),
+  and ``\r\n`` line ends with blank lines around every line (``.crlf``).
+  The trailing and cut copies exit 2, and their ``error:`` lines, which
+  name the bad line, are compared byte for byte;
 - for each corpus file, the ``repr`` of the program ``parse_program``
   reads from it (``repr FILE``) and the ``repr`` of the report list
   ``check_program`` makes of that program (``repr FILE reports``).
@@ -232,6 +239,24 @@ def malformed(name: str, text: str) -> dict:
     return copies
 
 
+def trace_mutants(lines: list, named: list) -> dict:
+    """Copies of a run trace, given as its lines and the channel each names:
+    its last event dropped, its last event one tick earlier, trailing data
+    after its last object, the first line on another channel than the least
+    it names cut in the middle (when there is one), and ``\r\n`` line ends
+    with blank lines."""
+    last = json.loads(lines[-1])
+    mutants = {"dropped": lines[:-1],
+               "early": lines[:-1] + [json.dumps(dict(last, time=last["time"] - 1))],
+               "trailing": lines[:-1] + [lines[-1] + " x"]}
+    off = next((n for n, channel in enumerate(named) if channel != min(named)), None)
+    if off is not None:
+        mutants["cut"] = lines[:off] + [lines[off][:len(lines[off]) // 2]] + lines[off + 1:]
+    mutants = {tag: "".join(line + "\n" for line in mutant) for tag, mutant in mutants.items()}
+    mutants["crlf"] = "\r\n" + "".join(line + "\r\n\r\n" for line in lines)
+    return mutants
+
+
 def plan(src: Path, inputs: Path) -> None:
     """Write every input file and ``plan.json`` into ``inputs``.  The
     systems and types of each program are read with the parser of ``src``."""
@@ -336,10 +361,10 @@ def collect(inputs: str) -> None:
         except (ParseError, TillstError, RecursionError) as exc:
             return 3 * [f"error: {type(exc).__name__}: {exc}"]
 
-    def monitor(program: str, type_name: str, trace: Path, channel: str) -> None:
-        call(f"monitor {program} {type_name} {trace.name} {channel}", "monitor",
-             str(inputs / program), "--type", type_name, "--trace", str(trace),
-             "--channel", channel)
+    def monitor(program: str, type_name: str, trace: Path, channel: str | None) -> None:
+        given = [] if channel is None else ["--channel", channel]
+        call(" ".join(["monitor", program, type_name, trace.name, *given[1:]]), "monitor",
+             str(inputs / program), "--type", type_name, "--trace", str(trace), *given)
 
     traces = out / "traces"
     traces.mkdir()
@@ -375,18 +400,15 @@ def collect(inputs: str) -> None:
             if len(text) >= len(STALE):
                 raise SystemExit(f"{trace.name} is no shorter than STALE; lengthen STALE")
             lines = text.splitlines()
-            channels = sorted({json.loads(line)["channel"] for line in lines})
+            named = [json.loads(line)["channel"] for line in lines]
+            channels = sorted(set(named))
             watched = [trace]
             if program in spec["corpus"] and lines:
-                last = json.loads(lines[-1])
-                mutants = {"dropped": lines[:-1],
-                           "early": lines[:-1] + [json.dumps(dict(last, time=last["time"] - 1))]}
-                for tag, mutant in mutants.items():
+                for tag, mutant in trace_mutants(lines, named).items():
                     watched.append(traces / f"{program[:-4]}.{system}.{tag}.jsonl")
-                    watched[-1].write_text("".join(line + "\n" for line in mutant),
-                                           encoding="utf-8")
+                    watched[-1].write_text(mutant, encoding="utf-8")
             for watch in watched:
-                for channel in channels[:MONITORED_CHANNELS]:
+                for channel in [None, *channels[:MONITORED_CHANNELS]]:
                     for type_name in decls["types"]:
                         monitor(program, type_name, watch, channel)
     for program, type_name, trace, channel in spec["monitors"]:

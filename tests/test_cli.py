@@ -354,6 +354,26 @@ class TestMonitorCmd:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {path}:2: {reason}")
 
+    def test_malformed_line_off_the_watched_channel_exits_two(self, capsys, tmp_path):
+        # the filter never skips validation: a line cut short on s2 is
+        # reported though only s1 is monitored
+        path = self.trace_for(capsys, tmp_path)
+        lines = path.read_text().splitlines()
+        at = next(n for n, line in enumerate(lines) if json.loads(line)["channel"] == "s2")
+        lines[at] = lines[at][:len(lines[at]) // 2]
+        path.write_text("".join(line + "\n" for line in lines))
+        assert run_cli(capsys, "monitor", corpus_path("smart_home.tsl"), "--type", "BME680",
+                       "--trace", str(path), "--channel", "s1") == (
+            2, "", f"error: {path}:{at + 1}: not a JSON object\n")
+
+    def test_two_objects_on_one_line_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "two.jsonl"
+        path.write_text(self.GOOD + "\n" + self.GOOD + " " + self.GOOD + "\n")
+        for channel in ("a", "b"):
+            assert run_cli(capsys, "monitor", corpus_path("smart_home.tsl"), "--type", "BME680",
+                           "--trace", str(path), "--channel", channel) == (
+                2, "", f"error: {path}:2: not a JSON object\n")
+
 
 def window_program(k: int) -> str:
     """A close window from t0 that excludes its first k instants, written

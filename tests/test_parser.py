@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -234,6 +235,27 @@ def test_declaration_positions_are_their_keywords(name):
     got = {word: [d.pos for d in getattr(prog, field)] for word, field in DECL_FIELDS.items()}
     assert got == keyword_positions(source)
     assert sum(map(len, got.values())) > 0
+
+
+# sources whose end of input is placed after blanks or a last-line comment
+PLACED = {**POSITIONED, "empty": "", "blank_end": "sort s;\n\n  \t",
+          "comment_end": "sort s; // end", "comment_end_crlf": "sort s;\r\n// a\r\n// end"}
+
+
+@pytest.mark.parametrize("name", sorted(PLACED))
+def test_positions_on_demand_match_tokenize(name):
+    # forward reads count on from the last piece placed, and backward reads
+    # start again from the beginning: both agree with the positioned view.
+    # Each backward read sums the parts from the start, so the shuffled pass
+    # reads at most 500 pieces
+    source = PLACED[name]
+    want = [(tok.line, tok.col) for tok in tokenize(source)]
+    pieces = list(range(len(want)))
+    p = parser.Parser(source)
+    assert [p.where(at) for at in pieces] == want
+    pieces = random.Random(name).sample(pieces, min(len(pieces), 500))
+    p = parser.Parser(source)
+    assert [p.where(at) for at in pieces] == [want[at] for at in pieces]
 
 
 def test_a_parse_builds_no_token(monkeypatch):

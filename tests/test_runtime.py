@@ -582,6 +582,152 @@ def test_trace_writer_matches_json_dumps(trace):
     assert trace_to_jsonl(trace_from_jsonl(text)) == text
 
 
+def json_loads_trace(text: str) -> list:
+    """The reader ``trace_from_jsonl`` replaced: ``json.loads`` of each
+    stripped line, and an event built for every line."""
+    import json
+
+    events = []
+    for n, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            obj = None
+        if not isinstance(obj, dict):
+            raise TraceFormatError(f"{n}: not a JSON object")
+        try:
+            time, dirn, kind, chan = obj["time"], obj["dir"], obj["kind"], obj["channel"]
+        except KeyError as exc:
+            raise TraceFormatError(f"{n}: missing key {exc.args[0]!r}") from None
+        if type(time) is not int:
+            raise TraceFormatError(f"{n}: time {time!r} is not an integer")
+        if not isinstance(chan, str):
+            raise TraceFormatError(f"{n}: channel {chan!r} is not a string")
+        if dirn not in ("send", "recv", "silent"):
+            raise TraceFormatError(f"{n}: dir {dirn!r} is not one of send, recv, silent")
+        if kind not in ("chan", "label", "close", "value"):
+            raise TraceFormatError(f"{n}: kind {kind!r} is not one of chan, label, close, value")
+        payload = obj.get("payload")
+        if payload is not None and not isinstance(payload, str):
+            raise TraceFormatError(f"{n}: payload {payload!r} is not a string or null")
+        if dirn == "silent":
+            events.append(TraceEvent(time, SILENT, chan, payload))
+            continue
+        if kind == "close":
+            payload = None
+        elif kind == "value" and payload is not None:
+            payload = OpaqueV("?", payload)
+        events.append(TraceEvent(time, Action(kind, dirn, chan, payload), chan))
+    return events
+
+
+# values no field of a trace line takes
+WRONG_VALUES = ("soon", 1.5, True, None, 5, [1], {"a": 1}, "sideways")
+NOT_OBJECTS = ("[1, 2]", "1", '"text"', "null", "true", "[]", "{not json", "{", "")
+
+
+@st.composite
+def trace_lines(draw):
+    """A line a trace file may hold: an event's line as the writer makes it,
+    or one mutated: trailing data, a BOM, a ``\\r`` or blanks around it, a
+    blank line, JSON that is not an object, deep nesting, a duplicate key,
+    a wrong field type or a missing key."""
+    import json
+
+    line = json_dumps_trace([draw(trace_events())])[:-1]
+    obj = json.loads(line)
+    mutation = draw(st.sampled_from(["none", "none", "none", "twice", "trail", "bom", "cr",
+                                     "blank", "not_object", "deep", "duplicate", "wrong",
+                                     "missing"]))
+    if mutation == "twice":
+        return line + draw(st.sampled_from(["", " ", "\t"])) + line
+    if mutation == "trail":
+        return line + draw(st.sampled_from(["x", " x", "]", "}", ",", "\x00"]))
+    if mutation == "bom":
+        return "\ufeff" + line
+    if mutation == "cr":
+        return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["\r", " \r"]))
+    if mutation == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\r", " \t\r", "\x0b", "\u3000"]))
+    if mutation == "not_object":
+        return draw(st.sampled_from(NOT_OBJECTS))
+    if mutation == "deep":
+        depth = draw(st.sampled_from([10, 5000]))
+        nested = "[" * depth + "]" * depth
+        return draw(st.sampled_from([nested, line[:-1] + f', "extra": {nested}}}']))
+    field = draw(st.sampled_from(["time", "dir", "kind", "channel", "payload"]))
+    if mutation == "duplicate":
+        again = json.dumps({field: draw(st.sampled_from([obj[field], "a", "b", 5]))})[1:-1]
+        return draw(st.sampled_from(["{" + again + ", " + line[1:],
+                                     line[:-1] + ", " + again + "}"]))
+    if mutation == "wrong":
+        return json.dumps(dict(obj, **{field: draw(st.sampled_from(WRONG_VALUES))}))
+    if mutation == "missing":
+        return json.dumps({k: v for k, v in obj.items() if k != field})
+    return line
+
+
+def read_or_error(reader, *args):
+    try:
+        return reader(*args)
+    except TraceFormatError as exc:
+        return f"TraceFormatError: {exc}"
+
+
+def named_channels(text: str) -> set:
+    """Every channel a line of ``text`` names as a string, valid or not."""
+    import json
+
+    named = set()
+    for line in text.split("\n"):
+        try:
+            obj = json.loads(line.strip())
+        except (ValueError, RecursionError):
+            continue
+        if isinstance(obj, dict) and isinstance(obj.get("channel"), str):
+            named.add(obj["channel"])
+    return named
+
+
+def assert_reads_as_json_loads(text: str) -> None:
+    """The full read, and the read of each channel a line names, match the
+    reference reader's, event for event or error for error."""
+    full = read_or_error(json_loads_trace, text)
+    assert read_or_error(trace_from_jsonl, text) == full
+    for channel in sorted(named_channels(text) | {"a", ""}):
+        want = full if isinstance(full, str) else [ev for ev in full if ev.channel == channel]
+        assert read_or_error(trace_from_jsonl, text, channel) == want
+
+
+@settings(max_examples=300)
+@given(st.lists(trace_lines(), max_size=7), st.sampled_from(["\n", "\r\n"]),
+       st.sampled_from(["", "\n", "\n\n"]), st.booleans())
+def test_trace_reader_matches_json_loads(lines, sep, end, bom):
+    assert_reads_as_json_loads(("\ufeff" if bom else "") + sep.join(lines) + end)
+
+
+ON_A = '{"time": 0, "dir": "send", "kind": "close", "channel": "a", "payload": null}'
+ON_B = ON_A.replace('"a"', '"b"')
+
+
+@pytest.mark.parametrize("line", [
+    ON_B + " " + ON_B, ON_B + "x", "\ufeff" + ON_B, *NOT_OBJECTS[:-1],
+    "[" * 5000 + "]" * 5000, ON_B[:-1] + ', "channel": "a"}', '{"channel": "a", ' + ON_B[1:],
+    *(ON_B.replace(f'"{field}": {value}', f'"{field}": {wrong}')
+      for field, value in (("time", "0"), ("dir", '"send"'), ("kind", '"close"'),
+                           ("channel", '"b"'), ("payload", "null"))
+      for wrong in ('"soon"', "1.5", "true", "null", "5", "[1]", '{"b": 1}', '"sideways"')),
+    ON_B.replace(', "kind": "close"', ""), ON_B.replace('"time": 0, ', ""),
+])
+def test_trace_reader_checks_unwatched_lines(line):
+    # the line, bad or with a duplicate key, sits between two events on the
+    # channel ``a``, which is read alone as well as with the rest
+    assert_reads_as_json_loads("\n".join([ON_A, line, ON_A]) + "\r\n\r\n")
+
+
 def as_tuples_reordered(trace):
     return [(e.time, e.channel, e.action.kind, e.action.direction,
              e.payload()) for e in trace]

@@ -147,6 +147,17 @@ class TestEntails:
             assert t.entails_cex(g, hyps, goal) == (cex is None, cex)
         assert len(searched) == (0 if goal in self.CLOSED_TRUE else 2)
 
+    def test_open_goal_raises_nothing(self, monkeypatch):
+        # an open goal goes to the search on the evaluator's answer, with no
+        # NonClosedError raised and caught on the way
+        def refuse(*args):
+            raise AssertionError("an entailment query built a NonClosedError")
+
+        monkeypatch.setattr(t.NonClosedError, "__init__", refuse)
+        g, f = ["t1"], self.HYPS["satisfiable"]
+        assert t.entails_cex(g, f, And(TOP, Leq(INIT, tvar("t1")))) == (True, None)
+        assert t.entails_cex(g, f, Or(BOT, Leq(tvar("t1"), INIT)))[0] is False
+
     @given(props(times), st.dictionaries(st.sampled_from(["t1", "t2", "t3"]),
                                          st.integers(-30, 30)))
     def test_eval_prop_answers_as_the_recursion(self, p, assignment):
