@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from . import syntax as s
 from . import temporal as t
-from .parser import render_prop
 from .record import record
 from .syntax import AutomatonDef, SilentA
 
@@ -78,7 +77,7 @@ def monitor_trace(obl: TraceObligation, events: list):
         try:
             a = s.step(a, times, got, payload, ev.time)
         except s.ProtocolError as exc:
-            window = None if exc.window is None else render_prop(exc.window)
+            window = None if exc.window is None else t.render_prop(exc.window)
             return Violation(idx, str(exc), failed_pred=window)
     if a is not None:
         return Violation(len(events), "trace ended before the protocol closed")

@@ -22,7 +22,9 @@ the forms still waiting for it and their closing tokens on an explicit
 stack; only payloads, left branches and the ``then`` arm recurse.  Types do
 the same through ``_TYPES`` and ``CONNECTIVES[...].components``, so a
 protocol nested thousands of levels deep parses and prints at the default
-recursion limit.
+recursion limit.  Propositions are spelled by the rows of
+``temporal.PROP_FORMS`` and six derived forms, and ``expr(level)`` reads
+each binding level of ``syntax.OPS``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import accumulate, islice, repeat
 
 from . import syntax as s
 from . import temporal as t
-from .temporal import render_time
+from .temporal import render_prop, render_time
 
 
 class ParseError(Exception):
@@ -155,12 +157,11 @@ def tokenize(source: str) -> list:
 
 
 # Proposition keyword -> constructor and its arguments ("p" a proposition,
-# "t" a time); the derived forms desugar as they are built.
-_PROPS = {"True": (t.Top, ""), "False": (t.Bot, ""), "And": (t.And, "pp"), "Or": (t.Or, "pp"),
-          "Implies": (t.Imp, "pp"), "Not": (t.p_not, "p"), "In": (t.p_in, "ttt"),
-          "Leq": (t.Leq, "tt"), "Geq": (t.p_geq, "tt"), "Eq": (t.Eq, "tt"),
+# "t" a time): the rows of temporal.PROP_FORMS, then the derived forms, which
+# desugar as they are built.
+_PROPS = {**{keyword: (cls, sides) for cls, (keyword, _, sides) in t.PROP_FORMS.items()},
+          "Not": (t.p_not, "p"), "In": (t.p_in, "ttt"), "Geq": (t.p_geq, "tt"),
           "Lt": (t.p_lt, "tt"), "Gt": (t.p_gt, "tt"), "Neq": (t.p_neq, "tt")}
-_PROP_NAME = {make: name for name, (make, _) in _PROPS.items() if isinstance(make, type)}
 
 # Type connective keyword -> class; the components come from syntax.CONNECTIVES.
 _TYPES = {"Unit": s.UnitT, "Tensor": s.TensorT, "Lolli": s.LolliT, "InChoice": s.IChoiceT,
@@ -178,6 +179,8 @@ _ACTION_WORD = {kind_label: word for word, kind_label in _ACTIONS.items()}
 
 # process keyword -> its row of syntax.FORMS
 _FORMS = {form.keyword: form for form in s.FORMS.values()}
+
+_TIGHTEST = max(op.level for op in s.OPS.values())  # its operands are atoms
 
 
 class Parser:
@@ -582,26 +585,18 @@ class Parser:
 
     # -- functional expressions ------------------------------------------------
 
-    def expr(self) -> s.Expr:
-        left = self.arith()
-        op = self.kinds[self.pos]
-        if op in ("==", "!=", "<=", ">=", "<", ">"):
+    def expr(self, level: int = 0) -> s.Expr:
+        """Operands of the next level, or atoms at ``_TIGHTEST``, joined left
+        to right by the operators of ``level`` in ``syntax.OPS``; a
+        comparison, at level 0, joins two and stops."""
+        left = self.atom() if level == _TIGHTEST else self.expr(level + 1)
+        while (op := s.OPS.get(self.kinds[self.pos])) is not None and op.level == level:
+            symbol = self.texts[self.pos]
             self.pos += 1
-            return s.Cmp(op, left, self.arith())
-        return left
-
-    def arith(self) -> s.Expr:
-        left = self.term()
-        while (op := self.kinds[self.pos]) in ("+", "-"):
-            self.pos += 1
-            left = s.Arith(op, left, self.term())
-        return left
-
-    def term(self) -> s.Expr:
-        left = self.atom()
-        while self.kinds[self.pos] == "*":
-            self.pos += 1
-            left = s.Arith("*", left, self.atom())
+            right = self.atom() if level == _TIGHTEST else self.expr(level + 1)
+            left = op.cls(symbol, left, right)
+            if not level:
+                break
         return left
 
     def atom(self) -> s.Expr:
@@ -735,15 +730,6 @@ def parse_program(source: str) -> s.Program:
 
 # ---------------------------------------------------------------------------
 # Pretty-printer (inverse of the parser up to alpha-renaming and positions)
-
-
-def render_prop(p: t.Prop) -> str:
-    name = _PROP_NAME[type(p)]
-    args = _PROPS[name][1]
-    if not args:
-        return name
-    part = render_prop if args == "pp" else render_time
-    return f"{name}<{part(p.left)}, {part(p.right)}>"
 
 
 def render_type(a: s.SessionType, m: dict | None = None) -> str:

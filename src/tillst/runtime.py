@@ -89,7 +89,6 @@ from operator import attrgetter
 from . import syntax as s
 from . import temporal as t
 from .automata import automaton_transitions
-from .parser import render_prop
 from .record import field, record, replace
 from .syntax import ACCEPT, Action, SilentA
 from .temporal import NonClosedError, TillstError
@@ -186,28 +185,18 @@ def eval_expr(e: s.Expr, env: ExternEnv, scope: dict | None = None) -> Value:
         if e.name not in scope:
             raise ValueEvalError(f"unbound value variable {e.name} at runtime")
         return scope[e.name]
-    if isinstance(e, s.Arith):
+    if isinstance(e, (s.Arith, s.Cmp)):
+        op = s.OPS[e.op]
         lv = eval_expr(e.left, env, scope)
         rv = eval_expr(e.right, env, scope)
-        if not isinstance(lv, IntV) or not isinstance(rv, IntV):
-            raise ValueEvalError(f"arithmetic {e.op} on non-integers")
-        if e.op == "+":
-            return IntV(lv.value + rv.value)
-        if e.op == "-":
-            return IntV(lv.value - rv.value)
-        return IntV(lv.value * rv.value)
-    if isinstance(e, s.Cmp):
-        lv = eval_expr(e.left, env, scope)
-        rv = eval_expr(e.right, env, scope)
-        if e.op == "==":
-            return BoolV(lv == rv)
-        if e.op == "!=":
-            return BoolV(lv != rv)
-        if not isinstance(lv, IntV) or not isinstance(rv, IntV):
-            raise ValueEvalError(f"ordering {e.op} on non-integers")
-        table = {"<": lv.value < rv.value, "<=": lv.value <= rv.value,
-                 ">": lv.value > rv.value, ">=": lv.value >= rv.value}
-        return BoolV(table[e.op])
+        if op.operand is None:
+            value = op.fn(lv, rv)
+        elif isinstance(lv, IntV) and isinstance(rv, IntV):
+            value = op.fn(lv.value, rv.value)
+        else:
+            what = "arithmetic" if op.cls is s.Arith else "ordering"
+            raise ValueEvalError(f"{what} {e.op} on non-integers")
+        return IntV(value) if op.result == s.INT else BoolV(value)
     if isinstance(e, s.IfE):
         c = eval_expr(e.cond, env, scope)
         if not isinstance(c, BoolV):
@@ -339,7 +328,7 @@ def _pred_holds_at(p: s.Process, env: Env, now: int) -> bool:
         return t.eval_prop(p.pred, {**env.times, p.binder: now})
     except NonClosedError as exc:
         raise RuntimeInvariantError(
-            f"provider predicate {render_prop(p.pred)} not closed at runtime") from exc
+            f"provider predicate {t.render_prop(p.pred)} not closed at runtime") from exc
 
 
 def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
@@ -1022,7 +1011,7 @@ def _wait_pass(index: _Index) -> tuple:
             q = provider.body
             qf = s.FORMS[type(q)]
             if qf.provides and qf.conn is form.conn and not _pred_holds_at(q, provider.env, now):
-                window = render_prop(t.close(q.pred, provider.env.times, q.binder))
+                window = t.render_prop(t.close(q.pred, provider.env.times, q.binder))
                 return TimingViolationInfo(chan, tick, window, {q.binder: now}), []
     for leaf in leaves:
         if isinstance(leaf, AutoC):

@@ -9,8 +9,9 @@ and the runtime binds all three kinds of variable through a leaf's
 environment.
 
 ``CONNECTIVES`` is the one table of connectives (components, message kind,
-the provider's direction), and ``FORMS`` the one table of process forms,
-from which every per-form fact is derived.  ``step`` is the one rule that
+the provider's direction), ``FORMS`` the one table of process forms,
+from which every per-form fact is derived, and ``OPS`` the one table of
+binary operators.  ``step`` is the one rule that
 advances a type along an exchange.
 An exchange half is one ``Action`` record, shared by the runtime and by the
 transitions of each ``AutomatonDef``, the form the parser reads automata in.
@@ -23,6 +24,7 @@ declarations' source positions left out of equality, hashing and ``repr``.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 
 from .record import field, record, replace
@@ -163,14 +165,14 @@ class VarE:
 
 @record
 class Arith:
-    op: str  # + - *
+    op: str  # + - *, a key of OPS
     left: "Expr"
     right: "Expr"
 
 
 @record
 class Cmp:
-    op: str  # == != < <= > >=
+    op: str  # == != < <= > >=, a key of OPS
     left: "Expr"
     right: "Expr"
 
@@ -189,6 +191,18 @@ class CallE:
 
 
 Expr = (BoolLit, IntLit, VarE, Arith, Cmp, IfE, CallE)
+
+
+# One row per binary operator: its class, binding level (higher binds
+# tighter; comparisons, at 0, do not chain), operand sort (None: any one
+# sort, and ``fn`` takes the ``Value``s themselves), result sort and ``fn``.
+Op = namedtuple("Op", "cls level operand result fn")
+
+OPS = {"==": Op(Cmp, 0, None, BOOL, operator.eq), "!=": Op(Cmp, 0, None, BOOL, operator.ne),
+       "<": Op(Cmp, 0, INT, BOOL, operator.lt), "<=": Op(Cmp, 0, INT, BOOL, operator.le),
+       ">": Op(Cmp, 0, INT, BOOL, operator.gt), ">=": Op(Cmp, 0, INT, BOOL, operator.ge),
+       "+": Op(Arith, 1, INT, INT, operator.add), "-": Op(Arith, 1, INT, INT, operator.sub),
+       "*": Op(Arith, 2, INT, INT, operator.mul)}
 
 
 # ---------------------------------------------------------------------------

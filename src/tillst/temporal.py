@@ -24,6 +24,8 @@ satisfiable query completes, Bellman-Ford from a virtual source gives the
 shortest distances, which are the counterexample.
 Queries export as SMT-LIB2 scripts (logic QF_LIA) that an external solver
 binary can discharge; the modules that run it load only when it runs.
+``PROP_FORMS`` spells each proposition class: its surface keyword, SMT-LIB
+operator and sides, read by ``render_prop``, the SMT-LIB writer and the parser.
 Time expressions and propositions are immutable ``record``s
 (``tillst.record``).
 """
@@ -90,6 +92,15 @@ def render_time(e: TimeExpr) -> str:
         return f"Shift<{base}, {e.offset}>" if e.offset else base
     except ValueError:
         raise long_int_error(e.offset) from None
+
+
+def render_prop(p: Prop) -> str:
+    """The surface spelling, read back by the parser."""
+    keyword, _, sides = PROP_FORMS[type(p)]
+    if not sides:
+        return keyword
+    side = render_prop if sides == "pp" else render_time
+    return f"{keyword}<{side(p.left)}, {side(p.right)}>"
 
 
 def render_instant(n: int) -> str:
@@ -174,6 +185,12 @@ Prop = (Top, Bot, And, Or, Imp, Eq, Leq)
 
 TOP = Top()
 BOT = Bot()
+
+# One row per proposition class: its surface keyword, its SMT-LIB operator,
+# and its two sides, "pp" propositions, "tt" times or "" none.
+PROP_FORMS = {Top: ("True", "true", ""), Bot: ("False", "false", ""), And: ("And", "and", "pp"),
+              Or: ("Or", "or", "pp"), Imp: ("Implies", "=>", "pp"), Eq: ("Eq", "=", "tt"),
+              Leq: ("Leq", "<=", "tt")}
 
 
 # Derived forms desugar into the core grammar at construction time.  The
@@ -667,19 +684,11 @@ def _smt_time(e: TimeExpr) -> str:
 
 
 def _smt_prop(p: Prop) -> str:
-    if isinstance(p, Top):
-        return "true"
-    if isinstance(p, Bot):
-        return "false"
-    if isinstance(p, And):
-        return f"(and {_smt_prop(p.left)} {_smt_prop(p.right)})"
-    if isinstance(p, Or):
-        return f"(or {_smt_prop(p.left)} {_smt_prop(p.right)})"
-    if isinstance(p, Imp):
-        return f"(=> {_smt_prop(p.left)} {_smt_prop(p.right)})"
-    if isinstance(p, Eq):
-        return f"(= {_smt_time(p.left)} {_smt_time(p.right)})"
-    return f"(<= {_smt_time(p.left)} {_smt_time(p.right)})"
+    _, op, sides = PROP_FORMS[type(p)]
+    if not sides:
+        return op
+    side = _smt_prop if sides == "pp" else _smt_time
+    return f"({op} {side(p.left)} {side(p.right)})"
 
 
 def emit_smtlib(g: Iterable[str], f: Iterable[Prop], p: Prop) -> str:

@@ -41,7 +41,7 @@ from collections import namedtuple
 
 from . import syntax as s
 from . import temporal as t
-from .parser import render_prop, render_type
+from .parser import render_type
 from .record import record
 
 TIMING_VIOLATION = "TimingViolation"
@@ -154,8 +154,8 @@ class LoggingSolver(EntailmentSolver):
 
 def _render_judgment(g, f, p) -> str:
     ctx = ", ".join(g) or "."
-    hyp = ", ".join(render_prop(q) for q in f) or "."
-    return f"{ctx}; {hyp} |- {render_prop(p)}"
+    hyp = ", ".join(t.render_prop(q) for q in f) or "."
+    return f"{ctx}; {hyp} |- {t.render_prop(p)}"
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +174,21 @@ def check_expr(gamma: dict, e: s.Expr, externs: dict, location="") -> s.ValueTyp
         if e.name not in gamma:
             err(f"unbound value variable {e.name}")
         return gamma[e.name]
-    if isinstance(e, s.Arith):
+    if isinstance(e, s.Arith):  # each operand is checked before the next is read
+        op = s.OPS[e.op]
         for side in (e.left, e.right):
-            if check_expr(gamma, side, externs, location) != s.INT:
+            if check_expr(gamma, side, externs, location) != op.operand:
                 err(f"arithmetic on non-integer operand in {e.op}")
-        return s.INT
+        return op.result
     if isinstance(e, s.Cmp):
+        op = s.OPS[e.op]
         lt = check_expr(gamma, e.left, externs, location)
         rt = check_expr(gamma, e.right, externs, location)
         if lt != rt:
             err(f"comparison {e.op} between {lt} and {rt}")
-        if e.op not in ("==", "!=") and lt != s.INT:
+        if op.operand is not None and lt != op.operand:
             err(f"ordering {e.op} on non-integer sort {lt}")
-        return s.BOOL
+        return op.result
     if isinstance(e, s.IfE):
         if check_expr(gamma, e.cond, externs, location) != s.BOOL:
             err("if condition is not bool")
