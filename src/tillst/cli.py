@@ -207,9 +207,11 @@ def main(argv: list | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # reading, substituting and printing predicates, expressions and
-        # alpha-equivalence still recurse once per level of nesting; the
-        # evaluator, the solver and the retyping relations walk theirs in loops
+        # reading, substituting and printing predicates and expressions,
+        # checking and evaluating expressions, and alpha-equivalence still
+        # recurse once per level of nesting; the proposition evaluator
+        # (temporal._truth), the solver and the retyping relations walk
+        # theirs in loops
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

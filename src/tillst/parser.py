@@ -654,13 +654,15 @@ def _type_refs(a: s.SessionType) -> set:
 
 
 def _validate_program(prog: s.Program) -> None:
-    seen = set()
-    for group in (prog.types, prog.procs, prog.automata, prog.systems):
-        for d in group:
-            if d.name in seen:
-                raise ParseError(f"duplicate declaration name {d.name!r}",
-                                 *(d.pos or (0, 0)))
-            seen.add(d.name)
+    # externs have a namespace of their own
+    for namespace in ((prog.externs,), (prog.types, prog.procs, prog.automata, prog.systems)):
+        seen = set()
+        for group in namespace:
+            for d in group:
+                if d.name in seen:
+                    raise ParseError(f"duplicate declaration name {d.name!r}",
+                                     *(d.pos or (0, 0)))
+                seen.add(d.name)
     type_names = {d.name for d in prog.types}
     for td in prog.types:
         for ref in sorted(_type_refs(td.body) - type_names):

@@ -9,10 +9,9 @@ and the runtime binds all three kinds of variable through a leaf's
 environment.
 
 ``CONNECTIVES`` is the one table of connectives (components, message kind,
-the provider's direction), ``FORMS`` the one table of process forms,
-from which every per-form fact is derived, and ``OPS`` the one table of
-binary operators.  ``step`` is the one rule that
-advances a type along an exchange.
+the provider's direction), ``FORMS`` the one table of process forms, from
+which every per-form fact is derived, and ``OPS`` the one table of binary
+operators.  ``step`` is the one rule that advances a type along an exchange.
 An exchange half is one ``Action`` record, shared by the runtime and by the
 transitions of each ``AutomatonDef``, the form the parser reads automata in.
 

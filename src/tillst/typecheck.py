@@ -22,7 +22,9 @@ with uniquely named binders, and a provider's type binder is itself the
 solver variable for its instant.  The judgment carries two maps: from the
 process's time binders to those variables, and from each type binder a
 client exchange fixed to that exchange's instant, through which every type
-is read.
+is read.  A type window, term predicate or annotation that names a time
+variable no binder in scope binds is rejected, as no instant is known for
+it at run time.
 
 A judgment owns its maps (Gamma, Delta and those two), since each is
 checked once and depth-first.  A rule with one premise changes them in
@@ -300,6 +302,16 @@ def split_context(delta: dict, p1: s.Process, p2: s.Process,
 # Process typing
 
 
+def _instant(at: t.TimeExpr, tm: dict, location) -> t.TimeExpr:
+    """Annotation ``at`` read through ``tm``; one that names a variable no
+    process binder in scope binds is rejected."""
+    if at.var is not None and at.var not in tm:
+        raise TypeCheckError(TypingError(
+            TIMING_VIOLATION, location,
+            f"annotation {t.render_time(at)} names unbound time variable {at.var}"))
+    return t.subst_time(at, tm)
+
+
 class Judgment(namedtuple("Judgment", "g f gamma delta tm bm p at a location spawns",
                           defaults=((),))):
     """A pending G;F | Gamma;Delta |- p :: a @ at.  ``tm`` maps the time
@@ -330,9 +342,31 @@ class Checker:
         self.externs = {d.name: (tuple(d.arg_types), d.ret_type) for d in prog.externs}
         self.names = s.NameSupply()
         self.free = {}  # free channels per process node, for split_context
+        self.closed = set()  # named types whose windows expand found closed
 
-    def expand(self, a):
-        return s.expand_type_refs(self.prog, a, self.names)
+    def expand(self, a, location=""):
+        """``a`` with its named types spliced in and its binders named
+        afresh.  A window that names a variable no enclosing connective
+        binds is rejected: every binder is then named ``stem#k``, and
+        ``#`` cannot be written in source.  A named type is read for this
+        once, as each of its expansions names the same free variables."""
+        name = a.name if isinstance(a, s.TypeRef) else None
+        expanded = s.expand_type_refs(self.prog, a, self.names)
+        if name in self.closed:
+            return expanded
+        todo = [expanded]
+        while todo:
+            ty = todo.pop()
+            for atom in t.atoms(ty.pred):
+                for x in (atom.left.var, atom.right.var):
+                    if x is not None and "#" not in x:
+                        raise TypeCheckError(TypingError(
+                            SHAPE_MISMATCH, location, f"type window {t.render_prop(ty.pred)} "
+                                                      f"names unbound time variable {x}"))
+            todo += s.components(ty)
+        if name is not None:
+            self.closed.add(name)
+        return expanded
 
     # -- premise helpers -----------------------------------------------------
 
@@ -374,7 +408,7 @@ class Checker:
             raise TypeCheckError(TypingError(
                 LINEARITY_VIOLATION, loc,
                 f"forward must own exactly its source channel; leftover: {extra[0]}"))
-        when = t.subst_time(p.at, j.tm)
+        when = _instant(p.at, j.tm, loc)
         self._require(j.g, j.f, t.Eq(j.at, when), TIMING_VIOLATION, loc,
                       "forward annotation differs from judgment time")
         ok, reason = _retype(self.solver, j.g, j.f, delta[p.chan], j.a, when, loc,
@@ -400,7 +434,7 @@ class Checker:
             raise TypeCheckError(TypingError(
                 SHAPE_MISMATCH, loc,
                 f"{p.callee} takes {len(decl.params)} channel arguments, got {len(p.args)}"))
-        when = t.subst_time(p.at, j.tm)
+        when = _instant(p.at, j.tm, loc)
         self._require(j.g, j.f, t.Eq(j.at, when), TIMING_VIOLATION, loc,
                       "spawn annotation differs from judgment time")
         for k, arg in enumerate(p.args):
@@ -415,17 +449,17 @@ class Checker:
         # Arguments are passed verbatim: alpha-equal types required.
         delta1 = {}
         for arg, (param, want) in zip(p.args, decl.params):
-            want = self.expand(want)
+            want = self.expand(want, loc)
             if not s.alpha_eq_type(delta[arg], want, j.bm):
                 raise TypeCheckError(TypingError(
                     SHAPE_MISMATCH, loc,
                     f"spawn argument {arg} has type {render_type(delta[arg], j.bm)}, "
                     f"but {p.callee} expects {render_type(want)}"))
             delta1[param] = delta[arg]
-        offered = self.expand(decl.offered)
+        offered = self.expand(decl.offered, loc)
 
         def cut() -> list:
-            bound = offered if p.bound_type is None else self.expand(p.bound_type)
+            bound = offered if p.bound_type is None else self.expand(p.bound_type, loc)
             ok, reason = _retype(self.solver, j.g, j.f, offered, bound, when, loc, cut=True)
             if not ok:
                 raise TypeCheckError(TypingError(RETYPE_FAILURE, loc, reason))
@@ -466,6 +500,12 @@ class Checker:
         g, f, tm, bm = j.g, j.f, j.tm, j.bm
         if form.provides:
             now = tm[p.binder] = t.tvar(ty.binder)
+            for atom in t.atoms(p.pred):
+                for x in (atom.left.var, atom.right.var):
+                    if x is not None and x not in tm:
+                        raise TypeCheckError(TypingError(
+                            PREDICATE_UNSATISFIED, loc, f"term predicate {t.render_prop(p.pred)} "
+                                                        f"names unbound time variable {x}"))
             term_pred, window = t.substitute_all(p.pred, tm), t.substitute_all(ty.pred, bm)
             g, f = g + (ty.binder,), f.push(window)
             self._require(g, f, term_pred, PREDICATE_UNSATISFIED, loc,
@@ -475,7 +515,7 @@ class Checker:
             self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
                           "provider is too late for its window")
         else:
-            now = bm[ty.binder] = t.subst_time(p.at, tm)
+            now = bm[ty.binder] = _instant(p.at, tm, loc)
             self._require(g, f, t.Leq(j.at, now), TIMING_VIOLATION, loc,
                           "client instant precedes the current time")
             self._require(g, f, t.substitute_all(ty.pred, bm), TIMING_VIOLATION, loc,
@@ -550,8 +590,8 @@ def check_program(prog: s.Program,
     for decl in prog.procs:
         location = decl.name
         try:
-            delta = {v: checker.expand(a) for v, a in decl.params}
-            offered = checker.expand(decl.offered)
+            delta = {v: checker.expand(a, (location, v)) for v, a in decl.params}
+            offered = checker.expand(decl.offered, (location, "offered"))
             checker.check_process((), (), {}, delta, {}, decl.body, t.INIT, offered,
                                   location)
             reports.append(DeclReport(decl.name, True))

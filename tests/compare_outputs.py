@@ -27,7 +27,15 @@ a choice of two instants, at 13 stages, the largest whose search fits
 the solver's budget, and at 14, the first that exits 2 on it.  Two
 providers probe how a run finds a window's next instant: one whose
 window opens at t0+900000, and one whose window's first disjunct opens
-after its second, which also runs with ``--horizon 50``.  Malformed
+after its second, which also runs with ``--horizon 50``.  The corpus
+writes no operator in its ``$…$`` expressions, so a provider produces
+values built with every operator at every binding level, negative
+literals, parentheses, ``if`` and ``==``/``!=`` on bools
+(``expr_program``), and nine mutants of it each add a value with an
+operand of the wrong sort for one operator (``WRONG_OPERANDS``): ``check``
+rejects each, and ``run``, which does not check, exits 2 on the seven
+whose operator needs ints, while ``==`` and ``!=`` of values of two sorts
+evaluate, to false and true.  Malformed
 inputs come from each corpus file too: the file cut at a quarter, half
 and three quarters of its length, the file with ``²`` and with a lone
 ``/`` spliced into its first ``fn`` body, and the file with ``²``
@@ -214,6 +222,41 @@ def branch_program(n: int, late: int = -1) -> str:
             f"system main = hub({binds}) @ t0;\n")
 
 
+# (sort, expression) of each value ``expr_program`` produces: every operator
+# at every binding level, left association, negative literals, parentheses,
+# ``if``, and ``==``/``!=`` on bools
+EXPRESSIONS = [
+    ("int", "1 + 2 * 3 - -4"), ("int", "(1 + 2) * (3 - -4) * -2"), ("int", "10 - 3 - 2 + 1"),
+    ("int", "2 * 3 * -4 - 5 * 6"), ("bool", "1 + 2 < 2 * 2"), ("bool", "3 <= 3 - 1"),
+    ("bool", "4 > -5 * 2"), ("bool", "4 >= (5)"), ("bool", "(1 < 2) == true"),
+    ("bool", "(2 * 3 == 6) != (1 > 2)"), ("bool", "-1 != -1"),
+    ("int", "if 1 == 1 then 2 * -3 else 4"),
+    ("bool", "if true != false then 1 + 1 == 2 else false"),
+]
+# per operator, a value of its result sort with an operand of the wrong sort
+WRONG_OPERANDS = {"plus": ("int", "true + 1"), "minus": ("int", "1 - (2 < 3)"),
+                  "times": ("int", "false * false"), "lt": ("bool", "true < false"),
+                  "le": ("bool", "1 <= true"), "gt": ("bool", "(1 == 1) > 0"),
+                  "ge": ("bool", "false >= false"), "eq": ("bool", "1 == true"),
+                  "ne": ("bool", "false != 0")}
+
+
+def expr_program(wrong: str | None = None) -> str:
+    """A system ``go`` whose provider produces the values of
+    ``EXPRESSIONS`` one tick apart; with ``wrong`` a key of
+    ``WRONG_OPERANDS``, that value comes before the fourth."""
+    values = list(EXPRESSIONS)
+    if wrong is not None:
+        values.insert(3, WRONG_OPERANDS[wrong])
+    stage = "v{0} where Eq<v{0}, Shift<t0, {0}>>"
+    ty = "".join(f"Produce<{sort}, {stage.format(i)}, " for i, (sort, _) in enumerate(values))
+    body = "".join(f"    Prod<{stage.format(i)}> $ {e} $;\n" for i, (_, e) in enumerate(values))
+    close = f"z where Eq<z, Shift<t0, {len(values)}>>"
+    return (f"type EXPRS = {ty}Unit<{close}>{'>' * len(values)};\n\n"
+            f"fn exprs() -> EXPRS {{\n{body}    Close<{close}>\n}}\n\n"
+            "system go = exprs() @ t0;\n")
+
+
 LATE_OR = "Or<Geq<z, Shift<t0, 400>>, And<Geq<z, Shift<t0, 60>>, Leq<z, Shift<t0, 70>>>>"
 HORIZONS = {"late_or.tsl": 50}  # programs also run with --horizon
 
@@ -299,6 +342,9 @@ def plan(src: Path, inputs: Path) -> None:
     files["late_or.tsl"] = provider_program(LATE_OR)
     files["branch64.tsl"] = branch_program(64)
     files["branch64_mut.tsl"] = branch_program(64, late=40)
+    files["exprs.tsl"] = expr_program()
+    for wrong in WRONG_OPERANDS:
+        files[f"exprs_{wrong}.tsl"] = expr_program(wrong)
     for n in (3, 200):
         files[f"relay{n}.tsl"] = relay_program(n)
         files[f"spawn{n}.tsl"] = spawn_program(n)

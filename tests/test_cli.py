@@ -33,6 +33,11 @@ needs_int_digit_limit = pytest.mark.skipif(
     reason="this Python converts integers of any length")
 
 
+# a window and a term predicate that name x, which nothing binds
+OPEN_WINDOW = ("type T = Unit<t where And<Geq<t, t0>, Leq<x, t>>>; fn p() -> T { "
+               "Close<u where And<Geq<u, t0>, Leq<x, u>>> } system s = p() @ t0;\n")
+
+
 class TestCheck:
     def test_clean_corpus_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "check", corpus_path("smart_home.tsl"))
@@ -43,6 +48,16 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", corpus_path("p3_deadline_miss.tsl"))
         assert code == 1
         assert out.startswith("REJECT p3: TimingViolation")
+
+    def test_unbound_time_variable_rejected(self, capsys, tmp_path):
+        # its run stops at the open window (UNCHECKED below), so check must
+        # not accept it
+        path = tmp_path / "open.tsl"
+        path.write_text(OPEN_WINDOW)
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 1
+        assert out == ("REJECT p: ShapeMismatch at p/offered: type window "
+                       "And<Leq<t0, t#1>, Leq<x, t#1>> names unbound time variable x\n")
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent/zzz.tsl")
@@ -543,6 +558,9 @@ class TestMalformedInputExitsTwo:
             "fn f() -> Unit<t where True> {\n    Close<t where Leq<zz, t>>\n}\n"
             "system go = f() @ t0;\n",
             "provider predicate Leq<zz, t> not closed at runtime"),
+        "open_type_window": (
+            ["run", "--entry", "s"], OPEN_WINDOW,
+            "provider predicate And<Leq<t0, u>, Leq<x, u>> not closed at runtime"),
         "cyclic_type": (
             ["monitor", "--type", "B", "--trace", "trace.jsonl"],
             "type B = C;\ntype C = B;\n",

@@ -84,6 +84,23 @@ def test_duplicate_declaration_rejected():
         parse_program("type T = Unit<t where True> type T = Unit<s where True>")
 
 
+def test_extern_names_have_their_own_namespace():
+    prog = parse_program("extern fn f() -> int;\n"
+                         "fn f() -> Unit<t where True> { Close<t where True> }")
+    assert [d.name for d in prog.externs] == [d.name for d in prog.procs] == ["f"]
+
+
+def test_operator_binding_levels():
+    # * binds tighter than + and -, and both tighter than a comparison; the
+    # operators of one level associate to the left
+    one, two, three, four, five = map(s.IntLit, range(1, 6))
+    assert parser.Parser("1 - 2 + 3 * 4 * 5 < -1 * (2 - 3)").expr() == s.Cmp(
+        "<", s.Arith("+", s.Arith("-", one, two), s.Arith("*", s.Arith("*", three, four), five)),
+        s.Arith("*", s.IntLit(-1), s.Arith("-", two, three)))
+    assert parser.Parser("if 1 == 2 then 3 else 4 * 5 != 5").expr() == s.IfE(
+        s.Cmp("==", one, two), three, s.Cmp("!=", s.Arith("*", four, five), five))
+
+
 def test_undeclared_sort_in_extern():
     with pytest.raises(ParseError):
         parse_program("extern fn f() -> mystery;")
@@ -340,6 +357,9 @@ MALFORMED = {
                      "2:30: found 'otherwise' (expected one of: else)"),
     "expression": (PROC % "Prod<t where True> $ ) $; Close<t where True>",
                    "2:24: found ')' in expression"),
+    # comparisons do not chain
+    "chained_comparison": (PROC % "Prod<t where True> $ 1 < 2 < 3 $; Close<t where True>",
+                           "2:30: found '<' (expected one of: $)"),
     "type_closer": ("type T = Tensor<t where True, Unit<u where True>, Unit<v where True>;",
                     "1:69: found ';' (expected one of: >)"),
     "spawn_args": (PROC % "Spawn<t0>(f, ) { y => Fwd<t0>(y) }",
@@ -352,6 +372,8 @@ MALFORMED = {
                        "1:28: found 'EOF' (expected one of: >)"),
     "duplicate_name": ("type T = Unit<t where True> type T = Unit<s where True>",
                        "1:29: duplicate declaration name 'T'"),
+    "duplicate_extern": ("extern fn f() -> int;\nextern fn f() -> bool;",
+                         "2:1: duplicate declaration name 'f'"),
     # only Spawn keeps a bind annotation; the other bind tails reject one
     "lam_annotation": (PROC % "Lam<t where True> { x : Unit<w where False> => Fwd<t0>(x) }",
                        "2:25: found ':' (expected one of: =>)"),

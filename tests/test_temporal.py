@@ -567,3 +567,32 @@ class TestHyps:
             assert TestSolve.ask(hyps, goal, budget) == answer
             with pytest.raises(t.FormulaTooLargeError):
                 TestSolve.ask(hyps, goal, budget - 1)
+
+
+# Every per-connective fact as literal data, as the parser's keyword table
+# and ``_smt_prop``'s branches wrote them before ``PROP_FORMS`` held them:
+# the keyword, the SMT-LIB operator and the sides, then one proposition of
+# the connective, its surface spelling and its SMT-LIB text.
+A, B = tvar("a"), tvar("b", 2)
+PER_PROP = {
+    Top: ("True", "true", "", TOP, "True", "true"),
+    Bot: ("False", "false", "", BOT, "False", "false"),
+    And: ("And", "and", "pp", And(TOP, Leq(A, B)), "And<True, Leq<a, Shift<b, 2>>>",
+          "(and true (<= a (+ b 2)))"),
+    Or: ("Or", "or", "pp", Or(BOT, TOP), "Or<False, True>", "(or false true)"),
+    Imp: ("Implies", "=>", "pp", Imp(Eq(A, INIT), BOT), "Implies<Eq<a, t0>, False>",
+          "(=> (= a init) false)"),
+    Eq: ("Eq", "=", "tt", Eq(A, init_plus(-3)), "Eq<a, Shift<t0, -3>>", "(= a (- init 3))"),
+    Leq: ("Leq", "<=", "tt", Leq(tvar("t#1"), B), "Leq<t#1, Shift<b, 2>>", "(<= |t#1| (+ b 2))"),
+}
+
+
+def test_prop_forms_hold_every_per_connective_fact():
+    assert list(t.PROP_FORMS) == list(t.Prop) == list(PER_PROP)
+    for cls, (keyword, smt, sides, p, surface, text) in PER_PROP.items():
+        assert t.PROP_FORMS[cls] == (keyword, smt, sides)
+        assert type(p) is cls and t.render_prop(p) == surface
+        assert t.emit_smtlib(["a", "b", "t#1"], [], p) == (
+            "(set-logic QF_LIA)\n(declare-const init Int)\n(assert (= init 0))\n"
+            "(declare-const a Int)\n(declare-const b Int)\n(declare-const |t#1| Int)\n"
+            f"(assert (not {text}))\n(check-sat)\n")

@@ -1,13 +1,17 @@
+import functools
 import gc
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tillst import corpus_files
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.parser import parse_program
+from tillst.runtime import BoolV, ExternEnv, IntV, ValueEvalError, eval_expr
 from tillst.typecheck import (Checker, EntailmentSolver, LoggingSolver, TypeCheckError,
                               _RULES, _retype, check_expr, check_program,
                               split_context)
@@ -141,6 +145,114 @@ class TestCheckExpr:
             with pytest.raises(TypeCheckError) as exc:
                 check_expr({}, bad, {})
             assert exc.value.error.kind == "ExprTypeError"
+
+
+# Every per-operator fact as literal data, as the parser's precedence tuples
+# and the checker's and evaluator's branches wrote them before the rows of
+# ``syntax.OPS`` held them: the class, the binding level, the operand sort
+# (None: any one sort), the result sort, and the value of ``7 op 3``.
+PER_OP = {
+    "==": (s.Cmp, 0, None, s.BOOL, BoolV(False)), "!=": (s.Cmp, 0, None, s.BOOL, BoolV(True)),
+    "<": (s.Cmp, 0, s.INT, s.BOOL, BoolV(False)), "<=": (s.Cmp, 0, s.INT, s.BOOL, BoolV(False)),
+    ">": (s.Cmp, 0, s.INT, s.BOOL, BoolV(True)), ">=": (s.Cmp, 0, s.INT, s.BOOL, BoolV(True)),
+    "+": (s.Arith, 1, s.INT, s.INT, IntV(10)), "-": (s.Arith, 1, s.INT, s.INT, IntV(4)),
+    "*": (s.Arith, 2, s.INT, s.INT, IntV(21)),
+}
+
+
+def test_ops_hold_every_per_operator_fact():
+    assert sorted(s.OPS) == sorted(PER_OP)
+    for symbol, (cls, level, operand, result, value) in PER_OP.items():
+        op = s.OPS[symbol]
+        assert (op.cls, op.level, op.operand, op.result) == (cls, level, operand, result)
+        e = cls(symbol, s.IntLit(7), s.IntLit(3))
+        assert check_expr({}, e, {}) == result
+        assert eval_expr(e, ExternEnv()) == value
+        assert parse_program(f"fn f() -> Produce<int, t where True, Unit<u where True>> {{ "
+                             f"Prod<t where True> $ 7 {symbol} 3 $; Close<u where True> }}"
+                             ).procs[0].body.expr == e
+
+
+# Each operator with an operand of the wrong sort: check_expr's message, and
+# eval_expr's, or the value it gives when the operator takes any one sort.
+TRUE = s.BoolLit(True)
+WRONG_SORT = {
+    "+": (s.Arith("+", TRUE, s.IntLit(1)), "arithmetic on non-integer operand in +",
+          "arithmetic + on non-integers"),
+    "-": (s.Arith("-", s.IntLit(1), TRUE), "arithmetic on non-integer operand in -",
+          "arithmetic - on non-integers"),
+    "*": (s.Arith("*", TRUE, TRUE), "arithmetic on non-integer operand in *",
+          "arithmetic * on non-integers"),
+    "<": (s.Cmp("<", TRUE, TRUE), "ordering < on non-integer sort bool",
+          "ordering < on non-integers"),
+    "<=": (s.Cmp("<=", TRUE, s.BoolLit(False)), "ordering <= on non-integer sort bool",
+           "ordering <= on non-integers"),
+    ">": (s.Cmp(">", s.IntLit(1), TRUE), "comparison > between int and bool",
+          "ordering > on non-integers"),
+    ">=": (s.Cmp(">=", TRUE, s.IntLit(1)), "comparison >= between bool and int",
+           "ordering >= on non-integers"),
+    "==": (s.Cmp("==", s.IntLit(1), TRUE), "comparison == between int and bool", BoolV(False)),
+    "!=": (s.Cmp("!=", TRUE, s.IntLit(1)), "comparison != between bool and int", BoolV(True)),
+}
+
+
+@pytest.mark.parametrize("symbol", sorted(WRONG_SORT))
+def test_operand_of_the_wrong_sort(symbol):
+    e, checked, evaluated = WRONG_SORT[symbol]
+    assert e.op == symbol
+    with pytest.raises(TypeCheckError) as exc:
+        check_expr({}, e, {}, "f")
+    assert exc.value.error.render() == f"ExprTypeError at f: {checked}"
+    if isinstance(evaluated, str):
+        with pytest.raises(ValueEvalError) as err:
+            eval_expr(e, ExternEnv())
+        assert str(err.value) == evaluated
+    else:
+        assert eval_expr(e, ExternEnv()) == evaluated
+
+
+def test_arithmetic_checks_its_left_operand_first():
+    # an Arith rejects its left operand before it reads the right one; a
+    # comparison reads both first
+    nope = s.VarE("nope")
+    for e, message in ((s.Arith("+", TRUE, nope), "arithmetic on non-integer operand in +"),
+                       (s.Cmp("<", TRUE, nope), "unbound value variable nope")):
+        with pytest.raises(TypeCheckError) as exc:
+            check_expr({}, e, {})
+        assert exc.value.error.judgment == message
+
+
+@functools.cache
+def exprs(depth: int, sort=None):
+    """Expressions of int and bool literals, if and every operator, nested up
+    to ``depth``: of ``sort`` and well sorted, or of any shape (None)."""
+    leaves = {s.INT: st.builds(s.IntLit, st.integers(-9, 9)),
+              s.BOOL: st.builds(s.BoolLit, st.booleans())}
+    if depth == 0:
+        return leaves[sort] if sort else st.one_of(*leaves.values())
+    if sort is None:
+        kids = exprs(depth - 1)
+        return st.one_of(kids, st.builds(s.IfE, kids, kids, kids), *(
+            st.builds(op.cls, st.just(symbol), kids, kids) for symbol, op in s.OPS.items()))
+    options = [leaves[sort], st.builds(s.IfE, exprs(depth - 1, s.BOOL), exprs(depth - 1, sort),
+                                       exprs(depth - 1, sort))]
+    for symbol, op in s.OPS.items():
+        if op.result == sort:
+            for operand in [op.operand] if op.operand else [s.INT, s.BOOL]:
+                kids = exprs(depth - 1, operand)
+                options.append(st.builds(op.cls, st.just(symbol), kids, kids))
+    return st.one_of(*options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=exprs(4, s.INT) | exprs(4, s.BOOL) | exprs(4))
+def test_checked_expressions_evaluate_to_their_sort(e):
+    try:
+        sort = check_expr({}, e, {})
+    except TypeCheckError:
+        return
+    value = eval_expr(e, ExternEnv())
+    assert type(value) is {s.INT: IntV, s.BOOL: BoolV}[sort]
 
 
 class TestCloseTiming:
@@ -529,8 +641,35 @@ REJECTS = {
     # the type's t is free: the process binder t does not capture it
     "free_type_variable": (
         "fn prov() -> Unit<u where Leq<t, u>> { Close<t where Geq<t, t0>> }",
-        "PredicateUnsatisfied at prov/CloseP: type window not honored by term predicate: u#1; "
-        "Leq<t, u#1> |- Leq<t0, u#1> [counterexample: u#1 = t0-1]"),
+        "ShapeMismatch at prov/offered: type window Leq<t, u#1> names unbound time variable t"),
+    # a window, term predicate or annotation that names a variable nothing
+    # binds would be read as an unconstrained solver variable, and an
+    # accepted system could not run
+    "unbound_window_and_term": (
+        "type T = Unit<t where And<Geq<t, t0>, Leq<x, t>>>; fn p() -> T { "
+        "Close<u where And<Geq<u, t0>, Leq<x, u>>> } system s = p() @ t0;",
+        "ShapeMismatch at p/offered: type window And<Leq<t0, t#1>, Leq<x, t#1>> names unbound "
+        "time variable x"),
+    "unbound_parameter_window": (
+        f"fn p(c: Unit<t where Leq<y, t>>) -> {UNIT} {{ Wait<t0>(c); {CLOSE} }}",
+        "ShapeMismatch at p/c: type window Leq<y, t#1> names unbound time variable y"),
+    "unbound_spliced_window": (
+        "type K = Unit<u where Leq<s, u>>; fn p() -> K { Close<u where Geq<u, t0>> }",
+        "ShapeMismatch at p/offered: type window Leq<s, u#1> names unbound time variable s"),
+    "unbound_term_predicate": (
+        f"fn p() -> {UNIT} {{ Close<u where And<Geq<u, t0>, Leq<x, u>>> }}",
+        "PredicateUnsatisfied at p/CloseP: term predicate And<Leq<t0, u>, Leq<x, u>> names "
+        "unbound time variable x"),
+    "unbound_client_annotation": (
+        f"fn p(c: {UNIT}) -> {UNIT} {{ Wait<Shift<y, 2>>(c); {CLOSE} }}",
+        "TimingViolation at p/WaitP: annotation Shift<y, 2> names unbound time variable y"),
+    "unbound_forward_annotation": (
+        f"fn p(c: {UNIT}) -> {UNIT} {{ Fwd<y>(c) }}",
+        "TimingViolation at p/FwdP: annotation y names unbound time variable y"),
+    "unbound_spawn_annotation": (
+        f"fn q() -> {UNIT} {{ {CLOSE} }}\nfn p() -> {UNIT} {{ "
+        f"Spawn<y>(q) {{ k => Wait<t0>(k); {CLOSE} }} }}",
+        "TimingViolation at p/SpawnP: annotation y names unbound time variable y"),
 }
 
 
@@ -551,7 +690,23 @@ ACCEPTS = {
         "Unit<u where Eq<u, Shift<t0, 5>>> { App<Shift<t0, 1>>(x <= { Fwd<Shift<t0, 1>>(y) }); "
         "Wait<Shift<t0, 4>>(x); Close<u where Eq<u, Shift<t0, 5>>> }",
         ["ACCEPT user"]),
+    # a spliced type's free s is captured by the binder in scope at the use
+    "spliced_window_captured": (
+        "type K = Unit<u where Leq<s, u>>; fn p() -> Produce<int, s where Geq<s, t0>, K> { "
+        "Prod<s where Geq<s, t0>> $ 1 $; Close<u where Geq<u, s>> }",
+        ["ACCEPT p"]),
 }
+
+
+def test_open_named_type_rejected_at_every_expansion():
+    # a named type is read for unbound variables until one expansion passes
+    prog = parse_program("type K = Unit<u where Leq<s, u>>; type C = Unit<u where Geq<u, t0>>;")
+    checker = Checker(prog)
+    for _ in range(2):
+        assert isinstance(checker.expand(s.TypeRef("C"), "here"), s.UnitT)
+        with pytest.raises(TypeCheckError) as exc:
+            checker.expand(s.TypeRef("K"), "here")
+        assert exc.value.error.judgment.endswith("names unbound time variable s")
 
 
 @pytest.mark.parametrize("name", sorted(ACCEPTS))
