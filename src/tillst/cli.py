@@ -136,6 +136,7 @@ def cmd_monitor(path: str, type_name: str, trace_path: str,
     if decl is None:
         raise SystemExit2(f"no type named {type_name}")
     expanded = s.expand_type_refs(prog, s.TypeRef(type_name))
+    s.require_bound_windows(expanded)
     try:
         with open(trace_path, "r", encoding="utf-8") as fh:
             events = trace_from_jsonl(fh.read(), channel)

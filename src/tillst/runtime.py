@@ -175,6 +175,13 @@ class ExternEnv:
         return self._make(name, sig[1], chan, ())
 
 
+def _sort(v: Value) -> str:
+    """The name of ``v``'s sort, as the checker writes it."""
+    if isinstance(v, OpaqueV):
+        return v.sort
+    return str(s.INT if isinstance(v, IntV) else s.BOOL)
+
+
 def eval_expr(e: s.Expr, env: ExternEnv, scope: dict | None = None) -> Value:
     scope = scope or {}
     if isinstance(e, s.BoolLit):
@@ -190,6 +197,8 @@ def eval_expr(e: s.Expr, env: ExternEnv, scope: dict | None = None) -> Value:
         lv = eval_expr(e.left, env, scope)
         rv = eval_expr(e.right, env, scope)
         if op.operand is None:
+            if _sort(lv) != _sort(rv):
+                raise ValueEvalError(f"comparison {e.op} between {_sort(lv)} and {_sort(rv)}")
             value = op.fn(lv, rv)
         elif isinstance(lv, IntV) and isinstance(rv, IntV):
             value = op.fn(lv.value, rv.value)

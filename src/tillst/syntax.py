@@ -3,7 +3,9 @@
 Provider forms carry a time binder and predicate; client forms carry a
 concrete time expression.  Channel, time and value variables live in separate
 namespaces.  ``expand_type_refs`` builds each type once, naming every binder
-uniquely; after it, nothing is substituted into a type or a process term.
+uniquely; after it, nothing is substituted into a type or a process term,
+and ``require_bound_windows``, which the checker and the monitor both call,
+rejects a window that names a variable no binder of the type binds.
 The checker binds process and type binders through maps to their instants,
 and the runtime binds all three kinds of variable through a leaf's
 environment.
@@ -27,12 +29,17 @@ import operator
 from collections import namedtuple
 
 from .record import field, record, replace
-from .temporal import (NonClosedError, Prop, TillstError, TimeExpr, close, eval_prop,
-                       render_instant, substitute_all, tvar)
+from .temporal import (NonClosedError, Prop, TillstError, TimeExpr, atoms, close, eval_prop,
+                       render_instant, render_prop, substitute_all, tvar)
 
 
 class CyclicTypeDefError(TillstError):
     """Named type definitions form a reference cycle."""
+
+
+class UnboundWindowError(TillstError):
+    """A window of an expanded type names a variable no enclosing
+    connective binds."""
 
 
 class NameSupply:
@@ -603,6 +610,22 @@ class SilentA(Action):
 
 def components(a: SessionType) -> tuple:
     return tuple(getattr(a, name) for name in CONNECTIVES[type(a)].components)
+
+
+def require_bound_windows(a: SessionType) -> None:
+    """Raise ``UnboundWindowError`` at the first window of the expanded type
+    ``a`` that names a variable no enclosing connective binds.  Expansion
+    names every binder ``stem#k``, and ``#`` cannot be written in source,
+    so such a variable is one whose name has no ``#``."""
+    todo = [a]
+    while todo:
+        ty = todo.pop()
+        for atom in atoms(ty.pred):
+            for x in (atom.left.var, atom.right.var):
+                if x is not None and "#" not in x:
+                    raise UnboundWindowError(f"type window {render_prop(ty.pred)} "
+                                             f"names unbound time variable {x}")
+        todo += components(ty)
 
 
 def expand_type_refs(prog: Program | None, a: SessionType,

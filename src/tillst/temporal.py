@@ -5,8 +5,10 @@ distinguished initial instant ``init`` fixed to 0.  Every time expression
 normalizes to ``base + offset`` where the base is either ``init`` or a single
 time variable.  Entailment G;F |- p is decided by unsatisfiability of
 F together with the negation of p over integer assignments, by a
-depth-first search over the propositions on a difference graph; a goal
-that evaluates to true with no time variable assigned needs no search.
+depth-first search over the propositions on a difference graph.  Two
+goals need no search: one that evaluates to true with no time variable
+assigned, and one equal to the last hypothesis, as when a term restates
+its type's window.
 Hypotheses form a persistent list (``Hyps``): lists that share a prefix
 share its cells, and each cell reads its own hypothesis once, for the first
 query through it that is decided here rather than exported, as a list of
@@ -646,16 +648,20 @@ def entails_cex(
 ) -> tuple:
     """(holds, counterexample): holds iff F /\\ not p is unsatisfiable.
 
-    A goal that holds by ``_truth`` with no variable assigned holds under
-    any F, so it is answered without a search.  Every other goal, a closed
-    one that is false included, is searched: its counterexample, and whether
-    it exhausts ``budget``, are the search's.  A plain list is asked as the
-    list of a fresh root, released after the query."""
+    Two goals hold under any F and are answered without a search: one that
+    holds by ``_truth`` with no variable assigned, and one equal to F's
+    last hypothesis, since F /\\ not p then asserts p and its negation.
+    Every other goal, a closed one that is false included, is searched: its
+    counterexample, and whether it exhausts ``budget``, are the search's.
+    A plain list is asked as the list of a fresh root, released after the
+    query."""
     if _truth(p, {}) is True:
         return True, None
     fresh = not isinstance(f, Hyps)
     f = Hyps().extend(f) if fresh else f
     try:
+        if f.prop == p:
+            return True, None
         cex = f.ctx.model(f, p, g, budget)
     finally:
         if fresh:

@@ -347,23 +347,17 @@ class Checker:
     def expand(self, a, location=""):
         """``a`` with its named types spliced in and its binders named
         afresh.  A window that names a variable no enclosing connective
-        binds is rejected: every binder is then named ``stem#k``, and
-        ``#`` cannot be written in source.  A named type is read for this
-        once, as each of its expansions names the same free variables."""
+        binds is rejected (``syntax.require_bound_windows``).  A named type
+        is read for this once, as each of its expansions names the same
+        free variables."""
         name = a.name if isinstance(a, s.TypeRef) else None
         expanded = s.expand_type_refs(self.prog, a, self.names)
         if name in self.closed:
             return expanded
-        todo = [expanded]
-        while todo:
-            ty = todo.pop()
-            for atom in t.atoms(ty.pred):
-                for x in (atom.left.var, atom.right.var):
-                    if x is not None and "#" not in x:
-                        raise TypeCheckError(TypingError(
-                            SHAPE_MISMATCH, location, f"type window {t.render_prop(ty.pred)} "
-                                                      f"names unbound time variable {x}"))
-            todo += s.components(ty)
+        try:
+            s.require_bound_windows(expanded)
+        except s.UnboundWindowError as exc:
+            raise TypeCheckError(TypingError(SHAPE_MISMATCH, location, str(exc))) from exc
         if name is not None:
             self.closed.add(name)
         return expanded

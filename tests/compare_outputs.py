@@ -23,8 +23,8 @@ chain type; a chain at n=120 whose middle stage's window is disjunctive,
 with the mutant of it whose stage 110 opens late; the disjunctive
 program whose window excludes 64 instants, with the mutant whose
 provider no longer excludes the first; and a chain whose every window is
-a choice of two instants, at 13 stages, the largest whose search fits
-the solver's budget, and at 14, the first that exits 2 on it.  Two
+a choice of two instants, at 13 stages, at 14, the largest whose search
+fits the solver's budget, and at 15, the first that exits 2 on it.  Two
 providers probe how a run finds a window's next instant: one whose
 window opens at t0+900000, and one whose window's first disjunct opens
 after its second, which also runs with ``--horizon 50``.  The corpus
@@ -33,13 +33,12 @@ values built with every operator at every binding level, negative
 literals, parentheses, ``if`` and ``==``/``!=`` on bools
 (``expr_program``), and nine mutants of it each add a value with an
 operand of the wrong sort for one operator (``WRONG_OPERANDS``): ``check``
-rejects each, and ``run``, which does not check, exits 2 on the seven
-whose operator needs ints, while ``==`` and ``!=`` of values of two sorts
-evaluate, to false and true.  Malformed
-inputs come from each corpus file too: the file cut at a quarter, half
-and three quarters of its length, the file with ``²`` and with a lone
-``/`` spliced into its first ``fn`` body, and the file with ``²``
-spliced into its last line.  So that error positions are compared deep
+rejects each, and ``run``, which does not check, exits 2 on each, in
+the checker's words for ``==`` and ``!=`` of values of two sorts.
+Malformed inputs come from each corpus file too: the file cut at a
+quarter, half and three quarters of its length, the file with ``²`` and
+with a lone ``/`` spliced into its first ``fn`` body, and the file with
+``²`` spliced into its last line.  So that error positions are compared deep
 into large files, the seed-1 ``chain150.tsl`` and ``fanout96.tsl`` are
 also cut at 90% and 99% of their length.  A copy of each corpus file
 with ``\r\n`` line ends runs every command, and a file that ends in a
@@ -336,7 +335,7 @@ def plan(src: Path, inputs: Path) -> None:
     excluded = list(range(5, 69))
     files["win64.tsl"] = disjunctive_program(5, excluded, excluded)
     files["win64_mut.tsl"] = disjunctive_program(5, excluded, excluded[1:])
-    for n in (13, 14):
+    for n in (13, 14, 15):
         files[f"or{n}.tsl"] = or_chain(n)
     files["far_window.tsl"] = provider_program("Geq<z, Shift<t0, 900000>>")
     files["late_or.tsl"] = provider_program(LATE_OR)

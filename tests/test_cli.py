@@ -323,6 +323,18 @@ class TestMonitorCmd:
         assert run_cli(capsys, *args, "nosuch") == (
             2, "", f"error: trace {path} never names channel nosuch\n")
 
+    def test_unbound_time_variable_exits_two(self, capsys, tmp_path):
+        # check rejects this type's window (TestCheck), so the monitor
+        # refuses it as malformed input rather than blame the trace
+        program, trace = tmp_path / "open.tsl", tmp_path / "close.jsonl"
+        program.write_text(OPEN_WINDOW)
+        trace.write_text('{"time": 0, "dir": "send", "kind": "close", "channel": "c", '
+                         '"payload": null}\n')
+        assert run_cli(capsys, "monitor", str(program), "--type", "T",
+                       "--trace", str(trace)) == (
+            2, "", "error: type window And<Leq<t0, t#1>, Leq<x, t#1>> "
+                   "names unbound time variable x\n")
+
     def test_received_halves_do_not_conform(self, capsys, tmp_path):
         path = self.trace_for(capsys, tmp_path)
         flipped = [dict(obj, dir="recv") if obj["channel"] == "s1" else obj
@@ -410,11 +422,18 @@ class TestSolverFailuresExitTwo:
         assert proc.stderr == "error: /bin/true produced no sat/unsat verdict (stdout: '')\n"
 
     def test_search_over_budget(self, tmp_path):
-        path = tmp_path / "or14.tsl"
-        path.write_text(or_chain(14))
+        path = tmp_path / "or15.tsl"
+        path.write_text(or_chain(15))
         proc = run_subprocess("check", str(path))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: solver search exceeded its budget of 100000 literals\n"
+
+    def test_window_restated_within_budget(self, tmp_path, capsys):
+        # each stage's window queries restate their last hypothesis, so they
+        # take no search and 14 stages fit the budget; 15 do not (above)
+        path = tmp_path / "or14.tsl"
+        path.write_text(or_chain(14))
+        assert run_cli(capsys, "check", str(path)) == (0, "ACCEPT ors\n", "")
 
 
 def test_import_loads_no_solver_or_dataclass_machinery():

@@ -487,6 +487,7 @@ class TestHyps:
         try:
             assert solve_satisfiable(["t1"], f) == {"t1": 8}
             assert t.entails_cex(["t1"], f, Leq(init_plus(8), tvar("t1")))[0]
+            assert t.entails_cex(["t1"], f, f[-1], budget=0) == (True, None)
             with pytest.raises(t.FormulaTooLargeError):
                 solve_satisfiable(["t1"], f, budget=1)
             assert gc.collect() == 0
@@ -553,6 +554,31 @@ class TestHyps:
                 assert tight in ("exceeded", answer)
                 assert ask(f, goal) == ask(t.Hyps().extend(plain), goal) \
                     == ask(plain, goal) == answer
+
+    @settings(max_examples=200)
+    @given(st.lists(hyp_props(small_times), max_size=4),
+           hyp_props(small_times) | st.builds(Or, hyp_props(small_times), hyp_props(small_times))
+           | st.builds(Eq, small_times, small_times))
+    def test_goal_that_restates_the_last_hypothesis_takes_no_search(self, f, p):
+        """F, p |- p holds at budget 0, for a goal that offers a choice (an
+        Or) or whose negation does (an Eq) too: as a cell of a root whose
+        graph holds F, of a fresh root, and as a plain list."""
+        cell = t.Hyps().extend(f)
+        solve_satisfiable(self.G, cell)
+        for hyps in (cell.push(p), t.Hyps().extend(f + [p]), f + [p]):
+            assert t.entails_cex(self.G, hyps, p, budget=0) == (True, None)
+
+    def test_goal_of_the_last_hypothesis_class_is_still_searched(self):
+        """Only a goal equal to the last hypothesis is answered outright: one
+        of its class is refuted, and one equal to an earlier hypothesis is
+        searched, so it exceeds a budget its two branches do not fit."""
+        t1_is_3, t2_is_3 = Eq(tvar("t1"), init_plus(3)), Eq(tvar("t2"), init_plus(3))
+        for hyps in (t.Hyps().push(t1_is_3), [t1_is_3]):
+            assert t.entails_cex(self.G, hyps, t2_is_3) == (False, {"t1": 3, "t2": 2})
+        for hyps in (t.Hyps().push(t1_is_3).push(t2_is_3), [t1_is_3, t2_is_3]):
+            with pytest.raises(t.FormulaTooLargeError):
+                t.entails_cex(self.G, hyps, t1_is_3, budget=1)
+            assert t.entails_cex(self.G, hyps, t1_is_3, budget=2) == (True, None)
 
     @TestSolve.thresholds
     def test_clause_budget_threshold_on_a_shared_root(self, f, goal, budget, answer):

@@ -11,7 +11,7 @@ from tillst import corpus_files
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.parser import parse_program
-from tillst.runtime import BoolV, ExternEnv, IntV, ValueEvalError, eval_expr
+from tillst.runtime import BoolV, ExternEnv, IntV, OpaqueV, ValueEvalError, eval_expr
 from tillst.typecheck import (Checker, EntailmentSolver, LoggingSolver, TypeCheckError,
                               _RULES, _retype, check_expr, check_program,
                               split_context)
@@ -174,7 +174,7 @@ def test_ops_hold_every_per_operator_fact():
 
 
 # Each operator with an operand of the wrong sort: check_expr's message, and
-# eval_expr's, or the value it gives when the operator takes any one sort.
+# eval_expr's.
 TRUE = s.BoolLit(True)
 WRONG_SORT = {
     "+": (s.Arith("+", TRUE, s.IntLit(1)), "arithmetic on non-integer operand in +",
@@ -191,8 +191,10 @@ WRONG_SORT = {
           "ordering > on non-integers"),
     ">=": (s.Cmp(">=", TRUE, s.IntLit(1)), "comparison >= between bool and int",
            "ordering >= on non-integers"),
-    "==": (s.Cmp("==", s.IntLit(1), TRUE), "comparison == between int and bool", BoolV(False)),
-    "!=": (s.Cmp("!=", TRUE, s.IntLit(1)), "comparison != between bool and int", BoolV(True)),
+    "==": (s.Cmp("==", s.IntLit(1), TRUE), "comparison == between int and bool",
+           "comparison == between int and bool"),
+    "!=": (s.Cmp("!=", TRUE, s.IntLit(1)), "comparison != between bool and int",
+           "comparison != between bool and int"),
 }
 
 
@@ -203,12 +205,20 @@ def test_operand_of_the_wrong_sort(symbol):
     with pytest.raises(TypeCheckError) as exc:
         check_expr({}, e, {}, "f")
     assert exc.value.error.render() == f"ExprTypeError at f: {checked}"
-    if isinstance(evaluated, str):
-        with pytest.raises(ValueEvalError) as err:
-            eval_expr(e, ExternEnv())
-        assert str(err.value) == evaluated
-    else:
-        assert eval_expr(e, ExternEnv()) == evaluated
+    with pytest.raises(ValueEvalError) as err:
+        eval_expr(e, ExternEnv())
+    assert str(err.value) == evaluated
+
+
+def test_equality_of_two_opaque_sorts():
+    # opaque values of one sort compare; of two sorts the evaluator stops
+    # with the checker's wording
+    env = ExternEnv()
+    scope = {"a": OpaqueV("Temp", "x"), "b": OpaqueV("Temp", "x"), "c": OpaqueV("Gas", "x")}
+    assert eval_expr(s.Cmp("==", s.VarE("a"), s.VarE("b")), env, scope) == BoolV(True)
+    with pytest.raises(ValueEvalError) as err:
+        eval_expr(s.Cmp("!=", s.VarE("a"), s.VarE("c")), env, scope)
+    assert str(err.value) == "comparison != between Temp and Gas"
 
 
 def test_arithmetic_checks_its_left_operand_first():
@@ -756,6 +766,20 @@ def test_chain_check_expands_each_cell_once_and_models_only_refutations(monkeypa
             cells, todo = cells + len(kids), todo + kids
         assert len(expanded) == cells > 40
         assert len(solved) == sum(not q.holds for q in solver.queries) == int(not accepted)
+
+
+def test_restated_windows_are_still_logged():
+    """A goal that restates its last hypothesis takes no search but is still
+    asked of the solver: a logging solver over a 50-stage chain logs as
+    many queries, with the same verdicts, as when every goal was searched,
+    and two in three restate their list's last hypothesis."""
+    for late, count, refuted, restated in ((-1, 153, [], 102), (40, 121, [120], 80)):
+        solver = LoggingSolver()
+        check_program(parse_program(chain_program(50, list(range(50)), late)), solver)
+        holds = [q.holds for q in solver.queries]
+        assert len(holds) == count
+        assert [i for i, h in enumerate(holds) if not h] == refuted
+        assert sum(q.f.prop == q.prop for q in solver.queries) == restated
 
 
 def test_a_check_leaves_no_cycle_through_its_program():
