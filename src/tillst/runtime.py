@@ -38,11 +38,11 @@ step is the held tuple with the delta spliced in by bisection on the
 channel.  Taking the step places again only the delta's channels: their
 steps are forgotten and read again when next asked for, and the client
 counts and the sends offered to the environment change at those channels
-alone.  So a step's Python work grows with the
-leaves it touches, not with the system.  Every leaf's steps are read again
-when the clock or the fresh name changes.  A body's free channels are
-computed once per body node.  The candidate order: the solitary silent steps
-by leaf, then the exchanges by (sender, receiver) leaf, stably sorted by
+alone.  So a step's Python work grows with the leaves it touches, not with
+the system.  A leaf's steps are a function of the leaf and the clock, read
+again when the clock changes.  A body's free channels are computed once
+per body node.  The candidate order: the solitary silent steps by leaf,
+then the exchanges by (sender, receiver) leaf, stably sorted by
 (channel, kind, tag, payload); then the sends of providers whose channel no
 leaf uses, offered to the environment as observable events, sorted the same
 way.  The index makes one list in that order, on which silent steps and
@@ -68,7 +68,8 @@ Predicates, annotations and expressions are evaluated, and channel names
 resolved, under that environment.
 
 Fresh channels are named ``#k`` with k derived from the configuration itself,
-so replays and reorderings allocate identical names.
+so replays and reorderings allocate identical names.  The candidate list
+names the channel, once per list; no leaf's local steps name it.
 
 A trace is one JSON object per event and line.  ``trace_to_jsonl`` formats
 each line directly, byte-identical to ``json.dumps`` of the event's object
@@ -162,11 +163,24 @@ class ExternEnv:
         tag = f"{name}@{salt}" if salt else f"{name}()"
         return OpaqueV(ret.name, tag)
 
-    def call(self, name: str, args: list) -> Value:
+    def call(self, name: str, args: tuple, scope: dict) -> Value:
+        """The extern's value on the expressions ``args``, evaluated under
+        ``scope``, checked against its signature in the checker's order and
+        words: the count, then each argument's sort once it is evaluated."""
         sig = self.sigs.get(name)
         if sig is None:
             raise ValueEvalError(f"extern {name} is not declared")
-        return self._make(name, sig[1], "", args)
+        arg_types, ret = sig
+        if len(arg_types) != len(args):
+            raise ValueEvalError(f"extern {name} expects {len(arg_types)} arguments, "
+                                 f"got {len(args)}")
+        values = []
+        for i, (want, arg) in enumerate(zip(arg_types, args)):
+            values.append(eval_expr(arg, self, scope))
+            if _sort(values[-1]) != str(want):
+                raise ValueEvalError(f"extern {name} argument {i + 1}: expected {want}, "
+                                     f"got {_sort(values[-1])}")
+        return self._make(name, ret, "", values)
 
     def call_auto(self, name: str, chan: str) -> Value:
         sig = self.sigs.get(name)
@@ -212,7 +226,7 @@ def eval_expr(e: s.Expr, env: ExternEnv, scope: dict | None = None) -> Value:
             raise ValueEvalError("if condition is not a bool")
         return eval_expr(e.then if c.value else e.orelse, env, scope)
     # CallE
-    return env.call(e.name, [eval_expr(a, env, scope) for a in e.args])
+    return env.call(e.name, e.args, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +337,11 @@ class TraceEvent:
 
 
 class LocalStep(namedtuple("LocalStep", "action fire tag", defaults=(None,))):
-    """A leaf's local step: its ``action`` (SILENT for a solitary step),
-    ``fire``, which maps a payload to the leaves that replace the leaf, and
-    a silent step's flavor, ``tag``.  A tuple, not a ``record``: one is
-    built per step, and a record's ``__init__`` costs more."""
+    """A leaf's local step: its ``action`` (SILENT for a solitary step; no
+    payload for a channel send), ``fire``, which maps a payload (for a
+    spawn, the child's channel) to the leaves that replace the leaf, and a
+    silent step's flavor, ``tag``.  A tuple, not a ``record``: one is built
+    per step, and a record's ``__init__`` costs more."""
 
     __slots__ = ()
 
@@ -340,14 +355,14 @@ def _pred_holds_at(p: s.Process, env: Env, now: int) -> bool:
             f"provider predicate {t.render_prop(p.pred)} not closed at runtime") from exc
 
 
-def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
+def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv) -> list:
     """The leaf's step at ``now``, if any.  A provider form exchanges on the
     leaf's own channel and binds its binder to ``now``; a client form
     exchanges on the channel it names, at its annotation.  The connective
     fixes the message kind, and the form's row whether the leaf sends."""
     a, p, env, form = leaf.chan, leaf.body, leaf.env, s.FORMS[type(leaf.body)]
     if form.conn is None:
-        return _silent_steps(leaf, now, ext, fresh)
+        return _silent_steps(leaf, now, ext)
     if form.provides:
         if not _pred_holds_at(p, env, now):
             return []
@@ -364,7 +379,7 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     if kind == "close":
         return [step(lambda _: [] if sends else [ProcC(a, p.cont, env)])]
     if kind == "chan" and sends:
-        return [step(lambda c: [ProcC(a, p.cont, env), ProcC(c, p.payload, env)], fresh)]
+        return [step(lambda c: [ProcC(a, p.cont, env), ProcC(c, p.payload, env)])]
     if kind == "chan":
         # with no partner (c is None) the bound name stays unbound
         return [step(lambda c: [ProcC(a, p.cont, env if c is None else env.bind_chan(p.var, c))])]
@@ -378,7 +393,7 @@ def _proc_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     return [step(lambda v: [ProcC(a, p.cont, env.bind_value(p.var, v))])]
 
 
-def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
+def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv) -> list:
     a, p, env = leaf.chan, leaf.body, leaf.env
     if isinstance(p, s.IfP):
         v = eval_expr(p.cond, ext, env.values)
@@ -393,8 +408,11 @@ def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     decl = ext.prog.proc_decl(p.callee)
     if decl is None:
         raise ValueEvalError(f"spawn of undeclared proc {p.callee}")
+    if len(p.args) != len(decl.params):
+        raise ValueEvalError(
+            f"{p.callee} takes {len(decl.params)} channel arguments, got {len(p.args)}")
 
-    def fire(_):
+    def fire(fresh):
         params = {param: env.chan(arg) for (param, _), arg in zip(decl.params, p.args)}
         return [ProcC(fresh, decl.body, Env(chans=params)),
                 ProcC(a, p.cont, env.bind_chan(p.bound, fresh))]
@@ -402,7 +420,7 @@ def _silent_steps(leaf: ProcC, now: int, ext: ExternEnv, fresh: str) -> list:
     return [LocalStep(SILENT, fire, "spawn")]
 
 
-def _auto_steps(leaf: AutoC, now: int, ext: ExternEnv, defs: dict, fresh: str) -> list:
+def _auto_steps(leaf: AutoC, now: int, ext: ExternEnv, defs: dict) -> list:
     defn = defs.get(leaf.machine)
     if defn is None:
         raise ValueEvalError(f"unknown automaton {leaf.machine}")
@@ -410,19 +428,17 @@ def _auto_steps(leaf: AutoC, now: int, ext: ExternEnv, defs: dict, fresh: str) -
     for tr in automaton_transitions(defn, leaf.state, leaf.entry, now):
         nxt = [] if tr.dst == ACCEPT else [AutoC(leaf.chan, leaf.machine, tr.dst, now)]
         kind, direction, payload = tr.action.kind, tr.action.direction, tr.action.payload
-        if direction == "send" and kind == "chan":
-            payload = fresh
-        elif direction == "send" and kind == "value":
+        if direction == "send" and kind == "value":
             payload = ext.call_auto(tr.extern, leaf.chan)
         steps.append(LocalStep(Action(kind, direction, leaf.chan, payload), lambda _, n=nxt: n))
     return steps
 
 
-def _leaf_steps(leaf, now: int, ext: ExternEnv, defs: dict, fresh: str) -> list:
+def _leaf_steps(leaf, now: int, ext: ExternEnv, defs: dict) -> list:
     if isinstance(leaf, ProcC):
-        return _proc_steps(leaf, now, ext, fresh)
+        return _proc_steps(leaf, now, ext)
     if isinstance(leaf, AutoC):
-        return _auto_steps(leaf, now, ext, defs, fresh)
+        return _auto_steps(leaf, now, ext, defs)
     return []  # FwdC resolves through congruence
 
 
@@ -566,8 +582,8 @@ class _Index:
     Taking the step splices the delta into ``conf`` and places again only
     the delta's channels: their steps are forgotten and read again when next
     asked for, and the client counts and the offered set change at those
-    channels alone.  All steps are read again when the clock or the fresh
-    name changes.
+    channels alone.  A leaf's registered steps are a function of the leaf
+    and ``now``: all are read again when the clock changes, and only then.
     """
 
     def __init__(self, omega: Configuration, now: int, ext: ExternEnv, defs: dict):
@@ -580,7 +596,6 @@ class _Index:
         self.offers, self.offered = {}, set()
         for leaf in self.conf:
             self._place(leaf.chan, leaf)
-        self.fresh = _fresh_name(self.leaves, self.clients)
 
     def delta(self, fired: tuple, replaced: list) -> dict:
         """What a step that fires the leaves at ``fired`` and adds the leaves
@@ -648,7 +663,7 @@ class _Index:
         """Read the steps of the leaves whose steps are not known, in channel
         order, so an error names the leaf a full pass would name first."""
         for chan in sorted(self.stale):
-            steps = _leaf_steps(self.leaves[chan], self.now, self.ext, self.defs, self.fresh)
+            steps = _leaf_steps(self.leaves[chan], self.now, self.ext, self.defs)
             for k, step in enumerate(steps):
                 a = step.action
                 if isinstance(a, SilentA):
@@ -666,16 +681,13 @@ class _Index:
                             self.offered.add(chan)
         self.stale.clear()
 
-    def _forget_all_steps(self) -> None:
+    def advance(self, now: int) -> None:
+        """Move the clock to ``now``: every leaf's steps are forgotten."""
+        self.now = now
         for table in (self.regs, self.silent, self.sends, self.recv, self.matched,
                       self.offers, self.offered):
             table.clear()
         self.stale = set(self.leaves)
-
-    def advance(self, now: int) -> None:
-        """Move the clock to ``now``."""
-        self.now = now
-        self._forget_all_steps()
 
     def candidates(self) -> list:
         """Every step at the current instant, in the candidate order of the
@@ -684,16 +696,19 @@ class _Index:
         the sends offered to the environment."""
         self._read_stale()
         now, comm, offered = self.now, [], []
+        fresh = _fresh_name(self.leaves, self.clients)  # a sent channel or a spawned child
         for i, steps in self.silent.items():
             for k, step in steps:
-                event = TraceEvent(now, SILENT, self.fresh if step.tag == "spawn" else i, step.tag)
+                event = TraceEvent(now, SILENT, fresh if step.tag == "spawn" else i, step.tag)
                 comm.append(_Candidate(self, (_step_sort_key(event), 0, i, k), (i,), step,
-                                       None, None, event))
+                                       None, fresh, event))
         for key in self.matched:
             receivers = self.recv[key]
             for i, sends in self.sends[key].items():
                 for k, step in sends:
                     a = step.action
+                    if a.kind == "chan":
+                        a = Action("chan", "send", a.chan, fresh)
                     event = TraceEvent(now, a, a.chan)
                     rank = _step_sort_key(event)
                     comm += [_Candidate(self, (rank, 1, i, j, k, kj), (i, j), step, rcv,
@@ -701,9 +716,12 @@ class _Index:
                              for j, rcvs in receivers.items() if j != i for kj, rcv in rcvs]
         for i in self.offered:
             for k, step in self.offers[i]:
-                event = TraceEvent(now, step.action, i)
+                a = step.action
+                if a.kind == "chan":
+                    a = Action("chan", "send", i, fresh)
+                event = TraceEvent(now, a, i)
                 offered.append(_Candidate(self, (_step_sort_key(event), i, k), (i,), step, None,
-                                          step.action.payload, event))
+                                          a.payload, event))
         comm.sort(key=_by_rank)
         if len(comm) > 1:  # hashing a configuration walks every leaf's body
             first = {}
@@ -723,10 +741,6 @@ class _Index:
         for chan, leaf in placed:
             if self.leaves.get(chan) is not leaf:
                 self._place(chan, leaf)
-        fresh = _fresh_name(self.leaves, self.clients)
-        if fresh != self.fresh:
-            self.fresh = fresh
-            self._forget_all_steps()
 
 
 def reductions(omega: Configuration, now: int,

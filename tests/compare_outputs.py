@@ -12,8 +12,13 @@ Two relays run forwarders through the runtime's step path
 (``relay_program``, with 3 and 200 relays): spawned processes that each
 forward the one before, and a spawned relay that forwards a channel
 created after it was spawned.  Two systems spawn 3 and 200 live
-providers in turn (``spawn_program``), so the fresh name changes at
-every spawn.  A wide program branches at every exchange
+providers in turn (``spawn_program``): they check that the fresh names
+are unchanged now that a spawn re-reads no other leaf's steps.  Two
+systems spawn a process with one channel argument too few and one too
+many (``spawn_arity_program``), and two call ``extern fn f(int) -> int``
+with two arguments and with a bool (``extern_call_program``): ``check``
+rejects each, and ``run``, which does not check, exits 2 on each in the
+checker's words.  A wide program branches at every exchange
 (``branch_program(64)``): its hub Cases on an internal choice each time
 and keeps the sensors it has not closed in both branches, and its mutant
 closes a sensor a tick late inside the right branch of exchange 40.
@@ -180,8 +185,8 @@ def relay_program(n: int) -> str:
 
 def spawn_program(n: int) -> str:
     """A system ``go`` that spawns n providers in turn, each closing at
-    t0+5, and then waits on each: every spawn changes the fresh name while
-    the providers spawned before it are still live."""
+    t0+5, and then waits on each: every spawn takes a fresh name while the
+    providers spawned before it are still live."""
     body = "\n    ".join([f"Spawn<t0>(src) {{ a{i} =>" for i in range(n)]
                          + [f"Wait<Shift<t0, 5>>(a{i});" for i in range(n)]
                          + ["Close<z where Eq<z, Shift<t0, 5>>>"])
@@ -189,6 +194,26 @@ def spawn_program(n: int) -> str:
             "fn src() -> U { Close<t where Eq<t, Shift<t0, 5>>> }\n\n"
             f"fn main() -> U {{\n    {body}\n    {'}' * n}\n}}\n\n"
             "system go = main() @ t0;\n")
+
+
+def spawn_arity_program(params: str, args: str) -> str:
+    """A system ``go`` that spawns two providers, ``a`` and ``b``, and then
+    ``child(params)`` on the channels ``args``."""
+    return ("type U = Unit<t where Eq<t, t0>>\n"
+            "fn src() -> U { Close<t where Eq<t, t0>> }\n"
+            f"fn child({params}) -> U {{ Close<t where Eq<t, t0>> }}\n"
+            "fn main() -> U {\n"
+            "    Spawn<t0>(src) { a => Spawn<t0>(src) { b =>\n"
+            f"    Spawn<t0>(child, {args}) {{ c => Wait<t0>(c); Close<z where Eq<z, t0>> }} }} }}\n"
+            "}\nsystem go = main() @ t0;\n")
+
+
+def extern_call_program(call: str) -> str:
+    """A system ``go`` that produces ``call`` of ``extern fn f(int) -> int``."""
+    return ("extern fn f(int) -> int;\n"
+            "fn p() -> Produce<int, t where Eq<t, t0>, Unit<u where Eq<u, t0>>> {\n"
+            f"    Prod<t where Eq<t, t0>> $ {call} $;\n    Close<u where Eq<u, t0>>\n}}\n"
+            "system go = p() @ t0;\n")
 
 
 def branch_program(n: int, late: int = -1) -> str:
@@ -347,6 +372,10 @@ def plan(src: Path, inputs: Path) -> None:
     for n in (3, 200):
         files[f"relay{n}.tsl"] = relay_program(n)
         files[f"spawn{n}.tsl"] = spawn_program(n)
+    files["spawn_few.tsl"] = spawn_arity_program("x: U, y: U", "a")
+    files["spawn_many.tsl"] = spawn_arity_program("x: U", "a, b")
+    files["extern_count.tsl"] = extern_call_program("f(1, 2)")
+    files["extern_sort.tsl"] = extern_call_program("f(true)")
     for name, text in files.items():
         (inputs / name).write_text(text, encoding="utf-8")
     programs = {}

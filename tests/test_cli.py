@@ -11,7 +11,8 @@ from tillst import corpus_path
 from tillst.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
-from compare_outputs import LATE_OR, or_chain, provider_program  # noqa: E402
+from compare_outputs import (LATE_OR, extern_call_program, or_chain,  # noqa: E402
+                             provider_program, spawn_arity_program)
 from perfbench.workloads import chain_type, disjunctive_program  # noqa: E402
 
 
@@ -584,6 +585,21 @@ class TestMalformedInputExitsTwo:
             ["monitor", "--type", "B", "--trace", "trace.jsonl"],
             "type B = C;\ntype C = B;\n",
             "cyclic type definition: B -> C -> B"),
+        "spawn_too_few_args": (
+            ["run", "--entry", "go"], spawn_arity_program("x: U, y: U", "a"),
+            "child takes 2 channel arguments, got 1"),
+        "spawn_too_many_args": (
+            ["run", "--entry", "go"], spawn_arity_program("x: U", "a, b"),
+            "child takes 1 channel arguments, got 2"),
+        "extern_too_many_args": (
+            ["run", "--entry", "go"], extern_call_program("f(1, 2)"),
+            "extern f expects 1 arguments, got 2"),
+        "extern_argument_sort": (
+            ["run", "--entry", "go"], extern_call_program("f(true)"),
+            "extern f argument 1: expected int, got bool"),
+        "extern_count_before_arguments": (
+            ["run", "--entry", "go"], extern_call_program("f(true + 1, 2)"),
+            "extern f expects 1 arguments, got 2"),
     }
 
     @pytest.mark.parametrize("name", sorted(UNCHECKED))

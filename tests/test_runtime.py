@@ -162,7 +162,7 @@ def leaf_transitions(omega, now):
     for i, leaf in enumerate(omega):
         rest = omega[:i] + omega[i + 1:]
         out += [(step.action, rest + tuple(step.fire(step.action.payload)))
-                for step in _leaf_steps(leaf, now, env, {}, "#1")]
+                for step in _leaf_steps(leaf, now, env, {})]
     return out
 
 
@@ -1011,7 +1011,7 @@ def reference_reductions(omega, now, env, defs):
     while f"#{k}" in taken:
         k += 1
     fresh = f"#{k}"
-    per_leaf = [_leaf_steps(leaf, now, env, defs, fresh) for leaf in leaves]
+    per_leaf = [_leaf_steps(leaf, now, env, defs) for leaf in leaves]
 
     def after(fired, replaced):
         return congruence_normalize([x for k, x in enumerate(leaves) if k not in fired]
@@ -1029,16 +1029,17 @@ def reference_reductions(omega, now, env, defs):
             a = step.action
             if isinstance(a, SilentA):
                 chan = fresh if step.tag == "spawn" else own
-                comm.append((after((i,), step.fire(None)), TraceEvent(now, a, chan, step.tag)))
+                comm.append((after((i,), step.fire(fresh)), TraceEvent(now, a, chan, step.tag)))
                 continue
             if a.direction != "send":
                 continue
-            pairs += [(i, j, step, rcv) for j, rcv in receivers.get(_partner(a), ()) if j != i]
+            if a.kind == "chan":
+                a = Action("chan", "send", a.chan, fresh)
+            pairs += [(i, j, a, step, rcv) for j, rcv in receivers.get(_partner(a), ()) if j != i]
             if a.chan == own and own not in used:
                 offered.append((after((i,), step.fire(a.payload)), TraceEvent(now, a, a.chan)))
     pairs.sort(key=lambda m: m[:2])
-    for i, j, snd, rcv in pairs:
-        a = snd.action
+    for i, j, a, snd, rcv in pairs:
         comm.append((after((i, j), snd.fire(a.payload) + rcv.fire(a.payload)),
                      TraceEvent(now, a, a.chan)))
     comm.sort(key=lambda c: _step_sort_key(c[1]))
@@ -1253,8 +1254,7 @@ BME680_S0 = {d.name: d for d in parse_program(
 def index_state(index):
     """What an index holds, with its candidates read."""
     cands = outcome(lambda: [(c.event, c.config) for c in index.candidates()])
-    return (index.conf, index.leaves, index.clients, index.forwards, index.offered,
-            index.fresh, cands)
+    return (index.conf, index.leaves, index.clients, index.forwards, index.offered, cands)
 
 
 def check_take(index, cand, take=_Index.take):
@@ -1372,6 +1372,28 @@ def test_a_step_places_only_the_channels_it_touches(monkeypatch):
     assert normalized == [65]
     assert len(per_step) == len(r.trace) and max(per_step) <= 4
     assert len(placed) == 65 + sum(per_step)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_a_spawn_reads_only_the_leaves_it_changes(n, monkeypatch):
+    # n spawns, each while the providers spawned before it are live: a
+    # spawn re-reads the steps of its spawner and its child alone, since
+    # the fresh name is chosen by the candidate list and no leaf's steps
+    # name it
+    from compare_outputs import spawn_program
+
+    prog = parse_program(spawn_program(n))
+    omega, start, defs = build_system(prog, "go")
+    read, real_leaf_steps = [], rt._leaf_steps
+
+    def leaf_steps(leaf, *args):
+        read.append(leaf.chan)
+        return real_leaf_steps(leaf, *args)
+
+    monkeypatch.setattr(rt, "_leaf_steps", leaf_steps)
+    r = run_scheduler(omega, start, env=ExternEnv(prog), defs=defs)
+    assert (r.status, len(r.trace)) == ("done", 2 * n + 1)
+    assert len(read) <= 5 * n
 
 
 def test_replay_normalizes_only_the_entry_configuration(monkeypatch):
