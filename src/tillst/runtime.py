@@ -17,12 +17,11 @@ form per class: every forwarder merged into the leaf providing its client
 channel, found through one map from provided channel to leaf, then the
 leaves sorted by provided channel, by the merge a step's delta makes.  Step
 sequences hold configurations in this form and ``replay`` compares them as
-recorded; only entry configurations and those trajectories compare are
-normalized.
+recorded; only entry configurations are normalized.
 
-One index, built for one ``run_scheduler``, ``replay`` or ``reductions`` call
-and dropped when it returns, generates the candidate steps of an instant and
-applies the one taken.  It holds the configuration as the sorted tuple and as
+One index, built for one ``run_scheduler`` or ``replay`` call and dropped
+when it returns, generates the candidate steps of an instant and applies
+the one taken.  It holds the configuration as the sorted tuple and as
 a map from provided channel to leaf, a count per channel of the names by
 which leaves use it as a client, the forwarders by the client channel they
 wait for, and each leaf's local steps at the current instant, sends and
@@ -49,10 +48,10 @@ way.  The index makes one list in that order, on which silent steps and
 exchanges with equal configuration and event appear once (the first kept);
 a candidate's delta and configuration are built only when read, so where at
 most one silent step or exchange is listed the scheduler builds only the one
-it takes.  The scheduler, replay and ``reductions`` all read that list: the
-scheduler takes its first entry, or a ``tiebreak``'s pick, until none is
-left at the current clock; replay takes the entry whose configuration is the
-recorded one; and ``reductions`` returns it whole.  One wait pass over the
+it takes.  The scheduler and replay both read that list: the scheduler
+takes its first entry, or a ``tiebreak``'s pick, until none is left at the
+current clock, and replay takes the entry whose configuration is the
+recorded one.  One wait pass over the
 index's leaves then either blames a timing violation or lists the pending
 instants, and the clock advances to the least of them.  A provider that
 offers to the environment pends at the least instant its window holds, found
@@ -561,8 +560,8 @@ def _leaf_at(conf: Configuration, chan: str):
 
 
 class _Index:
-    """The state of one ``run_scheduler``, ``replay`` or ``reductions`` call,
-    dropped when the call returns.
+    """The state of one ``run_scheduler`` or ``replay`` call, dropped when
+    the call returns.
 
     It holds the normalized configuration ``conf`` and the map ``leaves``
     from provided channel to leaf; per channel, the number of names by which
@@ -743,16 +742,6 @@ class _Index:
                 self._place(chan, leaf)
 
 
-def reductions(omega: Configuration, now: int,
-               env: ExternEnv | None = None,
-               defs: dict | None = None) -> list:
-    """Every step available at this instant, as (configuration, event)
-    pairs in the candidate order the module docstring gives.  Configurations
-    are congruence-normalized; an exchange's event records its send half."""
-    index = _Index(omega, now, env or ExternEnv(), defs or {})
-    return [(cand.config, cand.event) for cand in index.candidates()]
-
-
 # ---------------------------------------------------------------------------
 # Step sequences (multistep reduction proof terms)
 
@@ -790,99 +779,12 @@ def seq_start(sigma: StepSequence) -> tuple:
     return sigma.time, sigma.before
 
 
-def seq_end(sigma: StepSequence) -> tuple:
-    while not isinstance(sigma, Refl):
-        sigma = sigma.rest
-    return sigma.time, sigma.config
-
-
-class SequenceMismatch(Exception):
-    pass
-
-
-def seq_concat(s1: StepSequence, s2: StepSequence) -> StepSequence:
-    """Concatenate sequences; a time gap with equal configurations is bridged
-    by an explicit clock advance."""
-    end_t, end_c = seq_end(s1)
-    start_t, start_c = seq_start(s2)
-    if end_c != start_c or end_t > start_t:
-        raise SequenceMismatch(
-            f"cannot concatenate: ends at {end_t} with a different state than "
-            f"{start_t}" if end_c != start_c else "time moves backwards")
-    if end_t < start_t:
-        s2 = StepT(end_t, start_t, end_c, s2)
-    spine = []
-    while not isinstance(s1, Refl):
-        spine.append(s1)
-        s1 = s1.rest
-    return seq_prepend(spine, s2)
-
-
 def seq_prepend(spine: list, tail: StepSequence) -> StepSequence:
     """The steps of ``spine`` in order, each continued by the next and the
     last by ``tail``; the ``rest`` each step carries is ignored."""
     for sig in reversed(spine):
         tail = replace(sig, rest=tail)
     return tail
-
-
-def seq_extend_to(sigma: StepSequence, end_time: int) -> StepSequence:
-    """Pad the tail with a clock advance so the sequence ends at end_time."""
-    t_end, c_end = seq_end(sigma)
-    if end_time < t_end:
-        raise SequenceMismatch("cannot shrink a sequence")
-    if end_time == t_end:
-        return sigma
-    return seq_concat(sigma, Refl(end_time, c_end))
-
-
-def seq_interleave(s1: StepSequence, s2: StepSequence) -> StepSequence:
-    """Merge two sequences over the parallel composition of their states,
-    taking instantaneous steps in non-decreasing time order (left first among
-    simultaneous ones) and advancing the clock to the nearer target."""
-    t1, _ = seq_start(s1)
-    t2, _ = seq_start(s2)
-    e1, c1 = seq_end(s1)
-    e2, c2 = seq_end(s2)
-    lo, hi = min(t1, t2), max(e1, e2)
-    if t1 > lo:
-        s1 = StepT(lo, t1, seq_start(s1)[1], s1)
-    if t2 > lo:
-        s2 = StepT(lo, t2, seq_start(s2)[1], s2)
-    s1 = seq_extend_to(s1, hi)
-    s2 = seq_extend_to(s2, hi)
-    return _il(s1, s2)
-
-
-def _il(s1: StepSequence, s2: StepSequence) -> StepSequence:
-    pc = lambda a, b: congruence_normalize(a + b)
-    spine = []
-    while not (isinstance(s1, Refl) and isinstance(s2, Refl)):
-        if isinstance(s1, StepC):
-            other = seq_start(s2)[1]
-            spine.append(StepC(s1.time, pc(s1.before, other), pc(s1.after, other), None))
-            s1 = s1.rest
-        elif isinstance(s2, StepC):
-            other = seq_start(s1)[1]
-            spine.append(StepC(s2.time, pc(other, s2.before), pc(other, s2.after), None))
-            s2 = s2.rest
-        elif isinstance(s1, StepT) and (isinstance(s2, Refl) or s1.t2 <= s2.t2):
-            spine.append(StepT(s1.t1, s1.t2, pc(s1.config, s2.config), None))
-            if isinstance(s2, Refl):
-                s2 = Refl(s1.t2, s2.config)
-            elif s1.t2 < s2.t2:
-                s2 = StepT(s1.t2, s2.t2, s2.config, s2.rest)
-            else:
-                s2 = s2.rest
-            s1 = s1.rest
-        else:  # s2 is a StepT ending first, or s1 is Refl
-            spine.append(StepT(s2.t1, s2.t2, pc(s1.config, s2.config), None))
-            if isinstance(s1, Refl):
-                s1 = Refl(s2.t2, s1.config)
-            else:
-                s1 = StepT(s2.t2, s1.t2, s1.config, s1.rest)
-            s2 = s2.rest
-    return seq_prepend(spine, Refl(s1.time, pc(s1.config, s2.config)))
 
 
 def replay(sigma: StepSequence, env: ExternEnv | None = None,

@@ -400,11 +400,11 @@ def collect(inputs: str) -> None:
     both trees, since ``smt`` prints the directory it writes to."""
     from tillst.cli import build_system, main
     from tillst.parser import ParseError, parse_program
-    from tillst.runtime import (ExternEnv, replay, run_scheduler, seq_end, seq_extend_to,
-                                seq_start)
-    from tillst.trajectory import traj_concat, traj_from_sigma, traj_partition
+    from tillst.runtime import ExternEnv, replay, run_scheduler, seq_start
     from tillst.temporal import TillstError
     from tillst.typecheck import check_program
+    from trajectory import (seq_end, seq_extend_to, traj_concat, traj_from_sigma,
+                            traj_partition)
 
     inputs, out = Path(inputs), Path()
     spec = json.loads((inputs / "plan.json").read_text())

@@ -18,11 +18,10 @@ from tillst.automata import Conforms, TraceObligation, Violation, monitor_trace
 from tillst.cli import build_system
 from tillst.parser import parse_program
 from tillst.runtime import (Action, ExternEnv, ProcC, TraceEvent,
-                            congruence_normalize, replay, run_scheduler,
-                            seq_extend_to)
-from tillst.trajectory import (traj_concat, traj_equiv, traj_from_sigma,
-                               traj_interleave, traj_partition)
+                            congruence_normalize, replay, run_scheduler)
 from tillst.typecheck import check_program
+from trajectory import (seq_extend_to, traj_concat, traj_equiv, traj_from_sigma,
+                        traj_interleave, traj_partition)
 
 
 @contextmanager

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-import tillst.cli  # noqa: F401  (with trajectory, loads every record class)
-import tillst.trajectory  # noqa: F401
+import tillst.cli  # noqa: F401  (with tests/trajectory.py, loads every record class)
+import trajectory  # noqa: F401
 from tillst import corpus_path
 from tillst import runtime as rt
 from tillst import syntax as s
@@ -152,7 +152,8 @@ def per_class_methods(cls) -> dict:
 
 
 def record_classes() -> list:
-    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("tillst.")]
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("tillst.") or name == "trajectory"]
     return [v for m in modules for v in vars(m).values()
             if isinstance(v, type) and v.__module__ == m.__name__
             and "__record_fields__" in v.__dict__]

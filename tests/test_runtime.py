@@ -18,15 +18,14 @@ from tillst.runtime import (STOP, Action, AutoC, BoolV, ExternEnv, FwdC, IntV,
                             OpaqueV, ProcC, Refl, RuntimeInvariantError, SILENT,
                             StepC, StepT, TraceEvent, TraceFormatError,
                             congruence_normalize, conf_leaves, eval_expr,
-                            reductions, replay, run_scheduler, seq_concat,
-                            seq_end, seq_interleave, seq_start,
+                            replay, run_scheduler, seq_start,
                             trace_from_jsonl, trace_to_jsonl)
 from tillst.temporal import TillstError
 from tillst.runtime import (_Index, _leaf_steps, _step_sort_key,
                             _wait_pass, DeadlockInfo, HorizonInfo, SilentA,
                             describe_leaf)
-from tillst.trajectory import (traj_concat, traj_equiv, traj_from_sigma,
-                               traj_partition)
+from trajectory import (reductions, seq_concat, seq_end, seq_interleave, traj_concat,
+                        traj_equiv, traj_from_sigma, traj_partition)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's generators
 from perfbench.workloads import chain_program, fanout_program  # noqa: E402

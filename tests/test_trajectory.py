@@ -8,11 +8,10 @@ from helpers import seq_steps
 from tillst import syntax as s
 from tillst import temporal as t
 from tillst.runtime import (ProcC, Refl, StepT, congruence_normalize,
-                            replay, run_scheduler, seq_concat, seq_extend_to,
-                            seq_interleave)
-from tillst.trajectory import (DomainError, traj_at, traj_concat,
-                               traj_equiv, traj_from_sigma, traj_interleave,
-                               traj_partition)
+                            replay, run_scheduler)
+from trajectory import (DomainError, seq_concat, seq_extend_to, seq_interleave,
+                        traj_at, traj_concat, traj_equiv, traj_from_sigma,
+                        traj_interleave, traj_partition)
 
 sh = t.init_plus
 HORIZON = 64
@@ -149,7 +148,7 @@ class TestSequenceOps:
         assert isinstance(out, StepT) and (out.t1, out.t2) == (0, 7)
 
     def test_concat_rejects_mismatched_states(self):
-        from tillst.runtime import SequenceMismatch
+        from trajectory import SequenceMismatch
 
         a = Refl(0, (ProcC("a", s.CloseP("t", t.TOP)),))
         b = Refl(0, (ProcC("b", s.CloseP("t", t.TOP)),))
