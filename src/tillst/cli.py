@@ -58,6 +58,28 @@ def _write(path: str, text: str, what: str) -> None:
         raise SystemExit2(f"cannot write {what}: {exc}") from exc
 
 
+def _require_acyclic_spawns(prog: s.Program, root: str) -> None:
+    """Refuse, in the checker's words, a spawn chain from ``root`` that
+    reaches a proc already on it, since ``run`` would spawn without end at
+    one instant.  Each reachable body is read once, depth first from an
+    explicit stack; an undeclared callee is left for the run to report."""
+    bodies = {pd.name: pd.body for pd in prog.procs}
+    on_path, done = {root}, set()
+    stack = [(root, iter(s.spawns(bodies[root])))]
+    while stack:
+        proc, pending = stack[-1]
+        spawn = next(pending, None)
+        if spawn is None:
+            stack.pop()
+            on_path.discard(proc)
+            done.add(proc)
+        elif spawn.callee in on_path:
+            raise SystemExit2(f"recursive spawn chain through {spawn.callee} is not supported")
+        elif spawn.callee in bodies and spawn.callee not in done:
+            on_path.add(spawn.callee)
+            stack.append((spawn.callee, iter(s.spawns(bodies[spawn.callee]))))
+
+
 def build_system(prog: s.Program, name: str):
     """Assemble the closed composition a ``system`` declaration describes;
     the parser has checked its bindings.  Returns (configuration, start
@@ -65,6 +87,7 @@ def build_system(prog: s.Program, name: str):
     sysd = prog.system_decl(name)
     if sysd is None:
         raise SystemExit2(f"no system named {name}")
+    _require_acyclic_spawns(prog, sysd.entry)
     entry = prog.proc_decl(sysd.entry)
     defs = {defn.name: defn for defn in prog.automata}
     start = sysd.start.ticks()

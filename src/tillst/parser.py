@@ -677,6 +677,9 @@ def _validate_program(prog: s.Program) -> None:
         mentioned = _type_refs(pd.offered)
         for _, ty in pd.params:
             mentioned |= _type_refs(ty)
+        for sp in s.spawns(pd.body):
+            if sp.bound_type is not None:
+                mentioned |= _type_refs(sp.bound_type)
         for ref in sorted(mentioned - type_names):
             raise ParseError(f"fn {pd.name} references unknown type {ref}",
                              *(pd.pos or (0, 0)))

@@ -51,12 +51,12 @@ most one silent step or exchange is listed the scheduler builds only the one
 it takes.  The scheduler and replay both read that list: the scheduler
 takes its first entry, or a ``tiebreak``'s pick, until none is left at the
 current clock, and replay takes the entry whose configuration is the
-recorded one.  One wait pass over the
-index's leaves then either blames a timing violation or lists the pending
-instants, and the clock advances to the least of them.  A provider that
-offers to the environment pends at the least instant its window holds, found
-with no solver: the window is read at the instants where one of its atoms
-changes truth.  Each run yields a replayable step sequence.
+recorded one.  One wait pass over the index's leaves then either blames a
+timing violation or lists the pending instants, and the clock advances to
+the least of them.  A provider that offers to the environment pends at the
+least instant its window holds, found with no solver: the window is read at
+the instants where one of its atoms changes truth.  Each run yields a
+replayable step sequence.
 
 A process leaf carries an environment instead of rewritten continuations,
 so its body is always a subterm of the program as parsed: when a provider

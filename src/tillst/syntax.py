@@ -708,6 +708,23 @@ def alpha_eq_type(a: SessionType, b: SessionType, m: dict | None = None) -> bool
 # ---------------------------------------------------------------------------
 # Process operations
 
+def spawns(p: Process) -> list:
+    """The ``SpawnP`` nodes of ``p`` in source order, found through each
+    form's children from an explicit stack, so deep terms need no Python
+    stack."""
+    found, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        if type(q) is SpawnP:
+            found.append(q)
+        names = FORMS[type(q)].children
+        if len(names) == 1:  # most forms: the continuation alone
+            stack.append(getattr(q, names[0]))
+        else:
+            stack.extend([getattr(q, name) for name in names][::-1])
+    return found
+
+
 def free_channel_table(p: Process, table: dict) -> frozenset:
     """The channels ``p`` uses and does not bind, with those of ``p`` and of
     every subterm recorded in ``table`` as ``id(node) -> (node, channels)``,

@@ -65,7 +65,10 @@ every program the two trees are compared on:
 - ``replay``'s verdict on two sequences built from that one, which hold
   the configurations it records: ``seq_extend_to`` it 5 instants past its
   end (``... extended``), and ``traj_concat`` of the ``traj_partition`` of
-  its trajectory to its end + 1 at its middle instant (``... partitioned``);
+  its trajectory to its end + 1 at its middle instant (``... partitioned``).
+  Both trees take these combinators from ``tests/trajectory.py``, beside
+  this script, so they build the sequences with the same code, each over
+  its own runtime;
 - ``smt``: stdout, stderr, exit code, every script, and ``index.json``
   without the ``ms`` field each query's time is recorded in;
 - ``monitor`` of every type against each run trace, without ``--channel``

@@ -439,15 +439,20 @@ class TestSolverFailuresExitTwo:
 
 def test_import_loads_no_solver_or_dataclass_machinery():
     # no timing: which modules ``import tillst.cli`` pulls in, without the
-    # site module's preloads; ``subprocess`` loads only for an external solver
+    # site module's preloads; ``subprocess`` loads only for an external solver.
+    # Then the package's modules it leaves unloaded: every module shipped is
+    # one the CLI runs, so code only tests call lives under tests/
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = ("import sys, tillst.cli\n"
              "print(sorted(m for m in ('dataclasses', 'inspect', 'subprocess',"
-             " 'importlib.resources', 'typing', 'json') if m in sys.modules))")
+             " 'importlib.resources', 'typing', 'json') if m in sys.modules))\n"
+             "import pkgutil, tillst\n"
+             "print(sorted(m.name for m in pkgutil.iter_modules(tillst.__path__)"
+             " if 'tillst.' + m.name not in sys.modules))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
@@ -479,6 +484,28 @@ def test_system_binding_must_name_a_parameter(tmp_path, capsys):
     code = main(["run", str(path), "--entry", "bad"])
     err = capsys.readouterr().err
     assert code == 2 and "no parameter y" in err
+
+
+SPAWNS = ("type U = Unit<t where Eq<t, t0>>;\n"
+          "fn g() -> U { Close<t where Eq<t, t0>> }\n"
+          "fn a() -> U { Spawn<t0>(g) { x => Wait<t0>(x); Close<t where Eq<t, t0>> } }\n"
+          "fn e() -> U { Spawn<t0>(g) { x => Wait<t0>(x); Spawn<t0>(a) { y => Wait<t0>(y);\n"
+          "    Spawn<t0>(g) { z => Wait<t0>(z); Close<t where Eq<t, t0>> } } } }\n"
+          "fn b() -> U { Spawn<t0>(c) { x => Wait<t0>(x); Close<t where Eq<t, t0>> } }\n"
+          "fn c() -> U { Spawn<t0>(b) { x => Wait<t0>(x); Close<t where Eq<t, t0>> } }\n"
+          "fn d() -> U { Spawn<t0>(g) { x => Wait<t0>(x); Spawn<t0>(b) { y => Wait<t0>(y);\n"
+          "    Close<t where Eq<t, t0>> } } }\n"
+          "system shared = e() @ t0;\nsystem cycle = d() @ t0;\n")
+
+
+def test_run_refuses_only_a_spawn_cycle(tmp_path, capsys):
+    # g is spawned three times on two paths from e, which is no cycle; d
+    # reaches b, which spawns c, which spawns b
+    path = tmp_path / "spawns.tsl"
+    path.write_text(SPAWNS)
+    assert run_cli(capsys, "run", str(path), "--entry", "shared")[0] == 0
+    assert run_cli(capsys, "run", str(path), "--entry", "cycle") == \
+        (2, "", "error: recursive spawn chain through b is not supported\n")
 
 
 class TestMalformedInputExitsTwo:
@@ -591,6 +618,13 @@ class TestMalformedInputExitsTwo:
         "spawn_too_many_args": (
             ["run", "--entry", "go"], spawn_arity_program("x: U", "a, b"),
             "child takes 1 channel arguments, got 2"),
+        # run would spawn main without end at t0, where --horizon cannot stop it
+        "spawn_cycle": (
+            ["run", "--entry", "s", "--horizon", "1"],
+            "fn main() -> Unit<q where Geq<q, t0>> {\n"
+            "    Spawn<t0>(main) { a => Wait<t0>(a); Close<q where Geq<q, t0>> }\n}\n"
+            "system s = main() @ t0;\n",
+            "recursive spawn chain through main is not supported"),
         "extern_too_many_args": (
             ["run", "--entry", "go"], extern_call_program("f(1, 2)"),
             "extern f expects 1 arguments, got 2"),

@@ -144,3 +144,22 @@ def test_free_channel_table_agrees_on_every_subterm(load_corpus):
                 assert table[id(p)] == (p, reference_free_channels(p))
                 stack += [getattr(p, name) for name in s.FORMS[type(p)].children]
 
+
+
+def test_spawns_in_source_order():
+    # through an App's payload, both arms of an if and a Case's branches,
+    # and down a chain too deep for the Python stack
+    from tillst.parser import parse_program
+
+    body = parse_program(
+        "fn p(c: Unit<t where True>) -> Unit<t where True> {\n"
+        "  Spawn<t0>(a) { x => App<t0>(x <= { Spawn<t0>(b) { y => Fwd<t0>(y) } });\n"
+        "  if $ true $ { Spawn<t0>(c) { z => Fwd<t0>(z) } } else {\n"
+        "  Case<t0>(c) { L => Spawn<t0>(d) { z => Fwd<t0>(z) } }\n"
+        "  { R => Spawn<t0>(e) { z : Unit<u where True> => Fwd<t0>(z) } } } }\n"
+        "}\n").procs[0].body
+    assert [sp.callee for sp in s.spawns(body)] == ["a", "b", "c", "d", "e"]
+    deep = s.CloseP("t", t.TOP)
+    for i in range(3000):
+        deep = s.SpawnP(T0, f"f{i}", (), "x", s.WaitP(T0, "x", deep))
+    assert [sp.callee for sp in s.spawns(deep)] == [f"f{i}" for i in reversed(range(3000))]
