@@ -82,8 +82,9 @@ def _require_acyclic_spawns(prog: s.Program, root: str) -> None:
 
 def build_system(prog: s.Program, name: str):
     """Assemble the closed composition a ``system`` declaration describes;
-    the parser has checked its bindings.  Returns (configuration, start
-    instant, automaton definitions by name)."""
+    the parser has checked its bindings, and a spawn cycle reachable from
+    its entry is refused here.  Returns (configuration, start instant,
+    automaton definitions by name)."""
     sysd = prog.system_decl(name)
     if sysd is None:
         raise SystemExit2(f"no system named {name}")

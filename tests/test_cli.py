@@ -23,9 +23,10 @@ def run_cli(capsys, *args):
 
 
 def run_subprocess(*args):
+    # the timeout turns a run that never ends into a failure, not a hang
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run([sys.executable, "-m", "tillst.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 # Python 3.10 converts integers of any length; 3.11 refuses past a limit
@@ -498,13 +499,15 @@ SPAWNS = ("type U = Unit<t where Eq<t, t0>>;\n"
           "system shared = e() @ t0;\nsystem cycle = d() @ t0;\n")
 
 
-def test_run_refuses_only_a_spawn_cycle(tmp_path, capsys):
+def test_run_refuses_only_a_spawn_cycle(tmp_path):
     # g is spawned three times on two paths from e, which is no cycle; d
     # reaches b, which spawns c, which spawns b
     path = tmp_path / "spawns.tsl"
     path.write_text(SPAWNS)
-    assert run_cli(capsys, "run", str(path), "--entry", "shared")[0] == 0
-    assert run_cli(capsys, "run", str(path), "--entry", "cycle") == \
+    shared = run_subprocess("run", str(path), "--entry", "shared")
+    assert (shared.returncode, shared.stdout.splitlines()[-1]) == (0, "done at t0+0 (9 events)")
+    cycle = run_subprocess("run", str(path), "--entry", "cycle")
+    assert (cycle.returncode, cycle.stdout, cycle.stderr) == \
         (2, "", "error: recursive spawn chain through b is not supported\n")
 
 

@@ -339,8 +339,8 @@ MALFORMED = {
     # a Spawn annotation's type names are read like the signature's, here
     # in the else arm of an if
     "spawn_annotation_type": ("fn g() -> Unit<t where True> {\n  Close<t where True>\n}\n" +
-                              PROC % "if $ true $ { Close<t where True> } else { "
-                                     "Spawn<t0>(g) { x : Nope => Wait<t0>(x); Close<t where True> } }",
+                              PROC % "if $ true $ { Close<t where True> } else { Spawn<t0>(g) "
+                                     "{ x : Nope => Wait<t0>(x); Close<t where True> } }",
                               "4:1: fn p references unknown type Nope"),
     "fn_parameter_twice": ("fn two(a: Unit<t where True>, a: Unit<t where True>) -> "
                            "Unit<t where True> {\n  Wait<t0>(a); Close<t where True>\n}",

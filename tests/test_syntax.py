@@ -145,7 +145,6 @@ def test_free_channel_table_agrees_on_every_subterm(load_corpus):
                 stack += [getattr(p, name) for name in s.FORMS[type(p)].children]
 
 
-
 def test_spawns_in_source_order():
     # through an App's payload, both arms of an if and a Case's branches,
     # and down a chain too deep for the Python stack
